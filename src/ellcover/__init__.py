@@ -51,12 +51,14 @@ from .coverparam import (
     StableFactorization,
     TwistedModel,
     admissible_D,
+    class_vector,
     count_tuples,
     enumerate_tuples,
     genus_of,
     is_n_divisible,
     make_regime,
     power_orbit,
+    prime_classes,
     sample_params,
     split_prime,
     stable_factorization,
@@ -104,16 +106,17 @@ __all__ = [
     "NotASubfield", "NotPrime", "NotPrimePower", "OrderMismatch", "Poly",
     "Regime", "StableFactorization", "SupportMismatch", "TooLarge",
     "TrivialCharacter", "TwistedModel", "UnexpectedRoot", "ZeroInput",
-    "ZeroPolynomial", "admissible_D", "chi_class", "count_constrained",
-    "count_tuples", "embed", "embed_elem", "enumerate_tuples",
-    "exhaustive_distribution", "factor", "fiber_count", "fiber_count_oracle",
+    "ZeroPolynomial", "admissible_D", "chi_class", "class_vector",
+    "count_constrained", "count_tuples", "embed", "embed_elem",
+    "enumerate_tuples", "exhaustive_distribution", "factor", "fiber_count",
+    "fiber_count_oracle",
     "fiber_profile", "frobenius", "g_series", "genus_of", "growth_check",
     "irreducible", "is_n_divisible", "l_polynomial", "lth_power_class",
     "make_field", "make_regime", "model_value", "monic_polys",
     "monte_carlo_distribution", "necklace_count", "point_count",
     "point_count_oracle", "poly_frobenius", "power_orbit",
-    "primes_with_degree", "projective_points", "root_magnitudes", "run_checks",
-    "sample_params", "split_prime", "stable_factorization",
-    "subfield_table", "theoretical_distribution", "tv_distance",
+    "prime_classes", "primes_with_degree", "projective_points",
+    "root_magnitudes", "run_checks", "sample_params", "split_prime",
+    "stable_factorization", "subfield_table", "theoretical_distribution", "tv_distance",
     "twisted_model", "validate_params",
 ]

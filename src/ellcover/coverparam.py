@@ -33,12 +33,14 @@ from .errors import (
     InvalidTuple,
     KummerRegime,
     NotPrime,
+    UnexpectedRoot,
 )
 from .fqpoly import Poly, factor, irreducible, necklace_count, poly_frobenius, embed
 from .gf import (
     FieldCtx,
     FieldElem,
     is_prime_int,
+    lth_power_class,
     make_field,
     prime_power,
     subfield_table,
@@ -52,7 +54,7 @@ class Regime:
     """A (q, ell) pair with its contexts, caches, and twist exponents."""
 
     __slots__ = ("q", "ell", "p", "k", "n_q", "base", "ext", "v_exps",
-                 "_split_cache", "_ways", "_suffix")
+                 "_split_cache", "_class_cache", "_suffix")
 
     def __init__(self, q: int, ell: int):
         p, k = prime_power(q)
@@ -85,7 +87,9 @@ class Regime:
             v = (v * inv_q) % ell
         self.v_exps = tuple(exps)  # v_j = q**(1-j) mod ell, j = 1..n_q
         self._split_cache: dict = {}
-        self._ways: dict[int, list[int]] = {}
+        # labeling -> prime coefficients -> classes at the affine points
+        self._class_cache: dict[str, dict[tuple[int, ...], tuple[int, ...]]] = {
+            "least": {}, "greatest": {}}
         self._suffix: dict[int, list[list[int]]] = {}
 
     def __repr__(self) -> str:
@@ -228,6 +232,53 @@ def split_prime(regime: Regime, prime: Poly, labeling: str = "least") -> tuple[P
     return result
 
 
+def prime_classes(regime: Regime, prime: Poly, labeling: str = "least") -> tuple[int, ...]:
+    """Class c_P(x) of the anchored extension factor of prime at every
+    affine base point x, in literal order; cached per labeling on the regime.
+
+    The value never vanishes: a rational point is not a root of a prime whose
+    degree is a multiple of n_q > 1.
+    """
+    cache = regime._class_cache.get(labeling)
+    if cache is None:
+        raise ValueError(f"unknown labeling rule {labeling!r}")
+    cached = cache.get(prime.coeffs)
+    if cached is not None:
+        return cached
+    anchor = split_prime(regime, prime, labeling)[0]
+    ext = regime.ext
+    out = []
+    for xv in subfield_table(regime.base, ext):
+        v = anchor.eval(FieldElem(ext, xv)).val
+        if v == 0:
+            raise UnexpectedRoot(
+                f"prime {prime!r} vanishes at a rational point")
+        out.append(ext.log[v] % regime.ell)
+    result = tuple(out)
+    cache[prime.coeffs] = result
+    return result
+
+
+def class_vector(regime: Regime, prime_mults, b: FieldElem,
+                 labeling: str = "least") -> tuple[int, ...]:
+    """Power classes of the twisted model at the q+1 rational points, affine
+    points in literal order and then infinity, without building the model.
+
+    Frobenius fixes a rational point x, so the j-th conjugate factor of P takes
+    class q**(j-1) * c_P(x) there, which the twist exponent v_j = q**(1-j)
+    cancels: the class at x is n_q * (e(b) + sum_P slot(P) * c_P(x)) mod ell,
+    and n_q * e(b) at infinity, where only the leading coefficient b**n_q is
+    left.  prime_mults lists each base prime with its slot.
+    """
+    ell, n_q = regime.ell, regime.n_q
+    e_b = lth_power_class(b, ell).e
+    acc = [e_b] * regime.base.order
+    for prime, slot in prime_mults:
+        for i, c in enumerate(prime_classes(regime, prime, labeling)):
+            acc[i] += slot * c
+    return tuple(n_q * a % ell for a in acc) + (n_q * e_b % ell,)
+
+
 @dataclass(frozen=True, eq=False)
 class StableFactorization:
     """Components F_1..F_{n_q}: conjugate, pairwise coprime, product embed(F)."""
@@ -316,13 +367,10 @@ def _degree_classes(regime: Regime, D: int) -> list[int]:
     return list(range(regime.n_q, D + 1, regime.n_q))
 
 
-def enumerate_tuples(regime: Regime, D: int, max_D: int = ENUM_D_CAP):
-    """All branch tuples of degree D, in a fixed canonical order.
-
-    Chooses a set of distinct primes with degree sum D (grouped by degree,
-    primes ascending) and distributes them over the ell-1 slots; the stream
-    is empty exactly when n_q does not divide D.
-    """
+def _enumerate_full(regime: Regime, D: int, max_D: int = ENUM_D_CAP):
+    """Yield (fs, prime_mults) for every branch tuple of degree D, in the
+    order of enumerate_tuples; prime_mults lists each prime with its slot,
+    so downstream code never has to factor the tuple again."""
     if D < 0:
         raise ValueError("branch degree must be non-negative")
     if D > max_D:
@@ -331,7 +379,7 @@ def enumerate_tuples(regime: Regime, D: int, max_D: int = ENUM_D_CAP):
     if D % regime.n_q:
         return
     if D == 0:
-        yield tuple(Poly.one(regime.base) for _ in range(ell - 1))
+        yield tuple(Poly.one(regime.base) for _ in range(ell - 1)), []
         return
     from .fqpoly import primes_with_degree
     from itertools import combinations, product
@@ -344,7 +392,7 @@ def enumerate_tuples(regime: Regime, D: int, max_D: int = ENUM_D_CAP):
                 fs = [Poly.one(regime.base) for _ in range(ell - 1)]
                 for prime, slot in zip(chosen, slots):
                     fs[slot - 1] = fs[slot - 1] * prime
-                yield tuple(fs)
+                yield tuple(fs), list(zip(chosen, slots))
             return
         if idx == len(classes):
             return
@@ -360,27 +408,15 @@ def enumerate_tuples(regime: Regime, D: int, max_D: int = ENUM_D_CAP):
     yield from rec(0, D, [])
 
 
-def _ways_array(regime: Regime, D: int) -> list[int]:
-    """ways[r] = number of branch tuples of degree r, for r <= D."""
-    cached = regime._ways.get(D)
-    if cached is not None:
-        return cached
-    ell = regime.ell
-    ways = [0] * (D + 1)
-    ways[0] = 1
-    for d in _degree_classes(regime, D):
-        n_d = necklace_count(regime.q, d)
-        nxt = [0] * (D + 1)
-        for r in range(D + 1):
-            w = ways[r]
-            if w:
-                j = 0
-                while r + j * d <= D:
-                    nxt[r + j * d] += w * comb(n_d, j) * (ell - 1) ** j
-                    j += 1
-        ways = nxt
-    regime._ways[D] = ways
-    return ways
+def enumerate_tuples(regime: Regime, D: int, max_D: int = ENUM_D_CAP):
+    """All branch tuples of degree D, in a fixed canonical order.
+
+    Chooses a set of distinct primes with degree sum D (grouped by degree,
+    primes ascending) and distributes them over the ell-1 slots; the stream
+    is empty exactly when n_q does not divide D.
+    """
+    for fs, _ in _enumerate_full(regime, D, max_D):
+        yield fs
 
 
 def count_tuples(regime: Regime, D: int, max_D: int = COUNT_D_CAP) -> int:
@@ -391,7 +427,7 @@ def count_tuples(regime: Regime, D: int, max_D: int = COUNT_D_CAP) -> int:
         raise BudgetExceeded(f"counting at degree {D} exceeds cap {max_D}")
     if D % regime.n_q:
         return 0
-    return _ways_array(regime, D)[D]
+    return _suffix_table(regime, D)[0][D]
 
 
 def _suffix_table(regime: Regime, D: int) -> list[list[int]]:

@@ -17,20 +17,16 @@ from fractions import Fraction
 from math import comb
 from random import Random
 
-from .charsum import INFINITY, chi_class, projective_points
+from .charsum import INFINITY, projective_points
 from .coverparam import (
-    CoverParams,
     Regime,
-    StableFactorization,
-    _model_from_parts,
-    _parts_from_primes,
+    _enumerate_full,
     _sample_full,
     admissible_D,
+    class_vector,
     count_tuples,
-    enumerate_tuples,
 )
-from .errors import EmptyStratum, SupportMismatch
-from .fqpoly import factor
+from .errors import CrossCheckMismatch, EmptyStratum, SupportMismatch
 from .gf import FieldElem
 
 
@@ -49,7 +45,9 @@ class Distribution:
         return self.masses.get(n, Fraction(0))
 
     def check_total(self) -> None:
-        assert sum(self.masses.values(), Fraction(0)) == 1
+        total = sum(self.masses.values(), Fraction(0))
+        if total != 1:
+            raise CrossCheckMismatch(f"masses sum to {total}, not 1")
 
 
 def theoretical_distribution(regime: Regime) -> Distribution:
@@ -147,27 +145,21 @@ def _point_label(x) -> str:
     return "inf" if x is INFINITY else str(x)
 
 
-def _measure_models(regime: Regime, jobs, labeling: str):
-    """Point-count every (params, prime_mults) job; return (histogram,
-    split counter, size).  Fibers are ell at class 0 and empty otherwise;
-    ramification over a rational point is impossible here, which the class
-    computation enforces by never yielding the zero class."""
-    points = projective_points(regime)
+def _measure_covers(regime: Regime, jobs, labeling: str):
+    """Point-count every (prime_mults, b) job from its class vector; return
+    (histogram, split counter, size).  Fibers are ell at class 0 and empty
+    otherwise: no rational point ramifies here, since class_vector raises
+    UnexpectedRoot on any vanishing prime value."""
+    ell = regime.ell
     hist: Counter[int] = Counter()
     splits: Counter[int] = Counter()
     size = 0
-    for params, prime_mults in jobs:
-        parts = _parts_from_primes(regime, prime_mults, labeling)
-        stable = StableFactorization(regime, parts, labeling)
-        model = _model_from_parts(regime, stable, params.b, params)
+    for prime_mults, b in jobs:
         n_total = 0
-        for idx, x in enumerate(points):
-            cls = chi_class(model, x)
-            assert not cls.is_zero_class
-            if cls.e == 0:
-                n_total += regime.ell
+        for idx, e in enumerate(class_vector(regime, prime_mults, b, labeling)):
+            if e == 0:
+                n_total += ell
                 splits[idx] += 1
-        assert n_total % regime.ell == 0
         hist[n_total] += 1
         size += 1
     return hist, splits, size
@@ -186,11 +178,11 @@ def _merge(chunks):
 
 def _run_chunked(regime: Regime, job_chunks, labeling: str, threads: int):
     if threads <= 1:
-        return _merge(_measure_models(regime, c, labeling) for c in job_chunks)
+        return _merge(_measure_covers(regime, c, labeling) for c in job_chunks)
     from concurrent.futures import ThreadPoolExecutor
 
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        futures = [pool.submit(_measure_models, regime, c, labeling)
+        futures = [pool.submit(_measure_covers, regime, c, labeling)
                    for c in job_chunks]
         return _merge(f.result() for f in futures)
 
@@ -229,23 +221,21 @@ def exhaustive_distribution(regime: Regime, g: int, labeling: str = "least",
     ext_units = range(1, regime.ext.order)
 
     def jobs():
-        for fs in enumerate_tuples(regime, d):
-            prime_mults = [(prime, i)
-                           for i, f in enumerate(fs, start=1)
-                           for prime, _ in factor(f)]
+        for _, prime_mults in _enumerate_full(regime, d):
             for b_val in ext_units:
-                b = FieldElem(regime.ext, b_val)
-                yield CoverParams(regime, fs, b), prime_mults
+                yield prime_mults, FieldElem(regime.ext, b_val)
 
     if threads <= 1:
-        hist, splits, size = _merge([_measure_models(regime, jobs(), labeling)])
+        hist, splits, size = _merge([_measure_covers(regime, jobs(), labeling)])
     else:
         all_jobs = list(jobs())
         step = max(1, len(all_jobs) // threads)
         chunks = [all_jobs[i:i + step] for i in range(0, len(all_jobs), step)]
         hist, splits, size = _run_chunked(regime, chunks, labeling, threads)
     expected = count_tuples(regime, d) * (regime.ext.order - 1)
-    assert size == expected
+    if size != expected:
+        raise CrossCheckMismatch(
+            f"measured {size} covers, the stratum holds {expected}")
     return _report(regime, g, d, "exhaustive", None, labeling, hist, splits,
                    size, started)
 
@@ -264,16 +254,18 @@ def monte_carlo_distribution(regime: Regime, g: int, samples: int, seed: int,
 
     def job_range(lo: int, hi: int):
         for i in range(lo, hi):
-            yield _sample_full(regime, d, Random(f"{seed}:{i}"))
+            params, prime_mults = _sample_full(regime, d, Random(f"{seed}:{i}"))
+            yield prime_mults, params.b
 
     if threads <= 1:
         hist, splits, size = _merge(
-            [_measure_models(regime, job_range(0, samples), labeling)])
+            [_measure_covers(regime, job_range(0, samples), labeling)])
     else:
         step = max(1, -(-samples // threads))
         bounds = [(lo, min(lo + step, samples)) for lo in range(0, samples, step)]
         chunks = [job_range(lo, hi) for lo, hi in bounds]
         hist, splits, size = _run_chunked(regime, chunks, labeling, threads)
-    assert size == samples
+    if size != samples:
+        raise CrossCheckMismatch(f"measured {size} covers, drew {samples}")
     return _report(regime, g, d, "monte-carlo", seed, labeling, hist, splits,
                    size, started)

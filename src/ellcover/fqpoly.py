@@ -12,10 +12,12 @@ itself against the divisor-counting closed form.
 from __future__ import annotations
 
 import itertools
+from functools import lru_cache
 from random import Random
 
 from .errors import (
     BudgetExceeded,
+    CrossCheckMismatch,
     CtxMismatch,
     NotASubfield,
     ZeroPolynomial,
@@ -439,13 +441,16 @@ def _moebius(n: int) -> int:
     return mu
 
 
+@lru_cache(maxsize=None)
 def necklace_count(q: int, d: int) -> int:
     """Number of monic irreducibles of degree d over F_q (divisor sum)."""
     total = 0
     for e in range(1, d + 1):
         if d % e == 0:
             total += _moebius(e) * q ** (d // e)
-    assert total % d == 0
+    if total % d:
+        raise CrossCheckMismatch(
+            f"Moebius sum {total} for degree {d} over F_{q} is not divisible by {d}")
     return total // d
 
 

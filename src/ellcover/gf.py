@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import itertools
 from functools import lru_cache
+from math import gcd
 
 from . import _gf2
 from .errors import (
@@ -564,7 +565,7 @@ def subfield_table(small: FieldCtx, big: FieldCtx) -> tuple[int, ...]:
     stride = n_big // n_small
     best = None
     for j in range(1, n_small + 1):
-        if n_small > 1 and gcd_int(j, n_small) != 1:
+        if n_small > 1 and gcd(j, n_small) != 1:
             continue
         cand = big.exp[(stride * j) % n_big]
         acc, power = 0, 1
@@ -586,12 +587,6 @@ def subfield_table(small: FieldCtx, big: FieldCtx) -> tuple[int, ...]:
     result = tuple(table)
     big._embed_tables[key] = result
     return result
-
-
-def gcd_int(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def embed_elem(a: FieldElem, big: FieldCtx) -> FieldElem:

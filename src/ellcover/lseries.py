@@ -23,16 +23,18 @@ from .coverparam import (
     Regime,
     count_tuples,
     enumerate_tuples,
-    split_prime,
+    prime_classes,
     twisted_model,
 )
 from .charsum import chi_class
 from .errors import (
     BudgetExceeded,
     CrossCheckMismatch,
+    CtxMismatch,
     DegenerateZeroPolynomial,
     InvalidTuple,
     TrivialCharacter,
+    UnexpectedRoot,
 )
 from .fqpoly import Poly, monic_polys, primes_with_degree
 from .gf import FieldElem, embed_elem, lth_power_class
@@ -242,41 +244,34 @@ def root_magnitudes(coeffs: list[CycloInt]) -> list[float]:
 # ---------------------------------------------------------------------------
 # Generating series for class-constrained branch tuples.
 
-def _class_vector(regime: Regime, prime: Poly, points, labeling: str) -> tuple[int, ...]:
-    """Classes of the anchored extension factor of prime at each point."""
-    anchor = split_prime(regime, prime, labeling)[0]
-    out = []
-    for x in points:
-        v = anchor.eval(x)
-        assert v.val != 0, "rational point cannot be a root of a higher-degree prime"
-        out.append(lth_power_class(v, regime.ell).e)
-    return tuple(out)
-
-
 def g_series(regime: Regime, points, w, trunc: int) -> list[int]:
     """Integer coefficients, up to u**trunc, of the Euler product over base
     primes of degree divisible by n_q: factor 1 + (ell-1)u**d when the
     weighted class functional e_P = sum_i w_i * class_i(P) vanishes mod ell,
     and 1 - u**d otherwise.  Whether e_P vanishes does not depend on the
-    anchoring rule, which is asserted on every factor.
+    anchoring rule, which is checked on every factor.
     """
     ell = regime.ell
-    pts = tuple(embed_elem(x, regime.ext) for x in points)
-    if len(set(pt.val for pt in pts)) != len(pts):
+    if any((x.ctx.p, x.ctx.k) != (regime.base.p, regime.base.k) for x in points):
+        raise CtxMismatch("evaluation points must be base-field points")
+    idx = tuple(x.val for x in points)
+    if len(set(idx)) != len(idx):
         raise InvalidTuple("evaluation points must be distinct")
     w = tuple(wi % ell for wi in w)
-    if len(w) != len(pts):
+    if len(w) != len(idx):
         raise InvalidTuple("weight vector length must match points")
     series = [0] * (trunc + 1)
     series[0] = 1
     for d in range(regime.n_q, trunc + 1, regime.n_q):
         for prime in primes_with_degree(regime.base, d):
-            cls = _class_vector(regime, prime, pts, "least")
-            e_p = sum(wi * ci for wi, ci in zip(w, cls)) % ell
-            cls_alt = _class_vector(regime, prime, pts, "greatest")
-            e_alt = sum(wi * ci for wi, ci in zip(w, cls_alt)) % ell
-            assert (e_p == 0) == (e_alt == 0), (
-                "vanishing of the class functional must not depend on anchoring")
+            cls = prime_classes(regime, prime, "least")
+            e_p = sum(wi * cls[i] for wi, i in zip(w, idx)) % ell
+            cls_alt = prime_classes(regime, prime, "greatest")
+            e_alt = sum(wi * cls_alt[i] for wi, i in zip(w, idx)) % ell
+            if (e_p == 0) != (e_alt == 0):
+                raise CrossCheckMismatch(
+                    f"class functional of {prime!r} vanishes under one "
+                    "anchoring rule only")
             top = ell - 1 if e_p == 0 else -1
             for r in range(trunc - d, -1, -1):
                 if series[r]:
@@ -311,7 +306,8 @@ def count_constrained(regime: Regime, D: int, points, targets,
         ok = True
         for x, t in zip(pts, targets):
             cls = chi_class(model, x)
-            assert not cls.is_zero_class
+            if cls.is_zero_class:
+                raise UnexpectedRoot(f"twisted model vanishes at x={x}")
             if cls.e != t:
                 ok = False
                 break

@@ -19,6 +19,8 @@ from .charsum import (
 from .coverparam import (
     CoverParams,
     Regime,
+    _prime_multiplicities,
+    class_vector,
     count_tuples,
     enumerate_tuples,
     make_regime,
@@ -28,7 +30,7 @@ from .coverparam import (
     twisted_model,
     validate_params,
 )
-from .errors import EllcoverError
+from .errors import CrossCheckMismatch, EllcoverError
 from .fqpoly import embed, poly_frobenius
 from .gf import FieldElem
 
@@ -231,5 +233,23 @@ def run_checks(q: int, ell: int, max_D: int = 4, tuple_cap: int = 25,
         return f"{n_models} covers: total count equals brute-force total"
 
     record("point-count-oracle", check_total_oracle)
+
+    def check_class_kernel() -> str:
+        n_models = 0
+        for lab in ("least", "greatest"):
+            for params in _sample_jobs(regime, max_D, tuple_cap, unit_cap):
+                classes = class_vector(regime, _prime_multiplicities(params),
+                                       params.b, lab)
+                fast = ell * classes.count(0)
+                slow = point_count_oracle(twisted_model(params, lab))
+                if fast != slow:
+                    raise CrossCheckMismatch(
+                        f"{lab} labeling: class vector {classes} counts {fast}, "
+                        f"brute-force scan counts {slow}")
+                n_models += 1
+        return (f"{n_models} covers under both anchoring rules: class-vector "
+                "count equals brute-force total")
+
+    record("class-kernel", check_class_kernel)
 
     return results

@@ -236,6 +236,8 @@ def test_g_series_rejects_bad_input():
         ec.g_series(R23, pts(R23, 0, 0), (1, 1), 4)
     with pytest.raises(ec.InvalidTuple):
         ec.g_series(R23, pts(R23, 0), (1, 1), 4)
+    with pytest.raises(ec.CtxMismatch):
+        ec.g_series(R23, [R23.ext.elem(2)], (1,), 4)
 
 
 # ---------------------------------------------------------------------------

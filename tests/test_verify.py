@@ -14,6 +14,7 @@ EXPECTED_CHECKS = [
     "constrained-crosscheck",
     "sampling",
     "point-count-oracle",
+    "class-kernel",
 ]
 
 
