@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .coverparam import CoverParams, Regime, TwistedModel, twisted_model
+from .coverparam import Regime, TwistedModel
 from .errors import UnexpectedRoot
 from .gf import CharClass, FieldElem, embed_elem, lth_power_class
 
@@ -111,7 +111,3 @@ def fiber_profile(model: TwistedModel) -> FiberProfile:
         1 if c.is_zero_class else c.zeta_sum() for c in classes)
     return FiberProfile(classes, counts, sum(counts))
 
-
-def count_for_params(params: CoverParams, labeling: str = "least") -> int:
-    """Point count straight from parameters."""
-    return point_count(twisted_model(params, labeling))

@@ -18,13 +18,13 @@ from .charsum import (
     fiber_count,
     fiber_count_oracle,
     projective_points,
-    twisted_model,
 )
 from .coverparam import (
     CoverParams,
     count_tuples,
     enumerate_tuples,
     make_regime,
+    twisted_model,
     validate_params,
 )
 from .ensemble import (
@@ -201,11 +201,10 @@ def _cmd_lseries(args) -> int:
 def _cmd_ensemble(args) -> int:
     regime = make_regime(args.q, args.ell)
     if args.mode == "exhaustive":
-        report = exhaustive_distribution(regime, args.genus, args.labeling,
-                                         args.threads)
+        report = exhaustive_distribution(regime, args.genus, args.labeling)
     else:
         report = monte_carlo_distribution(regime, args.genus, args.samples,
-                                          args.seed, args.labeling, args.threads)
+                                          args.seed, args.labeling)
     if args.format == "csv":
         out = report.to_csv()
     else:
@@ -297,7 +296,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_ens.add_argument("--seed", type=int, default=0)
     p_ens.add_argument("--labeling", choices=["least", "greatest"],
                        default="least")
-    p_ens.add_argument("--threads", type=int, default=1)
     p_ens.add_argument("--format", choices=["json", "csv"], default="json")
     p_ens.set_defaults(fn=_cmd_ensemble)
 

@@ -28,6 +28,7 @@ from . import _gf2
 from .errors import (
     BudgetExceeded,
     CharacteristicDividesEll,
+    CrossCheckMismatch,
     CtxMismatch,
     EmptyStratum,
     InvalidTuple,
@@ -162,9 +163,7 @@ def genus_of(params: CoverParams) -> int:
     d = params.branch_degree
     if d < 2:
         raise InvalidTuple("degenerate branch tuple of degree 0 has no curve")
-    num = (ell - 1) * (d - 2)
-    assert num % 2 == 0
-    return num // 2
+    return (ell - 1) * (d - 2) // 2
 
 
 def admissible_D(regime: Regime, g: int) -> int | None:
@@ -214,19 +213,19 @@ def split_prime(regime: Regime, prime: Poly, labeling: str = "least") -> tuple[P
         fp = embed(prime, regime.ext)
         parts = {pr for pr, _ in factor(fp)}
     if len(parts) != n_q:
-        raise AssertionError("embedded prime did not split into n_q conjugates")
+        raise CrossCheckMismatch("embedded prime did not split into n_q conjugates")
     pick = min if labeling == "least" else max
     anchor = pick(parts, key=Poly.sort_key)
     orbit = [anchor]
     for _ in range(n_q - 1):
         orbit.append(poly_frobenius(orbit[-1], regime.q))
     if set(orbit) != parts:
-        raise AssertionError("conjugates do not form a single Frobenius orbit")
+        raise CrossCheckMismatch("conjugates do not form a single Frobenius orbit")
     prod = orbit[0]
     for pr in orbit[1:]:
         prod = prod * pr
     if prod != embed(prime, regime.ext):
-        raise AssertionError("orbit product does not recover the embedded prime")
+        raise CrossCheckMismatch("orbit product does not recover the embedded prime")
     result = tuple(orbit)
     regime._split_cache[key] = result
     return result
@@ -337,8 +336,8 @@ def _model_from_parts(regime: Regime, stable: StableFactorization,
         monic_part = monic_part * part ** v
     lead = b ** regime.n_q
     f_v0 = monic_part.scale(lead)
-    assert f_v0.degree % regime.ell == 0, "twisted degree must be 0 mod ell"
-    assert f_v0.lead == lead
+    if f_v0.degree % regime.ell or f_v0.lead != lead:
+        raise CrossCheckMismatch("twisted degree not 0 mod ell, or lead not b**n_q")
     return TwistedModel(regime, params, stable.labeling, stable, f_v0)
 
 
@@ -367,19 +366,24 @@ def _degree_classes(regime: Regime, D: int) -> list[int]:
     return list(range(regime.n_q, D + 1, regime.n_q))
 
 
+def _tuple_from_primes(regime: Regime, prime_mults) -> tuple[Poly, ...]:
+    """The branch tuple whose f_i is the product of the primes in slot i."""
+    fs = [Poly.one(regime.base) for _ in range(regime.ell - 1)]
+    for prime, slot in prime_mults:
+        fs[slot - 1] = fs[slot - 1] * prime
+    return tuple(fs)
+
+
 def _enumerate_full(regime: Regime, D: int, max_D: int = ENUM_D_CAP):
-    """Yield (fs, prime_mults) for every branch tuple of degree D, in the
-    order of enumerate_tuples; prime_mults lists each prime with its slot,
-    so downstream code never has to factor the tuple again."""
+    """Yield prime_mults, each prime with its slot, for every branch tuple of
+    degree D, in the order of enumerate_tuples; ensembles read these lists
+    and never build or factor the tuple itself."""
     if D < 0:
         raise ValueError("branch degree must be non-negative")
     if D > max_D:
         raise BudgetExceeded(f"enumeration at degree {D} exceeds cap {max_D}")
     ell = regime.ell
     if D % regime.n_q:
-        return
-    if D == 0:
-        yield tuple(Poly.one(regime.base) for _ in range(ell - 1)), []
         return
     from .fqpoly import primes_with_degree
     from itertools import combinations, product
@@ -389,10 +393,7 @@ def _enumerate_full(regime: Regime, D: int, max_D: int = ENUM_D_CAP):
     def rec(idx: int, rem: int, chosen: list[Poly]):
         if rem == 0:
             for slots in product(range(1, ell), repeat=len(chosen)):
-                fs = [Poly.one(regime.base) for _ in range(ell - 1)]
-                for prime, slot in zip(chosen, slots):
-                    fs[slot - 1] = fs[slot - 1] * prime
-                yield tuple(fs), list(zip(chosen, slots))
+                yield list(zip(chosen, slots))
             return
         if idx == len(classes):
             return
@@ -415,8 +416,8 @@ def enumerate_tuples(regime: Regime, D: int, max_D: int = ENUM_D_CAP):
     primes ascending) and distributes them over the ell-1 slots; the stream
     is empty exactly when n_q does not divide D.
     """
-    for fs, _ in _enumerate_full(regime, D, max_D):
-        yield fs
+    for prime_mults in _enumerate_full(regime, D, max_D):
+        yield _tuple_from_primes(regime, prime_mults)
 
 
 def count_tuples(regime: Regime, D: int, max_D: int = COUNT_D_CAP) -> int:
@@ -468,14 +469,13 @@ def _draw_prime(regime: Regime, d: int, rng: Random) -> Poly:
 
 
 def _sample_full(regime: Regime, D: int, rng: Random):
-    """Draw (params, prime_mults); the second item lists each drawn prime
-    with its slot index so downstream code never has to refactor."""
+    """Draw one cover as (prime_mults, b): each drawn prime with its slot
+    index, and the twisting unit."""
     ell = regime.ell
     if D % regime.n_q or count_tuples(regime, D) == 0:
         raise EmptyStratum(f"no branch tuple of degree {D} for {regime!r}")
     classes = _degree_classes(regime, D)
     suffix = _suffix_table(regime, D)
-    fs = [Poly.one(regime.base) for _ in range(ell - 1)]
     prime_mults: list[tuple[Poly, int]] = []
     rem = D
     for i, d in enumerate(classes):
@@ -496,12 +496,10 @@ def _sample_full(regime: Regime, D: int, rng: Random):
                 if prime.coeffs not in seen:
                     seen.add(prime.coeffs)
                     break
-            slot = rng.randrange(1, ell)
-            fs[slot - 1] = fs[slot - 1] * prime
-            prime_mults.append((prime, slot))
+            prime_mults.append((prime, rng.randrange(1, ell)))
         rem -= j * d
     b = FieldElem(regime.ext, rng.randrange(1, regime.ext.order))
-    return CoverParams(regime, tuple(fs), b), prime_mults
+    return prime_mults, b
 
 
 def sample_params(regime: Regime, D: int, seed: int, index: int = 0) -> CoverParams:
@@ -510,4 +508,5 @@ def sample_params(regime: Regime, D: int, seed: int, index: int = 0) -> CoverPar
     Streams are keyed by (seed, index), so batches may be drawn in any order
     or split across workers without changing any individual draw.
     """
-    return _sample_full(regime, D, Random(f"{seed}:{index}"))[0]
+    prime_mults, b = _sample_full(regime, D, Random(f"{seed}:{index}"))
+    return CoverParams(regime, _tuple_from_primes(regime, prime_mults), b)

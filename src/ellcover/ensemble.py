@@ -165,28 +165,6 @@ def _measure_covers(regime: Regime, jobs, labeling: str):
     return hist, splits, size
 
 
-def _merge(chunks):
-    hist: Counter[int] = Counter()
-    splits: Counter[int] = Counter()
-    size = 0
-    for h, s, n in chunks:
-        hist.update(h)
-        splits.update(s)
-        size += n
-    return hist, splits, size
-
-
-def _run_chunked(regime: Regime, job_chunks, labeling: str, threads: int):
-    if threads <= 1:
-        return _merge(_measure_covers(regime, c, labeling) for c in job_chunks)
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        futures = [pool.submit(_measure_covers, regime, c, labeling)
-                   for c in job_chunks]
-        return _merge(f.result() for f in futures)
-
-
 def _report(regime: Regime, g: int, D: int, mode: str, seed: int | None,
             labeling: str, hist: Counter, splits: Counter, size: int,
             started: float) -> DistributionReport:
@@ -213,25 +191,15 @@ def _genus_degree(regime: Regime, g: int) -> int:
     return d
 
 
-def exhaustive_distribution(regime: Regime, g: int, labeling: str = "least",
-                            threads: int = 1) -> DistributionReport:
+def exhaustive_distribution(regime: Regime, g: int,
+                            labeling: str = "least") -> DistributionReport:
     """Measure every cover of genus g: all branch tuples, all twisting units."""
     started = time.monotonic()
     d = _genus_degree(regime, g)
-    ext_units = range(1, regime.ext.order)
-
-    def jobs():
-        for _, prime_mults in _enumerate_full(regime, d):
-            for b_val in ext_units:
-                yield prime_mults, FieldElem(regime.ext, b_val)
-
-    if threads <= 1:
-        hist, splits, size = _merge([_measure_covers(regime, jobs(), labeling)])
-    else:
-        all_jobs = list(jobs())
-        step = max(1, len(all_jobs) // threads)
-        chunks = [all_jobs[i:i + step] for i in range(0, len(all_jobs), step)]
-        hist, splits, size = _run_chunked(regime, chunks, labeling, threads)
+    units = range(1, regime.ext.order)
+    jobs = ((prime_mults, FieldElem(regime.ext, b_val))
+            for prime_mults in _enumerate_full(regime, d) for b_val in units)
+    hist, splits, size = _measure_covers(regime, jobs, labeling)
     expected = count_tuples(regime, d) * (regime.ext.order - 1)
     if size != expected:
         raise CrossCheckMismatch(
@@ -241,30 +209,17 @@ def exhaustive_distribution(regime: Regime, g: int, labeling: str = "least",
 
 
 def monte_carlo_distribution(regime: Regime, g: int, samples: int, seed: int,
-                             labeling: str = "least",
-                             threads: int = 1) -> DistributionReport:
+                             labeling: str = "least") -> DistributionReport:
     """Measure `samples` uniform covers of genus g.
 
-    Draw i always comes from the stream keyed (seed, i), so the report is
-    byte-identical for any thread count."""
+    Draw i comes from the stream keyed (seed, i), so it is the cover that
+    sample_params(regime, D, seed, i) returns."""
     if samples <= 0:
         raise ValueError("sample count must be positive")
     started = time.monotonic()
     d = _genus_degree(regime, g)
-
-    def job_range(lo: int, hi: int):
-        for i in range(lo, hi):
-            params, prime_mults = _sample_full(regime, d, Random(f"{seed}:{i}"))
-            yield prime_mults, params.b
-
-    if threads <= 1:
-        hist, splits, size = _merge(
-            [_measure_covers(regime, job_range(0, samples), labeling)])
-    else:
-        step = max(1, -(-samples // threads))
-        bounds = [(lo, min(lo + step, samples)) for lo in range(0, samples, step)]
-        chunks = [job_range(lo, hi) for lo, hi in bounds]
-        hist, splits, size = _run_chunked(regime, chunks, labeling, threads)
+    jobs = (_sample_full(regime, d, Random(f"{seed}:{i}")) for i in range(samples))
+    hist, splits, size = _measure_covers(regime, jobs, labeling)
     if size != samples:
         raise CrossCheckMismatch(f"measured {size} covers, drew {samples}")
     return _report(regime, g, d, "monte-carlo", seed, labeling, hist, splits,

@@ -25,13 +25,14 @@ from .coverparam import (
     enumerate_tuples,
     make_regime,
     power_orbit,
+    prime_classes,
     sample_params,
     stable_factorization,
     twisted_model,
     validate_params,
 )
 from .errors import CrossCheckMismatch, EllcoverError
-from .fqpoly import embed, poly_frobenius
+from .fqpoly import embed, poly_frobenius, primes_with_degree
 from .gf import FieldElem
 
 
@@ -40,6 +41,12 @@ class CheckResult:
     name: str
     passed: bool
     detail: str
+
+
+def _require(ok: bool, message: str) -> None:
+    """Fail a check with a typed error, which `python -O` cannot strip."""
+    if not ok:
+        raise CrossCheckMismatch(message)
 
 
 def _degrees(regime: Regime, max_D: int) -> list[int]:
@@ -69,8 +76,6 @@ def run_checks(q: int, ell: int, max_D: int = 4, tuple_cap: int = 25,
             results.append(CheckResult(name, True, detail))
         except EllcoverError as exc:
             results.append(CheckResult(name, False, f"{type(exc).__name__}: {exc}"))
-        except AssertionError as exc:
-            results.append(CheckResult(name, False, f"assertion failed: {exc}"))
 
     try:
         regime = make_regime(q, ell)
@@ -89,11 +94,11 @@ def run_checks(q: int, ell: int, max_D: int = 4, tuple_cap: int = 25,
             for x in pts:
                 fast = fiber_count(model, x)
                 slow = fiber_count_oracle(model, x)
-                assert fast == slow, (
-                    f"fiber mismatch at x={x}: class {fast} vs scan {slow}")
-                assert fast in (0, regime.ell), f"fiber size {fast} at x={x}"
+                _require(fast == slow,
+                         f"fiber mismatch at x={x}: class {fast} vs scan {slow}")
+                _require(fast in (0, regime.ell), f"fiber size {fast} at x={x}")
                 total += fast
-            assert total % regime.ell == 0
+            _require(total % regime.ell == 0, f"total {total} not a multiple of {ell}")
             n_models += 1
         return f"{n_models} covers, {len(pts)} fibers each, scan == class"
 
@@ -103,8 +108,10 @@ def run_checks(q: int, ell: int, max_D: int = 4, tuple_cap: int = 25,
         n_models = 0
         for params in _sample_jobs(regime, max_D, tuple_cap, unit_cap):
             model = twisted_model(params)
-            assert model.f_v0.degree % ell == 0
-            assert model.f_v0.lead == params.b ** regime.n_q
+            _require(model.f_v0.degree % ell == 0,
+                     f"twisted degree {model.f_v0.degree} not 0 mod {ell}")
+            _require(model.f_v0.lead == params.b ** regime.n_q,
+                     f"twisted lead {model.f_v0.lead} is not b**n_q")
             n_models += 1
         return f"{n_models} twisted models: degree 0 mod {ell}, unit lead"
 
@@ -118,15 +125,17 @@ def run_checks(q: int, ell: int, max_D: int = 4, tuple_cap: int = 25,
             full = parts[0]
             for j, part in enumerate(parts):
                 nxt = parts[(j + 1) % regime.n_q]
-                assert poly_frobenius(part, regime.q) == nxt
+                _require(poly_frobenius(part, regime.q) == nxt,
+                         f"component {j + 1} is not conjugate to the next")
                 if j:
                     full = full * part
                 for other in parts[j + 1:]:
-                    assert part.gcd(other).degree == 0
+                    _require(part.gcd(other).degree == 0, "components share a factor")
             f_total = params.fs[0]
             for i, f in enumerate(params.fs[1:], start=2):
                 f_total = f_total * f ** i
-            assert full == embed(f_total, regime.ext)
+            _require(full == embed(f_total, regime.ext),
+                     "components do not multiply to the embedded branch product")
             n_models += 1
         return f"{n_models} factorizations: conjugate, coprime, correct product"
 
@@ -153,9 +162,9 @@ def run_checks(q: int, ell: int, max_D: int = 4, tuple_cap: int = 25,
                     params = CoverParams(regime, fs, b)
                     counter[point_count(twisted_model(params, lab))] += 1
                 hists[lab] = counter
-            assert hists["least"] == hists["greatest"], (
-                f"tuple-ensemble histogram at b={b} depends on anchoring: "
-                f"{dict(hists['least'])} vs {dict(hists['greatest'])}")
+            _require(hists["least"] == hists["greatest"],
+                     f"tuple-ensemble histogram at b={b} depends on anchoring: "
+                     f"{dict(hists['least'])} vs {dict(hists['greatest'])}")
         for params in islice(_sample_jobs(regime, max_D, tuple_cap, unit_cap), 40):
             if (point_count(twisted_model(params, "least"))
                     != point_count(twisted_model(params, "greatest"))):
@@ -164,8 +173,24 @@ def run_checks(q: int, ell: int, max_D: int = 4, tuple_cap: int = 25,
         note = ("per-cover counts do differ between rules"
                 if per_cover_differs else
                 "no per-cover difference seen in this sample")
+        # g_series reads only lex-least classes: its class functional
+        # e_P = sum_i w_i * c_P(x_i) must vanish under both rules or neither
+        # (re-anchoring scales c_P by a unit).  Checked at w = 1 on every
+        # affine point, for every prime of degree <= max_D.
+        n_primes = n_vanish = 0
+        for deg in _degrees(regime, max_D):
+            for prime in primes_with_degree(regime.base, deg):
+                e_least = sum(prime_classes(regime, prime, "least")) % ell
+                e_greatest = sum(prime_classes(regime, prime, "greatest")) % ell
+                _require((e_least == 0) == (e_greatest == 0),
+                         f"class functional of {prime!r} vanishes under one "
+                         "anchoring rule only")
+                n_primes += 1
+                n_vanish += e_least == 0
         return (f"ensemble histograms at D={d} identical for both anchoring "
-                f"rules over {len(units)} units ({note})")
+                f"rules over {len(units)} units ({note}); class functional "
+                f"vanishes under both rules or neither for {n_primes} primes "
+                f"({n_vanish} vanish)")
 
     record("labeling-invariance", check_labeling)
 
@@ -176,7 +201,8 @@ def run_checks(q: int, ell: int, max_D: int = 4, tuple_cap: int = 25,
             for r in range(2, ell):
                 other = power_orbit(params, r)
                 validate_params(other)
-                assert point_count(twisted_model(other)) == base_n
+                _require(point_count(twisted_model(other)) == base_n,
+                         f"power {r} moves the count of {params.fs} off {base_n}")
             n_models += 1
         return f"{n_models} covers: count invariant under power reindexing"
 
@@ -189,10 +215,10 @@ def run_checks(q: int, ell: int, max_D: int = 4, tuple_cap: int = 25,
             for fs in enumerate_tuples(regime, d):
                 b = FieldElem(regime.ext, 1)
                 validate_params(CoverParams(regime, fs, b))
-                assert sum(f.degree for f in fs) == d
+                _require(sum(f.degree for f in fs) == d, f"tuple {fs} not of degree {d}")
                 seen += 1
             expected = count_tuples(regime, d)
-            assert seen == expected, f"D={d}: stream {seen} vs count {expected}"
+            _require(seen == expected, f"D={d}: stream {seen} vs count {expected}")
             rows.append(f"D={d}:{seen}")
         return "enumeration matches closed count (" + ", ".join(rows) + ")"
 
@@ -217,9 +243,11 @@ def run_checks(q: int, ell: int, max_D: int = 4, tuple_cap: int = 25,
         for i in range(10):
             params = sample_params(regime, d, seed=7, index=i)
             validate_params(params)
-            assert params.branch_degree == d
+            _require(params.branch_degree == d,
+                     f"sample {i} has degree {params.branch_degree}, not {d}")
         again = sample_params(regime, d, seed=7, index=3)
-        assert again.fs == sample_params(regime, d, seed=7, index=3).fs
+        _require(again.fs == sample_params(regime, d, seed=7, index=3).fs,
+                 "stream (7, 3) drew two different tuples")
         return f"10 samples at D={d}: valid, degree exact, streams reproducible"
 
     record("sampling", check_sampling)
@@ -228,7 +256,8 @@ def run_checks(q: int, ell: int, max_D: int = 4, tuple_cap: int = 25,
         n_models = 0
         for params in islice(_sample_jobs(regime, max_D, 10, 3), 30):
             model = twisted_model(params)
-            assert point_count(model) == point_count_oracle(model)
+            _require(point_count(model) == point_count_oracle(model),
+                     f"character total differs from brute force for {params.fs}")
             n_models += 1
         return f"{n_models} covers: total count equals brute-force total"
 

@@ -107,15 +107,6 @@ def test_class_value_is_unit_class_of_model_value():
             assert ec.chi_class(model, x) == ec.lth_power_class(v, 3)
 
 
-def test_count_for_params_shortcut():
-    from ellcover.charsum import count_for_params
-
-    params = ec.CoverParams(
-        R23, (ec.Poly(R23.base, [1, 1, 1]), ec.Poly.one(R23.base)),
-        R23.ext.elem(1))
-    assert count_for_params(params) == 3
-
-
 def test_oracle_counts_roots_exactly():
     # independent sanity of the oracle itself: over F_4 the cube map is
     # 3-to-1 onto cubes of units; y**3 = 1 has three solutions, y**3 = v

@@ -411,11 +411,12 @@ def test_sampling_is_uniform_on_small_stratum():
 
 def test_sample_full_prime_list_is_faithful():
     for i in range(25):
-        params, prime_mults = _sample_full(R23, 8, Random(f"77:{i}"))
-        rebuilt = [ec.Poly.one(R23.base) for _ in range(R23.ell - 1)]
-        for prime, slot in prime_mults:
-            rebuilt[slot - 1] = rebuilt[slot - 1] * prime
-        assert tuple(rebuilt) == params.fs
+        prime_mults, b = _sample_full(R23, 8, Random(f"77:{i}"))
+        params = ec.sample_params(R23, 8, seed=77, index=i)
+        assert b == params.b
+        factored = sorted((pr.coeffs, slot) for slot, f in enumerate(params.fs, start=1)
+                          for pr, _ in ec.factor(f))
+        assert sorted((pr.coeffs, slot) for pr, slot in prime_mults) == factored
 
 
 def test_parts_builder_matches_stable_factorization():

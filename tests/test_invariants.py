@@ -1,0 +1,66 @@
+"""Internal invariants fail with typed errors, never with a bare assert:
+`python -O` strips asserts, and the command line maps CrossCheckMismatch,
+not AssertionError, to exit code 3."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import ellcover as ec
+import ellcover.cli as cli
+import ellcover.coverparam as cp
+from ellcover.coverparam import Regime
+from ellcover.lseries import CharW, CycloInt
+
+
+def _frozen_frobenius(f, q):
+    return f
+
+
+@pytest.mark.parametrize("qell, degree", [((2, 3), 2), ((3, 5), 4)])
+def test_broken_frobenius_orbit_raises_a_typed_error(monkeypatch, qell, degree):
+    reg = Regime(*qell)  # a private regime: the broken split must not be cached
+    monkeypatch.setattr(cp, "poly_frobenius", _frozen_frobenius)
+    prime = ec.primes_with_degree(reg.base, degree)[0]
+    with pytest.raises(ec.CrossCheckMismatch):
+        ec.split_prime(reg, prime)
+    assert reg._split_cache == {}
+
+
+def test_broken_frobenius_orbit_exits_3_from_the_cli(monkeypatch, capsys):
+    monkeypatch.setattr(cp, "poly_frobenius", _frozen_frobenius)
+    monkeypatch.setattr(cli, "make_regime", Regime)
+    rc = cli.main(["count-points", "--q", "2", "--ell", "3", "--tuple", "1,1,1;1"])
+    assert rc == 3
+    assert "verification failure" in capsys.readouterr().err
+
+
+def test_wrong_twist_exponents_raise_a_typed_error():
+    reg = Regime(2, 3)
+    reg.v_exps = (1, 1)  # degree of F_1 * F_2 is 2, not 0 mod 3
+    fs = (ec.Poly(reg.base, [1, 1, 1]), ec.Poly.one(reg.base))
+    with pytest.raises(ec.CrossCheckMismatch):
+        ec.twisted_model(ec.CoverParams(reg, fs, reg.ext.elem(1)))
+
+
+@pytest.mark.parametrize("value", [0, 1])
+def test_l_polynomial_checks_raise_typed_errors(monkeypatch, value):
+    # constant 1 leaves a nonvanishing coefficient above the degree bound;
+    # constant 0 leaves c_0 = 0
+    monkeypatch.setattr(CharW, "value_at",
+                        lambda self, f: CycloInt.from_int(self.regime.ell, value))
+    reg = ec.make_regime(2, 3)
+    with pytest.raises(ec.CrossCheckMismatch):
+        ec.l_polynomial(reg, [reg.base.elem(0)], [1])
+
+
+def test_no_bare_assert_in_the_package():
+    modules = sorted(Path(ec.__file__).parent.rglob("*.py"))
+    assert len(modules) > 5
+    found = []
+    for path in modules:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        found += [f"{path.name}:{node.lineno}"
+                  for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+    assert found == []

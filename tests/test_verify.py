@@ -1,6 +1,13 @@
 """The self-contained consistency battery."""
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import ellcover as ec
+import ellcover.verify as verify
 from ellcover.verify import CheckResult, run_checks
 
 EXPECTED_CHECKS = [
@@ -53,3 +60,43 @@ def test_bad_regime_reported_not_raised():
 def test_check_result_shape():
     r = CheckResult("demo", True, "detail text")
     assert r.name == "demo" and r.passed and r.detail == "detail text"
+
+
+def test_labeling_row_checks_the_class_functional(monkeypatch):
+    classes = verify.prime_classes
+
+    def skewed(regime, prime, labeling="least"):
+        out = classes(regime, prime, labeling)
+        if labeling == "least":
+            return out
+        return tuple((c + 1) % regime.ell for c in out)
+
+    monkeypatch.setattr(verify, "prime_classes", skewed)
+    rows = {r.name: r for r in run_checks(2, 3, max_D=4)}
+    assert not rows["labeling-invariance"].passed
+    assert "anchoring rule only" in rows["labeling-invariance"].detail
+    assert all(r.passed for name, r in rows.items() if name != "labeling-invariance")
+
+
+OFF_BY_ONE_ORACLE = """
+import json
+import ellcover.verify as verify
+oracle = verify.fiber_count_oracle
+verify.fiber_count_oracle = lambda model, x: oracle(model, x) + 1
+rows = {r.name: r.passed for r in verify.run_checks(2, 3)}
+print(json.dumps({"debug": __debug__, "rows": rows}))
+"""
+
+
+def test_rows_fail_under_python_O():
+    src = str(Path(ec.__file__).resolve().parent.parent)
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    child = subprocess.run([sys.executable, "-O", "-c", OFF_BY_ONE_ORACLE],
+                           capture_output=True, text=True, timeout=120, check=True,
+                           env=dict(os.environ, PYTHONPATH=path))
+    result = json.loads(child.stdout)
+    assert result["debug"] is False
+    assert list(result["rows"]) == EXPECTED_CHECKS
+    assert result["rows"]["fiber-oracle"] is False
+    assert all(passed for name, passed in result["rows"].items()
+               if name != "fiber-oracle")
