@@ -15,6 +15,8 @@ from __future__ import annotations
 
 from random import Random
 
+from .errors import CrossCheckMismatch
+
 # _SPREAD[b] doubles the gaps between the bits of the byte b, so squaring a
 # GF(2) polynomial is a byte-wise table lookup.
 _SPREAD = []
@@ -142,6 +144,6 @@ def conjugate_factor_coeffs(p: int) -> list[int]:
             rho = min(c, c ^ 1)
             break
     if rho is None or mod(sqr(rho) ^ rho ^ 1, p) != 0:
-        raise AssertionError("factor coefficients not in the quartic subfield")
+        raise CrossCheckMismatch("factor coefficients not in the quartic subfield")
     table = {0: 0, 1: 1, rho: 2, rho ^ 1: 3}
     return [table[c] for c in coeffs]

@@ -497,7 +497,7 @@ def primes_with_degree(ctx: FieldCtx, d: int) -> tuple[Poly, ...]:
                 out.append(Poly(ctx, cs))
         out = tuple(sorted(out, key=Poly.sort_key))
     if len(out) != necklace_count(q, d):
-        raise AssertionError("prime sieve disagrees with the divisor count")
+        raise CrossCheckMismatch("prime sieve disagrees with the divisor count")
     _prime_lists[key] = out
     return out
 

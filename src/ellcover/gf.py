@@ -23,6 +23,7 @@ from math import gcd
 
 from . import _gf2
 from .errors import (
+    CrossCheckMismatch,
     CtxMismatch,
     NotASubfield,
     NotPrime,
@@ -191,7 +192,7 @@ class FieldCtx:
                 ok = _fp_irreducible(f, p)
             if ok:
                 return tuple(f)
-        raise AssertionError("no irreducible modulus found")
+        raise CrossCheckMismatch("no irreducible modulus found")
 
     def digits(self, v: int) -> list[int]:
         p = self.p
@@ -236,7 +237,7 @@ class FieldCtx:
                 continue
             if all(self._raw_pow(a, n // r) != 1 for r in prime_divs):
                 return a
-        raise AssertionError("no generator found")
+        raise CrossCheckMismatch("no generator found")
 
     def _build_tables(self) -> None:
         n = self.order - 1
@@ -260,7 +261,7 @@ class FieldCtx:
                 log[cur] = i
                 cur_d = _fp_mulmod(cur_d, g, mod, self.p)
         if sorted(exp) != list(range(1, self.order)):
-            raise AssertionError("generator does not enumerate the unit group")
+            raise CrossCheckMismatch("generator does not enumerate the unit group")
         self.exp = exp
         self.log = log
 
@@ -558,7 +559,7 @@ def subfield_table(small: FieldCtx, big: FieldCtx) -> tuple[int, ...]:
         nxt.append(1)
         minpoly = nxt
     if any(c >= p for c in minpoly):
-        raise AssertionError("generator minimal polynomial not over F_p")
+        raise CrossCheckMismatch("generator minimal polynomial not over F_p")
     # Roots in big live among the elements of multiplicative order
     # small.order - 1; scan them by literal and keep the least lex vector.
     n_small, n_big = small.order - 1, big.order - 1
@@ -576,7 +577,7 @@ def subfield_table(small: FieldCtx, big: FieldCtx) -> tuple[int, ...]:
                          tuple(big.digits(cand)) < tuple(big.digits(best))):
             best = cand
     if best is None:
-        raise AssertionError("no root of the generator minimal polynomial")
+        raise CrossCheckMismatch("no root of the generator minimal polynomial")
     table = [0] * small.order
     table[0] = 0
     cur_s, cur_b = 1, 1

@@ -181,37 +181,104 @@ class CharW:
         self.points = pts
         self.w = w
 
-    def value_at(self, f: Poly) -> CycloInt:
-        ell = self.regime.ell
+    def exponent(self, values) -> int | None:
+        """Exponent of chi_w at any f with f(x_i) = values[i] (extension
+        literals): sum_i w_i * log(values[i]) mod ell, the weighted
+        lth_power_class exponents, or None when a value at a point of
+        nonzero weight is 0."""
+        log = self.regime.ext.log
         e = 0
-        for x, wi in zip(self.points, self.w):
-            if wi == 0:
-                continue
-            v = f.eval(x)
-            if v.val == 0:
-                return CycloInt.from_int(ell, 0)
-            e += wi * lth_power_class(v, ell).e
-        return CycloInt.zeta_pow(ell, e)
+        for v, wi in zip(values, self.w):
+            if wi:
+                if v == 0:
+                    return None
+                e += wi * log[v]
+        return e % self.regime.ell
+
+    def value_at(self, f: Poly) -> CycloInt:
+        e = self.exponent(tuple(f.eval(x).val for x in self.points))
+        if e is None:
+            return CycloInt.from_int(self.regime.ell, 0)
+        return CycloInt.zeta_pow(self.regime.ell, e)
+
+
+def _transfer_work(order: int, k: int, steps: int) -> int:
+    """Table steps of `steps` Horner steps over k distinct points.
+
+    Monic polynomials of degree n < k are told apart by their values at k
+    points and those of degree n >= k take every value vector, so step n + 1
+    extends min(order**n, order**k) states by each of `order` constants.
+    """
+    work, states, full = 0, 1, order ** k
+    for _ in range(steps):
+        work += states * order
+        states = min(states * order, full)
+    return work
+
+
+def _horner_counts(ctx, points, terms: int):
+    """Yield N_0, ..., N_{terms-1}, where N_n maps each value vector
+    (f(x_1), ..., f(x_k)) of a monic f of degree n to the number of such f.
+
+    Horner's rule makes this a transfer: f = X*g + a has f(x_i) = g(x_i)*x_i
+    + a, so N_{n+1} is N_n pushed through v -> (v_i*x_i + a)_i for every
+    constant a; N_0 is the leading 1 alone.  Counts are Python ints.
+    """
+    mul_i, add_i, order = ctx.mul_i, ctx.add_i, ctx.order
+    xs = [x.val for x in points]
+    shifts: dict[int, tuple[int, ...]] = {}  # u -> (u + a for every a)
+
+    def shifted(u: int) -> tuple[int, ...]:
+        row = shifts.get(u)
+        if row is None:
+            row = shifts[u] = tuple(add_i(u, a) for a in range(order))
+        return row
+
+    if terms < 1:
+        return
+    counts = {(1,) * len(xs): 1}
+    yield counts
+    for _ in range(terms - 1):
+        nxt: dict[tuple[int, ...], int] = {}
+        get = nxt.get
+        for state, cnt in counts.items():
+            for key in zip(*[shifted(mul_i(v, x)) for v, x in zip(state, xs)]):
+                nxt[key] = get(key, 0) + cnt
+        counts = nxt
+        yield counts
 
 
 def l_polynomial(regime: Regime, points, w, check_extra: int = 3,
                  budget: int = LPOLY_ENUM_CAP) -> list[CycloInt]:
     """Coefficients c_0..c_{k-1} of L(u) = sum over monic f of chi_w(f) u^deg f.
 
-    The sum over monics of any fixed degree >= k vanishes, which makes L a
+    c_n = sum_v N_n(v) * chi_w(v), where N_n(v) counts the monic f of degree
+    n with value vector v = (f(x_1), ..., f(x_k)); one Horner transfer over
+    value vectors gives every N_n (see _horner_counts), at _transfer_work
+    table steps, which the budget bounds before any work starts.  The sum
+    over monics of any fixed degree >= k vanishes, which makes L a
     polynomial of degree < k; the first check_extra vanishing coefficients
     are recomputed and checked, as is c_0 = 1 (CrossCheckMismatch otherwise).
     """
     char = CharW(regime, points, w)
     k = len(char.points)
-    q_ext = regime.ext.order
-    if q_ext ** (k + check_extra - 1) > budget:
-        raise BudgetExceeded("character-sum enumeration exceeds budget")
+    ell = regime.ell
+    terms = k + check_extra
+    if _transfer_work(regime.ext.order, k, terms - 1) > budget:
+        raise BudgetExceeded("Horner transfer over value vectors exceeds budget")
+    exponent = char.exponent
+    classes: dict[tuple[int, ...], int | None] = {}
     coeffs: list[CycloInt] = []
-    for n in range(k + check_extra):
-        acc = CycloInt.from_int(regime.ell, 0)
-        for f in monic_polys(regime.ext, n):
-            acc = acc + char.value_at(f)
+    for n, counts in enumerate(_horner_counts(regime.ext, char.points, terms)):
+        by_class = [0] * ell
+        for state, cnt in counts.items():
+            if state not in classes:
+                classes[state] = exponent(state)
+            e = classes[state]
+            if e is not None:
+                by_class[e] += cnt
+        top = by_class[ell - 1]  # zeta**(ell-1) = -(1 + ... + zeta**(ell-2))
+        acc = CycloInt(ell, (c - top for c in by_class[:-1]))
         if n < k:
             coeffs.append(acc)
         elif not acc.is_zero:
@@ -219,6 +286,21 @@ def l_polynomial(regime: Regime, points, w, check_extra: int = 3,
                 f"degree-{n} coefficient should vanish, got {acc!r}")
     if coeffs[0] != 1:
         raise CrossCheckMismatch(f"constant coefficient is {coeffs[0]!r}, not 1")
+    return coeffs
+
+
+def _l_coefficients_by_enumeration(regime: Regime, points, w,
+                                   terms: int) -> list[CycloInt]:
+    """c_0..c_{terms-1} of L(u), each summed over every monic polynomial of
+    its degree: the oracle for l_polynomial's transfer, at order**n
+    evaluations of chi_w for c_n."""
+    char = CharW(regime, points, w)
+    coeffs = []
+    for n in range(terms):
+        acc = CycloInt.from_int(regime.ell, 0)
+        for f in monic_polys(regime.ext, n):
+            acc = acc + char.value_at(f)
+        coeffs.append(acc)
     return coeffs
 
 

@@ -1,7 +1,8 @@
 """Self-contained consistency checks pairing every fast computation with an
 independent slow one: character fiber counts against brute-force root
 scans, series-averaged constrained counts against direct enumeration,
-stream enumeration against exact stratum counts, and the invariances
+stream enumeration against exact stratum counts, L-polynomials from the
+Horner transfer against sums over every monic polynomial, and the invariances
 (anchoring rule, power reindexing) that the statistics rely on."""
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ from .coverparam import (
 from .errors import CrossCheckMismatch, EllcoverError
 from .fqpoly import embed, poly_frobenius, primes_with_degree
 from .gf import FieldElem
+from .lseries import _l_coefficients_by_enumeration, l_polynomial
 
 
 @dataclass(frozen=True)
@@ -280,5 +282,29 @@ def run_checks(q: int, ell: int, max_D: int = 4, tuple_cap: int = 25,
                 "count equals brute-force total")
 
     record("class-kernel", check_class_kernel)
+
+    def check_l_polynomial() -> str:
+        order = regime.ext.order
+        rows = []
+        for k, weights in ((1, [(1,), (ell - 1,)]),
+                           (2, [(1, 1), (1, ell - 1), (ell - 1, 1)])):
+            pts = [regime.base.elem(v) for v in range(k)]
+            # vanishing coefficients up to the degree whose oracle sum
+            # stays within 10**4 polynomials, at most two of them
+            extra = 0
+            while extra < 2 and order ** (k + extra) <= 10_000:
+                extra += 1
+            for w in weights:
+                fast = l_polynomial(regime, pts, w, check_extra=extra)
+                slow = _l_coefficients_by_enumeration(regime, pts, w, k + extra)
+                _require(fast == slow[:k] and all(c.is_zero for c in slow[k:]),
+                         f"points {list(range(k))}, weights {w}: transfer gives "
+                         f"{fast}, enumeration gives {slow}")
+            rows.append(f"{len(weights)} weights at k={k} through degree "
+                        f"{k + extra - 1}")
+        return ("Horner transfer equals the sum over monic polynomials ("
+                + ", ".join(rows) + ")")
+
+    record("l-polynomial", check_l_polynomial)
 
     return results

@@ -95,6 +95,15 @@ def test_lseries_frozen(capsys):
     assert d2["root_magnitudes"] == [1.0]
 
 
+def test_lseries_three_points_over_f5(capsys):
+    d = run_json(capsys, "lseries", "--q", "5", "--ell", "3",
+                 "--points", "0,1,2", "--w", "1,1,1")
+    assert len(d["coefficients"]) == 3 and d["coefficients"][0] == [1, 0]
+    assert d["root_magnitudes"]
+    for m in d["root_magnitudes"]:
+        assert min(abs(m - 1), abs(m - 0.2)) < 1e-6
+
+
 def test_ensemble_json_deterministic(capsys):
     args = ("ensemble", "--q", "2", "--ell", "3", "--genus", "4",
             "--mode", "monte-carlo", "--samples", "40", "--seed", "7")

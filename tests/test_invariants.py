@@ -10,8 +10,10 @@ import pytest
 import ellcover as ec
 import ellcover.cli as cli
 import ellcover.coverparam as cp
+import ellcover.gf as gf
+from ellcover import _gf2
 from ellcover.coverparam import Regime
-from ellcover.lseries import CharW, CycloInt
+from ellcover.lseries import CharW
 
 
 def _frozen_frobenius(f, q):
@@ -46,13 +48,20 @@ def test_wrong_twist_exponents_raise_a_typed_error():
 
 @pytest.mark.parametrize("value", [0, 1])
 def test_l_polynomial_checks_raise_typed_errors(monkeypatch, value):
-    # constant 1 leaves a nonvanishing coefficient above the degree bound;
-    # constant 0 leaves c_0 = 0
-    monkeypatch.setattr(CharW, "value_at",
-                        lambda self, f: CycloInt.from_int(self.regime.ell, value))
+    # constant 1 (exponent 0) leaves a nonvanishing coefficient above the
+    # degree bound; constant 0 (exponent None) leaves c_0 = 0
+    monkeypatch.setattr(CharW, "exponent",
+                        lambda self, values: 0 if value else None)
     reg = ec.make_regime(2, 3)
     with pytest.raises(ec.CrossCheckMismatch):
         ec.l_polynomial(reg, [reg.base.elem(0)], [1])
+
+
+def _raises_assertion_error(node) -> bool:
+    if not isinstance(node, ast.Raise) or node.exc is None:
+        return False
+    exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+    return isinstance(exc, ast.Name) and exc.id == "AssertionError"
 
 
 def test_no_bare_assert_in_the_package():
@@ -61,6 +70,16 @@ def test_no_bare_assert_in_the_package():
     found = []
     for path in modules:
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-        found += [f"{path.name}:{node.lineno}"
-                  for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Assert) or _raises_assertion_error(node)]
     assert found == []
+
+
+@pytest.mark.parametrize("pk, module, check", [((2, 3), _gf2, "is_irreducible"),
+                                               ((3, 2), gf, "_fp_irreducible")])
+def test_failed_field_construction_raises_a_typed_error(monkeypatch, pk, module,
+                                                        check):
+    # a private context: make_field's cache must not see the broken search
+    monkeypatch.setattr(module, check, lambda *args: False)
+    with pytest.raises(ec.CrossCheckMismatch, match="no irreducible modulus"):
+        gf.FieldCtx(*pk)

@@ -7,8 +7,11 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ellcover as ec
+from ellcover.lseries import CharW, _l_coefficients_by_enumeration
 
 
 R23 = ec.make_regime(2, 3)
@@ -202,9 +205,59 @@ def test_char_w_value_at():
     assert char.value_at(vanishing).is_zero
 
 
+def test_char_w_exponent():
+    char = CharW(R23, pts(R23, 0, 1), (1, 2))
+    log = R23.ext.log
+    assert char.exponent((2, 3)) == (log[2] + 2 * log[3]) % 3
+    assert char.exponent((0, 3)) is None
+    assert char.exponent((2, 0)) is None
+    # a point of weight 0 does not look at its value
+    assert CharW(R23, pts(R23, 0, 1), (0, 1)).exponent((0, 3)) == log[3] % 3
+
+
 def test_l_polynomial_budget():
     with pytest.raises(ec.BudgetExceeded):
         ec.l_polynomial(R23, pts(R23, 0, 1), (1, 1), budget=10)
+
+
+def test_l_polynomial_budget_boundary():
+    # F_4, two points, 2 + 3 - 1 = 4 Horner steps from 1, 4, 16, 16 value
+    # vectors, each extended by 4 constants
+    work = 4 * (1 + 4 + 16 + 16)
+    assert ec.l_polynomial(R23, pts(R23, 0, 1), (1, 1), budget=work) \
+        == ec.l_polynomial(R23, pts(R23, 0, 1), (1, 1))
+    with pytest.raises(ec.BudgetExceeded):
+        ec.l_polynomial(R23, pts(R23, 0, 1), (1, 1), budget=work - 1)
+
+
+def test_l_polynomial_frozen_over_f5():
+    # every input the lseries-odd benchmark draws: two distinct points of
+    # F_5 and weights in {1, 2}; the values were computed by enumerating
+    # every monic polynomial
+    for x1, x2 in product(range(5), repeat=2):
+        if x1 == x2:
+            continue
+        for w in product((1, 2), repeat=2):
+            coeffs = ec.l_polynomial(R53, pts(R53, x1, x2), w)
+            assert [list(c.coords) for c in coeffs] \
+                == [[1, 0], [5, 0] if w[0] == w[1] else [-1, 0]]
+
+
+@pytest.mark.parametrize("qell, k", [((2, 3), 1), ((2, 3), 2), ((2, 5), 1),
+                                     ((2, 5), 2), ((5, 3), 1), ((5, 3), 2),
+                                     ((5, 3), 3), ((3, 5), 1), ((3, 5), 2)])
+@settings(max_examples=6, deadline=None)
+@given(data=st.data())
+def test_l_polynomial_matches_enumeration(qell, k, data):
+    q, ell = qell
+    reg = ec.make_regime(q, ell)
+    xs = pts(reg, *data.draw(st.permutations(range(q)))[:k])
+    w = data.draw(st.lists(st.integers(0, ell - 1), min_size=k, max_size=k)
+                  .filter(any))
+    check_extra = data.draw(st.sampled_from([0, 1]))
+    slow = _l_coefficients_by_enumeration(reg, xs, w, k + check_extra)
+    assert ec.l_polynomial(reg, xs, w, check_extra=check_extra) == slow[:k]
+    assert all(c.is_zero for c in slow[k:])
 
 
 # ---------------------------------------------------------------------------

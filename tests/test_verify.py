@@ -22,6 +22,7 @@ EXPECTED_CHECKS = [
     "sampling",
     "point-count-oracle",
     "class-kernel",
+    "l-polynomial",
 ]
 
 
@@ -76,6 +77,20 @@ def test_labeling_row_checks_the_class_functional(monkeypatch):
     assert not rows["labeling-invariance"].passed
     assert "anchoring rule only" in rows["labeling-invariance"].detail
     assert all(r.passed for name, r in rows.items() if name != "labeling-invariance")
+
+
+def test_l_polynomial_row_compares_with_the_enumeration(monkeypatch):
+    transfer = verify.l_polynomial
+
+    def shifted(regime, points, w, **kwargs):
+        coeffs = transfer(regime, points, w, **kwargs)
+        return coeffs[:-1] + [coeffs[-1] + 1] if len(coeffs) > 1 else coeffs
+
+    monkeypatch.setattr(verify, "l_polynomial", shifted)
+    rows = {r.name: r for r in run_checks(2, 3, max_D=4)}
+    assert not rows["l-polynomial"].passed
+    assert "enumeration gives" in rows["l-polynomial"].detail
+    assert all(r.passed for name, r in rows.items() if name != "l-polynomial")
 
 
 OFF_BY_ONE_ORACLE = """
