@@ -79,6 +79,7 @@ from .charsum import (
 from .lseries import (
     CharW,
     CycloInt,
+    base_prime_lines,
     count_constrained,
     g_series,
     growth_check,
@@ -106,7 +107,7 @@ __all__ = [
     "NotASubfield", "NotPrime", "NotPrimePower", "OrderMismatch", "Poly",
     "Regime", "StableFactorization", "SupportMismatch", "TooLarge",
     "TrivialCharacter", "TwistedModel", "UnexpectedRoot", "ZeroInput",
-    "ZeroPolynomial", "admissible_D", "chi_class", "class_vector",
+    "ZeroPolynomial", "admissible_D", "base_prime_lines", "chi_class", "class_vector",
     "count_constrained", "count_tuples", "embed", "embed_elem",
     "enumerate_tuples", "exhaustive_distribution", "factor", "fiber_count",
     "fiber_count_oracle",

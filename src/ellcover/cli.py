@@ -20,6 +20,7 @@ from .charsum import (
     projective_points,
 )
 from .coverparam import (
+    LABELINGS,
     CoverParams,
     count_tuples,
     enumerate_tuples,
@@ -274,7 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="branch tuple literal, e.g. '1,1,1;1'")
     p_count.add_argument("--b", type=int, default=1,
                          help="twisting unit literal in the extension field")
-    p_count.add_argument("--labeling", choices=["least", "greatest"],
+    p_count.add_argument("--labeling", choices=LABELINGS,
                          default="least")
     p_count.set_defaults(fn=_cmd_count_points)
 
@@ -294,7 +295,7 @@ def build_parser() -> argparse.ArgumentParser:
                        default="exhaustive")
     p_ens.add_argument("--samples", type=int, default=1000)
     p_ens.add_argument("--seed", type=int, default=0)
-    p_ens.add_argument("--labeling", choices=["least", "greatest"],
+    p_ens.add_argument("--labeling", choices=LABELINGS,
                        default="least")
     p_ens.add_argument("--format", choices=["json", "csv"], default="json")
     p_ens.set_defaults(fn=_cmd_ensemble)

@@ -49,13 +49,19 @@ from .gf import (
 
 ENUM_D_CAP = 16
 COUNT_D_CAP = 60
+LABELINGS = ("least", "greatest")  # anchoring rules for Frobenius orbits
+
+
+def _check_labeling(labeling: str) -> None:
+    if labeling not in LABELINGS:
+        raise ValueError(f"unknown labeling rule {labeling!r}")
 
 
 class Regime:
     """A (q, ell) pair with its contexts, caches, and twist exponents."""
 
     __slots__ = ("q", "ell", "p", "k", "n_q", "base", "ext", "v_exps",
-                 "_split_cache", "_class_cache", "_suffix")
+                 "_split_cache", "_class_cache", "_suffix", "_lines")
 
     def __init__(self, q: int, ell: int):
         p, k = prime_power(q)
@@ -90,8 +96,10 @@ class Regime:
         self._split_cache: dict = {}
         # labeling -> prime coefficients -> classes at the affine points
         self._class_cache: dict[str, dict[tuple[int, ...], tuple[int, ...]]] = {
-            "least": {}, "greatest": {}}
+            labeling: {} for labeling in LABELINGS}
         self._suffix: dict[int, list[list[int]]] = {}
+        # sorted base-point literals -> lseries._LineKernel, built on first use
+        self._lines: dict = {}
 
     def __repr__(self) -> str:
         return f"Regime(q={self.q}, ell={self.ell}, n_q={self.n_q})"
@@ -188,8 +196,7 @@ def split_prime(regime: Regime, prime: Poly, labeling: str = "least") -> tuple[P
     the lex-least (or lex-greatest) one, each the coefficient-wise q-th
     power of its predecessor.
     """
-    if labeling not in ("least", "greatest"):
-        raise ValueError(f"unknown labeling rule {labeling!r}")
+    _check_labeling(labeling)
     key = (prime.coeffs, labeling)
     cached = regime._split_cache.get(key)
     if cached is not None:

@@ -4,8 +4,9 @@ In this regime every fiber over a base-rational point holds either 0 or ell
 points, so the total count lands on the lattice {0, ell, ..., (q+1)ell}.  As
 the genus grows the q+1 fiber indicators become independent fair ell-sided
 events, giving the exact binomial limit law; ensembles here are measured
-either exhaustively (every branch tuple, every twisting unit) or by uniform
-Monte Carlo sampling, and compared to the limit in total variation.
+either exhaustively (the exact law over every branch tuple and twisting
+unit, from the base primes counted by class line) or by uniform Monte Carlo
+sampling, and compared to the limit in total variation.
 """
 
 from __future__ import annotations
@@ -14,12 +15,14 @@ import time
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 from math import comb
 from random import Random
 
 from .charsum import INFINITY, projective_points
 from .coverparam import (
     Regime,
+    _check_labeling,
     _enumerate_full,
     _sample_full,
     admissible_D,
@@ -28,6 +31,7 @@ from .coverparam import (
 )
 from .errors import CrossCheckMismatch, EmptyStratum, SupportMismatch
 from .gf import FieldElem
+from .lseries import _euler_series, _zero_sums, base_prime_lines
 
 
 @dataclass(frozen=True)
@@ -191,19 +195,80 @@ def _genus_degree(regime: Regime, g: int) -> int:
     return d
 
 
-def exhaustive_distribution(regime: Regime, g: int,
-                            labeling: str = "least") -> DistributionReport:
-    """Measure every cover of genus g: all branch tuples, all twisting units."""
-    started = time.monotonic()
-    d = _genus_degree(regime, g)
+def _enumerated_law(regime: Regime, D: int, labeling: str):
+    """(histogram, split counter, size) of every cover of degree D, one
+    cover at a time: the oracle for _exact_law."""
     units = range(1, regime.ext.order)
     jobs = ((prime_mults, FieldElem(regime.ext, b_val))
-            for prime_mults in _enumerate_full(regime, d) for b_val in units)
-    hist, splits, size = _measure_covers(regime, jobs, labeling)
+            for prime_mults in _enumerate_full(regime, D) for b_val in units)
+    return _measure_covers(regime, jobs, labeling)
+
+
+def _exact_law(regime: Regime, D: int):
+    """(histogram, split counter, size) of every cover of degree D, from the
+    base-prime lines alone.
+
+    A cover's affine classes are n_q * (e(b) + v) with v = sum_P slot(P) c_P,
+    so the law is fixed by A(v), the number of branch tuples with sum v.
+    Tuples are generated by prod_P (1 + u**deg P * sum_s [s c_P]); under the
+    character [c] -> zeta**<w, c> each factor becomes 1 + (ell-1)u**d or
+    1 - u**d, so coefficient D of the product is an integer G_w that depends
+    only on how many primes of each degree lie on lines orthogonal to w.
+    Inverting the transform, A(v) = (ell * S(v) - T) / ((ell-1) * ell**q)
+    with S(v) the sum of G_w over w orthogonal to v and T the sum over all w.
+    Each class of e(b) holds (Q-1)/ell units, and infinity has class n_q e(b).
+    Labeling-free: re-anchoring moves no prime off its line.
+    """
+    ell, q, n_q = regime.ell, regime.q, regime.n_q
+    per_degree = base_prime_lines(regime, D // n_q)
+    totals = [sum(lines.values()) for lines in per_degree]
+    zero = [_zero_sums(lines, q, ell) for lines in per_degree]
+    by_profile: dict[tuple[int, ...], int] = {}
+    coeffs = {}
+    for w in product(range(ell), repeat=q):
+        profile = tuple(z.get(w, 0) for z in zero)
+        if profile not in by_profile:
+            by_profile[profile] = _euler_series(ell, n_q, profile, totals, D)[D]
+        coeffs[w] = by_profile[profile]
+    total = sum(coeffs.values())
+    scale = (ell - 1) * ell ** q
+    per_class = (regime.ext.order - 1) // ell
+    hist: Counter[int] = Counter()
+    splits: Counter[int] = Counter()
+    tuples = 0
+    sums = _zero_sums(coeffs, q, ell)
+    for v in product(range(ell), repeat=q):
+        numerator = ell * sums.get(v, 0) - total
+        a, r = divmod(numerator, scale)
+        if r or a < 0:
+            raise CrossCheckMismatch(
+                f"character inversion gives {numerator}/{scale} tuples with "
+                f"class sum {v}")
+        if not a:
+            continue
+        tuples += a
+        for e in range(ell):
+            hits = [i for i, c in enumerate(v) if (c + e) % ell == 0]
+            if e == 0:
+                hits.append(q)  # infinity
+            hist[ell * len(hits)] += a * per_class
+            for i in hits:
+                splits[i] += a * per_class
+    return hist, splits, tuples * (regime.ext.order - 1)
+
+
+def exhaustive_distribution(regime: Regime, g: int,
+                            labeling: str = "least") -> DistributionReport:
+    """The exact law of every cover of genus g (all branch tuples, all
+    twisting units), for branch degree up to COUNT_D_CAP."""
+    _check_labeling(labeling)
+    started = time.monotonic()
+    d = _genus_degree(regime, g)
+    hist, splits, size = _exact_law(regime, d)
     expected = count_tuples(regime, d) * (regime.ext.order - 1)
     if size != expected:
         raise CrossCheckMismatch(
-            f"measured {size} covers, the stratum holds {expected}")
+            f"the law holds {size} covers, the stratum holds {expected}")
     return _report(regime, g, d, "exhaustive", None, labeling, hist, splits,
                    size, started)
 
@@ -214,6 +279,7 @@ def monte_carlo_distribution(regime: Regime, g: int, samples: int, seed: int,
 
     Draw i comes from the stream keyed (seed, i), so it is the cover that
     sample_params(regime, D, seed, i) returns."""
+    _check_labeling(labeling)
     if samples <= 0:
         raise ValueError("sample count must be positive")
     started = time.monotonic()

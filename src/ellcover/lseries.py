@@ -1,14 +1,18 @@
-"""Exact cyclotomic arithmetic, character sums over polynomials, and the
-generating series that counts branch tuples with prescribed classes.
+"""Exact cyclotomic arithmetic, character sums over polynomials, the
+base primes counted by class line, and the generating series that counts
+branch tuples with prescribed classes.
 
 Everything here is integer-exact: cyclotomic integers are stored on the
 power basis 1, zeta, ..., zeta**(ell-2) of Z[zeta_ell]; the per-character
 generating series G_w has plain integer coefficients because each Euler
 factor sums the character over the ell-1 possible slots of a prime, giving
 1 + (ell-1)u**d when the prime's class functional vanishes and 1 - u**d
-otherwise.  Averaging the ell**k series against character values inverts
-the constraint exactly, and the result is cross-checked against a direct
-enumeration of the stratum.
+otherwise.  Which of the two a prime gets depends only on the line of its
+class vector at the weighted points, so the series is read off base-prime
+line counts at those points, made from monic polynomials over the
+extension without listing any prime.  Averaging the ell**k series against
+character values inverts the constraint exactly, and the result is
+cross-checked against a direct enumeration of the stratum.
 """
 
 from __future__ import annotations
@@ -16,6 +20,8 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
+from math import comb
 
 from .coverparam import (
     CoverParams,
@@ -23,7 +29,6 @@ from .coverparam import (
     Regime,
     count_tuples,
     enumerate_tuples,
-    prime_classes,
     twisted_model,
 )
 from .charsum import chi_class
@@ -36,12 +41,14 @@ from .errors import (
     TrivialCharacter,
     UnexpectedRoot,
 )
-from .fqpoly import Poly, monic_polys, primes_with_degree
-from .gf import FieldElem, embed_elem, lth_power_class
+from .fqpoly import Poly, monic_polys, necklace_count
+from .gf import FieldElem, embed_elem, lth_power_class, subfield_table
 
 log = logging.getLogger("ellcover")
 
 LPOLY_ENUM_CAP = 1 << 22
+GROUP_RING_CAP = 1 << 13  # ell**k, the size of the class-vector group ring
+KERNEL_STEP_CAP = 1 << 22  # table steps building one base-prime line kernel
 
 
 class CycloInt:
@@ -325,15 +332,237 @@ def root_magnitudes(coeffs: list[CycloInt]) -> list[float]:
 
 
 # ---------------------------------------------------------------------------
+# Base primes by class line, from monic counts and the Euler product.
+
+def _line_of(c: tuple[int, ...], ell: int) -> tuple[int, ...]:
+    """Representative of the line {t*c : t in Z/ell}: c scaled so its first
+    nonzero coordinate is 1, and the zero vector for c = 0."""
+    for a in c:
+        if a:
+            inv = pow(a, -1, ell)
+            return tuple(b * inv % ell for b in c)
+    return c
+
+
+def _convolve_into(out: dict, a: dict, b: dict, scale: int, ell: int) -> None:
+    """out += scale * a * b in the group ring Z[(Z/ell)^q]."""
+    for ca, na in a.items():
+        for cb, nb in b.items():
+            key = tuple((x + y) % ell for x, y in zip(ca, cb))
+            out[key] = out.get(key, 0) + scale * na * nb
+
+
+class _LineKernel:
+    """Base primes of degree n_q*m by class line at a set of base points,
+    built one degree at a time.
+
+    Work is over the extension F_Q, Q = q**n_q, in the group ring of
+    G = (Z/ell)^k for k base points x_1..x_k, where a monic f with no root
+    at those points has class vector c_f = (log f(x_i) mod ell)_i.  M_n, the
+    monic f of degree n by class vector, comes from the Horner transfer for
+    n < k and is uniform, Q**(n-k) * ((Q-1)/ell)**k per vector, for n >= k,
+    since such f take every value vector equally often.  The Euler product
+    sum_n M_n u**n = prod_pi (1 - u**deg pi [c_pi])**-1 over the F_Q-primes
+    other than X - x_i then gives, by its logarithmic derivative, the power
+    sums Lambda_n = n M_n - sum_{i<n} Lambda_i M_{n-i}
+    = sum_{m | n} m psi_{n/m}(P_m), where P_m counts those F_Q-primes of
+    degree m by class vector and psi_k maps [c] to [k c]; each step peels
+    off P_n.  An F_Q-prime whose Frobenius orbit is shorter than n_q has its
+    coefficients in a field F_{q^s} with ell not dividing q^s - 1, so its
+    class vector is 0; the rest come in orbits of n_q over the base primes
+    of degree n_q*m, with classes q^j * c on one line.
+    """
+
+    def __init__(self, idx: tuple[int, ...]):
+        self.idx = idx  # literals of the base points, one coordinate each
+        self.monic: list[dict] = []  # M_0, ..., M_h for h < k
+        self.power_sums: list[dict] = [{}]  # Lambda_n, index n
+        self.primes: list[dict] = [{}]  # P_n, index n
+        self.lines: list[dict] = []  # entry m - 1: line -> base primes
+
+    def _count_monics(self, regime: Regime, h: int) -> None:
+        ell, ext = regime.ell, regime.ext
+        table = subfield_table(regime.base, ext)
+        points = [FieldElem(ext, table[i]) for i in self.idx]
+        self.monic = []
+        for counts in _horner_counts(ext, points, h + 1):
+            by_class: dict[tuple[int, ...], int] = {}
+            for values, cnt in counts.items():
+                if 0 not in values:
+                    key = tuple(ext.log[v] % ell for v in values)
+                    by_class[key] = by_class.get(key, 0) + cnt
+            self.monic.append(by_class)
+
+    def extend(self, regime: Regime, m_max: int) -> None:
+        ell, q, n_q, Q = regime.ell, regime.q, regime.n_q, regime.ext.order
+        k = len(self.idx)
+        h = min(k - 1, m_max)
+        if len(self.monic) <= h:
+            self._count_monics(regime, h)
+        uniform = ((Q - 1) // ell) ** k  # M_k per class vector
+        zero = (0,) * k
+        for n in range(len(self.lines) + 1, m_max + 1):
+            lam: dict[tuple[int, ...], int] = {}
+            flat = 0  # coefficient of the all-ones element
+            if n < k:
+                for c, cnt in self.monic[n].items():
+                    lam[c] = n * cnt
+            else:
+                flat += n * Q ** (n - k) * uniform
+            for i in range(1, n):
+                j = n - i
+                if j < k:
+                    _convolve_into(lam, self.power_sums[i], self.monic[j], -1, ell)
+                else:
+                    flat -= (sum(self.power_sums[i].values())
+                             * Q ** (j - k) * uniform)
+            if flat:
+                for c in product(range(ell), repeat=k):
+                    lam[c] = lam.get(c, 0) + flat
+            self.power_sums.append(lam)
+            rest = dict(lam)
+            for m in range(1, n):
+                if n % m == 0:
+                    t = n // m
+                    for c, cnt in self.primes[m].items():
+                        key = tuple(t * a % ell for a in c)
+                        rest[key] = rest.get(key, 0) - m * cnt
+            primes: dict[tuple[int, ...], int] = {}
+            for c, cnt in rest.items():
+                if cnt % n or cnt < 0:
+                    raise CrossCheckMismatch(
+                        f"degree-{n} prime count {cnt}/{n} at class {c} is not "
+                        "a whole number")
+                if cnt:
+                    primes[c] = cnt // n
+            self.primes.append(primes)
+            counted = necklace_count(Q, n) - k * (n == 1)  # all but X - x_i
+            if sum(primes.values()) != counted:
+                raise CrossCheckMismatch(
+                    f"degree-{n} primes over F_{Q} by class do not add up")
+            # primes with a shorter Frobenius orbit, all of class 0
+            short = counted - n_q * necklace_count(q, n_q * n)
+            lines: dict[tuple[int, ...], int] = {}
+            for c, cnt in primes.items():
+                line = _line_of(c, ell)
+                lines[line] = lines.get(line, 0) + cnt
+            lines[zero] = lines.get(zero, 0) - short
+            for line, cnt in list(lines.items()):
+                if cnt % n_q or cnt < 0:
+                    raise CrossCheckMismatch(
+                        f"{cnt} F_{Q}-primes of degree {n} on line {line} do not "
+                        f"form orbits of {n_q}")
+                if cnt:
+                    lines[line] = cnt // n_q
+                else:
+                    del lines[line]
+            self.lines.append(lines)
+
+
+def _kernel_budget(regime: Regime, k: int, m_max: int) -> None:
+    """Raise BudgetExceeded unless a kernel over k points up to degree
+    n_q*m_max fits: ell**k class vectors, and table steps within
+    KERNEL_STEP_CAP.  The steps are the Horner transfer for degrees < k and
+    the products of Lambda_{n-j} by M_j for every n and j < min(n, k); each
+    factor of degree i lies on the classes of monics of degree i, at most
+    min(Q**i, ell**k) of them."""
+    size = regime.ell ** k
+    if size > GROUP_RING_CAP:
+        raise BudgetExceeded(
+            f"group ring of (Z/{regime.ell})^{k} has {size} elements, "
+            f"over the cap {GROUP_RING_CAP}")
+    Q = regime.ext.order
+    steps = _transfer_work(Q, k, min(k - 1, m_max))
+    steps += sum(min(Q ** (n - j), size) * min(Q ** j, size)
+                 for n in range(2, m_max + 1) for j in range(1, min(n, k)))
+    if steps > KERNEL_STEP_CAP:
+        raise BudgetExceeded(
+            f"counting monic polynomials over F_{Q} by class and peeling the "
+            f"Euler product to degree {m_max} takes about {steps} table steps, "
+            f"over the cap {KERNEL_STEP_CAP}")
+
+
+def _lines_at(regime: Regime, idx: tuple[int, ...], m_max: int) -> tuple[dict, ...]:
+    """base_prime_lines at the base points with sorted literals idx: class
+    vectors have one coordinate per point.  One kernel per point set is
+    cached on the regime and extended on demand; the budget is checked
+    before any work."""
+    if m_max < 0:
+        raise ValueError("prime degree bound must be non-negative")
+    if m_max == 0:
+        return ()
+    kernel = regime._lines.get(idx)
+    if kernel is None or len(kernel.lines) < m_max:
+        _kernel_budget(regime, len(idx), m_max)
+        if kernel is None:
+            kernel = regime._lines[idx] = _LineKernel(idx)
+        kernel.extend(regime, m_max)
+    return tuple(kernel.lines[:m_max])
+
+
+def base_prime_lines(regime: Regime, m_max: int) -> tuple[dict, ...]:
+    """Base primes of degree n_q*m, m = 1..m_max, by the line of their class
+    vector at every affine point: entry m - 1 maps each line {t*c_P} of
+    (Z/ell)^q, keyed by the representative whose first nonzero coordinate
+    is 1, to the number of base primes P on it; primes of class vector 0
+    sit under the zero vector.
+
+    The lines do not depend on the anchoring rule, which only scales c_P by a
+    power of q.  No prime is listed: the counts come from monic polynomials
+    of degree < q over the extension (see _LineKernel).  Built lazily,
+    cached on the regime and extended on demand; the budgets (GROUP_RING_CAP
+    on ell**q, KERNEL_STEP_CAP on the table steps) are checked before any
+    work.  Callers must not mutate the dicts.
+    """
+    return _lines_at(regime, tuple(range(regime.q)), m_max)
+
+
+def _zero_sums(values: dict, q: int, ell: int) -> dict:
+    """For every w in (Z/ell)^q: the sum of values[c] over the c with
+    <w, c> = 0 mod ell.  One coordinate at a time turns c_i into w_i while
+    carrying the partial dot product, at most q * ell**(q+2) steps."""
+    stage = {(c, 0): n for c, n in values.items() if n}
+    for i in range(q):
+        nxt: dict = {}
+        for (v, s), n in stage.items():
+            head, ci, tail = v[:i], v[i], v[i + 1:]
+            for wi in range(ell):
+                key = (head + (wi,) + tail, (s + wi * ci) % ell)
+                nxt[key] = nxt.get(key, 0) + n
+        stage = nxt
+    return {w: n for (w, s), n in stage.items() if s == 0}
+
+
+def _euler_series(ell: int, n_q: int, zero, totals, trunc: int) -> list[int]:
+    """Coefficients up to u**trunc of prod_m (1 + (ell-1)u**d)**zero[m-1]
+    * (1 - u**d)**(totals[m-1] - zero[m-1]), d = n_q*m, each power expanded
+    binomially: the image, under one character, of the product of the
+    factors 1 + u**d * sum_s [s c_P] over the base primes P."""
+    series = [0] * (trunc + 1)
+    series[0] = 1
+    for m, (z, total) in enumerate(zip(zero, totals), start=1):
+        d = n_q * m
+        for a, e in ((ell - 1, z), (-1, total - z)):
+            if not e:
+                continue
+            terms = [comb(e, j) * a ** j for j in range(trunc // d + 1)]
+            for r in range(trunc, d - 1, -1):
+                series[r] += sum(terms[j] * series[r - j * d]
+                                 for j in range(1, r // d + 1))
+    return series
+
+
+# ---------------------------------------------------------------------------
 # Generating series for class-constrained branch tuples.
 
 def g_series(regime: Regime, points, w, trunc: int) -> list[int]:
     """Integer coefficients, up to u**trunc, of the Euler product over base
     primes of degree divisible by n_q: factor 1 + (ell-1)u**d when the
     weighted class functional e_P = sum_i w_i * class_i(P) vanishes mod ell,
-    and 1 - u**d otherwise.  Whether e_P vanishes does not depend on the
-    anchoring rule, so the lex-least one is used; verify's
-    labeling-invariance row checks that independence.
+    and 1 - u**d otherwise.  Whether e_P vanishes depends only on the line
+    of c_P at the points of nonzero weight, so the product is read off the
+    base-prime lines at those points alone (ell**s class vectors for s such
+    points, whatever q is).
     """
     ell = regime.ell
     if any((x.ctx.p, x.ctx.k) != (regime.base.p, regime.base.k) for x in points):
@@ -344,17 +573,15 @@ def g_series(regime: Regime, points, w, trunc: int) -> list[int]:
     w = tuple(wi % ell for wi in w)
     if len(w) != len(idx):
         raise InvalidTuple("weight vector length must match points")
-    series = [0] * (trunc + 1)
-    series[0] = 1
-    for d in range(regime.n_q, trunc + 1, regime.n_q):
-        for prime in primes_with_degree(regime.base, d):
-            cls = prime_classes(regime, prime, "least")
-            e_p = sum(wi * cls[i] for wi, i in zip(w, idx)) % ell
-            top = ell - 1 if e_p == 0 else -1
-            for r in range(trunc - d, -1, -1):
-                if series[r]:
-                    series[r + d] += top * series[r]
-    return series
+    support = sorted((i, wi) for i, wi in zip(idx, w) if wi)
+    weights = [wi for _, wi in support]
+    per_degree = _lines_at(regime, tuple(i for i, _ in support),
+                           trunc // regime.n_q)
+    zero = [sum(cnt for line, cnt in lines.items()
+                if sum(a * c for a, c in zip(weights, line)) % ell == 0)
+            for lines in per_degree]
+    totals = [sum(lines.values()) for lines in per_degree]
+    return _euler_series(ell, regime.n_q, zero, totals, trunc)
 
 
 def count_constrained(regime: Regime, D: int, points, targets,
@@ -394,8 +621,6 @@ def count_constrained(regime: Regime, D: int, points, targets,
 
     # Character-average side.
     c_b = (regime.n_q * lth_power_class(b, ell).e) % ell
-    from itertools import product
-
     acc = CycloInt.from_int(ell, 0)
     for w in product(range(ell), repeat=k):
         coeff = g_series(regime, pts, w, D)[D]

@@ -2,8 +2,10 @@
 independent slow one: character fiber counts against brute-force root
 scans, series-averaged constrained counts against direct enumeration,
 stream enumeration against exact stratum counts, L-polynomials from the
-Horner transfer against sums over every monic polynomial, and the invariances
-(anchoring rule, power reindexing) that the statistics rely on."""
+Horner transfer against sums over every monic polynomial, exact ensemble
+laws from the base-prime lines against every enumerated cover, and the
+invariances (anchoring rule, power reindexing) that the statistics rely
+on."""
 
 from __future__ import annotations
 
@@ -18,6 +20,7 @@ from .charsum import (
     projective_points,
 )
 from .coverparam import (
+    LABELINGS,
     CoverParams,
     Regime,
     _prime_multiplicities,
@@ -32,7 +35,8 @@ from .coverparam import (
     twisted_model,
     validate_params,
 )
-from .errors import CrossCheckMismatch, EllcoverError
+from .ensemble import _enumerated_law, _exact_law
+from .errors import BudgetExceeded, CrossCheckMismatch, EllcoverError
 from .fqpoly import embed, poly_frobenius, primes_with_degree
 from .gf import FieldElem
 from .lseries import _l_coefficients_by_enumeration, l_polynomial
@@ -158,7 +162,7 @@ def run_checks(q: int, ell: int, max_D: int = 4, tuple_cap: int = 25,
         per_cover_differs = False
         for b in units:
             hists = {}
-            for lab in ("least", "greatest"):
+            for lab in LABELINGS:
                 counter: Counter[int] = Counter()
                 for fs in enumerate_tuples(regime, d):
                     params = CoverParams(regime, fs, b)
@@ -175,10 +179,11 @@ def run_checks(q: int, ell: int, max_D: int = 4, tuple_cap: int = 25,
         note = ("per-cover counts do differ between rules"
                 if per_cover_differs else
                 "no per-cover difference seen in this sample")
-        # g_series reads only lex-least classes: its class functional
-        # e_P = sum_i w_i * c_P(x_i) must vanish under both rules or neither
-        # (re-anchoring scales c_P by a unit).  Checked at w = 1 on every
-        # affine point, for every prime of degree <= max_D.
+        # The exact law and g_series read class lines, not classes, which
+        # holds only if re-anchoring keeps every prime on its line: the
+        # class functional e_P = sum_i w_i * c_P(x_i) must then vanish under
+        # both rules or neither.  Checked at w = 1 on every affine point,
+        # for every prime of degree <= max_D.
         n_primes = n_vanish = 0
         for deg in _degrees(regime, max_D):
             for prime in primes_with_degree(regime.base, deg):
@@ -267,7 +272,7 @@ def run_checks(q: int, ell: int, max_D: int = 4, tuple_cap: int = 25,
 
     def check_class_kernel() -> str:
         n_models = 0
-        for lab in ("least", "greatest"):
+        for lab in LABELINGS:
             for params in _sample_jobs(regime, max_D, tuple_cap, unit_cap):
                 classes = class_vector(regime, _prime_multiplicities(params),
                                        params.b, lab)
@@ -306,5 +311,29 @@ def run_checks(q: int, ell: int, max_D: int = 4, tuple_cap: int = 25,
                 + ", ".join(rows) + ")")
 
     record("l-polynomial", check_l_polynomial)
+
+    def check_exact_law() -> str:
+        rows, note = [], ""
+        for d in _degrees(regime, max_D):
+            try:
+                hist, splits, size = _exact_law(regime, d)
+            except BudgetExceeded as exc:
+                # a declared limit of the kernel, not a disagreement
+                note = f"; kernel law out of budget from D={d}: {exc}"
+                break
+            for lab in LABELINGS:
+                e_hist, e_splits, e_size = _enumerated_law(regime, d, lab)
+                _require((hist, splits, size) == (e_hist, e_splits, e_size),
+                         f"D={d}, {lab} labeling: the kernel law gives "
+                         f"{size} covers, histogram {dict(hist)}, splits "
+                         f"{dict(splits)}; the enumeration gives {e_size}, "
+                         f"{dict(e_hist)}, {dict(e_splits)}")
+            rows.append(f"D={d}:{size}")
+        if not rows:
+            return "no degree compared" + note
+        return ("kernel law equals the enumerated covers under both anchoring "
+                "rules (" + ", ".join(rows) + ")" + note)
+
+    record("exact-law", check_exact_law)
 
     return results

@@ -18,6 +18,7 @@ import pytest
 import conftest
 import ellcover as ec
 import ellcover.cli as cli
+from ellcover.ensemble import _enumerated_law
 
 
 @contextmanager
@@ -228,6 +229,10 @@ def test_09_invariance_suite():
             greatest = ec.exhaustive_distribution(R23, g, "greatest")
             assert least.histogram == greatest.histogram
             assert least.split_freqs == greatest.split_freqs
+            # the exact law never reads the labeling: compare the covers
+            # themselves, counted one at a time under each rule
+            assert (_enumerated_law(R23, D, "least")
+                    == _enumerated_law(R23, D, "greatest"))
             for fs in ec.enumerate_tuples(R23, D):
                 for bv in range(1, 4):
                     params = ec.CoverParams(R23, fs, R23.ext.elem(bv))
@@ -236,8 +241,9 @@ def test_09_invariance_suite():
                         orbit = ec.power_orbit(params, r)
                         assert ec.point_count(ec.twisted_model(orbit)) == n
                     covers += 1
-        detail["note"] = ("histograms identical under labeling swap at "
-                          f"D <= 6; per-cover counts invariant under the "
+        detail["note"] = ("histograms and split counts identical under "
+                          "labeling swap at D <= 6, in the exact law and "
+                          "over the enumerated covers; per-cover counts invariant under the "
                           f"power-orbit map for all {covers} covers")
 
 

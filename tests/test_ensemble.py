@@ -169,6 +169,18 @@ def test_report_csv():
     assert lines[2].startswith("3,6,1/1,")
 
 
+@pytest.mark.parametrize("run", [
+    lambda labeling: ec.exhaustive_distribution(R23, 8, labeling),
+    lambda labeling: ec.monte_carlo_distribution(R23, 8, 5, 0, labeling),
+], ids=["exhaustive", "monte-carlo"])
+def test_unknown_labeling_is_rejected_at_entry(run):
+    # the exact law never reads the labeling, so only this check stops a
+    # report labelled with a rule that does not exist
+    for bad in ("bogus", "", "Least", None):
+        with pytest.raises(ValueError, match="labeling"):
+            run(bad)
+
+
 def test_monte_carlo_rejects_bad_sample_count():
     with pytest.raises(ValueError):
         ec.monte_carlo_distribution(R23, 2, 0, seed=0)

@@ -1,0 +1,192 @@
+"""Exact ensemble laws from the base-prime line kernel: the kernel against a
+prime sieve, the law against every enumerated cover, g_series against the
+per-prime Euler product, and the budgets checked before any work."""
+
+import json
+import time
+from fractions import Fraction
+from random import Random
+
+import pytest
+
+import ellcover as ec
+import ellcover.lseries as ls
+from ellcover.coverparam import LABELINGS, Regime
+from ellcover.ensemble import _enumerated_law, _report
+from ellcover.lseries import _line_of, base_prime_lines
+
+# (q, ell) and the largest m whose sieve of degree n_q*m stays cheap; every
+# q**(n_q*m) here is within fqpoly.SIEVE_CAP.
+SIEVED = [((2, 3), 6), ((3, 5), 2), ((5, 3), 3), ((2, 5), 3), ((4, 5), 3)]
+
+
+def sieved_lines(reg, m, labeling):
+    """Base primes of degree n_q*m by class line, from the sieve."""
+    lines = {}
+    for prime in ec.primes_with_degree(reg.base, reg.n_q * m):
+        line = _line_of(ec.prime_classes(reg, prime, labeling), reg.ell)
+        lines[line] = lines.get(line, 0) + 1
+    return lines
+
+
+def sieved_g_series(reg, points, w, trunc):
+    """The per-prime Euler product behind g_series: one factor per base
+    prime, 1 + (ell-1)u**d when sum_i w_i * c_P(x_i) vanishes and 1 - u**d
+    otherwise."""
+    ell = reg.ell
+    series = [0] * (trunc + 1)
+    series[0] = 1
+    for d in range(reg.n_q, trunc + 1, reg.n_q):
+        for prime in ec.primes_with_degree(reg.base, d):
+            cls = ec.prime_classes(reg, prime, "least")
+            e_p = sum(wi * cls[x.val] for wi, x in zip(w, points)) % ell
+            top = ell - 1 if e_p == 0 else -1
+            for r in range(trunc - d, -1, -1):
+                if series[r]:
+                    series[r + d] += top * series[r]
+    return series
+
+
+@pytest.mark.parametrize("qell, m_max", SIEVED)
+@pytest.mark.parametrize("labeling", LABELINGS)
+def test_kernel_matches_the_sieve(qell, m_max, labeling):
+    reg = ec.make_regime(*qell)
+    kernel = base_prime_lines(reg, m_max)
+    assert len(kernel) == m_max
+    for m, lines in enumerate(kernel, start=1):
+        assert lines == sieved_lines(reg, m, labeling)
+        assert sum(lines.values()) == ec.necklace_count(reg.q, reg.n_q * m)
+
+
+def test_kernel_is_lazy_cached_and_extended():
+    reg = Regime(2, 3)
+    assert reg._lines == {}  # not built at construction
+    first = base_prime_lines(reg, 3)
+    kernel = reg._lines[(0, 1)]
+    assert base_prime_lines(reg, 2) == first[:2]
+    assert reg._lines == {(0, 1): kernel} and len(kernel.lines) == 3
+    longer = base_prime_lines(reg, 7)
+    assert reg._lines == {(0, 1): kernel} and longer[:3] == first
+    assert longer == base_prime_lines(Regime(2, 3), 7)  # built in one go
+    assert base_prime_lines(reg, 0) == ()
+    with pytest.raises(ValueError):
+        base_prime_lines(reg, -1)
+
+
+def oracle_report(reg, g, labeling):
+    D = ec.admissible_D(reg, g)
+    hist, splits, size = _enumerated_law(reg, D, labeling)
+    return _report(reg, g, D, "exhaustive", None, labeling, hist, splits,
+                   size, time.monotonic())
+
+
+def report_bytes(rep):
+    d = rep.to_json_dict()
+    del d["runtime_ms"]
+    return json.dumps(d, indent=2)
+
+
+CASES = ([((2, 3), g) for g in range(0, 11, 2)]
+         + [((3, 5), 4)] + [((5, 3), g) for g in (0, 2, 4)])
+
+
+@pytest.mark.parametrize("qell, g", CASES)
+@pytest.mark.parametrize("labeling", LABELINGS)
+def test_reports_equal_the_enumeration_oracle(qell, g, labeling):
+    reg = ec.make_regime(*qell)
+    got = ec.exhaustive_distribution(reg, g, labeling)
+    assert report_bytes(got) == report_bytes(oracle_report(reg, g, labeling))
+
+
+def test_exact_tv_at_genus_20():
+    # 5.5 million covers, past the enumeration's reach; 9.44e-6 was found by
+    # an independent per-prime expansion when the kernel was planned
+    rep = ec.exhaustive_distribution(ec.make_regime(2, 3), 20)
+    assert rep.D == 22
+    assert rep.tv == Fraction(26, 2753883)
+    assert rep.ensemble_size == ec.count_tuples(rep.regime, 22) * 3 == 5507766
+    assert all(freq == Fraction(1, 3) for _, freq in rep.split_freqs)
+
+
+@pytest.mark.parametrize("qell, trunc", [((2, 3), 12), ((3, 5), 8), ((5, 3), 6),
+                                         ((2, 5), 12), ((4, 5), 6)])
+def test_g_series_matches_the_per_prime_product(qell, trunc):
+    reg = ec.make_regime(*qell)
+    rng = Random(f"g_series:{qell}")
+    for _ in range(6):
+        k = rng.randrange(1, reg.q + 1)
+        xs = [reg.base.elem(v) for v in rng.sample(range(reg.q), k)]
+        w = [rng.randrange(reg.ell) for _ in xs]
+        assert ec.g_series(reg, xs, w, trunc) == sieved_g_series(reg, xs, w, trunc)
+
+
+def test_budgets_raise_before_any_work():
+    reg = Regime(8, 3)  # n_q = 2, Q = 64, 3**8 class vectors
+    t0 = time.monotonic()
+    for g in (8, 10, 30):  # D / n_q = 5, 6, 16: monics up to degree 5 or more
+        assert ec.admissible_D(reg, g) // reg.n_q >= 5
+        with pytest.raises(ec.BudgetExceeded, match="monic"):
+            ec.exhaustive_distribution(reg, g)
+    assert time.monotonic() - t0 < 1
+    assert reg._lines == {}
+    with pytest.raises(ec.BudgetExceeded, match="group ring"):
+        ec.exhaustive_distribution(Regime(11, 3), 0)  # 3**11 class vectors
+    with pytest.raises(ec.BudgetExceeded):
+        ec.exhaustive_distribution(ec.make_regime(2, 3), 60)  # D = 62
+    # the Euler-product peel counts too: (5, 3) is cheap to count monics
+    # for but multiplies 3**5-element ring elements at every degree
+    with pytest.raises(ec.BudgetExceeded, match="table steps"):
+        ec.exhaustive_distribution(ec.make_regime(5, 3), 58)  # D = 60
+
+
+def test_budget_edges_of_the_kernel(monkeypatch):
+    reg = Regime(2, 3)
+    monkeypatch.setattr(ls, "GROUP_RING_CAP", 8)
+    with pytest.raises(ec.BudgetExceeded):
+        base_prime_lines(reg, 1)
+    monkeypatch.setattr(ls, "GROUP_RING_CAP", 9)
+    monkeypatch.setattr(ls, "KERNEL_STEP_CAP", 3)  # one Horner step of 4
+    with pytest.raises(ec.BudgetExceeded):
+        base_prime_lines(reg, 1)
+    assert reg._lines == {}
+    monkeypatch.setattr(ls, "KERNEL_STEP_CAP", 4)
+    assert base_prime_lines(reg, 1) == ({(1, 2): 1},)
+    # degrees 2..5 each multiply Lambda_{n-1} (4, then 9 classes) by M_1
+    # (4 classes)
+    with pytest.raises(ec.BudgetExceeded):
+        base_prime_lines(reg, 5)
+    monkeypatch.setattr(ls, "KERNEL_STEP_CAP", 4 + 4 * 4 + 3 * 9 * 4)
+    assert base_prime_lines(reg, 5)[0] == {(1, 2): 1}
+
+
+def test_law_over_the_largest_group_ring():
+    # (8, 3) has 3**8 class vectors, the most of any budgeted regime
+    reg = Regime(8, 3)
+    assert report_bytes(ec.exhaustive_distribution(reg, 0)) == \
+        report_bytes(oracle_report(reg, 0, "least"))
+
+
+@pytest.mark.parametrize("qell, trunc", [((11, 3), 4), ((7, 5), 4)])
+def test_g_series_past_the_full_ring_cap(qell, trunc):
+    # 3**11 and 5**7 class vectors at all affine points: g_series counts
+    # lines only at the points of nonzero weight
+    reg = ec.make_regime(*qell)
+    assert reg.ell ** reg.q > ls.GROUP_RING_CAP
+    rng = Random(f"g_series:{qell}")
+    for k in (1, 2, 3):
+        xs = [reg.base.elem(v) for v in rng.sample(range(reg.q), k)]
+        w = [rng.randrange(1, reg.ell) for _ in xs]
+        w[0] = 0 if k == 3 else w[0]
+        assert ec.g_series(reg, xs, w, trunc) == sieved_g_series(reg, xs, w, trunc)
+    zero = ec.g_series(reg, xs, [0] * 3, trunc)
+    assert zero == sieved_g_series(reg, xs, [0] * 3, trunc)
+    assert ec.g_series(reg, xs, [1] * 3, reg.n_q - 1) == [1] + [0] * (reg.n_q - 1)
+    assert tuple(range(reg.q)) not in reg._lines
+
+
+def test_verify_passes_past_the_full_ring_cap():
+    results = ec.run_checks(11, 3, max_D=2, tuple_cap=3, unit_cap=2)
+    assert all(r.passed for r in results), [r for r in results if not r.passed]
+    row = next(r for r in results if r.name == "exact-law")
+    assert row.detail.startswith("no degree compared; kernel law out of "
+                                 "budget from D=2: group ring")

@@ -23,6 +23,7 @@ EXPECTED_CHECKS = [
     "point-count-oracle",
     "class-kernel",
     "l-polynomial",
+    "exact-law",
 ]
 
 
@@ -91,6 +92,29 @@ def test_l_polynomial_row_compares_with_the_enumeration(monkeypatch):
     assert not rows["l-polynomial"].passed
     assert "enumeration gives" in rows["l-polynomial"].detail
     assert all(r.passed for name, r in rows.items() if name != "l-polynomial")
+
+
+def test_exact_law_row_compares_with_the_enumeration(monkeypatch):
+    import ellcover.ensemble as ensemble
+
+    kernel = ensemble.base_prime_lines
+
+    def skewed(regime, m_max):
+        # one prime of the lowest degree moved to the zero class: every
+        # degree keeps its prime count, so only the law itself can differ
+        out = [dict(lines) for lines in kernel(regime, m_max)]
+        if out:
+            first = min(out[0])
+            out[0][first] -= 1
+            zero = (0,) * regime.q
+            out[0][zero] = out[0].get(zero, 0) + 1
+        return tuple(out)
+
+    monkeypatch.setattr(ensemble, "base_prime_lines", skewed)
+    rows = {r.name: r for r in run_checks(2, 3, max_D=4)}
+    assert not rows["exact-law"].passed
+    assert "the enumeration gives" in rows["exact-law"].detail
+    assert all(r.passed for name, r in rows.items() if name != "exact-law")
 
 
 OFF_BY_ONE_ORACLE = """
