@@ -36,7 +36,15 @@ from .errors import (
     NotPrime,
     UnexpectedRoot,
 )
-from .fqpoly import Poly, factor, irreducible, necklace_count, poly_frobenius, embed
+from .fqpoly import (
+    Poly,
+    embed,
+    equal_degree_factor,
+    factor,
+    irreducible,
+    necklace_count,
+    poly_frobenius,
+)
 from .gf import (
     FieldCtx,
     FieldElem,
@@ -195,6 +203,11 @@ def split_prime(regime: Regime, prime: Poly, labeling: str = "least") -> tuple[P
     n_q; the result lists the n_q conjugate extension primes starting from
     the lex-least (or lex-greatest) one, each the coefficient-wise q-th
     power of its predecessor.
+
+    Over the extension a base prime of degree n_q*m is a product of exactly
+    n_q conjugate primes of degree m, so one of them, found by
+    equal_degree_factor, gives the rest by Frobenius.  A reducible input
+    fails one of the checks below with CrossCheckMismatch.
     """
     _check_labeling(labeling)
     key = (prime.coeffs, labeling)
@@ -217,8 +230,11 @@ def split_prime(regime: Regime, prime: Poly, labeling: str = "least") -> tuple[P
         a = Poly(regime.ext, lits)
         parts = {a, poly_frobenius(a, regime.q)}
     else:
-        fp = embed(prime, regime.ext)
-        parts = {pr for pr, _ in factor(fp)}
+        a = equal_degree_factor(embed(prime, regime.ext), prime.degree // n_q)
+        parts = {a}
+        for _ in range(n_q - 1):
+            a = poly_frobenius(a, regime.q)
+            parts.add(a)
     if len(parts) != n_q:
         raise CrossCheckMismatch("embedded prime did not split into n_q conjugates")
     pick = min if labeling == "least" else max
@@ -245,9 +261,8 @@ def prime_classes(regime: Regime, prime: Poly, labeling: str = "least") -> tuple
     The value never vanishes: a rational point is not a root of a prime whose
     degree is a multiple of n_q > 1.
     """
-    cache = regime._class_cache.get(labeling)
-    if cache is None:
-        raise ValueError(f"unknown labeling rule {labeling!r}")
+    _check_labeling(labeling)
+    cache = regime._class_cache[labeling]
     cached = cache.get(prime.coeffs)
     if cached is not None:
         return cached

@@ -2,11 +2,15 @@
 
 Coefficients are stored ascending as integer literals with no trailing
 zeros, so the zero polynomial is the empty tuple and degree(0) == -1.
-Factorization runs the classical squarefree / distinct-degree / equal-degree
-pipeline; the randomized equal-degree splits draw from a generator seeded by
-the input polynomial, so factor() is a deterministic function of its
-argument.  Prime enumeration sieves products below a hard budget and checks
-itself against the divisor-counting closed form.
+Products and long division run their inner loops on table lookups: XOR in
+characteristic 2, and discrete logs added through the field's Zech table in
+odd characteristic.  Factorization runs the classical squarefree /
+distinct-degree / equal-degree pipeline; the randomized equal-degree splits
+draw from a generator seeded by the input polynomial, so factor() is a
+deterministic function of its argument.  equal_degree_factor takes one prime
+out of a product of primes of a known degree without the first two stages.
+Prime enumeration sieves products below a hard budget and checks itself
+against the divisor-counting closed form.
 """
 
 from __future__ import annotations
@@ -25,6 +29,7 @@ from .errors import (
 from .gf import FieldCtx, FieldElem, embed_elem, factor_int, prime_power, subfield_table
 
 SIEVE_CAP = 1 << 22
+EQUAL_DEGREE_DRAWS = 64  # random draws equal_degree_factor makes before it gives up
 
 
 class Poly:
@@ -109,33 +114,35 @@ class Poly:
         if len(a) < len(b):
             a, b = b, a
         out = list(a)
+        add = ctx.add_i
         for i, c in enumerate(b):
-            out[i] = ctx.add_i(out[i], c)
-        return Poly(ctx, out)
+            out[i] = add(out[i], c)
+        return _trusted(ctx, out)
 
     def __sub__(self, other: "Poly") -> "Poly":
         self._check(other)
         ctx = self.ctx
         out = list(self.coeffs) + [0] * max(0, len(other.coeffs) - len(self.coeffs))
+        sub = ctx.sub_i
         for i, c in enumerate(other.coeffs):
-            out[i] = ctx.sub_i(out[i], c)
-        return Poly(ctx, out)
+            out[i] = sub(out[i], c)
+        return _trusted(ctx, out)
 
     def __neg__(self) -> "Poly":
         ctx = self.ctx
-        return Poly(ctx, [ctx.neg_i(c) for c in self.coeffs])
+        return _trusted(ctx, [ctx.neg_i(c) for c in self.coeffs])
 
     def __mul__(self, other: "Poly") -> "Poly":
         self._check(other)
         a, b = self.coeffs, other.coeffs
         if not a or not b:
-            return Poly(self.ctx, ())
-        return Poly(self.ctx, _mul_coeffs(self.ctx, a, b))
+            return _trusted(self.ctx, [])
+        return _trusted(self.ctx, _mul_coeffs(self.ctx, a, b))
 
     def scale(self, c) -> "Poly":
         ctx = self.ctx
         v = ctx.elem(c).val
-        return Poly(ctx, [ctx.mul_i(v, a) for a in self.coeffs])
+        return _trusted(ctx, [ctx.mul_i(v, a) for a in self.coeffs])
 
     def __pow__(self, e: int) -> "Poly":
         if e < 0:
@@ -154,19 +161,8 @@ class Poly:
         if other.is_zero:
             raise ZeroPolynomial("division by the zero polynomial")
         ctx = self.ctx
-        db = other.degree
-        inv_lead = ctx.inv_i(other.coeffs[-1])
-        rem = list(self.coeffs)
-        quo = [0] * max(0, len(rem) - db)
-        while len(rem) - 1 >= db and rem:
-            c = ctx.mul_i(rem[-1], inv_lead)
-            off = len(rem) - 1 - db
-            quo[off] = c
-            for j in range(db + 1):
-                rem[off + j] = ctx.sub_i(rem[off + j], ctx.mul_i(c, other.coeffs[j]))
-            while rem and rem[-1] == 0:
-                rem.pop()
-        return Poly(ctx, quo), Poly(ctx, rem)
+        quo, rem = _divmod_coeffs(ctx, self.coeffs, other.coeffs)
+        return _trusted(ctx, quo), _trusted(ctx, rem)
 
     def __floordiv__(self, other: "Poly") -> "Poly":
         return divmod(self, other)[0]
@@ -202,7 +198,7 @@ class Poly:
                 for _ in range(m - 1):
                     acc = ctx.add_i(acc, c)
                 out.append(acc)
-        return Poly(ctx, out)
+        return _trusted(ctx, out)
 
     def pow_mod(self, e: int, m: "Poly") -> "Poly":
         out = Poly.one(self.ctx)
@@ -248,15 +244,94 @@ class Poly:
         return ",".join(map(str, self.coeffs))
 
 
+def _trusted(ctx: FieldCtx, cs: list[int]) -> Poly:
+    """A Poly from literals already known to lie in range, without the
+    validation of Poly(...); trims trailing zeros of cs in place."""
+    while cs and cs[-1] == 0:
+        cs.pop()
+    f = object.__new__(Poly)
+    f.ctx = ctx
+    f.coeffs = tuple(cs)
+    return f
+
+
+# The kernels below hold discrete logs in [0, n), n = order - 1, with -1 for
+# the zero literal (the log table's own mark).  An index in [-n, n) into a
+# table of length n reads entry (index mod n), so exp[x + y] with x in
+# [-n, 0) and y in [0, n) is g**(x + y) without a modulo.
+
 def _mul_coeffs(ctx: FieldCtx, a, b) -> list[int]:
-    out = [0] * (len(a) + len(b) - 1)
-    add, mul = ctx.add_i, ctx.mul_i
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                if bj:
-                    out[i + j] = add(out[i + j], mul(ai, bj))
-    return out
+    """Product literals of two nonempty coefficient sequences.
+
+    Characteristic 2 adds terms by XOR; odd characteristic keeps each output
+    coefficient as a log and adds a term g**t to g**o as g**(o + zech[t - o]).
+    """
+    exp, log, n = ctx.exp, ctx.log, ctx.order - 1
+    lb = [(j, log[c]) for j, c in enumerate(b) if c]
+    size = len(a) + len(b) - 1
+    if ctx.p == 2:
+        out = [0] * size
+        for i, c in enumerate(a):
+            if c:
+                x = log[c] - n
+                for j, y in lb:
+                    out[i + j] ^= exp[x + y]
+        return out
+    zech = ctx.zech
+    acc = [-1] * size
+    for i, c in enumerate(a):
+        if c:
+            x = log[c]
+            for j, y in lb:
+                t = (x + y) % n
+                o = acc[i + j]
+                if o < 0:
+                    acc[i + j] = t
+                else:
+                    z = zech[t - o]
+                    acc[i + j] = -1 if z < 0 else (o + z) % n
+    return [exp[t] if t >= 0 else 0 for t in acc]
+
+
+def _divmod_coeffs(ctx: FieldCtx, a, b) -> tuple[list[int], list[int]]:
+    """Quotient and remainder literals of a by b, both trimmed and b nonzero.
+
+    Each step clears the top remaining coefficient c by adding
+    (c / lead) * (-b_j) at the offsets below it; the -b_j are read once as
+    logs.  The remainder is what is left below degree deg(b).
+    """
+    exp, log, n = ctx.exp, ctx.log, ctx.order - 1
+    db = len(b) - 1
+    lead = log[b[-1]]
+    quo = [0] * max(0, len(a) - db)
+    if ctx.p == 2:
+        nb = [(j, log[c] - n) for j, c in enumerate(b[:db]) if c]
+        rem = list(a)
+        for off in range(len(a) - 1 - db, -1, -1):
+            c = rem[off + db]
+            if c:
+                x = (log[c] - lead) % n
+                quo[off] = exp[x]
+                for j, y in nb:
+                    rem[off + j] ^= exp[x + y]
+        return quo, rem[:db]
+    zech, minus_one = ctx.zech, n // 2
+    nb = [(j, (log[c] + minus_one) % n) for j, c in enumerate(b[:db]) if c]
+    rem = [log[c] for c in a]
+    for off in range(len(a) - 1 - db, -1, -1):
+        c = rem[off + db]
+        if c >= 0:
+            x = (c - lead) % n
+            quo[off] = exp[x]
+            for j, y in nb:
+                t = (x + y) % n
+                o = rem[off + j]
+                if o < 0:
+                    rem[off + j] = t
+                else:
+                    z = zech[t - o]
+                    rem[off + j] = -1 if z < 0 else (o + z) % n
+    return quo, [exp[t] if t >= 0 else 0 for t in rem[:db]]
 
 
 def _sqr_mod(a: Poly, m: Poly) -> Poly:
@@ -266,7 +341,7 @@ def _sqr_mod(a: Poly, m: Poly) -> Poly:
         out = [0] * (2 * len(a.coeffs) - 1)
         for i, c in enumerate(a.coeffs):
             out[2 * i] = ctx.mul_i(c, c)
-        return Poly(ctx, out) % m
+        return _trusted(ctx, out) % m
     return (a * a) % m
 
 
@@ -314,7 +389,7 @@ def _pth_root(f: Poly) -> Poly:
     out = []
     for i in range(0, len(f.coeffs), ctx.p):
         out.append(ctx.pow_i(f.coeffs[i], root_exp))
-    return Poly(ctx, out)
+    return _trusted(ctx, out)
 
 
 def _squarefree_parts(f: Poly) -> list[tuple[Poly, int]]:
@@ -367,30 +442,63 @@ def _distinct_degree(f: Poly) -> list[tuple[int, Poly]]:
     return out
 
 
+def _split_draw(f: Poly, d: int, rng: Random) -> Poly:
+    """One Cantor-Zassenhaus draw on a monic product f of degree-d primes:
+    the gcd of f with a random splitting polynomial, which takes each prime
+    independently with probability about 1/2."""
+    ctx = f.ctx
+    q = ctx.order
+    while True:
+        r = _trusted(ctx, [rng.randrange(q) for _ in range(f.degree)])
+        if r.degree >= 1:
+            break
+    if ctx.p == 2:
+        # absolute trace map to GF(2): sum of 2**i-th powers
+        t = r % f
+        acc = t
+        for _ in range(ctx.k * d - 1):
+            t = _sqr_mod(t, f)
+            acc = acc + t
+        return f.gcd(acc)
+    return f.gcd(r.pow_mod((q ** d - 1) // 2, f) - Poly.one(ctx))
+
+
 def _equal_degree_split(f: Poly, d: int, rng: Random) -> list[Poly]:
     """Cantor-Zassenhaus split of a monic product of degree-d primes."""
-    ctx = f.ctx
     if f.degree == d:
         return [f]
-    q = ctx.order
-    n = f.degree
     while True:
-        r = Poly(ctx, [rng.randrange(q) for _ in range(n)])
-        if r.degree < 1:
-            continue
-        if ctx.p == 2:
-            # absolute trace map to GF(2): sum of 2**i-th powers
-            t = r % f
-            acc = t
-            for _ in range(ctx.k * d - 1):
-                t = _sqr_mod(t, f)
-                acc = acc + t
-            g = f.gcd(acc)
-        else:
-            g = f.gcd(r.pow_mod((q ** d - 1) // 2, f) - Poly.one(ctx))
-        if 0 < g.degree < n:
+        g = _split_draw(f, d, rng)
+        if 0 < g.degree < f.degree:
             return _equal_degree_split(g, d, rng) + \
                 _equal_degree_split(f // g, d, rng)
+
+
+def equal_degree_factor(f: Poly, d: int) -> Poly:
+    """One monic prime factor of degree d of a monic product f of distinct
+    degree-d primes, by Cantor-Zassenhaus draws that always keep the smaller
+    side of a split (deterministic: the draws are seeded by f).
+
+    Raises CrossCheckMismatch when f shows it is not such a product: a piece
+    of degree below d, a degree-d piece that is not prime, or
+    EQUAL_DEGREE_DRAWS draws without reaching degree d.  Each draw on a
+    valid f splits it with probability about 1/2 or more, and at most
+    log2(deg f / d) splits are needed, so a valid f runs out of draws with
+    probability far below 2**-40.
+    """
+    rng = Random(_factor_fold(f))
+    for _ in range(EQUAL_DEGREE_DRAWS):
+        if f.degree <= d:
+            break
+        g = _split_draw(f, d, rng)
+        if 0 < g.degree < f.degree:
+            h = f // g
+            f = g if g.degree <= h.degree else h
+    if f.degree != d or not irreducible(f):
+        raise CrossCheckMismatch(
+            f"no prime factor of degree {d} found: the input is not a "
+            f"product of degree-{d} primes")
+    return f
 
 
 def factor(f: Poly) -> Factorization:
@@ -520,7 +628,7 @@ def poly_frobenius(f: Poly, base_order: int) -> Poly:
         raise NotASubfield(
             f"F_{base_order} is not a subfield of the coefficient field "
             f"F_{ctx.order}")
-    return Poly(ctx, [ctx.pow_i(c, base_order) for c in f.coeffs])
+    return _trusted(ctx, [ctx.pow_i(c, base_order) for c in f.coeffs])
 
 
 def embed(f: Poly, big: FieldCtx) -> Poly:
@@ -529,4 +637,4 @@ def embed(f: Poly, big: FieldCtx) -> Poly:
         raise NotASubfield(
             f"F_{f.ctx.order} does not embed in F_{big.order}")
     table = subfield_table(f.ctx, big)
-    return Poly(big, [table[c] for c in f.coeffs])
+    return _trusted(big, [table[c] for c in f.coeffs])

@@ -3,9 +3,10 @@
 A field context holds discrete-log and antilog tables for F_{p^k}, built once
 per (p, k) and capped at order 2**20.  Elements are encoded by integer
 literals whose base-p digits, least significant first, are the coordinates in
-the power basis of the defining modulus; multiplication runs through the log
-tables and addition through the coordinate digits, so every operation is
-exact.
+the power basis of the defining modulus.  Multiplication runs through the log
+tables.  Addition is XOR in characteristic 2; in odd characteristic it runs
+through a Zech table, 1 + g**m = g**zech[m], and a negation table, so every
+operation is an exact lookup.
 
 The context is canonical: the modulus is the monic irreducible of degree k
 over F_p whose ascending coefficient vector is lexicographically least, and
@@ -158,7 +159,7 @@ class FieldCtx:
     """
 
     __slots__ = ("p", "k", "order", "modulus", "generator", "exp", "log",
-                 "_embed_tables", "factor_seed")
+                 "zech", "neg", "_embed_tables", "factor_seed")
 
     def __init__(self, p: int, k: int):
         if not is_prime_int(p):
@@ -264,32 +265,56 @@ class FieldCtx:
             raise CrossCheckMismatch("generator does not enumerate the unit group")
         self.exp = exp
         self.log = log
+        self.zech = self.neg = None
+        if self.p != 2:
+            self._build_addition_tables()
+
+    def _build_addition_tables(self) -> None:
+        """Zech and negation tables for odd p, in O(order) lookups.
+
+        zech[m] is the log of 1 + g**m, or -1 (the log table's mark for the
+        zero literal) where that sum vanishes; adding 1 changes only digit 0
+        of a literal.  neg[a] is the literal of -a; -1 = g**((order-1)/2).
+        """
+        p, exp, log = self.p, self.exp, self.log
+        n = self.order - 1
+        zech = [0] * n
+        for m, v in enumerate(exp):
+            zech[m] = log[v + 1 if v % p != p - 1 else v - (p - 1)]
+        half = n // 2
+        neg = [0] * self.order
+        for m, v in enumerate(exp):
+            neg[v] = exp[(m + half) % n]
+        self.zech = zech
+        self.neg = neg
 
     # -- integer-literal operations ------------------------------------------
 
     def add_i(self, a: int, b: int) -> int:
         if self.p == 2:
             return a ^ b
-        p, v, mult = self.p, 0, 1
-        while a or b:
-            v += ((a + b) % p) * mult
-            a //= p
-            b //= p
-            mult *= p
-        return v
+        if a == 0:
+            return b
+        if b == 0:
+            return a
+        log = self.log
+        la = log[a]
+        # g**la + g**lb = g**(la + zech[lb - la]); a negative index wraps
+        # mod order - 1, the length of the table
+        z = self.zech[log[b] - la]
+        if z < 0:
+            return 0
+        return self.exp[(la + z) % (self.order - 1)]
 
     def neg_i(self, a: int) -> int:
         if self.p == 2:
             return a
-        p, v, mult = self.p, 0, 1
-        while a:
-            v += (-a % p) * mult
-            a //= p
-            mult *= p
-        return v
+        return self.neg[a]
 
     def sub_i(self, a: int, b: int) -> int:
-        return self.add_i(a, self.neg_i(b))
+        if self.p == 2:
+            return a ^ b
+        return self.add_i(a, self.neg[b])
 
     def mul_i(self, a: int, b: int) -> int:
         if a == 0 or b == 0:

@@ -139,6 +139,30 @@ def necklace_formula(q, d):
 
 
 # ---------------------------------------------------------------------------
+# Field literals: base-p digits, least significant first, are coordinates.
+
+def digit_add(p, a, b):
+    """Sum of two field literals, adding coordinates digit by digit mod p."""
+    v, mult = 0, 1
+    while a or b:
+        v += (a % p + b % p) % p * mult
+        a //= p
+        b //= p
+        mult *= p
+    return v
+
+
+def digit_neg(p, a):
+    """Negative of a field literal, negating each coordinate mod p."""
+    v, mult = 0, 1
+    while a:
+        v += (-a) % p * mult
+        a //= p
+        mult *= p
+    return v
+
+
+# ---------------------------------------------------------------------------
 # Naive arithmetic inside an explicit quotient field F_p[t]/(m).
 
 class NaiveField:
@@ -186,6 +210,50 @@ class NaiveField:
             base = self.mul(base, base)
             e >>= 1
         return out
+
+    def inv(self, a):
+        assert any(a), "zero has no inverse"
+        return self.pow(a, self.order - 2)
+
+    def neg(self, a):
+        return tuple((-c) % self.p for c in self._pad(a))
+
+    # Polynomials over the field, as ascending lists of literals.
+
+    def polmul(self, f, g):
+        if not f or not g:
+            return []
+        zero = self.from_literal(0)
+        out = [zero] * (len(f) + len(g) - 1)
+        for i, a in enumerate(f):
+            for j, b in enumerate(g):
+                term = self.mul(self.from_literal(a), self.from_literal(b))
+                out[i + j] = self.add(out[i + j], term)
+        return trim([self.to_literal(c) for c in out])
+
+    def poladd(self, f, g):
+        n = max(len(f), len(g))
+        f, g = list(f) + [0] * (n - len(f)), list(g) + [0] * (n - len(g))
+        return trim([self.to_literal(self.add(self.from_literal(a), self.from_literal(b)))
+                     for a, b in zip(f, g)])
+
+    def poldivmod(self, f, g):
+        """Schoolbook long division of literal lists, g nonzero."""
+        f, g = trim(f), trim(g)
+        assert g, "division by zero polynomial"
+        inv = self.inv(self.from_literal(g[-1]))
+        dg = len(g) - 1
+        quo = [0] * max(0, len(f) - dg)
+        rem = [self.from_literal(c) for c in f]
+        while len(rem) - 1 >= dg and rem:
+            c = self.mul(rem[-1], inv)
+            off = len(rem) - 1 - dg
+            quo[off] = self.to_literal(c)
+            for i, y in enumerate(g):
+                term = self.mul(c, self.from_literal(y))
+                rem[off + i] = self.add(rem[off + i], self.neg(term))
+            rem = [self.from_literal(v) for v in trim([self.to_literal(r) for r in rem])]
+        return trim(quo), [self.to_literal(r) for r in rem]
 
     def mult_order(self, a):
         assert any(a), "zero has no multiplicative order"

@@ -2,13 +2,14 @@
 twisted models, stratum enumeration/counting/sampling, all against
 independent recomputation."""
 
+import time
 from itertools import product
 from random import Random
 
 import pytest
 
 import ellcover as ec
-from ellcover.coverparam import _parts_from_primes, _sample_full
+from ellcover.coverparam import LABELINGS, Regime, _parts_from_primes, _sample_full
 
 import naive
 
@@ -199,6 +200,49 @@ def test_split_prime_fast_path_agrees_with_generic_factor():
             orbit = ec.split_prime(R23, prime)
             generic = {pr for pr, _ in ec.factor(ec.embed(prime, R23.ext))}
             assert set(orbit) == generic
+
+
+def _orbit_from_factor(reg, prime, labeling):
+    """The orbit built from the full factorization over the extension: the
+    oracle for the one-factor split."""
+    parts = {pr for pr, _ in ec.factor(ec.embed(prime, reg.ext))}
+    orbit = [(min if labeling == "least" else max)(parts, key=ec.Poly.sort_key)]
+    for _ in range(reg.n_q - 1):
+        orbit.append(ec.poly_frobenius(orbit[-1], reg.q))
+    assert set(orbit) == parts
+    return tuple(orbit)
+
+
+@pytest.mark.parametrize("labeling", LABELINGS)
+@pytest.mark.parametrize("qell,d,limit", [((3, 5), 4, None), ((3, 5), 8, 100),
+                                          ((5, 3), 2, None), ((5, 3), 4, None),
+                                          ((2, 5), 4, None), ((4, 5), 2, None)])
+def test_split_prime_agrees_with_factor_oracle(qell, d, limit, labeling):
+    # a private regime per labeling, so neither labeling reads the other's
+    # cached factor set
+    reg = Regime(*qell)
+    primes = ec.primes_with_degree(reg.base, d)[:limit]
+    for prime in primes:
+        assert ec.split_prime(reg, prime, labeling) == \
+            _orbit_from_factor(reg, prime, labeling)
+
+
+@pytest.mark.parametrize("first,second", [((5, 0), (3, 0)), ((1, 0), (3, 0)),
+                                          ((4, 1), (4, 13))])
+def test_split_prime_rejects_a_reducible_input_quickly(first, second):
+    # (degree, index) of two primes over F_3.  Over F_81 the degree-5 and
+    # degree-3 primes stay prime, so no degree-2 factor exists; the linear
+    # prime is fixed by Frobenius.  The two quartics split into linears, and
+    # for this pair a product of two linears, one from each, has a Frobenius
+    # orbit of four whose product is the input: only the check that the
+    # factor found is prime rejects it.
+    reg = Regime(3, 5)
+    a, b = (ec.primes_with_degree(reg.base, d)[i] for d, i in (first, second))
+    t0 = time.perf_counter()
+    with pytest.raises(ec.CrossCheckMismatch):
+        ec.split_prime(reg, a * b)
+    assert time.perf_counter() - t0 < 1.0
+    assert reg._split_cache == {}
 
 
 def test_split_prime_rejects_bad_degree():

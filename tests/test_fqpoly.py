@@ -2,6 +2,7 @@
 Frobenius/embedding interplay, checked against the naive oracles."""
 
 from itertools import product
+from random import Random
 
 import pytest
 
@@ -16,6 +17,8 @@ F3 = ec.make_field(3)
 F4 = ec.make_field(2, 2)
 F5 = ec.make_field(5)
 F9 = ec.make_field(3, 2)
+F25 = ec.make_field(5, 2)
+F81 = ec.make_field(3, 4)
 
 
 def all_polys(ctx, degree):
@@ -50,7 +53,18 @@ def test_ctx_mismatch_rejected():
         ec.Poly(F2, [1, 1]) * ec.Poly(F4, [1, 1])
 
 
-@pytest.mark.parametrize("ctx", [F2, F3, F4])
+def extension_polys(ctx, count=24, max_len=5):
+    """Every polynomial of degree <= 1 over F_4; seeded random ones, and zero,
+    over larger fields."""
+    if ctx.order <= 4:
+        return [ec.Poly(ctx, t) for t in product(range(ctx.order), repeat=2)]
+    rng = Random(ctx.order)
+    return [ec.Poly.zero(ctx)] + [
+        ec.Poly(ctx, [rng.randrange(ctx.order) for _ in range(rng.randrange(1, max_len + 1))])
+        for _ in range(count)]
+
+
+@pytest.mark.parametrize("ctx", [F2, F3, F4, F9, F25, F81])
 def test_ring_ops_match_naive(ctx):
     if ctx.k == 1:
         def conv(f):
@@ -62,23 +76,26 @@ def test_ring_ops_match_naive(ctx):
                 assert list((f * g).coeffs) == naive.polmul(ctx.p, conv(f), conv(g))
                 assert list((f + g).coeffs) == naive.poladd(ctx.p, conv(f), conv(g))
     else:
+        # longhand through naive quotient-ring field elements
         nf = naive.NaiveField(ctx.p, ctx.modulus)
-        # multiply in F_4[x] longhand through naive field elements
-        fs = [ec.Poly(ctx, t) for t in product(range(4), repeat=2)]
+        fs = extension_polys(ctx)
         for f in fs:
             for g in fs:
-                prod = f * g
-                deg = f.degree + g.degree
-                if f.is_zero or g.is_zero:
-                    assert prod.is_zero
-                    continue
-                want = [nf.from_literal(0)] * (deg + 1)
-                for i, a in enumerate(f.coeffs):
-                    for j, b in enumerate(g.coeffs):
-                        term = nf.mul(nf.from_literal(a), nf.from_literal(b))
-                        want[i + j] = nf.add(want[i + j], term)
-                got = list(prod.coeffs) + [0] * (deg + 1 - len(prod.coeffs))
-                assert [nf.to_literal(w) for w in want] == got
+                assert list((f * g).coeffs) == nf.polmul(f.coeffs, g.coeffs)
+                assert list((f + g).coeffs) == nf.poladd(f.coeffs, g.coeffs)
+                assert f - g + g == f and (f - f).is_zero
+
+
+@pytest.mark.parametrize("ctx", [F9, F25, F81])
+def test_divmod_matches_naive_long_division(ctx):
+    nf = naive.NaiveField(ctx.p, ctx.modulus)
+    fs = extension_polys(ctx, count=30, max_len=8)
+    divisors = [g for g in extension_polys(ctx, count=12) if not g.is_zero]
+    for f in fs:
+        for g in divisors:
+            q, r = divmod(f, g)
+            assert (list(q.coeffs), list(r.coeffs)) == nf.poldivmod(f.coeffs, g.coeffs)
+            assert q * g + r == f and r.degree < g.degree
 
 
 def test_divmod_reconstruction_exhaustive_f3():
@@ -227,6 +244,25 @@ def test_irreducible_matches_naive(ctx, max_deg):
                 want = len(ec.factor(f)) == 1 and next(iter(ec.factor(f)))[1] == 1 \
                     and next(iter(ec.factor(f)))[0].degree == deg
             assert ec.irreducible(f) == want
+
+
+@pytest.mark.parametrize("p,max_deg", [(3, 4), (5, 4), (7, 3)])
+def test_irreducible_and_factor_match_sympy(p, max_deg):
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    ctx = ec.make_field(p)
+    for deg in range(max_deg + 1):
+        for tail in product(range(p), repeat=deg):
+            coeffs = list(tail) + [1]
+            f = ec.Poly(ctx, coeffs)
+            ref = sympy.Poly(coeffs[::-1], x, modulus=p)
+            if deg:  # sympy calls the constant 1 irreducible; a unit is no prime here
+                assert ec.irreducible(f) == ref.is_irreducible
+            _, ref_factors = ref.factor_list()
+            # sympy prints residues symmetrically, e.g. -1 for p - 1
+            want = sorted((tuple(int(c) % p for c in g.all_coeffs()[::-1]), m)
+                          for g, m in ref_factors)
+            assert sorted((pr.coeffs, m) for pr, m in ec.factor(f)) == want
 
 
 def test_irreducible_trivial_degrees():

@@ -6,7 +6,7 @@ import pytest
 import ellcover as ec
 from ellcover.gf import FIELD_ORDER_CAP, prime_power
 
-from naive import NaiveField, lex_least_irreducible
+from naive import NaiveField, digit_add, digit_neg, lex_least_irreducible
 
 
 def test_prime_power_decomposition():
@@ -103,6 +103,18 @@ def test_field_axioms_exhaustive(p, k):
         assert a + zero == a and a * one == a and a * zero == zero
         if a.val:
             assert a * a**-1 == one
+
+
+@pytest.mark.parametrize("p,k", [(3, 2), (5, 2), (3, 3), (3, 4)])
+def test_zech_addition_matches_digit_oracle(p, k):
+    ctx = ec.make_field(p, k)
+    for a in range(ctx.order):
+        minus_a = digit_neg(p, a)
+        assert ctx.neg_i(a) == minus_a
+        assert ctx.add_i(a, minus_a) == 0 and ctx.sub_i(a, a) == 0  # zech's zero mark
+        for b in range(ctx.order):
+            assert ctx.add_i(a, b) == digit_add(p, a, b)
+            assert ctx.sub_i(a, b) == digit_add(p, a, digit_neg(p, b))
 
 
 def test_distributivity_sampled():
