@@ -13,8 +13,6 @@ against the generic polynomial layer in the test suite.
 
 from __future__ import annotations
 
-from random import Random
-
 from .errors import CrossCheckMismatch
 
 # _SPREAD[b] doubles the gaps between the bits of the byte b, so squaring a
@@ -27,11 +25,6 @@ for _b in range(256):
             _s |= 1 << (2 * _i)
     _SPREAD.append(_s)
 del _b, _s, _i
-
-
-def deg(a: int) -> int:
-    """Degree of a, with deg(0) == -1."""
-    return a.bit_length() - 1
 
 
 def mul(a: int, b: int) -> int:
@@ -97,14 +90,6 @@ def is_irreducible(f: int) -> bool:
         if gcd(t ^ 2, f) != 1:
             return False
     return True
-
-
-def random_irreducible(d: int, rng: Random) -> int:
-    """Uniform random monic irreducible of degree d >= 1."""
-    while True:
-        f = 1 << d | rng.getrandbits(d)
-        if is_irreducible(f):
-            return f
 
 
 def conjugate_factor_coeffs(p: int) -> list[int]:

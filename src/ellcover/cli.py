@@ -54,10 +54,6 @@ class UsageError(Exception):
     pass
 
 
-def _poly_str(f: Poly) -> str:
-    return str(f)
-
-
 def _emit(args, payload: dict, text_lines: list[str]) -> None:
     if getattr(args, "json", False):
         out = json.dumps(payload, indent=2) + "\n"
@@ -71,22 +67,11 @@ def _emit(args, payload: dict, text_lines: list[str]) -> None:
         sys.stdout.write(out)
 
 
-def _regime_dict(regime) -> dict:
-    return {
-        "q": regime.q,
-        "ell": regime.ell,
-        "n_q": regime.n_q,
-        "p": regime.p,
-        "k": regime.k,
-        "modulus": ",".join(str(c) for c in regime.ext.modulus),
-    }
-
-
 def _cmd_info(args) -> int:
     regime = make_regime(args.q, args.ell)
     theo = theoretical_distribution(regime)
     payload = {
-        "regime": _regime_dict(regime),
+        "regime": regime.to_json_dict(),
         "base_modulus": ",".join(str(c) for c in regime.base.modulus),
         "base_generator": regime.base.generator,
         "ext_generator": regime.ext.generator,
@@ -119,9 +104,9 @@ def _cmd_enumerate(args) -> int:
         for i, fs in enumerate(stream):
             if args.limit is not None and i >= args.limit:
                 break
-            shown.append(";".join(_poly_str(f) for f in fs))
+            shown.append(";".join(str(f) for f in fs))
     payload = {
-        "regime": _regime_dict(regime),
+        "regime": regime.to_json_dict(),
         "degree": args.degree,
         "count": total,
         "tuples": shown,
@@ -154,11 +139,11 @@ def _cmd_count_points(args) -> int:
         rows.append({"x": label, "class": "0-class" if cls.is_zero_class else cls.e,
                      "fiber": fast})
     payload = {
-        "regime": _regime_dict(regime),
+        "regime": regime.to_json_dict(),
         "tuple": args.tuple,
         "b": args.b,
         "labeling": args.labeling,
-        "twisted": _poly_str(model.f_v0),
+        "twisted": str(model.f_v0),
         "fibers": rows,
         "total": total,
         "oracle_total": oracle_total,
@@ -183,7 +168,7 @@ def _cmd_lseries(args) -> int:
     coeffs = l_polynomial(regime, points, w)
     mags = root_magnitudes(coeffs)
     payload = {
-        "regime": _regime_dict(regime),
+        "regime": regime.to_json_dict(),
         "points": [str(x) for x in points],
         "w": w,
         "coefficients": [list(c.coords) for c in coeffs],

@@ -112,6 +112,11 @@ class Regime:
     def __repr__(self) -> str:
         return f"Regime(q={self.q}, ell={self.ell}, n_q={self.n_q})"
 
+    def to_json_dict(self) -> dict:
+        """The regime block of every JSON report."""
+        return {"q": self.q, "ell": self.ell, "n_q": self.n_q, "p": self.p,
+                "k": self.k, "modulus": ",".join(map(str, self.ext.modulus))}
+
 
 @lru_cache(maxsize=None)
 def make_regime(q: int, ell: int) -> Regime:

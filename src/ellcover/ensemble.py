@@ -94,17 +94,9 @@ class DistributionReport:
     runtime_ms: int
 
     def to_json_dict(self) -> dict:
-        reg = self.regime
         lattice = self.theoretical.lattice()
         return {
-            "regime": {
-                "q": reg.q,
-                "ell": reg.ell,
-                "n_q": reg.n_q,
-                "p": reg.p,
-                "k": reg.k,
-                "modulus": ",".join(str(c) for c in reg.ext.modulus),
-            },
+            "regime": self.regime.to_json_dict(),
             "g": self.g,
             "D": self.D,
             "mode": self.mode,

@@ -210,21 +210,26 @@ def _declared_entry_point():
         return tomllib.load(fh)["project"]["scripts"]["ellcover"]
 
 
-def _run_console_script(target, *argv):
-    """Run ``target`` as the setuptools console-script wrapper would.
+def _run_child(code, *argv):
+    """Run ``code`` in a child interpreter with ``argv`` as its arguments.
 
     The child imports the ``ellcover`` this test process imported, so an
     installed copy elsewhere cannot stand in for the code under test.
     """
-    module, func = target.split(":")
-    code = ("import sys; from importlib import import_module; "
-            f"sys.exit(getattr(import_module({module!r}), {func!r})())")
     src = str(Path(ec.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p)
     return subprocess.run([sys.executable, "-c", code, *argv],
                           capture_output=True, text=True, env=env, timeout=60)
+
+
+def _run_console_script(target, *argv):
+    """Run ``target`` as the setuptools console-script wrapper would."""
+    module, func = target.split(":")
+    return _run_child("import sys; from importlib import import_module; "
+                      f"sys.exit(getattr(import_module({module!r}), {func!r})())",
+                      *argv)
 
 
 def test_console_script_subprocess():
@@ -237,3 +242,15 @@ def test_console_script_subprocess():
     bad = _run_console_script(target, "info", "--q", "4", "--ell", "3")
     assert bad.returncode == 1
     assert "KummerRegime" in bad.stderr
+
+
+def test_cli_runs_without_numpy():
+    # a None entry in sys.modules makes every import of numpy fail
+    code = ("import sys; sys.modules['numpy'] = None; "
+            "from ellcover.cli import main; sys.exit(main(sys.argv[1:]))")
+    proc = _run_child(code, "lseries", "--q", "5", "--ell", "3",
+                      "--points", "0,1,2", "--w", "1,1,1", "--json")
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["root_magnitudes"] == [0.2, 1.0]
+    proc = _run_child(code, "verify", "--q", "2", "--ell", "3")
+    assert proc.returncode == 0, proc.stderr

@@ -3,6 +3,7 @@ constrained-count character average."""
 
 import cmath
 import logging
+import time
 from fractions import Fraction
 from itertools import product
 
@@ -11,7 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ellcover as ec
-from ellcover.lseries import CharW, _l_coefficients_by_enumeration
+from ellcover.coverparam import ENUM_D_CAP
+from ellcover.lseries import CharW, _l_coefficients_by_enumeration, _transfer_work
 
 
 R23 = ec.make_regime(2, 3)
@@ -193,6 +195,65 @@ def test_root_magnitudes_edge_cases():
     assert ec.root_magnitudes([C.from_int(3, 1), C.from_int(3, 0)]) == []
     with pytest.raises(ec.DegenerateZeroPolynomial):
         ec.root_magnitudes([C.from_int(3, 0)])
+    with pytest.raises(ec.DegenerateZeroPolynomial):
+        ec.root_magnitudes([])
+
+
+ORACLE_REGIMES = [ec.make_regime(q, ell) for q, ell in
+                  [(2, 3), (2, 5), (5, 3), (3, 5), (4, 5), (2, 7), (3, 7)]]
+
+
+@st.composite
+def characters(draw):
+    """A regime, up to three distinct base points, and a nontrivial weight
+    vector; k is capped where the transfer passes 2**16 table steps, which
+    only (3, 7) at k = 3 does."""
+    reg = draw(st.sampled_from(ORACLE_REGIMES))
+    k_max = max(k for k in range(1, min(3, reg.q) + 1)
+                if _transfer_work(reg.ext.order, k, k - 1) <= 1 << 16)
+    k = draw(st.integers(1, k_max))
+    lits = draw(st.lists(st.integers(0, reg.q - 1), min_size=k, max_size=k,
+                         unique=True))
+    w = draw(st.lists(st.integers(0, reg.ell - 1), min_size=k, max_size=k)
+             .filter(any))
+    return reg, pts(reg, *lits), w
+
+
+@settings(max_examples=150, deadline=None)
+@given(characters())
+def test_root_magnitudes_match_numpy_roots(char):
+    np = pytest.importorskip("numpy")
+    reg, points, w = char
+    coeffs = ec.l_polynomial(reg, points, w, check_extra=0)
+    roots = np.roots([c.to_complex() for c in coeffs][::-1])
+    want = sorted(abs(complex(r)) for r in roots)
+    got = ec.root_magnitudes(coeffs)
+    assert len(got) == len(want)
+    assert all(abs(a - b) < 1e-6 for a, b in zip(got, want))
+
+
+def test_root_magnitudes_exact_values():
+    # 1 + 4u - 5u**2 = (1 - u)(1 + 5u) over (5, 3): no float rounding
+    three = ec.l_polynomial(R53, pts(R53, 0, 1, 2), (1, 1, 1))
+    assert ec.root_magnitudes(three) == [0.2, 1.0]
+
+
+@pytest.mark.parametrize("coeffs", [
+    [C(3, (1, 0)), C(3, (1, 1))],  # N(1 + zeta) = 1: Q = 1
+    [C(3, (1, 0)), C(3, (0, 0)), C(3, (0, 0)), C(3, (2, 0))],  # 4 is no cube
+    [C(3, (1, 0)), C(3, (1, 0)), C(3, (1, 0)), C(3, (8, 0))],  # N(p_2) != 4 N(p_1)
+    [C(3, (1, 0)), C(3, (2, 0)), C(3, (-7, 0)), C(3, (4, 0))],  # (1 - u)**2 (1 + 4u)
+])
+def test_root_magnitudes_rejects_non_l_polynomials(coeffs):
+    with pytest.raises(ec.CrossCheckMismatch):
+        ec.root_magnitudes(coeffs)
+
+
+def test_root_magnitude_identities_are_not_sufficient_past_degree_one():
+    # 1 + 3u + 2u**2 = (1 + u)(1 + 2u) has zeros of moduli 1/2 and 1, yet
+    # meets every checked identity with Q = 2: the theorem supplies the rest
+    coeffs = [C.from_int(3, 1), C.from_int(3, 3), C.from_int(3, 2)]
+    assert ec.root_magnitudes(coeffs) == pytest.approx([2 ** -0.5] * 2)
 
 
 def test_char_w_value_at():
@@ -372,3 +433,11 @@ def test_growth_report_values():
     rep10 = ec.growth_check(R23, 10, pts(R23, 0, 1), (0, 0), R23.ext.elem(1))
     assert rep10.ratio == Fraction(24, 25)
     assert rep10.deviation == Fraction(1, 25)
+
+
+def test_growth_check_enumeration_budget():
+    assert ENUM_D_CAP < 18
+    t0 = time.monotonic()
+    with pytest.raises(ec.BudgetExceeded):
+        ec.growth_check(R23, 18, pts(R23, 0, 1), (0, 0), R23.ext.elem(1))
+    assert time.monotonic() - t0 < 1
