@@ -170,8 +170,11 @@ def validate_params(params: CoverParams) -> None:
         for j in range(i + 1, len(params.fs)):
             if params.fs[i].gcd(params.fs[j]).degree != 0:
                 raise InvalidTuple(f"f_{i + 1} and f_{j + 1} share a factor")
-    b = params.b
-    if (b.ctx.p, b.ctx.k) != (reg.ext.p, reg.ext.k):
+    _check_unit(reg, params.b)
+
+
+def _check_unit(regime: Regime, b: FieldElem) -> None:
+    if (b.ctx.p, b.ctx.k) != (regime.ext.p, regime.ext.k):
         raise CtxMismatch("twisting unit is not in the extension field")
     if b.val == 0:
         raise InvalidTuple("twisting unit is zero")
@@ -401,14 +404,14 @@ def _tuple_from_primes(regime: Regime, prime_mults) -> tuple[Poly, ...]:
     return tuple(fs)
 
 
-def _enumerate_full(regime: Regime, D: int, max_D: int = ENUM_D_CAP):
+def _enumerate_full(regime: Regime, D: int):
     """Yield prime_mults, each prime with its slot, for every branch tuple of
     degree D, in the order of enumerate_tuples; ensembles read these lists
     and never build or factor the tuple itself."""
     if D < 0:
         raise ValueError("branch degree must be non-negative")
-    if D > max_D:
-        raise BudgetExceeded(f"enumeration at degree {D} exceeds cap {max_D}")
+    if D > ENUM_D_CAP:
+        raise BudgetExceeded(f"enumeration at degree {D} exceeds cap {ENUM_D_CAP}")
     ell = regime.ell
     if D % regime.n_q:
         return
@@ -436,23 +439,23 @@ def _enumerate_full(regime: Regime, D: int, max_D: int = ENUM_D_CAP):
     yield from rec(0, D, [])
 
 
-def enumerate_tuples(regime: Regime, D: int, max_D: int = ENUM_D_CAP):
+def enumerate_tuples(regime: Regime, D: int):
     """All branch tuples of degree D, in a fixed canonical order.
 
     Chooses a set of distinct primes with degree sum D (grouped by degree,
     primes ascending) and distributes them over the ell-1 slots; the stream
     is empty exactly when n_q does not divide D.
     """
-    for prime_mults in _enumerate_full(regime, D, max_D):
+    for prime_mults in _enumerate_full(regime, D):
         yield _tuple_from_primes(regime, prime_mults)
 
 
-def count_tuples(regime: Regime, D: int, max_D: int = COUNT_D_CAP) -> int:
+def count_tuples(regime: Regime, D: int) -> int:
     """Size of the degree-D stratum, by exact generating-series expansion."""
     if D < 0:
         raise ValueError("branch degree must be non-negative")
-    if D > max_D:
-        raise BudgetExceeded(f"counting at degree {D} exceeds cap {max_D}")
+    if D > COUNT_D_CAP:
+        raise BudgetExceeded(f"counting at degree {D} exceeds cap {COUNT_D_CAP}")
     if D % regime.n_q:
         return 0
     return _suffix_table(regime, D)[0][D]

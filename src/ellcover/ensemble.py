@@ -15,7 +15,6 @@ import time
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
 from math import comb
 from random import Random
 
@@ -31,7 +30,7 @@ from .coverparam import (
 )
 from .errors import CrossCheckMismatch, EmptyStratum, SupportMismatch
 from .gf import FieldElem
-from .lseries import _euler_series, _zero_sums, base_prime_lines
+from .lseries import _class_sum_counts
 
 
 @dataclass(frozen=True)
@@ -198,46 +197,17 @@ def _enumerated_law(regime: Regime, D: int, labeling: str):
 
 def _exact_law(regime: Regime, D: int):
     """(histogram, split counter, size) of every cover of degree D, from the
-    base-prime lines alone.
-
-    A cover's affine classes are n_q * (e(b) + v) with v = sum_P slot(P) c_P,
-    so the law is fixed by A(v), the number of branch tuples with sum v.
-    Tuples are generated by prod_P (1 + u**deg P * sum_s [s c_P]); under the
-    character [c] -> zeta**<w, c> each factor becomes 1 + (ell-1)u**d or
-    1 - u**d, so coefficient D of the product is an integer G_w that depends
-    only on how many primes of each degree lie on lines orthogonal to w.
-    Inverting the transform, A(v) = (ell * S(v) - T) / ((ell-1) * ell**q)
-    with S(v) the sum of G_w over w orthogonal to v and T the sum over all w.
-    Each class of e(b) holds (Q-1)/ell units, and infinity has class n_q e(b).
-    Labeling-free: re-anchoring moves no prime off its line.
+    base-prime lines alone: a cover's affine classes are n_q * (e(b) + v),
+    so the law is fixed by A(v), the number of branch tuples with class sum
+    v at every affine point (_class_sum_counts).  Each class of e(b) holds
+    (Q-1)/ell units, and infinity has class n_q e(b).
     """
-    ell, q, n_q = regime.ell, regime.q, regime.n_q
-    per_degree = base_prime_lines(regime, D // n_q)
-    totals = [sum(lines.values()) for lines in per_degree]
-    zero = [_zero_sums(lines, q, ell) for lines in per_degree]
-    by_profile: dict[tuple[int, ...], int] = {}
-    coeffs = {}
-    for w in product(range(ell), repeat=q):
-        profile = tuple(z.get(w, 0) for z in zero)
-        if profile not in by_profile:
-            by_profile[profile] = _euler_series(ell, n_q, profile, totals, D)[D]
-        coeffs[w] = by_profile[profile]
-    total = sum(coeffs.values())
-    scale = (ell - 1) * ell ** q
+    ell, q = regime.ell, regime.q
     per_class = (regime.ext.order - 1) // ell
     hist: Counter[int] = Counter()
     splits: Counter[int] = Counter()
     tuples = 0
-    sums = _zero_sums(coeffs, q, ell)
-    for v in product(range(ell), repeat=q):
-        numerator = ell * sums.get(v, 0) - total
-        a, r = divmod(numerator, scale)
-        if r or a < 0:
-            raise CrossCheckMismatch(
-                f"character inversion gives {numerator}/{scale} tuples with "
-                f"class sum {v}")
-        if not a:
-            continue
+    for v, a in _class_sum_counts(regime, tuple(range(q)), D).items():
         tuples += a
         for e in range(ell):
             hits = [i for i, c in enumerate(v) if (c + e) % ell == 0]

@@ -10,9 +10,9 @@ factor sums the character over the ell-1 possible slots of a prime, giving
 otherwise.  Which of the two a prime gets depends only on the line of its
 class vector at the weighted points, so the series is read off base-prime
 line counts at those points, made from monic polynomials over the
-extension without listing any prime.  Averaging the ell**k series against
-character values inverts the constraint exactly, and the result is
-cross-checked against a direct enumeration of the stratum.
+extension without listing any prime.  Inverting the ell**k series counts
+the branch tuples of each class sum, which the exact ensemble law and the
+constrained counts both read; the latter are checked by enumeration.
 """
 
 from __future__ import annotations
@@ -24,13 +24,13 @@ from itertools import accumulate, product
 from math import comb, log2, sqrt
 
 from .coverparam import (
-    CoverParams,
+    ENUM_D_CAP,
     Regime,
+    _enumerate_full,
+    _check_unit,
+    class_vector,
     count_tuples,
-    enumerate_tuples,
-    twisted_model,
 )
-from .charsum import chi_class
 from .errors import (
     BudgetExceeded,
     CrossCheckMismatch,
@@ -38,7 +38,6 @@ from .errors import (
     DegenerateZeroPolynomial,
     InvalidTuple,
     TrivialCharacter,
-    UnexpectedRoot,
 )
 from .fqpoly import Poly, monic_polys, necklace_count
 from .gf import FieldElem, embed_elem, lth_power_class, subfield_table
@@ -92,10 +91,7 @@ class CycloInt:
         return CycloInt(self.ell, (-a for a in self.coords))
 
     def __sub__(self, other):
-        if isinstance(other, int):
-            other = CycloInt.from_int(self.ell, other)
-        self._check(other)
-        return CycloInt(self.ell, (a - b for a, b in zip(self.coords, other.coords)))
+        return self + -other
 
     def __mul__(self, other):
         if isinstance(other, int):
@@ -108,24 +104,26 @@ class CycloInt:
                 for j, b in enumerate(other.coords):
                     if b:
                         raw[(i + j) % ell] += a * b
-        top = raw[ell - 1]
-        if top:
-            raw = [c - top for c in raw[: ell - 1]]
-        else:
-            raw = raw[: ell - 1]
-        return CycloInt(ell, raw)
+        return CycloInt._from_powers(ell, raw)
 
     __rmul__ = __mul__
 
+    @classmethod
+    def _from_powers(cls, ell: int, raw) -> "CycloInt":
+        """sum_e raw[e] * zeta**e over e < ell, on the power basis."""
+        top = raw[ell - 1]
+        return cls(ell, (c - top for c in raw[: ell - 1]))
+
     def galois(self, r: int) -> "CycloInt":
-        """Apply zeta -> zeta**r for r coprime to ell."""
-        if r % self.ell == 0:
+        """Apply zeta -> zeta**r for r coprime to ell: coordinate e moves
+        to exponent e*r mod ell, a permutation since r is a unit."""
+        ell = self.ell
+        if r % ell == 0:
             raise ValueError("Galois exponent must be a unit")
-        out = CycloInt.from_int(self.ell, 0)
+        raw = [0] * ell
         for e, a in enumerate(self.coords):
-            if a:
-                out = out + CycloInt.zeta_pow(self.ell, e * r) * a
-        return out
+            raw[e * r % ell] = a
+        return CycloInt._from_powers(ell, raw)
 
     def conjugate(self) -> "CycloInt":
         return self.galois(self.ell - 1)
@@ -142,11 +140,6 @@ class CycloInt:
         if not self.is_rational_integer:
             raise ValueError(f"{self!r} is not a rational integer")
         return self.coords[0]
-
-    def exact_div(self, n: int) -> "CycloInt":
-        if any(a % n for a in self.coords):
-            raise ValueError(f"{self!r} is not divisible by {n}")
-        return CycloInt(self.ell, (a // n for a in self.coords))
 
     def to_complex(self) -> complex:
         import cmath
@@ -283,8 +276,7 @@ def l_polynomial(regime: Regime, points, w, check_extra: int = 3,
             e = classes[state]
             if e is not None:
                 by_class[e] += cnt
-        top = by_class[ell - 1]  # zeta**(ell-1) = -(1 + ... + zeta**(ell-2))
-        acc = CycloInt(ell, (c - top for c in by_class[:-1]))
+        acc = CycloInt._from_powers(ell, by_class)
         if n < k:
             coeffs.append(acc)
         elif not acc.is_zero:
@@ -546,12 +538,12 @@ def base_prime_lines(regime: Regime, m_max: int) -> tuple[dict, ...]:
     return _lines_at(regime, tuple(range(regime.q)), m_max)
 
 
-def _zero_sums(values: dict, q: int, ell: int) -> dict:
-    """For every w in (Z/ell)^q: the sum of values[c] over the c with
+def _zero_sums(values: dict, k: int, ell: int) -> dict:
+    """For every w in (Z/ell)^k: the sum of values[c] over the c with
     <w, c> = 0 mod ell.  One coordinate at a time turns c_i into w_i while
-    carrying the partial dot product, at most q * ell**(q+2) steps."""
+    carrying the partial dot product, at most k * ell**(k+2) steps."""
     stage = {(c, 0): n for c, n in values.items() if n}
-    for i in range(q):
+    for i in range(k):
         nxt: dict = {}
         for (v, s), n in stage.items():
             head, ci, tail = v[:i], v[i], v[i + 1:]
@@ -581,8 +573,61 @@ def _euler_series(ell: int, n_q: int, zero, totals, trunc: int) -> list[int]:
     return series
 
 
+def _class_sum_counts(regime: Regime, idx: tuple[int, ...], D: int) -> dict:
+    """A(v): how many branch tuples of degree D have class sum
+    v = sum_P slot(P) * c_P at the base points with sorted literals idx,
+    for each v in (Z/ell)^k with A(v) > 0.
+
+    Under the character [c] -> zeta**<w, c> the factor 1 + u**d sum_s [s c_P]
+    of each prime becomes 1 + (ell-1)u**d or 1 - u**d, so coefficient D of
+    the product is an integer G_w fixed by how many primes of each degree
+    lie on lines orthogonal to w, the same for every nonzero multiple of w.
+    Hence A(v) = (ell * S(v) - T) / ((ell-1) * ell**k), S(v) the sum of G_w
+    over the w orthogonal to v and T over all w; CrossCheckMismatch unless
+    that is a whole non-negative number.  Labeling-free: re-anchoring moves
+    no prime off its line.
+    """
+    ell, n_q, k = regime.ell, regime.n_q, len(idx)
+    per_degree = _lines_at(regime, idx, D // n_q)
+    totals = [sum(lines.values()) for lines in per_degree]
+    zero = [_zero_sums(lines, k, ell) for lines in per_degree]
+    by_profile: dict[tuple[int, ...], int] = {}
+    coeffs = {}
+    for w in product(range(ell), repeat=k):
+        profile = tuple(z.get(w, 0) for z in zero)
+        if profile not in by_profile:
+            by_profile[profile] = _euler_series(ell, n_q, profile, totals, D)[D]
+        coeffs[w] = by_profile[profile]
+    total = sum(coeffs.values())
+    scale = (ell - 1) * ell ** k
+    sums = _zero_sums(coeffs, k, ell)
+    counts = {}
+    for v in product(range(ell), repeat=k):
+        numerator = ell * sums.get(v, 0) - total
+        a, r = divmod(numerator, scale)
+        if r or a < 0:
+            raise CrossCheckMismatch(
+                f"character inversion gives {numerator}/{scale} tuples with "
+                f"class sum {v}")
+        if a:
+            counts[v] = a
+    return counts
+
+
+def _base_literals(regime: Regime, points) -> tuple[int, ...]:
+    """Literals of distinct base-field points; CtxMismatch for any other
+    point (infinity, an extension element), InvalidTuple for a repeat."""
+    base = (regime.base.p, regime.base.k)
+    if not all(isinstance(x, FieldElem) and (x.ctx.p, x.ctx.k) == base for x in points):
+        raise CtxMismatch("evaluation points must be base-field points")
+    idx = tuple(x.val for x in points)
+    if len(set(idx)) != len(idx):
+        raise InvalidTuple("evaluation points must be distinct")
+    return idx
+
+
 # ---------------------------------------------------------------------------
-# Generating series for class-constrained branch tuples.
+# Generating series and class-constrained branch tuples.
 
 def g_series(regime: Regime, points, w, trunc: int) -> list[int]:
     """Integer coefficients, up to u**trunc, of the Euler product over base
@@ -594,11 +639,7 @@ def g_series(regime: Regime, points, w, trunc: int) -> list[int]:
     points, whatever q is).
     """
     ell = regime.ell
-    if any((x.ctx.p, x.ctx.k) != (regime.base.p, regime.base.k) for x in points):
-        raise CtxMismatch("evaluation points must be base-field points")
-    idx = tuple(x.val for x in points)
-    if len(set(idx)) != len(idx):
-        raise InvalidTuple("evaluation points must be distinct")
+    idx = _base_literals(regime, points)
     w = tuple(wi % ell for wi in w)
     if len(w) != len(idx):
         raise InvalidTuple("weight vector length must match points")
@@ -618,51 +659,37 @@ def count_constrained(regime: Regime, D: int, points, targets,
     """Branch tuples of degree D whose twisted model has class targets[i]
     at points[i], for the fixed twisting unit b.
 
-    Computed two independent ways: direct enumeration with per-cover class
-    evaluation, and the exact character average of the ell**k generating
-    series; CrossCheckMismatch on any disagreement.  The enumeration raises
-    BudgetExceeded for D > ENUM_D_CAP before any work.
+    The class at an affine point x is n_q * (e(b) + v_x), v the tuple's
+    class sum, so this sums A(v) (_class_sum_counts) over the v that hit
+    every target, checked against the class_vector of every enumerated
+    tuple (CrossCheckMismatch on any disagreement).  BudgetExceeded for
+    D > ENUM_D_CAP or a kernel over its caps comes before any work.
     """
     ell = regime.ell
     pts = tuple(points)
     targets = tuple(t % ell for t in targets)
     if len(targets) != len(pts):
         raise InvalidTuple("need one target class per point")
-    k = len(pts)
-    if k == 0:
+    if not pts:
         raise InvalidTuple("need at least one evaluation point")
-
-    # Direct side.
+    if D > ENUM_D_CAP:
+        raise BudgetExceeded(f"enumeration at degree {D} exceeds cap {ENUM_D_CAP}")
+    _check_unit(regime, b)
+    lits = _base_literals(regime, pts)
+    want = sorted(zip(lits, targets))
+    counts = _class_sum_counts(regime, tuple(i for i, _ in want), D)
+    e_b = lth_power_class(b, ell).e
+    averaged = sum(a for v, a in counts.items()
+                   if all(regime.n_q * (e_b + c) % ell == t
+                          for c, (_, t) in zip(v, want)))
     direct = 0
-    for fs in enumerate_tuples(regime, D):
-        params = CoverParams(regime, fs, b)
-        model = twisted_model(params, labeling)
-        ok = True
-        for x, t in zip(pts, targets):
-            cls = chi_class(model, x)
-            if cls.is_zero_class:
-                raise UnexpectedRoot(f"twisted model vanishes at x={x}")
-            if cls.e != t:
-                ok = False
-                break
-        if ok:
-            direct += 1
-
-    # Character-average side.
-    c_b = (regime.n_q * lth_power_class(b, ell).e) % ell
-    acc = CycloInt.from_int(ell, 0)
-    for w in product(range(ell), repeat=k):
-        coeff = g_series(regime, pts, w, D)[D]
-        if coeff == 0:
-            continue
-        phase = (c_b * sum(w) - sum(wi * t for wi, t in zip(w, targets))) % ell
-        acc = acc + CycloInt.zeta_pow(ell, phase) * coeff
-    averaged = acc.exact_div(ell**k).as_int()
-
+    for prime_mults in _enumerate_full(regime, D):
+        classes = class_vector(regime, prime_mults, b, labeling)
+        direct += all(classes[i] == t for i, t in want)
     if averaged != direct:
         raise CrossCheckMismatch(
             f"constrained count disagreement at D={D}: direct {direct}, "
-            f"character average {averaged}")
+            f"class kernel {averaged}")
     return direct
 
 

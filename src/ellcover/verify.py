@@ -1,6 +1,6 @@
 """Self-contained consistency checks pairing every fast computation with an
 independent slow one: character fiber counts against brute-force root
-scans, series-averaged constrained counts against direct enumeration,
+scans, class-kernel constrained counts against direct enumeration,
 stream enumeration against exact stratum counts, L-polynomials from the
 Horner transfer against sums over every monic polynomial, exact ensemble
 laws from the base-prime lines against every enumerated cover, and the
@@ -39,7 +39,7 @@ from .ensemble import _enumerated_law, _exact_law
 from .errors import BudgetExceeded, CrossCheckMismatch, EllcoverError
 from .fqpoly import embed, poly_frobenius, primes_with_degree
 from .gf import FieldElem
-from .lseries import _l_coefficients_by_enumeration, l_polynomial
+from .lseries import _l_coefficients_by_enumeration, count_constrained, l_polynomial
 
 
 @dataclass(frozen=True)
@@ -232,8 +232,6 @@ def run_checks(q: int, ell: int, max_D: int = 4, tuple_cap: int = 25,
     record("stratum-count", check_counts)
 
     def check_constrained() -> str:
-        from .lseries import count_constrained
-
         base = regime.base
         pts = [base.elem(0), base.elem(1)] if base.order > 1 else [base.elem(0)]
         b = FieldElem(regime.ext, min(2, regime.ext.order - 1))
@@ -241,7 +239,7 @@ def run_checks(q: int, ell: int, max_D: int = 4, tuple_cap: int = 25,
         for d in _degrees(regime, min(max_D, 6)):
             cnt = count_constrained(regime, d, pts, [0] * len(pts), b)
             rows.append(f"D={d}:{cnt}")
-        return "series average == direct filter (" + ", ".join(rows) + ")"
+        return "class-kernel count == direct count (" + ", ".join(rows) + ")"
 
     record("constrained-crosscheck", check_constrained)
 

@@ -8,7 +8,13 @@ from random import Random
 import pytest
 
 import ellcover as ec
-from ellcover.coverparam import Regime, _enumerate_full, _sample_full, _tuple_from_primes
+from ellcover.coverparam import (
+    ENUM_D_CAP,
+    Regime,
+    _enumerate_full,
+    _sample_full,
+    _tuple_from_primes,
+)
 
 LABELINGS = ("least", "greatest")
 
@@ -99,6 +105,6 @@ def test_enumeration_order_is_unchanged(qell):
 def test_enumerate_full_checks_its_budget():
     reg = ec.make_regime(2, 3)
     with pytest.raises(ec.BudgetExceeded):
-        next(_enumerate_full(reg, 10, max_D=8))
+        next(_enumerate_full(reg, ENUM_D_CAP + reg.n_q))
     with pytest.raises(ValueError):
         next(_enumerate_full(reg, -2))

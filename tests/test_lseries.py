@@ -90,14 +90,6 @@ def test_cyclo_to_complex_and_rational():
         (z + C.from_int(3, 1)).as_int()
 
 
-def test_cyclo_exact_div():
-    a = C(3, (6, -9))
-    assert a.exact_div(3) == C(3, (2, -3))
-    with pytest.raises(ValueError):
-        a.exact_div(4)
-    assert (C.zeta_pow(3, 1) * 5 - C.zeta_pow(3, 1) * 5).is_zero
-
-
 def test_cyclo_mixed_order_rejected():
     with pytest.raises(ValueError):
         C.from_int(3, 1) + C.from_int(5, 1)
@@ -110,6 +102,7 @@ def test_cyclo_int_coercion():
     assert a * 2 + 1 == C(3, (1, 2))
     assert 1 + a * 2 == C(3, (1, 2))
     assert a - 1 == C(3, (-1, 1))
+    assert (a * 5 - a * 5).is_zero
 
 
 # ---------------------------------------------------------------------------
@@ -405,20 +398,71 @@ def test_count_constrained_validates():
 
 
 def test_count_constrained_detects_tampering(monkeypatch):
-    # force a wrong series coefficient and demand the mismatch is loud
+    # move one prime of the highest degree to the zero line in the kernel
+    # the class-sum side reads, and demand the mismatch is loud
     import ellcover.lseries as ls
 
-    real = ls.g_series
+    real = ls._lines_at
 
-    def lying(reg, points, w, trunc):
-        out = real(reg, points, w, trunc)
-        if any(w):
-            out[-1] += 9
-        return out
+    def lying(reg, idx, m_max):
+        out = [dict(lines) for lines in real(reg, idx, m_max)]
+        top = out[-1]
+        top[min(top)] -= 1
+        zero = (0,) * len(idx)
+        top[zero] = top.get(zero, 0) + 1
+        return tuple(out)
 
-    monkeypatch.setattr(ls, "g_series", lying)
+    monkeypatch.setattr(ls, "_lines_at", lying)
     with pytest.raises(ec.CrossCheckMismatch):
         ls.count_constrained(R23, 4, pts(R23, 0, 1), (0, 0), R23.ext.elem(1))
+
+
+def test_point_at_infinity_is_not_a_base_point():
+    for bad in (ec.INFINITY, R23.ext.elem(2), 0):
+        with pytest.raises(ec.CtxMismatch):
+            ec.count_constrained(R23, 4, [bad], (0,), R23.ext.elem(1))
+        with pytest.raises(ec.CtxMismatch):
+            ec.g_series(R23, [R23.base.elem(0), bad], (1, 1), 4)
+    with pytest.raises(ec.InvalidTuple):
+        ec.count_constrained(R23, 4, pts(R23, 1, 1), (0, 0), R23.ext.elem(1))
+
+
+def forbid(monkeypatch, *names):
+    """Make every ellcover module's binding of each name raise."""
+    import sys
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError(f"one of {names} was called")
+
+    for modname, mod in list(sys.modules.items()):
+        if modname.startswith("ellcover"):
+            for name in names:
+                if hasattr(mod, name):
+                    monkeypatch.setattr(mod, name, forbidden)
+
+
+def test_constrained_counts_build_no_model(monkeypatch):
+    # the class kernel and the per-prime class vectors give both sides; no
+    # twisted polynomial or per-model class is ever computed
+    forbid(monkeypatch, "twisted_model", "chi_class")
+    for t in product(range(3), repeat=2):
+        ec.count_constrained(R23, 6, pts(R23, 0, 1), t, R23.ext.elem(2))
+    rep = ec.growth_check(R23, ENUM_D_CAP, pts(R23, 0, 1), (0, 0),
+                          R23.ext.elem(1))
+    assert (rep.constrained, rep.stratum) == (3186, 28680)
+
+
+def test_count_constrained_checks_the_kernel_budget_first(monkeypatch):
+    # 3**9 class vectors at 9 points exceed GROUP_RING_CAP: that is refused
+    # before any branch tuple is enumerated
+    from ellcover.lseries import GROUP_RING_CAP
+
+    forbid(monkeypatch, "_enumerate_full")
+    R113 = ec.make_regime(11, 3)
+    assert 3 ** 9 > GROUP_RING_CAP
+    with pytest.raises(ec.BudgetExceeded):
+        ec.count_constrained(R113, 2, pts(R113, *range(9)), [0] * 9,
+                             R113.ext.elem(1))
 
 
 # ---------------------------------------------------------------------------

@@ -97,20 +97,19 @@ def test_l_polynomial_row_compares_with_the_enumeration(monkeypatch):
 def test_exact_law_row_compares_with_the_enumeration(monkeypatch):
     import ellcover.ensemble as ensemble
 
-    kernel = ensemble.base_prime_lines
+    kernel = ensemble._class_sum_counts
 
-    def skewed(regime, m_max):
-        # one prime of the lowest degree moved to the zero class: every
-        # degree keeps its prime count, so only the law itself can differ
-        out = [dict(lines) for lines in kernel(regime, m_max)]
-        if out:
-            first = min(out[0])
-            out[0][first] -= 1
-            zero = (0,) * regime.q
-            out[0][zero] = out[0].get(zero, 0) + 1
-        return tuple(out)
+    def skewed(regime, idx, D):
+        # one branch tuple moved to class sum 0: the law keeps its size, so
+        # only the law itself can differ
+        out = dict(kernel(regime, idx, D))
+        last = max(out)
+        out[last] -= 1
+        zero = (0,) * len(idx)
+        out[zero] = out.get(zero, 0) + 1
+        return out
 
-    monkeypatch.setattr(ensemble, "base_prime_lines", skewed)
+    monkeypatch.setattr(ensemble, "_class_sum_counts", skewed)
     rows = {r.name: r for r in run_checks(2, 3, max_D=4)}
     assert not rows["exact-law"].passed
     assert "the enumeration gives" in rows["exact-law"].detail
