@@ -76,14 +76,16 @@ def is_irreducible(f: int) -> bool:
 
     f is composite iff it has an irreducible factor of degree <= deg(f)//2,
     and gcd(x**(2**i) - x, f) catches every factor of degree dividing i.
+    The roots 0 and 1 are screened first: f(0) is bit 0, and f(1) is the
+    parity of the number of set bits.
     """
     d = f.bit_length() - 1
     if d < 1:
         return False
     if d == 1:
         return True
-    if not f & 1:
-        return False  # divisible by x
+    if not f & 1 or not f.bit_count() & 1:
+        return False  # divisible by x or by x + 1
     t = 2  # x
     for _ in range(d // 2):
         t = mod(sqr(t), f)

@@ -41,6 +41,7 @@ from .fqpoly import (
     embed,
     equal_degree_factor,
     factor,
+    has_root,
     irreducible,
     necklace_count,
     poly_frobenius,
@@ -174,7 +175,7 @@ def validate_params(params: CoverParams) -> None:
 
 
 def _check_unit(regime: Regime, b: FieldElem) -> None:
-    if (b.ctx.p, b.ctx.k) != (regime.ext.p, regime.ext.k):
+    if not isinstance(b, FieldElem) or (b.ctx.p, b.ctx.k) != (regime.ext.p, regime.ext.k):
         raise CtxMismatch("twisting unit is not in the extension field")
     if b.val == 0:
         raise InvalidTuple("twisting unit is zero")
@@ -484,7 +485,11 @@ def _suffix_table(regime: Regime, D: int) -> list[list[int]]:
 
 
 def _draw_prime(regime: Regime, d: int, rng: Random) -> Poly:
-    """Uniform random monic irreducible of degree d over the base field."""
+    """Uniform random monic irreducible of degree d over the base field.
+
+    A candidate of degree >= 2 with a root in the base field is rejected
+    before the irreducibility test; that screen draws nothing from rng.
+    """
     base = regime.base
     q = base.order
     if q == 2:
@@ -494,6 +499,8 @@ def _draw_prime(regime: Regime, d: int, rng: Random) -> Poly:
                 return Poly(base, [mask >> i & 1 for i in range(d)] + [1])
     while True:
         cand = Poly(base, [rng.randrange(q) for _ in range(d)] + [1])
+        if d > 1 and has_root(cand):
+            continue
         if irreducible(cand):
             return cand
 

@@ -4,7 +4,11 @@ Coefficients are stored ascending as integer literals with no trailing
 zeros, so the zero polynomial is the empty tuple and degree(0) == -1.
 Products and long division run their inner loops on table lookups: XOR in
 characteristic 2, and discrete logs added through the field's Zech table in
-odd characteristic.  Factorization runs the classical squarefree /
+odd characteristic.  One modular-power kernel on literal lists serves
+pow_mod, the irreducibility test and both factorization splits; in odd
+characteristic it stays in discrete logs from its first step to its last.
+has_root finds a root in the coefficient field by evaluation, a cheap screen
+ahead of the irreducibility test.  Factorization runs the classical squarefree /
 distinct-degree / equal-degree pipeline; the randomized equal-degree splits
 draw from a generator seeded by the input polynomial, so factor() is a
 deterministic function of its argument.  equal_degree_factor takes one prime
@@ -179,10 +183,8 @@ class Poly:
 
     def gcd(self, other: "Poly") -> "Poly":
         self._check(other)
-        a, b = self, other
-        while not b.is_zero:
-            a, b = b, a % b
-        return a.monic() if not a.is_zero else a
+        g = _trusted(self.ctx, _gcd_coeffs(self.ctx, self.coeffs, other.coeffs))
+        return g.monic() if g.coeffs else g
 
     def derivative(self) -> "Poly":
         ctx = self.ctx
@@ -201,14 +203,15 @@ class Poly:
         return _trusted(ctx, out)
 
     def pow_mod(self, e: int, m: "Poly") -> "Poly":
-        out = Poly.one(self.ctx)
-        base = self % m
-        while e:
-            if e & 1:
-                out = (out * base) % m
-            base = _sqr_mod(base, m)
-            e >>= 1
-        return out
+        """self**e mod m for any nonzero m; e = 0 gives 1."""
+        self._check(m)
+        if m.is_zero:
+            raise ZeroPolynomial("division by the zero polynomial")
+        if e < 0:
+            raise ValueError("negative polynomial power")
+        if e == 0:
+            return Poly.one(self.ctx)
+        return _trusted(self.ctx, _pow_mod_coeffs(self.ctx, self.coeffs, e, m.coeffs))
 
     def eval(self, x) -> FieldElem:
         """Horner evaluation; x may live in a subfield and is embedded."""
@@ -247,24 +250,91 @@ class Poly:
 def _trusted(ctx: FieldCtx, cs: list[int]) -> Poly:
     """A Poly from literals already known to lie in range, without the
     validation of Poly(...); trims trailing zeros of cs in place."""
-    while cs and cs[-1] == 0:
-        cs.pop()
     f = object.__new__(Poly)
     f.ctx = ctx
-    f.coeffs = tuple(cs)
+    f.coeffs = tuple(_trim(cs))
     return f
 
 
-# The kernels below hold discrete logs in [0, n), n = order - 1, with -1 for
-# the zero literal (the log table's own mark).  An index in [-n, n) into a
-# table of length n reads entry (index mod n), so exp[x + y] with x in
-# [-n, 0) and y in [0, n) is g**(x + y) without a modulo.
+# The odd-characteristic kernels below hold discrete logs in [0, n),
+# n = order - 1, with -1 for the zero literal (the log table's own mark).  A
+# term of a product is the sum of two such logs and stays unreduced below 2n;
+# the field's Zech table is stored twice over, so zech[t - o] needs no
+# reduction for t and o below 2n.  An index in [-n, n) into the exp table, of
+# length n, reads entry (index mod n), which the characteristic-2 kernels use
+# for exp[x + y] with x in [-n, 0) and y in [0, n).
+
+def _trim(cs: list[int]) -> list[int]:
+    while cs and cs[-1] == 0:
+        cs.pop()
+    return cs
+
+
+def _add_product_logs(acc: list[int], u, v, zech, n: int) -> None:
+    """Add the product of u and v, each a list of (position, log) pairs of
+    nonzero coefficients, into acc, a list of logs.
+
+    A term g**t lands on g**o as g**(o + zech[t - o]); an entry of acc is -1
+    or a log below 2n, whichever it held before.
+    """
+    for i, x in u:
+        for j, y in v:
+            t = x + y
+            k = i + j
+            o = acc[k]
+            if o < 0:
+                acc[k] = t
+            else:
+                z = zech[t - o]
+                acc[k] = -1 if z < 0 else (o + z) % n
+
+
+def _add_square_logs(acc: list[int], u, two: int, zech, n: int) -> None:
+    """Add the square of u, given as in _add_product_logs, into acc: each
+    coefficient squared (a product with the constant 1), and each cross
+    product once with two, the log of 2, added to it."""
+    _add_product_logs(acc, [(2 * i, 2 * x % n) for i, x in u], [(0, 0)], zech, n)
+    for k, (i, x) in enumerate(u):
+        _add_product_logs(acc, [(i, (x + two) % n)], u[k + 1:], zech, n)
+
+
+def _reduce_logs(acc: list[int], dm: int, lead: int, nb, zech, n: int,
+                 quo: list[int] | None = None) -> None:
+    """Reduce acc, a list of logs, in place modulo a polynomial of degree dm
+    with leading log lead; nb holds (j, log(-m_j)) for its other nonzero
+    coefficients.  The remainder is acc[:dm], its entries -1 or below 2n.
+
+    Each step clears the top remaining coefficient g**c by adding
+    g**(c - lead) * (-m_j) at the offsets below it; quo, when given, receives
+    the quotient's logs.
+    """
+    for k in range(len(acc) - 1, dm - 1, -1):
+        c = acc[k]
+        if c >= 0:
+            x = (c - lead) % n
+            off = k - dm
+            if quo is not None:
+                quo[off] = x
+            for j, y in nb:
+                t = x + y
+                i = off + j
+                o = acc[i]
+                if o < 0:
+                    acc[i] = t
+                else:
+                    z = zech[t - o]
+                    acc[i] = -1 if z < 0 else (o + z) % n
+
+
+def _literals(exp, n: int, logs) -> list[int]:
+    return [exp[t % n] if t >= 0 else 0 for t in logs]
+
 
 def _mul_coeffs(ctx: FieldCtx, a, b) -> list[int]:
     """Product literals of two nonempty coefficient sequences.
 
     Characteristic 2 adds terms by XOR; odd characteristic keeps each output
-    coefficient as a log and adds a term g**t to g**o as g**(o + zech[t - o]).
+    coefficient as a log and adds terms through the Zech table.
     """
     exp, log, n = ctx.exp, ctx.log, ctx.order - 1
     lb = [(j, log[c]) for j, c in enumerate(b) if c]
@@ -277,20 +347,10 @@ def _mul_coeffs(ctx: FieldCtx, a, b) -> list[int]:
                 for j, y in lb:
                     out[i + j] ^= exp[x + y]
         return out
-    zech = ctx.zech
     acc = [-1] * size
-    for i, c in enumerate(a):
-        if c:
-            x = log[c]
-            for j, y in lb:
-                t = (x + y) % n
-                o = acc[i + j]
-                if o < 0:
-                    acc[i + j] = t
-                else:
-                    z = zech[t - o]
-                    acc[i + j] = -1 if z < 0 else (o + z) % n
-    return [exp[t] if t >= 0 else 0 for t in acc]
+    _add_product_logs(acc, [(i, log[c]) for i, c in enumerate(a) if c], lb,
+                      ctx.zech, n)
+    return _literals(exp, n, acc)
 
 
 def _divmod_coeffs(ctx: FieldCtx, a, b) -> tuple[list[int], list[int]]:
@@ -303,8 +363,8 @@ def _divmod_coeffs(ctx: FieldCtx, a, b) -> tuple[list[int], list[int]]:
     exp, log, n = ctx.exp, ctx.log, ctx.order - 1
     db = len(b) - 1
     lead = log[b[-1]]
-    quo = [0] * max(0, len(a) - db)
     if ctx.p == 2:
+        quo = [0] * max(0, len(a) - db)
         nb = [(j, log[c] - n) for j, c in enumerate(b[:db]) if c]
         rem = list(a)
         for off in range(len(a) - 1 - db, -1, -1):
@@ -315,34 +375,98 @@ def _divmod_coeffs(ctx: FieldCtx, a, b) -> tuple[list[int], list[int]]:
                 for j, y in nb:
                     rem[off + j] ^= exp[x + y]
         return quo, rem[:db]
-    zech, minus_one = ctx.zech, n // 2
-    nb = [(j, (log[c] + minus_one) % n) for j, c in enumerate(b[:db]) if c]
+    half = n // 2
+    nb = [(j, (log[c] + half) % n) for j, c in enumerate(b[:db]) if c]
     rem = [log[c] for c in a]
-    for off in range(len(a) - 1 - db, -1, -1):
-        c = rem[off + db]
-        if c >= 0:
-            x = (c - lead) % n
-            quo[off] = exp[x]
-            for j, y in nb:
-                t = (x + y) % n
-                o = rem[off + j]
-                if o < 0:
-                    rem[off + j] = t
-                else:
-                    z = zech[t - o]
-                    rem[off + j] = -1 if z < 0 else (o + z) % n
-    return quo, [exp[t] if t >= 0 else 0 for t in rem[:db]]
+    quo = [-1] * max(0, len(a) - db)
+    _reduce_logs(rem, db, lead, nb, ctx.zech, n, quo)
+    return _literals(exp, n, quo), _literals(exp, n, rem[:db])
 
 
-def _sqr_mod(a: Poly, m: Poly) -> Poly:
-    """a*a mod m, using the linearity of squaring in characteristic 2."""
-    ctx = a.ctx
-    if ctx.p == 2 and a.coeffs:
-        out = [0] * (2 * len(a.coeffs) - 1)
-        for i, c in enumerate(a.coeffs):
-            out[2 * i] = ctx.mul_i(c, c)
-        return _trusted(ctx, out) % m
-    return (a * a) % m
+def _gcd_coeffs(ctx: FieldCtx, a, b) -> list[int]:
+    """A gcd of two trimmed literal sequences, not made monic: Euclid on
+    literal lists, held as discrete logs throughout in odd characteristic."""
+    if ctx.p == 2:
+        a, b = list(a), list(b)
+        while b:
+            a, b = b, _trim(_divmod_coeffs(ctx, a, b)[1])
+        return a
+    exp, log, zech, n = ctx.exp, ctx.log, ctx.zech, ctx.order - 1
+    half = n // 2
+    a, b = [log[c] for c in a], [log[c] for c in b]
+    while b:
+        db = len(b) - 1
+        nb = [(j, (y + half) % n) for j, y in enumerate(b[:db]) if y >= 0]
+        _reduce_logs(a, db, b[-1], nb, zech, n)
+        r = [t % n if t >= 0 else -1 for t in a[:db]]
+        while r and r[-1] < 0:
+            r.pop()
+        a, b = b, r
+    return _literals(exp, n, a)
+
+
+def _sqr_mod(ctx: FieldCtx, a: list[int], m) -> list[int]:
+    """a*a mod m in characteristic 2 on trimmed literal lists: squaring is
+    additive there, so the square spreads the squared coefficients."""
+    if not a:
+        return []
+    exp, log, n = ctx.exp, ctx.log, ctx.order - 1
+    out = [0] * (2 * len(a) - 1)
+    for i, c in enumerate(a):
+        if c:
+            out[2 * i] = exp[2 * log[c] - n]
+    return _trim(_divmod_coeffs(ctx, out, m)[1])
+
+
+def _reduced_pairs(acc: list[int], dm: int, lead: int, nb, zech, n: int) -> list:
+    """acc reduced as in _reduce_logs, as (position, log) pairs of the
+    remainder's nonzero coefficients."""
+    _reduce_logs(acc, dm, lead, nb, zech, n)
+    return [(j, t % n) for j, t in enumerate(acc[:dm]) if t >= 0]
+
+
+def _pow_mod_coeffs(ctx: FieldCtx, a, e: int, m) -> list[int]:
+    """Trimmed literals of a**e mod m, for trimmed literal sequences a and m,
+    m nonzero, and e >= 1.
+
+    Left-to-right square-and-multiply, each step one product reduced at once
+    against the modulus, whose coefficients are read once.  Characteristic 2
+    squares by spreading coefficients and adds by XOR.  Odd characteristic
+    holds discrete logs from the first step to the last: each step adds its
+    terms through the Zech table and reduces against the modulus's negated
+    logs, and only the result is turned back into literals.
+    """
+    dm = len(m) - 1
+    a = _trim(_divmod_coeffs(ctx, a, m)[1]) if len(a) > dm else list(a)
+    if not a:
+        return []
+    bits = bin(e)[3:]
+    if ctx.p == 2:
+        r = a
+        for bit in bits:
+            r = _sqr_mod(ctx, r, m)
+            if bit == "1" and r:
+                r = _trim(_divmod_coeffs(ctx, _mul_coeffs(ctx, r, a), m)[1])
+        return r
+    exp, log, zech, n = ctx.exp, ctx.log, ctx.zech, ctx.order - 1
+    lead = log[m[-1]]
+    half = n // 2
+    nb = [(j, (log[c] + half) % n) for j, c in enumerate(m[:dm]) if c]
+    base = [(j, log[c]) for j, c in enumerate(a) if c]
+    two, size = log[2], 2 * dm - 1
+    r = base
+    for bit in bits:
+        acc = [-1] * size
+        _add_square_logs(acc, r, two, zech, n)
+        r = _reduced_pairs(acc, dm, lead, nb, zech, n)
+        if bit == "1":
+            acc = [-1] * size
+            _add_product_logs(acc, r, base, zech, n)
+            r = _reduced_pairs(acc, dm, lead, nb, zech, n)
+    out = [0] * dm
+    for j, t in r:
+        out[j] = exp[t]
+    return _trim(out)
 
 
 # ---------------------------------------------------------------------------
@@ -453,13 +577,12 @@ def _split_draw(f: Poly, d: int, rng: Random) -> Poly:
         if r.degree >= 1:
             break
     if ctx.p == 2:
-        # absolute trace map to GF(2): sum of 2**i-th powers
-        t = r % f
-        acc = t
+        # absolute trace map to GF(2): sum of 2**i-th powers; deg r < deg f
+        t = acc = list(r.coeffs)
         for _ in range(ctx.k * d - 1):
-            t = _sqr_mod(t, f)
-            acc = acc + t
-        return f.gcd(acc)
+            t = _sqr_mod(ctx, t, f.coeffs)
+            acc = [x ^ y for x, y in itertools.zip_longest(acc, t, fillvalue=0)]
+        return f.gcd(_trusted(ctx, acc))
     return f.gcd(r.pow_mod((q ** d - 1) // 2, f) - Poly.one(ctx))
 
 
@@ -519,22 +642,64 @@ def factor(f: Poly) -> Factorization:
 
 
 def irreducible(f: Poly) -> bool:
-    """Irreducibility over the coefficient field (unit factors ignored)."""
+    """Irreducibility over the coefficient field (unit factors ignored), by
+    Ben-Or's test on literal lists: f of degree d is irreducible iff
+    gcd(f, x**(q**i) - x) = 1 for every i <= d // 2."""
     if f.is_zero or f.degree < 1:
         return False
-    ctx = f.ctx
-    g = f.monic()
-    d = g.degree
+    d = f.degree
     if d == 1:
         return True
+    ctx = f.ctx
+    g = f.monic().coeffs
     q = ctx.order
-    t = Poly.x(ctx) % g
-    x = Poly.x(ctx)
+    t = [0, 1]  # x, reduced modulo g of degree >= 2
     for _ in range(d // 2):
-        t = t.pow_mod(q, g)
-        if g.gcd(t - x).degree != 0:
+        t = _pow_mod_coeffs(ctx, t, q, g)
+        u = t + [0] * (2 - len(t))
+        u[1] = ctx.sub_i(u[1], 1)
+        if len(_gcd_coeffs(ctx, g, _trim(u))) != 1:
             return False
     return True
+
+
+def has_root(f: Poly) -> bool:
+    """Whether f has a root in its coefficient field.
+
+    f(0) is the constant term; f(g**s) for every s runs Horner's rule on the
+    literal tables, in discrete logs through the Zech table in odd
+    characteristic and by XOR in characteristic 2.
+    """
+    cs = f.coeffs
+    if not cs or not cs[0]:
+        return True
+    ctx = f.ctx
+    exp, log, n = ctx.exp, ctx.log, ctx.order - 1
+    if ctx.p == 2:
+        rest = cs[-2::-1]
+        for s in range(n):
+            acc = cs[-1]
+            for c in rest:
+                acc = (exp[(log[acc] + s) % n] if acc else 0) ^ c
+            if not acc:
+                return True
+        return False
+    zech = ctx.zech
+    top = log[cs[-1]]
+    rest = [log[c] for c in cs[-2::-1]]
+    for s in range(n):
+        acc = top
+        for y in rest:
+            if acc < 0:
+                acc = y
+                continue
+            acc = (acc + s) % n
+            if y >= 0:
+                z = zech[y - acc]
+                acc = -1 if z < 0 else (acc + z) % n
+        if acc < 0:
+            return True
+    return False
 
 
 # ---------------------------------------------------------------------------

@@ -274,7 +274,10 @@ class FieldCtx:
 
         zech[m] is the log of 1 + g**m, or -1 (the log table's mark for the
         zero literal) where that sum vanishes; adding 1 changes only digit 0
-        of a literal.  neg[a] is the literal of -a; -1 = g**((order-1)/2).
+        of a literal.  The table is stored twice over, so any index in
+        [-2(order-1), 2(order-1)) reads the entry of its residue: a sum of
+        two logs minus a third needs no reduction first.  neg[a] is the
+        literal of -a; -1 = g**((order-1)/2).
         """
         p, exp, log = self.p, self.exp, self.log
         n = self.order - 1
@@ -285,7 +288,7 @@ class FieldCtx:
         neg = [0] * self.order
         for m, v in enumerate(exp):
             neg[v] = exp[(m + half) % n]
-        self.zech = zech
+        self.zech = zech + zech
         self.neg = neg
 
     # -- integer-literal operations ------------------------------------------
@@ -300,7 +303,7 @@ class FieldCtx:
         log = self.log
         la = log[a]
         # g**la + g**lb = g**(la + zech[lb - la]); a negative index wraps
-        # mod order - 1, the length of the table
+        # to an entry of the same residue mod order - 1
         z = self.zech[log[b] - la]
         if z < 0:
             return 0

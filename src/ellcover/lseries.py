@@ -26,8 +26,9 @@ from math import comb, log2, sqrt
 from .coverparam import (
     ENUM_D_CAP,
     Regime,
-    _enumerate_full,
+    _check_labeling,
     _check_unit,
+    _enumerate_full,
     class_vector,
     count_tuples,
 )
@@ -169,6 +170,9 @@ class CharW:
 
     def __init__(self, regime: Regime, points, w):
         self.regime = regime
+        points = tuple(points)
+        if not all(isinstance(x, FieldElem) for x in points):
+            raise CtxMismatch("evaluation points must be field elements")
         pts = tuple(embed_elem(x, regime.ext) for x in points)
         if len(set(pt.val for pt in pts)) != len(pts):
             raise InvalidTuple("evaluation points must be distinct")
@@ -665,6 +669,7 @@ def count_constrained(regime: Regime, D: int, points, targets,
     tuple (CrossCheckMismatch on any disagreement).  BudgetExceeded for
     D > ENUM_D_CAP or a kernel over its caps comes before any work.
     """
+    _check_labeling(labeling)
     ell = regime.ell
     pts = tuple(points)
     targets = tuple(t % ell for t in targets)
@@ -710,9 +715,10 @@ class GrowthReport:
 def growth_check(regime: Regime, D: int, points, targets, b: FieldElem,
                  labeling: str = "least") -> GrowthReport:
     """Compare the constrained count, D <= ENUM_D_CAP, with stratum / ell**k."""
+    points = tuple(points)
     cnt = count_constrained(regime, D, points, targets, b, labeling)
     total = count_tuples(regime, D)
     if total == 0:
         raise InvalidTuple(f"empty stratum at degree {D}")
-    ratio = Fraction(cnt * regime.ell ** len(tuple(points)), total)
+    ratio = Fraction(cnt * regime.ell ** len(points), total)
     return GrowthReport(D, cnt, total, ratio)

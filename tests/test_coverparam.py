@@ -2,6 +2,7 @@
 twisted models, stratum enumeration/counting/sampling, all against
 independent recomputation."""
 
+import hashlib
 import time
 from itertools import product
 from random import Random
@@ -9,7 +10,14 @@ from random import Random
 import pytest
 
 import ellcover as ec
-from ellcover.coverparam import LABELINGS, Regime, _parts_from_primes, _sample_full
+import ellcover.coverparam as cp
+from ellcover.coverparam import (
+    LABELINGS,
+    Regime,
+    _draw_prime,
+    _parts_from_primes,
+    _sample_full,
+)
 
 import naive
 
@@ -461,6 +469,42 @@ def test_sample_full_prime_list_is_faithful():
         factored = sorted((pr.coeffs, slot) for slot, f in enumerate(params.fs, start=1)
                           for pr, _ in ec.factor(f))
         assert sorted((pr.coeffs, slot) for pr, slot in prime_mults) == factored
+
+
+# sha256 of 20 draws per degree 2..12 and then 32 bits of the stream, first
+# 16 hex digits, as produced before candidates with a root were screened out
+# ahead of the irreducibility test.
+DRAW_DIGESTS = {3: "525dd8638e949637", 5: "25c7f5062bbcf456"}
+
+
+@pytest.mark.parametrize("q, ell", [(3, 5), (5, 3)])
+def test_draw_prime_streams_are_unchanged(q, ell):
+    reg = ec.make_regime(q, ell)
+    h = hashlib.sha256()
+    for d in range(2, 13):
+        rng = Random(f"{q}:{d}")
+        for _ in range(20):
+            h.update(repr(_draw_prime(reg, d, rng).coeffs).encode())
+        h.update(repr(rng.getrandbits(32)).encode())
+    assert h.hexdigest()[:16] == DRAW_DIGESTS[q]
+
+
+def test_draw_prime_tests_only_candidates_without_a_root(monkeypatch):
+    seen = []
+
+    def spy(f):
+        seen.append(f)
+        return ec.irreducible(f)
+
+    monkeypatch.setattr(cp, "irreducible", spy)
+    rng = Random(5)
+    for d in (1, 2, 4, 8):
+        for _ in range(10):
+            pr = _draw_prime(R53, d, rng)
+            assert pr.is_monic and pr.degree == d and ec.irreducible(pr)
+    points = [R53.base.elem(v) for v in range(5)]
+    assert all(f.degree == 1 or all(f.eval(x).val for x in points) for f in seen)
+    assert any(f.degree > 1 for f in seen)
 
 
 def test_parts_builder_matches_stable_factorization():

@@ -114,6 +114,15 @@ def test_monte_carlo_reproducible():
     assert a.ensemble_size == 400 and a.mode == "monte-carlo" and a.seed == 5
 
 
+def test_monte_carlo_odd_characteristic_is_frozen():
+    # (3, 5) at g = 20: primes over F_3 by rejection, split over F_81; the
+    # values were recorded before the modular-power kernel and the root screen
+    rep = ec.monte_carlo_distribution(ec.make_regime(3, 5), 20, 60, seed=7)
+    assert rep.histogram == ((0, 29), (5, 15), (10, 15), (15, 1), (20, 0))
+    assert rep.split_freqs == (("0", Fraction(1, 6)), ("1", Fraction(11, 60)),
+                               ("2", Fraction(13, 60)), ("inf", Fraction(7, 30)))
+
+
 def test_monte_carlo_matches_exhaustive_in_the_limit_sense():
     # at genus 2 the exhaustive law is exactly uniform over {0,3,6}; a
     # seeded 900-draw Monte Carlo must land near it

@@ -5,9 +5,12 @@ from itertools import product
 from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ellcover as ec
-from ellcover.fqpoly import SIEVE_CAP
+from ellcover import _gf2
+from ellcover.fqpoly import SIEVE_CAP, has_root
 
 import naive
 
@@ -155,6 +158,68 @@ def test_pow_and_pow_mod():
     assert f ** 3 == f * f * f
     assert f ** 0 == ec.Poly.one(F5)
     assert f.pow_mod(7, m) == (f ** 7) % m
+
+
+def plain_pow_mod(f, e, m):
+    """Right-to-left square-and-multiply with the ring operators."""
+    out, base = ec.Poly.one(f.ctx), f % m
+    while e:
+        if e & 1:
+            out = out * base % m
+        base = base * base % m
+        e >>= 1
+    return out
+
+
+@settings(max_examples=250, deadline=None)
+@given(data=st.data())
+def test_pow_mod_matches_square_and_multiply(data):
+    ctx = data.draw(st.sampled_from([F3, F5, F25, F81, F4]))
+    lit = st.integers(0, ctx.order - 1)
+    m = ec.Poly(ctx, data.draw(st.lists(lit, min_size=1, max_size=8))
+                + [data.draw(st.sampled_from([1, ctx.order - 1]))])
+    f = ec.Poly(ctx, data.draw(st.lists(lit, max_size=11)))
+    e = data.draw(st.one_of(st.integers(0, 40), st.integers(0, (81 ** 5 - 1) // 2)))
+    got = f.pow_mod(e, m)
+    assert got == plain_pow_mod(f, e, m)
+    if e:
+        assert got.degree < m.degree
+    if ctx.k == 1 and e <= 40:
+        # prime fields: e products by the naive oracle, reduced each time
+        want = [1]
+        for _ in range(e):
+            want = naive.poldivmod(ctx.p, naive.polmul(ctx.p, want, f.coeffs), m.coeffs)[1]
+        assert list(got.coeffs) == want
+
+
+def test_pow_mod_edge_cases():
+    m = ec.Poly(F5, [1, 0, 0, 1])
+    f = ec.Poly(F5, [2, 1])
+    assert f.pow_mod(0, m) == ec.Poly.one(F5)
+    assert ec.Poly.zero(F5).pow_mod(3, m).is_zero
+    assert f.pow_mod(2, ec.Poly(F5, [3])).is_zero
+    x = ec.Poly.x(F81)
+    assert x.pow_mod(5, x * x).is_zero  # a nilpotent residue
+    with pytest.raises(ec.ZeroPolynomial):
+        f.pow_mod(2, ec.Poly.zero(F5))
+    with pytest.raises(ValueError):
+        f.pow_mod(-1, m)
+    with pytest.raises(ec.CtxMismatch):
+        f.pow_mod(2, ec.Poly(F3, [1, 1]))
+
+
+@pytest.mark.parametrize("ctx,max_deg", [(F2, 6), (F3, 4), (F4, 3), (F5, 3), (F9, 2)])
+def test_has_root_matches_evaluation(ctx, max_deg):
+    points = [ctx.elem(v) for v in range(ctx.order)]
+    for d in range(max_deg + 1):
+        for f in all_polys(ctx, d):
+            assert has_root(f) == any(f.eval(x).val == 0 for x in points)
+
+
+def test_gf2_is_irreducible_matches_naive():
+    for f in range(1 << 13):  # every polynomial of degree <= 12
+        bits = [f >> i & 1 for i in range(f.bit_length())]
+        assert _gf2.is_irreducible(f) == naive.is_irreducible(2, bits), bin(f)
 
 
 def test_eval_matches_naive_and_commutes_with_embedding():

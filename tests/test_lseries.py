@@ -269,6 +269,13 @@ def test_char_w_exponent():
     assert CharW(R23, pts(R23, 0, 1), (0, 1)).exponent((0, 3)) == log[3] % 3
 
 
+def test_l_polynomial_rejects_the_point_at_infinity():
+    with pytest.raises(ec.CtxMismatch):
+        ec.l_polynomial(R23, [ec.INFINITY], [1])
+    with pytest.raises(ec.CtxMismatch):
+        ec.l_polynomial(R23, [R23.base.elem(0), 1], [1, 1])
+
+
 def test_l_polynomial_budget():
     with pytest.raises(ec.BudgetExceeded):
         ec.l_polynomial(R23, pts(R23, 0, 1), (1, 1), budget=10)
@@ -397,6 +404,19 @@ def test_count_constrained_validates():
         ec.count_constrained(R23, 4, [], (), R23.ext.elem(1))
 
 
+@pytest.mark.parametrize("D", [0, 3, 4])
+def test_count_constrained_checks_the_labeling_first(D):
+    # D = 0 has one tuple and D = 3 none: neither classes a prime, so the
+    # labeling is checked on entry or not at all
+    with pytest.raises(ValueError, match="labeling"):
+        ec.count_constrained(R23, D, pts(R23, 0), (0,), R23.ext.elem(1), "bogus")
+
+
+def test_count_constrained_rejects_a_unit_that_is_no_field_element():
+    with pytest.raises(ec.CtxMismatch):
+        ec.count_constrained(R23, 4, pts(R23, 0), (0,), 1)
+
+
 def test_count_constrained_detects_tampering(monkeypatch):
     # move one prime of the highest degree to the zero line in the kernel
     # the class-sum side reads, and demand the mismatch is loud
@@ -477,6 +497,13 @@ def test_growth_report_values():
     rep10 = ec.growth_check(R23, 10, pts(R23, 0, 1), (0, 0), R23.ext.elem(1))
     assert rep10.ratio == Fraction(24, 25)
     assert rep10.deviation == Fraction(1, 25)
+
+
+def test_growth_check_reads_its_points_once():
+    points = pts(R23, 0, 1)
+    want = ec.growth_check(R23, 8, points, (0, 0), R23.ext.elem(1))
+    got = ec.growth_check(R23, 8, iter(points), (0, 0), R23.ext.elem(1))
+    assert got == want and got.ratio == 1
 
 
 def test_growth_check_enumeration_budget():
