@@ -41,7 +41,6 @@ from .fqpoly import (
     embed,
     equal_degree_factor,
     factor,
-    has_root,
     irreducible,
     necklace_count,
     poly_frobenius,
@@ -485,11 +484,7 @@ def _suffix_table(regime: Regime, D: int) -> list[list[int]]:
 
 
 def _draw_prime(regime: Regime, d: int, rng: Random) -> Poly:
-    """Uniform random monic irreducible of degree d over the base field.
-
-    A candidate of degree >= 2 with a root in the base field is rejected
-    before the irreducibility test; that screen draws nothing from rng.
-    """
+    """Uniform random monic irreducible of degree d over the base field."""
     base = regime.base
     q = base.order
     if q == 2:
@@ -499,8 +494,6 @@ def _draw_prime(regime: Regime, d: int, rng: Random) -> Poly:
                 return Poly(base, [mask >> i & 1 for i in range(d)] + [1])
     while True:
         cand = Poly(base, [rng.randrange(q) for _ in range(d)] + [1])
-        if d > 1 and has_root(cand):
-            continue
         if irreducible(cand):
             return cand
 

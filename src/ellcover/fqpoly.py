@@ -7,8 +7,8 @@ characteristic 2, and discrete logs added through the field's Zech table in
 odd characteristic.  One modular-power kernel on literal lists serves
 pow_mod, the irreducibility test and both factorization splits; in odd
 characteristic it stays in discrete logs from its first step to its last.
-has_root finds a root in the coefficient field by evaluation, a cheap screen
-ahead of the irreducibility test.  Factorization runs the classical squarefree /
+Over small fields the irreducibility test opens with has_root, evaluation at
+every point of the field.  Factorization runs the classical squarefree /
 distinct-degree / equal-degree pipeline; the randomized equal-degree splits
 draw from a generator seeded by the input polynomial, so factor() is a
 deterministic function of its argument.  equal_degree_factor takes one prime
@@ -34,6 +34,13 @@ from .gf import FieldCtx, FieldElem, embed_elem, factor_int, prime_power, subfie
 
 SIEVE_CAP = 1 << 22
 EQUAL_DEGREE_DRAWS = 64  # random draws equal_degree_factor makes before it gives up
+# irreducible() decides Ben-Or's first round, a root in F_q, by has_root for
+# fields up to this order, and by the power x**q mod f and a gcd above it.
+# Evaluation takes up to (q - 1) * d table steps.  On random monic f of degree
+# 2 to 28 it was the cheaper round at every q <= 128 (within 15 % either way
+# at a few degrees for q = 125) and the dearer one at q = 243 and 256 for
+# degrees 3 to 16.
+ROOT_SCREEN_MAX_ORDER = 128
 
 
 class Poly:
@@ -289,15 +296,6 @@ def _add_product_logs(acc: list[int], u, v, zech, n: int) -> None:
                 acc[k] = -1 if z < 0 else (o + z) % n
 
 
-def _add_square_logs(acc: list[int], u, two: int, zech, n: int) -> None:
-    """Add the square of u, given as in _add_product_logs, into acc: each
-    coefficient squared (a product with the constant 1), and each cross
-    product once with two, the log of 2, added to it."""
-    _add_product_logs(acc, [(2 * i, 2 * x % n) for i, x in u], [(0, 0)], zech, n)
-    for k, (i, x) in enumerate(u):
-        _add_product_logs(acc, [(i, (x + two) % n)], u[k + 1:], zech, n)
-
-
 def _reduce_logs(acc: list[int], dm: int, lead: int, nb, zech, n: int,
                  quo: list[int] | None = None) -> None:
     """Reduce acc, a list of logs, in place modulo a polynomial of degree dm
@@ -418,13 +416,6 @@ def _sqr_mod(ctx: FieldCtx, a: list[int], m) -> list[int]:
     return _trim(_divmod_coeffs(ctx, out, m)[1])
 
 
-def _reduced_pairs(acc: list[int], dm: int, lead: int, nb, zech, n: int) -> list:
-    """acc reduced as in _reduce_logs, as (position, log) pairs of the
-    remainder's nonzero coefficients."""
-    _reduce_logs(acc, dm, lead, nb, zech, n)
-    return [(j, t % n) for j, t in enumerate(acc[:dm]) if t >= 0]
-
-
 def _pow_mod_coeffs(ctx: FieldCtx, a, e: int, m) -> list[int]:
     """Trimmed literals of a**e mod m, for trimmed literal sequences a and m,
     m nonzero, and e >= 1.
@@ -453,16 +444,15 @@ def _pow_mod_coeffs(ctx: FieldCtx, a, e: int, m) -> list[int]:
     half = n // 2
     nb = [(j, (log[c] + half) % n) for j, c in enumerate(m[:dm]) if c]
     base = [(j, log[c]) for j, c in enumerate(a) if c]
-    two, size = log[2], 2 * dm - 1
+    size = 2 * dm - 1
     r = base
     for bit in bits:
-        acc = [-1] * size
-        _add_square_logs(acc, r, two, zech, n)
-        r = _reduced_pairs(acc, dm, lead, nb, zech, n)
-        if bit == "1":
+        # r * r, then r * base where the bit is set (the pair is built first)
+        for v in (r, base) if bit == "1" else (r,):
             acc = [-1] * size
-            _add_product_logs(acc, r, base, zech, n)
-            r = _reduced_pairs(acc, dm, lead, nb, zech, n)
+            _add_product_logs(acc, r, v, zech, n)
+            _reduce_logs(acc, dm, lead, nb, zech, n)
+            r = [(j, t % n) for j, t in enumerate(acc[:dm]) if t >= 0]
     out = [0] * dm
     for j, t in r:
         out[j] = exp[t]
@@ -644,7 +634,12 @@ def factor(f: Poly) -> Factorization:
 def irreducible(f: Poly) -> bool:
     """Irreducibility over the coefficient field (unit factors ignored), by
     Ben-Or's test on literal lists: f of degree d is irreducible iff
-    gcd(f, x**(q**i) - x) = 1 for every i <= d // 2."""
+    gcd(f, x**(q**i) - x) = 1 for every i <= d // 2.
+
+    The first round holds iff f has no root in F_q; for q up to
+    ROOT_SCREEN_MAX_ORDER it is decided by has_root, so a candidate with a
+    root pays no modular power.
+    """
     if f.is_zero or f.degree < 1:
         return False
     d = f.degree
@@ -654,7 +649,14 @@ def irreducible(f: Poly) -> bool:
     g = f.monic().coeffs
     q = ctx.order
     t = [0, 1]  # x, reduced modulo g of degree >= 2
-    for _ in range(d // 2):
+    rounds = d // 2
+    if q <= ROOT_SCREEN_MAX_ORDER:
+        if has_root(f):
+            return False
+        rounds -= 1
+        if rounds:
+            t = _pow_mod_coeffs(ctx, t, q, g)
+    for _ in range(rounds):
         t = _pow_mod_coeffs(ctx, t, q, g)
         u = t + [0] * (2 - len(t))
         u[1] = ctx.sub_i(u[1], 1)

@@ -10,7 +10,6 @@ from random import Random
 import pytest
 
 import ellcover as ec
-import ellcover.coverparam as cp
 from ellcover.coverparam import (
     LABELINGS,
     Regime,
@@ -472,8 +471,8 @@ def test_sample_full_prime_list_is_faithful():
 
 
 # sha256 of 20 draws per degree 2..12 and then 32 bits of the stream, first
-# 16 hex digits, as produced before candidates with a root were screened out
-# ahead of the irreducibility test.
+# 16 hex digits, as produced before Ben-Or's first round was decided by
+# evaluation at the points of the field.
 DRAW_DIGESTS = {3: "525dd8638e949637", 5: "25c7f5062bbcf456"}
 
 
@@ -487,24 +486,6 @@ def test_draw_prime_streams_are_unchanged(q, ell):
             h.update(repr(_draw_prime(reg, d, rng).coeffs).encode())
         h.update(repr(rng.getrandbits(32)).encode())
     assert h.hexdigest()[:16] == DRAW_DIGESTS[q]
-
-
-def test_draw_prime_tests_only_candidates_without_a_root(monkeypatch):
-    seen = []
-
-    def spy(f):
-        seen.append(f)
-        return ec.irreducible(f)
-
-    monkeypatch.setattr(cp, "irreducible", spy)
-    rng = Random(5)
-    for d in (1, 2, 4, 8):
-        for _ in range(10):
-            pr = _draw_prime(R53, d, rng)
-            assert pr.is_monic and pr.degree == d and ec.irreducible(pr)
-    points = [R53.base.elem(v) for v in range(5)]
-    assert all(f.degree == 1 or all(f.eval(x).val for x in points) for f in seen)
-    assert any(f.degree > 1 for f in seen)
 
 
 def test_parts_builder_matches_stable_factorization():

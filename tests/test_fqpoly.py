@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 
 import ellcover as ec
 from ellcover import _gf2
-from ellcover.fqpoly import SIEVE_CAP, has_root
+import ellcover.fqpoly as fqp
+from ellcover.fqpoly import ROOT_SCREEN_MAX_ORDER, SIEVE_CAP, has_root
 
 import naive
 
@@ -328,6 +329,36 @@ def test_irreducible_and_factor_match_sympy(p, max_deg):
             want = sorted((tuple(int(c) % p for c in g.all_coeffs()[::-1]), m)
                           for g, m in ref_factors)
             assert sorted((pr.coeffs, m) for pr, m in ec.factor(f)) == want
+
+
+def test_irreducible_rejects_a_root_before_any_power(monkeypatch):
+    powers = []
+    kernel = fqp._pow_mod_coeffs
+    monkeypatch.setattr(fqp, "_pow_mod_coeffs",
+                        lambda *args: powers.append(args[2]) or kernel(*args))
+    x = ec.Poly.x(F5)
+    with_root = (x - ec.Poly(F5, [2])) * ec.Poly(F5, [2, 0, 0, 0, 0, 1])
+    assert not ec.irreducible(with_root) and powers == []
+    assert ec.irreducible(ec.Poly(F5, [1, 1, 0, 1])) and powers == []  # cubic, no root
+    quartics = [ec.Poly(F5, [2, 0, 0, 0, 1]), ec.Poly(F5, [2, 0, 1]) ** 2]
+    assert [ec.irreducible(f) for f in quartics] == [True, False]
+    assert powers == [5, 5, 5, 5]  # x**5 and x**25 for each
+
+
+@pytest.mark.parametrize("p,k", [(3, 5), (2, 8)])
+def test_irreducible_without_the_screen_matches_factor(p, k):
+    ctx = ec.make_field(p, k)
+    assert ctx.order > ROOT_SCREEN_MAX_ORDER  # Ben-Or's first gcd runs
+    rng = Random(ctx.order)
+    for d in (2, 3, 4, 5):
+        for _ in range(12):
+            f = ec.Poly(ctx, [rng.randrange(ctx.order) for _ in range(d)] + [1])
+            (prime, mult), *rest = ec.factor(f)
+            assert ec.irreducible(f) == (not rest and mult == 1 and prime.degree == d)
+            if d <= 3:
+                assert ec.irreducible(f) == (not has_root(f))
+    quads = [f for f in (ec.Poly(ctx, [c, 1, 1]) for c in range(1, 40)) if not has_root(f)]
+    assert not ec.irreducible(quads[0] * quads[1])  # no root, caught in round 2
 
 
 def test_irreducible_trivial_degrees():
