@@ -2,16 +2,21 @@
 
 A polynomial over GF(2) is encoded as a Python int whose bit i is the
 coefficient of x**i, so the zero polynomial is 0 and x**3 + x + 1 is 0b1011.
-This is the workhorse behind characteristic-2 table construction, rejection
-sampling of irreducibles of large degree, and the deterministic splitting of
-even-degree primes over the quartic extension, where the generic coefficient
-arithmetic would dominate the runtime.
+This is the workhorse behind characteristic-2 table construction and the
+rejection sampling of irreducibles of large degree.  It also splits an
+even-degree prime over the field with four elements: a cube root of unity
+modulo the prime, built from a Frobenius orbit, and one gcd over GF(4),
+whose polynomials are held as pairs of such ints.  The generic coefficient
+arithmetic would dominate the runtime of both.
 
 Only internal callers use this module; everything here is cross-checked
-against the generic polynomial layer in the test suite.
+against the generic polynomial layer and the naive oracles in the test suite.
 """
 
 from __future__ import annotations
+
+from functools import reduce
+from operator import xor
 
 from .errors import CrossCheckMismatch
 
@@ -77,7 +82,8 @@ def is_irreducible(f: int) -> bool:
     f is composite iff it has an irreducible factor of degree <= deg(f)//2,
     and gcd(x**(2**i) - x, f) catches every factor of degree dividing i.
     The roots 0 and 1 are screened first: f(0) is bit 0, and f(1) is the
-    parity of the number of set bits.
+    parity of the number of set bits.  That screen is the first round,
+    gcd(x**2 - x, f) = 1, so the loop starts at x**2.
     """
     d = f.bit_length() - 1
     if d < 1:
@@ -86,8 +92,8 @@ def is_irreducible(f: int) -> bool:
         return True
     if not f & 1 or not f.bit_count() & 1:
         return False  # divisible by x or by x + 1
-    t = 2  # x
-    for _ in range(d // 2):
+    t = 4  # x**2
+    for _ in range(2, d // 2 + 1):
         t = mod(sqr(t), f)
         if gcd(t ^ 2, f) != 1:
             return False
@@ -98,39 +104,85 @@ def conjugate_factor_coeffs(p: int) -> list[int]:
     """One of the two conjugate factors of an even-degree GF(2)-prime over
     the field with four elements.
 
-    p must be irreducible over GF(2) of even degree d.  Over GF(4) it splits
-    as A * phi(A) with phi the coefficient-wise squaring map and deg A = d/2.
-    Working in R = GF(2)[x]/(p) with alpha the class of x, the factor with
-    root alpha is prod_{i even, i < d} (Y - alpha**(2**i)); its coefficients
-    lie in the four-element subfield {0, 1, rho, rho+1} of R, where rho is
-    either root of Y**2 + Y + 1.  The returned list holds the ascending
-    GF(4) coefficient literals of that factor under rho -> 2 (the other
-    choice of root yields the conjugate factor, which the caller recovers
-    with a coefficient-wise Frobenius).
+    p must be irreducible over GF(2) of even degree d.  Over GF(4) =
+    {0, 1, rho, rho + 1}, with rho**2 = rho + 1, it splits as A * phi(A),
+    phi the coefficient-wise squaring map and deg A = d/2.  The returned list
+    holds the ascending GF(4) coefficient literals of the monic A under
+    rho -> 2; the caller recovers phi(A) by a coefficient-wise Frobenius.
+
+    In R = GF(2)[x]/(p), a field with 2**d elements, y = sum_{j odd, j < d}
+    z**(2**j) satisfies y**2 + y = Tr(z), the absolute trace.  Taking z = x**k
+    with the least k whose trace is 1 makes y = Y(x) a cube root of unity in
+    R, and Y(beta) runs through rho and rho + 1 as beta runs through the
+    roots of p, the even and the odd Frobenius powers of x.  So A is
+    gcd(p, Y + rho) over GF(4), of degree d/2.  Tr(x**k) is the k-th power
+    sum of the roots of p, read off p's bits by Newton's identities.  The
+    checks along the way, and a proof from z's orbit that p is prime, make a
+    reducible p raise CrossCheckMismatch.
     """
     d = p.bit_length() - 1
-    half = d // 2
-    # alpha**(4**i) for i < d/2, by iterated double squaring mod p.
-    t = 2
-    roots = []
-    for _ in range(half):
-        roots.append(t)
-        t = mod(sqr(sqr(t)), p)
-    # prod (Y - r): coefficients in R, ascending in Y.
-    coeffs = [1]
-    for r in roots:
-        nxt = [mulmod(coeffs[0], r, p)]
-        for j in range(1, len(coeffs)):
-            nxt.append(coeffs[j - 1] ^ mulmod(coeffs[j], r, p))
-        nxt.append(1)
-        coeffs = nxt
-    # Identify the subfield copy: some coefficient is outside GF(2).
-    rho = None
-    for c in coeffs:
-        if c > 1:
-            rho = min(c, c ^ 1)
+    # Newton's identities in characteristic 2, with e_i the coefficient of
+    # x**(d - i): s_k = k*e_k + sum_{0 < i < k} e_i * s_{k - i}.
+    sums = [0]
+    k = 1
+    while k < d:
+        s = k & p >> (d - k) & 1
+        for i in range(1, k):
+            s ^= p >> (d - i) & sums[k - i]
+        sums.append(s)
+        if s:
             break
-    if rho is None or mod(sqr(rho) ^ rho ^ 1, p) != 0:
-        raise CrossCheckMismatch("factor coefficients not in the quartic subfield")
-    table = {0: 0, 1: 1, rho: 2, rho ^ 1: 3}
-    return [table[c] for c in coeffs]
+        k += 1
+    else:
+        raise CrossCheckMismatch("no power of x has trace 1")
+    orbit = [1 << k]  # z**(2**j) for j < d, with z = x**k
+    for _ in range(1, d):
+        orbit.append(mod(sqr(orbit[-1]), p))
+    if reduce(xor, orbit, 0) != 1:
+        raise CrossCheckMismatch("the chosen power of x does not have trace 1")
+    y = reduce(xor, orbit[1::2], 0)
+    if mod(sqr(y) ^ y ^ 1, p):
+        raise CrossCheckMismatch("no cube root of unity modulo the prime")
+    # In every residue field of R, Tr(z) = 1 and y**2 + y = Tr(z) + z +
+    # z**(2**d) put z in GF(2**d) outside GF(2**(d/2)).  If z - z**(2**(d/r))
+    # is also a unit for every odd divisor r > 1 of d, z has degree d there,
+    # so R is that field and p is prime.  When z lies in a proper subfield,
+    # Ben-Or decides.
+    if any(gcd(p, orbit[0] ^ orbit[d // r]) != 1
+           for r in range(3, d + 1, 2) if d % r == 0) and not is_irreducible(p):
+        raise CrossCheckMismatch("the input is not prime")
+    a_lo, a_hi = _gf4_gcd(p, 0, y, 1)
+    if max(a_lo.bit_length(), a_hi.bit_length()) - 1 != d // 2:
+        raise CrossCheckMismatch("the GF(4) factor does not have half the degree")
+    return [(a_lo >> i & 1) | (a_hi >> i & 1) << 1 for i in range(d // 2 + 1)]
+
+
+def _gf4_scale(lo: int, hi: int, c: int) -> tuple[int, int]:
+    """c * (lo + rho*hi) for the GF(4) literal c = c0 + 2*c1, with
+    rho*(lo + rho*hi) = hi + rho*(lo + hi)."""
+    if c == 1:
+        return lo, hi
+    if c == 2:
+        return hi, lo ^ hi
+    return lo ^ hi, lo  # c = 3 = rho**2
+
+
+def _gf4_gcd(a_lo: int, a_hi: int, b_lo: int, b_hi: int) -> tuple[int, int]:
+    """Monic gcd of two GF(4)-polynomials, each held as bit-packed GF(2)
+    halves (lo, hi) meaning sum (lo_i + rho*hi_i) x**i; b must be nonzero."""
+    while True:
+        db = max(b_lo.bit_length(), b_hi.bit_length()) - 1
+        # make b monic: rho**-1 = rho**2 and (rho**2)**-1 = rho
+        lead = (b_lo >> db & 1) | (b_hi >> db & 1) << 1
+        b_lo, b_hi = _gf4_scale(b_lo, b_hi, (0, 1, 3, 2)[lead])
+        multiples = (None, (b_lo, b_hi), _gf4_scale(b_lo, b_hi, 2),
+                     _gf4_scale(b_lo, b_hi, 3))
+        da = max(a_lo.bit_length(), a_hi.bit_length()) - 1
+        while da >= db:
+            m_lo, m_hi = multiples[(a_lo >> da & 1) | (a_hi >> da & 1) << 1]
+            a_lo ^= m_lo << (da - db)
+            a_hi ^= m_hi << (da - db)
+            da = max(a_lo.bit_length(), a_hi.bit_length()) - 1
+        if not a_lo | a_hi:
+            return b_lo, b_hi
+        a_lo, a_hi, b_lo, b_hi = b_lo, b_hi, a_lo, a_hi

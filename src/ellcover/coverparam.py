@@ -214,8 +214,10 @@ def split_prime(regime: Regime, prime: Poly, labeling: str = "least") -> tuple[P
 
     Over the extension a base prime of degree n_q*m is a product of exactly
     n_q conjugate primes of degree m, so one of them, found by
-    equal_degree_factor, gives the rest by Frobenius.  A reducible input
-    fails one of the checks below with CrossCheckMismatch.
+    equal_degree_factor (over F_2 with n_q = 2 by
+    _gf2.conjugate_factor_coeffs), gives the rest by Frobenius.  A reducible
+    input fails one of the checks of either finder or below with
+    CrossCheckMismatch.
     """
     _check_labeling(labeling)
     key = (prime.coeffs, labeling)

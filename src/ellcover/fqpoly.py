@@ -210,14 +210,14 @@ class Poly:
         return _trusted(ctx, out)
 
     def pow_mod(self, e: int, m: "Poly") -> "Poly":
-        """self**e mod m for any nonzero m; e = 0 gives 1."""
+        """self**e mod m for any nonzero m; e = 0 gives 1 mod m."""
         self._check(m)
         if m.is_zero:
             raise ZeroPolynomial("division by the zero polynomial")
         if e < 0:
             raise ValueError("negative polynomial power")
         if e == 0:
-            return Poly.one(self.ctx)
+            return Poly.one(self.ctx) % m
         return _trusted(self.ctx, _pow_mod_coeffs(self.ctx, self.coeffs, e, m.coeffs))
 
     def eval(self, x) -> FieldElem:

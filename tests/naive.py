@@ -114,6 +114,35 @@ def factor_naive(p, a):
     return sorted(factors.items())
 
 
+def gf4_roots_product(a):
+    """One conjugate factor over GF(4) of an even-degree prime a over GF(2),
+    as ascending literals with rho -> 2, rho**2 = rho + 1.
+
+    In R = GF(2)[x]/(a) the class alpha of x is a root, and the factor
+    vanishing at alpha is prod_{i < d/2} (Y - alpha**(4**i)); its
+    coefficients lie in the copy {0, 1, rho, rho + 1} of GF(4) in R.
+    """
+    a = trim(a)
+    d = len(a) - 1
+
+    def mulmod(u, v):
+        return trim(poldivmod(2, polmul(2, u, v), a)[1])
+
+    coeffs = [[1]]  # ascending in Y, each an element of R
+    r = [0, 1]  # alpha
+    for _ in range(d // 2):
+        nxt = [mulmod(coeffs[0], r)]
+        for j in range(1, len(coeffs)):
+            nxt.append(poladd(2, coeffs[j - 1], mulmod(coeffs[j], r)))
+        nxt.append([1])
+        coeffs = nxt
+        r = mulmod(r, mulmod(r, mulmod(r, r)))
+    rho = next(c for c in coeffs if len(c) > 1)
+    assert not poladd(2, poladd(2, mulmod(rho, rho), rho), [1])
+    table = {(): 0, (1,): 1, tuple(rho): 2, tuple(poladd(2, rho, [1])): 3}
+    return [table[tuple(c)] for c in coeffs]
+
+
 def necklace_formula(q, d):
     """Moebius-sum count of monic irreducibles of degree d over F_q."""
 

@@ -10,6 +10,7 @@ from random import Random
 import pytest
 
 import ellcover as ec
+from ellcover import _gf2
 from ellcover.coverparam import (
     LABELINGS,
     Regime,
@@ -202,11 +203,35 @@ def test_split_prime_invariants(reg, degs):
 def test_split_prime_fast_path_agrees_with_generic_factor():
     # the q=2 bit-packed path must produce exactly the factors the generic
     # factorization finds
-    for d in (2, 4, 6, 8):
+    for d in (2, 4, 6, 8, 10, 12):
         for prime in ec.primes_with_degree(R23.base, d):
             orbit = ec.split_prime(R23, prime)
             generic = {pr for pr, _ in ec.factor(ec.embed(prime, R23.ext))}
             assert set(orbit) == generic
+
+
+def _gf4_frobenius(lits):
+    return [(0, 1, 3, 2)[c] for c in lits]
+
+
+def test_conjugate_factor_agrees_with_the_roots_product():
+    # the cube-root-and-gcd factor is, up to Frobenius, the product of the
+    # roots alpha**(4**i): every prime of degree <= 12, then 200 seeded
+    # primes of degree 14-32
+    primes = [sum(c << i for i, c in enumerate(p.coeffs))
+              for d in range(2, 13, 2) for p in ec.primes_with_degree(R23.base, d)]
+    rng = Random(20)
+    want_total = len(primes) + 200
+    while len(primes) < want_total:
+        d = rng.randrange(14, 33, 2)
+        f = 1 << d | rng.getrandbits(d)
+        if _gf2.is_irreducible(f):
+            primes.append(f)
+    for f in primes:
+        got = _gf2.conjugate_factor_coeffs(f)
+        want = naive.gf4_roots_product([f >> i & 1 for i in range(f.bit_length())])
+        assert got in (want, _gf4_frobenius(want)), bin(f)
+        assert len(got) == f.bit_length() // 2 + 1 and got[-1] == 1
 
 
 def _orbit_from_factor(reg, prime, labeling):
@@ -234,21 +259,39 @@ def test_split_prime_agrees_with_factor_oracle(qell, d, limit, labeling):
             _orbit_from_factor(reg, prime, labeling)
 
 
-@pytest.mark.parametrize("first,second", [((5, 0), (3, 0)), ((1, 0), (3, 0)),
-                                          ((4, 1), (4, 13))])
+@pytest.mark.parametrize("first,second", [
+    ((3, 5, 0), (3, 3, 0)), ((3, 1, 0), (3, 3, 0)), ((3, 4, 1), (3, 4, 13)),
+    ((2, 4, 0), (2, 4, 1)), ((2, 6, 0), (2, 6, 3)), ((2, 3, 0), (2, 3, 1)),
+    ((2, 2, 0), (2, 4, 0)), ((2, 2, 0), (2, 6, 0)), ((2, 5, 0), (2, 5, 1))])
 def test_split_prime_rejects_a_reducible_input_quickly(first, second):
-    # (degree, index) of two primes over F_3.  Over F_81 the degree-5 and
-    # degree-3 primes stay prime, so no degree-2 factor exists; the linear
-    # prime is fixed by Frobenius.  The two quartics split into linears, and
-    # for this pair a product of two linears, one from each, has a Frobenius
-    # orbit of four whose product is the input: only the check that the
-    # factor found is prime rejects it.
-    reg = Regime(3, 5)
-    a, b = (ec.primes_with_degree(reg.base, d)[i] for d, i in (first, second))
+    # (q, degree, index) of two primes over F_q, split in the regime (3, 5)
+    # or (2, 3).  Over F_81 the degree-5 and degree-3 primes stay prime, so
+    # no degree-2 factor exists; the linear prime is fixed by Frobenius.  The
+    # two quartics split into linears, and for this pair a product of two
+    # linears, one from each, has a Frobenius orbit of four whose product is
+    # the input: only the check that the factor found is prime rejects it.
+    q = first[0]
+    reg = Regime(q, 5 if q == 3 else 3)
+    a, b = (ec.primes_with_degree(reg.base, d)[i] for _, d, i in (first, second))
     t0 = time.perf_counter()
     with pytest.raises(ec.CrossCheckMismatch):
         ec.split_prime(reg, a * b)
     assert time.perf_counter() - t0 < 1.0
+    assert reg._split_cache == {}
+
+
+@pytest.mark.parametrize("bits", [0b10000100001, 0b1001001001001,
+                                  0b100000010000001])
+def test_split_prime_rejects_a_product_that_passes_the_trace_checks(bits):
+    # x**10 + x**5 + 1, x**12 + x**9 + x**6 + x**3 + 1 and x**14 + x**7 + 1
+    # are products of three primes of even degree, and x**k with the least
+    # k of trace 1 gives a cube root of unity and a GF(4) factor of degree
+    # d/2 for each; only the primality check on x**k rejects them
+    reg = Regime(2, 3)
+    prime = ec.Poly(reg.base, [bits >> i & 1 for i in range(bits.bit_length())])
+    assert not ec.irreducible(prime)
+    with pytest.raises(ec.CrossCheckMismatch, match="not prime"):
+        ec.split_prime(reg, prime)
     assert reg._split_cache == {}
 
 

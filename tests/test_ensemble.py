@@ -123,6 +123,20 @@ def test_monte_carlo_odd_characteristic_is_frozen():
                                ("2", Fraction(13, 60)), ("inf", Fraction(7, 30)))
 
 
+@pytest.mark.parametrize("labeling,histogram,split_freqs", [
+    ("least", ((0, 146), (3, 217), (6, 120), (9, 17)),
+     (("0", Fraction(81, 250)), ("1", Fraction(177, 500)), ("inf", Fraction(169, 500)))),
+    ("greatest", ((0, 155), (3, 222), (6, 106), (9, 17)),
+     (("0", Fraction(153, 500)), ("1", Fraction(163, 500)), ("inf", Fraction(169, 500)))),
+])
+def test_monte_carlo_char2_is_frozen(labeling, histogram, split_freqs):
+    # (2, 3) at g = 30: primes over F_2 of degree up to 32, split over F_4;
+    # the values were recorded before the cube-root-and-gcd split
+    rep = ec.monte_carlo_distribution(R23, 30, 500, seed=42, labeling=labeling)
+    assert rep.histogram == histogram
+    assert rep.split_freqs == split_freqs
+
+
 def test_monte_carlo_matches_exhaustive_in_the_limit_sense():
     # at genus 2 the exhaustive law is exactly uniform over {0,3,6}; a
     # seeded 900-draw Monte Carlo must land near it

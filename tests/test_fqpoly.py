@@ -199,6 +199,7 @@ def test_pow_mod_edge_cases():
     assert f.pow_mod(0, m) == ec.Poly.one(F5)
     assert ec.Poly.zero(F5).pow_mod(3, m).is_zero
     assert f.pow_mod(2, ec.Poly(F5, [3])).is_zero
+    assert f.pow_mod(0, ec.Poly(F5, [3])).is_zero  # 1 mod a unit, like f % m
     x = ec.Poly.x(F81)
     assert x.pow_mod(5, x * x).is_zero  # a nilpotent residue
     with pytest.raises(ec.ZeroPolynomial):
