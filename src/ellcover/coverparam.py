@@ -34,6 +34,7 @@ from .errors import (
     InvalidTuple,
     KummerRegime,
     NotPrime,
+    TooLarge,
     UnexpectedRoot,
 )
 from .fqpoly import (
@@ -46,6 +47,7 @@ from .fqpoly import (
     poly_frobenius,
 )
 from .gf import (
+    FIELD_ORDER_CAP,
     FieldCtx,
     FieldElem,
     is_prime_int,
@@ -72,17 +74,27 @@ class Regime:
                  "_split_cache", "_class_cache", "_suffix", "_lines")
 
     def __init__(self, q: int, ell: int):
+        # The caps come before trial divisions that would not finish on huge
+        # inputs.  The extension holds the ell-th roots of unity: q**n_q > ell.
+        if q > FIELD_ORDER_CAP:
+            raise TooLarge(f"field order {q} exceeds cap {FIELD_ORDER_CAP}")
         p, k = prime_power(q)
+        if ell >= FIELD_ORDER_CAP:
+            raise TooLarge(f"cover order {ell} needs an extension of order "
+                           f"above the cap {FIELD_ORDER_CAP}")
         if not is_prime_int(ell):
             raise NotPrime(f"cover order {ell} is not prime")
         if ell == p:
             raise CharacteristicDividesEll(
                 f"ell == characteristic {p}: the cover map is inseparable")
-        n_q = 1
-        acc = q % ell
+        n_q, acc, ext_order = 1, q % ell, q
         while acc != 1:
             acc = (acc * q) % ell
             n_q += 1
+            ext_order *= q
+            if ext_order > FIELD_ORDER_CAP:
+                raise TooLarge(f"extension order {q}**{n_q} or more exceeds "
+                               f"cap {FIELD_ORDER_CAP}")
         if n_q == 1:
             raise KummerRegime(
                 f"q = {q} is 1 mod {ell}: this is the classical Kummer case, "

@@ -34,6 +34,7 @@ from .gf import FieldCtx, FieldElem, embed_elem, factor_int, prime_power, subfie
 
 SIEVE_CAP = 1 << 22
 EQUAL_DEGREE_DRAWS = 64  # random draws equal_degree_factor makes before it gives up
+FACTOR_SEED = 0x5EED  # mixed into the fold that seeds the factorization draws
 # irreducible() decides Ben-Or's first round, a root in F_q, by has_root for
 # fields up to this order, and by the power x**q mod f and a gcd above it.
 # Evaluation takes up to (q - 1) * d table steps.  On random monic f of degree
@@ -492,7 +493,7 @@ def _factor_fold(f: Poly) -> int:
     h = f.ctx.order
     for c in f.coeffs:
         h = (h * 1000003 + c + 1) % ((1 << 61) - 1)
-    return h ^ f.ctx.factor_seed
+    return h ^ FACTOR_SEED
 
 
 def _pth_root(f: Poly) -> Poly:

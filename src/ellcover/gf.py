@@ -8,6 +8,12 @@ tables.  Addition is XOR in characteristic 2; in odd characteristic it runs
 through a Zech table, 1 + g**m = g**zech[m], and a negation table, so every
 operation is an exact lookup.
 
+A prime field is built by integer arithmetic mod p.  An extension is built
+over F_p = make_field(p) with the polynomial kernels of fqpoly: Ben-Or's test
+picks the modulus, modular powers pick the generator, and division reduces the
+rows of the product with the generator that steps the odd-characteristic
+tables.  Characteristic-2 tables step with the carry-less products of _gf2.
+
 The context is canonical: the modulus is the monic irreducible of degree k
 over F_p whose ascending coefficient vector is lexicographically least, and
 the distinguished generator is the element of full multiplicative order whose
@@ -21,6 +27,7 @@ from __future__ import annotations
 import itertools
 from functools import lru_cache
 from math import gcd
+from operator import mul
 
 from . import _gf2
 from .errors import (
@@ -77,80 +84,6 @@ def prime_power(q: int) -> tuple[int, int]:
     return p, k
 
 
-# ---------------------------------------------------------------------------
-# F_p[x] helpers on plain digit lists, used only while building a context.
-
-def _fp_trim(a: list[int]) -> list[int]:
-    while a and a[-1] == 0:
-        a.pop()
-    return a
-
-
-def _fp_mulmod(a: list[int], b: list[int], m: list[int], p: int) -> list[int]:
-    prod = [0] * (len(a) + len(b) - 1) if a and b else []
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                prod[i + j] = (prod[i + j] + ai * bj) % p
-    # reduce by monic m
-    dm = len(m) - 1
-    while len(prod) > dm:
-        c = prod.pop()
-        if c:
-            off = len(prod) - dm
-            for j in range(dm):
-                prod[off + j] = (prod[off + j] - c * m[j]) % p
-    return _fp_trim(prod)
-
-
-def _fp_powmod(a: list[int], e: int, m: list[int], p: int) -> list[int]:
-    out = [1]
-    base = a[:]
-    while e:
-        if e & 1:
-            out = _fp_mulmod(out, base, m, p)
-        base = _fp_mulmod(base, base, m, p)
-        e >>= 1
-    return out
-
-
-def _fp_gcd(a: list[int], b: list[int], p: int) -> list[int]:
-    a, b = a[:], b[:]
-    while b:
-        # a mod b with monic-normalized b
-        inv = pow(b[-1], p - 2, p)
-        db = len(b) - 1
-        r = a[:]
-        while len(r) - 1 >= db and r:
-            c = (r[-1] * inv) % p
-            off = len(r) - 1 - db
-            for j in range(db + 1):
-                r[off + j] = (r[off + j] - c * b[j]) % p
-            _fp_trim(r)
-        a, b = b, r
-    return a
-
-
-def _fp_irreducible(f: list[int], p: int) -> bool:
-    """Factor-degree filter: f (monic, degree >= 1) has no factor of degree
-    <= deg(f)//2 iff it is irreducible."""
-    d = len(f) - 1
-    if d == 1:
-        return True
-    t = [0, 1]  # x
-    for _ in range(d // 2):
-        t = _fp_powmod(t, p, f, p)
-        diff = t[:]
-        while len(diff) < 2:
-            diff.append(0)
-        diff[1] = (diff[1] - 1) % p
-        if len(_fp_gcd(f, _fp_trim(diff), p)) - 1 != 0:
-            return False
-    return True
-
-
-# ---------------------------------------------------------------------------
-
 class FieldCtx:
     """Arithmetic context for F_{p^k}; construct via make_field only.
 
@@ -159,9 +92,13 @@ class FieldCtx:
     """
 
     __slots__ = ("p", "k", "order", "modulus", "generator", "exp", "log",
-                 "zech", "neg", "_embed_tables", "factor_seed")
+                 "zech", "neg", "_embed_tables")
 
     def __init__(self, p: int, k: int):
+        # The cap comes before the primality test, whose trial division would
+        # not finish on a huge p; p**k is not formed for a huge k.
+        if p > FIELD_ORDER_CAP or (p >= 2 and k >= FIELD_ORDER_CAP.bit_length()):
+            raise TooLarge(f"field order {p}**{k} exceeds cap {FIELD_ORDER_CAP}")
         if not is_prime_int(p):
             raise NotPrime(f"characteristic {p} is not prime")
         if k < 1:
@@ -176,22 +113,19 @@ class FieldCtx:
         self.generator = self._least_full_order_generator()
         self._build_tables()
         self._embed_tables: dict[tuple[int, int], tuple[int, ...]] = {}
-        self.factor_seed = 0x5EED
 
     # -- construction -------------------------------------------------------
+    # fqpoly imports this module, so its kernels are imported where used.
 
     def _canonical_modulus(self) -> tuple[int, ...]:
         p, k = self.p, self.k
         if k == 1:
             return (0, 1)  # t
+        from .fqpoly import _trusted, irreducible
+        fp = make_field(p)
         for low in itertools.product(range(p), repeat=k):
             f = list(low) + [1]
-            if p == 2:
-                packed = sum(c << i for i, c in enumerate(f))
-                ok = _gf2.is_irreducible(packed)
-            else:
-                ok = _fp_irreducible(f, p)
-            if ok:
+            if irreducible(_trusted(fp, f)):
                 return tuple(f)
         raise CrossCheckMismatch("no irreducible modulus found")
 
@@ -209,64 +143,59 @@ class FieldCtx:
             v = v * self.p + d
         return v
 
-    def _raw_mul(self, a: int, b: int) -> int:
-        """Table-free product of literals, used before tables exist."""
-        if self.p == 2:
-            m = sum(c << i for i, c in enumerate(self.modulus))
-            return _gf2.mulmod(a, b, m)
-        prod = _fp_mulmod(self.digits(a), self.digits(b), list(self.modulus), self.p)
-        prod += [0] * (self.k - len(prod))
-        return self.undigits(prod)
-
-    def _raw_pow(self, a: int, e: int) -> int:
-        out, base = 1, a
-        while e:
-            if e & 1:
-                out = self._raw_mul(out, base)
-            base = self._raw_mul(base, base)
-            e >>= 1
-        return out
-
     def _least_full_order_generator(self) -> int:
-        n = self.order - 1
-        if n == 1:
-            return 1
-        prime_divs = list(factor_int(n))
-        for vec in itertools.product(range(self.p), repeat=self.k):
-            a = self.undigits(list(vec))
-            if a == 0:
-                continue
-            if all(self._raw_pow(a, n // r) != 1 for r in prime_divs):
-                return a
+        from .fqpoly import _pow_mod_coeffs, _trim
+        p, n = self.p, self.order - 1
+        cofactors = [n // r for r in factor_int(n)]
+        if self.k == 1:
+            def is_one(a, e):
+                return pow(a[0], e, p) == 1
+        else:
+            fp = make_field(p)
+
+            def is_one(a, e):
+                return _pow_mod_coeffs(fp, a, e, self.modulus) == [1]
+        for vec in itertools.product(range(p), repeat=self.k):
+            a = _trim(list(vec))
+            if a and not any(is_one(a, e) for e in cofactors):
+                return self.undigits(a)
         raise CrossCheckMismatch("no generator found")
 
     def _build_tables(self) -> None:
-        n = self.order - 1
+        p, g, n = self.p, self.generator, self.order - 1
         exp = [0] * n
         log = [-1] * self.order
         cur = 1
-        if self.p == 2:
+        if self.k == 1:
+            for i in range(n):
+                exp[i] = cur
+                log[cur] = i
+                cur = cur * g % p
+        elif p == 2:
             m = sum(c << i for i, c in enumerate(self.modulus))
-            g = self.generator
             for i in range(n):
                 exp[i] = cur
                 log[cur] = i
                 cur = _gf2.mulmod(cur, g, m)
         else:
-            g = self.digits(self.generator)
-            mod = list(self.modulus)
-            cur_d = [1]
+            # The product with g is F_p-linear: row j of its matrix holds the
+            # digits of t**j * g, reduced by fqpoly's division over F_p.
+            from .fqpoly import _divmod_coeffs
+            fp, gd = make_field(p), self.digits(g)
+            cols = list(zip(*(_divmod_coeffs(fp, [0] * j + gd, self.modulus)[1]
+                              for j in range(self.k))))
+            cur_d = self.digits(1)
             for i in range(n):
-                cur = self.undigits(cur_d + [0] * (self.k - len(cur_d)))
+                cur = self.undigits(cur_d)
                 exp[i] = cur
                 log[cur] = i
-                cur_d = _fp_mulmod(cur_d, g, mod, self.p)
+                cur_d = [sum(map(mul, cur_d, col)) % p for col in cols]
         if sorted(exp) != list(range(1, self.order)):
             raise CrossCheckMismatch("generator does not enumerate the unit group")
         self.exp = exp
         self.log = log
         self.zech = self.neg = None
-        if self.p != 2:
+        if p != 2:
             self._build_addition_tables()
 
     def _build_addition_tables(self) -> None:
@@ -569,50 +498,37 @@ def subfield_table(small: FieldCtx, big: FieldCtx) -> tuple[int, ...]:
     if small.p != big.p or big.k % small.k != 0:
         raise NotASubfield(
             f"F_{small.order} does not embed in F_{big.order}")
+    from .fqpoly import _mul_coeffs, _trusted
     p = small.p
     # Minimal polynomial of the small generator over F_p: the product of
     # (Y - g**(p**j)) has prime-subfield coefficients.
     g = small.generator
-    conj = []
-    c = g
+    minpoly, r = [1], g
     for _ in range(small.k):
-        conj.append(c)
-        c = small.pow_i(c, p)
-    minpoly = [1]
-    for r in conj:
-        nr = small.neg_i(r)
-        nxt = [small.mul_i(minpoly[0], nr)]
-        for j in range(1, len(minpoly)):
-            nxt.append(small.add_i(minpoly[j - 1], small.mul_i(minpoly[j], nr)))
-        nxt.append(1)
-        minpoly = nxt
+        minpoly = _mul_coeffs(small, minpoly, [small.neg_i(r), 1])
+        r = small.pow_i(r, p)
     if any(c >= p for c in minpoly):
         raise CrossCheckMismatch("generator minimal polynomial not over F_p")
+    # A prime-subfield literal is the same integer in big.
+    minpoly = _trusted(big, minpoly)
     # Roots in big live among the elements of multiplicative order
     # small.order - 1; scan them by literal and keep the least lex vector.
     n_small, n_big = small.order - 1, big.order - 1
     stride = n_big // n_small
     best = None
     for j in range(1, n_small + 1):
-        if n_small > 1 and gcd(j, n_small) != 1:
+        if gcd(j, n_small) != 1:
             continue
         cand = big.exp[(stride * j) % n_big]
-        acc, power = 0, 1
-        for coeff in minpoly:
-            acc = big.add_i(acc, big.mul_i(coeff, power))
-            power = big.mul_i(power, cand)
-        if acc == 0 and (best is None or
-                         tuple(big.digits(cand)) < tuple(big.digits(best))):
+        if not minpoly.eval(cand) and (
+                best is None or big.digits(cand) < big.digits(best)):
             best = cand
     if best is None:
         raise CrossCheckMismatch("no root of the generator minimal polynomial")
     table = [0] * small.order
-    table[0] = 0
-    cur_s, cur_b = 1, 1
-    for _ in range(n_small):
-        table[cur_s] = cur_b
-        cur_s = small.mul_i(cur_s, g)
-        cur_b = big.mul_i(cur_b, best)
+    step = big.log[best]  # g**i goes to best**i
+    for i, v in enumerate(small.exp):
+        table[v] = big.exp[i * step % n_big]
     result = tuple(table)
     big._embed_tables[key] = result
     return result

@@ -171,6 +171,10 @@ def test_domain_errors_exit_1(capsys):
     assert rc == 1 and "KummerRegime" in err
     rc, _, err = run(capsys, "info", "--q", "2", "--ell", "2")
     assert rc == 1 and "CharacteristicDividesEll" in err
+    # a huge prime ell or q is refused before any trial division
+    for q, ell in (("2", "1000000007"), ("1000000000000000003", "5")):
+        rc, _, err = run(capsys, "info", "--q", q, "--ell", ell)
+        assert rc == 1 and "TooLarge" in err
     rc, _, err = run(capsys, "ensemble", "--q", "2", "--ell", "3",
                      "--genus", "1")
     assert rc == 1 and "EmptyStratum" in err

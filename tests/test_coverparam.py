@@ -57,6 +57,13 @@ def test_regime_errors():
         ec.make_regime(2, 9)
     with pytest.raises(ec.NotPrimePower):
         ec.make_regime(6, 5)
+    # q**n_q > ell, so a huge ell needs an extension above the cap, and a huge
+    # prime q is above it already: neither waits on a trial division or on
+    # the order search (which for ell = 1000003 would run 10**6 steps)
+    for q, ell in ((2, 1000000007), (4, 1000000000039), (10 ** 18 + 3, 5),
+                   (2, 1000003)):
+        with pytest.raises(ec.TooLarge):
+            ec.make_regime(q, ell)
 
 
 def test_regime_multiplicative_order():

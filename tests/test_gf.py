@@ -1,10 +1,12 @@
 """Field contexts, canonical choices, element arithmetic, embeddings, and
 power classes, checked against the naive longhand oracles."""
 
+import hashlib
+
 import pytest
 
 import ellcover as ec
-from ellcover.gf import FIELD_ORDER_CAP, prime_power
+from ellcover.gf import FIELD_ORDER_CAP, is_prime_int, prime_power
 
 from naive import NaiveField, digit_add, digit_neg, lex_least_irreducible
 
@@ -26,6 +28,38 @@ def test_field_order_cap():
         ec.make_field(2, 21)
     with pytest.raises(ec.TooLarge):
         ec.make_field(3, 13)
+    # the cap comes before the primality test, whose trial division of
+    # 10**18 + 3 would not finish, and 3**(10**18) is never formed
+    for pk in ((10 ** 18 + 3, 1), (3, 10 ** 18)):
+        with pytest.raises(ec.TooLarge):
+            ec.make_field(*pk)
+
+
+# sha256 of the canonical tables and embeddings below: a change to any of them
+# changes the literals that reports and seeds are written in
+PINNED_TABLES = "66e4f0fb995483e6e92a67678c75f050e5807a378867d40a736a6151623558f1"
+
+
+def test_canonical_tables_are_pinned():
+    """Every prime field with p <= 1024 and every field with k >= 2 and
+    order <= 4096: modulus, generator, exp, log, Zech and negation tables,
+    and the embeddings among them, hashed against a frozen digest."""
+    fields = [(p, 1) for p in range(2, 1025) if is_prime_int(p)]
+    fields += [(p, k) for p in range(2, 65) if is_prime_int(p)
+               for k in range(2, 13) if p ** k <= 4096]
+    assert len(fields) == 212
+    h = hashlib.sha256()
+    for p, k in fields:
+        ctx = ec.make_field(p, k)
+        tables = (ctx.exp, ctx.log, ctx.zech, ctx.neg)
+        h.update(repr((p, k, ctx.modulus, ctx.generator)
+                      + tuple(t and tuple(t) for t in tables)).encode())
+    for p, k in fields:
+        for pb, kb in fields:
+            if pb == p and kb > k and kb % k == 0:
+                table = ec.subfield_table(ec.make_field(p, k), ec.make_field(pb, kb))
+                h.update(repr((p, k, kb, table)).encode())
+    assert h.hexdigest() == PINNED_TABLES
 
 
 @pytest.mark.parametrize("p,k", [(2, 2), (2, 3), (2, 4), (2, 6),
