@@ -39,8 +39,8 @@ from .errors import (
 )
 from .fqpoly import (
     Poly,
+    conjugate_factor,
     embed,
-    equal_degree_factor,
     factor,
     irreducible,
     necklace_count,
@@ -225,11 +225,16 @@ def split_prime(regime: Regime, prime: Poly, labeling: str = "least") -> tuple[P
     power of its predecessor.
 
     Over the extension a base prime of degree n_q*m is a product of exactly
-    n_q conjugate primes of degree m, so one of them, found by
-    equal_degree_factor (over F_2 with n_q = 2 by
-    _gf2.conjugate_factor_coeffs), gives the rest by Frobenius.  A reducible
-    input fails one of the checks of either finder or below with
-    CrossCheckMismatch.
+    n_q conjugate primes of degree m, so one of them gives the rest by
+    Frobenius.  fqpoly.conjugate_factor finds it by one norm, one minimal
+    polynomial and one gcd: the norm N of x down to F_Q separates the
+    conjugates, and gcd(P, N - c) for one root c of N's minimal polynomial,
+    found by equal_degree_factor on a polynomial of degree n_q, is a single
+    factor.  Over F_2 with n_q = 2, _gf2.conjugate_factor_coeffs does the
+    same with a cube root of unity in place of the norm.  A reducible input
+    fails one of the checks of either finder or below with CrossCheckMismatch:
+    the factor must be prime of degree m, its n_q conjugates distinct and
+    their product the embedded prime, which together prove the input prime.
     """
     _check_labeling(labeling)
     key = (prime.coeffs, labeling)
@@ -252,7 +257,7 @@ def split_prime(regime: Regime, prime: Poly, labeling: str = "least") -> tuple[P
         a = Poly(regime.ext, lits)
         parts = {a, poly_frobenius(a, regime.q)}
     else:
-        a = equal_degree_factor(embed(prime, regime.ext), prime.degree // n_q)
+        a = conjugate_factor(prime, regime.ext)
         parts = {a}
         for _ in range(n_q - 1):
             a = poly_frobenius(a, regime.q)

@@ -5,7 +5,8 @@ zeros, so the zero polynomial is the empty tuple and degree(0) == -1.
 Products and long division run their inner loops on table lookups: XOR in
 characteristic 2, and discrete logs added through the field's Zech table in
 odd characteristic.  One modular-power kernel on literal lists serves
-pow_mod, the irreducibility test and both factorization splits; in odd
+pow_mod, the irreducibility test, both factorization splits and the norm of
+the conjugate split; in odd
 characteristic it stays in discrete logs from its first step to its last.
 Over small fields the irreducibility test opens with has_root, evaluation at
 every point of the field.  Factorization runs the classical squarefree /
@@ -13,6 +14,14 @@ distinct-degree / equal-degree pipeline; the randomized equal-degree splits
 draw from a generator seeded by the input polynomial, so factor() is a
 deterministic function of its argument.  equal_degree_factor takes one prime
 out of a product of primes of a known degree without the first two stages.
+conjugate_factor splits a prime over F_q into its Frobenius-conjugate factors
+over F_Q = F_{q**n_q} by one norm, one minimal polynomial and one gcd: the
+norm of x from F_{Q**m} down to F_Q takes a different value at the roots of
+each conjugate factor, so the gcd of the prime with the norm minus one root
+of its minimal polynomial is one factor.  equal_degree_factor's only task
+there is that root, on a polynomial of degree n_q.  The (2,3) split of _gf2,
+by a cube root of unity and one gcd over F_4, is the special case where the
+element of F_Q and its minimal polynomial are known in advance.
 Prime enumeration sieves products below a hard budget and checks itself
 against the divisor-counting closed form.
 """
@@ -30,10 +39,17 @@ from .errors import (
     NotASubfield,
     ZeroPolynomial,
 )
-from .gf import FieldCtx, FieldElem, embed_elem, factor_int, prime_power, subfield_table
+from .gf import (
+    FieldCtx,
+    FieldElem,
+    check_subfield_order,
+    embed_elem,
+    factor_int,
+    subfield_table,
+)
 
 SIEVE_CAP = 1 << 22
-EQUAL_DEGREE_DRAWS = 64  # random draws equal_degree_factor makes before it gives up
+EQUAL_DEGREE_DRAWS = 64  # draws equal_degree_factor or conjugate_factor makes before giving up
 FACTOR_SEED = 0x5EED  # mixed into the fold that seeds the factorization draws
 # irreducible() decides Ben-Or's first round, a root in F_q, by has_root for
 # fields up to this order, and by the power x**q mod f and a gcd above it.
@@ -598,7 +614,8 @@ def equal_degree_factor(f: Poly, d: int) -> Poly:
     EQUAL_DEGREE_DRAWS draws without reaching degree d.  Each draw on a
     valid f splits it with probability about 1/2 or more, and at most
     log2(deg f / d) splits are needed, so a valid f runs out of draws with
-    probability far below 2**-40.
+    probability far below 2**-40.  conjugate_factor calls it on a minimal
+    polynomial of degree n_q with d = 1, for one root.
     """
     rng = Random(_factor_fold(f))
     for _ in range(EQUAL_DEGREE_DRAWS):
@@ -613,6 +630,106 @@ def equal_degree_factor(f: Poly, d: int) -> Poly:
             f"no prime factor of degree {d} found: the input is not a "
             f"product of degree-{d} primes")
     return f
+
+
+def conjugate_factor(prime: Poly, ext: FieldCtx) -> Poly:
+    """One monic prime factor over ext of a prime over a subfield F_q whose
+    degree n is a multiple of n_q = [ext : F_q]; with Q = ext.order and
+    m = n / n_q, it has degree m, and its n_q Frobenius conjugates multiply
+    to the embedded prime.
+
+    For a root alpha of the prime, the norm N(alpha) = alpha**((Q**m - 1) /
+    (Q - 1)) from F_{Q**m} down to F_Q is the power N of x modulo the prime
+    over F_q.  When it generates F_Q over F_q, its minimal polynomial mu has
+    degree n_q and the conjugate roots alpha**(q**i) have the distinct norms
+    N(alpha)**(q**i), so for one root c of mu in F_Q, which equal_degree_factor
+    finds, gcd(prime, N - c) over F_Q is a single conjugate factor.  When N
+    lies in a proper subfield, the norm of a random z(x) takes its place: the
+    norm is onto F_Q*, so each try fails with probability below 1/2; the
+    draws are seeded by the prime.
+
+    Raises CrossCheckMismatch when the input shows it is not prime: 1, N,
+    ..., N**n_q linearly independent, EQUAL_DEGREE_DRAWS tries in proper
+    subfields, or a factor that is not prime of degree m.  Some reducible
+    inputs pass these; the factor's n_q conjugates being distinct and
+    multiplying to the embedded input completes the proof of primality.
+    """
+    base = prime.ctx
+    if base.p != ext.p or ext.k % base.k:
+        raise NotASubfield(f"F_{base.order} does not embed in F_{ext.order}")
+    n_q = ext.k // base.k
+    n = prime.degree
+    if n < 1 or n % n_q:
+        raise ValueError(f"prime degree {n} is not a positive multiple of {n_q}")
+    m = n // n_q
+    q, big = base.order, ext.order
+    modulus = prime.monic().coeffs
+    e = (big ** m - 1) // (big - 1)
+    rng = None
+    z = [0, 1]
+    for _ in range(EQUAL_DEGREE_DRAWS):
+        norm = _pow_mod_coeffs(base, z, e, modulus)
+        mu = _min_poly(base, norm, modulus, n_q)
+        if mu is not None:
+            break
+        rng = rng or Random(_factor_fold(prime))
+        z = _trim([rng.randrange(q) for _ in range(n)])
+    else:
+        raise CrossCheckMismatch(
+            f"no norm of degree {n_q} found in {EQUAL_DEGREE_DRAWS} tries: "
+            "the input is not prime")
+    table = subfield_table(base, ext)
+    shifted = [table[c] for c in norm] or [0]
+    shifted[0] = ext.sub_i(shifted[0], _root_in_ext(base, ext, tuple(mu)))
+    a = embed(prime, ext).gcd(_trusted(ext, shifted))
+    if a.degree != m or not irreducible(a):
+        raise CrossCheckMismatch(
+            f"no prime factor of degree {m} found: the input is not prime")
+    return a
+
+
+def _min_poly(ctx: FieldCtx, v: list[int], m, deg: int) -> list[int] | None:
+    """The monic minimal polynomial of v modulo m over ctx when its degree is
+    deg, or None when it is smaller, by Gaussian elimination on the
+    coefficient vectors of 1, v, v**2, ...; raises CrossCheckMismatch when
+    1, v, ..., v**deg are linearly independent.
+
+    Each row keeps, beside its reduced vector with leading entry 1, the
+    polynomial in v that it equals, so the first dependence reads off mu.
+    """
+    add, mul, inv, neg = ctx.add_i, ctx.mul_i, ctx.inv_i, ctx.neg_i
+    width = len(m) - 1
+    rows: list[tuple[int, list[int], list[int]]] = []
+    power = [1]
+    for j in range(deg + 1):
+        if j == 1:
+            power = list(v)
+        elif j:
+            power = _trim(_divmod_coeffs(ctx, _mul_coeffs(ctx, power, v), m)[1])
+        vec = power + [0] * (width - len(power))
+        combo = [0] * j + [1]
+        for pivot, row, rc in rows:
+            f = vec[pivot]
+            if f:
+                f = neg(f)
+                vec = [add(a, mul(f, b)) for a, b in zip(vec, row)]
+                for i, b in enumerate(rc):
+                    combo[i] = add(combo[i], mul(f, b))
+        pivot = next((i for i, a in enumerate(vec) if a), None)
+        if pivot is None:
+            return combo if j == deg else None
+        s = inv(vec[pivot])
+        rows.append((pivot, [mul(s, a) for a in vec], [mul(s, a) for a in combo]))
+    raise CrossCheckMismatch(
+        f"the norm has no minimal polynomial of degree {deg}: the input is not prime")
+
+
+@lru_cache(maxsize=1 << 12)
+def _root_in_ext(base: FieldCtx, ext: FieldCtx, mu: tuple[int, ...]) -> int:
+    """Literal of one root in ext of mu, a prime over base of degree
+    [ext : base], by equal_degree_factor; cached per (base, ext, mu)."""
+    linear = equal_degree_factor(embed(_trusted(base, list(mu)), ext), 1)
+    return ext.neg_i(linear.coeffs[0])
 
 
 def factor(f: Poly) -> Factorization:
@@ -791,11 +908,7 @@ def poly_frobenius(f: Poly, base_order: int) -> Poly:
     order, and is a ring homomorphism, so it permutes prime factorizations.
     """
     ctx = f.ctx
-    bp, bk = prime_power(base_order)
-    if bp != ctx.p or ctx.k % bk != 0:
-        raise NotASubfield(
-            f"F_{base_order} is not a subfield of the coefficient field "
-            f"F_{ctx.order}")
+    check_subfield_order(ctx, base_order)
     return _trusted(ctx, [ctx.pow_i(c, base_order) for c in f.coeffs])
 
 

@@ -399,12 +399,22 @@ def frobenius(a: FieldElem, base_order: int) -> FieldElem:
     base_order must be a power of the characteristic and the ambient order a
     power of base_order, so the map generates the relative Galois group.
     """
-    ctx = a.ctx
-    bp, bk = prime_power(base_order)
-    if bp != ctx.p or ctx.k % bk != 0:
-        raise NotASubfield(
-            f"F_{base_order} is not a subfield of F_{ctx.order}")
+    check_subfield_order(a.ctx, base_order)
     return a ** base_order
+
+
+def check_subfield_order(ctx: FieldCtx, base_order: int) -> None:
+    """Raise NotASubfield unless ctx has a subfield of order base_order; an
+    order up to the field's that is no prime power raises NotPrimePower.
+
+    The subfield orders are p**d for the divisors d of k, so a valid order
+    costs no trial division, and one above the field's order fails at once.
+    """
+    if base_order <= ctx.order:
+        if any(ctx.p ** d == base_order for d in range(1, ctx.k + 1) if ctx.k % d == 0):
+            return
+        prime_power(base_order)
+    raise NotASubfield(f"F_{base_order} is not a subfield of F_{ctx.order}")
 
 
 class CharClass:

@@ -10,7 +10,7 @@ from random import Random
 import pytest
 
 import ellcover as ec
-from ellcover import _gf2
+from ellcover import _gf2, fqpoly
 from ellcover.coverparam import (
     LABELINGS,
     Regime,
@@ -252,18 +252,69 @@ def _orbit_from_factor(reg, prime, labeling):
     return tuple(orbit)
 
 
+def _some_primes(reg, d, limit):
+    """The first `limit` primes of degree d (all when limit is None), or,
+    where listing them would sieve more than 10**5 polynomials, `limit`
+    primes drawn by rejection."""
+    if reg.q ** d <= 10 ** 5:
+        return ec.primes_with_degree(reg.base, d)[:limit]
+    rng = Random(d)
+    return [_draw_prime(reg, d, rng) for _ in range(limit)]
+
+
 @pytest.mark.parametrize("labeling", LABELINGS)
 @pytest.mark.parametrize("qell,d,limit", [((3, 5), 4, None), ((3, 5), 8, 100),
                                           ((5, 3), 2, None), ((5, 3), 4, None),
-                                          ((2, 5), 4, None), ((4, 5), 2, None)])
+                                          ((2, 5), 4, None), ((4, 5), 2, None),
+                                          ((2, 5), 8, None), ((2, 7), 6, None),
+                                          ((3, 5), 12, 30), ((4, 5), 4, None),
+                                          ((8, 3), 4, 60)])
 def test_split_prime_agrees_with_factor_oracle(qell, d, limit, labeling):
     # a private regime per labeling, so neither labeling reads the other's
     # cached factor set
     reg = Regime(*qell)
-    primes = ec.primes_with_degree(reg.base, d)[:limit]
-    for prime in primes:
+    for prime in _some_primes(reg, d, limit):
         assert ec.split_prime(reg, prime, labeling) == \
             _orbit_from_factor(reg, prime, labeling)
+
+
+def test_split_prime_retries_when_the_norm_of_x_lies_in_a_subfield(monkeypatch):
+    # over (2,5), Q = 16 and m = 2, so the norm of x is x**17 modulo the
+    # prime; for x**8 + x**7 + x**5 + x**4 + 1 it lies in F_4, so its
+    # minimal polynomial has degree 2 < n_q = 4 and a random norm replaces it
+    reg = Regime(2, 5)
+    prime = ec.Poly(reg.base, [1, 0, 0, 0, 1, 1, 0, 1, 1])
+    assert ec.irreducible(prime)
+    norm = ec.Poly.x(reg.base).pow_mod(17, prime)
+    assert norm.pow_mod(4, prime) == norm
+    degrees = []
+    min_poly = fqpoly._min_poly
+
+    def spy(ctx, v, m, deg):
+        mu = min_poly(ctx, v, m, deg)
+        degrees.append(None if mu is None else len(mu) - 1)
+        return mu
+
+    monkeypatch.setattr(fqpoly, "_min_poly", spy)
+    assert ec.split_prime(reg, prime) == _orbit_from_factor(reg, prime, "least")
+    assert degrees[0] is None and degrees[-1] == reg.n_q
+
+
+def test_monte_carlo_splits_without_cantor_zassenhaus_on_the_prime(monkeypatch):
+    # Cantor-Zassenhaus draws are left only to finding a root in F_Q of a
+    # norm's minimal polynomial, of degree n_q; a draw on anything larger
+    # would be the old split of the embedded prime coming back
+    reg = Regime(3, 5)
+    split_draw = fqpoly._split_draw
+
+    def guarded(f, d, rng):
+        if f.degree > reg.n_q:
+            raise AssertionError(f"Cantor-Zassenhaus draw on degree {f.degree}")
+        return split_draw(f, d, rng)
+
+    monkeypatch.setattr(fqpoly, "_split_draw", guarded)
+    ec.monte_carlo_distribution(reg, 20, 20, seed=7)
+    assert len(reg._split_cache) > 20
 
 
 @pytest.mark.parametrize("first,second", [

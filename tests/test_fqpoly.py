@@ -432,6 +432,23 @@ def test_poly_frobenius_properties():
         ec.poly_frobenius(ec.Poly(f16, [1, 1]), 8)
 
 
+def test_conjugate_factor_divides_the_embedded_prime():
+    prime = ec.Poly(F3, [2, 1, 1])  # x**2 + x + 2, irreducible over F_3
+    a = fqp.conjugate_factor(prime, F9)
+    assert a.degree == 1 and a.is_monic
+    assert ec.embed(prime, F9) % a == ec.Poly.zero(F9)
+    with pytest.raises(ValueError):
+        fqp.conjugate_factor(prime, F81)  # degree 2 is not a multiple of 4
+    with pytest.raises(ec.NotASubfield):
+        fqp.conjugate_factor(prime, F25)
+    # (x**2 + 1)(x**2 + x + 2): the norm x**10 has no minimal polynomial of
+    # degree 2; (x**2 + x + 2)(x**2 + 2x + 2): the gcd is not of degree 2
+    for other, msg in ((ec.Poly(F3, [1, 0, 1]), "minimal polynomial"),
+                       (ec.Poly(F3, [2, 2, 1]), "no prime factor")):
+        with pytest.raises(ec.CrossCheckMismatch, match=msg):
+            fqp.conjugate_factor(prime * other, F9)
+
+
 def test_factorization_object():
     f = ec.Poly(F2, [1, 1]) * ec.Poly(F2, [1, 1, 1]) ** 2
     fac = ec.factor(f)

@@ -2,6 +2,7 @@
 power classes, checked against the naive longhand oracles."""
 
 import hashlib
+import time
 
 import pytest
 
@@ -206,6 +207,17 @@ def test_frobenius_tower_validation():
         ec.frobenius(f8.elem(3), 4)  # F_4 is not inside F_8
     with pytest.raises(ec.NotPrimePower):
         ec.frobenius(f8.elem(3), 6)
+
+
+def test_frobenius_refuses_a_huge_order_at_once():
+    # 10**18 + 3 is prime, and trial division would not finish on it; an
+    # order above the field's is refused before any
+    t0 = time.perf_counter()
+    with pytest.raises(ec.NotASubfield):
+        ec.frobenius(ec.make_field(2, 2).elem(2), 10 ** 18 + 3)
+    with pytest.raises(ec.NotASubfield):
+        ec.poly_frobenius(ec.Poly(ec.make_field(2, 2), [2, 1]), 10 ** 18 + 3)
+    assert time.perf_counter() - t0 < 1.0
 
 
 @pytest.mark.parametrize("small,big", [
