@@ -48,7 +48,8 @@ from .gf import (
     subfield_table,
 )
 
-SIEVE_CAP = 1 << 22
+SIEVE_CAP = 1 << 22  # q**d, the sieve's table of monic polynomials
+SIEVE_PRODUCT_CAP = 1 << 20  # prime-by-cofactor products the sieve multiplies
 EQUAL_DEGREE_DRAWS = 64  # draws equal_degree_factor or conjugate_factor makes before giving up
 FACTOR_SEED = 0x5EED  # mixed into the fold that seeds the factorization draws
 # irreducible() decides Ben-Or's first round, a root in F_q, by has_root for
@@ -853,19 +854,26 @@ _prime_lists: dict[tuple[int, int, int], tuple[Poly, ...]] = {}
 def primes_with_degree(ctx: FieldCtx, d: int) -> tuple[Poly, ...]:
     """All monic irreducibles of degree d, canonically sorted.
 
-    Sieves out products prime*cofactor, so it needs q**d below the budget;
-    counting callers should use necklace_count instead.
+    Sieves out products prime*cofactor, so it needs the table, q**d, and the
+    products, sum over a <= d/2 of necklace_count(q, a) * q**(d - a), within
+    their budgets, checked before any work; counting callers should use
+    necklace_count instead.
     """
     if d < 1:
         raise ValueError("prime degree must be positive")
     q = ctx.order
-    if q ** d > SIEVE_CAP:
-        raise BudgetExceeded(
-            f"listing primes of degree {d} over F_{q} exceeds the sieve budget")
     key = (ctx.p, ctx.k, d)
     cached = _prime_lists.get(key)
     if cached is not None:
         return cached
+    if q ** d > SIEVE_CAP:
+        raise BudgetExceeded(
+            f"listing primes of degree {d} over F_{q} exceeds the sieve budget")
+    products = sum(necklace_count(q, a) * q ** (d - a) for a in range(1, d // 2 + 1))
+    if products > SIEVE_PRODUCT_CAP:
+        raise BudgetExceeded(
+            f"listing primes of degree {d} over F_{q} takes {products} products, "
+            f"over the sieve's cap {SIEVE_PRODUCT_CAP}")
     if d == 1:
         out = tuple(Poly(ctx, (c, 1)) for c in range(q))
     else:

@@ -206,11 +206,17 @@ class CharW:
 
 
 def _transfer_work(order: int, k: int, steps: int) -> int:
-    """Table steps of `steps` Horner steps over k distinct points.
+    """Table steps of `steps` Horner steps over k distinct points, counted
+    as a transfer that extends each state by each of `order` constants.
 
     Monic polynomials of degree n < k are told apart by their values at k
     points and those of degree n >= k take every value vector, so step n + 1
     extends min(order**n, order**k) states by each of `order` constants.
+    _horner_counts does less: it pushes each state once and writes each
+    line sum to its points, about min(order**n, order**k) +
+    order**min(n + 1, k) steps.  This count still charges every constant
+    and stays the budget of l_polynomial and the line kernel, so the inputs
+    they refuse stay the same.
     """
     work, states, full = 0, 1, order ** k
     for _ in range(steps):
@@ -219,35 +225,52 @@ def _transfer_work(order: int, k: int, steps: int) -> int:
     return work
 
 
+class _Shifts(dict):
+    """u -> (u + a for every literal a), each row built on first use."""
+
+    def __init__(self, add_i, order: int):
+        super().__init__()
+        self.add_i, self.order = add_i, order
+
+    def __missing__(self, u: int) -> tuple[int, ...]:
+        row = self[u] = tuple(self.add_i(u, a) for a in range(self.order))
+        return row
+
+
 def _horner_counts(ctx, points, terms: int):
     """Yield N_0, ..., N_{terms-1}, where N_n maps each value vector
     (f(x_1), ..., f(x_k)) of a monic f of degree n to the number of such f.
 
     Horner's rule makes this a transfer: f = X*g + a has f(x_i) = g(x_i)*x_i
-    + a, so N_{n+1} is N_n pushed through v -> (v_i*x_i + a)_i for every
-    constant a; N_0 is the leading 1 alone.  Counts are Python ints.
+    + a, so N_{n+1}(u) = sum_a M(u - a*1), where M is N_n pushed through
+    v -> (v_i*x_i)_i; N_0 is the leading 1 alone.  That sum is constant on
+    each line u + F_Q*(1, ..., 1), so each step pushes every state once,
+    adds its count to its line, keyed by (u_i - u_1)_{i>1}, and writes each
+    line's sum to the line's order points.  Counts are Python ints.
     """
-    mul_i, add_i, order = ctx.mul_i, ctx.add_i, ctx.order
-    xs = [x.val for x in points]
-    shifts: dict[int, tuple[int, ...]] = {}  # u -> (u + a for every a)
-
-    def shifted(u: int) -> tuple[int, ...]:
-        row = shifts.get(u)
-        if row is None:
-            row = shifts[u] = tuple(add_i(u, a) for a in range(order))
-        return row
-
     if terms < 1:
         return
-    counts = {(1,) * len(xs): 1}
+    counts = {(1,) * len(points): 1}
     yield counts
+    if terms == 1:
+        return
+    order, mul_i = ctx.order, ctx.mul_i
+    shifted = _Shifts(ctx.add_i, order)
+    # v -> v*x_i for each point, and v -> -v*x_1, which moves u to its line key
+    x1, *xs = (x.val for x in points)
+    back = [ctx.neg_i(mul_i(v, x1)) for v in range(order)]
+    scales = [[mul_i(v, x) for v in range(order)] for x in xs]
     for _ in range(terms - 1):
-        nxt: dict[tuple[int, ...], int] = {}
-        get = nxt.get
+        sums: dict[tuple[int, ...], int] = {}
+        get = sums.get
         for state, cnt in counts.items():
-            for key in zip(*[shifted(mul_i(v, x)) for v, x in zip(state, xs)]):
-                nxt[key] = get(key, 0) + cnt
-        counts = nxt
+            b = back[state[0]]
+            key = tuple([shifted[sc[v]][b] for sc, v in zip(scales, state[1:])])
+            sums[key] = get(key, 0) + cnt
+        counts = {}
+        update, origin = counts.update, shifted[0]
+        for key, total in sums.items():
+            update(dict.fromkeys(zip(origin, *[shifted[u] for u in key]), total))
         yield counts
 
 
@@ -262,7 +285,10 @@ def l_polynomial(regime: Regime, points, w, check_extra: int = 3,
     over monics of any fixed degree >= k vanishes, which makes L a
     polynomial of degree < k; the first check_extra vanishing coefficients
     are recomputed and checked, as is c_0 = 1 (CrossCheckMismatch otherwise).
+    A negative check_extra raises ValueError.
     """
+    if check_extra < 0:
+        raise ValueError("check_extra must be non-negative")
     char = CharW(regime, points, w)
     k = len(char.points)
     ell = regime.ell

@@ -294,3 +294,29 @@ class NaiveField:
             n += 1
             assert n <= self.order
         return n
+
+
+# ---------------------------------------------------------------------------
+# Monic polynomials by value vector, one constant at a time.
+
+def horner_counts(ctx, xs, terms):
+    """N_0, ..., N_{terms-1}: N_n maps each value vector (f(x_1), ...,
+    f(x_k)) of a monic f of degree n, over a field given by its literal
+    operations ctx.add_i and ctx.mul_i, to the number of such f.  Horner's
+    rule f = X*g + a: N_{n+1} is N_n pushed through v -> (v_i*x_i + a)_i
+    for every constant a, one dict update per state and constant."""
+    shifts = {}  # u -> (u + a for every a)
+
+    def shifted(u):
+        if u not in shifts:
+            shifts[u] = tuple(ctx.add_i(u, a) for a in range(ctx.order))
+        return shifts[u]
+
+    out = [{(1,) * len(xs): 1}]
+    for _ in range(terms - 1):
+        nxt = {}
+        for state, cnt in out[-1].items():
+            for key in zip(*[shifted(ctx.mul_i(v, x)) for v, x in zip(state, xs)]):
+                nxt[key] = nxt.get(key, 0) + cnt
+        out.append(nxt)
+    return out[:terms]

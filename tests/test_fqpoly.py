@@ -11,7 +11,12 @@ from hypothesis import strategies as st
 import ellcover as ec
 from ellcover import _gf2
 import ellcover.fqpoly as fqp
-from ellcover.fqpoly import ROOT_SCREEN_MAX_ORDER, SIEVE_CAP, has_root
+from ellcover.fqpoly import (
+    ROOT_SCREEN_MAX_ORDER,
+    SIEVE_CAP,
+    SIEVE_PRODUCT_CAP,
+    has_root,
+)
 
 import naive
 
@@ -409,6 +414,18 @@ def test_primes_with_degree_budget():
         ec.primes_with_degree(F5, 10)
 
 
+def test_primes_with_degree_product_budget(monkeypatch):
+    # 3**12 fits SIEVE_CAP, but the sieve would multiply 1 173 690 primes
+    # by cofactors: refused before the first product
+    def no_product(*args):
+        raise AssertionError("the sieve multiplied before the budget check")
+
+    monkeypatch.setattr(fqp, "_mul_coeffs", no_product)
+    assert 3 ** 12 <= SIEVE_CAP
+    with pytest.raises(ec.BudgetExceeded, match="1173690 products"):
+        ec.primes_with_degree(F3, 12)
+
+
 def test_monic_polys_counts():
     for ctx, d in [(F2, 3), (F3, 2), (F4, 2)]:
         polys = list(ec.monic_polys(ctx, d))
@@ -465,3 +482,6 @@ def test_factor_is_deterministic_across_calls():
 
 def test_sieve_cap_constant_sanity():
     assert 5 ** 8 <= SIEVE_CAP < 5 ** 10
+    # (5, 8) is the largest sieve the tests build, and (2, 16) the one the
+    # full enumeration needs at ENUM_D_CAP; (3, 12) is refused
+    assert 765_625 <= SIEVE_PRODUCT_CAP < 1_173_690

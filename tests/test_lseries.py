@@ -5,7 +5,7 @@ import cmath
 import logging
 import time
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings
@@ -13,7 +13,14 @@ from hypothesis import strategies as st
 
 import ellcover as ec
 from ellcover.coverparam import ENUM_D_CAP
-from ellcover.lseries import CharW, _l_coefficients_by_enumeration, _transfer_work
+from ellcover.lseries import (
+    CharW,
+    _horner_counts,
+    _l_coefficients_by_enumeration,
+    _transfer_work,
+)
+
+import naive
 
 
 R23 = ec.make_regime(2, 3)
@@ -196,6 +203,21 @@ ORACLE_REGIMES = [ec.make_regime(q, ell) for q, ell in
                   [(2, 3), (2, 5), (5, 3), (3, 5), (4, 5), (2, 7), (3, 7)]]
 
 
+@pytest.mark.parametrize("reg", ORACLE_REGIMES, ids=lambda r: f"{r.q},{r.ell}")
+def test_horner_counts_match_the_push_per_constant_oracle(reg):
+    # every set of base points with Q**k <= 20 000, through degree k + 3
+    # where Q**k <= 2 000 and through degree k + 1 above
+    Q = reg.ext.order
+    for k in range(1, reg.q + 1):
+        if Q ** k > 20_000:
+            break
+        terms = k + (4 if Q ** k <= 2_000 else 2)
+        for lits in combinations(range(reg.q), k):
+            points = [ec.embed_elem(x, reg.ext) for x in pts(reg, *lits)]
+            want = naive.horner_counts(reg.ext, [x.val for x in points], terms)
+            assert list(_horner_counts(reg.ext, points, terms)) == want
+
+
 @st.composite
 def characters(draw):
     """A regime, up to three distinct base points, and a nontrivial weight
@@ -289,6 +311,45 @@ def test_l_polynomial_budget_boundary():
         == ec.l_polynomial(R23, pts(R23, 0, 1), (1, 1))
     with pytest.raises(ec.BudgetExceeded):
         ec.l_polynomial(R23, pts(R23, 0, 1), (1, 1), budget=work - 1)
+
+
+def test_l_polynomial_rejects_a_negative_check_extra(monkeypatch):
+    import ellcover.lseries as ls
+
+    def no_transfer(*args):
+        raise AssertionError("the transfer ran before the check")
+
+    monkeypatch.setattr(ls, "_horner_counts", no_transfer)
+    for extra in (-1, -2):
+        with pytest.raises(ValueError, match="check_extra"):
+            ec.l_polynomial(R23, pts(R23, 0, 1), (1, 1), check_extra=extra)
+
+
+def test_l_polynomial_detects_a_count_moved_at_degree_k(monkeypatch):
+    # move one monic of degree k = 2 from a value vector where chi_w is a
+    # root of unity to one where it is 0: c_2 no longer vanishes
+    import ellcover.lseries as ls
+
+    real = ls._horner_counts
+    char = CharW(R23, pts(R23, 0, 1), (1, 1))
+
+    def lying(ctx, points, terms):
+        for n, counts in enumerate(real(ctx, points, terms)):
+            if n == len(points):
+                counts = dict(counts)
+                src = next(v for v in counts if char.exponent(v) is not None)
+                dst = next(v for v in counts if char.exponent(v) is None)
+                counts[src] -= 1
+                counts[dst] += 1
+            yield counts
+
+    monkeypatch.setattr(ls, "_horner_counts", lying)
+    # no vanishing degree is checked, so the lie goes unseen
+    assert [list(c.coords) for c in
+            ec.l_polynomial(R23, pts(R23, 0, 1), (1, 1), check_extra=0)] \
+        == [[1, 0], [2, 0]]
+    with pytest.raises(ec.CrossCheckMismatch, match="degree-2"):
+        ec.l_polynomial(R23, pts(R23, 0, 1), (1, 1), check_extra=1)
 
 
 def test_l_polynomial_frozen_over_f5():
