@@ -7,12 +7,13 @@ power basis 1, zeta, ..., zeta**(ell-2) of Z[zeta_ell]; the per-character
 generating series G_w has plain integer coefficients because each Euler
 factor sums the character over the ell-1 possible slots of a prime, giving
 1 + (ell-1)u**d when the prime's class functional vanishes and 1 - u**d
-otherwise.  Which of the two a prime gets depends only on the line of its
-class vector at the weighted points, so the series is read off base-prime
-line counts at those points, made from monic polynomials over the
-extension without listing any prime.  Inverting the ell**k series counts
-the branch tuples of each class sum, which the exact ensemble law and the
-constrained counts both read; the latter are checked by enumeration.
+otherwise.  Which of the two a prime gets depends only on whether its
+class vector at the weighted points is orthogonal to w, so the series is
+read off the base primes orthogonal to w's line, peeled from monic
+polynomials over the extension once per line without listing any prime.
+Inverting the series counts the branch tuples of each class sum, which the
+exact law and the constrained counts both read; the latter are checked by
+enumeration.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, product
+from itertools import accumulate
 from math import comb, log2, sqrt
 
 from .coverparam import (
@@ -274,14 +275,13 @@ def _horner_counts(ctx, points, terms: int):
         yield counts
 
 
-def l_polynomial(regime: Regime, points, w, check_extra: int = 3,
-                 budget: int = LPOLY_ENUM_CAP) -> list[CycloInt]:
+def l_polynomial(regime: Regime, points, w, check_extra: int = 3) -> list[CycloInt]:
     """Coefficients c_0..c_{k-1} of L(u) = sum over monic f of chi_w(f) u^deg f.
 
     c_n = sum_v N_n(v) * chi_w(v), where N_n(v) counts the monic f of degree
     n with value vector v = (f(x_1), ..., f(x_k)); one Horner transfer over
     value vectors gives every N_n (see _horner_counts), at _transfer_work
-    table steps, which the budget bounds before any work starts.  The sum
+    table steps, which LPOLY_ENUM_CAP bounds before any work starts.  The sum
     over monics of any fixed degree >= k vanishes, which makes L a
     polynomial of degree < k; the first check_extra vanishing coefficients
     are recomputed and checked, as is c_0 = 1 (CrossCheckMismatch otherwise).
@@ -293,7 +293,7 @@ def l_polynomial(regime: Regime, points, w, check_extra: int = 3,
     k = len(char.points)
     ell = regime.ell
     terms = k + check_extra
-    if _transfer_work(regime.ext.order, k, terms - 1) > budget:
+    if _transfer_work(regime.ext.order, k, terms - 1) > LPOLY_ENUM_CAP:
         raise BudgetExceeded("Horner transfer over value vectors exceeds budget")
     exponent = char.exponent
     classes: dict[tuple[int, ...], int | None] = {}
@@ -395,137 +395,152 @@ def _line_of(c: tuple[int, ...], ell: int) -> tuple[int, ...]:
     return c
 
 
-def _convolve_into(out: dict, a: dict, b: dict, scale: int, ell: int) -> None:
-    """out += scale * a * b in the group ring Z[(Z/ell)^q]."""
-    for ca, na in a.items():
-        for cb, nb in b.items():
-            key = tuple((x + y) % ell for x, y in zip(ca, cb))
-            out[key] = out.get(key, 0) + scale * na * nb
+def _dot_counts(values: dict, k: int, ell: int) -> dict:
+    """Each line representative w of (Z/ell)^k (_line_of) mapped to the list,
+    by s in Z/ell, of the sums of values[c] over the c with <w, c> = s.  One
+    coordinate at a time turns c_i into w_i, carrying the partial product
+    and only prefixes of representatives: about k * ell**2 steps a line."""
+    stage = {(c, 0): n for c, n in values.items() if n}
+    for i in range(k):
+        nxt: dict = {}
+        for (v, s), n in stage.items():
+            for wi in range(ell) if any(v[:i]) else (0, 1):
+                key = (v[:i] + (wi,) + v[i + 1:], (s + wi * v[i]) % ell)
+                nxt[key] = nxt.get(key, 0) + n
+        stage = nxt
+    out: dict = {}
+    for (w, s), n in stage.items():
+        out.setdefault(w, [0] * ell)[s] += n
+    return out
+
+
+def _invert(values: dict, k: int, ell: int) -> dict:
+    """The nonzero A(v), v a line representative of (Z/ell)^k, given
+    G(w) = sum_c A(c) zeta**<w, c> at each line representative w and A
+    constant on each line less 0: A(v) = (ell*S(v) - T) / ((ell-1) ell**k),
+    S(v) the sum of G over the w orthogonal to v and T over all w.
+    CrossCheckMismatch unless that is a whole non-negative number."""
+    weighted = {w: g * (ell - 1 if any(w) else 1) for w, g in values.items()}
+    total, scale = sum(weighted.values()), (ell - 1) * ell ** k
+    out = {}
+    for v, sums in _dot_counts(weighted, k, ell).items():
+        a, r = divmod(ell * sums[0] - total, scale)
+        if r or a < 0:
+            raise CrossCheckMismatch(f"character inversion gives "
+                                     f"{ell * sums[0] - total}/{scale} at {v}")
+        if a:
+            out[v] = a
+    return out
 
 
 class _LineKernel:
-    """Base primes of degree n_q*m by class line at a set of base points,
-    built one degree at a time.
+    """Base primes of degree n_q*m orthogonal to each line at a set of base
+    points, built one degree at a time.
 
-    Work is over the extension F_Q, Q = q**n_q, in the group ring of
-    G = (Z/ell)^k for k base points x_1..x_k, where a monic f with no root
-    at those points has class vector c_f = (log f(x_i) mod ell)_i.  M_n, the
-    monic f of degree n by class vector, comes from the Horner transfer for
-    n < k and is uniform, Q**(n-k) * ((Q-1)/ell)**k per vector, for n >= k,
-    since such f take every value vector equally often.  The Euler product
-    sum_n M_n u**n = prod_pi (1 - u**deg pi [c_pi])**-1 over the F_Q-primes
-    other than X - x_i then gives, by its logarithmic derivative, the power
-    sums Lambda_n = n M_n - sum_{i<n} Lambda_i M_{n-i}
-    = sum_{m | n} m psi_{n/m}(P_m), where P_m counts those F_Q-primes of
-    degree m by class vector and psi_k maps [c] to [k c]; each step peels
-    off P_n.  An F_Q-prime whose Frobenius orbit is shorter than n_q has its
-    coefficients in a field F_{q^s} with ell not dividing q^s - 1, so its
-    class vector is 0; the rest come in orbits of n_q over the base primes
-    of degree n_q*m, with classes q^j * c on one line.
+    Work is over the extension F_Q, Q = q**n_q, at k base points x_1..x_k,
+    where a monic f with no root at those points has class vector
+    c_f = (log f(x_i) mod ell)_i.  M_n, the monic f of degree n by class
+    vector, comes from the Horner transfer for n < k and is uniform,
+    Q**(n-k) * ((Q-1)/ell)**k per vector, for n >= k, since such f take
+    every value vector equally often.  The Euler product sum_n M_n u**n =
+    prod_pi (1 - u**deg pi [c_pi])**-1 over the F_Q-primes other than
+    X - x_i gives, by its logarithmic derivative, the power sums
+    Lambda_n = n M_n - sum_{i<n} Lambda_i M_{n-i} = sum_{m | n} m psi_{n/m}(P_m),
+    where P_m counts those F_Q-primes of degree m by class vector and psi_t
+    maps [c] to [t c]; each step peels off P_n.  [c] -> [<w, c>] maps all of
+    it to Z[Z/ell], with psi_t: s -> t*s, so the peel runs on lists of ell
+    counts, once per line representative w.  An F_Q-prime whose Frobenius
+    orbit is shorter than n_q has its coefficients in a field F_{q^s} with
+    ell not dividing q^s - 1, so its class vector is 0; the rest come in
+    orbits of n_q over the base primes of degree n_q*m, on one line.
     """
 
     def __init__(self, idx: tuple[int, ...]):
         self.idx = idx  # literals of the base points, one coordinate each
-        self.monic: list[dict] = []  # M_0, ..., M_h for h < k
-        self.power_sums: list[dict] = [{}]  # Lambda_n, index n
-        self.primes: list[dict] = [{}]  # P_n, index n
-        self.lines: list[dict] = []  # entry m - 1: line -> base primes
+        self.monic: dict = {}  # line -> [M_0, ..., M_h], h < max(k, 1)
+        self.peel: dict = {}  # line -> ([Lambda_n], [P_n]), index n
+        self.orthogonal: list[dict] = []  # entry m - 1: line -> base primes
 
     def _count_monics(self, regime: Regime, h: int) -> None:
         ell, ext = regime.ell, regime.ext
         table = subfield_table(regime.base, ext)
         points = [FieldElem(ext, table[i]) for i in self.idx]
-        self.monic = []
+        per_degree = []
         for counts in _horner_counts(ext, points, h + 1):
             by_class: dict[tuple[int, ...], int] = {}
             for values, cnt in counts.items():
                 if 0 not in values:
                     key = tuple(ext.log[v] % ell for v in values)
                     by_class[key] = by_class.get(key, 0) + cnt
-            self.monic.append(by_class)
+            per_degree.append(_dot_counts(by_class, len(self.idx), ell))
+        self.monic = {w: [d[w] for d in per_degree] for w in per_degree[0]}
 
     def extend(self, regime: Regime, m_max: int) -> None:
         ell, q, n_q, Q = regime.ell, regime.q, regime.n_q, regime.ext.order
         k = len(self.idx)
-        h = min(k - 1, m_max)
-        if len(self.monic) <= h:
+        h = max(min(k - 1, m_max), 0)
+        if len(self.monic.get((0,) * k, ())) <= h:
             self._count_monics(regime, h)
         uniform = ((Q - 1) // ell) ** k  # M_k per class vector
-        zero = (0,) * k
-        for n in range(len(self.lines) + 1, m_max + 1):
-            lam: dict[tuple[int, ...], int] = {}
-            flat = 0  # coefficient of the all-ones element
-            if n < k:
-                for c, cnt in self.monic[n].items():
-                    lam[c] = n * cnt
-            else:
-                flat += n * Q ** (n - k) * uniform
-            for i in range(1, n):
-                j = n - i
-                if j < k:
-                    _convolve_into(lam, self.power_sums[i], self.monic[j], -1, ell)
-                else:
-                    flat -= (sum(self.power_sums[i].values())
-                             * Q ** (j - k) * uniform)
-            if flat:
-                for c in product(range(ell), repeat=k):
-                    lam[c] = lam.get(c, 0) + flat
-            self.power_sums.append(lam)
-            rest = dict(lam)
-            for m in range(1, n):
-                if n % m == 0:
-                    t = n // m
-                    for c, cnt in self.primes[m].items():
-                        key = tuple(t * a % ell for a in c)
-                        rest[key] = rest.get(key, 0) - m * cnt
-            primes: dict[tuple[int, ...], int] = {}
-            for c, cnt in rest.items():
-                if cnt % n or cnt < 0:
-                    raise CrossCheckMismatch(
-                        f"degree-{n} prime count {cnt}/{n} at class {c} is not "
-                        "a whole number")
-                if cnt:
-                    primes[c] = cnt // n
-            self.primes.append(primes)
+        for n in range(len(self.orthogonal) + 1, m_max + 1):
             counted = necklace_count(Q, n) - k * (n == 1)  # all but X - x_i
-            if sum(primes.values()) != counted:
-                raise CrossCheckMismatch(
-                    f"degree-{n} primes over F_{Q} by class do not add up")
-            # primes with a shorter Frobenius orbit, all of class 0
+            # those of a shorter Frobenius orbit, all of class 0
             short = counted - n_q * necklace_count(q, n_q * n)
-            lines: dict[tuple[int, ...], int] = {}
-            for c, cnt in primes.items():
-                line = _line_of(c, ell)
-                lines[line] = lines.get(line, 0) + cnt
-            lines[zero] = lines.get(zero, 0) - short
-            for line, cnt in list(lines.items()):
-                if cnt % n_q or cnt < 0:
+            orthogonal = {}
+            for w, monic in self.monic.items():
+                lams, primes = self.peel.setdefault(w, ([None], [None]))
+                del lams[n:], primes[n:]  # left by a failed extend
+                lam = [n * c for c in monic[n]] if n < k else [0] * ell
+                flat = 0 if n < k else n * Q ** (n - k) * uniform  # times all-ones
+                for i in range(1, n):
+                    a, j = lams[i], n - i
+                    if j >= k:
+                        flat -= sum(a) * Q ** (j - k) * uniform
+                        continue
+                    for t, b in enumerate(monic[j]):  # lam -= Lambda_i * M_j
+                        if b:
+                            lam = [x - b * y for x, y in zip(lam, a[ell - t:] + a[:ell - t])]
+                # the all-ones element of the group ring, projected onto w
+                ones = [ell ** (k - 1)] * ell if any(w) else [ell ** k] + [0] * (ell - 1)
+                lams.append([x + flat * o for x, o in zip(lam, ones)])
+                rest = list(lams[n])
+                for m in range(1, n):
+                    if n % m == 0:
+                        for s, cnt in enumerate(primes[m]):
+                            rest[n // m * s % ell] -= m * cnt
+                if any(cnt % n or cnt < 0 for cnt in rest):
+                    raise CrossCheckMismatch(f"degree-{n} prime counts {rest}/{n} "
+                                             f"by <{w}, c> are not whole numbers")
+                primes.append([cnt // n for cnt in rest])
+                if sum(primes[n]) != counted:
                     raise CrossCheckMismatch(
-                        f"{cnt} F_{Q}-primes of degree {n} on line {line} do not "
-                        f"form orbits of {n_q}")
-                if cnt:
-                    lines[line] = cnt // n_q
-                else:
-                    del lines[line]
-            self.lines.append(lines)
+                        f"degree-{n} primes over F_{Q} by <{w}, c> do not add up")
+                orbits, r = divmod(primes[n][0] - short, n_q)
+                if r or orbits < 0:
+                    raise CrossCheckMismatch(
+                        f"{primes[n][0] - short} F_{Q}-primes of degree {n} "
+                        f"orthogonal to {w} do not form orbits of {n_q}")
+                orthogonal[w] = orbits
+            self.orthogonal.append(orthogonal)
 
 
 def _kernel_budget(regime: Regime, k: int, m_max: int) -> None:
     """Raise BudgetExceeded unless a kernel over k points up to degree
     n_q*m_max fits: ell**k class vectors, and table steps within
-    KERNEL_STEP_CAP.  The steps are the Horner transfer for degrees < k and
-    the products of Lambda_{n-j} by M_j for every n and j < min(n, k); each
-    factor of degree i lies on the classes of monics of degree i, at most
-    min(Q**i, ell**k) of them."""
-    size = regime.ell ** k
+    KERNEL_STEP_CAP.  The steps are the Horner transfer to degree
+    h = min(k - 1, m_max), and ell**2 per line representative for each of
+    the k coordinates of each projected degree 1..h (_dot_counts) and for
+    each product Lambda_{n-j} M_j, n <= m_max, j < min(n, k)."""
+    ell = regime.ell
+    size = ell ** k
     if size > GROUP_RING_CAP:
         raise BudgetExceeded(
-            f"group ring of (Z/{regime.ell})^{k} has {size} elements, "
+            f"group ring of (Z/{ell})^{k} has {size} elements, "
             f"over the cap {GROUP_RING_CAP}")
     Q = regime.ext.order
-    steps = _transfer_work(Q, k, min(k - 1, m_max))
-    steps += sum(min(Q ** (n - j), size) * min(Q ** j, size)
-                 for n in range(2, m_max + 1) for j in range(1, min(n, k)))
+    h = max(min(k - 1, m_max), 0)
+    products = h * k + sum(max(min(n, k) - 1, 0) for n in range(2, m_max + 1))
+    steps = _transfer_work(Q, k, h) + ((size - 1) // (ell - 1) + 1) * ell ** 2 * products
     if steps > KERNEL_STEP_CAP:
         raise BudgetExceeded(
             f"counting monic polynomials over F_{Q} by class and peeling the "
@@ -533,22 +548,23 @@ def _kernel_budget(regime: Regime, k: int, m_max: int) -> None:
             f"over the cap {KERNEL_STEP_CAP}")
 
 
-def _lines_at(regime: Regime, idx: tuple[int, ...], m_max: int) -> tuple[dict, ...]:
-    """base_prime_lines at the base points with sorted literals idx: class
-    vectors have one coordinate per point.  One kernel per point set is
-    cached on the regime and extended on demand; the budget is checked
-    before any work."""
+def _orthogonal_at(regime: Regime, idx: tuple[int, ...], m_max: int) -> tuple[dict, ...]:
+    """Entry m - 1, m = 1..m_max, maps each line representative w to
+    O_m(w), the number of base primes P of degree n_q*m with <w, c_P> = 0,
+    c_P the class vector at the base points with sorted literals idx
+    (O_m(0) counts them all).  One kernel per point set is cached on the
+    regime and extended on demand; the budget is checked before any work."""
     if m_max < 0:
         raise ValueError("prime degree bound must be non-negative")
     if m_max == 0:
         return ()
     kernel = regime._lines.get(idx)
-    if kernel is None or len(kernel.lines) < m_max:
+    if kernel is None or len(kernel.orthogonal) < m_max:
         _kernel_budget(regime, len(idx), m_max)
         if kernel is None:
             kernel = regime._lines[idx] = _LineKernel(idx)
         kernel.extend(regime, m_max)
-    return tuple(kernel.lines[:m_max])
+    return tuple(kernel.orthogonal[:m_max])
 
 
 def base_prime_lines(regime: Regime, m_max: int) -> tuple[dict, ...]:
@@ -559,41 +575,36 @@ def base_prime_lines(regime: Regime, m_max: int) -> tuple[dict, ...]:
     sit under the zero vector.
 
     The lines do not depend on the anchoring rule, which only scales c_P by a
-    power of q.  No prime is listed: the counts come from monic polynomials
-    of degree < q over the extension (see _LineKernel).  Built lazily,
-    cached on the regime and extended on demand; the budgets (GROUP_RING_CAP
-    on ell**q, KERNEL_STEP_CAP on the table steps) are checked before any
-    work.  Callers must not mutate the dicts.
+    power of q.  No prime is listed: with F(c) the count on c's line over
+    ell - 1 and F(0) the primes of class 0, O_m(w) (_orthogonal_at) sums F
+    over the c orthogonal to w, so _invert of ell*O_m(w) - O_m(0), which is
+    (ell - 1) * sum_c F(c) zeta**<w, c>, gives (ell - 1) * F.  GROUP_RING_CAP
+    on ell**q and KERNEL_STEP_CAP are checked before any work.
     """
-    return _lines_at(regime, tuple(range(regime.q)), m_max)
+    ell, k = regime.ell, regime.q
+    zero = (0,) * k
+    out = []
+    for orth in _orthogonal_at(regime, tuple(range(k)), m_max):
+        lines = _invert({w: ell * o - orth[zero] for w, o in orth.items()}, k, ell)
+        class_0, r = divmod(lines.pop(zero, 0), ell - 1)
+        if r:
+            raise CrossCheckMismatch(f"{(ell - 1) * class_0 + r} is not {ell - 1} "
+                                     "times the class-0 prime count")
+        out.append(lines | ({zero: class_0} if class_0 else {}))
+    return tuple(out)
 
 
-def _zero_sums(values: dict, k: int, ell: int) -> dict:
-    """For every w in (Z/ell)^k: the sum of values[c] over the c with
-    <w, c> = 0 mod ell.  One coordinate at a time turns c_i into w_i while
-    carrying the partial dot product, at most k * ell**(k+2) steps."""
-    stage = {(c, 0): n for c, n in values.items() if n}
-    for i in range(k):
-        nxt: dict = {}
-        for (v, s), n in stage.items():
-            head, ci, tail = v[:i], v[i], v[i + 1:]
-            for wi in range(ell):
-                key = (head + (wi,) + tail, (s + wi * ci) % ell)
-                nxt[key] = nxt.get(key, 0) + n
-        stage = nxt
-    return {w: n for (w, s), n in stage.items() if s == 0}
-
-
-def _euler_series(ell: int, n_q: int, zero, totals, trunc: int) -> list[int]:
-    """Coefficients up to u**trunc of prod_m (1 + (ell-1)u**d)**zero[m-1]
-    * (1 - u**d)**(totals[m-1] - zero[m-1]), d = n_q*m, each power expanded
-    binomially: the image, under one character, of the product of the
-    factors 1 + u**d * sum_s [s c_P] over the base primes P."""
+def _euler_series(ell: int, n_q: int, per_degree, w, trunc: int) -> list[int]:
+    """Coefficients up to u**trunc of prod_m (1 + (ell-1)u**d)**O_m(w)
+    * (1 - u**d)**(O_m(0) - O_m(w)), d = n_q*m, O_m = per_degree[m-1] from
+    _orthogonal_at, each power expanded binomially: the image, under the
+    character of w, of the product of the factors 1 + u**d * sum_s [s c_P]
+    over the base primes P."""
     series = [0] * (trunc + 1)
     series[0] = 1
-    for m, (z, total) in enumerate(zip(zero, totals), start=1):
-        d = n_q * m
-        for a, e in ((ell - 1, z), (-1, total - z)):
+    for m, orth in enumerate(per_degree, start=1):
+        d, z = n_q * m, orth[w]
+        for a, e in ((ell - 1, z), (-1, orth[(0,) * len(w)] - z)):
             if not e:
                 continue
             terms = [comb(e, j) * a ** j for j in range(trunc // d + 1)]
@@ -611,36 +622,24 @@ def _class_sum_counts(regime: Regime, idx: tuple[int, ...], D: int) -> dict:
     Under the character [c] -> zeta**<w, c> the factor 1 + u**d sum_s [s c_P]
     of each prime becomes 1 + (ell-1)u**d or 1 - u**d, so coefficient D of
     the product is an integer G_w fixed by how many primes of each degree
-    lie on lines orthogonal to w, the same for every nonzero multiple of w.
-    Hence A(v) = (ell * S(v) - T) / ((ell-1) * ell**k), S(v) the sum of G_w
-    over the w orthogonal to v and T over all w; CrossCheckMismatch unless
-    that is a whole non-negative number.  Labeling-free: re-anchoring moves
-    no prime off its line.
+    are orthogonal to w, the same for every nonzero multiple of w.  Scaling
+    every slot by a unit permutes the tuples, so A is constant on each line
+    less 0, and _invert recovers it from G.  Labeling-free: re-anchoring
+    moves no prime off its line.
     """
     ell, n_q, k = regime.ell, regime.n_q, len(idx)
-    per_degree = _lines_at(regime, idx, D // n_q)
-    totals = [sum(lines.values()) for lines in per_degree]
-    zero = [_zero_sums(lines, k, ell) for lines in per_degree]
+    per_degree = _orthogonal_at(regime, idx, D // n_q)
     by_profile: dict[tuple[int, ...], int] = {}
     coeffs = {}
-    for w in product(range(ell), repeat=k):
-        profile = tuple(z.get(w, 0) for z in zero)
+    for w in _dot_counts({(0,) * k: 1}, k, ell):  # every line representative
+        profile = tuple(orth[w] for orth in per_degree)
         if profile not in by_profile:
-            by_profile[profile] = _euler_series(ell, n_q, profile, totals, D)[D]
+            by_profile[profile] = _euler_series(ell, n_q, per_degree, w, D)[D]
         coeffs[w] = by_profile[profile]
-    total = sum(coeffs.values())
-    scale = (ell - 1) * ell ** k
-    sums = _zero_sums(coeffs, k, ell)
     counts = {}
-    for v in product(range(ell), repeat=k):
-        numerator = ell * sums.get(v, 0) - total
-        a, r = divmod(numerator, scale)
-        if r or a < 0:
-            raise CrossCheckMismatch(
-                f"character inversion gives {numerator}/{scale} tuples with "
-                f"class sum {v}")
-        if a:
-            counts[v] = a
+    for v, a in _invert(coeffs, k, ell).items():
+        for t in range(1, ell) if any(v) else (1,):
+            counts[tuple(t * c % ell for c in v)] = a
     return counts
 
 
@@ -665,8 +664,8 @@ def g_series(regime: Regime, points, w, trunc: int) -> list[int]:
     weighted class functional e_P = sum_i w_i * class_i(P) vanishes mod ell,
     and 1 - u**d otherwise.  Whether e_P vanishes depends only on the line
     of c_P at the points of nonzero weight, so the product is read off the
-    base-prime lines at those points alone (ell**s class vectors for s such
-    points, whatever q is).
+    base primes orthogonal to w's line at those points alone (ell**s class
+    vectors for s such points, whatever q is).
     """
     ell = regime.ell
     idx = _base_literals(regime, points)
@@ -674,14 +673,10 @@ def g_series(regime: Regime, points, w, trunc: int) -> list[int]:
     if len(w) != len(idx):
         raise InvalidTuple("weight vector length must match points")
     support = sorted((i, wi) for i, wi in zip(idx, w) if wi)
-    weights = [wi for _, wi in support]
-    per_degree = _lines_at(regime, tuple(i for i, _ in support),
-                           trunc // regime.n_q)
-    zero = [sum(cnt for line, cnt in lines.items()
-                if sum(a * c for a, c in zip(weights, line)) % ell == 0)
-            for lines in per_degree]
-    totals = [sum(lines.values()) for lines in per_degree]
-    return _euler_series(ell, regime.n_q, zero, totals, trunc)
+    per_degree = _orthogonal_at(regime, tuple(i for i, _ in support),
+                                trunc // regime.n_q)
+    line = _line_of(tuple(wi for _, wi in support), ell)
+    return _euler_series(ell, regime.n_q, per_degree, line, trunc)
 
 
 def count_constrained(regime: Regime, D: int, points, targets,

@@ -23,6 +23,7 @@ from .coverparam import (
     LABELINGS,
     CoverParams,
     Regime,
+    _enumerate_full,
     _prime_multiplicities,
     class_vector,
     count_tuples,
@@ -73,7 +74,7 @@ def _sample_jobs(regime: Regime, max_D: int, tuple_cap: int, unit_cap: int):
 def run_checks(q: int, ell: int, max_D: int = 4, tuple_cap: int = 25,
                unit_cap: int = 5) -> list[CheckResult]:
     """Run the full battery for one regime; every row is independently
-    recomputed evidence, not a cached pass."""
+    recomputed evidence, not a cached pass.  ValueError if max_D < n_q."""
     results: list[CheckResult] = []
 
     def record(name: str, fn) -> None:
@@ -90,6 +91,9 @@ def run_checks(q: int, ell: int, max_D: int = 4, tuple_cap: int = 25,
     results.append(CheckResult(
         "regime", True,
         f"q={q}, ell={ell}, n_q={regime.n_q}, extension F_{regime.ext.order}"))
+    if max_D < regime.n_q:  # no branch degree to check: every row would pass
+        raise ValueError(f"max degree {max_D} is below the least branch degree "
+                         f"n_q = {regime.n_q}: use --max-degree {regime.n_q} or more")
 
     def check_fibers() -> str:
         n_models = 0
@@ -154,6 +158,7 @@ def run_checks(q: int, ell: int, max_D: int = 4, tuple_cap: int = 25,
         # exactly is a slot-reindexing bijection of each stratum, so the
         # histogram of counts over all tuples at any fixed unit is identical
         # for both rules; that is the statement the statistics rely on.
+        # Counted from class vectors, as the class-kernel row checks them.
         from collections import Counter
 
         d = regime.n_q
@@ -164,9 +169,8 @@ def run_checks(q: int, ell: int, max_D: int = 4, tuple_cap: int = 25,
             hists = {}
             for lab in LABELINGS:
                 counter: Counter[int] = Counter()
-                for fs in enumerate_tuples(regime, d):
-                    params = CoverParams(regime, fs, b)
-                    counter[point_count(twisted_model(params, lab))] += 1
+                for pm in _enumerate_full(regime, d):
+                    counter[ell * class_vector(regime, pm, b, lab).count(0)] += 1
                 hists[lab] = counter
             _require(hists["least"] == hists["greatest"],
                      f"tuple-ensemble histogram at b={b} depends on anchoring: "

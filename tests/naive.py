@@ -320,3 +320,69 @@ def horner_counts(ctx, xs, terms):
                 nxt[key] = nxt.get(key, 0) + cnt
         out.append(nxt)
     return out[:terms]
+
+
+# ---------------------------------------------------------------------------
+# Base primes by class line, peeled in the group ring of (Z/ell)^k.
+
+def group_ring_lines(monic, ell, q, n_q, Q, k, m_max):
+    """Base primes of degree n_q*m, m = 1..m_max, by the line of their class
+    vector at k points, each line keyed by its representative whose first
+    nonzero coordinate is 1 (the zero vector for class 0).  monic[n], n < k,
+    maps each class vector to the number of monic f of degree n over F_Q,
+    Q = q**n_q, with no root at the points and that class; from degree k on
+    every class holds Q**(n-k) * ((Q-1)/ell)**k of them.
+
+    The Euler product of the monics is peeled one degree at a time in the
+    group ring Z[(Z/ell)^k], with dicts keyed by class tuples:
+    Lambda_n = n M_n - sum_{i<n} Lambda_i M_{n-i} = sum_{m | n} m psi_{n/m}(P_m)
+    gives P_n, the F_Q-primes of degree n by class; the primes with a Frobenius
+    orbit shorter than n_q (class 0) are set aside and the rest form orbits
+    of n_q on one line."""
+
+    def line_of(c):
+        for a in c:
+            if a:
+                inv = pow(a, -1, ell)
+                return tuple(b * inv % ell for b in c)
+        return c
+
+    every = list(product(range(ell), repeat=k))
+    uniform = ((Q - 1) // ell) ** k
+    power_sums, primes, out = [{}], [{}], []
+    for n in range(1, m_max + 1):
+        lam = {}
+        flat = 0  # coefficient of the all-ones element
+        if n < k:
+            for c, cnt in monic[n].items():
+                lam[c] = n * cnt
+        else:
+            flat += n * Q ** (n - k) * uniform
+        for i in range(1, n):
+            j = n - i
+            if j >= k:
+                flat -= sum(power_sums[i].values()) * Q ** (j - k) * uniform
+                continue
+            for ca, na in power_sums[i].items():
+                for cb, nb in monic[j].items():
+                    key = tuple((x + y) % ell for x, y in zip(ca, cb))
+                    lam[key] = lam.get(key, 0) - na * nb
+        for c in every if flat else ():
+            lam[c] = lam.get(c, 0) + flat
+        power_sums.append(lam)
+        rest = dict(lam)
+        for m in range(1, n):
+            if n % m == 0:
+                for c, cnt in primes[m].items():
+                    key = tuple(n // m * a % ell for a in c)
+                    rest[key] = rest.get(key, 0) - m * cnt
+        assert all(cnt % n == 0 and cnt >= 0 for cnt in rest.values())
+        primes.append({c: cnt // n for c, cnt in rest.items() if cnt})
+        counted = necklace_formula(Q, n) - k * (n == 1)  # all but X - x_i
+        assert sum(primes[n].values()) == counted
+        lines = {(0,) * k: n_q * necklace_formula(q, n_q * n) - counted}
+        for c, cnt in primes[n].items():
+            lines[line_of(c)] = lines.get(line_of(c), 0) + cnt
+        assert all(cnt % n_q == 0 and cnt >= 0 for cnt in lines.values())
+        out.append({line: cnt // n_q for line, cnt in lines.items() if cnt})
+    return out

@@ -155,6 +155,12 @@ def test_verify_passes(capsys):
     assert "all checks passed" in out
 
 
+def test_verify_below_the_least_branch_degree_exits_2(capsys):
+    rc, out, err = run(capsys, "verify", "--q", "3", "--ell", "7")
+    assert (rc, out) == (2, "")
+    assert "--max-degree 6 or more" in err and "Traceback" not in err
+
+
 def test_usage_errors_exit_2(capsys):
     assert run(capsys, "enumerate", "--q", "2", "--ell", "3")[0] == 2  # no degree
     assert run(capsys, "nonsense")[0] == 2

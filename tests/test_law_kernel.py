@@ -1,6 +1,7 @@
 """Exact ensemble laws from the base-prime line kernel: the kernel against a
-prime sieve, the law against every enumerated cover, g_series against the
-per-prime Euler product, and the budgets checked before any work."""
+prime sieve and against the group-ring peel, the law against every
+enumerated cover, g_series against the per-prime Euler product, and the
+budgets checked before any work."""
 
 import json
 import time
@@ -13,11 +14,18 @@ import ellcover as ec
 import ellcover.lseries as ls
 from ellcover.coverparam import LABELINGS, Regime
 from ellcover.ensemble import _enumerated_law, _report
-from ellcover.lseries import _line_of, base_prime_lines
+from ellcover.gf import FieldElem, subfield_table
+from ellcover.lseries import _LineKernel, _horner_counts, _line_of, base_prime_lines
+
+import naive
 
 # (q, ell) and the largest m whose sieve of degree n_q*m stays cheap; every
 # q**(n_q*m) here is within fqpoly.SIEVE_CAP.
 SIEVED = [((2, 3), 6), ((3, 5), 2), ((5, 3), 3), ((2, 5), 3), ((4, 5), 3)]
+# (q, ell) and the largest m at which the group-ring peel of tests/naive.py
+# takes about a second: every SIEVED regime and three with larger rings
+PEELED = [((2, 3), 30), ((3, 5), 20), ((5, 3), 5), ((2, 5), 30), ((4, 5), 6),
+          ((3, 7), 2), ((4, 7), 3), ((3, 11), 3)]
 
 
 def sieved_lines(reg, m, labeling):
@@ -27,6 +35,23 @@ def sieved_lines(reg, m, labeling):
         line = _line_of(ec.prime_classes(reg, prime, labeling), reg.ell)
         lines[line] = lines.get(line, 0) + 1
     return lines
+
+
+def monics_by_class(reg, h):
+    """M_0, ..., M_h: the monic polynomials of each degree over the extension
+    with no root at the affine points, by class vector at those points."""
+    ext, ell = reg.ext, reg.ell
+    table = subfield_table(reg.base, ext)
+    points = [FieldElem(ext, table[i]) for i in range(reg.q)]
+    out = []
+    for counts in _horner_counts(ext, points, h + 1):
+        by_class = {}
+        for values, cnt in counts.items():
+            if 0 not in values:
+                key = tuple(ext.log[v] % ell for v in values)
+                by_class[key] = by_class.get(key, 0) + cnt
+        out.append(by_class)
+    return out
 
 
 def sieved_g_series(reg, points, w, trunc):
@@ -58,13 +83,39 @@ def test_kernel_matches_the_sieve(qell, m_max, labeling):
         assert sum(lines.values()) == ec.necklace_count(reg.q, reg.n_q * m)
 
 
+@pytest.mark.parametrize("qell, m_max", PEELED)
+def test_kernel_matches_the_group_ring_peel(qell, m_max):
+    reg = Regime(*qell)
+    k = reg.q
+    monic = monics_by_class(reg, min(k - 1, m_max))
+    want = naive.group_ring_lines(monic, reg.ell, reg.q, reg.n_q, reg.ext.order,
+                                  k, m_max)
+    assert list(base_prime_lines(reg, m_max)) == want
+
+
+def test_kernel_detects_a_moved_monic_count():
+    # move one monic of degree 1, itself a prime X - a, onto the classes
+    # orthogonal to w = (1, 0): the primes orthogonal to w no longer form
+    # orbits of n_q = 2
+    reg = Regime(2, 3)
+    kernel = _LineKernel((0, 1))
+    kernel._count_monics(reg, 1)
+    degree_one = kernel.monic[(1, 0)][1]
+    s = next(s for s in (1, 2) if degree_one[s])
+    degree_one[s] -= 1
+    degree_one[0] += 1
+    with pytest.raises(ec.CrossCheckMismatch, match="orbits of 2"):
+        kernel.extend(reg, 3)
+    assert kernel.orthogonal == []
+
+
 def test_kernel_is_lazy_cached_and_extended():
     reg = Regime(2, 3)
     assert reg._lines == {}  # not built at construction
     first = base_prime_lines(reg, 3)
     kernel = reg._lines[(0, 1)]
     assert base_prime_lines(reg, 2) == first[:2]
-    assert reg._lines == {(0, 1): kernel} and len(kernel.lines) == 3
+    assert reg._lines == {(0, 1): kernel} and len(kernel.orthogonal) == 3
     longer = base_prime_lines(reg, 7)
     assert reg._lines == {(0, 1): kernel} and longer[:3] == first
     assert longer == base_prime_lines(Regime(2, 3), 7)  # built in one go
@@ -133,10 +184,12 @@ def test_budgets_raise_before_any_work():
         ec.exhaustive_distribution(Regime(11, 3), 0)  # 3**11 class vectors
     with pytest.raises(ec.BudgetExceeded):
         ec.exhaustive_distribution(ec.make_regime(2, 3), 60)  # D = 62
-    # the Euler-product peel counts too: (5, 3) is cheap to count monics
-    # for but multiplies 3**5-element ring elements at every degree
-    with pytest.raises(ec.BudgetExceeded, match="table steps"):
-        ec.exhaustive_distribution(ec.make_regime(5, 3), 58)  # D = 60
+    # the group-ring peel refused (5, 3) at D = 60; the peel per line runs
+    # it, and the TV is what that peel gave with its step cap lifted
+    rep = ec.exhaustive_distribution(Regime(5, 3), 58)
+    assert rep.D == 60
+    assert rep.tv == Fraction(35586742180511,
+                              8168466759378288682225359502527313945189968)
 
 
 def test_budget_edges_of_the_kernel(monkeypatch):
@@ -145,17 +198,22 @@ def test_budget_edges_of_the_kernel(monkeypatch):
     with pytest.raises(ec.BudgetExceeded):
         base_prime_lines(reg, 1)
     monkeypatch.setattr(ls, "GROUP_RING_CAP", 9)
-    monkeypatch.setattr(ls, "KERNEL_STEP_CAP", 3)  # one Horner step of 4
+    # one Horner step of 4, and M_1 projected onto the 5 lines of (Z/3)^2
+    # at 3**2 steps a line for each of 2 coordinates
+    steps = 4 + 5 * 9 * 2
+    monkeypatch.setattr(ls, "KERNEL_STEP_CAP", steps - 1)
     with pytest.raises(ec.BudgetExceeded):
         base_prime_lines(reg, 1)
     assert reg._lines == {}
-    monkeypatch.setattr(ls, "KERNEL_STEP_CAP", 4)
+    monkeypatch.setattr(ls, "KERNEL_STEP_CAP", steps)
     assert base_prime_lines(reg, 1) == ({(1, 2): 1},)
-    # degrees 2..5 each multiply Lambda_{n-1} (4, then 9 classes) by M_1
-    # (4 classes)
+    # degrees 2..5 each multiply Lambda_{n-1} by M_1 on each of the 5 lines,
+    # at 3**2 steps a product
+    steps += 4 * 5 * 9
+    monkeypatch.setattr(ls, "KERNEL_STEP_CAP", steps - 1)
     with pytest.raises(ec.BudgetExceeded):
         base_prime_lines(reg, 5)
-    monkeypatch.setattr(ls, "KERNEL_STEP_CAP", 4 + 4 * 4 + 3 * 9 * 4)
+    monkeypatch.setattr(ls, "KERNEL_STEP_CAP", steps)
     assert base_prime_lines(reg, 5)[0] == {(1, 2): 1}
 
 

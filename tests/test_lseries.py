@@ -298,19 +298,26 @@ def test_l_polynomial_rejects_the_point_at_infinity():
         ec.l_polynomial(R23, [R23.base.elem(0), 1], [1, 1])
 
 
-def test_l_polynomial_budget():
+def test_l_polynomial_budget(monkeypatch):
+    import ellcover.lseries as ls
+
+    monkeypatch.setattr(ls, "LPOLY_ENUM_CAP", 10)
     with pytest.raises(ec.BudgetExceeded):
-        ec.l_polynomial(R23, pts(R23, 0, 1), (1, 1), budget=10)
+        ec.l_polynomial(R23, pts(R23, 0, 1), (1, 1))
 
 
-def test_l_polynomial_budget_boundary():
+def test_l_polynomial_budget_boundary(monkeypatch):
     # F_4, two points, 2 + 3 - 1 = 4 Horner steps from 1, 4, 16, 16 value
     # vectors, each extended by 4 constants
+    import ellcover.lseries as ls
+
     work = 4 * (1 + 4 + 16 + 16)
-    assert ec.l_polynomial(R23, pts(R23, 0, 1), (1, 1), budget=work) \
-        == ec.l_polynomial(R23, pts(R23, 0, 1), (1, 1))
+    want = ec.l_polynomial(R23, pts(R23, 0, 1), (1, 1))
+    monkeypatch.setattr(ls, "LPOLY_ENUM_CAP", work)
+    assert ec.l_polynomial(R23, pts(R23, 0, 1), (1, 1)) == want
+    monkeypatch.setattr(ls, "LPOLY_ENUM_CAP", work - 1)
     with pytest.raises(ec.BudgetExceeded):
-        ec.l_polynomial(R23, pts(R23, 0, 1), (1, 1), budget=work - 1)
+        ec.l_polynomial(R23, pts(R23, 0, 1), (1, 1))
 
 
 def test_l_polynomial_rejects_a_negative_check_extra(monkeypatch):
@@ -479,21 +486,21 @@ def test_count_constrained_rejects_a_unit_that_is_no_field_element():
 
 
 def test_count_constrained_detects_tampering(monkeypatch):
-    # move one prime of the highest degree to the zero line in the kernel
-    # the class-sum side reads, and demand the mismatch is loud
+    # move one prime of the highest degree from the line of (1, 2) to the
+    # zero line in the kernel the class-sum side reads: it becomes
+    # orthogonal to every w that (1, 2) is not.  Demand the mismatch is loud
     import ellcover.lseries as ls
 
-    real = ls._lines_at
+    real = ls._orthogonal_at
 
     def lying(reg, idx, m_max):
-        out = [dict(lines) for lines in real(reg, idx, m_max)]
+        out = [dict(orth) for orth in real(reg, idx, m_max)]
         top = out[-1]
-        top[min(top)] -= 1
-        zero = (0,) * len(idx)
-        top[zero] = top.get(zero, 0) + 1
+        for w in top:
+            top[w] += (w[0] + 2 * w[1]) % 3 != 0
         return tuple(out)
 
-    monkeypatch.setattr(ls, "_lines_at", lying)
+    monkeypatch.setattr(ls, "_orthogonal_at", lying)
     with pytest.raises(ec.CrossCheckMismatch):
         ls.count_constrained(R23, 4, pts(R23, 0, 1), (0, 0), R23.ext.elem(1))
 

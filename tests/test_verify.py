@@ -6,6 +6,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import ellcover as ec
 import ellcover.verify as verify
 from ellcover.verify import CheckResult, run_checks
@@ -57,6 +59,19 @@ def test_bad_regime_reported_not_raised():
     assert "CharacteristicDividesEll" in results[0].detail
     results = run_checks(6, 5)
     assert not results[0].passed
+
+
+def test_max_degree_below_n_q_is_refused_before_any_row(monkeypatch):
+    # (3, 7) has n_q = 6: the default max_D = 4 holds no branch degree, so
+    # every row would pass on zero covers
+    def forbidden(*args):
+        raise AssertionError("a row ran")
+
+    monkeypatch.setattr(verify, "projective_points", forbidden)
+    with pytest.raises(ValueError, match="--max-degree 6 or more"):
+        run_checks(3, 7)
+    with pytest.raises(ValueError, match="--max-degree 2 or more"):
+        run_checks(2, 3, max_D=1)
 
 
 def test_check_result_shape():
