@@ -19,10 +19,12 @@ enumeration.
 from __future__ import annotations
 
 import logging
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, chain, repeat
 from math import comb, log2, sqrt
+from operator import mul
 
 from .coverparam import (
     ENUM_D_CAP,
@@ -46,9 +48,8 @@ from .gf import FieldElem, embed_elem, lth_power_class, subfield_table
 
 log = logging.getLogger("ellcover")
 
-LPOLY_ENUM_CAP = 1 << 22
 GROUP_RING_CAP = 1 << 13  # ell**k, the size of the class-vector group ring
-KERNEL_STEP_CAP = 1 << 22  # table steps building one base-prime line kernel
+KERNEL_STEP_CAP = 1 << 22  # table steps of one L-polynomial or line kernel
 
 
 class CycloInt:
@@ -206,86 +207,89 @@ class CharW:
         return CycloInt.zeta_pow(self.regime.ell, e)
 
 
-def _transfer_work(order: int, k: int, steps: int) -> int:
-    """Table steps of `steps` Horner steps over k distinct points, counted
-    as a transfer that extends each state by each of `order` constants.
-
-    Monic polynomials of degree n < k are told apart by their values at k
-    points and those of degree n >= k take every value vector, so step n + 1
-    extends min(order**n, order**k) states by each of `order` constants.
-    _horner_counts does less: it pushes each state once and writes each
-    line sum to its points, about min(order**n, order**k) +
-    order**min(n + 1, k) steps.  This count still charges every constant
-    and stays the budget of l_polynomial and the line kernel, so the inputs
-    they refuse stay the same.
-    """
-    work, states, full = 0, 1, order ** k
-    for _ in range(steps):
-        work += states * order
-        states = min(states * order, full)
-    return work
+def _transfer_steps(order: int, k: int, terms: int) -> int:
+    """Table steps of _horner_counts over k points to degree terms - 1: the
+    monics of degree n have order**min(n, k) value vectors at k points, each
+    classed once and, below the last degree, pushed once.  The budget of
+    l_polynomial and the line kernel."""
+    below = min(terms, k)
+    states = (order ** below - 1) // (order - 1) + (terms - below) * order ** k
+    return 2 * states - order ** min(terms - 1, k)
 
 
-class _Shifts(dict):
-    """u -> (u + a for every literal a), each row built on first use."""
+class _Rows(dict):
+    """u -> row(u), each row built on first use."""
 
-    def __init__(self, add_i, order: int):
+    def __init__(self, row):
         super().__init__()
-        self.add_i, self.order = add_i, order
+        self.row = row
 
-    def __missing__(self, u: int) -> tuple[int, ...]:
-        row = self[u] = tuple(self.add_i(u, a) for a in range(self.order))
+    def __missing__(self, u: int) -> tuple:
+        row = self[u] = self.row(u)
         return row
 
 
-def _horner_counts(ctx, points, terms: int):
-    """Yield N_0, ..., N_{terms-1}, where N_n maps each value vector
-    (f(x_1), ..., f(x_k)) of a monic f of degree n to the number of such f.
+def _horner_counts(ctx, points, terms: int, ell: int):
+    """Yield M_0, ..., M_{terms-1}, terms >= 1, where M_n maps each class vector
+    (log f(x_i) mod ell)_i of a monic f of degree n with no root at the
+    points to the number of such f.
 
-    Horner's rule makes this a transfer: f = X*g + a has f(x_i) = g(x_i)*x_i
-    + a, so N_{n+1}(u) = sum_a M(u - a*1), where M is N_n pushed through
-    v -> (v_i*x_i)_i; N_0 is the leading 1 alone.  That sum is constant on
-    each line u + F_Q*(1, ..., 1), so each step pushes every state once,
-    adds its count to its line, keyed by (u_i - u_1)_{i>1}, and writes each
-    line's sum to the line's order points.  Counts are Python ints.
+    Horner's rule makes this a transfer on value vectors: f = X*g + a has
+    f(x_i) = g(x_i)*x_i + a, so the count at u sums the counts one degree
+    down at the v with v_i*x_i = u_i - a over every a, the same sum at every
+    point of the line u + F_Q*(1, ..., 1).  With d_i = x_i - x_1, the line
+    keyed by (e_i)_{i>1} is {(t, t + e_2*d_2, ..., t + e_k*d_k) : t in F_Q},
+    and its point at t pushes to the line keyed by (t + e_i*x_i)_{i>1}; the
+    X + a form the line (1, ..., 1).  Classing a line zips k class rows and
+    pushing it k - 1 addition rows, lines of equal count in one Counter; the
+    last degree is not pushed.  Counts are Python ints.
     """
-    if terms < 1:
-        return
-    counts = {(1,) * len(points): 1}
-    yield counts
+    yield Counter({(0,) * len(points): 1})
     if terms == 1:
         return
-    order, mul_i = ctx.order, ctx.mul_i
-    shifted = _Shifts(ctx.add_i, order)
-    # v -> v*x_i for each point, and v -> -v*x_1, which moves u to its line key
+    order, mul_i, add_i = ctx.order, ctx.mul_i, ctx.add_i
+    classes = (None,) + tuple(ctx.log[v] % ell for v in range(1, order))
+    shifted = _Rows(lambda u: tuple([add_i(u, a) for a in range(order)]))
+    classed = _Rows(lambda u: tuple(map(classes.__getitem__, shifted[u])))
     x1, *xs = (x.val for x in points)
-    back = [ctx.neg_i(mul_i(v, x1)) for v in range(order)]
-    scales = [[mul_i(v, x) for v in range(order)] for x in xs]
-    for _ in range(terms - 1):
-        sums: dict[tuple[int, ...], int] = {}
-        get = sums.get
-        for state, cnt in counts.items():
-            b = back[state[0]]
-            key = tuple([shifted[sc[v]][b] for sc, v in zip(scales, state[1:])])
-            sums[key] = get(key, 0) + cnt
-        counts = {}
-        update, origin = counts.update, shifted[0]
-        for key, total in sums.items():
-            update(dict.fromkeys(zip(origin, *[shifted[u] for u in key]), total))
+    # e -> e*x_i, the push, and e -> e*d_i, the line's offset, for i > 1
+    scaled = [[mul_i(e, x) for e in range(order)] for x in xs]
+    offsets = [[mul_i(e, ctx.sub_i(x, x1)) for e in range(order)] for x in xs]
+    lines = {(1,) * len(xs): 1}
+    for n in range(1, terms):
+        groups: dict[int, list] = {}
+        for key, cnt in lines.items():
+            groups.setdefault(cnt, []).append(key)
+        counts, pushed = Counter(), Counter()
+        for cnt, keys in groups.items():
+            hits = Counter(chain.from_iterable(
+                zip(classed[0], *[classed[o[e]] for o, e in zip(offsets, key)])
+                for key in keys))
+            for c, h in hits.items():
+                if None not in c:
+                    counts[c] += h * cnt
+            if n < terms - 1:
+                hits = Counter(chain.from_iterable(
+                    zip(*[shifted[s[e]] for s, e in zip(scaled, key)])
+                    if xs else repeat((), order) for key in keys))
+                for line, h in hits.items():
+                    pushed[line] += h * cnt
         yield counts
+        lines = pushed
 
 
 def l_polynomial(regime: Regime, points, w, check_extra: int = 3) -> list[CycloInt]:
     """Coefficients c_0..c_{k-1} of L(u) = sum over monic f of chi_w(f) u^deg f.
 
-    c_n = sum_v N_n(v) * chi_w(v), where N_n(v) counts the monic f of degree
-    n with value vector v = (f(x_1), ..., f(x_k)); one Horner transfer over
-    value vectors gives every N_n (see _horner_counts), at _transfer_work
-    table steps, which LPOLY_ENUM_CAP bounds before any work starts.  The sum
-    over monics of any fixed degree >= k vanishes, which makes L a
-    polynomial of degree < k; the first check_extra vanishing coefficients
-    are recomputed and checked, as is c_0 = 1 (CrossCheckMismatch otherwise).
-    A negative check_extra raises ValueError.
+    c_n = sum_c M_n(c) * zeta**<w, c>, where M_n(c) counts the monic f of
+    degree n with class vector c at the points of nonzero weight and no
+    root there (points of weight 0 do not change chi_w); one Horner transfer
+    gives every M_n (see _horner_counts), at _transfer_steps table steps,
+    which KERNEL_STEP_CAP bounds before any work starts.  The sum over
+    monics of any fixed degree >= k vanishes, which makes L a polynomial of
+    degree < k; the first check_extra vanishing coefficients are recomputed
+    and checked, as is c_0 = 1 (CrossCheckMismatch otherwise).  A negative
+    check_extra raises ValueError.
     """
     if check_extra < 0:
         raise ValueError("check_extra must be non-negative")
@@ -293,19 +297,14 @@ def l_polynomial(regime: Regime, points, w, check_extra: int = 3) -> list[CycloI
     k = len(char.points)
     ell = regime.ell
     terms = k + check_extra
-    if _transfer_work(regime.ext.order, k, terms - 1) > LPOLY_ENUM_CAP:
+    support, weights = zip(*((x, wi) for x, wi in zip(char.points, char.w) if wi))
+    if _transfer_steps(regime.ext.order, len(support), terms) > KERNEL_STEP_CAP:
         raise BudgetExceeded("Horner transfer over value vectors exceeds budget")
-    exponent = char.exponent
-    classes: dict[tuple[int, ...], int | None] = {}
     coeffs: list[CycloInt] = []
-    for n, counts in enumerate(_horner_counts(regime.ext, char.points, terms)):
+    for n, counts in enumerate(_horner_counts(regime.ext, support, terms, ell)):
         by_class = [0] * ell
-        for state, cnt in counts.items():
-            if state not in classes:
-                classes[state] = exponent(state)
-            e = classes[state]
-            if e is not None:
-                by_class[e] += cnt
+        for c, cnt in counts.items():
+            by_class[sum(map(mul, weights, c)) % ell] += cnt
         acc = CycloInt._from_powers(ell, by_class)
         if n < k:
             coeffs.append(acc)
@@ -465,14 +464,8 @@ class _LineKernel:
         ell, ext = regime.ell, regime.ext
         table = subfield_table(regime.base, ext)
         points = [FieldElem(ext, table[i]) for i in self.idx]
-        per_degree = []
-        for counts in _horner_counts(ext, points, h + 1):
-            by_class: dict[tuple[int, ...], int] = {}
-            for values, cnt in counts.items():
-                if 0 not in values:
-                    key = tuple(ext.log[v] % ell for v in values)
-                    by_class[key] = by_class.get(key, 0) + cnt
-            per_degree.append(_dot_counts(by_class, len(self.idx), ell))
+        per_degree = [_dot_counts(counts, len(points), ell)
+                      for counts in _horner_counts(ext, points, h + 1, ell)]
         self.monic = {w: [d[w] for d in per_degree] for w in per_degree[0]}
 
     def extend(self, regime: Regime, m_max: int) -> None:
@@ -540,7 +533,7 @@ def _kernel_budget(regime: Regime, k: int, m_max: int) -> None:
     Q = regime.ext.order
     h = max(min(k - 1, m_max), 0)
     products = h * k + sum(max(min(n, k) - 1, 0) for n in range(2, m_max + 1))
-    steps = _transfer_work(Q, k, h) + ((size - 1) // (ell - 1) + 1) * ell ** 2 * products
+    steps = _transfer_steps(Q, k, h + 1) + ((size - 1) // (ell - 1) + 1) * ell ** 2 * products
     if steps > KERNEL_STEP_CAP:
         raise BudgetExceeded(
             f"counting monic polynomials over F_{Q} by class and peeling the "

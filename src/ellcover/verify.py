@@ -240,7 +240,8 @@ def run_checks(q: int, ell: int, max_D: int = 4, tuple_cap: int = 25,
         pts = [base.elem(0), base.elem(1)] if base.order > 1 else [base.elem(0)]
         b = FieldElem(regime.ext, min(2, regime.ext.order - 1))
         rows = []
-        for d in _degrees(regime, min(max_D, 6)):
+        # up to D = 6, or D = n_q when n_q > 6, so the row compares something
+        for d in _degrees(regime, min(max_D, max(6, regime.n_q))):
             cnt = count_constrained(regime, d, pts, [0] * len(pts), b)
             rows.append(f"D={d}:{cnt}")
         return "class-kernel count == direct count (" + ", ".join(rows) + ")"
@@ -293,8 +294,9 @@ def run_checks(q: int, ell: int, max_D: int = 4, tuple_cap: int = 25,
     def check_l_polynomial() -> str:
         order = regime.ext.order
         rows = []
+        # (1, 0) has a point of weight 0, where monics may vanish
         for k, weights in ((1, [(1,), (ell - 1,)]),
-                           (2, [(1, 1), (1, ell - 1), (ell - 1, 1)])):
+                           (2, [(1, 1), (1, ell - 1), (ell - 1, 1), (1, 0)])):
             pts = [regime.base.elem(v) for v in range(k)]
             # vanishing coefficients up to the degree whose oracle sum
             # stays within 10**4 polynomials, at most two of them

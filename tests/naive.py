@@ -322,6 +322,17 @@ def horner_counts(ctx, xs, terms):
     return out[:terms]
 
 
+def by_class(ctx, counts, ell):
+    """counts, keyed by value vector, summed by class vector (log v_i mod
+    ell)_i, leaving out the vectors with a zero value."""
+    out = {}
+    for values, cnt in counts.items():
+        if 0 not in values:
+            key = tuple(ctx.log[v] % ell for v in values)
+            out[key] = out.get(key, 0) + cnt
+    return out
+
+
 # ---------------------------------------------------------------------------
 # Base primes by class line, peeled in the group ring of (Z/ell)^k.
 

@@ -13,7 +13,7 @@ import ellcover.coverparam as cp
 import ellcover.fqpoly as fqpoly
 import ellcover.gf as gf
 from ellcover.coverparam import Regime
-from ellcover.lseries import CharW
+import ellcover.lseries as ls
 
 
 def _frozen_frobenius(f, q):
@@ -48,10 +48,13 @@ def test_wrong_twist_exponents_raise_a_typed_error():
 
 @pytest.mark.parametrize("value", [0, 1])
 def test_l_polynomial_checks_raise_typed_errors(monkeypatch, value):
-    # constant 1 (exponent 0) leaves a nonvanishing coefficient above the
-    # degree bound; constant 0 (exponent None) leaves c_0 = 0
-    monkeypatch.setattr(CharW, "exponent",
-                        lambda self, values: 0 if value else None)
+    # one monic of class 0 at every degree leaves a nonvanishing coefficient
+    # above the degree bound; none leaves c_0 = 0
+    def fake(ctx, points, terms, ell):
+        for _ in range(terms):
+            yield {(0,) * len(points): value}
+
+    monkeypatch.setattr(ls, "_horner_counts", fake)
     reg = ec.make_regime(2, 3)
     with pytest.raises(ec.CrossCheckMismatch):
         ec.l_polynomial(reg, [reg.base.elem(0)], [1])

@@ -40,18 +40,9 @@ def sieved_lines(reg, m, labeling):
 def monics_by_class(reg, h):
     """M_0, ..., M_h: the monic polynomials of each degree over the extension
     with no root at the affine points, by class vector at those points."""
-    ext, ell = reg.ext, reg.ell
-    table = subfield_table(reg.base, ext)
-    points = [FieldElem(ext, table[i]) for i in range(reg.q)]
-    out = []
-    for counts in _horner_counts(ext, points, h + 1):
-        by_class = {}
-        for values, cnt in counts.items():
-            if 0 not in values:
-                key = tuple(ext.log[v] % ell for v in values)
-                by_class[key] = by_class.get(key, 0) + cnt
-        out.append(by_class)
-    return out
+    table = subfield_table(reg.base, reg.ext)
+    points = [FieldElem(reg.ext, table[i]) for i in range(reg.q)]
+    return list(_horner_counts(reg.ext, points, h + 1, reg.ell))
 
 
 def sieved_g_series(reg, points, w, trunc):
@@ -198,9 +189,10 @@ def test_budget_edges_of_the_kernel(monkeypatch):
     with pytest.raises(ec.BudgetExceeded):
         base_prime_lines(reg, 1)
     monkeypatch.setattr(ls, "GROUP_RING_CAP", 9)
-    # one Horner step of 4, and M_1 projected onto the 5 lines of (Z/3)^2
-    # at 3**2 steps a line for each of 2 coordinates
-    steps = 4 + 5 * 9 * 2
+    # the constant 1 classed and pushed, the 4 monics X + a classed, and M_1
+    # projected onto the 5 lines of (Z/3)^2 at 3**2 steps a line for each of
+    # 2 coordinates
+    steps = 2 + 4 + 5 * 9 * 2
     monkeypatch.setattr(ls, "KERNEL_STEP_CAP", steps - 1)
     with pytest.raises(ec.BudgetExceeded):
         base_prime_lines(reg, 1)

@@ -17,7 +17,7 @@ from ellcover.lseries import (
     CharW,
     _horner_counts,
     _l_coefficients_by_enumeration,
-    _transfer_work,
+    _transfer_steps,
 )
 
 import naive
@@ -214,8 +214,9 @@ def test_horner_counts_match_the_push_per_constant_oracle(reg):
         terms = k + (4 if Q ** k <= 2_000 else 2)
         for lits in combinations(range(reg.q), k):
             points = [ec.embed_elem(x, reg.ext) for x in pts(reg, *lits)]
-            want = naive.horner_counts(reg.ext, [x.val for x in points], terms)
-            assert list(_horner_counts(reg.ext, points, terms)) == want
+            by_value = naive.horner_counts(reg.ext, [x.val for x in points], terms)
+            want = [naive.by_class(reg.ext, counts, reg.ell) for counts in by_value]
+            assert list(_horner_counts(reg.ext, points, terms, reg.ell)) == want
 
 
 @st.composite
@@ -225,7 +226,7 @@ def characters(draw):
     only (3, 7) at k = 3 does."""
     reg = draw(st.sampled_from(ORACLE_REGIMES))
     k_max = max(k for k in range(1, min(3, reg.q) + 1)
-                if _transfer_work(reg.ext.order, k, k - 1) <= 1 << 16)
+                if _transfer_steps(reg.ext.order, k, k) <= 1 << 16)
     k = draw(st.integers(1, k_max))
     lits = draw(st.lists(st.integers(0, reg.q - 1), min_size=k, max_size=k,
                          unique=True))
@@ -281,6 +282,15 @@ def test_char_w_value_at():
     assert char.value_at(vanishing).is_zero
 
 
+def test_transfer_steps_count_each_value_vector_classed_and_pushed():
+    # degree n has Q**min(n, k) value vectors; every degree is classed and
+    # every degree but the last pushed
+    assert _transfer_steps(4, 2, 1) == 1
+    assert _transfer_steps(4, 2, 2) == 2 * 1 + 4
+    assert _transfer_steps(4, 2, 5) == 2 * (1 + 4 + 16 + 16) + 16
+    assert _transfer_steps(25, 1, 4) == 2 * (1 + 25 + 25) + 25
+
+
 def test_char_w_exponent():
     char = CharW(R23, pts(R23, 0, 1), (1, 2))
     log = R23.ext.log
@@ -301,23 +311,63 @@ def test_l_polynomial_rejects_the_point_at_infinity():
 def test_l_polynomial_budget(monkeypatch):
     import ellcover.lseries as ls
 
-    monkeypatch.setattr(ls, "LPOLY_ENUM_CAP", 10)
+    monkeypatch.setattr(ls, "KERNEL_STEP_CAP", 10)
     with pytest.raises(ec.BudgetExceeded):
         ec.l_polynomial(R23, pts(R23, 0, 1), (1, 1))
 
 
 def test_l_polynomial_budget_boundary(monkeypatch):
-    # F_4, two points, 2 + 3 - 1 = 4 Horner steps from 1, 4, 16, 16 value
-    # vectors, each extended by 4 constants
+    # F_4, two points, degrees 0..4 of 1, 4, 16, 16, 16 value vectors, each
+    # classed once and pushed once but the last degree's
     import ellcover.lseries as ls
 
-    work = 4 * (1 + 4 + 16 + 16)
+    work = 2 * (1 + 4 + 16 + 16) + 16
     want = ec.l_polynomial(R23, pts(R23, 0, 1), (1, 1))
-    monkeypatch.setattr(ls, "LPOLY_ENUM_CAP", work)
+    monkeypatch.setattr(ls, "KERNEL_STEP_CAP", work)
     assert ec.l_polynomial(R23, pts(R23, 0, 1), (1, 1)) == want
-    monkeypatch.setattr(ls, "LPOLY_ENUM_CAP", work - 1)
+    monkeypatch.setattr(ls, "KERNEL_STEP_CAP", work - 1)
     with pytest.raises(ec.BudgetExceeded):
         ec.l_polynomial(R23, pts(R23, 0, 1), (1, 1))
+
+
+@pytest.mark.parametrize("qell", [(5, 11), (7, 5), (8, 5), (2, 13)])
+def test_one_point_l_polynomial_over_a_large_field(qell):
+    # L(u) = 1 at one point; the transfer classes and pushes about 7 * Q
+    # value vectors, Q = 3125 to 4096
+    reg = ec.make_regime(*qell)
+    assert ec.l_polynomial(reg, pts(reg, 1), (1,)) == [1]
+
+
+def test_l_polynomial_over_the_cap_is_refused_before_the_transfer(monkeypatch):
+    import ellcover.lseries as ls
+
+    def no_transfer(*args):
+        raise AssertionError("the transfer ran before the budget check")
+
+    monkeypatch.setattr(ls, "_horner_counts", no_transfer)
+    reg = ec.make_regime(3, 7)  # three points over F_729
+    assert _transfer_steps(reg.ext.order, 3, 6) > ls.KERNEL_STEP_CAP
+    with pytest.raises(ec.BudgetExceeded):
+        ec.l_polynomial(reg, pts(reg, 0, 1, 2), (1, 1, 1))
+    # the points of weight 0 are not transferred: one point fits
+    monkeypatch.undo()
+    assert ec.l_polynomial(reg, pts(reg, 0, 1, 2), (1, 0, 0)) == [1, 0, 0]
+
+
+@pytest.mark.parametrize("qell, lits, w", [
+    ((2, 3), (0, 1), (1, 0)),
+    ((5, 3), (0, 1, 2), (0, 1, 2)),
+    ((3, 5), (2, 0), (0, 3)),
+    ((2, 7), (1, 0), (5, 0)),
+])
+def test_zero_weight_points_match_the_enumeration(qell, lits, w):
+    # X - x vanishes at a point x of weight 0 and still counts: chi_w does
+    # not look at that value
+    reg = ec.make_regime(*qell)
+    k = len(lits)
+    got = ec.l_polynomial(reg, pts(reg, *lits), w, check_extra=1)
+    want = _l_coefficients_by_enumeration(reg, pts(reg, *lits), w, k + 1)
+    assert got == want[:k] and want[k].is_zero
 
 
 def test_l_polynomial_rejects_a_negative_check_extra(monkeypatch):
@@ -333,21 +383,17 @@ def test_l_polynomial_rejects_a_negative_check_extra(monkeypatch):
 
 
 def test_l_polynomial_detects_a_count_moved_at_degree_k(monkeypatch):
-    # move one monic of degree k = 2 from a value vector where chi_w is a
-    # root of unity to one where it is 0: c_2 no longer vanishes
+    # move one monic of degree k = 2 off its class vector to a root of one
+    # of the points, where chi_w is 0: c_2 no longer vanishes
     import ellcover.lseries as ls
 
     real = ls._horner_counts
-    char = CharW(R23, pts(R23, 0, 1), (1, 1))
 
-    def lying(ctx, points, terms):
-        for n, counts in enumerate(real(ctx, points, terms)):
+    def lying(ctx, points, terms, ell):
+        for n, counts in enumerate(real(ctx, points, terms, ell)):
             if n == len(points):
                 counts = dict(counts)
-                src = next(v for v in counts if char.exponent(v) is not None)
-                dst = next(v for v in counts if char.exponent(v) is None)
-                counts[src] -= 1
-                counts[dst] += 1
+                counts[next(iter(counts))] -= 1
             yield counts
 
     monkeypatch.setattr(ls, "_horner_counts", lying)

@@ -35,6 +35,9 @@ def test_battery_green_on_reference_regime():
     for r in results:
         assert r.passed, f"{r.name}: {r.detail}"
         assert isinstance(r, CheckResult) and r.detail
+    # the weights at k = 2 include (1, 0), with a point of weight 0
+    row = next(r for r in results if r.name == "l-polynomial")
+    assert "4 weights at k=2" in row.detail
 
 
 def test_battery_green_on_second_regime():
@@ -72,6 +75,19 @@ def test_max_degree_below_n_q_is_refused_before_any_row(monkeypatch):
         run_checks(3, 7)
     with pytest.raises(ValueError, match="--max-degree 2 or more"):
         run_checks(2, 3, max_D=1)
+
+
+def test_constrained_row_compares_the_least_branch_degree(monkeypatch):
+    # (2, 11) has n_q = 10, above the row's usual D <= 6: it still compares
+    # D = 10.  The exact-law row, which enumerates every cover of degree
+    # 10, is left out of budget to keep the test short.
+    def out_of_budget(regime, d):
+        raise ec.BudgetExceeded("not run in this test")
+
+    monkeypatch.setattr(verify, "_exact_law", out_of_budget)
+    rows = {r.name: r for r in run_checks(2, 11, max_D=10, tuple_cap=2, unit_cap=1)}
+    assert all(r.passed for r in rows.values()), rows
+    assert rows["constrained-crosscheck"].detail.endswith("(D=10:6)")
 
 
 def test_check_result_shape():
