@@ -45,6 +45,7 @@ from .fqpoly import (
     irreducible,
     necklace_count,
     poly_frobenius,
+    primes_with_degree,
 )
 from .gf import (
     FIELD_ORDER_CAP,
@@ -59,6 +60,16 @@ from .gf import (
 
 ENUM_D_CAP = 16
 COUNT_D_CAP = 60
+# _draw_prime answers a candidate of degree d over F_q, q > 2, from a sieved
+# set of the primes of degree d when q**d is at most this.  The sieve costs
+# about 7 us per monic polynomial of the degree, once per process (0.7 ms for
+# F_3 at degree 4, 47 ms at degree 8, 151 ms at degree 9, 377 ms for F_4 at
+# degree 8), and saves 8-30 us on each candidate that irreducible would test,
+# so it pays once about q**d / 2 candidates of that degree are drawn.  A
+# 60-sample Monte Carlo run over (3,5) at g = 20 draws 273 candidates of
+# degree 8, so the F_3 degree-8 sieve, the largest under this cap that it
+# reads, pays within about a dozen such runs in one process.
+DRAW_SIEVE_CAP = 1 << 13
 LABELINGS = ("least", "greatest")  # anchoring rules for Frobenius orbits
 
 
@@ -434,7 +445,6 @@ def _enumerate_full(regime: Regime, D: int):
     ell = regime.ell
     if D % regime.n_q:
         return
-    from .fqpoly import primes_with_degree
     from itertools import combinations, product
 
     classes = _degree_classes(regime, D)
@@ -502,8 +512,31 @@ def _suffix_table(regime: Regime, D: int) -> list[list[int]]:
     return table
 
 
+# base (p, k) and degree d -> coefficient tuples of the monic primes of degree
+# d, for q**d <= DRAW_SIEVE_CAP; built on the first draw of that degree.
+_draw_sieves: dict[tuple[int, int, int], frozenset[tuple[int, ...]]] = {}
+
+
+def _draw_sieve(base: FieldCtx, d: int) -> frozenset[tuple[int, ...]]:
+    key = (base.p, base.k, d)
+    sieve = _draw_sieves.get(key)
+    if sieve is None:
+        sieve = _draw_sieves[key] = frozenset(
+            prime.coeffs for prime in primes_with_degree(base, d))
+    return sieve
+
+
 def _draw_prime(regime: Regime, d: int, rng: Random) -> Poly:
-    """Uniform random monic irreducible of degree d over the base field."""
+    """Uniform random monic irreducible of degree d over the base field, by
+    rejection: the first of the monic candidates drawn from rng that is
+    prime.
+
+    Over F_2 candidates are bit-packed for _gf2.is_irreducible.  Elsewhere a
+    candidate of degree d with q**d <= DRAW_SIEVE_CAP is looked up in the
+    set of primes of its degree, sieved once per process, and tested by
+    irreducible above the cap; either way the draws and the decisions, hence
+    the stream, are the same.
+    """
     base = regime.base
     q = base.order
     if q == 2:
@@ -511,6 +544,12 @@ def _draw_prime(regime: Regime, d: int, rng: Random) -> Poly:
             mask = rng.getrandbits(d)
             if _gf2.is_irreducible(1 << d | mask):
                 return Poly(base, [mask >> i & 1 for i in range(d)] + [1])
+    if q ** d <= DRAW_SIEVE_CAP:
+        sieve = _draw_sieve(base, d)
+        while True:
+            cand = tuple([rng.randrange(q) for _ in range(d)] + [1])
+            if cand in sieve:
+                return Poly(base, cand)
     while True:
         cand = Poly(base, [rng.randrange(q) for _ in range(d)] + [1])
         if irreducible(cand):

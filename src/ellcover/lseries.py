@@ -229,6 +229,27 @@ class _Rows(dict):
         return row
 
 
+# (ctx, ell) -> the addition rows and class rows of the last transfer.  They
+# depend on nothing else, so later transfers over the same field reuse them;
+# only one field's rows are kept, so no transfer holds rows it did not build
+# or would not build itself.
+_field_rows: dict = {}
+
+
+def _rows(ctx, ell: int) -> tuple[_Rows, _Rows]:
+    """shifted[u] = (u + a)_a and classed[u] = (class of u + a)_a over the
+    literals a of ctx, the class of 0 being None."""
+    rows = _field_rows.get((ctx, ell))
+    if rows is None:
+        _field_rows.clear()
+        order, add_i = ctx.order, ctx.add_i
+        classes = (None,) + tuple(ctx.log[v] % ell for v in range(1, order))
+        shifted = _Rows(lambda u: tuple([add_i(u, a) for a in range(order)]))
+        classed = _Rows(lambda u: tuple(map(classes.__getitem__, shifted[u])))
+        rows = _field_rows[(ctx, ell)] = (shifted, classed)
+    return rows
+
+
 def _horner_counts(ctx, points, terms: int, ell: int):
     """Yield M_0, ..., M_{terms-1}, terms >= 1, where M_n maps each class vector
     (log f(x_i) mod ell)_i of a monic f of degree n with no root at the
@@ -247,10 +268,8 @@ def _horner_counts(ctx, points, terms: int, ell: int):
     yield Counter({(0,) * len(points): 1})
     if terms == 1:
         return
-    order, mul_i, add_i = ctx.order, ctx.mul_i, ctx.add_i
-    classes = (None,) + tuple(ctx.log[v] % ell for v in range(1, order))
-    shifted = _Rows(lambda u: tuple([add_i(u, a) for a in range(order)]))
-    classed = _Rows(lambda u: tuple(map(classes.__getitem__, shifted[u])))
+    order, mul_i = ctx.order, ctx.mul_i
+    shifted, classed = _rows(ctx, ell)
     x1, *xs = (x.val for x in points)
     # e -> e*x_i, the push, and e -> e*d_i, the line's offset, for i > 1
     scaled = [[mul_i(e, x) for e in range(order)] for x in xs]

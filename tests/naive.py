@@ -284,6 +284,16 @@ class NaiveField:
             rem = [self.from_literal(v) for v in trim([self.to_literal(r) for r in rem])]
         return trim(quo), [self.to_literal(r) for r in rem]
 
+    def polpowmod(self, f, e, m):
+        """f**e mod m by right-to-left square-and-multiply, m nonzero."""
+        out, base = self.poldivmod([1], m)[1], self.poldivmod(f, m)[1]
+        while e:
+            if e & 1:
+                out = self.poldivmod(self.polmul(out, base), m)[1]
+            base = self.poldivmod(self.polmul(base, base), m)[1]
+            e >>= 1
+        return trim(out)
+
     def mult_order(self, a):
         assert any(a), "zero has no multiplicative order"
         one = self.from_literal(1)

@@ -264,3 +264,58 @@ def test_cli_runs_without_numpy():
     assert json.loads(proc.stdout)["root_magnitudes"] == [0.2, 1.0]
     proc = _run_child(code, "verify", "--q", "2", "--ell", "3")
     assert proc.returncode == 0, proc.stderr
+
+
+def _small_regimes():
+    """(q, ell, n_q) for every admissible regime with q <= 32, ell <= 13 and
+    Q = q**n_q <= 1024."""
+    out = []
+    for q in range(2, 33):
+        p = next(d for d in range(2, q + 1) if q % d == 0)
+        rest = q
+        while rest % p == 0:
+            rest //= p
+        if rest != 1:
+            continue
+        for ell in (3, 5, 7, 11, 13):
+            if ell == p:
+                continue
+            n_q = next(n for n in range(1, ell) if pow(q, n, ell) == 1)
+            if n_q > 1 and q ** n_q <= 1024:
+                out.append((q, ell, n_q))
+    return out
+
+
+SMALL_REGIMES = _small_regimes()
+
+
+def test_the_contract_sweep_covers_28_regimes():
+    assert len(SMALL_REGIMES) == 28
+    assert {q for q, _, _ in SMALL_REGIMES} >= {2, 3, 4, 5, 8, 9, 11, 25, 27, 32}
+
+
+@pytest.mark.parametrize("q, ell, n_q", SMALL_REGIMES,
+                         ids=[f"{q},{ell}" for q, ell, _ in SMALL_REGIMES])
+def test_commands_exit_with_a_code_on_every_small_regime(capsys, q, ell, n_q):
+    """info, enumerate, lseries and both ensemble modes at the least genus
+    with branch degree D >= 4 end with exit code 0-3 and a one-line error,
+    never an exception or a traceback."""
+    D = -(-4 // n_q) * n_q
+    genus = str((ell - 1) * (D - 2) // 2)
+    regime = ["--q", str(q), "--ell", str(ell)]
+    commands = [
+        ["info"],
+        ["enumerate", "--degree", str(n_q), "--count-only"],
+        ["lseries", "--points", "0,1", "--w", "1,1"],
+        ["ensemble", "--genus", genus],
+        ["ensemble", "--genus", genus, "--mode", "monte-carlo", "--samples", "5"],
+    ]
+    for command in commands:
+        rc, out, err = run(capsys, command[0], *regime, *command[1:])
+        assert rc in (0, 1, 2, 3), (command, rc)
+        assert "Traceback" not in err
+        if rc:
+            assert err.startswith(("error: ", "usage error: ", "verification failure: "))
+            assert err.count("\n") == 1, err
+        else:
+            assert out and not err

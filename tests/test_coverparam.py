@@ -10,11 +10,13 @@ from random import Random
 import pytest
 
 import ellcover as ec
-from ellcover import _gf2, fqpoly
+from ellcover import _gf2, coverparam, fqpoly
 from ellcover.coverparam import (
+    DRAW_SIEVE_CAP,
     LABELINGS,
     Regime,
     _draw_prime,
+    _draw_sieve,
     _parts_from_primes,
     _sample_full,
 )
@@ -572,12 +574,15 @@ def test_sample_full_prime_list_is_faithful():
 
 
 # sha256 of 20 draws per degree 2..12 and then 32 bits of the stream, first
-# 16 hex digits, as produced before Ben-Or's first round was decided by
-# evaluation at the points of the field.
-DRAW_DIGESTS = {3: "525dd8638e949637", 5: "25c7f5062bbcf456"}
+# 16 hex digits.  q = 3 and 5 were produced before Ben-Or's first round was
+# decided by evaluation at the points of the field; q = 2, 4 and 9 before small
+# degrees were drawn from the sieve and q-th powers computed by spreading.
+DRAW_DIGESTS = {2: "9c43bcb9cf0c7834", 3: "525dd8638e949637",
+                4: "1dd8828f905c4a57", 5: "25c7f5062bbcf456",
+                9: "f45c9ca915acaa94"}
 
 
-@pytest.mark.parametrize("q, ell", [(3, 5), (5, 3)])
+@pytest.mark.parametrize("q, ell", [(2, 3), (3, 5), (4, 5), (5, 3), (9, 5)])
 def test_draw_prime_streams_are_unchanged(q, ell):
     reg = ec.make_regime(q, ell)
     h = hashlib.sha256()
@@ -587,6 +592,34 @@ def test_draw_prime_streams_are_unchanged(q, ell):
             h.update(repr(_draw_prime(reg, d, rng).coeffs).encode())
         h.update(repr(rng.getrandbits(32)).encode())
     assert h.hexdigest()[:16] == DRAW_DIGESTS[q]
+
+
+@pytest.mark.parametrize("p, k", [(3, 1), (2, 2), (5, 1), (3, 2)])
+def test_draw_sieves_are_the_irreducible_monics(p, k):
+    ctx = ec.make_field(p, k)
+    d = 1
+    while ctx.order ** d <= DRAW_SIEVE_CAP:
+        want = {f.coeffs for f in fqpoly.monic_polys(ctx, d) if ec.irreducible(f)}
+        assert _draw_sieve(ctx, d) == want
+        d += 1
+    assert d > 4  # every field above has a sieve beyond degree 4
+
+
+def test_draw_sieve_is_built_on_the_first_draw_of_its_degree(monkeypatch):
+    monkeypatch.setattr(coverparam, "_draw_sieves", {})
+
+    def no_test(f):
+        raise AssertionError(f"irreducible called on a sieved candidate {f!r}")
+
+    reg = Regime(3, 5)  # a fresh regime, not the cached one
+    assert coverparam._draw_sieves == {}
+    monkeypatch.setattr(coverparam, "irreducible", no_test)
+    prime = _draw_prime(reg, 8, Random(1))
+    assert ec.irreducible(prime) and list(coverparam._draw_sieves) == [(3, 1, 8)]
+    monkeypatch.setattr(coverparam, "irreducible", ec.irreducible)
+    _draw_prime(reg, 12, Random(1))  # 3**12 is above the cap: tested, not sieved
+    _draw_prime(Regime(2, 3), 8, Random(1))  # F_2 keeps its bit-packed test
+    assert list(coverparam._draw_sieves) == [(3, 1, 8)]
 
 
 def test_parts_builder_matches_stable_factorization():

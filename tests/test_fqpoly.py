@@ -15,6 +15,7 @@ from ellcover.fqpoly import (
     ROOT_SCREEN_MAX_ORDER,
     SIEVE_CAP,
     SIEVE_PRODUCT_CAP,
+    SPREAD_MAX_ORDER,
     has_root,
 )
 
@@ -196,6 +197,44 @@ def test_pow_mod_matches_square_and_multiply(data):
         for _ in range(e):
             want = naive.poldivmod(ctx.p, naive.polmul(ctx.p, want, f.coeffs), m.coeffs)[1]
         assert list(got.coeffs) == want
+
+
+@pytest.mark.parametrize("ctx", [F3, F4, F5, F9, ec.make_field(2, 3), ec.make_field(2, 4)])
+def test_q_powers_match_square_and_multiply(ctx):
+    """a**(q**i) mod m, which spreads coefficients, against the naive
+    square-and-multiply over random moduli, some of them reducible."""
+    nf = naive.NaiveField(ctx.p, ctx.modulus)
+    q = ctx.order
+    rng = Random(q)
+    for _ in range(30):
+        dm = rng.randint(1, 7)
+        m = [rng.randrange(q) for _ in range(dm)] + [rng.randrange(1, q)]
+        if rng.random() < 0.3:  # a square modulus has nilpotent residues
+            m = nf.polmul(m, m)
+        a = naive.trim([rng.randrange(q) for _ in range(rng.randint(1, len(m) + 2))])
+        for i in (1, 2, 3):
+            got = fqp._pow_mod_coeffs(ctx, a or [1], q ** i, naive.trim(m))
+            assert got == nf.polpowmod(a or [1], q ** i, m)
+
+
+def test_q_powers_spread_without_products(monkeypatch):
+    """Up to SPREAD_MAX_ORDER a power of q multiplies no two polynomials."""
+    products = []
+    kernel = fqp._add_product_logs
+    monkeypatch.setattr(fqp, "_add_product_logs",
+                        lambda *args: products.append(1) or kernel(*args))
+    m = [1, 2, 0, 1, 1]
+    for p, k in ((3, 1), (5, 1), (3, 2), (11, 1)):
+        ctx = ec.make_field(p, k)
+        assert ctx.order <= SPREAD_MAX_ORDER
+        for e in (ctx.order, ctx.order ** 4):
+            fqp._pow_mod_coeffs(ctx, [0, 1], e, m)
+    assert products == []
+    fqp._pow_mod_coeffs(F3, [0, 1], 10, m)  # not a power of 3
+    assert products
+    products.clear()
+    fqp._pow_mod_coeffs(ec.make_field(13), [0, 1], 13, m)  # above the cap
+    assert products
 
 
 def test_pow_mod_edge_cases():

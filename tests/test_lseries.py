@@ -219,6 +219,27 @@ def test_horner_counts_match_the_push_per_constant_oracle(reg):
             assert list(_horner_counts(reg.ext, points, terms, reg.ell)) == want
 
 
+def test_transfer_rows_are_kept_for_the_last_field_only(monkeypatch):
+    import ellcover.lseries as ls
+
+    monkeypatch.setattr(ls, "_field_rows", {})
+    cases = [(pts(R53, 0, 1), (1, 1)), (pts(R53, 1, 3), (1, 2))]
+    fresh = []
+    for points, w in cases:
+        ls._field_rows.clear()
+        fresh.append(ec.l_polynomial(R53, points, w))
+    ls._field_rows.clear()
+    kept = []
+    for points, w in cases:
+        assert ec.l_polynomial(R53, points, w) == fresh[len(kept)]
+        kept.append(ls._field_rows[(R53.ext, 3)])
+    assert kept[0] is kept[1]  # the second call reused the first call's rows
+    assert len(kept[0][0]) == R53.ext.order  # two points build every row
+    R35 = ec.make_regime(3, 5)
+    ec.l_polynomial(R35, pts(R35, 0), (1,))
+    assert list(ls._field_rows) == [(R35.ext, 5)]
+
+
 @st.composite
 def characters(draw):
     """A regime, up to three distinct base points, and a nontrivial weight
