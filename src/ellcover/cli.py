@@ -14,9 +14,8 @@ import sys
 from . import __version__
 from .charsum import (
     INFINITY,
-    chi_class,
-    fiber_count,
     fiber_count_oracle,
+    fiber_profile,
     projective_points,
 )
 from .coverparam import (
@@ -26,7 +25,6 @@ from .coverparam import (
     enumerate_tuples,
     make_regime,
     twisted_model,
-    validate_params,
 )
 from .ensemble import (
     exhaustive_distribution,
@@ -55,16 +53,17 @@ class UsageError(Exception):
 
 
 def _emit(args, payload: dict, text_lines: list[str]) -> None:
-    if getattr(args, "json", False):
-        out = json.dumps(payload, indent=2) + "\n"
+    _write(args, (json.dumps(payload, indent=2) if args.json
+                  else "\n".join(text_lines)) + "\n")
+
+
+def _write(args, text: str) -> None:
+    """Write text to the --out file, or to standard output without one."""
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
+            fh.write(text)
     else:
-        out = "\n".join(text_lines) + "\n"
-    path = getattr(args, "out", None)
-    if path:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(out)
-    else:
-        sys.stdout.write(out)
+        sys.stdout.write(text)
 
 
 def _cmd_info(args) -> int:
@@ -120,20 +119,16 @@ def _cmd_count_points(args) -> int:
     regime = make_regime(args.q, args.ell)
     fs = _parse_tuple(regime.base, args.tuple)
     b = regime.ext.elem(args.b)
-    params = CoverParams(regime, fs, b)
-    validate_params(params)
-    model = twisted_model(params, args.labeling)
+    model = twisted_model(CoverParams(regime, fs, b), args.labeling)
+    profile = fiber_profile(model)
     rows = []
-    total = 0
     oracle_total = 0
-    for x in projective_points(regime):
-        cls = chi_class(model, x)
-        fast = fiber_count(model, x)
+    for x, cls, fast in zip(projective_points(regime), profile.classes,
+                            profile.counts):
         slow = fiber_count_oracle(model, x)
         if fast != slow:
             raise CrossCheckMismatch(
                 f"fiber count at x={x}: class gives {fast}, scan gives {slow}")
-        total += fast
         oracle_total += slow
         label = "inf" if x is INFINITY else str(x)
         rows.append({"x": label, "class": "0-class" if cls.is_zero_class else cls.e,
@@ -145,7 +140,7 @@ def _cmd_count_points(args) -> int:
         "labeling": args.labeling,
         "twisted": str(model.f_v0),
         "fibers": rows,
-        "total": total,
+        "total": profile.total,
         "oracle_total": oracle_total,
     }
     lines = [
@@ -154,7 +149,7 @@ def _cmd_count_points(args) -> int:
     ]
     for row in rows:
         lines.append(f"  x={row['x']:>4}: class {row['class']}, fiber {row['fiber']}")
-    lines.append(f"total points: {total} (oracle agrees: {oracle_total})")
+    lines.append(f"total points: {profile.total} (oracle agrees: {oracle_total})")
     _emit(args, payload, lines)
     return 0
 
@@ -185,6 +180,8 @@ def _cmd_lseries(args) -> int:
 
 
 def _cmd_ensemble(args) -> int:
+    if args.json and args.format == "csv":
+        raise UsageError("--json asks for JSON and --format csv for CSV: give one")
     regime = make_regime(args.q, args.ell)
     if args.mode == "exhaustive":
         report = exhaustive_distribution(regime, args.genus, args.labeling)
@@ -192,14 +189,9 @@ def _cmd_ensemble(args) -> int:
         report = monte_carlo_distribution(regime, args.genus, args.samples,
                                           args.seed, args.labeling)
     if args.format == "csv":
-        out = report.to_csv()
+        _write(args, report.to_csv())
     else:
-        out = json.dumps(report.to_json_dict(), indent=2) + "\n"
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(out)
-    else:
-        sys.stdout.write(out)
+        _write(args, json.dumps(report.to_json_dict(), indent=2) + "\n")
     return 0
 
 

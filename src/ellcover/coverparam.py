@@ -168,13 +168,18 @@ def is_n_divisible(f: Poly, n: int) -> bool:
     return all(prime.degree % n == 0 for prime, _ in factor(f))
 
 
-def validate_params(params: CoverParams) -> None:
-    """Raise InvalidTuple unless params parametrizes a cover."""
+def validate_params(params: CoverParams) -> list[tuple[Poly, int]]:
+    """Raise InvalidTuple unless params parametrizes a cover; else list each
+    base prime with its slot i, the index of the f_i it divides, in slot
+    order.  Each f_i is factored once, and the factorizations also decide
+    coprimality: a prime met in two slots is a shared factor."""
     reg = params.regime
     if len(params.fs) != reg.ell - 1:
         raise InvalidTuple(
             f"expected {reg.ell - 1} branch polynomials, got {len(params.fs)}")
-    facs = []
+    prime_mults: list[tuple[Poly, int]] = []
+    slot_of: dict[tuple[int, ...], int] = {}
+    shared = None
     for i, f in enumerate(params.fs, start=1):
         if f.is_zero:
             raise InvalidTuple(f"f_{i} is zero")
@@ -188,12 +193,15 @@ def validate_params(params: CoverParams) -> None:
         if any(prime.degree % reg.n_q for prime, _ in fac):
             raise InvalidTuple(
                 f"f_{i} has a prime factor of degree not divisible by {reg.n_q}")
-        facs.append(fac)
-    for i in range(len(params.fs)):
-        for j in range(i + 1, len(params.fs)):
-            if params.fs[i].gcd(params.fs[j]).degree != 0:
-                raise InvalidTuple(f"f_{i + 1} and f_{j + 1} share a factor")
+        for prime, _ in fac:
+            first = slot_of.setdefault(prime.coeffs, i)
+            if first != i:
+                shared = min(shared or (first, i), (first, i))
+            prime_mults.append((prime, i))
+    if shared:
+        raise InvalidTuple(f"f_{shared[0]} and f_{shared[1]} share a factor")
     _check_unit(reg, params.b)
+    return prime_mults
 
 
 def _check_unit(regime: Regime, b: FieldElem) -> None:
@@ -233,7 +241,8 @@ def split_prime(regime: Regime, prime: Poly, labeling: str = "least") -> tuple[P
     prime must be monic irreducible over the base with degree divisible by
     n_q; the result lists the n_q conjugate extension primes starting from
     the lex-least (or lex-greatest) one, each the coefficient-wise q-th
-    power of its predecessor.
+    power of its predecessor.  The regime caches one orbit per prime, from
+    its lex-least member; the lex-greatest rule rotates it.
 
     Over the extension a base prime of degree n_q*m is a product of exactly
     n_q conjugate primes of degree m, so one of them gives the rest by
@@ -244,52 +253,41 @@ def split_prime(regime: Regime, prime: Poly, labeling: str = "least") -> tuple[P
     factor.  Over F_2 with n_q = 2, _gf2.conjugate_factor_coeffs does the
     same with a cube root of unity in place of the norm.  A reducible input
     fails one of the checks of either finder or below with CrossCheckMismatch:
-    the factor must be prime of degree m, its n_q conjugates distinct and
-    their product the embedded prime, which together prove the input prime.
+    the factor must be prime of degree m, its n_q conjugates distinct, the
+    Frobenius of the last the first, and their product the embedded prime,
+    which together prove the input prime.
     """
     _check_labeling(labeling)
-    key = (prime.coeffs, labeling)
-    cached = regime._split_cache.get(key)
-    if cached is not None:
-        return cached
-    n_q = regime.n_q
-    if prime.degree % n_q:
-        raise InvalidTuple(
-            f"prime degree {prime.degree} not divisible by n_q = {n_q}")
-    other_key = (prime.coeffs, "greatest" if labeling == "least" else "least")
-    sibling = regime._split_cache.get(other_key)
-    if sibling is not None:
-        parts = set(sibling)
-    elif regime.q == 2 and n_q == 2:
-        packed = 0
-        for i, c in enumerate(prime.coeffs):
-            packed |= c << i
-        lits = _gf2.conjugate_factor_coeffs(packed)
-        a = Poly(regime.ext, lits)
-        parts = {a, poly_frobenius(a, regime.q)}
-    else:
-        a = conjugate_factor(prime, regime.ext)
-        parts = {a}
+    orbit = regime._split_cache.get(prime.coeffs)
+    if orbit is None:
+        n_q, q = regime.n_q, regime.q
+        if prime.degree % n_q:
+            raise InvalidTuple(
+                f"prime degree {prime.degree} not divisible by n_q = {n_q}")
+        if q == 2 and n_q == 2:
+            packed = 0
+            for i, c in enumerate(prime.coeffs):
+                packed |= c << i
+            walk = [Poly(regime.ext, _gf2.conjugate_factor_coeffs(packed))]
+        else:
+            walk = [conjugate_factor(prime, regime.ext)]
         for _ in range(n_q - 1):
-            a = poly_frobenius(a, regime.q)
-            parts.add(a)
-    if len(parts) != n_q:
-        raise CrossCheckMismatch("embedded prime did not split into n_q conjugates")
-    pick = min if labeling == "least" else max
-    anchor = pick(parts, key=Poly.sort_key)
-    orbit = [anchor]
-    for _ in range(n_q - 1):
-        orbit.append(poly_frobenius(orbit[-1], regime.q))
-    if set(orbit) != parts:
-        raise CrossCheckMismatch("conjugates do not form a single Frobenius orbit")
-    prod = orbit[0]
-    for pr in orbit[1:]:
-        prod = prod * pr
-    if prod != embed(prime, regime.ext):
-        raise CrossCheckMismatch("orbit product does not recover the embedded prime")
-    result = tuple(orbit)
-    regime._split_cache[key] = result
-    return result
+            walk.append(poly_frobenius(walk[-1], q))
+        if len(set(walk)) != n_q:
+            raise CrossCheckMismatch("embedded prime did not split into n_q conjugates")
+        if poly_frobenius(walk[-1], q) != walk[0]:
+            raise CrossCheckMismatch("conjugates do not form a single Frobenius orbit")
+        prod = walk[0]
+        for pr in walk[1:]:
+            prod = prod * pr
+        if prod != embed(prime, regime.ext):
+            raise CrossCheckMismatch("orbit product does not recover the embedded prime")
+        low = min(range(n_q), key=lambda j: walk[j].sort_key())
+        orbit = regime._split_cache[prime.coeffs] = tuple(walk[low:] + walk[:low])
+    if labeling == "least":
+        return orbit
+    top = max(range(regime.n_q), key=lambda j: orbit[j].sort_key())
+    return orbit[top:] + orbit[:top]
 
 
 def prime_classes(regime: Regime, prime: Poly, labeling: str = "least") -> tuple[int, ...]:
@@ -347,16 +345,6 @@ class StableFactorization:
     labeling: str
 
 
-def _prime_multiplicities(params: CoverParams) -> list[tuple[Poly, int]]:
-    """Base primes of the full branch polynomial with their exponents, which
-    equal the index of the unique branch polynomial they divide."""
-    out = []
-    for i, f in enumerate(params.fs, start=1):
-        for prime, _ in factor(f):
-            out.append((prime, i))
-    return out
-
-
 def _parts_from_primes(regime: Regime, prime_mults, labeling: str) -> tuple[Poly, ...]:
     parts = [Poly.one(regime.ext) for _ in range(regime.n_q)]
     for prime, mult in prime_mults:
@@ -368,9 +356,8 @@ def _parts_from_primes(regime: Regime, prime_mults, labeling: str) -> tuple[Poly
 
 def stable_factorization(params: CoverParams, labeling: str = "least") -> StableFactorization:
     """Group the embedded branch primes into conjugate components."""
-    validate_params(params)
     reg = params.regime
-    parts = _parts_from_primes(reg, _prime_multiplicities(params), labeling)
+    parts = _parts_from_primes(reg, validate_params(params), labeling)
     return StableFactorization(reg, parts, labeling)
 
 

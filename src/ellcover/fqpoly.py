@@ -891,21 +891,11 @@ def necklace_count(q: int, d: int) -> int:
 _prime_lists: dict[tuple[int, int, int], tuple[Poly, ...]] = {}
 
 
-def primes_with_degree(ctx: FieldCtx, d: int) -> tuple[Poly, ...]:
-    """All monic irreducibles of degree d, canonically sorted.
-
-    Sieves out products prime*cofactor, so it needs the table, q**d, and the
-    products, sum over a <= d/2 of necklace_count(q, a) * q**(d - a), within
-    their budgets, checked before any work; counting callers should use
-    necklace_count instead.
-    """
-    if d < 1:
-        raise ValueError("prime degree must be positive")
-    q = ctx.order
-    key = (ctx.p, ctx.k, d)
-    cached = _prime_lists.get(key)
-    if cached is not None:
-        return cached
+def check_sieve_budget(q: int, d: int) -> None:
+    """Raise BudgetExceeded unless primes_with_degree may sieve degree d over
+    F_q: the table, q**d, and the products, sum over a <= d/2 of
+    necklace_count(q, a) * q**(d - a), within their budgets.  The budget of
+    degree d covers every lower degree."""
     if q ** d > SIEVE_CAP:
         raise BudgetExceeded(
             f"listing primes of degree {d} over F_{q} exceeds the sieve budget")
@@ -914,6 +904,22 @@ def primes_with_degree(ctx: FieldCtx, d: int) -> tuple[Poly, ...]:
         raise BudgetExceeded(
             f"listing primes of degree {d} over F_{q} takes {products} products, "
             f"over the sieve's cap {SIEVE_PRODUCT_CAP}")
+
+
+def primes_with_degree(ctx: FieldCtx, d: int) -> tuple[Poly, ...]:
+    """All monic irreducibles of degree d, canonically sorted.
+
+    Sieves out products prime*cofactor, within check_sieve_budget, checked
+    before any work; counting callers should use necklace_count instead.
+    """
+    if d < 1:
+        raise ValueError("prime degree must be positive")
+    q = ctx.order
+    key = (ctx.p, ctx.k, d)
+    cached = _prime_lists.get(key)
+    if cached is not None:
+        return cached
+    check_sieve_budget(q, d)
     if d == 1:
         out = tuple(Poly(ctx, (c, 1)) for c in range(q))
     else:

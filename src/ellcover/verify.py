@@ -20,11 +20,11 @@ from .charsum import (
     projective_points,
 )
 from .coverparam import (
+    ENUM_D_CAP,
     LABELINGS,
     CoverParams,
     Regime,
     _enumerate_full,
-    _prime_multiplicities,
     class_vector,
     count_tuples,
     enumerate_tuples,
@@ -38,7 +38,7 @@ from .coverparam import (
 )
 from .ensemble import _enumerated_law, _exact_law
 from .errors import BudgetExceeded, CrossCheckMismatch, EllcoverError
-from .fqpoly import embed, poly_frobenius, primes_with_degree
+from .fqpoly import check_sieve_budget, embed, poly_frobenius, primes_with_degree
 from .gf import FieldElem
 from .lseries import _l_coefficients_by_enumeration, count_constrained, l_polynomial
 
@@ -74,7 +74,9 @@ def _sample_jobs(regime: Regime, max_D: int, tuple_cap: int, unit_cap: int):
 def run_checks(q: int, ell: int, max_D: int = 4, tuple_cap: int = 25,
                unit_cap: int = 5) -> list[CheckResult]:
     """Run the full battery for one regime; every row is independently
-    recomputed evidence, not a cached pass.  ValueError if max_D < n_q."""
+    recomputed evidence, not a cached pass.  ValueError if max_D < n_q;
+    BudgetExceeded, before any row runs, if a degree up to max_D is over the
+    enumeration cap or the prime sieve's budget."""
     results: list[CheckResult] = []
 
     def record(name: str, fn) -> None:
@@ -94,6 +96,15 @@ def run_checks(q: int, ell: int, max_D: int = 4, tuple_cap: int = 25,
     if max_D < regime.n_q:  # no branch degree to check: every row would pass
         raise ValueError(f"max degree {max_D} is below the least branch degree "
                          f"n_q = {regime.n_q}: use --max-degree {regime.n_q} or more")
+    for d in _degrees(regime, max_D):  # the rows enumerate and sieve up to max_D
+        try:
+            if d > ENUM_D_CAP:
+                raise BudgetExceeded(f"enumeration at degree {d} exceeds cap {ENUM_D_CAP}")
+            check_sieve_budget(q, d)
+        except BudgetExceeded as exc:
+            fits = d - regime.n_q  # the last degree that passed, 0 when none did
+            hint = f"use --max-degree {fits} or less" if fits else "no --max-degree fits"
+            raise BudgetExceeded(f"{exc}: {hint}") from None
 
     def check_fibers() -> str:
         n_models = 0
@@ -211,7 +222,6 @@ def run_checks(q: int, ell: int, max_D: int = 4, tuple_cap: int = 25,
             base_n = point_count(twisted_model(params))
             for r in range(2, ell):
                 other = power_orbit(params, r)
-                validate_params(other)
                 _require(point_count(twisted_model(other)) == base_n,
                          f"power {r} moves the count of {params.fs} off {base_n}")
             n_models += 1
@@ -277,7 +287,7 @@ def run_checks(q: int, ell: int, max_D: int = 4, tuple_cap: int = 25,
         n_models = 0
         for lab in LABELINGS:
             for params in _sample_jobs(regime, max_D, tuple_cap, unit_cap):
-                classes = class_vector(regime, _prime_multiplicities(params),
+                classes = class_vector(regime, validate_params(params),
                                        params.b, lab)
                 fast = ell * classes.count(0)
                 slow = point_count_oracle(twisted_model(params, lab))

@@ -136,6 +136,22 @@ def test_ensemble_csv(capsys):
     assert lines[2] == "3,6,1/1,4/9"
 
 
+def test_ensemble_json_flag_agrees_with_format(capsys):
+    # --json asks for the default JSON report; with --format csv, in either
+    # order, it is a usage error rather than a flag silently ignored
+    args = ("ensemble", "--q", "2", "--ell", "3", "--genus", "0")
+    rc, out, _ = run(capsys, *args)
+    rc_json, out_json, _ = run(capsys, *args, "--json")
+    assert rc == rc_json == 0
+    d, d_json = json.loads(out), json.loads(out_json)
+    d.pop("runtime_ms"), d_json.pop("runtime_ms")
+    assert d == d_json
+    for extra in (("--format", "csv", "--json"), ("--json", "--format", "csv")):
+        rc, out, err = run(capsys, *args, *extra)
+        assert (rc, out) == (2, "")
+        assert err.startswith("usage error: ") and "--format csv" in err
+
+
 def test_out_file_matches_stdout(tmp_path, capsys):
     path = tmp_path / "report.json"
     rc, out, _ = run(capsys, "info", "--q", "2", "--ell", "3", "--json")
@@ -153,6 +169,22 @@ def test_verify_passes(capsys):
     assert "CHECK regime: PASS" in out
     assert "FAIL" not in out
     assert "all checks passed" in out
+
+
+@pytest.mark.parametrize("argv, fits", [
+    (("--q", "29", "--ell", "3"), "--max-degree 2 or less"),
+    (("--q", "2", "--ell", "3", "--max-degree", "18"), "--max-degree 16 or less"),
+    (("--q", "32", "--ell", "5"), "no --max-degree fits")])
+def test_verify_over_budget_exits_1_before_any_row(capsys, monkeypatch, argv, fits):
+    # the sieve's product cap at degree 4 over F_29 and F_32, and the
+    # enumeration cap at degree 18, are declared limits, not failed checks
+    def forbidden(*args):
+        raise AssertionError("a row ran")
+
+    monkeypatch.setattr("ellcover.verify.projective_points", forbidden)
+    rc, out, err = run(capsys, "verify", *argv)
+    assert (rc, out) == (1, "")
+    assert err.startswith("error: BudgetExceeded: ") and fits in err
 
 
 def test_verify_below_the_least_branch_degree_exits_2(capsys):
@@ -297,15 +329,19 @@ def test_the_contract_sweep_covers_28_regimes():
 @pytest.mark.parametrize("q, ell, n_q", SMALL_REGIMES,
                          ids=[f"{q},{ell}" for q, ell, _ in SMALL_REGIMES])
 def test_commands_exit_with_a_code_on_every_small_regime(capsys, q, ell, n_q):
-    """info, enumerate, lseries and both ensemble modes at the least genus
-    with branch degree D >= 4 end with exit code 0-3 and a one-line error,
-    never an exception or a traceback."""
+    """info, enumerate, count-points, lseries and both ensemble modes at the
+    least genus with branch degree D >= 4 end with exit code 0-3 and a
+    one-line error, never an exception or a traceback.  count-points puts
+    the first prime of degree n_q in slot 1 and 1 in every other slot."""
     D = -(-4 // n_q) * n_q
     genus = str((ell - 1) * (D - 2) // 2)
     regime = ["--q", str(q), "--ell", str(ell)]
+    prime = ec.primes_with_degree(ec.make_regime(q, ell).base, n_q)[0]
+    tuple_literal = ";".join([",".join(map(str, prime.coeffs))] + ["1"] * (ell - 2))
     commands = [
         ["info"],
         ["enumerate", "--degree", str(n_q), "--count-only"],
+        ["count-points", "--tuple", tuple_literal, "--b", "1"],
         ["lseries", "--points", "0,1", "--w", "1,1"],
         ["ensemble", "--genus", genus],
         ["ensemble", "--genus", genus, "--mode", "monte-carlo", "--samples", "5"],

@@ -142,6 +142,61 @@ def test_validate_rejections():
             R53, (ec.Poly(f5, [2, 2, 2]), ec.Poly.one(f5)), b_unit(R53)))
 
 
+def _prime_multiplicities(params):
+    """The base primes of a tuple with their slots, one factor call per
+    f_i: the oracle for the list validate_params returns."""
+    out = []
+    for i, f in enumerate(params.fs, start=1):
+        for prime, _ in ec.factor(f):
+            out.append((prime, i))
+    return out
+
+
+@pytest.mark.parametrize("qell", [(2, 3), (3, 5), (5, 3), (4, 5)])
+def test_validate_returns_the_primes_of_the_tuple(qell):
+    reg = ec.make_regime(*qell)
+    n_tuples = 0
+    for d in range(reg.n_q, 5, reg.n_q):
+        for params in tuples_with_b(reg, d):
+            got = ec.validate_params(params)
+            assert [(p.coeffs, i) for p, i in got] == \
+                [(p.coeffs, i) for p, i in _prime_multiplicities(params)]
+            n_tuples += 1
+    assert n_tuples == sum(ec.count_tuples(reg, d) for d in range(reg.n_q, 5, reg.n_q))
+
+
+def test_validate_rejects_a_prime_shared_by_the_outer_slots():
+    reg = ec.make_regime(3, 5)  # ell - 1 = 4 slots, n_q = 4
+    p4, q4 = ec.primes_with_degree(reg.base, 4)[:2]
+    p8 = ec.primes_with_degree(reg.base, 8)[0]  # degree 2 * n_q
+    one = ec.Poly.one(reg.base)
+    b = b_unit(reg)
+    with pytest.raises(ec.InvalidTuple, match="f_1 and f_4 share a factor"):
+        ec.validate_params(ec.CoverParams(reg, (p4, one, q4, p4), b))
+    with pytest.raises(ec.InvalidTuple, match="f_2 and f_3 share a factor"):
+        ec.validate_params(ec.CoverParams(reg, (p4, p8, p8 * q4, one), b))
+    # two shared pairs: the least pair of slots is the one named
+    with pytest.raises(ec.InvalidTuple, match="f_1 and f_4 share a factor"):
+        ec.validate_params(ec.CoverParams(reg, (p4, p8, p8, p4), b))
+
+
+def test_validate_makes_no_gcd_call_beyond_factor(monkeypatch):
+    # the factorizations decide coprimality: with factor answered from a
+    # table, validating 12 pairwise coprime primes over (5, 13) calls no gcd
+    # (a pairwise test would make 66)
+    reg = ec.make_regime(5, 13)
+    fs = ec.primes_with_degree(reg.base, reg.n_q)[:reg.ell - 1]
+    table = {f.coeffs: ec.factor(f) for f in fs}
+    params = ec.CoverParams(reg, fs, b_unit(reg))
+
+    def no_gcd(self, other):
+        raise AssertionError("validate_params called Poly.gcd")
+
+    monkeypatch.setattr(coverparam, "factor", lambda f: table[f.coeffs])
+    monkeypatch.setattr(ec.Poly, "gcd", no_gcd)
+    assert [p for p, _ in ec.validate_params(params)] == list(fs)
+
+
 def test_is_n_divisible():
     base = R23.base
     assert ec.is_n_divisible(ec.Poly(base, [1, 1, 1]), 2)
@@ -272,8 +327,8 @@ def _some_primes(reg, d, limit):
                                           ((3, 5), 12, 30), ((4, 5), 4, None),
                                           ((8, 3), 4, 60)])
 def test_split_prime_agrees_with_factor_oracle(qell, d, limit, labeling):
-    # a private regime per labeling, so neither labeling reads the other's
-    # cached factor set
+    # a private regime per labeling, so neither labeling reads the orbit the
+    # other one split
     reg = Regime(*qell)
     for prime in _some_primes(reg, d, limit):
         assert ec.split_prime(reg, prime, labeling) == \
@@ -363,6 +418,19 @@ def test_split_prime_rejects_bad_degree():
 def test_split_prime_caches():
     prime = ec.primes_with_degree(R23.base, 2)[0]
     assert ec.split_prime(R23, prime) is ec.split_prime(R23, prime)
+
+
+@pytest.mark.parametrize("qell", [(2, 3), (3, 5), (4, 5)])
+def test_split_cache_holds_one_orbit_per_prime(qell):
+    # both labelings, asked in either order, read the one cached orbit
+    reg = Regime(*qell)
+    primes = [prime for d in range(reg.n_q, 5, reg.n_q)
+              for prime in ec.primes_with_degree(reg.base, d)]
+    for i, prime in enumerate(primes):
+        for labeling in (LABELINGS if i % 2 else LABELINGS[::-1]):
+            assert ec.split_prime(reg, prime, labeling) == \
+                _orbit_from_factor(reg, prime, labeling)
+    assert sorted(reg._split_cache) == sorted(prime.coeffs for prime in primes)
 
 
 # ---------------------------------------------------------------------------
