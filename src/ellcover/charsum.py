@@ -1,11 +1,12 @@
 """Point counting on cyclic covers via multiplicative character classes.
 
-Every base-rational point x of the projective line gets a class in
-Z/ell union {zero}: the ell-th-power class of the twisted polynomial at x
-(at infinity, of its leading coefficient).  The fiber over x holds ell
-rational points when the class is 0, none when it is a nonzero class, and
-exactly one (ramified) when the value vanishes.  A brute-force oracle that
-scans the whole extension field for ell-th roots confirms each fiber.
+Every base-rational point x of the projective line gets a class in Z/ell:
+the ell-th-power class of the twisted polynomial at x (at infinity, of its
+leading coefficient).  The fiber over x holds ell rational points when the
+class is 0 and none otherwise.  No rational point ramifies: every branch
+prime has degree divisible by n_q >= 2, so the value never vanishes, and a
+value that does raises UnexpectedRoot.  A brute-force oracle that scans the
+whole extension field for ell-th roots confirms each fiber.
 """
 
 from __future__ import annotations
@@ -48,42 +49,29 @@ def model_value(model: TwistedModel, x) -> FieldElem:
 
 
 def chi_class(model: TwistedModel, x) -> CharClass:
-    """Power class of the model at x; zero class exactly at branch points."""
-    ell = model.regime.ell
+    """Power class of the model at x; UnexpectedRoot if the value vanishes."""
     val = model_value(model, x)
     if val.val == 0:
-        if x is INFINITY:
-            raise UnexpectedRoot("leading coefficient of a twisted model is a unit")
-        return CharClass.zero_class(ell)
-    return lth_power_class(val, ell)
+        raise UnexpectedRoot(f"twisted model vanishes at the rational point {x}")
+    return lth_power_class(val, model.regime.ell)
 
 
 def fiber_count(model: TwistedModel, x) -> int:
     """Rational points of the cover above x, from the character identity:
     summing the character over all ell classes leaves ell when the value is
-    an ell-th power and 0 otherwise, while a vanishing value contributes the
-    single ramification point."""
-    cls = chi_class(model, x)
-    if cls.is_zero_class:
-        return 1
-    return cls.zeta_sum()
+    an ell-th power and 0 otherwise."""
+    return chi_class(model, x).zeta_sum()
 
 
 def fiber_count_oracle(model: TwistedModel, x) -> int:
     """Independent count: scan every y in the extension for y**ell == value;
     at infinity the model's chart equation becomes y**ell == b**n_q."""
-    reg = model.regime
-    ell = reg.ell
+    reg, ext = model.regime, model.regime.ext
     if x is INFINITY:
         target = model.params.b ** reg.n_q
     else:
-        target = model.f_v0.eval(embed_elem(x, reg.ext))
-    count = 0
-    for yv in range(reg.ext.order):
-        y = FieldElem(reg.ext, yv)
-        if y ** ell == target:
-            count += 1
-    return count
+        target = model.f_v0.eval(embed_elem(x, ext))
+    return sum(ext.pow_i(y, reg.ell) == target.val for y in range(ext.order))
 
 
 def point_count(model: TwistedModel) -> int:
@@ -107,7 +95,6 @@ class FiberProfile:
 def fiber_profile(model: TwistedModel) -> FiberProfile:
     pts = projective_points(model.regime)
     classes = tuple(chi_class(model, x) for x in pts)
-    counts = tuple(
-        1 if c.is_zero_class else c.zeta_sum() for c in classes)
+    counts = tuple(c.zeta_sum() for c in classes)
     return FiberProfile(classes, counts, sum(counts))
 

@@ -131,8 +131,7 @@ def _cmd_count_points(args) -> int:
                 f"fiber count at x={x}: class gives {fast}, scan gives {slow}")
         oracle_total += slow
         label = "inf" if x is INFINITY else str(x)
-        rows.append({"x": label, "class": "0-class" if cls.is_zero_class else cls.e,
-                     "fiber": fast})
+        rows.append({"x": label, "class": cls.e, "fiber": fast})
     payload = {
         "regime": regime.to_json_dict(),
         "tuple": args.tuple,

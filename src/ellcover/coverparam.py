@@ -422,16 +422,18 @@ def _tuple_from_primes(regime: Regime, prime_mults) -> tuple[Poly, ...]:
 
 
 def _enumerate_full(regime: Regime, D: int):
-    """Yield prime_mults, each prime with its slot, for every branch tuple of
-    degree D, in the order of enumerate_tuples; ensembles read these lists
-    and never build or factor the tuple itself."""
+    """An iterator of prime_mults, each prime with its slot, for every branch
+    tuple of degree D, in the order of enumerate_tuples; ensembles read these
+    lists and never build or factor the tuple itself.  ValueError for D < 0
+    and BudgetExceeded for D > ENUM_D_CAP come from the call, before the walk.
+    """
     if D < 0:
         raise ValueError("branch degree must be non-negative")
     if D > ENUM_D_CAP:
         raise BudgetExceeded(f"enumeration at degree {D} exceeds cap {ENUM_D_CAP}")
     ell = regime.ell
     if D % regime.n_q:
-        return
+        return iter(())
     from itertools import combinations, product
 
     classes = _degree_classes(regime, D)
@@ -452,7 +454,7 @@ def _enumerate_full(regime: Regime, D: int):
                 for combo in combinations(pool, m):
                     yield from rec(idx + 1, rem - m * d, chosen + list(combo))
 
-    yield from rec(0, D, [])
+    return rec(0, D, [])
 
 
 def enumerate_tuples(regime: Regime, D: int):

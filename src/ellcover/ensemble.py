@@ -197,10 +197,14 @@ def _enumerated_law(regime: Regime, D: int, labeling: str):
 
 def _exact_law(regime: Regime, D: int):
     """(histogram, split counter, size) of every cover of degree D, from the
-    base-prime lines alone: a cover's affine classes are n_q * (e(b) + v),
-    so the law is fixed by A(v), the number of branch tuples with class sum
-    v at every affine point (_class_sum_counts).  Each class of e(b) holds
-    (Q-1)/ell units, and infinity has class n_q e(b).
+    base-prime lines alone: a cover's affine classes are n_q * (e(b) + u),
+    u its class sum at every affine point, so the law is fixed by A, the
+    branch tuples per class line (_class_sum_counts).  A nonzero line v
+    holds the ell - 1 class sums t*v, with A(v) tuples each; the zero line
+    holds one.  At t*v the twist class e(b) = -t*s hits the points i with
+    v_i = s, and infinity, of class n_q e(b), when s = 0, so each s in
+    Z/ell stands for one (multiple, twist class) pair per class sum on the
+    line.  Each class of e(b) holds (Q-1)/ell units.
     """
     ell, q = regime.ell, regime.q
     per_class = (regime.ext.order - 1) // ell
@@ -208,10 +212,11 @@ def _exact_law(regime: Regime, D: int):
     splits: Counter[int] = Counter()
     tuples = 0
     for v, a in _class_sum_counts(regime, tuple(range(q)), D).items():
+        a *= ell - 1 if any(v) else 1
         tuples += a
-        for e in range(ell):
-            hits = [i for i, c in enumerate(v) if (c + e) % ell == 0]
-            if e == 0:
+        for s in range(ell):
+            hits = [i for i, c in enumerate(v) if c == s]
+            if s == 0:
                 hits.append(q)  # infinity
             hist[ell * len(hits)] += a * per_class
             for i in hits:

@@ -420,54 +420,40 @@ def check_subfield_order(ctx: FieldCtx, base_order: int) -> None:
 class CharClass:
     """Value of the distinguished order-ell character, stored as an exponent.
 
-    The character sends the context generator to exponent 1; an element with
-    discrete log m has class m mod ell.  The zero field element gets the
-    distinguished non-unit class (e is None), which absorbs products.
+    The character sends the context generator to exponent 1; a unit with
+    discrete log m has class m mod ell.  Zero has no class (lth_power_class
+    raises ZeroInput), so every class is an exponent mod ell.
     """
 
     __slots__ = ("ell", "e")
 
-    def __init__(self, ell: int, e: int | None):
+    def __init__(self, ell: int, e: int):
         self.ell = ell
-        self.e = None if e is None else e % ell
-
-    @classmethod
-    def zero_class(cls, ell: int) -> "CharClass":
-        return cls(ell, None)
-
-    @property
-    def is_zero_class(self) -> bool:
-        return self.e is None
+        self.e = e % ell
 
     def __add__(self, other: "CharClass") -> "CharClass":
         if not isinstance(other, CharClass):
             return NotImplemented
         if self.ell != other.ell:
             raise OrderMismatch("mixed character orders")
-        if self.e is None or other.e is None:
-            return CharClass(self.ell, None)
         return CharClass(self.ell, self.e + other.e)
 
     def __mul__(self, n: int) -> "CharClass":
         if not isinstance(n, int):
             return NotImplemented
-        if self.e is None:
-            return CharClass(self.ell, None)
         return CharClass(self.ell, self.e * n)
 
     __rmul__ = __mul__
 
     def zeta_sum(self) -> int:
         """sum_{w=0}^{ell-1} zeta**(w*e), which is ell when e == 0 and 0
-        otherwise; undefined on the zero class."""
-        if self.e is None:
-            raise ZeroInput("zeta_sum of the zero class")
+        otherwise."""
         return self.ell if self.e == 0 else 0
 
     def __eq__(self, other) -> bool:
         if isinstance(other, CharClass):
             return self.ell == other.ell and self.e == other.e
-        if isinstance(other, int) and self.e is not None:
+        if isinstance(other, int):
             return self.e == other % self.ell
         return NotImplemented
 
@@ -475,7 +461,7 @@ class CharClass:
         return hash((self.ell, self.e))
 
     def __repr__(self) -> str:
-        return f"CharClass(ell={self.ell}, e={'zero' if self.e is None else self.e})"
+        return f"CharClass(ell={self.ell}, e={self.e})"
 
 
 def lth_power_class(a: FieldElem, ell: int) -> CharClass:

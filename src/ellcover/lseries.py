@@ -11,9 +11,9 @@ otherwise.  Which of the two a prime gets depends only on whether its
 class vector at the weighted points is orthogonal to w, so the series is
 read off the base primes orthogonal to w's line, peeled from monic
 polynomials over the extension once per line without listing any prime.
-Inverting the series counts the branch tuples of each class sum, which the
-exact law and the constrained counts both read; the latter are checked by
-enumeration.
+Inverting the series counts the branch tuples of each class sum, one
+count per class line, which the exact law and the constrained counts both
+read; the latter are checked by enumeration.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ from math import comb, log2, sqrt
 from operator import mul
 
 from .coverparam import (
-    ENUM_D_CAP,
     Regime,
     _check_labeling,
     _check_unit,
@@ -627,17 +626,19 @@ def _euler_series(ell: int, n_q: int, per_degree, w, trunc: int) -> list[int]:
 
 
 def _class_sum_counts(regime: Regime, idx: tuple[int, ...], D: int) -> dict:
-    """A(v): how many branch tuples of degree D have class sum
-    v = sum_P slot(P) * c_P at the base points with sorted literals idx,
-    for each v in (Z/ell)^k with A(v) > 0.
+    """A(v) for each line representative v (_line_of) of (Z/ell)^k with
+    A(v) > 0: how many branch tuples of degree D have class sum
+    sum_P slot(P) * c_P = v at the base points with sorted literals idx.
+    Scaling every slot by a unit permutes the tuples, so A is constant on
+    each line less 0 and each of v's ell - 1 nonzero multiples has A(v)
+    tuples too; the zero vector stands for class sum 0 alone.
 
     Under the character [c] -> zeta**<w, c> the factor 1 + u**d sum_s [s c_P]
     of each prime becomes 1 + (ell-1)u**d or 1 - u**d, so coefficient D of
     the product is an integer G_w fixed by how many primes of each degree
-    are orthogonal to w, the same for every nonzero multiple of w.  Scaling
-    every slot by a unit permutes the tuples, so A is constant on each line
-    less 0, and _invert recovers it from G.  Labeling-free: re-anchoring
-    moves no prime off its line.
+    are orthogonal to w, the same for every nonzero multiple of w, and
+    _invert recovers A from G.  Labeling-free: re-anchoring moves no prime
+    off its line.
     """
     ell, n_q, k = regime.ell, regime.n_q, len(idx)
     per_degree = _orthogonal_at(regime, idx, D // n_q)
@@ -648,11 +649,7 @@ def _class_sum_counts(regime: Regime, idx: tuple[int, ...], D: int) -> dict:
         if profile not in by_profile:
             by_profile[profile] = _euler_series(ell, n_q, per_degree, w, D)[D]
         coeffs[w] = by_profile[profile]
-    counts = {}
-    for v, a in _invert(coeffs, k, ell).items():
-        for t in range(1, ell) if any(v) else (1,):
-            counts[tuple(t * c % ell for c in v)] = a
-    return counts
+    return _invert(coeffs, k, ell)
 
 
 def _base_literals(regime: Regime, points) -> tuple[int, ...]:
@@ -696,11 +693,13 @@ def count_constrained(regime: Regime, D: int, points, targets,
     """Branch tuples of degree D whose twisted model has class targets[i]
     at points[i], for the fixed twisting unit b.
 
-    The class at an affine point x is n_q * (e(b) + v_x), v the tuple's
-    class sum, so this sums A(v) (_class_sum_counts) over the v that hit
-    every target, checked against the class_vector of every enumerated
-    tuple (CrossCheckMismatch on any disagreement).  BudgetExceeded for
-    D > ENUM_D_CAP or a kernel over its caps comes before any work.
+    The class at an affine point x is n_q * (e(b) + u_x), u the tuple's
+    class sum, so the targets fix u (n_q divides ell - 1, so it is a unit
+    mod ell), and the count is A at u's line
+    (_class_sum_counts), checked against the class_vector of every
+    enumerated tuple (CrossCheckMismatch on any disagreement).
+    BudgetExceeded for D > ENUM_D_CAP or a kernel over its caps comes before
+    any work.
     """
     _check_labeling(labeling)
     ell = regime.ell
@@ -710,18 +709,16 @@ def count_constrained(regime: Regime, D: int, points, targets,
         raise InvalidTuple("need one target class per point")
     if not pts:
         raise InvalidTuple("need at least one evaluation point")
-    if D > ENUM_D_CAP:
-        raise BudgetExceeded(f"enumeration at degree {D} exceeds cap {ENUM_D_CAP}")
+    walk = _enumerate_full(regime, D)
     _check_unit(regime, b)
     lits = _base_literals(regime, pts)
     want = sorted(zip(lits, targets))
     counts = _class_sum_counts(regime, tuple(i for i, _ in want), D)
-    e_b = lth_power_class(b, ell).e
-    averaged = sum(a for v, a in counts.items()
-                   if all(regime.n_q * (e_b + c) % ell == t
-                          for c, (_, t) in zip(v, want)))
+    e_b, inv_n = lth_power_class(b, ell).e, pow(regime.n_q, -1, ell)
+    u = tuple((t * inv_n - e_b) % ell for _, t in want)
+    averaged = counts.get(_line_of(u, ell), 0)
     direct = 0
-    for prime_mults in _enumerate_full(regime, D):
+    for prime_mults in walk:
         classes = class_vector(regime, prime_mults, b, labeling)
         direct += all(classes[i] == t for i, t in want)
     if averaged != direct:

@@ -20,10 +20,10 @@ from .charsum import (
     projective_points,
 )
 from .coverparam import (
-    ENUM_D_CAP,
     LABELINGS,
     CoverParams,
     Regime,
+    _degree_classes,
     _enumerate_full,
     class_vector,
     count_tuples,
@@ -56,16 +56,12 @@ def _require(ok: bool, message: str) -> None:
         raise CrossCheckMismatch(message)
 
 
-def _degrees(regime: Regime, max_D: int) -> list[int]:
-    return [d for d in range(regime.n_q, max_D + 1, regime.n_q)]
-
-
 def _sample_jobs(regime: Regime, max_D: int, tuple_cap: int, unit_cap: int):
     """A deterministic spread of (params) jobs: leading tuples per degree
     crossed with leading units."""
     units = [FieldElem(regime.ext, v)
              for v in range(1, min(regime.ext.order, unit_cap + 1))]
-    for d in _degrees(regime, max_D):
+    for d in _degree_classes(regime, max_D):
         for fs in islice(enumerate_tuples(regime, d), tuple_cap):
             for b in units:
                 yield CoverParams(regime, fs, b)
@@ -96,10 +92,9 @@ def run_checks(q: int, ell: int, max_D: int = 4, tuple_cap: int = 25,
     if max_D < regime.n_q:  # no branch degree to check: every row would pass
         raise ValueError(f"max degree {max_D} is below the least branch degree "
                          f"n_q = {regime.n_q}: use --max-degree {regime.n_q} or more")
-    for d in _degrees(regime, max_D):  # the rows enumerate and sieve up to max_D
+    for d in _degree_classes(regime, max_D):  # the rows enumerate and sieve up to max_D
         try:
-            if d > ENUM_D_CAP:
-                raise BudgetExceeded(f"enumeration at degree {d} exceeds cap {ENUM_D_CAP}")
+            _enumerate_full(regime, d)  # raises over ENUM_D_CAP; no walk runs
             check_sieve_budget(q, d)
         except BudgetExceeded as exc:
             fits = d - regime.n_q  # the last degree that passed, 0 when none did
@@ -200,7 +195,7 @@ def run_checks(q: int, ell: int, max_D: int = 4, tuple_cap: int = 25,
         # both rules or neither.  Checked at w = 1 on every affine point,
         # for every prime of degree <= max_D.
         n_primes = n_vanish = 0
-        for deg in _degrees(regime, max_D):
+        for deg in _degree_classes(regime, max_D):
             for prime in primes_with_degree(regime.base, deg):
                 e_least = sum(prime_classes(regime, prime, "least")) % ell
                 e_greatest = sum(prime_classes(regime, prime, "greatest")) % ell
@@ -231,7 +226,7 @@ def run_checks(q: int, ell: int, max_D: int = 4, tuple_cap: int = 25,
 
     def check_counts() -> str:
         rows = []
-        for d in _degrees(regime, max_D):
+        for d in _degree_classes(regime, max_D):
             seen = 0
             for fs in enumerate_tuples(regime, d):
                 b = FieldElem(regime.ext, 1)
@@ -251,7 +246,7 @@ def run_checks(q: int, ell: int, max_D: int = 4, tuple_cap: int = 25,
         b = FieldElem(regime.ext, min(2, regime.ext.order - 1))
         rows = []
         # up to D = 6, or D = n_q when n_q > 6, so the row compares something
-        for d in _degrees(regime, min(max_D, max(6, regime.n_q))):
+        for d in _degree_classes(regime, min(max_D, max(6, regime.n_q))):
             cnt = count_constrained(regime, d, pts, [0] * len(pts), b)
             rows.append(f"D={d}:{cnt}")
         return "class-kernel count == direct count (" + ", ".join(rows) + ")"
@@ -259,7 +254,7 @@ def run_checks(q: int, ell: int, max_D: int = 4, tuple_cap: int = 25,
     record("constrained-crosscheck", check_constrained)
 
     def check_sampling() -> str:
-        d = _degrees(regime, max_D)[-1]
+        d = _degree_classes(regime, max_D)[-1]
         for i in range(10):
             params = sample_params(regime, d, seed=7, index=i)
             validate_params(params)
@@ -328,7 +323,7 @@ def run_checks(q: int, ell: int, max_D: int = 4, tuple_cap: int = 25,
 
     def check_exact_law() -> str:
         rows, note = [], ""
-        for d in _degrees(regime, max_D):
+        for d in _degree_classes(regime, max_D):
             try:
                 hist, splits, size = _exact_law(regime, d)
             except BudgetExceeded as exc:

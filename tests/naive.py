@@ -407,3 +407,43 @@ def group_ring_lines(monic, ell, q, n_q, Q, k, m_max):
         assert all(cnt % n_q == 0 and cnt >= 0 for cnt in lines.values())
         out.append({line: cnt // n_q for line, cnt in lines.items() if cnt})
     return out
+
+
+# ---------------------------------------------------------------------------
+# The exact law and constrained counts, read vector by vector.
+
+def expand_lines(lines, ell):
+    """Counts keyed by line representative, spread over every class sum:
+    each nonzero multiple t*v of a representative v gets v's count, and the
+    zero vector keeps its own."""
+    out = {}
+    for v, a in lines.items():
+        for t in range(1, ell) if any(v) else (1,):
+            out[tuple(t * c % ell for c in v)] = a
+    return out
+
+
+def law_by_vector(counts, ell, q, Q):
+    """(histogram, splits, size) of every cover, counts[v] the branch tuples
+    of class sum v at the q affine points: at twist class e the affine point
+    i splits when v_i + e = 0 mod ell and infinity when e = 0; each class
+    holds (Q-1)/ell twisting units."""
+    per_class = (Q - 1) // ell
+    hist, splits, tuples = {}, {}, 0
+    for v, a in counts.items():
+        tuples += a
+        for e in range(ell):
+            hits = [i for i, c in enumerate(v) if (c + e) % ell == 0]
+            if e == 0:
+                hits.append(q)
+            hist[ell * len(hits)] = hist.get(ell * len(hits), 0) + a * per_class
+            for i in hits:
+                splits[i] = splits.get(i, 0) + a * per_class
+    return hist, splits, tuples * (Q - 1)
+
+
+def constrained_by_vector(counts, ell, n_q, e_b, targets):
+    """Branch tuples whose class n_q*(e_b + v_i) at point i is targets[i],
+    summed over every class sum v."""
+    return sum(a for v, a in counts.items()
+               if all(n_q * (e_b + c) % ell == t for c, t in zip(v, targets)))

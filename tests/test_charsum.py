@@ -88,13 +88,33 @@ def test_totals_are_multiples_of_ell_and_bounded(reg, degrees):
 
 def test_rational_points_never_ramify():
     # no branch polynomial can vanish at a base-rational point in this
-    # regime (every prime factor has degree > 1), so the zero class never
-    # appears and every fiber is 0 or ell
+    # regime (every prime factor has degree > 1), so the brute-force scan,
+    # which would find the single root 0 of a vanishing value, finds every
+    # fiber empty or full
     for params in covers(R23, (2, 4, 6)):
         model = ec.twisted_model(params)
         for x in ec.projective_points(R23):
-            cls = ec.chi_class(model, x)
-            assert not cls.is_zero_class
+            assert ec.fiber_count_oracle(model, x) in (0, R23.ell)
+
+
+def test_a_vanishing_model_value_raises_a_typed_error():
+    # a hand-built model whose twisted polynomial X**3 + X vanishes at 0:
+    # no valid cover gets there, and the class-based counts refuse it
+    from dataclasses import replace
+
+    params = ec.CoverParams(
+        R23, (ec.Poly(R23.base, [1, 1, 1]), ec.Poly.one(R23.base)),
+        R23.ext.elem(1))
+    model = replace(ec.twisted_model(params),
+                    f_v0=ec.Poly(R23.ext, [0, 1, 0, 1]))
+    zero = R23.base.elem(0)
+    for count in (ec.chi_class, ec.fiber_count):
+        with pytest.raises(ec.UnexpectedRoot):
+            count(model, zero)
+    with pytest.raises(ec.UnexpectedRoot):
+        ec.fiber_profile(model)
+    assert ec.chi_class(model, ec.INFINITY) == 0
+    assert ec.fiber_count_oracle(model, zero) == 1
 
 
 def test_class_value_is_unit_class_of_model_value():

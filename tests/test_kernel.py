@@ -108,3 +108,11 @@ def test_enumerate_full_checks_its_budget():
         next(_enumerate_full(reg, ENUM_D_CAP + reg.n_q))
     with pytest.raises(ValueError):
         next(_enumerate_full(reg, -2))
+
+
+def test_enumeration_budget_is_checked_at_the_call():
+    reg = ec.make_regime(2, 3)
+    with pytest.raises(ec.BudgetExceeded):
+        _enumerate_full(reg, ENUM_D_CAP + reg.n_q)
+    with pytest.raises(ValueError):
+        _enumerate_full(reg, -2)

@@ -6,6 +6,7 @@ budgets checked before any work."""
 import json
 import time
 from fractions import Fraction
+from itertools import product
 from random import Random
 
 import pytest
@@ -13,7 +14,7 @@ import pytest
 import ellcover as ec
 import ellcover.lseries as ls
 from ellcover.coverparam import LABELINGS, Regime
-from ellcover.ensemble import _enumerated_law, _report
+from ellcover.ensemble import _enumerated_law, _exact_law, _report
 from ellcover.gf import FieldElem, subfield_table
 from ellcover.lseries import _LineKernel, _horner_counts, _line_of, base_prime_lines
 
@@ -138,6 +139,30 @@ def test_reports_equal_the_enumeration_oracle(qell, g, labeling):
     reg = ec.make_regime(*qell)
     got = ec.exhaustive_distribution(reg, g, labeling)
     assert report_bytes(got) == report_bytes(oracle_report(reg, g, labeling))
+
+
+LINE_LAW = [(2, 3), (3, 5), (5, 3), (4, 5), (2, 7), (3, 7)]
+
+
+@pytest.mark.parametrize("qell", LINE_LAW)
+def test_law_and_constrained_counts_per_line_match_the_vector_expansion(qell):
+    # the kernel's counts per class line, spread over every class sum and
+    # read vector by vector, give the same law and, at points 1 and 0 in
+    # that order, the same count for every target
+    reg = ec.make_regime(*qell)
+    ell, ext = reg.ell, reg.ext
+    b = ext.elem(ext.generator)  # class 1
+    pts = [reg.base.elem(1), reg.base.elem(0)]
+    for D in range(reg.n_q, 7, reg.n_q):
+        every = naive.expand_lines(
+            ls._class_sum_counts(reg, tuple(range(reg.q)), D), ell)
+        hist, splits, size = _exact_law(reg, D)
+        assert (dict(hist), dict(splits), size) == naive.law_by_vector(
+            every, ell, reg.q, ext.order)
+        pair = naive.expand_lines(ls._class_sum_counts(reg, (0, 1), D), ell)
+        for t in product(range(ell), repeat=2):
+            want = naive.constrained_by_vector(pair, ell, reg.n_q, 1, t[::-1])
+            assert ec.count_constrained(reg, D, pts, t, b) == want
 
 
 def test_exact_tv_at_genus_20():

@@ -609,10 +609,11 @@ def test_constrained_counts_build_no_model(monkeypatch):
 
 def test_count_constrained_checks_the_kernel_budget_first(monkeypatch):
     # 3**9 class vectors at 9 points exceed GROUP_RING_CAP: that is refused
-    # before any branch tuple is enumerated
+    # before any branch tuple is enumerated: no prime is listed for the
+    # walk and no tuple is classed
     from ellcover.lseries import GROUP_RING_CAP
 
-    forbid(monkeypatch, "_enumerate_full")
+    forbid(monkeypatch, "primes_with_degree", "class_vector")
     R113 = ec.make_regime(11, 3)
     assert 3 ** 9 > GROUP_RING_CAP
     with pytest.raises(ec.BudgetExceeded):

@@ -131,13 +131,12 @@ def test_exact_law_row_compares_with_the_enumeration(monkeypatch):
     kernel = ensemble._class_sum_counts
 
     def skewed(regime, idx, D):
-        # one branch tuple moved to class sum 0: the law keeps its size, so
-        # only the law itself can differ
+        # one branch tuple per class sum moved from the line of (1, 2) to
+        # the line of (1, 0): the law keeps its size, so only the law itself
+        # can differ
         out = dict(kernel(regime, idx, D))
-        last = max(out)
-        out[last] -= 1
-        zero = (0,) * len(idx)
-        out[zero] = out.get(zero, 0) + 1
+        out[(1, 2)] -= 1
+        out[(1, 0)] = out.get((1, 0), 0) + 1
         return out
 
     monkeypatch.setattr(ensemble, "_class_sum_counts", skewed)
