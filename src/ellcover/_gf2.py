@@ -9,6 +9,14 @@ modulo the prime, built from a Frobenius orbit, and one gcd over GF(4),
 whose polynomials are held as pairs of such ints.  The generic coefficient
 arithmetic would dominate the runtime of both.
 
+Most random candidates that a rejection draw rejects have a small factor,
+so is_irreducible screens the factors of degree 1 to 4 exactly before it
+runs Ben-Or's gcds: x and x + 1 from the bits, and the primes of degree 2,
+3 and 4 from the residues modulo x**15 - 1 and x**7 - 1, which those primes
+divide.  Its squaring, reduction and gcd loops, and the orbit squarings of
+conjugate_factor_coeffs, are written out inline, since the calls would cost
+as much as the work.
+
 Only internal callers use this module; everything here is cross-checked
 against the generic polynomial layer and the naive oracles in the test suite.
 """
@@ -76,14 +84,43 @@ def gcd(a: int, b: int) -> int:
     return a
 
 
-def is_irreducible(f: int) -> bool:
-    """Irreducibility over GF(2) by the factor-degree filter.
+# The primes of degree 2 and 4 divide x**15 - 1 and those of degree 3 divide
+# x**7 - 1, so a polynomial has such a factor exactly when its residue modulo
+# x**15 - 1 (or x**7 - 1) does.  _screens holds one bytearray per modulus,
+# indexed by the residue and marking the multiples of those primes; they take
+# about 1.5 ms and 32 KiB, built on the first call that reads them.
+_SCREEN_DIVISORS = ((15, (0b111, 0b10011, 0b11001, 0b11111)),
+                    (7, (0b1011, 0b1101)))
+_screens: tuple[bytearray, ...] = ()
 
-    f is composite iff it has an irreducible factor of degree <= deg(f)//2,
-    and gcd(x**(2**i) - x, f) catches every factor of degree dividing i.
+
+def _build_screens() -> tuple[bytearray, ...]:
+    global _screens
+    tables = []
+    for n, divisors in _SCREEN_DIVISORS:
+        table = bytearray(1 << n)
+        for g in divisors:
+            span = [0]  # the multiples of g of degree < n, a GF(2) span
+            for i in range(n - g.bit_length() + 1):
+                step = g << i
+                span += [v ^ step for v in span]
+            for v in span:
+                table[v] = 1
+        tables.append(table)
+    _screens = tuple(tables)
+    return _screens
+
+
+def is_irreducible(f: int) -> bool:
+    """Irreducibility over GF(2): a small-factor screen, then Ben-Or.
+
+    f is composite iff it has an irreducible factor of degree <= deg(f)//2.
     The roots 0 and 1 are screened first: f(0) is bit 0, and f(1) is the
-    parity of the number of set bits.  That screen is the first round,
-    gcd(x**2 - x, f) = 1, so the loop starts at x**2.
+    parity of the number of set bits.  Of degree <= 4 and without a root, f
+    is composite only as (x**2 + x + 1)**2.  Above degree 4 the residue
+    tables catch every factor of degree 2, 3 or 4, so Ben-Or's rounds, where
+    gcd(x**(2**i) - x, f) catches every factor of degree dividing i, start at
+    i = 5.
     """
     d = f.bit_length() - 1
     if d < 1:
@@ -92,10 +129,46 @@ def is_irreducible(f: int) -> bool:
         return True
     if not f & 1 or not f.bit_count() & 1:
         return False  # divisible by x or by x + 1
-    t = 4  # x**2
-    for _ in range(2, d // 2 + 1):
-        t = mod(sqr(t), f)
-        if gcd(t ^ 2, f) != 1:
+    if d <= 4:
+        return f != 0b10101
+    screen15, screen7 = _screens or _build_screens()
+    r = f
+    while r >> 15:
+        r = (r & 0x7FFF) ^ (r >> 15)
+    if screen15[r]:
+        return False
+    r = f
+    while r >> 7:
+        r = (r & 0x7F) ^ (r >> 7)
+    if screen7[r]:
+        return False
+    if d < 10:
+        return True  # no round: every factor of degree <= d//2 is screened
+    spread = _SPREAD
+    t, dt = 1 << 16, 16  # x**(2**4) modulo f
+    while dt >= d:
+        t ^= f << (dt - d)
+        dt = t.bit_length() - 1
+    for _ in range(5, d // 2 + 1):
+        s = shift = 0  # s = t**2 modulo f
+        while t:
+            s |= spread[t & 0xFF] << shift
+            t >>= 8
+            shift += 16
+        ds = s.bit_length() - 1
+        while ds >= d:
+            s ^= f << (ds - d)
+            ds = s.bit_length() - 1
+        t = s
+        a, b = f, t ^ 2  # gcd(f, t - x)
+        while b:
+            db = b.bit_length()
+            da = a.bit_length()
+            while da >= db:
+                a ^= b << (da - db)
+                da = a.bit_length()
+            a, b = b, a
+        if a != 1:
             return False
     return True
 
@@ -117,8 +190,9 @@ def conjugate_factor_coeffs(p: int) -> list[int]:
     roots of p, the even and the odd Frobenius powers of x.  So A is
     gcd(p, Y + rho) over GF(4), of degree d/2.  Tr(x**k) is the k-th power
     sum of the roots of p, read off p's bits by Newton's identities.  The
-    checks along the way, and a proof from z's orbit that p is prime, make a
-    reducible p raise CrossCheckMismatch.
+    checks along the way, a proof from z's orbit that p is prime, and a last
+    check that A * phi(A) = p on the packed halves make a reducible p or a
+    wrong factor raise CrossCheckMismatch.
     """
     d = p.bit_length() - 1
     # Newton's identities in characteristic 2, with e_i the coefficient of
@@ -135,9 +209,21 @@ def conjugate_factor_coeffs(p: int) -> list[int]:
         k += 1
     else:
         raise CrossCheckMismatch("no power of x has trace 1")
-    orbit = [1 << k]  # z**(2**j) for j < d, with z = x**k
+    spread = _SPREAD
+    z = 1 << k
+    orbit = [z]  # z**(2**j) for j < d, with z = x**k
     for _ in range(1, d):
-        orbit.append(mod(sqr(orbit[-1]), p))
+        s = shift = 0  # z = z**2 modulo p
+        while z:
+            s |= spread[z & 0xFF] << shift
+            z >>= 8
+            shift += 16
+        ds = s.bit_length() - 1
+        while ds >= d:
+            s ^= p << (ds - d)
+            ds = s.bit_length() - 1
+        z = s
+        orbit.append(z)
     if reduce(xor, orbit, 0) != 1:
         raise CrossCheckMismatch("the chosen power of x does not have trace 1")
     y = reduce(xor, orbit[1::2], 0)
@@ -154,6 +240,11 @@ def conjugate_factor_coeffs(p: int) -> list[int]:
     a_lo, a_hi = _gf4_gcd(p, 0, y, 1)
     if max(a_lo.bit_length(), a_hi.bit_length()) - 1 != d // 2:
         raise CrossCheckMismatch("the GF(4) factor does not have half the degree")
+    # A * phi(A) = lo**2 + (rho + rho**2)*lo*hi + rho**3*hi**2, with
+    # rho + rho**2 = rho**3 = 1; hi != 0 keeps A off GF(2), so A != phi(A).
+    if not a_hi or sqr(a_lo) ^ mul(a_lo, a_hi) ^ sqr(a_hi) != p:
+        raise CrossCheckMismatch(
+            "the GF(4) factor times its conjugate does not give the prime")
     return [(a_lo >> i & 1) | (a_hi >> i & 1) << 1 for i in range(d // 2 + 1)]
 
 

@@ -39,6 +39,7 @@ from .errors import (
 )
 from .fqpoly import (
     Poly,
+    _trusted,
     conjugate_factor,
     embed,
     factor,
@@ -255,7 +256,8 @@ def split_prime(regime: Regime, prime: Poly, labeling: str = "least") -> tuple[P
     fails one of the checks of either finder or below with CrossCheckMismatch:
     the factor must be prime of degree m, its n_q conjugates distinct, the
     Frobenius of the last the first, and their product the embedded prime,
-    which together prove the input prime.
+    which together prove the input prime.  Over F_2 the product is checked
+    by _gf2 on the bit-packed halves of the factor.
     """
     _check_labeling(labeling)
     orbit = regime._split_cache.get(prime.coeffs)
@@ -264,11 +266,12 @@ def split_prime(regime: Regime, prime: Poly, labeling: str = "least") -> tuple[P
         if prime.degree % n_q:
             raise InvalidTuple(
                 f"prime degree {prime.degree} not divisible by n_q = {n_q}")
-        if q == 2 and n_q == 2:
+        gf4 = q == 2 and n_q == 2
+        if gf4:
             packed = 0
             for i, c in enumerate(prime.coeffs):
                 packed |= c << i
-            walk = [Poly(regime.ext, _gf2.conjugate_factor_coeffs(packed))]
+            walk = [_trusted(regime.ext, _gf2.conjugate_factor_coeffs(packed))]
         else:
             walk = [conjugate_factor(prime, regime.ext)]
         for _ in range(n_q - 1):
@@ -277,11 +280,13 @@ def split_prime(regime: Regime, prime: Poly, labeling: str = "least") -> tuple[P
             raise CrossCheckMismatch("embedded prime did not split into n_q conjugates")
         if poly_frobenius(walk[-1], q) != walk[0]:
             raise CrossCheckMismatch("conjugates do not form a single Frobenius orbit")
-        prod = walk[0]
-        for pr in walk[1:]:
-            prod = prod * pr
-        if prod != embed(prime, regime.ext):
-            raise CrossCheckMismatch("orbit product does not recover the embedded prime")
+        if not gf4:
+            prod = walk[0]
+            for pr in walk[1:]:
+                prod = prod * pr
+            if prod != embed(prime, regime.ext):
+                raise CrossCheckMismatch(
+                    "orbit product does not recover the embedded prime")
         low = min(range(n_q), key=lambda j: walk[j].sort_key())
         orbit = regime._split_cache[prime.coeffs] = tuple(walk[low:] + walk[:low])
     if labeling == "least":
@@ -520,11 +525,12 @@ def _draw_prime(regime: Regime, d: int, rng: Random) -> Poly:
     rejection: the first of the monic candidates drawn from rng that is
     prime.
 
-    Over F_2 candidates are bit-packed for _gf2.is_irreducible.  Elsewhere a
-    candidate of degree d with q**d <= DRAW_SIEVE_CAP is looked up in the
-    set of primes of its degree, sieved once per process, and tested by
-    irreducible above the cap; either way the draws and the decisions, hence
-    the stream, are the same.
+    Over F_2 candidates are bit-packed for _gf2.is_irreducible, which finds
+    any factor of degree at most 4 by table lookups and runs Ben-Or's gcds
+    only on the rest.  Elsewhere a candidate of degree d with q**d <=
+    DRAW_SIEVE_CAP is looked up in the set of primes of its degree, sieved
+    once per process, and tested by irreducible above the cap; either way
+    the draws and the decisions, hence the stream, are the same.
     """
     base = regime.base
     q = base.order
@@ -532,7 +538,7 @@ def _draw_prime(regime: Regime, d: int, rng: Random) -> Poly:
         while True:
             mask = rng.getrandbits(d)
             if _gf2.is_irreducible(1 << d | mask):
-                return Poly(base, [mask >> i & 1 for i in range(d)] + [1])
+                return _trusted(base, [mask >> i & 1 for i in range(d)] + [1])
     if q ** d <= DRAW_SIEVE_CAP:
         sieve = _draw_sieve(base, d)
         while True:

@@ -25,6 +25,7 @@ from .coverparam import (
     Regime,
     _degree_classes,
     _enumerate_full,
+    _tuple_from_primes,
     class_vector,
     count_tuples,
     enumerate_tuples,
@@ -225,15 +226,34 @@ def run_checks(q: int, ell: int, max_D: int = 4, tuple_cap: int = 25,
     record("power-orbit", check_orbit)
 
     def check_counts() -> str:
+        # Each tuple is checked from the primes the stream hands over; about
+        # tuple_cap of them per degree, spread over the stream, are also
+        # built, validated (factored) and must factor back into those primes.
         rows = []
+        b = FieldElem(regime.ext, 1)
         for d in _degree_classes(regime, max_D):
-            seen = 0
-            for fs in enumerate_tuples(regime, d):
-                b = FieldElem(regime.ext, 1)
-                validate_params(CoverParams(regime, fs, b))
-                _require(sum(f.degree for f in fs) == d, f"tuple {fs} not of degree {d}")
-                seen += 1
             expected = count_tuples(regime, d)
+            stride = max(1, expected // tuple_cap)
+            seen = 0
+            for prime_mults in _enumerate_full(regime, d):
+                primes = {prime.coeffs for prime, _ in prime_mults}
+                _require(len(primes) == len(prime_mults),
+                         f"D={d}: tuple {seen} repeats a prime")
+                _require(all(prime.is_monic and prime.degree % regime.n_q == 0
+                             for prime, _ in prime_mults),
+                         f"D={d}: tuple {seen} has a prime that is not monic of "
+                         f"degree divisible by {regime.n_q}")
+                _require(all(0 < slot < ell for _, slot in prime_mults),
+                         f"D={d}: tuple {seen} has a slot outside 1..{ell - 1}")
+                _require(sum(prime.degree for prime, _ in prime_mults) == d,
+                         f"D={d}: tuple {seen} is not of degree {d}")
+                if seen % stride == 0:
+                    fs = _tuple_from_primes(regime, prime_mults)
+                    factored = validate_params(CoverParams(regime, fs, b))
+                    _require(sorted((prime.coeffs, slot) for prime, slot in factored)
+                             == sorted((prime.coeffs, slot) for prime, slot in prime_mults),
+                             f"D={d}: tuple {seen} does not factor into its primes")
+                seen += 1
             _require(seen == expected, f"D={d}: stream {seen} vs count {expected}")
             rows.append(f"D={d}:{seen}")
         return "enumeration matches closed count (" + ", ".join(rows) + ")"

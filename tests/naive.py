@@ -71,6 +71,35 @@ def is_irreducible(p, a):
     return True
 
 
+def gf2_rem(a, m):
+    """Remainder of a modulo m for GF(2) polynomials packed into ints, bit i
+    the coefficient of x**i."""
+    dm = m.bit_length() - 1
+    while a.bit_length() - 1 >= dm:
+        a ^= m << (a.bit_length() - 1 - dm)
+    return a
+
+
+def gf2_ben_or(f):
+    """Ben-Or's test on a packed GF(2) polynomial: f is prime iff
+    gcd(x**(2**i) - x, f) = 1 for every i <= deg(f)/2."""
+    d = f.bit_length() - 1
+    if d < 1:
+        return False
+    t = 2  # x**(2**i) modulo f
+    for _ in range(1, d // 2 + 1):
+        sq = 0
+        for j in range(t.bit_length()):
+            sq |= (t >> j & 1) << (2 * j)
+        t = gf2_rem(sq, f)
+        a, b = f, t ^ 2
+        while b:
+            a, b = b, gf2_rem(a, b)
+        if a != 1:
+            return False
+    return True
+
+
 def lex_least_irreducible(p, k):
     """First monic irreducible of degree k in ascending-coefficient lex order."""
     for tail in product(range(p), repeat=k):

@@ -268,6 +268,36 @@ def test_gf2_is_irreducible_matches_naive():
         assert _gf2.is_irreducible(f) == naive.is_irreducible(2, bits), bin(f)
 
 
+def test_gf2_is_irreducible_matches_ben_or():
+    # every polynomial of degree 13-16, then 3 000 seeded candidates of
+    # degree 17-64, against the plain Ben-Or loop
+    for f in range(1 << 13, 1 << 17):
+        assert _gf2.is_irreducible(f) == naive.gf2_ben_or(f), bin(f)
+    rng = Random(21)
+    n_prime = 0
+    for _ in range(3000):
+        d = rng.randrange(17, 65)
+        f = 1 << d | rng.getrandbits(d)
+        want = naive.gf2_ben_or(f)
+        assert _gf2.is_irreducible(f) == want, bin(f)
+        n_prime += want
+    assert n_prime > 30
+
+
+def test_gf2_screen_tables_mark_the_small_prime_multiples():
+    # the residue tables mark exactly the residues with a prime factor of
+    # degree 2 or 4 (modulo x**15 - 1, which those primes divide) or of
+    # degree 3 (modulo x**7 - 1)
+    screen15, screen7 = _gf2._screens or _gf2._build_screens()
+    for table, n, degrees in ((screen15, 15, (2, 4)), (screen7, 7, (3,))):
+        primes = [sum(c << i for i, c in enumerate(g))
+                  for d in degrees for g in naive.monic_irreducibles(2, d)]
+        assert all(naive.gf2_rem(1 << n | 1, g) == 0 for g in primes)
+        want = bytearray(any(naive.gf2_rem(r, g) == 0 for g in primes)
+                         for r in range(1 << n))
+        assert table == want
+
+
 def test_eval_matches_naive_and_commutes_with_embedding():
     for tail in product(range(2), repeat=4):
         f = ec.Poly(F2, tail)

@@ -30,6 +30,23 @@ def test_broken_frobenius_orbit_raises_a_typed_error(monkeypatch, qell, degree):
     assert reg._split_cache == {}
 
 
+@pytest.mark.parametrize("degree", [4, 8])
+def test_wrong_gf4_factor_fails_the_packed_product_check(monkeypatch, degree):
+    # x**m + rho has the degree m of the true factor, but times its conjugate
+    # it gives x**(2m) + x**m + 1, which is not prime for m > 1
+    from ellcover import _gf2
+
+    def wrong_factor(a_lo, a_hi, b_lo, b_hi):
+        return 1 << (a_lo.bit_length() - 1) // 2, 1
+
+    reg = Regime(2, 3)  # a private regime: the broken split must not be cached
+    monkeypatch.setattr(_gf2, "_gf4_gcd", wrong_factor)
+    prime = ec.primes_with_degree(reg.base, degree)[0]
+    with pytest.raises(ec.CrossCheckMismatch, match="does not give the prime"):
+        ec.split_prime(reg, prime)
+    assert reg._split_cache == {}
+
+
 def test_broken_frobenius_orbit_exits_3_from_the_cli(monkeypatch, capsys):
     monkeypatch.setattr(cp, "poly_frobenius", _frozen_frobenius)
     monkeypatch.setattr(cli, "make_regime", Regime)

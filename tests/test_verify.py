@@ -111,6 +111,24 @@ def test_labeling_row_checks_the_class_functional(monkeypatch):
     assert all(r.passed for name, r in rows.items() if name != "labeling-invariance")
 
 
+def test_stratum_count_row_fails_on_a_repeated_prime(monkeypatch):
+    # at D = 4 over (2, 3) the first tuple is replaced by x**2 + x + 1 in two
+    # slots: degrees, slots and the stream's count all still hold
+    stream = verify._enumerate_full
+
+    def repeating(regime, D):
+        tuples = list(stream(regime, D))
+        if D == 4:
+            quad = ec.primes_with_degree(regime.base, 2)[0]
+            tuples[0] = [(quad, 1), (quad, 2)]
+        return iter(tuples)
+
+    monkeypatch.setattr(verify, "_enumerate_full", repeating)
+    rows = {r.name: r for r in run_checks(2, 3, max_D=4)}
+    assert not rows["stratum-count"].passed
+    assert "D=4: tuple 0 repeats a prime" in rows["stratum-count"].detail
+
+
 def test_l_polynomial_row_compares_with_the_enumeration(monkeypatch):
     transfer = verify.l_polynomial
 
