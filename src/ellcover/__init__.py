@@ -3,6 +3,8 @@ the regime where the base field contains no nontrivial root of unity of the
 cover order: construction, exact point counts with brute-force cross-checks,
 character generating series, and fixed-genus point-count statistics."""
 
+from types import ModuleType as _ModuleType
+
 from .errors import (
     BudgetExceeded,
     CharacteristicDividesEll,
@@ -98,26 +100,6 @@ from .verify import CheckResult, run_checks
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BudgetExceeded", "CharClass", "CharW", "CharacteristicDividesEll",
-    "CheckResult", "CoverParams", "CrossCheckMismatch", "CtxMismatch",
-    "CycloInt", "DegenerateZeroPolynomial", "Distribution",
-    "DistributionReport", "EllcoverError", "EmptyStratum", "Factorization",
-    "FieldCtx", "FieldElem", "INFINITY", "InvalidTuple", "KummerRegime",
-    "NotASubfield", "NotPrime", "NotPrimePower", "OrderMismatch", "Poly",
-    "Regime", "StableFactorization", "SupportMismatch", "TooLarge",
-    "TrivialCharacter", "TwistedModel", "UnexpectedRoot", "ZeroInput",
-    "ZeroPolynomial", "admissible_D", "base_prime_lines", "chi_class", "class_vector",
-    "count_constrained", "count_tuples", "embed", "embed_elem",
-    "enumerate_tuples", "exhaustive_distribution", "factor", "fiber_count",
-    "fiber_count_oracle",
-    "fiber_profile", "frobenius", "g_series", "genus_of", "growth_check",
-    "irreducible", "is_n_divisible", "l_polynomial", "lth_power_class",
-    "make_field", "make_regime", "model_value", "monic_polys",
-    "monte_carlo_distribution", "necklace_count", "point_count",
-    "point_count_oracle", "poly_frobenius", "power_orbit",
-    "prime_classes", "primes_with_degree", "projective_points",
-    "root_magnitudes", "run_checks", "sample_params", "split_prime",
-    "stable_factorization", "subfield_table", "theoretical_distribution", "tv_distance",
-    "twisted_model", "validate_params",
-]
+# every public name imported above, and nothing else
+__all__ = sorted(name for name, value in globals().items()
+                 if not name.startswith("_") and not isinstance(value, _ModuleType))

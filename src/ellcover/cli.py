@@ -13,7 +13,6 @@ import sys
 
 from . import __version__
 from .charsum import (
-    INFINITY,
     fiber_count_oracle,
     fiber_profile,
     projective_points,
@@ -27,6 +26,7 @@ from .coverparam import (
     twisted_model,
 )
 from .ensemble import (
+    _point_label,
     exhaustive_distribution,
     monte_carlo_distribution,
     theoretical_distribution,
@@ -75,10 +75,7 @@ def _cmd_info(args) -> int:
         "base_generator": regime.base.generator,
         "ext_generator": regime.ext.generator,
         "twist_exponents": list(regime.v_exps),
-        "theoretical": [
-            {"N": n, "num": theo.mass(n).numerator, "den": theo.mass(n).denominator}
-            for n in theo.lattice()
-        ],
+        "theoretical": theo.to_json_list(),
     }
     lines = [
         f"regime: q={regime.q}, ell={regime.ell}, n_q={regime.n_q} "
@@ -130,8 +127,7 @@ def _cmd_count_points(args) -> int:
             raise CrossCheckMismatch(
                 f"fiber count at x={x}: class gives {fast}, scan gives {slow}")
         oracle_total += slow
-        label = "inf" if x is INFINITY else str(x)
-        rows.append({"x": label, "class": cls.e, "fiber": fast})
+        rows.append({"x": _point_label(x), "class": cls.e, "fiber": fast})
     payload = {
         "regime": regime.to_json_dict(),
         "tuple": args.tuple,

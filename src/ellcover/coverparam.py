@@ -60,7 +60,9 @@ from .gf import (
 )
 
 ENUM_D_CAP = 16
-COUNT_D_CAP = 60
+# table steps of any exact count (stratum, law, constrained count, L-series),
+# each added up by its entry point and checked by _check_steps before any work
+KERNEL_STEP_CAP = 1 << 22
 # _draw_prime answers a candidate of degree d over F_q, q > 2, from a sieved
 # set of the primes of degree d when q**d is at most this.  The sieve costs
 # about 7 us per monic polynomial of the degree, once per process (0.7 ms for
@@ -72,6 +74,18 @@ COUNT_D_CAP = 60
 # reads, pays within about a dozen such runs in one process.
 DRAW_SIEVE_CAP = 1 << 13
 LABELINGS = ("least", "greatest")  # anchoring rules for Frobenius orbits
+
+
+def _check_steps(steps: int, what: str) -> None:
+    if steps > KERNEL_STEP_CAP:
+        raise BudgetExceeded(f"{what} takes about {steps} table steps, "
+                             f"over the cap {KERNEL_STEP_CAP}")
+
+
+def _quotient_sums(n_q: int, D: int) -> int:
+    """sum of r // d over r = 0..D and the degree classes d, in closed form."""
+    return sum(d * (D // d) * (D // d - 1) // 2 + D // d * (D % d + 1)
+               for d in range(n_q, D + 1, n_q))
 
 
 def _check_labeling(labeling: str) -> None:
@@ -477,11 +491,17 @@ def count_tuples(regime: Regime, D: int) -> int:
     """Size of the degree-D stratum, by exact generating-series expansion."""
     if D < 0:
         raise ValueError("branch degree must be non-negative")
-    if D > COUNT_D_CAP:
-        raise BudgetExceeded(f"counting at degree {D} exceeds cap {COUNT_D_CAP}")
     if D % regime.n_q:
         return 0
     return _suffix_table(regime, D)[0][D]
+
+
+def _suffix_steps(regime: Regime, D: int) -> int:
+    """Table steps of _suffix_table at degree D, 0 when it is cached: r // d + 1
+    terms for each degree class d and each r <= D."""
+    if D in regime._suffix:
+        return 0
+    return _quotient_sums(regime.n_q, D) + D // regime.n_q * (D + 1)
 
 
 def _suffix_table(regime: Regime, D: int) -> list[list[int]]:
@@ -489,6 +509,7 @@ def _suffix_table(regime: Regime, D: int) -> list[list[int]]:
     cached = regime._suffix.get(D)
     if cached is not None:
         return cached
+    _check_steps(_suffix_steps(regime, D), f"the stratum count at degree {D}")
     ell = regime.ell
     classes = _degree_classes(regime, D)
     table = [[0] * (D + 1) for _ in range(len(classes) + 1)]

@@ -130,10 +130,6 @@ class Poly:
             raise ZeroPolynomial("leading coefficient of the zero polynomial")
         return FieldElem(self.ctx, self.coeffs[-1])
 
-    def coefficient(self, i: int) -> FieldElem:
-        v = self.coeffs[i] if 0 <= i < len(self.coeffs) else 0
-        return FieldElem(self.ctx, v)
-
     def sort_key(self) -> tuple:
         return (self.degree, self.coeffs)
 

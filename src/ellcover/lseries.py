@@ -13,7 +13,7 @@ read off the base primes orthogonal to w's line, peeled from monic
 polynomials over the extension once per line without listing any prime.
 Inverting the series counts the branch tuples of each class sum, one
 count per class line, which the exact law and the constrained counts both
-read; the latter are checked by enumeration.
+read, with enumeration as their oracle.
 """
 
 from __future__ import annotations
@@ -29,13 +29,15 @@ from operator import mul
 from .coverparam import (
     Regime,
     _check_labeling,
+    _check_steps,
     _check_unit,
     _enumerate_full,
+    _quotient_sums,
+    _suffix_steps,
     class_vector,
     count_tuples,
 )
 from .errors import (
-    BudgetExceeded,
     CrossCheckMismatch,
     CtxMismatch,
     DegenerateZeroPolynomial,
@@ -46,9 +48,6 @@ from .fqpoly import Poly, monic_polys, necklace_count
 from .gf import FieldElem, embed_elem, lth_power_class, subfield_table
 
 log = logging.getLogger("ellcover")
-
-GROUP_RING_CAP = 1 << 13  # ell**k, the size of the class-vector group ring
-KERNEL_STEP_CAP = 1 << 22  # table steps of one L-polynomial or line kernel
 
 
 class CycloInt:
@@ -303,7 +302,7 @@ def l_polynomial(regime: Regime, points, w, check_extra: int = 3) -> list[CycloI
     degree n with class vector c at the points of nonzero weight and no
     root there (points of weight 0 do not change chi_w); one Horner transfer
     gives every M_n (see _horner_counts), at _transfer_steps table steps,
-    which KERNEL_STEP_CAP bounds before any work starts.  The sum over
+    which coverparam.KERNEL_STEP_CAP bounds before any work starts.  The sum over
     monics of any fixed degree >= k vanishes, which makes L a polynomial of
     degree < k; the first check_extra vanishing coefficients are recomputed
     and checked, as is c_0 = 1 (CrossCheckMismatch otherwise).  A negative
@@ -316,8 +315,8 @@ def l_polynomial(regime: Regime, points, w, check_extra: int = 3) -> list[CycloI
     ell = regime.ell
     terms = k + check_extra
     support, weights = zip(*((x, wi) for x, wi in zip(char.points, char.w) if wi))
-    if _transfer_steps(regime.ext.order, len(support), terms) > KERNEL_STEP_CAP:
-        raise BudgetExceeded("Horner transfer over value vectors exceeds budget")
+    _check_steps(_transfer_steps(regime.ext.order, len(support), terms),
+                 "the Horner transfer over value vectors")
     coeffs: list[CycloInt] = []
     for n, counts in enumerate(_horner_counts(regime.ext, support, terms, ell)):
         by_class = [0] * ell
@@ -535,28 +534,29 @@ class _LineKernel:
             self.orthogonal.append(orthogonal)
 
 
-def _kernel_budget(regime: Regime, k: int, m_max: int) -> None:
-    """Raise BudgetExceeded unless a kernel over k points up to degree
-    n_q*m_max fits: ell**k class vectors, and table steps within
-    KERNEL_STEP_CAP.  The steps are the Horner transfer to degree
-    h = min(k - 1, m_max), and ell**2 per line representative for each of
-    the k coordinates of each projected degree 1..h (_dot_counts) and for
-    each product Lambda_{n-j} M_j, n <= m_max, j < min(n, k)."""
-    ell = regime.ell
-    size = ell ** k
-    if size > GROUP_RING_CAP:
-        raise BudgetExceeded(
-            f"group ring of (Z/{ell})^{k} has {size} elements, "
-            f"over the cap {GROUP_RING_CAP}")
-    Q = regime.ext.order
+def _line_count(ell: int, k: int) -> int:
+    """Lines of (Z/ell)**k, the zero vector counted as one."""
+    return (ell ** k - 1) // (ell - 1) + 1
+
+
+def _kernel_steps(regime: Regime, idx: tuple[int, ...], m_max: int) -> int:
+    """Table steps of the kernel over the base points idx to degree
+    n_q*m_max, 0 when it is cached that far: the Horner transfer to degree
+    h = min(k - 1, m_max); ell**2 per line for each of the k coordinates of
+    each projected degree 1..h (_dot_counts) and for each product
+    Lambda_{n-j} M_j, n <= m_max, j < min(n, k); and ell per line for each
+    pair i < n <= m_max of the peel.  They bound memory too: no dict of the
+    kernel or of _invert has more than ell**(k+1) keys, and every caller
+    charges ell**2 * k steps on each of the ell**(k-1) or more lines, for
+    projecting M_1 (k >= 2) or for _invert; for k = 1 the ring is Z/ell."""
+    kernel = regime._lines.get(idx)
+    if m_max <= 0 or kernel is not None and len(kernel.orthogonal) >= m_max:
+        return 0
+    ell, k = regime.ell, len(idx)
     h = max(min(k - 1, m_max), 0)
     products = h * k + sum(max(min(n, k) - 1, 0) for n in range(2, m_max + 1))
-    steps = _transfer_steps(Q, k, h + 1) + ((size - 1) // (ell - 1) + 1) * ell ** 2 * products
-    if steps > KERNEL_STEP_CAP:
-        raise BudgetExceeded(
-            f"counting monic polynomials over F_{Q} by class and peeling the "
-            f"Euler product to degree {m_max} takes about {steps} table steps, "
-            f"over the cap {KERNEL_STEP_CAP}")
+    return (_transfer_steps(regime.ext.order, k, h + 1) + _line_count(ell, k)
+            * (ell ** 2 * products + ell * m_max * (m_max - 1) // 2))
 
 
 def _orthogonal_at(regime: Regime, idx: tuple[int, ...], m_max: int) -> tuple[dict, ...]:
@@ -564,16 +564,11 @@ def _orthogonal_at(regime: Regime, idx: tuple[int, ...], m_max: int) -> tuple[di
     O_m(w), the number of base primes P of degree n_q*m with <w, c_P> = 0,
     c_P the class vector at the base points with sorted literals idx
     (O_m(0) counts them all).  One kernel per point set is cached on the
-    regime and extended on demand; the budget is checked before any work."""
+    regime and extended on demand; callers check _kernel_steps first."""
     if m_max < 0:
         raise ValueError("prime degree bound must be non-negative")
-    if m_max == 0:
-        return ()
-    kernel = regime._lines.get(idx)
-    if kernel is None or len(kernel.orthogonal) < m_max:
-        _kernel_budget(regime, len(idx), m_max)
-        if kernel is None:
-            kernel = regime._lines[idx] = _LineKernel(idx)
+    kernel = regime._lines.setdefault(idx, _LineKernel(idx))
+    if len(kernel.orthogonal) < m_max:
         kernel.extend(regime, m_max)
     return tuple(kernel.orthogonal[:m_max])
 
@@ -589,13 +584,16 @@ def base_prime_lines(regime: Regime, m_max: int) -> tuple[dict, ...]:
     power of q.  No prime is listed: with F(c) the count on c's line over
     ell - 1 and F(0) the primes of class 0, O_m(w) (_orthogonal_at) sums F
     over the c orthogonal to w, so _invert of ell*O_m(w) - O_m(0), which is
-    (ell - 1) * sum_c F(c) zeta**<w, c>, gives (ell - 1) * F.  GROUP_RING_CAP
-    on ell**q and KERNEL_STEP_CAP are checked before any work.
+    (ell - 1) * sum_c F(c) zeta**<w, c>, gives (ell - 1) * F.  The kernel
+    and the m_max inversions are budgeted before any work.
     """
     ell, k = regime.ell, regime.q
-    zero = (0,) * k
+    idx, zero = tuple(range(k)), (0,) * k
+    _check_steps(_kernel_steps(regime, idx, m_max)
+                 + m_max * _line_count(ell, k) * k * ell ** 2,
+                 f"the base primes by class line to degree {regime.n_q * m_max}")
     out = []
-    for orth in _orthogonal_at(regime, tuple(range(k)), m_max):
+    for orth in _orthogonal_at(regime, idx, m_max):
         lines = _invert({w: ell * o - orth[zero] for w, o in orth.items()}, k, ell)
         class_0, r = divmod(lines.pop(zero, 0), ell - 1)
         if r:
@@ -638,18 +636,31 @@ def _class_sum_counts(regime: Regime, idx: tuple[int, ...], D: int) -> dict:
     the product is an integer G_w fixed by how many primes of each degree
     are orthogonal to w, the same for every nonzero multiple of w, and
     _invert recovers A from G.  Labeling-free: re-anchoring moves no prime
-    off its line.
-    """
+    off its line.  The counts must add up to count_tuples.  Budgeted before
+    any work: the stratum and the kernel unless cached, and per line a look-up
+    per degree, one _euler_series (r // d products for two factors, each d
+    and r <= D) and ell**2 per coordinate for _invert."""
     ell, n_q, k = regime.ell, regime.n_q, len(idx)
-    per_degree = _orthogonal_at(regime, idx, D // n_q)
+    if D % n_q or D <= 0:
+        return {} if D else {(0,) * k: 1}
+    m_max = D // n_q
+    _check_steps(_suffix_steps(regime, D) + _kernel_steps(regime, idx, m_max)
+                 + _line_count(ell, k) * (m_max + 2 * _quotient_sums(n_q, D) + k * ell ** 2),
+                 f"counting branch tuples by class sum at {k} points to degree {D}")
+    per_degree = _orthogonal_at(regime, idx, m_max)
     by_profile: dict[tuple[int, ...], int] = {}
     coeffs = {}
-    for w in _dot_counts({(0,) * k: 1}, k, ell):  # every line representative
+    for w in per_degree[0]:  # every line representative
         profile = tuple(orth[w] for orth in per_degree)
         if profile not in by_profile:
             by_profile[profile] = _euler_series(ell, n_q, per_degree, w, D)[D]
         coeffs[w] = by_profile[profile]
-    return _invert(coeffs, k, ell)
+    counts = _invert(coeffs, k, ell)
+    tuples = sum(a * (ell - 1 if any(v) else 1) for v, a in counts.items())
+    if tuples != count_tuples(regime, D):
+        raise CrossCheckMismatch(f"the class sums hold {tuples} branch tuples, "
+                                 f"the stratum {count_tuples(regime, D)}")
+    return counts
 
 
 def _base_literals(regime: Regime, points) -> tuple[int, ...]:
@@ -674,34 +685,32 @@ def g_series(regime: Regime, points, w, trunc: int) -> list[int]:
     and 1 - u**d otherwise.  Whether e_P vanishes depends only on the line
     of c_P at the points of nonzero weight, so the product is read off the
     base primes orthogonal to w's line at those points alone (ell**s class
-    vectors for s such points, whatever q is).
+    vectors for s such points, whatever q is).  Budgeted before any work.
     """
-    ell = regime.ell
+    ell, n_q = regime.ell, regime.n_q
     idx = _base_literals(regime, points)
     w = tuple(wi % ell for wi in w)
     if len(w) != len(idx):
         raise InvalidTuple("weight vector length must match points")
     support = sorted((i, wi) for i, wi in zip(idx, w) if wi)
-    per_degree = _orthogonal_at(regime, tuple(i for i, _ in support),
-                                trunc // regime.n_q)
+    idx = tuple(i for i, _ in support)
+    _check_steps(_kernel_steps(regime, idx, trunc // n_q) + 2 * _quotient_sums(n_q, trunc),
+                 f"the series G_w to degree {trunc}")
+    per_degree = _orthogonal_at(regime, idx, trunc // n_q)
     line = _line_of(tuple(wi for _, wi in support), ell)
-    return _euler_series(ell, regime.n_q, per_degree, line, trunc)
+    return _euler_series(ell, n_q, per_degree, line, trunc)
 
 
 def count_constrained(regime: Regime, D: int, points, targets,
-                      b: FieldElem, labeling: str = "least") -> int:
+                      b: FieldElem) -> int:
     """Branch tuples of degree D whose twisted model has class targets[i]
     at points[i], for the fixed twisting unit b.
 
     The class at an affine point x is n_q * (e(b) + u_x), u the tuple's
     class sum, so the targets fix u (n_q divides ell - 1, so it is a unit
-    mod ell), and the count is A at u's line
-    (_class_sum_counts), checked against the class_vector of every
-    enumerated tuple (CrossCheckMismatch on any disagreement).
-    BudgetExceeded for D > ENUM_D_CAP or a kernel over its caps comes before
-    any work.
+    mod ell), and the count is A at u's line (_class_sum_counts), which no
+    anchoring rule moves.  _constrained_by_enumeration is its oracle.
     """
-    _check_labeling(labeling)
     ell = regime.ell
     pts = tuple(points)
     targets = tuple(t % ell for t in targets)
@@ -709,22 +718,26 @@ def count_constrained(regime: Regime, D: int, points, targets,
         raise InvalidTuple("need one target class per point")
     if not pts:
         raise InvalidTuple("need at least one evaluation point")
-    walk = _enumerate_full(regime, D)
+    if D < 0:
+        raise ValueError("branch degree must be non-negative")
     _check_unit(regime, b)
-    lits = _base_literals(regime, pts)
-    want = sorted(zip(lits, targets))
+    want = sorted(zip(_base_literals(regime, pts), targets))
     counts = _class_sum_counts(regime, tuple(i for i, _ in want), D)
     e_b, inv_n = lth_power_class(b, ell).e, pow(regime.n_q, -1, ell)
     u = tuple((t * inv_n - e_b) % ell for _, t in want)
-    averaged = counts.get(_line_of(u, ell), 0)
+    return counts.get(_line_of(u, ell), 0)
+
+
+def _constrained_by_enumeration(regime: Regime, D: int, points, targets,
+                                b: FieldElem, labeling: str) -> int:
+    """count_constrained from the class_vector of every enumerated tuple under
+    labeling, for D <= ENUM_D_CAP."""
+    _check_labeling(labeling)
+    want = sorted(zip(_base_literals(regime, points), (t % regime.ell for t in targets)))
     direct = 0
-    for prime_mults in walk:
+    for prime_mults in _enumerate_full(regime, D):
         classes = class_vector(regime, prime_mults, b, labeling)
         direct += all(classes[i] == t for i, t in want)
-    if averaged != direct:
-        raise CrossCheckMismatch(
-            f"constrained count disagreement at D={D}: direct {direct}, "
-            f"class kernel {averaged}")
     return direct
 
 
@@ -742,11 +755,11 @@ class GrowthReport:
         return abs(self.ratio - 1)
 
 
-def growth_check(regime: Regime, D: int, points, targets, b: FieldElem,
-                 labeling: str = "least") -> GrowthReport:
-    """Compare the constrained count, D <= ENUM_D_CAP, with stratum / ell**k."""
+def growth_check(regime: Regime, D: int, points, targets, b: FieldElem) -> GrowthReport:
+    """Compare the constrained count with stratum / ell**k, at any D within
+    the step budget."""
     points = tuple(points)
-    cnt = count_constrained(regime, D, points, targets, b, labeling)
+    cnt = count_constrained(regime, D, points, targets, b)
     total = count_tuples(regime, D)
     if total == 0:
         raise InvalidTuple(f"empty stratum at degree {D}")

@@ -41,7 +41,12 @@ from .ensemble import _enumerated_law, _exact_law
 from .errors import BudgetExceeded, CrossCheckMismatch, EllcoverError
 from .fqpoly import check_sieve_budget, embed, poly_frobenius, primes_with_degree
 from .gf import FieldElem
-from .lseries import _l_coefficients_by_enumeration, count_constrained, l_polynomial
+from .lseries import (
+    _constrained_by_enumeration,
+    _l_coefficients_by_enumeration,
+    count_constrained,
+    l_polynomial,
+)
 
 
 @dataclass(frozen=True)
@@ -261,13 +266,16 @@ def run_checks(q: int, ell: int, max_D: int = 4, tuple_cap: int = 25,
     record("stratum-count", check_counts)
 
     def check_constrained() -> str:
-        base = regime.base
-        pts = [base.elem(0), base.elem(1)] if base.order > 1 else [base.elem(0)]
+        pts = [regime.base.elem(0), regime.base.elem(1)]
         b = FieldElem(regime.ext, min(2, regime.ext.order - 1))
         rows = []
         # up to D = 6, or D = n_q when n_q > 6, so the row compares something
         for d in _degree_classes(regime, min(max_D, max(6, regime.n_q))):
             cnt = count_constrained(regime, d, pts, [0] * len(pts), b)
+            for lab in LABELINGS:
+                direct = _constrained_by_enumeration(regime, d, pts, [0] * len(pts), b, lab)
+                _require(cnt == direct, f"constrained count disagreement at D={d}, "
+                         f"{lab} labeling: direct {direct}, class kernel {cnt}")
             rows.append(f"D={d}:{cnt}")
         return "class-kernel count == direct count (" + ", ".join(rows) + ")"
 

@@ -476,3 +476,49 @@ def constrained_by_vector(counts, ell, n_q, e_b, targets):
     summed over every class sum v."""
     return sum(a for v, a in counts.items()
                if all(n_q * (e_b + c) % ell == t for c, t in zip(v, targets)))
+
+
+# ---------------------------------------------------------------------------
+# The step budget, counted term by term.
+
+def suffix_steps(reg, D):
+    """Steps of the stratum's suffix table: r // d + 1 for each prime degree
+    d and each r <= D."""
+    return sum(r // d + 1 for d in range(reg.n_q, D + 1, reg.n_q) for r in range(D + 1))
+
+
+def line_count(ell, k):
+    """Line representatives of (Z/ell)^k: the zero vector, then those whose
+    first nonzero coordinate, a 1, sits at i."""
+    return 1 + sum(ell ** (k - 1 - i) for i in range(k))
+
+
+def kernel_steps(reg, k, m_max):
+    """Steps of the base-prime kernel over k points to degree n_q*m_max: the
+    transfer classes every value vector of degree n <= h = min(k - 1, m_max)
+    and pushes all but the last degree's; each line pays ell**2 for each
+    coordinate of each projected degree 1..h and each product
+    Lambda_i M_j with j < k, and ell for each pair i < n of the peel."""
+    ell, Q = reg.ell, reg.ext.order
+    h = min(k - 1, m_max)
+    transfer = sum(2 * Q ** min(n, k) for n in range(h + 1)) - Q ** min(h, k)
+    products = h * k + sum(1 for n in range(2, m_max + 1) for j in range(1, min(n, k)))
+    pairs = sum(1 for n in range(1, m_max + 1) for i in range(1, n))
+    return transfer + line_count(ell, k) * (ell ** 2 * products + ell * pairs)
+
+
+def class_sum_steps(reg, k, D):
+    """Steps of the class-sum count over k points at degree D, with nothing
+    cached: the stratum's suffix table, the kernel, and on each line one
+    look-up per prime degree, one Euler series and ell**2 for each
+    coordinate of the inversion."""
+    ell = reg.ell
+    m_max = D // reg.n_q
+    return suffix_steps(reg, D) + kernel_steps(reg, k, m_max) + line_count(ell, k) * (
+        m_max + series_steps(reg, D) + k * ell ** 2)
+
+
+def series_steps(reg, D):
+    """Steps of one Euler series to u**D: r // d products for each of two
+    factors, each prime degree d and each r <= D."""
+    return 2 * sum(r // d for d in range(reg.n_q, D + 1, reg.n_q) for r in range(d, D + 1))

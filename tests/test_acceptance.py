@@ -18,7 +18,9 @@ import pytest
 import conftest
 import ellcover as ec
 import ellcover.cli as cli
+from ellcover.coverparam import LABELINGS
 from ellcover.ensemble import _enumerated_law
+from ellcover.lseries import _constrained_by_enumeration
 
 
 @contextmanager
@@ -144,7 +146,11 @@ def test_05_constrained_counts():
                     b = R23.ext.elem(bv)
                     part = 0
                     for tgt in itertools.product(range(3), repeat=len(pts)):
-                        part += ec.count_constrained(R23, D, pts, list(tgt), b)
+                        cnt = ec.count_constrained(R23, D, pts, list(tgt), b)
+                        lab = LABELINGS[calls % 2]
+                        assert cnt == _constrained_by_enumeration(
+                            R23, D, pts, list(tgt), b, lab)
+                        part += cnt
                         calls += 1
                     assert part == total
         elapsed = time.monotonic() - t0

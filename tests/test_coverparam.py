@@ -3,6 +3,7 @@ twisted models, stratum enumeration/counting/sampling, all against
 independent recomputation."""
 
 import hashlib
+import math
 import time
 from itertools import product
 from random import Random
@@ -580,7 +581,7 @@ def test_enumerate_budget():
         next(ec.enumerate_tuples(R23, 18))
 
 
-def test_count_tuples_frozen_and_consistent():
+def test_count_tuples_frozen_and_consistent(monkeypatch):
     assert [ec.count_tuples(R23, d) for d in (2, 4, 6, 8, 10)] == \
         [2, 6, 30, 108, 450]
     assert ec.count_tuples(R53, 2) == 20
@@ -589,8 +590,30 @@ def test_count_tuples_frozen_and_consistent():
     assert ec.count_tuples(R23, 0) == 1
     for reg, D in [(R25, 4), (R25, 8), (R27, 3), (R27, 6)]:
         assert ec.count_tuples(reg, D) == sum(1 for _ in ec.enumerate_tuples(reg, D))
+    # the suffix table at D = 62 is refused one step below its cost, before
+    # it is built, and built at its cost; the count is the coefficient of
+    # the product of (1 + 2u**d)**N_d over the prime degrees d
+    steps = naive.suffix_steps(R23, 62)
+    reg = Regime(2, 3)
+    monkeypatch.setattr(coverparam, "KERNEL_STEP_CAP", steps - 1)
+    with pytest.raises(ec.BudgetExceeded, match=f"about {steps} table steps"):
+        ec.count_tuples(reg, 62)
+    assert reg._suffix == {}
+    monkeypatch.setattr(coverparam, "KERNEL_STEP_CAP", steps)
+    series = [1] + [0] * 62
+    for d in range(2, 63, 2):
+        n_d = naive.necklace_formula(2, d)
+        factor = [math.comb(n_d, r // d) * 2 ** (r // d) if r % d == 0 else 0
+                  for r in range(63)]
+        series = [sum(series[i] * factor[r - i] for i in range(r + 1)) for r in range(63)]
+    assert ec.count_tuples(reg, 62) == series[62]
+    # a degree with no tuple costs nothing; a huge one is refused at once
+    monkeypatch.undo()
+    t0 = time.monotonic()
+    assert ec.count_tuples(reg, 100_001) == 0
     with pytest.raises(ec.BudgetExceeded):
-        ec.count_tuples(R23, 62)
+        ec.count_tuples(reg, 100_000)
+    assert time.monotonic() - t0 < 1 and list(reg._suffix) == [62]
 
 
 def test_sampling_reproducible_and_valid():

@@ -12,6 +12,7 @@ from random import Random
 import pytest
 
 import ellcover as ec
+import ellcover.coverparam as cp
 import ellcover.lseries as ls
 from ellcover.coverparam import LABELINGS, Regime
 from ellcover.ensemble import _enumerated_law, _exact_law, _report
@@ -187,19 +188,37 @@ def test_g_series_matches_the_per_prime_product(qell, trunc):
         assert ec.g_series(reg, xs, w, trunc) == sieved_g_series(reg, xs, w, trunc)
 
 
-def test_budgets_raise_before_any_work():
+def test_budgets_raise_before_any_work(monkeypatch):
     reg = Regime(8, 3)  # n_q = 2, Q = 64, 3**8 class vectors
+    reg11 = Regime(11, 3)  # 3**11 class vectors
+    reg23 = Regime(2, 3)
     t0 = time.monotonic()
     for g in (8, 10, 30):  # D / n_q = 5, 6, 16: monics up to degree 5 or more
         assert ec.admissible_D(reg, g) // reg.n_q >= 5
-        with pytest.raises(ec.BudgetExceeded, match="monic"):
+        with pytest.raises(ec.BudgetExceeded, match="table steps"):
             ec.exhaustive_distribution(reg, g)
+    # projecting M_1 alone costs 3**2 steps for each of 11 coordinates on
+    # each of the 88 574 lines, about 8.8 million
+    assert naive.kernel_steps(reg11, 11, 1) > cp.KERNEL_STEP_CAP
+    with pytest.raises(ec.BudgetExceeded, match="table steps"):
+        ec.exhaustive_distribution(reg11, 0)
+    with pytest.raises(ec.BudgetExceeded, match="table steps"):
+        ec.exhaustive_distribution(reg23, 100_000)
     assert time.monotonic() - t0 < 1
-    assert reg._lines == {}
-    with pytest.raises(ec.BudgetExceeded, match="group ring"):
-        ec.exhaustive_distribution(Regime(11, 3), 0)  # 3**11 class vectors
-    with pytest.raises(ec.BudgetExceeded):
-        ec.exhaustive_distribution(ec.make_regime(2, 3), 60)  # D = 62
+    assert reg._lines == reg11._lines == reg23._lines == reg23._suffix == {}
+    # (2, 3) at g = 478, D = 480: the stratum table, the kernel, the five
+    # series and the inversion are refused one step below their count, and
+    # the law is computed at it
+    steps = naive.class_sum_steps(reg23, 2, 480)
+    monkeypatch.setattr(cp, "KERNEL_STEP_CAP", steps - 1)
+    with pytest.raises(ec.BudgetExceeded, match=f"about {steps} table steps"):
+        ec.exhaustive_distribution(reg23, 478)
+    assert reg23._lines == reg23._suffix == {}
+    monkeypatch.setattr(cp, "KERNEL_STEP_CAP", steps)
+    rep = ec.exhaustive_distribution(reg23, 478)
+    assert rep.ensemble_size == ec.count_tuples(reg23, 480) * 3
+    assert rep.D == 480 and 0 < rep.tv < Fraction(1, 10 ** 116)
+    monkeypatch.undo()
     # the group-ring peel refused (5, 3) at D = 60; the peel per line runs
     # it, and the TV is what that peel gave with its step cap lifted
     rep = ec.exhaustive_distribution(Regime(5, 3), 58)
@@ -210,27 +229,30 @@ def test_budgets_raise_before_any_work():
 
 def test_budget_edges_of_the_kernel(monkeypatch):
     reg = Regime(2, 3)
-    monkeypatch.setattr(ls, "GROUP_RING_CAP", 8)
-    with pytest.raises(ec.BudgetExceeded):
-        base_prime_lines(reg, 1)
-    monkeypatch.setattr(ls, "GROUP_RING_CAP", 9)
-    # the constant 1 classed and pushed, the 4 monics X + a classed, and M_1
+    # the constant 1 classed and pushed, the 4 monics X + a classed, M_1
     # projected onto the 5 lines of (Z/3)^2 at 3**2 steps a line for each of
-    # 2 coordinates
-    steps = 2 + 4 + 5 * 9 * 2
-    monkeypatch.setattr(ls, "KERNEL_STEP_CAP", steps - 1)
+    # 2 coordinates, and one inversion at as many steps
+    steps = 2 + 4 + 5 * 9 * 2 + 5 * 9 * 2
+    assert steps == naive.kernel_steps(reg, 2, 1) + 5 * 9 * 2
+    monkeypatch.setattr(cp, "KERNEL_STEP_CAP", steps - 1)
     with pytest.raises(ec.BudgetExceeded):
         base_prime_lines(reg, 1)
     assert reg._lines == {}
-    monkeypatch.setattr(ls, "KERNEL_STEP_CAP", steps)
+    monkeypatch.setattr(cp, "KERNEL_STEP_CAP", steps)
     assert base_prime_lines(reg, 1) == ({(1, 2): 1},)
     # degrees 2..5 each multiply Lambda_{n-1} by M_1 on each of the 5 lines,
-    # at 3**2 steps a product
-    steps += 4 * 5 * 9
-    monkeypatch.setattr(ls, "KERNEL_STEP_CAP", steps - 1)
+    # at 3**2 steps a product; the peel's 10 pairs i < n <= 5 cost 3 steps a
+    # line; and four more degrees are inverted.  A kernel cached to a lower
+    # degree is charged in full.
+    steps += 4 * 5 * 9 + 10 * 5 * 3 + 4 * 5 * 9 * 2
+    monkeypatch.setattr(cp, "KERNEL_STEP_CAP", steps - 1)
     with pytest.raises(ec.BudgetExceeded):
         base_prime_lines(reg, 5)
-    monkeypatch.setattr(ls, "KERNEL_STEP_CAP", steps)
+    assert len(reg._lines[(0, 1)].orthogonal) == 1
+    monkeypatch.setattr(cp, "KERNEL_STEP_CAP", steps)
+    assert base_prime_lines(reg, 5)[0] == {(1, 2): 1}
+    # cached that far, only the inversions are left
+    monkeypatch.setattr(cp, "KERNEL_STEP_CAP", 5 * 5 * 9 * 2)
     assert base_prime_lines(reg, 5)[0] == {(1, 2): 1}
 
 
@@ -242,11 +264,12 @@ def test_law_over_the_largest_group_ring():
 
 
 @pytest.mark.parametrize("qell, trunc", [((11, 3), 4), ((7, 5), 4)])
-def test_g_series_past_the_full_ring_cap(qell, trunc):
-    # 3**11 and 5**7 class vectors at all affine points: g_series counts
-    # lines only at the points of nonzero weight
+def test_g_series_past_the_full_ring_cap(qell, trunc, monkeypatch):
+    # 3**11 and 5**7 class vectors at all affine points put the full law
+    # over the step budget: g_series counts lines only at the points of
+    # nonzero weight
     reg = ec.make_regime(*qell)
-    assert reg.ell ** reg.q > ls.GROUP_RING_CAP
+    assert naive.class_sum_steps(reg, reg.q, trunc) > cp.KERNEL_STEP_CAP
     rng = Random(f"g_series:{qell}")
     for k in (1, 2, 3):
         xs = [reg.base.elem(v) for v in rng.sample(range(reg.q), k)]
@@ -257,11 +280,29 @@ def test_g_series_past_the_full_ring_cap(qell, trunc):
     assert zero == sieved_g_series(reg, xs, [0] * 3, trunc)
     assert ec.g_series(reg, xs, [1] * 3, reg.n_q - 1) == [1] + [0] * (reg.n_q - 1)
     assert tuple(range(reg.q)) not in reg._lines
+    # the last weights on a fresh regime: refused one step below the
+    # kernel's and the series' steps, with no kernel built, and computed at
+    # them
+    fresh = Regime(*qell)
+    steps = (naive.kernel_steps(fresh, 2, trunc // reg.n_q)
+             + naive.series_steps(fresh, trunc))
+    monkeypatch.setattr(cp, "KERNEL_STEP_CAP", steps - 1)
+    with pytest.raises(ec.BudgetExceeded):
+        ec.g_series(fresh, xs, w, trunc)
+    assert fresh._lines == {}
+    monkeypatch.setattr(cp, "KERNEL_STEP_CAP", steps)
+    assert ec.g_series(fresh, xs, w, trunc) == sieved_g_series(reg, xs, w, trunc)
 
 
 def test_verify_passes_past_the_full_ring_cap():
     results = ec.run_checks(11, 3, max_D=2, tuple_cap=3, unit_cap=2)
     assert all(r.passed for r in results), [r for r in results if not r.passed]
     row = next(r for r in results if r.name == "exact-law")
-    assert row.detail.startswith("no degree compared; kernel law out of "
-                                 "budget from D=2: group ring")
+    # the stratum-count row has built the stratum's table by then
+    reg = ec.make_regime(11, 3)
+    steps = naive.class_sum_steps(reg, 11, 2) - naive.suffix_steps(reg, 2)
+    assert steps > cp.KERNEL_STEP_CAP
+    assert row.detail == (
+        "no degree compared; kernel law out of budget from D=2: counting "
+        f"branch tuples by class sum at 11 points to degree 2 takes about "
+        f"{steps} table steps, over the cap {cp.KERNEL_STEP_CAP}")

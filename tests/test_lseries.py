@@ -12,9 +12,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ellcover as ec
-from ellcover.coverparam import ENUM_D_CAP
+import ellcover.coverparam as cp
+from ellcover.coverparam import ENUM_D_CAP, LABELINGS, Regime
 from ellcover.lseries import (
     CharW,
+    _constrained_by_enumeration,
     _horner_counts,
     _l_coefficients_by_enumeration,
     _transfer_steps,
@@ -330,9 +332,7 @@ def test_l_polynomial_rejects_the_point_at_infinity():
 
 
 def test_l_polynomial_budget(monkeypatch):
-    import ellcover.lseries as ls
-
-    monkeypatch.setattr(ls, "KERNEL_STEP_CAP", 10)
+    monkeypatch.setattr(cp, "KERNEL_STEP_CAP", 10)
     with pytest.raises(ec.BudgetExceeded):
         ec.l_polynomial(R23, pts(R23, 0, 1), (1, 1))
 
@@ -340,13 +340,11 @@ def test_l_polynomial_budget(monkeypatch):
 def test_l_polynomial_budget_boundary(monkeypatch):
     # F_4, two points, degrees 0..4 of 1, 4, 16, 16, 16 value vectors, each
     # classed once and pushed once but the last degree's
-    import ellcover.lseries as ls
-
     work = 2 * (1 + 4 + 16 + 16) + 16
     want = ec.l_polynomial(R23, pts(R23, 0, 1), (1, 1))
-    monkeypatch.setattr(ls, "KERNEL_STEP_CAP", work)
+    monkeypatch.setattr(cp, "KERNEL_STEP_CAP", work)
     assert ec.l_polynomial(R23, pts(R23, 0, 1), (1, 1)) == want
-    monkeypatch.setattr(ls, "KERNEL_STEP_CAP", work - 1)
+    monkeypatch.setattr(cp, "KERNEL_STEP_CAP", work - 1)
     with pytest.raises(ec.BudgetExceeded):
         ec.l_polynomial(R23, pts(R23, 0, 1), (1, 1))
 
@@ -367,7 +365,7 @@ def test_l_polynomial_over_the_cap_is_refused_before_the_transfer(monkeypatch):
 
     monkeypatch.setattr(ls, "_horner_counts", no_transfer)
     reg = ec.make_regime(3, 7)  # three points over F_729
-    assert _transfer_steps(reg.ext.order, 3, 6) > ls.KERNEL_STEP_CAP
+    assert _transfer_steps(reg.ext.order, 3, 6) > cp.KERNEL_STEP_CAP
     with pytest.raises(ec.BudgetExceeded):
         ec.l_polynomial(reg, pts(reg, 0, 1, 2), (1, 1, 1))
     # the points of weight 0 are not transferred: one point fits
@@ -539,37 +537,47 @@ def test_count_constrained_validates():
         ec.count_constrained(R23, 4, [], (), R23.ext.elem(1))
 
 
-@pytest.mark.parametrize("D", [0, 3, 4])
-def test_count_constrained_checks_the_labeling_first(D):
-    # D = 0 has one tuple and D = 3 none: neither classes a prime, so the
-    # labeling is checked on entry or not at all
-    with pytest.raises(ValueError, match="labeling"):
-        ec.count_constrained(R23, D, pts(R23, 0), (0,), R23.ext.elem(1), "bogus")
-
-
 def test_count_constrained_rejects_a_unit_that_is_no_field_element():
     with pytest.raises(ec.CtxMismatch):
         ec.count_constrained(R23, 4, pts(R23, 0), (0,), 1)
 
 
-def test_count_constrained_detects_tampering(monkeypatch):
-    # move one prime of the highest degree from the line of (1, 2) to the
-    # zero line in the kernel the class-sum side reads: it becomes
-    # orthogonal to every w that (1, 2) is not.  Demand the mismatch is loud
-    import ellcover.lseries as ls
+# regimes and the largest D at which the oracle's stratum stays in the
+# thousands of tuples
+ORACLE_DEGREES = {(2, 3): 8, (3, 5): 8, (5, 3): 4, (2, 5): 8, (4, 5): 4, (2, 7): 8}
 
-    real = ls._orthogonal_at
 
-    def lying(reg, idx, m_max):
-        out = [dict(orth) for orth in real(reg, idx, m_max)]
-        top = out[-1]
-        for w in top:
-            top[w] += (w[0] + 2 * w[1]) % 3 != 0
-        return tuple(out)
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(sorted(ORACLE_DEGREES)), st.data())
+def test_count_constrained_equals_the_enumeration(qell, data):
+    reg = ec.make_regime(*qell)
+    D = data.draw(st.integers(0, ORACLE_DEGREES[qell]), label="D")
+    lits = data.draw(st.lists(st.integers(0, reg.q - 1), min_size=1,
+                              max_size=reg.q, unique=True), label="points")
+    targets = data.draw(st.lists(st.integers(0, reg.ell - 1), min_size=len(lits),
+                                 max_size=len(lits)), label="targets")
+    b = reg.ext.elem(data.draw(st.integers(1, reg.ext.order - 1), label="unit"))
+    labeling = data.draw(st.sampled_from(LABELINGS), label="labeling")
+    points = pts(reg, *lits)
+    assert ec.count_constrained(reg, D, points, targets, b) == \
+        _constrained_by_enumeration(reg, D, points, targets, b, labeling)
 
-    monkeypatch.setattr(ls, "_orthogonal_at", lying)
-    with pytest.raises(ec.CrossCheckMismatch):
-        ls.count_constrained(R23, 4, pts(R23, 0, 1), (0, 0), R23.ext.elem(1))
+
+def test_count_constrained_below_the_least_prime_degree():
+    # no prime fits below n_q = 2: the empty tuple at D = 0 is the only one,
+    # and no line of (Z/3)^k is walked or charged
+    reg = Regime(29, 3)
+    t0 = time.monotonic()
+    assert ec.count_constrained(reg, 0, pts(reg, *range(12)), [0] * 12,
+                                reg.ext.elem(1)) == 1
+    assert ec.count_constrained(reg, 1, pts(reg, *range(12)), [0] * 12,
+                                reg.ext.elem(1)) == 0
+    assert time.monotonic() - t0 < 1
+    # at D = 2, 20 points are refused at once, with no kernel built
+    with pytest.raises(ec.BudgetExceeded, match="table steps"):
+        ec.count_constrained(reg, 2, pts(reg, *range(20)), [0] * 20,
+                             reg.ext.elem(1))
+    assert time.monotonic() - t0 < 1 and reg._lines == {}
 
 
 def test_point_at_infinity_is_not_a_base_point():
@@ -608,17 +616,30 @@ def test_constrained_counts_build_no_model(monkeypatch):
 
 
 def test_count_constrained_checks_the_kernel_budget_first(monkeypatch):
-    # 3**9 class vectors at 9 points exceed GROUP_RING_CAP: that is refused
-    # before any branch tuple is enumerated: no prime is listed for the
-    # walk and no tuple is classed
-    from ellcover.lseries import GROUP_RING_CAP
-
+    # the class-sum count at 4 points of F_11 to D = 4 is refused one step
+    # below its count, before any kernel is built, and computed at it; 10
+    # points are refused at the real cap.  No prime is listed and no tuple
+    # is classed: the count reads the kernel alone
+    reg = Regime(11, 3)
+    want = _constrained_by_enumeration(reg, 4, pts(reg, 0, 3, 5, 7), (0, 1, 2, 0),
+                                       reg.ext.elem(1), "least")
     forbid(monkeypatch, "primes_with_degree", "class_vector")
-    R113 = ec.make_regime(11, 3)
-    assert 3 ** 9 > GROUP_RING_CAP
+    reg = Regime(11, 3)
+    steps = naive.class_sum_steps(reg, 4, 4)
+    monkeypatch.setattr(cp, "KERNEL_STEP_CAP", steps - 1)
+    with pytest.raises(ec.BudgetExceeded, match=f"about {steps} table steps"):
+        ec.count_constrained(reg, 4, pts(reg, 0, 3, 5, 7), (0, 1, 2, 0),
+                             reg.ext.elem(1))
+    assert reg._lines == {}
+    monkeypatch.setattr(cp, "KERNEL_STEP_CAP", steps)
+    assert ec.count_constrained(reg, 4, pts(reg, 0, 3, 5, 7), (0, 1, 2, 0),
+                                reg.ext.elem(1)) == want
+    monkeypatch.setattr(cp, "KERNEL_STEP_CAP", 1 << 22)
+    assert naive.class_sum_steps(reg, 10, 2) > cp.KERNEL_STEP_CAP
+    t0 = time.monotonic()
     with pytest.raises(ec.BudgetExceeded):
-        ec.count_constrained(R113, 2, pts(R113, *range(9)), [0] * 9,
-                             R113.ext.elem(1))
+        ec.count_constrained(reg, 2, pts(reg, *range(10)), [0] * 10, reg.ext.elem(1))
+    assert time.monotonic() - t0 < 1 and list(reg._lines) == [(0, 3, 5, 7)]
 
 
 # ---------------------------------------------------------------------------
@@ -643,8 +664,17 @@ def test_growth_check_reads_its_points_once():
 
 
 def test_growth_check_enumeration_budget():
+    # past the enumeration cap the counts still partition the stratum; at
+    # D = 100 000 the stratum table alone is over the step budget, refused
+    # at once with nothing cached
     assert ENUM_D_CAP < 18
+    reports = [ec.growth_check(R23, 18, pts(R23, 0, 1), t, R23.ext.elem(1))
+               for t in product(range(3), repeat=2)]
+    assert sum(r.constrained for r in reports) == reports[0].stratum == \
+        ec.count_tuples(R23, 18)
+    reg = Regime(2, 3)
     t0 = time.monotonic()
-    with pytest.raises(ec.BudgetExceeded):
-        ec.growth_check(R23, 18, pts(R23, 0, 1), (0, 0), R23.ext.elem(1))
+    with pytest.raises(ec.BudgetExceeded, match="table steps"):
+        ec.growth_check(reg, 100_000, pts(reg, 0, 1), (0, 0), reg.ext.elem(1))
     assert time.monotonic() - t0 < 1
+    assert reg._lines == reg._suffix == {}

@@ -90,6 +90,45 @@ def test_constrained_row_compares_the_least_branch_degree(monkeypatch):
     assert rows["constrained-crosscheck"].detail.endswith("(D=10:6)")
 
 
+def test_constrained_row_detects_a_tampered_kernel(monkeypatch):
+    # move one prime of the highest degree from the line of (1, 2) to the
+    # zero line in the kernel the class-sum side reads: it becomes
+    # orthogonal to every w that (1, 2) is not.  Demand the mismatch is loud
+    import ellcover.lseries as ls
+
+    real = ls._orthogonal_at
+
+    def lying(reg, idx, m_max):
+        out = [dict(orth) for orth in real(reg, idx, m_max)]
+        top = out[-1]
+        for w in top:
+            top[w] += (w[0] + 2 * w[1]) % 3 != 0
+        return tuple(out)
+
+    monkeypatch.setattr(ls, "_orthogonal_at", lying)
+    rows = {r.name: r for r in run_checks(2, 3, max_D=4)}
+    assert not rows["constrained-crosscheck"].passed
+    # the exact law reads the same kernel at the same two points
+    assert all(r.passed for name, r in rows.items()
+               if name not in ("constrained-crosscheck", "exact-law"))
+    # whole counts that are off by one on every line pass the inversion's
+    # own checks; the enumeration catches them
+    monkeypatch.undo()
+    counts = ls._class_sum_counts
+
+    def one_more(regime, idx, D):
+        out = dict(counts(regime, idx, D))
+        for v in ((0, 0), (0, 1), (1, 0), (1, 1), (1, 2)):
+            out[v] = out.get(v, 0) + 1
+        return out
+
+    monkeypatch.setattr(ls, "_class_sum_counts", one_more)
+    rows = {r.name: r for r in run_checks(2, 3, max_D=4)}
+    assert not rows["constrained-crosscheck"].passed
+    assert rows["constrained-crosscheck"].detail.startswith(
+        "CrossCheckMismatch: constrained count disagreement at D=2, least labeling")
+
+
 def test_check_result_shape():
     r = CheckResult("demo", True, "detail text")
     assert r.name == "demo" and r.passed and r.detail == "detail text"
