@@ -58,10 +58,14 @@ def _emit(args, payload: dict, text_lines: list[str]) -> None:
 
 
 def _write(args, text: str) -> None:
-    """Write text to the --out file, or to standard output without one."""
+    """Write text to the --out file, or to standard output without one;
+    UsageError if the file cannot be written."""
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise UsageError(f"cannot write {args.out}: {exc.strerror}") from None
     else:
         sys.stdout.write(text)
 

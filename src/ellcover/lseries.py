@@ -540,23 +540,29 @@ def _line_count(ell: int, k: int) -> int:
 
 
 def _kernel_steps(regime: Regime, idx: tuple[int, ...], m_max: int) -> int:
-    """Table steps of the kernel over the base points idx to degree
-    n_q*m_max, 0 when it is cached that far: the Horner transfer to degree
-    h = min(k - 1, m_max); ell**2 per line for each of the k coordinates of
-    each projected degree 1..h (_dot_counts) and for each product
-    Lambda_{n-j} M_j, n <= m_max, j < min(n, k); and ell per line for each
-    pair i < n <= m_max of the peel.  They bound memory too: no dict of the
-    kernel or of _invert has more than ell**(k+1) keys, and every caller
-    charges ell**2 * k steps on each of the ell**(k-1) or more lines, for
-    projecting M_1 (k >= 2) or for _invert; for k = 1 the ring is Z/ell."""
+    """Table steps of extending the kernel over the base points idx from the
+    degree it is cached to up to n_q*m_max, 0 when it is cached that far.
+    When h = min(k - 1, m_max) passes the cached monic counts, _count_monics
+    recounts from degree 0: the Horner transfer to degree h, and ell**2 per
+    line for each of the k coordinates of each projected degree 1..h
+    (_dot_counts).  Each new degree n costs ell**2 per line for each product
+    Lambda_{n-j} M_j, j < min(n, k), and ell per line for each pair i < n of
+    the peel.  They bound memory too: no dict of the kernel or of _invert has
+    more than ell**(k+1) keys, and every caller charges ell**2 * k steps on
+    each of the ell**(k-1) or more lines, for projecting M_1 (k >= 2) or for
+    _invert; for k = 1 the ring is Z/ell."""
     kernel = regime._lines.get(idx)
-    if m_max <= 0 or kernel is not None and len(kernel.orthogonal) >= m_max:
+    done = len(kernel.orthogonal) if kernel is not None else 0
+    if m_max <= done:
         return 0
     ell, k = regime.ell, len(idx)
-    h = max(min(k - 1, m_max), 0)
-    products = h * k + sum(max(min(n, k) - 1, 0) for n in range(2, m_max + 1))
-    return (_transfer_steps(regime.ext.order, k, h + 1) + _line_count(ell, k)
-            * (ell ** 2 * products + ell * m_max * (m_max - 1) // 2))
+    h, lines = max(min(k - 1, m_max), 0), _line_count(ell, k)
+    products = sum(max(min(n, k) - 1, 0) for n in range(done + 1, m_max + 1))
+    steps = lines * (ell ** 2 * products
+                     + ell * (m_max * (m_max - 1) - done * (done - 1)) // 2)
+    if kernel is None or len(kernel.monic.get((0,) * k, ())) <= h:
+        steps += _transfer_steps(regime.ext.order, k, h + 1) + lines * ell ** 2 * h * k
+    return steps
 
 
 def _orthogonal_at(regime: Regime, idx: tuple[int, ...], m_max: int) -> tuple[dict, ...]:

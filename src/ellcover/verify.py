@@ -1,6 +1,7 @@
 """Self-contained consistency checks pairing every fast computation with an
-independent slow one: character fiber counts against brute-force root
-scans, class-kernel constrained counts against direct enumeration,
+independent slow one: the twisted model's class at every point against
+the cached class vectors and its fiber against a brute-force root scan,
+class-kernel constrained counts against direct enumeration,
 stream enumeration against exact stratum counts, L-polynomials from the
 Horner transfer against sums over every monic polynomial, exact ensemble
 laws from the base-prime lines against every enumerated cover, and the
@@ -12,13 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import islice
 
-from .charsum import (
-    fiber_count,
-    fiber_count_oracle,
-    point_count,
-    point_count_oracle,
-    projective_points,
-)
+from .charsum import chi_class, fiber_count_oracle, point_count, projective_points
 from .coverparam import (
     LABELINGS,
     CoverParams,
@@ -76,9 +71,11 @@ def _sample_jobs(regime: Regime, max_D: int, tuple_cap: int, unit_cap: int):
 def run_checks(q: int, ell: int, max_D: int = 4, tuple_cap: int = 25,
                unit_cap: int = 5) -> list[CheckResult]:
     """Run the full battery for one regime; every row is independently
-    recomputed evidence, not a cached pass.  ValueError if max_D < n_q;
-    BudgetExceeded, before any row runs, if a degree up to max_D is over the
-    enumeration cap or the prime sieve's budget."""
+    recomputed evidence, not a cached pass.  ValueError if max_D < n_q or a
+    cap is below 1; BudgetExceeded, before any row runs, if a degree up to
+    max_D is over the enumeration cap or the prime sieve's budget."""
+    if tuple_cap < 1 or unit_cap < 1:  # a row would divide by 0 or pass on 0 covers
+        raise ValueError(f"tuple_cap {tuple_cap} and unit_cap {unit_cap} must be 1 or more")
     results: list[CheckResult] = []
 
     def record(name: str, fn) -> None:
@@ -108,36 +105,28 @@ def run_checks(q: int, ell: int, max_D: int = 4, tuple_cap: int = 25,
             raise BudgetExceeded(f"{exc}: {hint}") from None
 
     def check_fibers() -> str:
-        n_models = 0
+        # Each cover's model, built once per anchoring rule, is read at every
+        # point twice over: its power class against the class vector every
+        # ensemble reads, and its fiber against a scan for ell-th roots.
+        n_covers = 0
         pts = projective_points(regime)
         for params in _sample_jobs(regime, max_D, tuple_cap, unit_cap):
-            model = twisted_model(params)
-            total = 0
-            for x in pts:
-                fast = fiber_count(model, x)
-                slow = fiber_count_oracle(model, x)
-                _require(fast == slow,
-                         f"fiber mismatch at x={x}: class {fast} vs scan {slow}")
-                _require(fast in (0, regime.ell), f"fiber size {fast} at x={x}")
-                total += fast
-            _require(total % regime.ell == 0, f"total {total} not a multiple of {ell}")
-            n_models += 1
-        return f"{n_models} covers, {len(pts)} fibers each, scan == class"
+            prime_mults = validate_params(params)
+            for lab in LABELINGS:
+                model = twisted_model(params, lab)
+                classes = class_vector(regime, prime_mults, params.b, lab)
+                for x, e in zip(pts, classes):
+                    chi = chi_class(model, x)
+                    _require(chi.e == e, f"{lab} labeling, {params.fs} at x={x}: "
+                             f"model class {chi.e}, class vector {e}")
+                    fast, slow = chi.zeta_sum(), fiber_count_oracle(model, x)
+                    _require(fast == slow, f"{lab} labeling, {params.fs} at x={x}: "
+                             f"fiber {fast} from the class, {slow} from the scan")
+            n_covers += 1
+        return (f"{n_covers} covers, each under both anchoring rules, at {len(pts)} "
+                "points: model class == class vector, fiber == scan")
 
     record("fiber-oracle", check_fibers)
-
-    def check_model_shape() -> str:
-        n_models = 0
-        for params in _sample_jobs(regime, max_D, tuple_cap, unit_cap):
-            model = twisted_model(params)
-            _require(model.f_v0.degree % ell == 0,
-                     f"twisted degree {model.f_v0.degree} not 0 mod {ell}")
-            _require(model.f_v0.lead == params.b ** regime.n_q,
-                     f"twisted lead {model.f_v0.lead} is not b**n_q")
-            n_models += 1
-        return f"{n_models} twisted models: degree 0 mod {ell}, unit lead"
-
-    record("twisted-degree", check_model_shape)
 
     def check_stable() -> str:
         n_models = 0
@@ -170,13 +159,12 @@ def run_checks(q: int, ell: int, max_D: int = 4, tuple_cap: int = 25,
         # exactly is a slot-reindexing bijection of each stratum, so the
         # histogram of counts over all tuples at any fixed unit is identical
         # for both rules; that is the statement the statistics rely on.
-        # Counted from class vectors, as the class-kernel row checks them.
+        # Counted from class vectors, which the fiber-oracle row checks.
         from collections import Counter
 
         d = regime.n_q
         units = [FieldElem(regime.ext, v)
                  for v in range(1, min(regime.ext.order, 4))]
-        per_cover_differs = False
         for b in units:
             hists = {}
             for lab in LABELINGS:
@@ -187,14 +175,6 @@ def run_checks(q: int, ell: int, max_D: int = 4, tuple_cap: int = 25,
             _require(hists["least"] == hists["greatest"],
                      f"tuple-ensemble histogram at b={b} depends on anchoring: "
                      f"{dict(hists['least'])} vs {dict(hists['greatest'])}")
-        for params in islice(_sample_jobs(regime, max_D, tuple_cap, unit_cap), 40):
-            if (point_count(twisted_model(params, "least"))
-                    != point_count(twisted_model(params, "greatest"))):
-                per_cover_differs = True
-                break
-        note = ("per-cover counts do differ between rules"
-                if per_cover_differs else
-                "no per-cover difference seen in this sample")
         # The exact law and g_series read class lines, not classes, which
         # holds only if re-anchoring keeps every prime on its line: the
         # class functional e_P = sum_i w_i * c_P(x_i) must then vanish under
@@ -211,7 +191,7 @@ def run_checks(q: int, ell: int, max_D: int = 4, tuple_cap: int = 25,
                 n_primes += 1
                 n_vanish += e_least == 0
         return (f"ensemble histograms at D={d} identical for both anchoring "
-                f"rules over {len(units)} units ({note}); class functional "
+                f"rules over {len(units)} units; class functional "
                 f"vanishes under both rules or neither for {n_primes} primes "
                 f"({n_vanish} vanish)")
 
@@ -294,35 +274,6 @@ def run_checks(q: int, ell: int, max_D: int = 4, tuple_cap: int = 25,
         return f"10 samples at D={d}: valid, degree exact, streams reproducible"
 
     record("sampling", check_sampling)
-
-    def check_total_oracle() -> str:
-        n_models = 0
-        for params in islice(_sample_jobs(regime, max_D, 10, 3), 30):
-            model = twisted_model(params)
-            _require(point_count(model) == point_count_oracle(model),
-                     f"character total differs from brute force for {params.fs}")
-            n_models += 1
-        return f"{n_models} covers: total count equals brute-force total"
-
-    record("point-count-oracle", check_total_oracle)
-
-    def check_class_kernel() -> str:
-        n_models = 0
-        for lab in LABELINGS:
-            for params in _sample_jobs(regime, max_D, tuple_cap, unit_cap):
-                classes = class_vector(regime, validate_params(params),
-                                       params.b, lab)
-                fast = ell * classes.count(0)
-                slow = point_count_oracle(twisted_model(params, lab))
-                if fast != slow:
-                    raise CrossCheckMismatch(
-                        f"{lab} labeling: class vector {classes} counts {fast}, "
-                        f"brute-force scan counts {slow}")
-                n_models += 1
-        return (f"{n_models} covers under both anchoring rules: class-vector "
-                "count equals brute-force total")
-
-    record("class-kernel", check_class_kernel)
 
     def check_l_polynomial() -> str:
         order = regime.ext.order

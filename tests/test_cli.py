@@ -162,6 +162,17 @@ def test_out_file_matches_stdout(tmp_path, capsys):
     assert path.read_text() == out
 
 
+@pytest.mark.parametrize("target", ["missing/report.json", "."])
+def test_unwritable_out_is_a_usage_error(tmp_path, capsys, target):
+    # a missing directory, then a directory given as the file: one line on
+    # stderr and exit 2, not a traceback
+    path = tmp_path / target
+    rc, out, err = run(capsys, "info", "--q", "2", "--ell", "3", "--out", str(path))
+    assert (rc, out) == (2, "")
+    assert err.startswith(f"usage error: cannot write {path}: ")
+    assert err.count("\n") == 1
+
+
 def test_verify_passes(capsys):
     rc, out, _ = run(capsys, "verify", "--q", "2", "--ell", "3",
                      "--max-degree", "4")

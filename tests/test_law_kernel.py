@@ -242,9 +242,9 @@ def test_budget_edges_of_the_kernel(monkeypatch):
     assert base_prime_lines(reg, 1) == ({(1, 2): 1},)
     # degrees 2..5 each multiply Lambda_{n-1} by M_1 on each of the 5 lines,
     # at 3**2 steps a product; the peel's 10 pairs i < n <= 5 cost 3 steps a
-    # line; and four more degrees are inverted.  A kernel cached to a lower
-    # degree is charged in full.
-    steps += 4 * 5 * 9 + 10 * 5 * 3 + 4 * 5 * 9 * 2
+    # line; and all five degrees are inverted.  The cached kernel keeps M_1,
+    # so it is charged no transfer and no projection again.
+    steps = 4 * 5 * 9 + 10 * 5 * 3 + 5 * 5 * 9 * 2
     monkeypatch.setattr(cp, "KERNEL_STEP_CAP", steps - 1)
     with pytest.raises(ec.BudgetExceeded):
         base_prime_lines(reg, 5)
@@ -254,6 +254,35 @@ def test_budget_edges_of_the_kernel(monkeypatch):
     # cached that far, only the inversions are left
     monkeypatch.setattr(cp, "KERNEL_STEP_CAP", 5 * 5 * 9 * 2)
     assert base_prime_lines(reg, 5)[0] == {(1, 2): 1}
+
+
+@pytest.mark.parametrize("qell, k, cached, m_max", [
+    ((2, 3), 2, 1, 5),  # M_1 cached: products and peel pairs of degrees 2..5
+    ((5, 3), 3, 2, 4),  # M_2 cached: the same, for degrees 3 and 4
+    ((3, 5), 3, 1, 3),  # h grows from 1 to 2: the transfer is recounted
+])
+def test_a_cached_kernel_is_charged_its_extension(qell, k, cached, m_max, monkeypatch):
+    idx = tuple(range(k))
+    reg, fresh = Regime(*qell), Regime(*qell)
+    ls._orthogonal_at(reg, idx, cached)
+    extension = naive.kernel_steps(reg, k, m_max, cached)
+    assert ls._kernel_steps(reg, idx, m_max) == extension
+    assert ls._kernel_steps(fresh, idx, m_max) == naive.kernel_steps(reg, k, m_max)
+    assert ls._kernel_steps(reg, idx, cached) == 0
+    # under a cap between the extension's steps and a fresh kernel's (they
+    # are equal when only degree 1 is cached and h grows), the cached
+    # kernel is extended, and it counts what a fresh kernel does
+    w = [1] * k
+    trunc = reg.n_q * m_max
+    series = naive.series_steps(reg, trunc)
+    if extension < naive.kernel_steps(reg, k, m_max):
+        monkeypatch.setattr(cp, "KERNEL_STEP_CAP", extension + series)
+        with pytest.raises(ec.BudgetExceeded):
+            ec.g_series(fresh, [fresh.base.elem(i) for i in idx], w, trunc)
+    got = ec.g_series(reg, [reg.base.elem(i) for i in idx], w, trunc)
+    monkeypatch.undo()
+    assert got == ec.g_series(fresh, [fresh.base.elem(i) for i in idx], w, trunc)
+    assert reg._lines[idx].orthogonal == fresh._lines[idx].orthogonal
 
 
 def test_law_over_the_largest_group_ring():

@@ -15,15 +15,12 @@ from ellcover.verify import CheckResult, run_checks
 EXPECTED_CHECKS = [
     "regime",
     "fiber-oracle",
-    "twisted-degree",
     "stable-factorization",
     "labeling-invariance",
     "power-orbit",
     "stratum-count",
     "constrained-crosscheck",
     "sampling",
-    "point-count-oracle",
-    "class-kernel",
     "l-polynomial",
     "exact-law",
 ]
@@ -35,9 +32,10 @@ def test_battery_green_on_reference_regime():
     for r in results:
         assert r.passed, f"{r.name}: {r.detail}"
         assert isinstance(r, CheckResult) and r.detail
+    rows = {r.name: r for r in results}
+    assert "24 covers, each under both anchoring rules" in rows["fiber-oracle"].detail
     # the weights at k = 2 include (1, 0), with a point of weight 0
-    row = next(r for r in results if r.name == "l-polynomial")
-    assert "4 weights at k=2" in row.detail
+    assert "4 weights at k=2" in rows["l-polynomial"].detail
 
 
 def test_battery_green_on_second_regime():
@@ -75,6 +73,52 @@ def test_max_degree_below_n_q_is_refused_before_any_row(monkeypatch):
         run_checks(3, 7)
     with pytest.raises(ValueError, match="--max-degree 2 or more"):
         run_checks(2, 3, max_D=1)
+
+
+@pytest.mark.parametrize("caps", [{"tuple_cap": 0}, {"unit_cap": 0}, {"tuple_cap": -1}])
+def test_caps_below_one_are_refused_before_any_row(monkeypatch, caps):
+    # tuple_cap = 0 would divide by zero in stratum-count, unit_cap = 0 would
+    # pass the per-cover rows on no cover
+    def forbidden(*args):
+        raise AssertionError("a row ran")
+
+    monkeypatch.setattr(verify, "make_regime", forbidden)
+    with pytest.raises(ValueError, match="must be 1 or more"):
+        run_checks(2, 3, **caps)
+
+
+def test_fiber_row_compares_every_point_with_the_class_vector(monkeypatch):
+    # swapping the classes at the two affine points of F_2 keeps the number
+    # of zero classes, and so every point count: only a comparison point by
+    # point sees it
+    vector = verify.class_vector
+
+    def swapped(regime, prime_mults, b, labeling="least"):
+        out = vector(regime, prime_mults, b, labeling)
+        return out[1:regime.q] + out[:1] + out[regime.q:]
+
+    monkeypatch.setattr(verify, "class_vector", swapped)
+    rows = {r.name: r for r in run_checks(2, 3, max_D=4)}
+    assert not rows["fiber-oracle"].passed
+    assert "class vector" in rows["fiber-oracle"].detail
+    assert all(r.passed for name, r in rows.items() if name != "fiber-oracle")
+
+
+def test_fiber_row_fails_on_a_model_scaled_by_a_non_ell_th_power(monkeypatch):
+    build = verify.twisted_model
+
+    def scaled(params, labeling="least"):
+        model = build(params, labeling)
+        ext = model.regime.ext
+        c = next(u for u in (ec.FieldElem(ext, v) for v in range(1, ext.order))
+                 if ec.lth_power_class(u, model.regime.ell).e)
+        return ec.TwistedModel(model.regime, params, labeling, model.stable,
+                               model.f_v0.scale(c))
+
+    monkeypatch.setattr(verify, "twisted_model", scaled)
+    rows = {r.name: r for r in run_checks(2, 3, max_D=4)}
+    assert not rows["fiber-oracle"].passed
+    assert "class vector" in rows["fiber-oracle"].detail
 
 
 def test_constrained_row_compares_the_least_branch_degree(monkeypatch):
