@@ -27,7 +27,6 @@ from .errors import (
     ZeroPolynomial,
 )
 from .gf import (
-    CharClass,
     FieldCtx,
     FieldElem,
     embed_elem,
@@ -69,10 +68,10 @@ from .coverparam import (
 )
 from .charsum import (
     INFINITY,
+    check_cover,
     chi_class,
     fiber_count,
     fiber_count_oracle,
-    fiber_profile,
     model_value,
     point_count,
     point_count_oracle,

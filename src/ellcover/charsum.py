@@ -6,16 +6,23 @@ leading coefficient).  The fiber over x holds ell rational points when the
 class is 0 and none otherwise.  No rational point ramifies: every branch
 prime has degree divisible by n_q >= 2, so the value never vanishes, and a
 value that does raises UnexpectedRoot.  A brute-force oracle that scans the
-whole extension field for ell-th roots confirms each fiber.
+whole extension field for ell-th roots confirms each fiber, and check_cover
+holds one cover's model to the class vector and to that oracle.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .coverparam import Regime, TwistedModel
-from .errors import UnexpectedRoot
-from .gf import CharClass, FieldElem, embed_elem, lth_power_class
+from .coverparam import (
+    CoverParams,
+    Regime,
+    TwistedModel,
+    class_vector,
+    twisted_model,
+    validate_params,
+)
+from .errors import CrossCheckMismatch, UnexpectedRoot
+from .fqpoly import embed, poly_frobenius
+from .gf import FieldElem, embed_elem, lth_power_class
 
 
 class _Infinity:
@@ -48,8 +55,9 @@ def model_value(model: TwistedModel, x) -> FieldElem:
     return model.f_v0.eval(embed_elem(x, model.regime.ext))
 
 
-def chi_class(model: TwistedModel, x) -> CharClass:
-    """Power class of the model at x; UnexpectedRoot if the value vanishes."""
+def chi_class(model: TwistedModel, x) -> int:
+    """Power class of the model at x, an exponent mod ell; UnexpectedRoot if
+    the value vanishes."""
     val = model_value(model, x)
     if val.val == 0:
         raise UnexpectedRoot(f"twisted model vanishes at the rational point {x}")
@@ -60,7 +68,7 @@ def fiber_count(model: TwistedModel, x) -> int:
     """Rational points of the cover above x, from the character identity:
     summing the character over all ell classes leaves ell when the value is
     an ell-th power and 0 otherwise."""
-    return chi_class(model, x).zeta_sum()
+    return model.regime.ell if chi_class(model, x) == 0 else 0
 
 
 def fiber_count_oracle(model: TwistedModel, x) -> int:
@@ -83,18 +91,40 @@ def point_count_oracle(model: TwistedModel) -> int:
     return sum(fiber_count_oracle(model, x) for x in projective_points(model.regime))
 
 
-@dataclass(frozen=True)
-class FiberProfile:
-    """Per-point classes and counts for one cover."""
+def check_cover(params: CoverParams,
+                labeling: str = "least") -> tuple[TwistedModel, tuple[int, ...]]:
+    """Build the cover's twisted model once and hold it to the independent
+    computations: its components form a Frobenius cycle, are pairwise coprime
+    and multiply to the embedded prod f_i**i; at each of the q+1 points its
+    class equals the class vector's entry and its fiber the root scan.
+    Returns the model and the class vector; CrossCheckMismatch names the
+    first disagreement."""
+    reg = params.regime
+    classes = class_vector(reg, validate_params(params), params.b, labeling)
+    model = twisted_model(params, labeling)
 
-    classes: tuple[CharClass, ...]
-    counts: tuple[int, ...]
-    total: int
+    def fail(what: str):
+        return CrossCheckMismatch(f"{labeling} labeling, {params.fs}{what}")
 
-
-def fiber_profile(model: TwistedModel) -> FiberProfile:
-    pts = projective_points(model.regime)
-    classes = tuple(chi_class(model, x) for x in pts)
-    counts = tuple(c.zeta_sum() for c in classes)
-    return FiberProfile(classes, counts, sum(counts))
-
+    parts = model.stable.parts
+    full = parts[0]
+    for j, part in enumerate(parts):
+        if poly_frobenius(part, reg.q) != parts[(j + 1) % reg.n_q]:
+            raise fail(f": component {j + 1} is not conjugate to the next")
+        if j:
+            full = full * part
+        if any(part.gcd(other).degree for other in parts[j + 1:]):
+            raise fail(": components share a factor")
+    f_total = params.fs[0]
+    for i, f in enumerate(params.fs[1:], start=2):
+        f_total = f_total * f ** i
+    if full != embed(f_total, reg.ext):
+        raise fail(": components do not multiply to the embedded branch product")
+    for x, e in zip(projective_points(reg), classes):
+        chi = chi_class(model, x)
+        if chi != e:
+            raise fail(f" at x={x}: model class {chi}, class vector {e}")
+        fast, slow = reg.ell if chi == 0 else 0, fiber_count_oracle(model, x)
+        if fast != slow:
+            raise fail(f" at x={x}: fiber {fast} from the class, {slow} from the scan")
+    return model, classes

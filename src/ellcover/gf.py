@@ -417,63 +417,18 @@ def check_subfield_order(ctx: FieldCtx, base_order: int) -> None:
     raise NotASubfield(f"F_{base_order} is not a subfield of F_{ctx.order}")
 
 
-class CharClass:
-    """Value of the distinguished order-ell character, stored as an exponent.
-
-    The character sends the context generator to exponent 1; a unit with
-    discrete log m has class m mod ell.  Zero has no class (lth_power_class
-    raises ZeroInput), so every class is an exponent mod ell.
-    """
-
-    __slots__ = ("ell", "e")
-
-    def __init__(self, ell: int, e: int):
-        self.ell = ell
-        self.e = e % ell
-
-    def __add__(self, other: "CharClass") -> "CharClass":
-        if not isinstance(other, CharClass):
-            return NotImplemented
-        if self.ell != other.ell:
-            raise OrderMismatch("mixed character orders")
-        return CharClass(self.ell, self.e + other.e)
-
-    def __mul__(self, n: int) -> "CharClass":
-        if not isinstance(n, int):
-            return NotImplemented
-        return CharClass(self.ell, self.e * n)
-
-    __rmul__ = __mul__
-
-    def zeta_sum(self) -> int:
-        """sum_{w=0}^{ell-1} zeta**(w*e), which is ell when e == 0 and 0
-        otherwise."""
-        return self.ell if self.e == 0 else 0
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, CharClass):
-            return self.ell == other.ell and self.e == other.e
-        if isinstance(other, int):
-            return self.e == other % self.ell
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.ell, self.e))
-
-    def __repr__(self) -> str:
-        return f"CharClass(ell={self.ell}, e={self.e})"
-
-
-def lth_power_class(a: FieldElem, ell: int) -> CharClass:
-    """Power-residue class of a unit: the exponent of its image under the
-    distinguished order-ell character."""
+def lth_power_class(a: FieldElem, ell: int) -> int:
+    """Power-residue class of a unit: the exponent mod ell of its image under
+    the distinguished order-ell character, which sends the context generator
+    to exponent 1, so a unit with discrete log m has class m mod ell.  Zero
+    has no class and raises ZeroInput."""
     if a.val == 0:
         raise ZeroInput("power-residue class of zero")
     ctx = a.ctx
     if (ctx.order - 1) % ell != 0:
         raise OrderMismatch(
             f"unit group of order {ctx.order - 1} has no character of order {ell}")
-    return CharClass(ell, ctx.log[a.val] % ell)
+    return ctx.log[a.val] % ell
 
 
 def subfield_table(small: FieldCtx, big: FieldCtx) -> tuple[int, ...]:

@@ -729,7 +729,7 @@ def count_constrained(regime: Regime, D: int, points, targets,
     _check_unit(regime, b)
     want = sorted(zip(_base_literals(regime, pts), targets))
     counts = _class_sum_counts(regime, tuple(i for i, _ in want), D)
-    e_b, inv_n = lth_power_class(b, ell).e, pow(regime.n_q, -1, ell)
+    e_b, inv_n = lth_power_class(b, ell), pow(regime.n_q, -1, ell)
     u = tuple((t * inv_n - e_b) % ell for _, t in want)
     return counts.get(_line_of(u, ell), 0)
 

@@ -41,13 +41,12 @@ def test_frozen_example_classes_and_count():
         R23.ext.elem(1))
     model = ec.twisted_model(params)
     pts = ec.projective_points(R23)
-    classes = [ec.chi_class(model, x) for x in pts]
-    assert [c.e for c in classes] == [2, 1, 0]
+    assert [ec.chi_class(model, x) for x in pts] == [2, 1, 0]
     assert [ec.fiber_count(model, x) for x in pts] == [0, 0, 3]
     assert ec.point_count(model) == 3
     assert ec.point_count_oracle(model) == 3
-    prof = ec.fiber_profile(model)
-    assert prof.total == 3 and prof.counts == (0, 0, 3)
+    checked, classes = ec.check_cover(params)
+    assert checked.f_v0 == model.f_v0 and classes == (2, 1, 0)
 
 
 def test_model_value_at_infinity_is_lead():
@@ -112,7 +111,7 @@ def test_a_vanishing_model_value_raises_a_typed_error():
         with pytest.raises(ec.UnexpectedRoot):
             count(model, zero)
     with pytest.raises(ec.UnexpectedRoot):
-        ec.fiber_profile(model)
+        ec.point_count(model)
     assert ec.chi_class(model, ec.INFINITY) == 0
     assert ec.fiber_count_oracle(model, zero) == 1
 
@@ -139,3 +138,60 @@ def test_oracle_counts_roots_exactly():
     assert ec.fiber_count_oracle(model, ec.INFINITY) == 3
     cubes = {(R23.ext.elem(v) ** 3).val for v in range(1, 4)}
     assert cubes == {1}
+
+
+# ---------------------------------------------------------------------------
+# check_cover: one cover's model against its class vector and the root scan.
+
+def _with_parts(monkeypatch, make_parts):
+    """Make check_cover build models whose components are make_parts(model)."""
+    from dataclasses import replace
+
+    import ellcover.charsum as charsum
+
+    build = charsum.twisted_model
+
+    def tampered(params, labeling="least"):
+        model = build(params, labeling)
+        return replace(model, stable=replace(model.stable, parts=make_parts(model)))
+
+    monkeypatch.setattr(charsum, "twisted_model", tampered)
+
+
+@pytest.mark.parametrize("reg,D", [(R23, 4), (R53, 2), (R27, 3), (R25, 4)])
+def test_check_cover_passes_on_every_small_cover(reg, D):
+    for params in covers(reg, (D,), unit_cap=3):
+        for labeling in ("least", "greatest"):
+            model, classes = ec.check_cover(params, labeling)
+            assert model.labeling == labeling
+            assert classes == tuple(ec.chi_class(model, x)
+                                    for x in ec.projective_points(reg))
+
+
+def test_check_cover_needs_a_frobenius_cycle(monkeypatch):
+    # (2, 7) has n_q = 3: swapping the last two components keeps their
+    # product and coprimality, but F_1 maps to F_2, not to the new F_2 = F_3
+    _with_parts(monkeypatch, lambda m: (m.stable.parts[0],) + m.stable.parts[:0:-1])
+    params = next(covers(R27, (3,), unit_cap=1))
+    with pytest.raises(ec.CrossCheckMismatch, match="component 1 is not conjugate"):
+        ec.check_cover(params)
+
+
+def test_check_cover_needs_coprime_components(monkeypatch):
+    # a polynomial over the base field is its own conjugate, so two copies of
+    # it form a Frobenius cycle that shares a factor
+    shared = ec.embed(ec.primes_with_degree(R23.base, 2)[0], R23.ext)
+    _with_parts(monkeypatch, lambda m: (shared, shared))
+    params = next(covers(R23, (2,), unit_cap=1))
+    with pytest.raises(ec.CrossCheckMismatch, match="components share a factor"):
+        ec.check_cover(params)
+
+
+def test_check_cover_needs_the_embedded_branch_product(monkeypatch):
+    # the components of another cover of the same degree: conjugate and
+    # coprime, but of the wrong product
+    params, other = [p for p in covers(R23, (4,), unit_cap=1)][:2]
+    parts = ec.stable_factorization(other).parts
+    _with_parts(monkeypatch, lambda m: parts)
+    with pytest.raises(ec.CrossCheckMismatch, match="do not multiply to the embedded"):
+        ec.check_cover(params)

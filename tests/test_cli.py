@@ -192,7 +192,7 @@ def test_verify_over_budget_exits_1_before_any_row(capsys, monkeypatch, argv, fi
     def forbidden(*args):
         raise AssertionError("a row ran")
 
-    monkeypatch.setattr("ellcover.verify.projective_points", forbidden)
+    monkeypatch.setattr("ellcover.verify.check_cover", forbidden)
     rc, out, err = run(capsys, "verify", *argv)
     assert (rc, out) == (1, "")
     assert err.startswith("error: BudgetExceeded: ") and fits in err
@@ -246,10 +246,28 @@ def test_verify_failure_exits_3(capsys, monkeypatch):
 
 
 def test_crosscheck_mismatch_exits_3(capsys, monkeypatch):
-    monkeypatch.setattr(cli, "fiber_count_oracle", lambda model, x: -1)
+    monkeypatch.setattr("ellcover.charsum.fiber_count_oracle", lambda model, x: -1)
     rc, _, err = run(capsys, "count-points", "--q", "2", "--ell", "3",
                      "--tuple", "1,1,1;1")
     assert rc == 3 and "verification failure" in err
+
+
+def test_count_points_exits_3_on_a_wrong_class_vector(capsys, monkeypatch):
+    # the classes at x = 0 and x = 1 swapped: the number of full fibers, and
+    # so the total, is unchanged
+    import ellcover.charsum as charsum
+
+    vector = charsum.class_vector
+
+    def swapped(regime, prime_mults, b, labeling="least"):
+        out = vector(regime, prime_mults, b, labeling)
+        return out[1:2] + out[:1] + out[2:]
+
+    monkeypatch.setattr(charsum, "class_vector", swapped)
+    rc, out, err = run(capsys, "count-points", "--q", "2", "--ell", "3",
+                       "--tuple", "1,1,1;1")
+    assert (rc, out) == (3, "")
+    assert "model class 2, class vector 1" in err
 
 
 def _declared_entry_point():
@@ -263,8 +281,8 @@ def _declared_entry_point():
         return tomllib.load(fh)["project"]["scripts"]["ellcover"]
 
 
-def _run_child(code, *argv):
-    """Run ``code`` in a child interpreter with ``argv`` as its arguments.
+def _run_python(*args):
+    """Run a child interpreter with ``args`` as its arguments.
 
     The child imports the ``ellcover`` this test process imported, so an
     installed copy elsewhere cannot stand in for the code under test.
@@ -273,8 +291,13 @@ def _run_child(code, *argv):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p)
-    return subprocess.run([sys.executable, "-c", code, *argv],
+    return subprocess.run([sys.executable, *args],
                           capture_output=True, text=True, env=env, timeout=60)
+
+
+def _run_child(code, *argv):
+    """Run ``code`` in a child interpreter with ``argv`` as its arguments."""
+    return _run_python("-c", code, *argv)
 
 
 def _run_console_script(target, *argv):
@@ -294,6 +317,17 @@ def test_console_script_subprocess():
     assert json.loads(proc.stdout)["regime"]["q"] == 2
     bad = _run_console_script(target, "info", "--q", "4", "--ell", "3")
     assert bad.returncode == 1
+    assert "KummerRegime" in bad.stderr
+
+
+@pytest.mark.parametrize("module", ["ellcover", "ellcover.cli"])
+def test_python_dash_m_runs_the_cli(module):
+    proc = _run_python("-m", module, "info", "--q", "2", "--ell", "3", "--json")
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["regime"] == {"q": 2, "ell": 3, "n_q": 2, "p": 2,
+                                                 "k": 1, "modulus": "1,1,1"}
+    bad = _run_python("-m", module, "info", "--q", "4", "--ell", "3")
+    assert (bad.returncode, bad.stdout) == (1, "")
     assert "KummerRegime" in bad.stderr
 
 

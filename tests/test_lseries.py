@@ -143,7 +143,7 @@ def test_l_polynomial_independent_recomputation():
         v0, v1 = a, ext.elem(1) + a
         if v0.val == 0 or v1.val == 0:
             continue
-        e = ec.lth_power_class(v0, 3).e + ec.lth_power_class(v1, 3).e
+        e = ec.lth_power_class(v0, 3) + ec.lth_power_class(v1, 3)
         total = total + C.zeta_pow(3, e)
     got = ec.l_polynomial(R23, pts(R23, 0, 1), (1, 1))[1]
     assert got == total
@@ -298,8 +298,8 @@ def test_root_magnitude_identities_are_not_sufficient_past_degree_one():
 def test_char_w_value_at():
     char = ec.CharW(R23, pts(R23, 0, 1), (1, 1))
     f = ec.Poly(R23.ext, [2, 1])  # X + omega
-    v0 = ec.lth_power_class(R23.ext.elem(2), 3).e
-    v1 = ec.lth_power_class(R23.ext.elem(1) + R23.ext.elem(2), 3).e
+    v0 = ec.lth_power_class(R23.ext.elem(2), 3)
+    v1 = ec.lth_power_class(R23.ext.elem(1) + R23.ext.elem(2), 3)
     assert char.value_at(f) == C.zeta_pow(3, v0 + v1)
     vanishing = ec.Poly(R23.ext, [0, 1])  # X vanishes at the point 0
     assert char.value_at(vanishing).is_zero
@@ -522,7 +522,7 @@ def test_count_constrained_depends_on_b_classes_only():
     ext = R23.ext
     by_class = {}
     for bv in range(1, 4):
-        cls = ec.lth_power_class(ext.elem(bv), 3).e
+        cls = ec.lth_power_class(ext.elem(bv), 3)
         counts = tuple(
             ec.count_constrained(R23, 4, pts(R23, 0, 1), t, ext.elem(bv))
             for t in product(range(3), repeat=2))

@@ -14,4 +14,4 @@ def test_star_import_exports_every_public_name_and_no_module():
             "growth_check", "run_checks", "theoretical_distribution"} <= set(names)
     assert not any(name.startswith("_") or isinstance(value, ModuleType)
                    for name, value in names.items())
-    assert len(names) == 79
+    assert len(names) == 78

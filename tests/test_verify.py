@@ -9,15 +9,15 @@ from pathlib import Path
 import pytest
 
 import ellcover as ec
+import ellcover.charsum as charsum
+import ellcover.coverparam as coverparam
 import ellcover.verify as verify
 from ellcover.verify import CheckResult, run_checks
 
 EXPECTED_CHECKS = [
     "regime",
     "fiber-oracle",
-    "stable-factorization",
     "labeling-invariance",
-    "power-orbit",
     "stratum-count",
     "constrained-crosscheck",
     "sampling",
@@ -34,6 +34,7 @@ def test_battery_green_on_reference_regime():
         assert isinstance(r, CheckResult) and r.detail
     rows = {r.name: r for r in results}
     assert "24 covers, each under both anchoring rules" in rows["fiber-oracle"].detail
+    assert "power r = 2..2 of the first 24" in rows["fiber-oracle"].detail
     # the weights at k = 2 include (1, 0), with a point of weight 0
     assert "4 weights at k=2" in rows["l-polynomial"].detail
 
@@ -68,7 +69,7 @@ def test_max_degree_below_n_q_is_refused_before_any_row(monkeypatch):
     def forbidden(*args):
         raise AssertionError("a row ran")
 
-    monkeypatch.setattr(verify, "projective_points", forbidden)
+    monkeypatch.setattr(verify, "check_cover", forbidden)
     with pytest.raises(ValueError, match="--max-degree 6 or more"):
         run_checks(3, 7)
     with pytest.raises(ValueError, match="--max-degree 2 or more"):
@@ -91,13 +92,13 @@ def test_fiber_row_compares_every_point_with_the_class_vector(monkeypatch):
     # swapping the classes at the two affine points of F_2 keeps the number
     # of zero classes, and so every point count: only a comparison point by
     # point sees it
-    vector = verify.class_vector
+    vector = charsum.class_vector
 
     def swapped(regime, prime_mults, b, labeling="least"):
         out = vector(regime, prime_mults, b, labeling)
         return out[1:regime.q] + out[:1] + out[regime.q:]
 
-    monkeypatch.setattr(verify, "class_vector", swapped)
+    monkeypatch.setattr(charsum, "class_vector", swapped)
     rows = {r.name: r for r in run_checks(2, 3, max_D=4)}
     assert not rows["fiber-oracle"].passed
     assert "class vector" in rows["fiber-oracle"].detail
@@ -105,20 +106,81 @@ def test_fiber_row_compares_every_point_with_the_class_vector(monkeypatch):
 
 
 def test_fiber_row_fails_on_a_model_scaled_by_a_non_ell_th_power(monkeypatch):
-    build = verify.twisted_model
+    build = charsum.twisted_model
 
     def scaled(params, labeling="least"):
         model = build(params, labeling)
         ext = model.regime.ext
         c = next(u for u in (ec.FieldElem(ext, v) for v in range(1, ext.order))
-                 if ec.lth_power_class(u, model.regime.ell).e)
+                 if ec.lth_power_class(u, model.regime.ell))
         return ec.TwistedModel(model.regime, params, labeling, model.stable,
                                model.f_v0.scale(c))
 
-    monkeypatch.setattr(verify, "twisted_model", scaled)
+    monkeypatch.setattr(charsum, "twisted_model", scaled)
     rows = {r.name: r for r in run_checks(2, 3, max_D=4)}
     assert not rows["fiber-oracle"].passed
     assert "class vector" in rows["fiber-oracle"].detail
+
+
+def test_fiber_row_fails_on_components_that_are_not_a_frobenius_cycle(monkeypatch):
+    # (2, 7) has n_q = 3: the last two components swapped keep their product
+    from dataclasses import replace
+
+    build = charsum.twisted_model
+
+    def swapped(params, labeling="least"):
+        model = build(params, labeling)
+        parts = model.stable.parts
+        return replace(model, stable=replace(model.stable, parts=parts[:1] + parts[:0:-1]))
+
+    monkeypatch.setattr(charsum, "twisted_model", swapped)
+    rows = {r.name: r for r in run_checks(2, 7, max_D=3, tuple_cap=2, unit_cap=1)}
+    assert not rows["fiber-oracle"].passed
+    assert "component 1 is not conjugate to the next" in rows["fiber-oracle"].detail
+
+
+@pytest.mark.parametrize("tamper", ["unit", "slots"])
+def test_fiber_row_checks_every_power_reindexing(monkeypatch, tamper):
+    # a power orbit that keeps b, or that keeps every prime in its slot,
+    # moves the classes of a cover off r times its own
+    orbit = verify.power_orbit
+
+    def tampered(params, r):
+        moved = orbit(params, r)
+        if tamper == "unit":
+            return ec.CoverParams(params.regime, moved.fs, params.b)
+        return ec.CoverParams(params.regime, params.fs, moved.b)
+
+    monkeypatch.setattr(verify, "power_orbit", tampered)
+    rows = {r.name: r for r in run_checks(2, 3, max_D=4)}
+    assert not rows["fiber-oracle"].passed
+    assert "power 2 of" in rows["fiber-oracle"].detail
+    assert all(r.passed for name, r in rows.items() if name != "fiber-oracle")
+
+
+def test_fiber_row_reindexes_only_the_first_covers(monkeypatch):
+    # no twisted model is built for a power orbit, and only ORBIT_JOBS covers
+    # are moved, each by every r = 2..ell-1
+    built, moved = [], []
+    build, orbit = charsum.twisted_model, verify.power_orbit
+
+    def counting_build(params, labeling="least"):
+        built.append(params)
+        return build(params, labeling)
+
+    def counting_orbit(params, r):
+        moved.append((params, r))
+        return orbit(params, r)
+
+    monkeypatch.setattr(charsum, "twisted_model", counting_build)
+    monkeypatch.setattr(verify, "power_orbit", counting_orbit)
+    monkeypatch.setattr(verify, "ORBIT_JOBS", 7)
+    rows = {r.name: r for r in run_checks(2, 5, max_D=4, tuple_cap=8, unit_cap=4)}
+    assert rows["fiber-oracle"].passed, rows["fiber-oracle"].detail
+    covers = built[::2]
+    assert len(covers) > 7 and built[1::2] == covers
+    assert moved == [(params, r) for params in covers[:7] for r in (2, 3, 4)]
+    assert "power r = 2..4 of the first 7 " in rows["fiber-oracle"].detail
 
 
 def test_constrained_row_compares_the_least_branch_degree(monkeypatch):
@@ -132,6 +194,22 @@ def test_constrained_row_compares_the_least_branch_degree(monkeypatch):
     rows = {r.name: r for r in run_checks(2, 11, max_D=10, tuple_cap=2, unit_cap=1)}
     assert all(r.passed for r in rows.values()), rows
     assert rows["constrained-crosscheck"].detail.endswith("(D=10:6)")
+
+
+def test_constrained_row_notes_a_budget_refusal(monkeypatch):
+    # on a fresh (2, 3) regime, with no cache warm, the class kernel at
+    # points 0, 1 takes 201 table steps to D = 2 and 210 to D = 4: under a
+    # cap between them the row compares D = 2 and notes the refusal at D = 4,
+    # a declared limit and not a disagreement
+    monkeypatch.setattr(verify, "make_regime", coverparam.Regime)
+    monkeypatch.setattr(coverparam, "KERNEL_STEP_CAP", 205)
+    rows = {r.name: r for r in run_checks(2, 3, max_D=4)}
+    row = rows["constrained-crosscheck"]
+    assert row.passed, row.detail
+    assert row.detail.startswith(
+        "class-kernel count == direct count (D=2:0); class kernel out of budget "
+        "from D=4: counting branch tuples by class sum at 2 points to degree 4 "
+        "takes about 210 table steps")
 
 
 def test_constrained_row_detects_a_tampered_kernel(monkeypatch):
@@ -190,8 +268,24 @@ def test_labeling_row_checks_the_class_functional(monkeypatch):
     monkeypatch.setattr(verify, "prime_classes", skewed)
     rows = {r.name: r for r in run_checks(2, 3, max_D=4)}
     assert not rows["labeling-invariance"].passed
-    assert "anchoring rule only" in rows["labeling-invariance"].detail
+    assert "under one anchoring rule" in rows["labeling-invariance"].detail
     assert all(r.passed for name, r in rows.items() if name != "labeling-invariance")
+
+
+def test_labeling_row_compares_whole_class_lines(monkeypatch):
+    # swapping the classes at x = 0 and x = 1 under one rule keeps their sum,
+    # so the w = 1 functional vanishes under both rules or neither, yet moves
+    # a prime with classes (1, 0) to the line of (0, 1)
+    classes = verify.prime_classes
+
+    def swapped(regime, prime, labeling="least"):
+        out = classes(regime, prime, labeling)
+        return out if labeling == "least" else out[::-1]
+
+    monkeypatch.setattr(verify, "prime_classes", swapped)
+    rows = {r.name: r for r in run_checks(2, 3, max_D=4)}
+    assert not rows["labeling-invariance"].passed
+    assert "under one anchoring rule" in rows["labeling-invariance"].detail
 
 
 def test_stratum_count_row_fails_on_a_repeated_prime(monkeypatch):
@@ -250,8 +344,9 @@ def test_exact_law_row_compares_with_the_enumeration(monkeypatch):
 OFF_BY_ONE_ORACLE = """
 import json
 import ellcover.verify as verify
-oracle = verify.fiber_count_oracle
-verify.fiber_count_oracle = lambda model, x: oracle(model, x) + 1
+import ellcover.charsum as charsum
+oracle = charsum.fiber_count_oracle
+charsum.fiber_count_oracle = lambda model, x: oracle(model, x) + 1
 rows = {r.name: r.passed for r in verify.run_checks(2, 3)}
 print(json.dumps({"debug": __debug__, "rows": rows}))
 """
