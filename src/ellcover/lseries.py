@@ -23,7 +23,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, chain, repeat
-from math import comb, log2, sqrt
+from math import log2, sqrt
 from operator import mul
 
 from .coverparam import (
@@ -610,22 +610,34 @@ def base_prime_lines(regime: Regime, m_max: int) -> tuple[dict, ...]:
 
 
 def _euler_series(ell: int, n_q: int, per_degree, w, trunc: int) -> list[int]:
-    """Coefficients up to u**trunc of prod_m (1 + (ell-1)u**d)**O_m(w)
+    """Coefficients up to u**trunc of F = prod_m (1 + (ell-1)u**d)**O_m(w)
     * (1 - u**d)**(O_m(0) - O_m(w)), d = n_q*m, O_m = per_degree[m-1] from
-    _orthogonal_at, each power expanded binomially: the image, under the
-    character of w, of the product of the factors 1 + u**d * sum_s [s c_P]
-    over the base primes P."""
-    series = [0] * (trunc + 1)
-    series[0] = 1
+    _orthogonal_at: the image, under the character of w, of the product of
+    the factors 1 + u**d * sum_s [s c_P] over the base primes P.
+
+    F is a series in v = u**n_q, zero off the multiples of n_q, and its
+    logarithmic derivative gives N F_N = sum_{I=1..N} c_I F_{N-I} with
+    c_I = sum_{m | I} m (O_m(w) (-1)**(I/m-1) (ell-1)**(I/m) - O_m(0) + O_m(w)):
+    about N**2 / 2 products for N = trunc // n_q.  CrossCheckMismatch when a
+    division by N is not exact."""
+    top = trunc // n_q
+    zero = (0,) * len(w)
+    c = [0] * (top + 1)
     for m, orth in enumerate(per_degree, start=1):
-        d, z = n_q * m, orth[w]
-        for a, e in ((ell - 1, z), (-1, orth[(0,) * len(w)] - z)):
-            if not e:
-                continue
-            terms = [comb(e, j) * a ** j for j in range(trunc // d + 1)]
-            for r in range(trunc, d - 1, -1):
-                series[r] += sum(terms[j] * series[r - j * d]
-                                 for j in range(1, r // d + 1))
+        z, e = orth[w], orth[zero] - orth[w]
+        power = 1
+        for i in range(m, top + 1, m):
+            power *= 1 - ell  # (1 - ell)**(i/m)
+            c[i] -= m * (z * power + e)
+    coeffs = [1]
+    for n in range(1, top + 1):
+        f, r = divmod(sum(map(mul, c[1:n + 1], coeffs[::-1])), n)
+        if r:
+            raise CrossCheckMismatch(f"coefficient {n * n_q} of the Euler series "
+                                     f"at {w} is not whole")
+        coeffs.append(f)
+    series = [0] * (trunc + 1)
+    series[::n_q] = coeffs
     return series
 
 
@@ -642,10 +654,12 @@ def _class_sum_counts(regime: Regime, idx: tuple[int, ...], D: int) -> dict:
     the product is an integer G_w fixed by how many primes of each degree
     are orthogonal to w, the same for every nonzero multiple of w, and
     _invert recovers A from G.  Labeling-free: re-anchoring moves no prime
-    off its line.  The counts must add up to count_tuples.  Budgeted before
-    any work: the stratum and the kernel unless cached, and per line a look-up
-    per degree, one _euler_series (r // d products for two factors, each d
-    and r <= D) and ell**2 per coordinate for _invert."""
+    off its line.  The series is computed once per profile (O_m(w))_m, which
+    lines share.  The counts must add up to count_tuples.  Budgeted before any
+    work: the stratum and the kernel unless cached, and per line a look-up per
+    degree, one _euler_series and ell**2 per coordinate for _invert.  The
+    series is charged r // d products for two factors, each d and r <= D,
+    which bounds its recurrence's (D/n_q)**2 / 2 from above."""
     ell, n_q, k = regime.ell, regime.n_q, len(idx)
     if D % n_q or D <= 0:
         return {} if D else {(0,) * k: 1}
@@ -691,7 +705,9 @@ def g_series(regime: Regime, points, w, trunc: int) -> list[int]:
     and 1 - u**d otherwise.  Whether e_P vanishes depends only on the line
     of c_P at the points of nonzero weight, so the product is read off the
     base primes orthogonal to w's line at those points alone (ell**s class
-    vectors for s such points, whatever q is).  Budgeted before any work.
+    vectors for s such points, whatever q is), by _euler_series's power-sum
+    recurrence; coefficients off the multiples of n_q are 0.  Budgeted before
+    any work, the series at the bound _class_sum_counts charges.
     """
     ell, n_q = regime.ell, regime.n_q
     idx = _base_literals(regime, points)

@@ -6,6 +6,7 @@ trial division, exhaustive scans, and textbook formulas only.
 """
 
 from itertools import product
+from math import comb
 
 
 def trim(a):
@@ -439,6 +440,28 @@ def group_ring_lines(monic, ell, q, n_q, Q, k, m_max):
 
 
 # ---------------------------------------------------------------------------
+# The Euler series of a line, one binomial factor at a time.
+
+def euler_series(ell, n_q, per_degree, w, trunc):
+    """Coefficients up to u**trunc of prod_m (1 + (ell-1)u**d)**O_m(w)
+    * (1 - u**d)**(O_m(0) - O_m(w)), d = n_q*m, O_m = per_degree[m-1] mapping
+    each line representative to the base primes of degree d orthogonal to
+    it, each power expanded binomially, one factor after another."""
+    series = [0] * (trunc + 1)
+    series[0] = 1
+    for m, orth in enumerate(per_degree, start=1):
+        d, z = n_q * m, orth[w]
+        for a, e in ((ell - 1, z), (-1, orth[(0,) * len(w)] - z)):
+            if not e:
+                continue
+            terms = [comb(e, j) * a ** j for j in range(trunc // d + 1)]
+            for r in range(trunc, d - 1, -1):
+                series[r] += sum(terms[j] * series[r - j * d]
+                                 for j in range(1, r // d + 1))
+    return series
+
+
+# ---------------------------------------------------------------------------
 # The exact law and constrained counts, read vector by vector.
 
 def expand_lines(lines, ell):
@@ -526,6 +549,7 @@ def class_sum_steps(reg, k, D):
 
 
 def series_steps(reg, D):
-    """Steps of one Euler series to u**D: r // d products for each of two
-    factors, each prime degree d and each r <= D."""
+    """Steps charged for one Euler series to u**D: r // d products for each
+    of two factors, each prime degree d and each r <= D, an upper bound on
+    the power-sum recurrence's work."""
     return 2 * sum(r // d for d in range(reg.n_q, D + 1, reg.n_q) for r in range(d, D + 1))

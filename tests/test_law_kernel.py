@@ -1,6 +1,7 @@
 """Exact ensemble laws from the base-prime line kernel: the kernel against a
 prime sieve and against the group-ring peel, the law against every
-enumerated cover, g_series against the per-prime Euler product, and the
+enumerated cover, g_series against the per-prime Euler product, the Euler
+series' power-sum recurrence against its binomial expansion, and the
 budgets checked before any work."""
 
 import json
@@ -10,6 +11,8 @@ from itertools import product
 from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ellcover as ec
 import ellcover.coverparam as cp
@@ -186,6 +189,83 @@ def test_g_series_matches_the_per_prime_product(qell, trunc):
         xs = [reg.base.elem(v) for v in rng.sample(range(reg.q), k)]
         w = [rng.randrange(reg.ell) for _ in xs]
         assert ec.g_series(reg, xs, w, trunc) == sieved_g_series(reg, xs, w, trunc)
+
+
+# (q, ell) and the degree to which the recurrence is checked against the
+# binomial expansion on every line at all affine points
+EXPANDED = [((2, 3), 480), ((5, 3), 60), ((3, 5), 60), ((4, 5), 60), ((3, 7), 60),
+            ((4, 7), 60), ((3, 11), 60), ((2, 13), 60)]
+
+
+@pytest.mark.parametrize("qell, D", EXPANDED)
+def test_euler_series_matches_the_binomial_expansion(qell, D):
+    reg = ec.make_regime(*qell)
+    ell, n_q = reg.ell, reg.n_q
+    per_degree = ls._orthogonal_at(reg, tuple(range(reg.q)), D // n_q)
+    for w in per_degree[0]:  # every line, the zero vector among them
+        assert ls._euler_series(ell, n_q, per_degree, w, D) == \
+            naive.euler_series(ell, n_q, per_degree, w, D)
+    assert ls._euler_series(ell, n_q, per_degree, (0,) * reg.q, D)[D] == \
+        ec.count_tuples(reg, D)
+
+
+def test_euler_series_on_lines_with_one_kind_of_factor():
+    # O_m(w) = O_m(0) leaves no factor 1 - u**d at degree n_q*m, and
+    # O_m(w) = 0 no factor 1 + (ell-1)u**d; n_q = 3 and trunc = 20 leave
+    # u**19 and u**20 past the last multiple of n_q
+    per_degree = ({(0, 0): 4, (1, 2): 4}, {(0, 0): 7, (1, 2): 0},
+                  {(0, 0): 0, (1, 2): 0}, {(0, 0): 9, (1, 2): 9},
+                  {(0, 0): 5, (1, 2): 2}, {(0, 0): 6, (1, 2): 6})
+    for ell in (3, 7):
+        for w in ((0, 0), (1, 2)):
+            got = ls._euler_series(ell, 3, per_degree, w, 20)
+            assert got == naive.euler_series(ell, 3, per_degree, w, 20)
+            assert got[19] == got[20] == 0
+    assert ls._euler_series(3, 3, per_degree, (1, 2), 2) == [1, 0, 0]
+
+
+def test_euler_series_refuses_a_count_that_is_not_whole():
+    with pytest.raises(ec.CrossCheckMismatch, match="not whole"):
+        ls._euler_series(3, 1, ({(0,): Fraction(1, 2), (1,): 0},), (1,), 1)
+
+
+def expanded_g_series(reg, points, w, trunc):
+    """g_series from the binomial expansion, on the kernel at the points of
+    nonzero weight."""
+    support = sorted((x.val, wi % reg.ell) for x, wi in zip(points, w) if wi % reg.ell)
+    per_degree = ls._orthogonal_at(reg, tuple(i for i, _ in support), trunc // reg.n_q)
+    line = _line_of(tuple(wi for _, wi in support), reg.ell)
+    return naive.euler_series(reg.ell, reg.n_q, per_degree, line, trunc)
+
+
+@pytest.mark.parametrize("qell, trunc", [((2, 3), 41), ((5, 3), 23), ((3, 5), 27),
+                                         ((4, 7), 22), ((3, 11), 12)])
+def test_g_series_on_point_subsets_matches_the_expansion(qell, trunc):
+    # subsets with a zero weight, and a trunc that is not a multiple of n_q
+    reg = ec.make_regime(*qell)
+    assert trunc % reg.n_q
+    rng = Random(f"expanded:{qell}")
+    for k in range(1, reg.q + 1):
+        xs = [reg.base.elem(v) for v in rng.sample(range(reg.q), k)]
+        w = [0] + [rng.randrange(reg.ell) for _ in xs[1:]]
+        assert ec.g_series(reg, xs, w, trunc) == expanded_g_series(reg, xs, w, trunc)
+
+
+PROPERTY_REGIMES = [(2, 3), (2, 5), (3, 5), (4, 5), (5, 3), (3, 7)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(PROPERTY_REGIMES), st.integers(0, 40), st.data())
+def test_g_series_matches_the_expansion_on_random_subsets(qell, trunc, data):
+    reg = ec.make_regime(*qell)
+    vals = data.draw(st.lists(st.integers(0, reg.q - 1), min_size=1,
+                              max_size=reg.q, unique=True))
+    w = data.draw(st.lists(st.integers(0, reg.ell - 1), min_size=len(vals),
+                           max_size=len(vals)))
+    xs = [reg.base.elem(v) for v in vals]
+    assert ec.g_series(reg, xs, w, trunc) == expanded_g_series(reg, xs, w, trunc)
+    zero = ec.g_series(reg, xs, [0] * len(xs), trunc)
+    assert zero == [ec.count_tuples(reg, D) for D in range(trunc + 1)]
 
 
 def test_budgets_raise_before_any_work(monkeypatch):
