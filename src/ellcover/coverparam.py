@@ -65,13 +65,15 @@ ENUM_D_CAP = 16
 KERNEL_STEP_CAP = 1 << 22
 # _draw_prime answers a candidate of degree d over F_q, q > 2, from a sieved
 # set of the primes of degree d when q**d is at most this.  The sieve costs
-# about 7 us per monic polynomial of the degree, once per process (0.7 ms for
-# F_3 at degree 4, 47 ms at degree 8, 151 ms at degree 9, 377 ms for F_4 at
-# degree 8), and saves 8-30 us on each candidate that irreducible would test,
-# so it pays once about q**d / 2 candidates of that degree are drawn.  A
+# 5-14 us per monic polynomial of the degree, once per process, and saves
+# 3-22 us on each candidate that irreducible would test.  For F_3 at degree
+# 8 that is 72-75 ms against 12-20 us a candidate, so it pays once about
+# q**d / 2 to q**d candidates of that degree are drawn (two runs on a
+# loaded 2-core box, where the sieve took 86-101 ms and irreducible 30-37 us
+# a candidate before prime fields were packed).  A
 # 60-sample Monte Carlo run over (3,5) at g = 20 draws 273 candidates of
 # degree 8, so the F_3 degree-8 sieve, the largest under this cap that it
-# reads, pays within about a dozen such runs in one process.
+# reads, pays within about 13 to 22 such runs in one process.
 DRAW_SIEVE_CAP = 1 << 13
 LABELINGS = ("least", "greatest")  # anchoring rules for Frobenius orbits
 

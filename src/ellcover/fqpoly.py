@@ -2,13 +2,21 @@
 
 Coefficients are stored ascending as integer literals with no trailing
 zeros, so the zero polynomial is the empty tuple and degree(0) == -1.
-Products and long division run their inner loops on table lookups: XOR in
-characteristic 2, and discrete logs added through the field's Zech table in
-odd characteristic.  One modular-power kernel on literal lists serves
-pow_mod, the irreducibility test, both factorization splits and the norm of
-the conjugate split; in odd characteristic it stays in discrete logs from
-its first step to its last, and over small fields it takes a power
-a**(q**i) of the field's order q by i spread-and-reduce steps, since
+Products, long division, gcds and modular powers run on literal lists, in
+one of three forms chosen by the field alone:
+- a prime field F_p with p odd and p*(p - 1) <= 255 (p <= 13) runs on the
+  Kronecker-packed ints of _gfp, where a literal is the coefficient itself:
+  a product is one big-int multiplication, and a division adds one shifted
+  multiple of the divisor per eliminated coefficient;
+- characteristic 2 adds terms by XOR of table lookups;
+- any other odd-characteristic field, an extension F_{p^k} with k > 1 or a
+  prime above 13, holds discrete logs and adds them through the field's
+  Zech table.
+One modular-power kernel serves pow_mod, the irreducibility test, both
+factorization splits and the norm of the conjugate split.  It keeps its
+form from its first step to its last: packed residues over a packed prime
+field, discrete logs over the other odd fields.  Over small fields it takes
+a power a**(q**i) of the field's order q by i spread-and-reduce steps, since
 a(x)**q = a(x**q) over F_q.
 Over small fields the irreducibility test opens with has_root, evaluation at
 every point of the field.  Factorization runs the classical squarefree /
@@ -34,6 +42,7 @@ import itertools
 from functools import lru_cache
 from random import Random
 
+from . import _gfp
 from .errors import (
     BudgetExceeded,
     CrossCheckMismatch,
@@ -59,14 +68,21 @@ FACTOR_SEED = 0x5EED  # mixed into the fold that seeds the factorization draws
 # Evaluation takes up to (q - 1) * d table steps.  On random monic f of degree
 # 2 to 28 it was the cheaper round at every q <= 128 (within 15 % either way
 # at a few degrees for q = 125) and the dearer one at q = 243 and 256 for
-# degrees 3 to 16.
+# degrees 3 to 16.  Over the packed prime fields, p <= 13, the round it
+# replaces is cheaper, and has_root took 0.08-0.51 of its time there (ten
+# random f per even degree 2 to 28, two runs); no field near the boundary is
+# packed.
 ROOT_SCREEN_MAX_ORDER = 128
 # _pow_mod_coeffs computes a**(q**i) in odd characteristic by i spread steps,
 # each one reduction of about (q - 1) * deg m rows, for q up to this order,
 # and by square-and-multiply above it.  On random monic moduli of degree 3 to
-# 20, a**q by spreading took 0.5-0.7 of the square-and-multiply time at
-# q = 3, 5 and 7, 0.65-0.95 at q = 9 and 11, 0.75-1.15 at q = 13 and
-# 0.9-1.9 at q = 25 and 27.
+# 20 and random a, a**q by spreading took, of the square-and-multiply time
+# (range over the degrees, medians in brackets, two runs): over the packed
+# prime fields, where a product is one big-int multiplication and a spread
+# step clears as many lanes as the products it replaces, 0.6-1.4
+# (0.95-1.05) at q = 3, 5 and 7, 0.6-2.9 (1.1-1.2) at q = 11 and 0.7-3.7
+# (1.6-1.8) at q = 13; over the discrete logs, 0.6-1.0 (0.9) at q = 9 and
+# 1.0-2.7 (1.6-1.8) at q = 25 and 27.
 SPREAD_MAX_ORDER = 11
 
 
@@ -286,13 +302,20 @@ def _trusted(ctx: FieldCtx, cs: list[int]) -> Poly:
     return f
 
 
-# The odd-characteristic kernels below hold discrete logs in [0, n),
-# n = order - 1, with -1 for the zero literal (the log table's own mark).  A
-# term of a product is the sum of two such logs and stays unreduced below 2n;
+# Each kernel below hands a packed prime field to _gfp first.  The other
+# odd-characteristic fields hold discrete logs in [0, n), n = order - 1,
+# with -1 for the zero literal (the log table's own mark).  A term of a
+# product is the sum of two such logs and stays unreduced below 2n;
 # the field's Zech table is stored twice over, so zech[t - o] needs no
 # reduction for t and o below 2n.  An index in [-n, n) into the exp table, of
 # length n, reads entry (index mod n), which the characteristic-2 kernels use
 # for exp[x + y] with x in [-n, 0) and y in [0, n).
+
+def _packed(ctx: FieldCtx) -> bool:
+    """Whether ctx's kernels run on _gfp's packed ints: prime fields whose
+    order packs (odd p with p*(p - 1) <= 255, so p <= 13)."""
+    return ctx.k == 1 and _gfp.packs(ctx.p)
+
 
 def _trim(cs: list[int]) -> list[int]:
     while cs and cs[-1] == 0:
@@ -352,11 +375,16 @@ def _literals(exp, n: int, logs) -> list[int]:
 
 
 def _mul_coeffs(ctx: FieldCtx, a, b) -> list[int]:
-    """Product literals of two nonempty coefficient sequences.
+    """Product literals of two coefficient sequences, [] if either is empty.
 
-    Characteristic 2 adds terms by XOR; odd characteristic keeps each output
-    coefficient as a log and adds terms through the Zech table.
+    A prime field that _gfp packs multiplies packed ints; otherwise
+    characteristic 2 adds terms by XOR, and odd characteristic keeps each
+    output coefficient as a log and adds terms through the Zech table.
     """
+    if not a or not b:
+        return []
+    if _packed(ctx):
+        return _gfp.mul(ctx.p, a, b)
     exp, log, n = ctx.exp, ctx.log, ctx.order - 1
     lb = [(j, log[c]) for j, c in enumerate(b) if c]
     size = len(a) + len(b) - 1
@@ -379,8 +407,11 @@ def _divmod_coeffs(ctx: FieldCtx, a, b) -> tuple[list[int], list[int]]:
 
     Each step clears the top remaining coefficient c by adding
     (c / lead) * (-b_j) at the offsets below it; the -b_j are read once as
-    logs.  The remainder is what is left below degree deg(b).
+    logs, or packed once over a packed prime field.  The remainder is what
+    is left below degree deg(b).
     """
+    if _packed(ctx):
+        return _gfp.divmod_(ctx.p, a, b)
     exp, log, n = ctx.exp, ctx.log, ctx.order - 1
     db = len(b) - 1
     lead = log[b[-1]]
@@ -406,7 +437,10 @@ def _divmod_coeffs(ctx: FieldCtx, a, b) -> tuple[list[int], list[int]]:
 
 def _gcd_coeffs(ctx: FieldCtx, a, b) -> list[int]:
     """A gcd of two trimmed literal sequences, not made monic: Euclid on
-    literal lists, held as discrete logs throughout in odd characteristic."""
+    literal lists, held as packed bytes throughout over a packed prime field
+    and as discrete logs throughout in the other odd fields."""
+    if _packed(ctx):
+        return list(_gfp.gcd(ctx.p, a, b))
     if ctx.p == 2:
         a, b = list(a), list(b)
         while b:
@@ -455,13 +489,15 @@ def _pow_mod_coeffs(ctx: FieldCtx, a, e: int, m) -> list[int]:
     Left-to-right square-and-multiply, each step one product reduced at once
     against the modulus, whose coefficients are read once.  Characteristic 2
     squares by spreading coefficients and adds by XOR, so a power of the
-    field's order q = 2**k is k spread squares.  Odd characteristic holds
-    discrete logs from the first step to the last: each step adds its terms
-    through the Zech table and reduces against the modulus's negated logs,
-    and only the result is turned back into literals.  There, for q up to
+    field's order q = 2**k is k spread squares.  A packed prime field holds
+    _gfp.Residues from the first step to the last: each step is one big-int
+    product, reduced in the lanes it was formed in.  The other odd fields hold discrete logs
+    from the first step to the last: each step adds its terms through the
+    Zech table and reduces against the modulus's negated logs.  Only the
+    result is turned back into literals.  In odd characteristic, for q up to
     SPREAD_MAX_ORDER, e = q**i takes i spread steps instead: the q-th power
-    map is F_q-linear, a(x)**q = a(x**q), so each step moves the log at j to
-    position q*j and reduces once.
+    map is F_q-linear, a(x)**q = a(x**q), so each step moves the entry at j
+    to position q*j and reduces once.
     """
     dm = len(m) - 1
     a = _trim(_divmod_coeffs(ctx, a, m)[1]) if len(a) > dm else list(a)
@@ -475,14 +511,18 @@ def _pow_mod_coeffs(ctx: FieldCtx, a, e: int, m) -> list[int]:
             if bit == "1" and r:
                 r = _trim(_divmod_coeffs(ctx, _mul_coeffs(ctx, r, a), m)[1])
         return r
+    q = ctx.order
+    spreads = _q_power(e, q) if q <= SPREAD_MAX_ORDER else 0
+    if _packed(ctx):
+        ring = _gfp.Residues(q, m)
+        r = ring.residue(a)
+        r = ring.frobenius(r, spreads) if spreads else ring.pow(r, e)
+        return list(r.rstrip(b"\0"))
     exp, log, zech, n = ctx.exp, ctx.log, ctx.zech, ctx.order - 1
     lead = log[m[-1]]
     half = n // 2
     nb = [(j, (log[c] + half) % n) for j, c in enumerate(m[:dm]) if c]
-    base = [(j, log[c]) for j, c in enumerate(a) if c]
-    q = ctx.order
-    r = base
-    spreads = _q_power(e, q) if q <= SPREAD_MAX_ORDER else 0
+    r = base = [(j, log[c]) for j, c in enumerate(a) if c]
     if spreads:
         size = q * (dm - 1) + 1
         for _ in range(spreads):
@@ -730,8 +770,29 @@ def _min_poly(ctx: FieldCtx, v: list[int], m, deg: int) -> list[int] | None:
 
     Each row keeps, beside its reduced vector with leading entry 1, the
     polynomial in v that it equals, so the first dependence reads off mu.
+    Over a prime field the entries are reduced by integer arithmetic mod p,
+    elsewhere through the field's tables.
     """
-    add, mul, inv, neg = ctx.add_i, ctx.mul_i, ctx.inv_i, ctx.neg_i
+    if ctx.k == 1:
+        p = ctx.p
+
+        def sub_multiple(xs, f, ys):  # xs - f * ys, entry by entry
+            return [(x - f * y) % p for x, y in zip(xs, ys)]
+
+        def scale(f, xs):
+            return [f * x % p for x in xs]
+
+        def inv(a):
+            return pow(a, -1, p)
+    else:
+        add, mul, inv, neg = ctx.add_i, ctx.mul_i, ctx.inv_i, ctx.neg_i
+
+        def sub_multiple(xs, f, ys):
+            f = neg(f)
+            return [add(x, mul(f, y)) for x, y in zip(xs, ys)]
+
+        def scale(f, xs):
+            return [mul(f, x) for x in xs]
     width = len(m) - 1
     rows: list[tuple[int, list[int], list[int]]] = []
     power = [1]
@@ -745,15 +806,13 @@ def _min_poly(ctx: FieldCtx, v: list[int], m, deg: int) -> list[int] | None:
         for pivot, row, rc in rows:
             f = vec[pivot]
             if f:
-                f = neg(f)
-                vec = [add(a, mul(f, b)) for a, b in zip(vec, row)]
-                for i, b in enumerate(rc):
-                    combo[i] = add(combo[i], mul(f, b))
+                vec = sub_multiple(vec, f, row)
+                combo[:len(rc)] = sub_multiple(combo, f, rc)
         pivot = next((i for i, a in enumerate(vec) if a), None)
         if pivot is None:
             return combo if j == deg else None
         s = inv(vec[pivot])
-        rows.append((pivot, [mul(s, a) for a in vec], [mul(s, a) for a in combo]))
+        rows.append((pivot, scale(s, vec), scale(s, combo)))
     raise CrossCheckMismatch(
         f"the norm has no minimal polynomial of degree {deg}: the input is not prime")
 
@@ -793,7 +852,9 @@ def irreducible(f: Poly) -> bool:
     root pays no modular power.  Each round's x**(q**i) is the q-th power of
     the round before's, which the modular-power kernel takes by spreading
     coefficients (a(x)**q = a(x**q) over F_q) for odd q up to
-    SPREAD_MAX_ORDER and by spread squares in characteristic 2.
+    SPREAD_MAX_ORDER and by spread squares in characteristic 2.  Over a
+    packed prime field the rounds run on one _gfp.Residues, so x**(q**i)
+    stays packed from the first round to the last.
     """
     if f.is_zero or f.degree < 1:
         return False
@@ -803,20 +864,23 @@ def irreducible(f: Poly) -> bool:
     ctx = f.ctx
     g = f.monic().coeffs
     q = ctx.order
-    t = [0, 1]  # x, reduced modulo g of degree >= 2
-    rounds = d // 2
+    first, last = 1, d // 2
     if q <= ROOT_SCREEN_MAX_ORDER:
         if has_root(f):
             return False
-        rounds -= 1
-        if rounds:
-            t = _pow_mod_coeffs(ctx, t, q, g)
-    for _ in range(rounds):
+        first = 2
+    if first > last:
+        return True
+    if _packed(ctx):
+        return _gfp.Residues(q, g).ben_or(first, last, q <= SPREAD_MAX_ORDER)
+    t = [0, 1]  # x, reduced modulo g of degree >= 2
+    for i in range(1, last + 1):
         t = _pow_mod_coeffs(ctx, t, q, g)
-        u = t + [0] * (2 - len(t))
-        u[1] = ctx.sub_i(u[1], 1)
-        if len(_gcd_coeffs(ctx, g, _trim(u))) != 1:
-            return False
+        if i >= first:
+            u = t + [0] * (2 - len(t))
+            u[1] = ctx.sub_i(u[1], 1)
+            if len(_gcd_coeffs(ctx, g, _trim(u))) != 1:
+                return False
     return True
 
 

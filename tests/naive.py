@@ -50,6 +50,25 @@ def poldivmod(p, a, b):
     return trim(quo), rem
 
 
+def polgcd(p, a, b):
+    """The last nonzero remainder of Euclid's algorithm, not made monic."""
+    a, b = trim(a), trim(b)
+    while b:
+        a, b = b, poldivmod(p, a, b)[1]
+    return a
+
+
+def polpowmod(p, a, e, m):
+    """a**e mod m by right-to-left square-and-multiply, m nonzero."""
+    out, base = poldivmod(p, [1], m)[1], poldivmod(p, a, m)[1]
+    while e:
+        if e & 1:
+            out = poldivmod(p, polmul(p, out, base), m)[1]
+        base = poldivmod(p, polmul(p, base, base), m)[1]
+        e >>= 1
+    return out
+
+
 def poleval(p, a, x):
     acc = 0
     for c in reversed(trim(a)):

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ellcover as ec
-from ellcover import _gf2
+from ellcover import _gf2, _gfp
 import ellcover.fqpoly as fqp
 from ellcover.fqpoly import (
     ROOT_SCREEN_MAX_ORDER,
@@ -218,23 +218,28 @@ def test_q_powers_match_square_and_multiply(ctx):
 
 
 def test_q_powers_spread_without_products(monkeypatch):
-    """Up to SPREAD_MAX_ORDER a power of q multiplies no two polynomials."""
+    """Up to SPREAD_MAX_ORDER a power of q multiplies no two polynomials:
+    over a packed prime field it takes no square-and-multiply step, and
+    over an extension field it adds no product of logs."""
     products = []
-    kernel = fqp._add_product_logs
+    packed, kernel = _gfp.Residues.pow, fqp._add_product_logs
+    monkeypatch.setattr(_gfp.Residues, "pow",
+                        lambda *args: products.append(1) or packed(*args))
     monkeypatch.setattr(fqp, "_add_product_logs",
                         lambda *args: products.append(1) or kernel(*args))
     m = [1, 2, 0, 1, 1]
     for p, k in ((3, 1), (5, 1), (3, 2), (11, 1)):
         ctx = ec.make_field(p, k)
         assert ctx.order <= SPREAD_MAX_ORDER
+        assert fqp._packed(ctx) == (k == 1)
         for e in (ctx.order, ctx.order ** 4):
             fqp._pow_mod_coeffs(ctx, [0, 1], e, m)
     assert products == []
-    fqp._pow_mod_coeffs(F3, [0, 1], 10, m)  # not a power of 3
-    assert products
-    products.clear()
-    fqp._pow_mod_coeffs(ec.make_field(13), [0, 1], 13, m)  # above the cap
-    assert products
+    for ctx, e in ((F3, 10), (F9, 10),  # not a power of q
+                   (ec.make_field(13), 13), (F25, 25)):  # above the cap
+        fqp._pow_mod_coeffs(ctx, [0, 1], e, m)
+        assert products
+        products.clear()
 
 
 def test_pow_mod_edge_cases():
@@ -374,7 +379,8 @@ def test_factor_perfect_powers():
         [(ec.Poly(F2, [0, 1]), 3), (g, 2)], key=lambda t: t[0].sort_key())
 
 
-@pytest.mark.parametrize("ctx,max_deg", [(F2, 6), (F3, 4), (F4, 3)])
+@pytest.mark.parametrize("ctx,max_deg", [(F2, 6), (F3, 4), (F4, 3), (F5, 4),
+                                         (ec.make_field(7), 3), (ec.make_field(13), 3)])
 def test_irreducible_matches_naive(ctx, max_deg):
     for deg in range(1, max_deg + 1):
         for tail in product(range(ctx.order), repeat=deg):
@@ -407,13 +413,17 @@ def test_irreducible_and_factor_match_sympy(p, max_deg):
 
 
 def test_irreducible_rejects_a_root_before_any_power(monkeypatch):
+    # F_5 runs Ben-Or on packed residues, F_25 on literal lists
     powers = []
-    kernel = fqp._pow_mod_coeffs
+    kernel, spread = fqp._pow_mod_coeffs, _gfp.Residues.frobenius
     monkeypatch.setattr(fqp, "_pow_mod_coeffs",
                         lambda *args: powers.append(args[2]) or kernel(*args))
-    x = ec.Poly.x(F5)
-    with_root = (x - ec.Poly(F5, [2])) * ec.Poly(F5, [2, 0, 0, 0, 0, 1])
-    assert not ec.irreducible(with_root) and powers == []
+    monkeypatch.setattr(_gfp.Residues, "frobenius",
+                        lambda ring, r, i: powers.append(ring.p ** i) or spread(ring, r, i))
+    for ctx in (F5, F25):
+        x = ec.Poly.x(ctx)
+        with_root = (x - ec.Poly(ctx, [2])) * ec.Poly(ctx, [2, 0, 0, 0, 0, 1])
+        assert not ec.irreducible(with_root) and powers == []
     assert ec.irreducible(ec.Poly(F5, [1, 1, 0, 1])) and powers == []  # cubic, no root
     quartics = [ec.Poly(F5, [2, 0, 0, 0, 1]), ec.Poly(F5, [2, 0, 1]) ** 2]
     assert [ec.irreducible(f) for f in quartics] == [True, False]
