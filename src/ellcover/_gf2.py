@@ -10,12 +10,12 @@ whose polynomials are held as pairs of such ints.  The generic coefficient
 arithmetic would dominate the runtime of both.
 
 Most random candidates that a rejection draw rejects have a small factor,
-so is_irreducible screens the factors of degree 1 to 4 exactly before it
-runs Ben-Or's gcds: x and x + 1 from the bits, and the primes of degree 2,
-3 and 4 from the residues modulo x**15 - 1 and x**7 - 1, which those primes
-divide.  Its squaring, reduction and gcd loops, and the orbit squarings of
-conjugate_factor_coeffs, are written out inline, since the calls would cost
-as much as the work.
+so is_irreducible screens the factors of degree 1 to SCREEN_DEGREE = 8
+exactly before it runs Ben-Or's gcds: x and x + 1 from the bits, and the
+primes of degree 2 to 8 from one table-driven residue screen that computes
+the candidate modulo all of them at once.  Its squaring, reduction and gcd
+loops, and the orbit squarings of conjugate_factor_coeffs, are written out
+inline, since the calls would cost as much as the work.
 
 Only internal callers use this module; everything here is cross-checked
 against the generic polynomial layer and the naive oracles in the test suite.
@@ -84,31 +84,52 @@ def gcd(a: int, b: int) -> int:
     return a
 
 
-# The primes of degree 2 and 4 divide x**15 - 1 and those of degree 3 divide
-# x**7 - 1, so a polynomial has such a factor exactly when its residue modulo
-# x**15 - 1 (or x**7 - 1) does.  _screens holds one bytearray per modulus,
-# indexed by the residue and marking the multiples of those primes; they take
-# about 1.5 ms and 32 KiB, built on the first call that reads them.
-_SCREEN_DIVISORS = ((15, (0b111, 0b10011, 0b11001, 0b11111)),
-                    (7, (0b1011, 0b1101)))
-_screens: tuple[bytearray, ...] = ()
+# A polynomial of degree above SCREEN_DEGREE is screened against every prime
+# g of degree 2 to SCREEN_DEGREE at once.  Its residues modulo all of them
+# are the XOR, over its bytes, of one table entry per byte: _screen_tables[i]
+# [b] packs b(x)*x**(8*i) mod g for each g into one lane of SCREEN_DEGREE + 1
+# bits, whose top bit is a guard.  With H the guard bits and L the lowest bit
+# of every lane, ((r | H) - L) & H differs from H exactly when some lane of r
+# is 0, that is, when some g divides f.  The primes and the tables of each
+# byte position are built on the first call that reads them, about 30 KiB a
+# position, so a process that tests no GF(2) polynomial holds none of them.
+SCREEN_DEGREE = 8
+_LANE = SCREEN_DEGREE + 1
+_small_primes: frozenset[int] = frozenset()  # degree 1 to SCREEN_DEGREE
+_screen_primes: list[int] = []  # degree 2 to SCREEN_DEGREE, one lane each
+_guards = _lows = 0
+# Ben-Or's rounds run only on degree d > 2*SCREEN_DEGREE + 1, so they start
+# from x**(2**_FIRST_ROUND), the last power x**(2**i) of degree at most
+# 2*SCREEN_DEGREE + 1, which needs no reduction.
+_FIRST_ROUND = (2 * SCREEN_DEGREE + 1).bit_length() - 1
+_screen_tables: tuple[list[int], ...] = ()
 
 
-def _build_screens() -> tuple[bytearray, ...]:
-    global _screens
-    tables = []
-    for n, divisors in _SCREEN_DIVISORS:
-        table = bytearray(1 << n)
-        for g in divisors:
-            span = [0]  # the multiples of g of degree < n, a GF(2) span
-            for i in range(n - g.bit_length() + 1):
-                step = g << i
-                span += [v ^ step for v in span]
-            for v in span:
-                table[v] = 1
+def _extend_screen_tables(n: int) -> tuple[list[int], ...]:
+    """The tables of the byte positions below n, built where missing; the
+    first call finds the small primes by trial division."""
+    global _small_primes, _screen_primes, _guards, _lows, _screen_tables
+    if not _screen_tables:
+        primes: list[int] = []
+        for f in range(2, 1 << _LANE):
+            d = f.bit_length() - 1
+            if all(mod(f, g) for g in primes if 2 * (g.bit_length() - 1) <= d):
+                primes.append(f)
+        _small_primes = frozenset(primes)
+        _screen_primes = primes[2:]  # without x and x + 1
+        _guards = sum(1 << (_LANE * j + SCREEN_DEGREE)
+                      for j in range(len(_screen_primes)))
+        _lows = _guards >> SCREEN_DEGREE
+    tables = list(_screen_tables)
+    for i in range(len(tables), n):
+        table = [0]
+        for k in range(8):  # the entries of the bytes below 2**(k + 1)
+            bit = sum(mod(1 << (8 * i + k), g) << (_LANE * j)
+                      for j, g in enumerate(_screen_primes))
+            table += [v ^ bit for v in table]
         tables.append(table)
-    _screens = tuple(tables)
-    return _screens
+    _screen_tables = tuple(tables)
+    return _screen_tables
 
 
 def is_irreducible(f: int) -> bool:
@@ -116,40 +137,32 @@ def is_irreducible(f: int) -> bool:
 
     f is composite iff it has an irreducible factor of degree <= deg(f)//2.
     The roots 0 and 1 are screened first: f(0) is bit 0, and f(1) is the
-    parity of the number of set bits.  Of degree <= 4 and without a root, f
-    is composite only as (x**2 + x + 1)**2.  Above degree 4 the residue
-    tables catch every factor of degree 2, 3 or 4, so Ben-Or's rounds, where
+    parity of the number of set bits.  Of degree <= SCREEN_DEGREE, f is
+    looked up among the small primes.  Above it the residue screen catches
+    every factor of degree 2 to SCREEN_DEGREE, so Ben-Or's rounds, where
     gcd(x**(2**i) - x, f) catches every factor of degree dividing i, start at
-    i = 5.
+    i = SCREEN_DEGREE + 1, and f of degree below 2*SCREEN_DEGREE + 2 needs
+    none.
     """
     d = f.bit_length() - 1
     if d < 1:
         return False
-    if d == 1:
-        return True
     if not f & 1 or not f.bit_count() & 1:
-        return False  # divisible by x or by x + 1
-    if d <= 4:
-        return f != 0b10101
-    screen15, screen7 = _screens or _build_screens()
-    r = f
-    while r >> 15:
-        r = (r & 0x7FFF) ^ (r >> 15)
-    if screen15[r]:
+        return d == 1  # divisible by x or by x + 1
+    n = d // 8 + 1
+    tables = _screen_tables
+    if len(tables) < n:
+        tables = _extend_screen_tables(n)
+    if d <= SCREEN_DEGREE:
+        return f in _small_primes
+    r = reduce(xor, map(list.__getitem__, tables, f.to_bytes(n, "little")))
+    if ((r | _guards) - _lows) & _guards != _guards:
         return False
-    r = f
-    while r >> 7:
-        r = (r & 0x7F) ^ (r >> 7)
-    if screen7[r]:
-        return False
-    if d < 10:
+    if d < 2 * SCREEN_DEGREE + 2:
         return True  # no round: every factor of degree <= d//2 is screened
     spread = _SPREAD
-    t, dt = 1 << 16, 16  # x**(2**4) modulo f
-    while dt >= d:
-        t ^= f << (dt - d)
-        dt = t.bit_length() - 1
-    for _ in range(5, d // 2 + 1):
+    t = 1 << (1 << _FIRST_ROUND)  # x**(2**i) modulo f after round i
+    for i in range(_FIRST_ROUND + 1, d // 2 + 1):
         s = shift = 0  # s = t**2 modulo f
         while t:
             s |= spread[t & 0xFF] << shift
@@ -160,6 +173,8 @@ def is_irreducible(f: int) -> bool:
             s ^= f << (ds - d)
             ds = s.bit_length() - 1
         t = s
+        if i <= SCREEN_DEGREE:
+            continue
         a, b = f, t ^ 2  # gcd(f, t - x)
         while b:
             db = b.bit_length()

@@ -551,11 +551,13 @@ def _draw_prime(regime: Regime, d: int, rng: Random) -> Poly:
     prime.
 
     Over F_2 candidates are bit-packed for _gf2.is_irreducible, which finds
-    any factor of degree at most 4 by table lookups and runs Ben-Or's gcds
-    only on the rest.  Elsewhere a candidate of degree d with q**d <=
-    DRAW_SIEVE_CAP is looked up in the set of primes of its degree, sieved
-    once per process, and tested by irreducible above the cap; either way
-    the draws and the decisions, hence the stream, are the same.
+    any factor of degree at most _gf2.SCREEN_DEGREE = 8 by one residue screen
+    and runs Ben-Or's gcds only on the rest.  Elsewhere a candidate of degree
+    d with q**d <= DRAW_SIEVE_CAP is looked up in the set of primes of its
+    degree, sieved once per process, and tested by irreducible above the cap;
+    either way the draws and the decisions, hence the stream, are the same.
+    Candidates skip Poly's validation: rng.randrange(q) puts every literal in
+    range.
     """
     base = regime.base
     q = base.order
@@ -569,9 +571,9 @@ def _draw_prime(regime: Regime, d: int, rng: Random) -> Poly:
         while True:
             cand = tuple([rng.randrange(q) for _ in range(d)] + [1])
             if cand in sieve:
-                return Poly(base, cand)
+                return _trusted(base, list(cand))
     while True:
-        cand = Poly(base, [rng.randrange(q) for _ in range(d)] + [1])
+        cand = _trusted(base, [rng.randrange(q) for _ in range(d)] + [1])
         if irreducible(cand):
             return cand
 

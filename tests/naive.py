@@ -100,6 +100,16 @@ def gf2_rem(a, m):
     return a
 
 
+def gf2_mul(a, b):
+    """Product of two packed GF(2) polynomials, one shifted copy of a per
+    set bit of b."""
+    acc = 0
+    for i in range(b.bit_length()):
+        if b >> i & 1:
+            acc ^= a << i
+    return acc
+
+
 def gf2_ben_or(f):
     """Ben-Or's test on a packed GF(2) polynomial: f is prime iff
     gcd(x**(2**i) - x, f) = 1 for every i <= deg(f)/2."""

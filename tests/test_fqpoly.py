@@ -289,18 +289,59 @@ def test_gf2_is_irreducible_matches_ben_or():
     assert n_prime > 30
 
 
-def test_gf2_screen_tables_mark_the_small_prime_multiples():
-    # the residue tables mark exactly the residues with a prime factor of
-    # degree 2 or 4 (modulo x**15 - 1, which those primes divide) or of
-    # degree 3 (modulo x**7 - 1)
-    screen15, screen7 = _gf2._screens or _gf2._build_screens()
-    for table, n, degrees in ((screen15, 15, (2, 4)), (screen7, 7, (3,))):
-        primes = [sum(c << i for i, c in enumerate(g))
-                  for d in degrees for g in naive.monic_irreducibles(2, d)]
-        assert all(naive.gf2_rem(1 << n | 1, g) == 0 for g in primes)
-        want = bytearray(any(naive.gf2_rem(r, g) == 0 for g in primes)
-                         for r in range(1 << n))
-        assert table == want
+def _gf2_primes(d):
+    return [sum(c << i for i, c in enumerate(g)) for g in naive.monic_irreducibles(2, d)]
+
+
+def test_gf2_screen_lanes_are_the_residues_modulo_the_small_primes():
+    # lane j of the XOR of f's byte entries is f mod the j-th prime of degree
+    # 2..SCREEN_DEGREE, below its guard bit, for seeded f of 2 to 9 bytes
+    J, lane = _gf2.SCREEN_DEGREE, _gf2.SCREEN_DEGREE + 1
+    primes = [g for d in range(2, J + 1) for g in _gf2_primes(d)]
+    _gf2._extend_screen_tables(1)
+    assert _gf2._screen_primes == sorted(primes)
+    assert _gf2._small_primes == {2, 3, *primes}
+    rng = Random(27)
+    for _ in range(300):
+        d = rng.randrange(J + 1, 72)
+        f = 1 << d | rng.getrandbits(d)
+        n = d // 8 + 1
+        r = 0
+        for table, b in zip(_gf2._extend_screen_tables(n), f.to_bytes(n, "little")):
+            r ^= table[b]
+        lanes = [r >> (lane * j) & ((1 << lane) - 1) for j in range(len(primes))]
+        assert r >> (lane * len(primes)) == 0
+        assert lanes == [naive.gf2_rem(f, g) for g in _gf2._screen_primes], bin(f)
+
+
+def test_gf2_is_irreducible_past_the_screen_matches_ben_or():
+    # the composites the residue screen cannot see, a product of two primes
+    # of degree above SCREEN_DEGREE or the square of one, and those it must
+    # see, a prime of degree SCREEN_DEGREE times any polynomial, at every
+    # degree SCREEN_DEGREE + 1 to 64, with a seeded prime of that degree; and
+    # every prime of degree at most SCREEN_DEGREE itself
+    J = _gf2.SCREEN_DEGREE
+    rng = Random(27)
+
+    def prime(d):
+        while True:
+            f = 1 << d | rng.getrandbits(d)
+            if naive.gf2_ben_or(f):
+                return f
+
+    cases = [g for d in range(1, J + 1) for g in _gf2_primes(d)]
+    for n in range(J + 1, 65):
+        cases.append(prime(n))
+        if n >= 2 * J + 2:
+            a = rng.randrange(J + 1, n - J)
+            cases.append(naive.gf2_mul(prime(a), prime(n - a)))
+        if n % 2 == 0 and n // 2 > J:
+            cases.append(naive.gf2_mul(prime(n // 2), prime(n // 2)))
+        cases.append(naive.gf2_mul(prime(J), 1 << (n - J) | rng.getrandbits(n - J)))
+    for f in cases:
+        assert _gf2.is_irreducible(f) == naive.gf2_ben_or(f), bin(f)
+    assert sum(map(naive.gf2_ben_or, cases)) == sum(
+        len(_gf2_primes(d)) for d in range(1, J + 1)) + 64 - J
 
 
 def test_eval_matches_naive_and_commutes_with_embedding():

@@ -32,6 +32,8 @@ MONTE_CARLO = [
     (13, 7, 12, 20, 6, "least"),
     (19, 5, 8, 20, 9, "least"),
     (23, 3, 6, 20, 5, "least"),
+    (2, 5, 60, 60, 5, "least"),
+    (2, 7, 93, 60, 13, "greatest"),
 ]
 # (q, ell, genus) for the README regimes at small genus
 EXHAUSTIVE = [
@@ -129,6 +131,10 @@ PINS = {
         '8db77f8757ce0a10f093bd70c4294e5695971416431770d3b2640fd1ef9ad4c8',
     'monte-carlo 23,3 g=6 n=20 seed=5 least':
         '84b28b1bc504f0e746dc158f7536a30dc6dfe016b68f02cf4b0d4d35dbdf5649',
+    'monte-carlo 2,5 g=60 n=60 seed=5 least':
+        '248997c70548f6273583bba0f74cf43334dc7a549dad2922233638524873ba3a',
+    'monte-carlo 2,7 g=93 n=60 seed=13 greatest':
+        'bbf2dd0d204c192ef632ec964305c9135498b945392facf74fa02e8788ef0b11',
     'exhaustive 2,3 g=4':
         '06bc6915bf1f115e042557132e55e43cc6ae551bde241827b4430a2672573f91',
     'exhaustive 2,3 g=8':
