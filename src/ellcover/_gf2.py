@@ -5,9 +5,9 @@ coefficient of x**i, so the zero polynomial is 0 and x**3 + x + 1 is 0b1011.
 This is the workhorse behind characteristic-2 table construction and the
 rejection sampling of irreducibles of large degree.  It also splits an
 even-degree prime over the field with four elements: a cube root of unity
-modulo the prime, built from a Frobenius orbit, and one gcd over GF(4),
-whose polynomials are held as pairs of such ints.  The generic coefficient
-arithmetic would dominate the runtime of both.
+modulo the prime, built from a Frobenius orbit, and half of one Euclid
+over GF(2), whose factor over GF(4) is held as a pair of such ints.  The
+generic coefficient arithmetic would dominate the runtime of both.
 
 Most random candidates that a rejection draw rejects have a small factor,
 so is_irreducible screens the factors of degree 1 to SCREEN_DEGREE = 8
@@ -188,26 +188,29 @@ def is_irreducible(f: int) -> bool:
     return True
 
 
-def conjugate_factor_coeffs(p: int) -> list[int]:
+def conjugate_factor_coeffs(p: int) -> tuple[int, int]:
     """One of the two conjugate factors of an even-degree GF(2)-prime over
     the field with four elements.
 
     p must be irreducible over GF(2) of even degree d.  Over GF(4) =
     {0, 1, rho, rho + 1}, with rho**2 = rho + 1, it splits as A * phi(A),
-    phi the coefficient-wise squaring map and deg A = d/2.  The returned list
-    holds the ascending GF(4) coefficient literals of the monic A under
-    rho -> 2; the caller recovers phi(A) by a coefficient-wise Frobenius.
+    phi the coefficient-wise squaring map and deg A = d/2.  The monic A is
+    returned as the bit-packed GF(2) halves (lo, hi) of A = lo + rho*hi;
+    phi(A) = (lo + hi) + rho*hi.
 
     In R = GF(2)[x]/(p), a field with 2**d elements, y = sum_{j odd, j < d}
     z**(2**j) satisfies y**2 + y = Tr(z), the absolute trace.  Taking z = x**k
     with the least k whose trace is 1 makes y = Y(x) a cube root of unity in
     R, and Y(beta) runs through rho and rho + 1 as beta runs through the
-    roots of p, the even and the odd Frobenius powers of x.  So A is
-    gcd(p, Y + rho) over GF(4), of degree d/2.  Tr(x**k) is the k-th power
-    sum of the roots of p, read off p's bits by Newton's identities.  The
-    checks along the way, a proof from z's orbit that p is prime, and a last
-    check that A * phi(A) = p on the packed halves make a reducible p or a
-    wrong factor raise CrossCheckMismatch.
+    roots of p, the even and the odd Frobenius powers of x.  So A generates
+    the ideal (p, Y + rho) over GF(4).  Euclid over GF(2) on (p, Y) reaches a
+    remainder r = s*p + t*Y of degree below d/2 with deg t = d/2, and
+    r + rho*t = s*p + t*(Y + rho) is a nonzero member of that ideal of degree
+    d/2: it is rho*A.  Tr(x**k) is the k-th power sum of the roots of p, read
+    off p's bits by Newton's identities.  The checks along the way, a proof
+    from z's orbit that p is prime, and a last check that A * phi(A) = p on
+    the packed halves make a reducible p or a wrong factor raise
+    CrossCheckMismatch.
     """
     d = p.bit_length() - 1
     # Newton's identities in characteristic 2, with e_i the coefficient of
@@ -252,43 +255,31 @@ def conjugate_factor_coeffs(p: int) -> list[int]:
     if any(gcd(p, orbit[0] ^ orbit[d // r]) != 1
            for r in range(3, d + 1, 2) if d % r == 0) and not is_irreducible(p):
         raise CrossCheckMismatch("the input is not prime")
-    a_lo, a_hi = _gf4_gcd(p, 0, y, 1)
-    if max(a_lo.bit_length(), a_hi.bit_length()) - 1 != d // 2:
+    r, t = _half_remainder(p, y)
+    # r + rho*t = rho*A, so A = rho**2*r + t = (r + t) + rho*r once deg t =
+    # d/2 > deg r, which makes A monic of degree d/2
+    if t.bit_length() - 1 != d // 2 or r.bit_length() - 1 >= d // 2:
         raise CrossCheckMismatch("the GF(4) factor does not have half the degree")
+    a_lo, a_hi = r ^ t, r
     # A * phi(A) = lo**2 + (rho + rho**2)*lo*hi + rho**3*hi**2, with
     # rho + rho**2 = rho**3 = 1; hi != 0 keeps A off GF(2), so A != phi(A).
     if not a_hi or sqr(a_lo) ^ mul(a_lo, a_hi) ^ sqr(a_hi) != p:
         raise CrossCheckMismatch(
             "the GF(4) factor times its conjugate does not give the prime")
-    return [(a_lo >> i & 1) | (a_hi >> i & 1) << 1 for i in range(d // 2 + 1)]
+    return a_lo, a_hi
 
 
-def _gf4_scale(lo: int, hi: int, c: int) -> tuple[int, int]:
-    """c * (lo + rho*hi) for the GF(4) literal c = c0 + 2*c1, with
-    rho*(lo + rho*hi) = hi + rho*(lo + hi)."""
-    if c == 1:
-        return lo, hi
-    if c == 2:
-        return hi, lo ^ hi
-    return lo ^ hi, lo  # c = 3 = rho**2
-
-
-def _gf4_gcd(a_lo: int, a_hi: int, b_lo: int, b_hi: int) -> tuple[int, int]:
-    """Monic gcd of two GF(4)-polynomials, each held as bit-packed GF(2)
-    halves (lo, hi) meaning sum (lo_i + rho*hi_i) x**i; b must be nonzero."""
-    while True:
-        db = max(b_lo.bit_length(), b_hi.bit_length()) - 1
-        # make b monic: rho**-1 = rho**2 and (rho**2)**-1 = rho
-        lead = (b_lo >> db & 1) | (b_hi >> db & 1) << 1
-        b_lo, b_hi = _gf4_scale(b_lo, b_hi, (0, 1, 3, 2)[lead])
-        multiples = (None, (b_lo, b_hi), _gf4_scale(b_lo, b_hi, 2),
-                     _gf4_scale(b_lo, b_hi, 3))
-        da = max(a_lo.bit_length(), a_hi.bit_length()) - 1
+def _half_remainder(p: int, y: int) -> tuple[int, int]:
+    """The first remainder r of Euclid's algorithm on (p, y) of degree below
+    deg(p)/2, with the cofactor t for which r = t*y modulo p."""
+    half = (p.bit_length() - 1) // 2
+    a, b, ta, tb = p, y, 0, 1  # a = ta*y and b = tb*y modulo p
+    while b.bit_length() > half:
+        db = b.bit_length()
+        da = a.bit_length()
         while da >= db:
-            m_lo, m_hi = multiples[(a_lo >> da & 1) | (a_hi >> da & 1) << 1]
-            a_lo ^= m_lo << (da - db)
-            a_hi ^= m_hi << (da - db)
-            da = max(a_lo.bit_length(), a_hi.bit_length()) - 1
-        if not a_lo | a_hi:
-            return b_lo, b_hi
-        a_lo, a_hi, b_lo, b_hi = b_lo, b_hi, a_lo, a_hi
+            a ^= b << (da - db)
+            ta ^= tb << (da - db)
+            da = a.bit_length()
+        a, b, ta, tb = b, a, tb, ta
+    return b, tb

@@ -286,10 +286,9 @@ def split_prime(regime: Regime, prime: Poly, labeling: str = "least") -> tuple[P
                 f"prime degree {prime.degree} not divisible by n_q = {n_q}")
         gf4 = q == 2 and n_q == 2
         if gf4:
-            packed = 0
-            for i, c in enumerate(prime.coeffs):
-                packed |= c << i
-            walk = [_trusted(regime.ext, _gf2.conjugate_factor_coeffs(packed))]
+            lo, hi = _gf4_halves(prime)
+            walk = [_trusted(regime.ext, [(lo >> i & 1) | (hi >> i & 1) << 1
+                                          for i in range(prime.degree // 2 + 1)])]
         else:
             walk = [conjugate_factor(prime, regime.ext)]
         for _ in range(n_q - 1):
@@ -313,23 +312,45 @@ def split_prime(regime: Regime, prime: Poly, labeling: str = "least") -> tuple[P
     return orbit[top:] + orbit[:top]
 
 
+def _gf4_halves(prime: Poly) -> tuple[int, int]:
+    """The bit-packed halves (lo, hi) of the monic factor lo + rho*hi over
+    F_4 of an even-degree prime over F_2, from _gf2."""
+    if prime.degree % 2:
+        raise InvalidTuple(f"prime degree {prime.degree} not divisible by n_q = 2")
+    return _gf2.conjugate_factor_coeffs(
+        sum(c << i for i, c in enumerate(prime.coeffs)))
+
+
 def prime_classes(regime: Regime, prime: Poly, labeling: str = "least") -> tuple[int, ...]:
     """Class c_P(x) of the anchored extension factor of prime at every
     affine base point x, in literal order; cached per labeling on the regime.
 
     The value never vanishes: a rational point is not a root of a prime whose
-    degree is a multiple of n_q > 1.
+    degree is a multiple of n_q > 1.  Over F_2 with n_q = 2 the classes are
+    read off the packed halves of _gf2's factor without an orbit: A(0) is
+    the low bits and A(1) the parities of the halves.  So split_prime, which
+    builds its orbit from the same factor, checks this path from outside.
     """
     _check_labeling(labeling)
     cache = regime._class_cache[labeling]
     cached = cache.get(prime.coeffs)
     if cached is not None:
         return cached
-    anchor = split_prime(regime, prime, labeling)[0]
     ext = regime.ext
+    if regime.q == 2 and regime.n_q == 2:
+        lo, hi = _gf4_halves(prime)
+        # A = lo + rho*hi and its conjugate (lo + hi) + rho*hi differ where
+        # hi has bits, and the lex-least has rho at the lowest of them
+        if bool(lo & hi & -hi) != (labeling == "greatest"):
+            lo ^= hi
+        values = ((lo & 1) | (hi & 1) << 1,  # A(0) and A(1)
+                  lo.bit_count() & 1 | (hi.bit_count() & 1) << 1)
+    else:
+        anchor = split_prime(regime, prime, labeling)[0]
+        values = [anchor.eval(FieldElem(ext, xv)).val
+                  for xv in subfield_table(regime.base, ext)]
     out = []
-    for xv in subfield_table(regime.base, ext):
-        v = anchor.eval(FieldElem(ext, xv)).val
+    for v in values:
         if v == 0:
             raise UnexpectedRoot(
                 f"prime {prime!r} vanishes at a rational point")

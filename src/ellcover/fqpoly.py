@@ -30,7 +30,7 @@ norm of x from F_{Q**m} down to F_Q takes a different value at the roots of
 each conjugate factor, so the gcd of the prime with the norm minus one root
 of its minimal polynomial is one factor.  equal_degree_factor's only task
 there is that root, on a polynomial of degree n_q.  The (2,3) split of _gf2,
-by a cube root of unity and one gcd over F_4, is the special case where the
+by a cube root of unity and half of one Euclid over F_2, is the case where the
 element of F_Q and its minimal polynomial are known in advance.
 Prime enumeration sieves products below a hard budget and checks itself
 against the divisor-counting closed form.

@@ -202,6 +202,32 @@ def gf4_roots_product(a):
     return [table[tuple(c)] for c in coeffs]
 
 
+def gf4_gcd(a_lo, a_hi, b_lo, b_hi):
+    """Monic gcd of two GF(4)-polynomials, each held as bit-packed GF(2)
+    halves (lo, hi) meaning sum (lo_i + rho*hi_i) x**i; b must be nonzero."""
+
+    def scale(lo, hi, c):
+        # c * (lo + rho*hi) for the literal c, with rho*(lo + rho*hi) =
+        # hi + rho*(lo + hi)
+        return {1: (lo, hi), 2: (hi, lo ^ hi), 3: (lo ^ hi, lo)}[c]
+
+    while True:
+        db = max(b_lo.bit_length(), b_hi.bit_length()) - 1
+        # make b monic: rho**-1 = rho**2 and (rho**2)**-1 = rho
+        lead = (b_lo >> db & 1) | (b_hi >> db & 1) << 1
+        b_lo, b_hi = scale(b_lo, b_hi, (0, 1, 3, 2)[lead])
+        da = max(a_lo.bit_length(), a_hi.bit_length()) - 1
+        while da >= db:
+            c = (a_lo >> da & 1) | (a_hi >> da & 1) << 1
+            m_lo, m_hi = scale(b_lo, b_hi, c)
+            a_lo ^= m_lo << (da - db)
+            a_hi ^= m_hi << (da - db)
+            da = max(a_lo.bit_length(), a_hi.bit_length()) - 1
+        if not a_lo | a_hi:
+            return b_lo, b_hi
+        a_lo, a_hi, b_lo, b_hi = b_lo, b_hi, a_lo, a_hi
+
+
 def necklace_formula(q, d):
     """Moebius-sum count of monic irreducibles of degree d over F_q."""
 

@@ -279,9 +279,10 @@ def _gf4_frobenius(lits):
     return [(0, 1, 3, 2)[c] for c in lits]
 
 
-def test_conjugate_factor_agrees_with_the_roots_product():
-    # the cube-root-and-gcd factor is, up to Frobenius, the product of the
-    # roots alpha**(4**i): every prime of degree <= 12, then 200 seeded
+def test_conjugate_factor_agrees_with_the_roots_product(monkeypatch):
+    # the cube-root-and-Euclid factor is, up to Frobenius, the product of the
+    # roots alpha**(4**i), and it is the monic gcd of the prime with the cube
+    # root of unity y plus rho: every prime of degree <= 12, then 200 seeded
     # primes of degree 14-32
     primes = [sum(c << i for i, c in enumerate(p.coeffs))
               for d in range(2, 13, 2) for p in ec.primes_with_degree(R23.base, d)]
@@ -292,11 +293,26 @@ def test_conjugate_factor_agrees_with_the_roots_product():
         f = 1 << d | rng.getrandbits(d)
         if _gf2.is_irreducible(f):
             primes.append(f)
+    seen = []
+    half_remainder = _gf2._half_remainder
+
+    def spy(p, y):
+        seen.append((p, y))
+        return half_remainder(p, y)
+
+    monkeypatch.setattr(_gf2, "_half_remainder", spy)
     for f in primes:
-        got = _gf2.conjugate_factor_coeffs(f)
+        seen.clear()
+        lo, hi = _gf2.conjugate_factor_coeffs(f)
+        m = f.bit_length() // 2
+        assert lo >> m == 1 and hi >> m == 0 and hi  # monic of degree m
+        got = [(lo >> i & 1) | (hi >> i & 1) << 1 for i in range(m + 1)]
         want = naive.gf4_roots_product([f >> i & 1 for i in range(f.bit_length())])
         assert got in (want, _gf4_frobenius(want)), bin(f)
-        assert len(got) == f.bit_length() // 2 + 1 and got[-1] == 1
+        [(p, y)] = seen
+        assert p == f
+        assert naive.gf2_rem(naive.gf2_mul(y, y) ^ y ^ 1, f) == 0
+        assert naive.gf4_gcd(f, 0, y, 1) == (lo, hi), bin(f)
 
 
 def _orbit_from_factor(reg, prime, labeling):
@@ -414,6 +430,8 @@ def test_split_prime_rejects_a_product_that_passes_the_trace_checks(bits):
 def test_split_prime_rejects_bad_degree():
     with pytest.raises(ec.InvalidTuple):
         ec.split_prime(R23, ec.Poly(R23.base, [1, 1]))
+    with pytest.raises(ec.InvalidTuple):
+        ec.prime_classes(R23, ec.Poly(R23.base, [1, 1, 0, 1]))
 
 
 def test_split_prime_caches():

@@ -36,15 +36,41 @@ def test_wrong_gf4_factor_fails_the_packed_product_check(monkeypatch, degree):
     # it gives x**(2m) + x**m + 1, which is not prime for m > 1
     from ellcover import _gf2
 
-    def wrong_factor(a_lo, a_hi, b_lo, b_hi):
-        return 1 << (a_lo.bit_length() - 1) // 2, 1
+    def wrong_remainder(p, y):
+        # r = 1 and t = x**m + 1 make the factor (r + t) + rho*r = x**m + rho
+        return 1, 1 << (p.bit_length() - 1) // 2 | 1
 
     reg = Regime(2, 3)  # a private regime: the broken split must not be cached
-    monkeypatch.setattr(_gf2, "_gf4_gcd", wrong_factor)
+    monkeypatch.setattr(_gf2, "_half_remainder", wrong_remainder)
     prime = ec.primes_with_degree(reg.base, degree)[0]
     with pytest.raises(ec.CrossCheckMismatch, match="does not give the prime"):
         ec.split_prime(reg, prime)
     assert reg._split_cache == {}
+
+
+@pytest.mark.parametrize("remainder, message", [
+    (lambda m: (1, 1 << m - 1 | 1), "does not have half the degree"),
+    (lambda m: (1 << m, 1 << m | 1), "does not have half the degree"),
+    (lambda m: (0, 1 << m), "does not give the prime"),  # hi = 0
+], ids=["low-cofactor", "high-remainder", "zero-remainder"])
+def test_wrong_half_remainder_fails_a_factor_check(monkeypatch, remainder, message):
+    from ellcover import _gf2
+
+    monkeypatch.setattr(_gf2, "_half_remainder",
+                        lambda p, y: remainder((p.bit_length() - 1) // 2))
+    with pytest.raises(ec.CrossCheckMismatch, match=message):
+        _gf2.conjugate_factor_coeffs(0b100011011)  # a prime of degree 8
+
+
+@pytest.mark.parametrize("bits, message", [
+    (0b100, "no power of x has trace 1"),  # x**2
+    (0b110, "the chosen power of x does not have trace 1"),  # x*(x + 1)
+])
+def test_reducible_input_fails_a_trace_check(bits, message):
+    from ellcover import _gf2
+
+    with pytest.raises(ec.CrossCheckMismatch, match=message):
+        _gf2.conjugate_factor_coeffs(bits)
 
 
 def test_broken_frobenius_orbit_exits_3_from_the_cli(monkeypatch, capsys):

@@ -56,15 +56,52 @@ def test_prime_classes_are_cached_per_labeling():
 def test_vanishing_prime_value_raises_a_typed_error(monkeypatch):
     import ellcover.coverparam as cp
 
-    reg = Regime(2, 3)  # a private regime: the patched split must not be cached
+    reg = Regime(3, 5)  # a private regime: the patched split must not be cached
     x = ec.Poly(reg.ext, [0, 1])
-    monkeypatch.setattr(cp, "split_prime", lambda *a, **kw: (x, x))
-    prime = ec.Poly(reg.base, [1, 1, 1])
+    monkeypatch.setattr(cp, "split_prime", lambda *a, **kw: (x,) * reg.n_q)
+    prime = ec.primes_with_degree(reg.base, 4)[0]
     with pytest.raises(ec.UnexpectedRoot):
         ec.prime_classes(reg, prime)
     with pytest.raises(ec.UnexpectedRoot):
         ec.class_vector(reg, [(prime, 1)], reg.ext.elem(1))
     assert reg._class_cache["least"] == {}
+
+
+@pytest.mark.parametrize("labeling", LABELINGS)
+def test_vanishing_packed_factor_raises_a_typed_error(monkeypatch, labeling):
+    # over (2,3) the classes come from _gf2's packed halves, not from
+    # split_prime: x**2 + rho**2*x, or its conjugate x**2 + rho*x, at x = 0
+    from ellcover import _gf2
+
+    reg = Regime(2, 3)  # a private regime: the patched factor must not be cached
+    monkeypatch.setattr(_gf2, "conjugate_factor_coeffs", lambda p: (0b110, 0b010))
+    prime = ec.Poly(reg.base, [1, 1, 1])
+    with pytest.raises(ec.UnexpectedRoot):
+        ec.prime_classes(reg, prime, labeling)
+    with pytest.raises(ec.UnexpectedRoot):
+        ec.class_vector(reg, [(prime, 1)], reg.ext.elem(1), labeling)
+    assert reg._class_cache == {"least": {}, "greatest": {}}
+    assert reg._split_cache == {}
+
+
+@pytest.mark.parametrize("labeling", LABELINGS)
+def test_packed_classes_match_the_split_orbit(labeling):
+    # every (2,3) prime of degree <= 14: the classes read off the packed
+    # factor are those of the anchored member of split_prime's Poly orbit
+    reg = Regime(2, 3)
+    points = ec.projective_points(reg)[:-1]
+    for d in range(2, 15, 2):
+        for prime in ec.primes_with_degree(reg.base, d):
+            anchor = ec.split_prime(reg, prime, labeling)[0]
+            assert ec.prime_classes(reg, prime, labeling) == tuple(
+                ec.lth_power_class(anchor.eval(x), reg.ell) for x in points)
+
+
+def test_monte_carlo_over_f2_splits_no_prime():
+    reg = Regime(2, 3)
+    ec.monte_carlo_distribution(reg, 30, 40, seed=1)
+    assert len(reg._class_cache["least"]) > 40
+    assert reg._split_cache == {}
 
 
 @pytest.mark.parametrize("labeling", LABELINGS)

@@ -26,6 +26,7 @@ MONTE_CARLO = [
     (5, 3, 10, 40, 3, "least"),
     (5, 3, 30, 40, 8, "greatest"),
     (2, 3, 30, 200, 42, "least"),
+    (2, 3, 30, 200, 42, "greatest"),
     (9, 5, 20, 60, 7, "least"),
     (7, 5, 12, 20, 2, "least"),
     (11, 3, 10, 20, 4, "least"),
@@ -47,6 +48,8 @@ COMMANDS = [
     ["info", "--q", "9", "--ell", "5"],
     ["info", "--q", "23", "--ell", "3"],
     ["count-points", "--q", "2", "--ell", "3", "--tuple", "1,1,1;1", "--b", "2"],
+    ["count-points", "--q", "2", "--ell", "3", "--tuple", "1,1,1;1", "--b", "2",
+     "--labeling", "greatest"],
     ["count-points", "--q", "3", "--ell", "5", "--tuple", "1,0,1,1,1;1;1,0,1,2,1;1",
      "--b", "7", "--json"],
     ["count-points", "--q", "5", "--ell", "3", "--tuple", "1,1,1;2,0,1", "--b", "3",
@@ -119,6 +122,8 @@ PINS = {
         '6c05db0c08343fcf1d07965d26b9c194b2cb121096b4b940bf0b8febc113db0c',
     'monte-carlo 2,3 g=30 n=200 seed=42 least':
         'ec8b503ffcb547c97a250186e2ae3dfad5805993626b603ed8ad135798ac9527',
+    'monte-carlo 2,3 g=30 n=200 seed=42 greatest':
+        'ba5013da42436fed7157eccf3a478a33ab77429e4f683538cf21b2a1009a93e8',
     'monte-carlo 9,5 g=20 n=60 seed=7 least':
         '8be96d985c4cdd3adb6e27dbe0caf0e81388db66d3c0b9bd2f8c689908e92458',
     'monte-carlo 7,5 g=12 n=20 seed=2 least':
@@ -175,6 +180,8 @@ PINS = {
         '9c955c5a5a2fb61368772739719be3f5541cc70d732cb0bc563718deb0f46275',
     'count-points --q 2 --ell 3 --tuple 1,1,1;1 --b 2':
         '61db07a46ef7930b09b247cc3fbe14cbe541801f1f93105d9d4d879b7f98e468',
+    'count-points --q 2 --ell 3 --tuple 1,1,1;1 --b 2 --labeling greatest':
+        '1e370dc28c8c9d8f3b414d934252e2760b9a5975b36b27449dac01c088448da9',
     'count-points --q 3 --ell 5 --tuple 1,0,1,1,1;1;1,0,1,2,1;1 --b 7 --json':
         '56315c0a08e652b6901aa062e03931c6dcd0d9cfff136a366dda65c1c8916710',
     'count-points --q 5 --ell 3 --tuple 1,1,1;2,0,1 --b 3 --labeling greatest':
