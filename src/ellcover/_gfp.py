@@ -193,7 +193,8 @@ def gcd(p: int, a, b) -> bytes:
 
 
 class Residues:
-    """Powers modulo a fixed trimmed modulus m of degree dm >= 1 over F_p.
+    """Powers modulo a fixed trimmed modulus m of degree dm >= 1 over F_p,
+    by square-and-multiply, and Ben-Or's rounds on them.
 
     A residue is held as bytes of dm coefficients, reduced mod p, and
     packed for each step in lanes of s bytes, the least that hold a product
@@ -202,7 +203,7 @@ class Residues:
     to spare.
     """
 
-    __slots__ = ("p", "m", "dm", "s", "neg", "c0", "room", "spread_room")
+    __slots__ = ("p", "m", "dm", "s", "neg", "c0", "room")
 
     def __init__(self, p: int, m):
         self.p = p
@@ -214,7 +215,6 @@ class Residues:
         self.neg, self.c0 = _negated(p, self.m, s)
         full = (1 << (8 * s)) - 1  # what a lane holds
         self.room = (full - bound) // step
-        self.spread_room = (full - p + 1) // step
 
     def residue(self, a) -> bytes:
         """The residue of a literal sequence of length at most dm."""
@@ -232,27 +232,13 @@ class Residues:
                 r = _reduce(widen(r, s) * base, top, dm, neg, c0, p, s, room)
         return r
 
-    def frobenius(self, r: bytes, times: int) -> bytes:
-        """r**(p**times): the p-th power map is F_p-linear, r(x)**p =
-        r(x**p), so each step spreads coefficient j to lane p*j and reduces
-        once."""
-        p, s, dm, room = self.p, self.s, self.dm, self.spread_room
-        top = p * (dm - 1)
-        for _ in range(times):
-            wide = bytearray(s * (top + 1))
-            wide[::p * s] = r
-            r = _reduce(int.from_bytes(wide, "little"), top, dm, self.neg, self.c0,
-                        p, s, room)
-        return r
-
-    def ben_or(self, first: int, last: int, spread: bool) -> bool:
+    def ben_or(self, first: int, last: int) -> bool:
         """Whether gcd(m, x**(p**i) - x) = 1 for first <= i <= last, with
-        each x**(p**i) the p-th power of the one before, by spreading when
-        spread is set and by square-and-multiply otherwise."""
+        each x**(p**i) the p-th power of the one before."""
         p = self.p
         t = self.residue((0, 1))
         for i in range(1, last + 1):
-            t = self.frobenius(t, 1) if spread else self.pow(t, p)
+            t = self.pow(t, p)
             if i >= first:
                 u = bytearray(t)
                 u[1] = (u[1] - 1) % p

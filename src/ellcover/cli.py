@@ -91,6 +91,8 @@ def _cmd_info(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
+    if args.limit is not None and args.limit < 0:
+        raise UsageError(f"--limit {args.limit} is negative")
     regime = make_regime(args.q, args.ell)
     total = count_tuples(regime, args.degree)
     shown: list[str] = []

@@ -269,13 +269,12 @@ def split_prime(regime: Regime, prime: Poly, labeling: str = "least") -> tuple[P
     polynomial and one gcd: the norm N of x down to F_Q separates the
     conjugates, and gcd(P, N - c) for one root c of N's minimal polynomial,
     found by equal_degree_factor on a polynomial of degree n_q, is a single
-    factor.  Over F_2 with n_q = 2, _gf2.conjugate_factor_coeffs does the
-    same with a cube root of unity in place of the norm.  A reducible input
-    fails one of the checks of either finder or below with CrossCheckMismatch:
+    factor.  It does so in every regime, (2,3) included, so the orbit checks
+    prime_classes' packed factor from _gf2 from outside.  A reducible input
+    fails one of the checks of the finder or below with CrossCheckMismatch:
     the factor must be prime of degree m, its n_q conjugates distinct, the
     Frobenius of the last the first, and their product the embedded prime,
-    which together prove the input prime.  Over F_2 the product is checked
-    by _gf2 on the bit-packed halves of the factor.
+    which together prove the input prime.
     """
     _check_labeling(labeling)
     orbit = regime._split_cache.get(prime.coeffs)
@@ -284,26 +283,19 @@ def split_prime(regime: Regime, prime: Poly, labeling: str = "least") -> tuple[P
         if prime.degree % n_q:
             raise InvalidTuple(
                 f"prime degree {prime.degree} not divisible by n_q = {n_q}")
-        gf4 = q == 2 and n_q == 2
-        if gf4:
-            lo, hi = _gf4_halves(prime)
-            walk = [_trusted(regime.ext, [(lo >> i & 1) | (hi >> i & 1) << 1
-                                          for i in range(prime.degree // 2 + 1)])]
-        else:
-            walk = [conjugate_factor(prime, regime.ext)]
+        walk = [conjugate_factor(prime, regime.ext)]
         for _ in range(n_q - 1):
             walk.append(poly_frobenius(walk[-1], q))
         if len(set(walk)) != n_q:
             raise CrossCheckMismatch("embedded prime did not split into n_q conjugates")
         if poly_frobenius(walk[-1], q) != walk[0]:
             raise CrossCheckMismatch("conjugates do not form a single Frobenius orbit")
-        if not gf4:
-            prod = walk[0]
-            for pr in walk[1:]:
-                prod = prod * pr
-            if prod != embed(prime, regime.ext):
-                raise CrossCheckMismatch(
-                    "orbit product does not recover the embedded prime")
+        prod = walk[0]
+        for pr in walk[1:]:
+            prod = prod * pr
+        if prod != embed(prime, regime.ext):
+            raise CrossCheckMismatch(
+                "orbit product does not recover the embedded prime")
         low = min(range(n_q), key=lambda j: walk[j].sort_key())
         orbit = regime._split_cache[prime.coeffs] = tuple(walk[low:] + walk[:low])
     if labeling == "least":
@@ -312,24 +304,16 @@ def split_prime(regime: Regime, prime: Poly, labeling: str = "least") -> tuple[P
     return orbit[top:] + orbit[:top]
 
 
-def _gf4_halves(prime: Poly) -> tuple[int, int]:
-    """The bit-packed halves (lo, hi) of the monic factor lo + rho*hi over
-    F_4 of an even-degree prime over F_2, from _gf2."""
-    if prime.degree % 2:
-        raise InvalidTuple(f"prime degree {prime.degree} not divisible by n_q = 2")
-    return _gf2.conjugate_factor_coeffs(
-        sum(c << i for i, c in enumerate(prime.coeffs)))
-
-
 def prime_classes(regime: Regime, prime: Poly, labeling: str = "least") -> tuple[int, ...]:
     """Class c_P(x) of the anchored extension factor of prime at every
     affine base point x, in literal order; cached per labeling on the regime.
 
     The value never vanishes: a rational point is not a root of a prime whose
     degree is a multiple of n_q > 1.  Over F_2 with n_q = 2 the classes are
-    read off the packed halves of _gf2's factor without an orbit: A(0) is
-    the low bits and A(1) the parities of the halves.  So split_prime, which
-    builds its orbit from the same factor, checks this path from outside.
+    read off the bit-packed halves (lo, hi) of _gf2's monic factor
+    A = lo + rho*hi without an orbit: A(0) is the low bits and A(1) the
+    parities of the halves.  split_prime finds its orbit by
+    fqpoly.conjugate_factor there too, so it checks this path from outside.
     """
     _check_labeling(labeling)
     cache = regime._class_cache[labeling]
@@ -338,7 +322,10 @@ def prime_classes(regime: Regime, prime: Poly, labeling: str = "least") -> tuple
         return cached
     ext = regime.ext
     if regime.q == 2 and regime.n_q == 2:
-        lo, hi = _gf4_halves(prime)
+        if prime.degree % 2:
+            raise InvalidTuple(f"prime degree {prime.degree} not divisible by n_q = 2")
+        lo, hi = _gf2.conjugate_factor_coeffs(
+            sum(c << i for i, c in enumerate(prime.coeffs)))
         # A = lo + rho*hi and its conjugate (lo + hi) + rho*hi differ where
         # hi has bits, and the lex-least has rho at the lowest of them
         if bool(lo & hi & -hi) != (labeling == "greatest"):

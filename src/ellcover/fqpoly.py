@@ -15,9 +15,7 @@ one of three forms chosen by the field alone:
 One modular-power kernel serves pow_mod, the irreducibility test, both
 factorization splits and the norm of the conjugate split.  It keeps its
 form from its first step to its last: packed residues over a packed prime
-field, discrete logs over the other odd fields.  Over small fields it takes
-a power a**(q**i) of the field's order q by i spread-and-reduce steps, since
-a(x)**q = a(x**q) over F_q.
+field, discrete logs over the other odd fields.
 Over small fields the irreducibility test opens with has_root, evaluation at
 every point of the field.  Factorization runs the classical squarefree /
 distinct-degree / equal-degree pipeline; the randomized equal-degree splits
@@ -31,7 +29,8 @@ each conjugate factor, so the gcd of the prime with the norm minus one root
 of its minimal polynomial is one factor.  equal_degree_factor's only task
 there is that root, on a polynomial of degree n_q.  The (2,3) split of _gf2,
 by a cube root of unity and half of one Euclid over F_2, is the case where the
-element of F_Q and its minimal polynomial are known in advance.
+element of F_Q and its minimal polynomial are known in advance; it feeds only
+the (2,3) class kernel, which conjugate_factor checks from outside.
 Prime enumeration sieves products below a hard budget and checks itself
 against the divisor-counting closed form.
 """
@@ -73,17 +72,6 @@ FACTOR_SEED = 0x5EED  # mixed into the fold that seeds the factorization draws
 # random f per even degree 2 to 28, two runs); no field near the boundary is
 # packed.
 ROOT_SCREEN_MAX_ORDER = 128
-# _pow_mod_coeffs computes a**(q**i) in odd characteristic by i spread steps,
-# each one reduction of about (q - 1) * deg m rows, for q up to this order,
-# and by square-and-multiply above it.  On random monic moduli of degree 3 to
-# 20 and random a, a**q by spreading took, of the square-and-multiply time
-# (range over the degrees, medians in brackets, two runs): over the packed
-# prime fields, where a product is one big-int multiplication and a spread
-# step clears as many lanes as the products it replaces, 0.6-1.4
-# (0.95-1.05) at q = 3, 5 and 7, 0.6-2.9 (1.1-1.2) at q = 11 and 0.7-3.7
-# (1.6-1.8) at q = 13; over the discrete logs, 0.6-1.0 (0.9) at q = 9 and
-# 1.0-2.7 (1.6-1.8) at q = 25 and 27.
-SPREAD_MAX_ORDER = 11
 
 
 class Poly:
@@ -473,15 +461,6 @@ def _sqr_mod(ctx: FieldCtx, a: list[int], m) -> list[int]:
     return _trim(_divmod_coeffs(ctx, out, m)[1])
 
 
-def _q_power(e: int, q: int) -> int:
-    """i when e == q**i for some i >= 1, else 0."""
-    i = 0
-    while e % q == 0:
-        e //= q
-        i += 1
-    return i if e == 1 else 0
-
-
 def _pow_mod_coeffs(ctx: FieldCtx, a, e: int, m) -> list[int]:
     """Trimmed literals of a**e mod m, for trimmed literal sequences a and m,
     m nonzero, and e >= 1.
@@ -491,13 +470,10 @@ def _pow_mod_coeffs(ctx: FieldCtx, a, e: int, m) -> list[int]:
     squares by spreading coefficients and adds by XOR, so a power of the
     field's order q = 2**k is k spread squares.  A packed prime field holds
     _gfp.Residues from the first step to the last: each step is one big-int
-    product, reduced in the lanes it was formed in.  The other odd fields hold discrete logs
-    from the first step to the last: each step adds its terms through the
-    Zech table and reduces against the modulus's negated logs.  Only the
-    result is turned back into literals.  In odd characteristic, for q up to
-    SPREAD_MAX_ORDER, e = q**i takes i spread steps instead: the q-th power
-    map is F_q-linear, a(x)**q = a(x**q), so each step moves the entry at j
-    to position q*j and reduces once.
+    product, reduced in the lanes it was formed in.  The other odd fields
+    hold discrete logs from the first step to the last: each step adds its
+    terms through the Zech table and reduces against the modulus's negated
+    logs.  Only the result is turned back into literals.
     """
     dm = len(m) - 1
     a = _trim(_divmod_coeffs(ctx, a, m)[1]) if len(a) > dm else list(a)
@@ -511,35 +487,22 @@ def _pow_mod_coeffs(ctx: FieldCtx, a, e: int, m) -> list[int]:
             if bit == "1" and r:
                 r = _trim(_divmod_coeffs(ctx, _mul_coeffs(ctx, r, a), m)[1])
         return r
-    q = ctx.order
-    spreads = _q_power(e, q) if q <= SPREAD_MAX_ORDER else 0
     if _packed(ctx):
-        ring = _gfp.Residues(q, m)
-        r = ring.residue(a)
-        r = ring.frobenius(r, spreads) if spreads else ring.pow(r, e)
-        return list(r.rstrip(b"\0"))
+        ring = _gfp.Residues(ctx.p, m)
+        return list(ring.pow(ring.residue(a), e).rstrip(b"\0"))
     exp, log, zech, n = ctx.exp, ctx.log, ctx.zech, ctx.order - 1
     lead = log[m[-1]]
     half = n // 2
     nb = [(j, (log[c] + half) % n) for j, c in enumerate(m[:dm]) if c]
     r = base = [(j, log[c]) for j, c in enumerate(a) if c]
-    if spreads:
-        size = q * (dm - 1) + 1
-        for _ in range(spreads):
+    size = 2 * dm - 1
+    for bit in bits:
+        # r * r, then r * base where the bit is set (the pair is built first)
+        for v in (r, base) if bit == "1" else (r,):
             acc = [-1] * size
-            for j, t in r:
-                acc[q * j] = t
+            _add_product_logs(acc, r, v, zech, n)
             _reduce_logs(acc, dm, lead, nb, zech, n)
             r = [(j, t % n) for j, t in enumerate(acc[:dm]) if t >= 0]
-    else:
-        size = 2 * dm - 1
-        for bit in bits:
-            # r * r, then r * base where the bit is set (the pair is built first)
-            for v in (r, base) if bit == "1" else (r,):
-                acc = [-1] * size
-                _add_product_logs(acc, r, v, zech, n)
-                _reduce_logs(acc, dm, lead, nb, zech, n)
-                r = [(j, t % n) for j, t in enumerate(acc[:dm]) if t >= 0]
     out = [0] * dm
     for j, t in r:
         out[j] = exp[t]
@@ -711,8 +674,8 @@ def conjugate_factor(prime: Poly, ext: FieldCtx) -> Poly:
     For a root alpha of the prime, the norm N(alpha) = alpha**((Q**m - 1) /
     (Q - 1)) from F_{Q**m} down to F_Q is the power N of x modulo the prime
     over F_q, computed as the product of the m iterates x**(Q**j), j < m:
-    each iterate is one Q-th power of the one before, which the modular-power
-    kernel takes by spreading over small fields.  When N generates F_Q over
+    each iterate is one Q-th power of the one before, by the modular-power
+    kernel's square-and-multiply.  When N generates F_Q over
     F_q, its minimal polynomial mu has degree n_q and the conjugate roots
     alpha**(q**i) have the distinct norms N(alpha)**(q**i), so for one root c
     of mu in F_Q, which equal_degree_factor finds, gcd(prime, N - c) over F_Q
@@ -850,11 +813,10 @@ def irreducible(f: Poly) -> bool:
     The first round holds iff f has no root in F_q; for q up to
     ROOT_SCREEN_MAX_ORDER it is decided by has_root, so a candidate with a
     root pays no modular power.  Each round's x**(q**i) is the q-th power of
-    the round before's, which the modular-power kernel takes by spreading
-    coefficients (a(x)**q = a(x**q) over F_q) for odd q up to
-    SPREAD_MAX_ORDER and by spread squares in characteristic 2.  Over a
-    packed prime field the rounds run on one _gfp.Residues, so x**(q**i)
-    stays packed from the first round to the last.
+    the round before's, by square-and-multiply, whose squares spread
+    coefficients in characteristic 2.  Over a packed prime field the rounds
+    run on one _gfp.Residues, so x**(q**i) stays packed from the first round
+    to the last.
     """
     if f.is_zero or f.degree < 1:
         return False
@@ -872,7 +834,7 @@ def irreducible(f: Poly) -> bool:
     if first > last:
         return True
     if _packed(ctx):
-        return _gfp.Residues(q, g).ben_or(first, last, q <= SPREAD_MAX_ORDER)
+        return _gfp.Residues(q, g).ben_or(first, last)
     t = [0, 1]  # x, reduced modulo g of degree >= 2
     for i in range(1, last + 1):
         t = _pow_mod_coeffs(ctx, t, q, g)

@@ -65,6 +65,16 @@ def test_enumerate_lists_tuples_with_limit(capsys):
     assert sorted(full["tuples"]) == ["1,1,1;1", "1;1,1,1"]
 
 
+def test_negative_limit_is_a_usage_error(capsys):
+    rc, out, err = run(capsys, "enumerate", "--q", "2", "--ell", "3", "--degree", "4",
+                       "--limit", "-1")
+    assert (rc, out) == (2, "")
+    assert "--limit -1 is negative" in err and "Traceback" not in err
+    d = run_json(capsys, "enumerate", "--q", "2", "--ell", "3", "--degree", "4",
+                 "--limit", "0")
+    assert d["count"] == 6 and d["tuples"] == []
+
+
 def test_count_points_frozen(capsys):
     d = run_json(capsys, "count-points", "--q", "2", "--ell", "3",
                  "--tuple", "1,1,1;1", "--b", "1")

@@ -266,8 +266,8 @@ def test_split_prime_invariants(reg, degs):
 
 
 def test_split_prime_fast_path_agrees_with_generic_factor():
-    # the q=2 bit-packed path must produce exactly the factors the generic
-    # factorization finds
+    # the one-factor split over (2,3) must produce exactly the factors the
+    # full factorization finds
     for d in (2, 4, 6, 8, 10, 12):
         for prime in ec.primes_with_degree(R23.base, d):
             orbit = ec.split_prime(R23, prime)
@@ -277,6 +277,28 @@ def test_split_prime_fast_path_agrees_with_generic_factor():
 
 def _gf4_frobenius(lits):
     return [(0, 1, 3, 2)[c] for c in lits]
+
+
+@pytest.mark.parametrize("labeling", LABELINGS)
+def test_split_prime_over_f2_does_not_read_the_packed_factor(monkeypatch, labeling):
+    # (2,3) orbits come from conjugate_factor, so they check the packed factor
+    # that prime_classes reads from outside: every prime of degree <= 10
+    primes = [p for d in range(2, 11, 2) for p in ec.primes_with_degree(R23.base, d)]
+    want = {}
+    for prime in primes:
+        orbit = ec.split_prime(Regime(2, 3), prime, labeling)
+        lo, hi = _gf2.conjugate_factor_coeffs(sum(c << i for i, c in enumerate(prime.coeffs)))
+        packed = [(lo >> i & 1) | (hi >> i & 1) << 1 for i in range(prime.degree // 2 + 1)]
+        assert {f.coeffs for f in orbit} == {tuple(packed), tuple(_gf4_frobenius(packed))}
+        want[prime.coeffs] = orbit
+
+    def refuse(p):
+        raise RuntimeError("split_prime read the packed factor")
+
+    monkeypatch.setattr(_gf2, "conjugate_factor_coeffs", refuse)
+    reg = Regime(2, 3)
+    for prime in primes:
+        assert ec.split_prime(reg, prime, labeling) == want[prime.coeffs]
 
 
 def test_conjugate_factor_agrees_with_the_roots_product(monkeypatch):

@@ -15,7 +15,6 @@ from ellcover.fqpoly import (
     ROOT_SCREEN_MAX_ORDER,
     SIEVE_CAP,
     SIEVE_PRODUCT_CAP,
-    SPREAD_MAX_ORDER,
     has_root,
 )
 
@@ -201,8 +200,8 @@ def test_pow_mod_matches_square_and_multiply(data):
 
 @pytest.mark.parametrize("ctx", [F3, F4, F5, F9, ec.make_field(2, 3), ec.make_field(2, 4)])
 def test_q_powers_match_square_and_multiply(ctx):
-    """a**(q**i) mod m, which spreads coefficients, against the naive
-    square-and-multiply over random moduli, some of them reducible."""
+    """a**(q**i) mod m against the naive square-and-multiply over random
+    moduli, some of them reducible."""
     nf = naive.NaiveField(ctx.p, ctx.modulus)
     q = ctx.order
     rng = Random(q)
@@ -215,31 +214,6 @@ def test_q_powers_match_square_and_multiply(ctx):
         for i in (1, 2, 3):
             got = fqp._pow_mod_coeffs(ctx, a or [1], q ** i, naive.trim(m))
             assert got == nf.polpowmod(a or [1], q ** i, m)
-
-
-def test_q_powers_spread_without_products(monkeypatch):
-    """Up to SPREAD_MAX_ORDER a power of q multiplies no two polynomials:
-    over a packed prime field it takes no square-and-multiply step, and
-    over an extension field it adds no product of logs."""
-    products = []
-    packed, kernel = _gfp.Residues.pow, fqp._add_product_logs
-    monkeypatch.setattr(_gfp.Residues, "pow",
-                        lambda *args: products.append(1) or packed(*args))
-    monkeypatch.setattr(fqp, "_add_product_logs",
-                        lambda *args: products.append(1) or kernel(*args))
-    m = [1, 2, 0, 1, 1]
-    for p, k in ((3, 1), (5, 1), (3, 2), (11, 1)):
-        ctx = ec.make_field(p, k)
-        assert ctx.order <= SPREAD_MAX_ORDER
-        assert fqp._packed(ctx) == (k == 1)
-        for e in (ctx.order, ctx.order ** 4):
-            fqp._pow_mod_coeffs(ctx, [0, 1], e, m)
-    assert products == []
-    for ctx, e in ((F3, 10), (F9, 10),  # not a power of q
-                   (ec.make_field(13), 13), (F25, 25)):  # above the cap
-        fqp._pow_mod_coeffs(ctx, [0, 1], e, m)
-        assert products
-        products.clear()
 
 
 def test_pow_mod_edge_cases():
@@ -456,11 +430,11 @@ def test_irreducible_and_factor_match_sympy(p, max_deg):
 def test_irreducible_rejects_a_root_before_any_power(monkeypatch):
     # F_5 runs Ben-Or on packed residues, F_25 on literal lists
     powers = []
-    kernel, spread = fqp._pow_mod_coeffs, _gfp.Residues.frobenius
+    kernel, packed = fqp._pow_mod_coeffs, _gfp.Residues.pow
     monkeypatch.setattr(fqp, "_pow_mod_coeffs",
                         lambda *args: powers.append(args[2]) or kernel(*args))
-    monkeypatch.setattr(_gfp.Residues, "frobenius",
-                        lambda ring, r, i: powers.append(ring.p ** i) or spread(ring, r, i))
+    monkeypatch.setattr(_gfp.Residues, "pow",
+                        lambda ring, r, e: powers.append(e) or packed(ring, r, e))
     for ctx in (F5, F25):
         x = ec.Poly.x(ctx)
         with_root = (x - ec.Poly(ctx, [2])) * ec.Poly(ctx, [2, 0, 0, 0, 0, 1])

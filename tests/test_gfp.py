@@ -70,7 +70,7 @@ def test_powers_match_square_and_multiply(data):
         m[-1] = m[-1] or 1
     a = data.draw(nonzero(p, max_size=len(m) + 2))
     e = data.draw(st.one_of(
-        st.integers(1, 3).map(lambda i: p ** i),  # spread where p <= SPREAD_MAX_ORDER
+        st.integers(1, 3).map(lambda i: p ** i),
         st.integers(1, 1 << 20)))
     assert fqp._pow_mod_coeffs(ctx, a, e, m) == naive.polpowmod(p, a, e, m)
 

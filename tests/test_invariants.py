@@ -40,12 +40,12 @@ def test_wrong_gf4_factor_fails_the_packed_product_check(monkeypatch, degree):
         # r = 1 and t = x**m + 1 make the factor (r + t) + rho*r = x**m + rho
         return 1, 1 << (p.bit_length() - 1) // 2 | 1
 
-    reg = Regime(2, 3)  # a private regime: the broken split must not be cached
+    reg = Regime(2, 3)  # a private regime: the broken classes must not be cached
     monkeypatch.setattr(_gf2, "_half_remainder", wrong_remainder)
     prime = ec.primes_with_degree(reg.base, degree)[0]
     with pytest.raises(ec.CrossCheckMismatch, match="does not give the prime"):
-        ec.split_prime(reg, prime)
-    assert reg._split_cache == {}
+        ec.prime_classes(reg, prime)
+    assert reg._class_cache == {"least": {}, "greatest": {}}
 
 
 @pytest.mark.parametrize("remainder, message", [
