@@ -265,40 +265,29 @@ def test_split_prime_invariants(reg, degs):
                 assert part.is_monic
 
 
-def test_split_prime_fast_path_agrees_with_generic_factor():
+def test_split_prime_fast_path_agrees_with_generic_factor(monkeypatch):
     # the one-factor split over (2,3) must produce exactly the factors the
-    # full factorization finds
+    # full factorization finds, and without the packed GF(4) factor that
+    # prime_classes reads, so that it checks that factor from outside
+    orbits = {}
     for d in (2, 4, 6, 8, 10, 12):
         for prime in ec.primes_with_degree(R23.base, d):
             orbit = ec.split_prime(R23, prime)
             generic = {pr for pr, _ in ec.factor(ec.embed(prime, R23.ext))}
             assert set(orbit) == generic
-
-
-def _gf4_frobenius(lits):
-    return [(0, 1, 3, 2)[c] for c in lits]
-
-
-@pytest.mark.parametrize("labeling", LABELINGS)
-def test_split_prime_over_f2_does_not_read_the_packed_factor(monkeypatch, labeling):
-    # (2,3) orbits come from conjugate_factor, so they check the packed factor
-    # that prime_classes reads from outside: every prime of degree <= 10
-    primes = [p for d in range(2, 11, 2) for p in ec.primes_with_degree(R23.base, d)]
-    want = {}
-    for prime in primes:
-        orbit = ec.split_prime(Regime(2, 3), prime, labeling)
-        lo, hi = _gf2.conjugate_factor_coeffs(sum(c << i for i, c in enumerate(prime.coeffs)))
-        packed = [(lo >> i & 1) | (hi >> i & 1) << 1 for i in range(prime.degree // 2 + 1)]
-        assert {f.coeffs for f in orbit} == {tuple(packed), tuple(_gf4_frobenius(packed))}
-        want[prime.coeffs] = orbit
+            orbits[prime] = orbit
 
     def refuse(p):
         raise RuntimeError("split_prime read the packed factor")
 
     monkeypatch.setattr(_gf2, "conjugate_factor_coeffs", refuse)
     reg = Regime(2, 3)
-    for prime in primes:
-        assert ec.split_prime(reg, prime, labeling) == want[prime.coeffs]
+    for prime, orbit in orbits.items():
+        assert ec.split_prime(reg, prime) == orbit
+
+
+def _gf4_frobenius(lits):
+    return [(0, 1, 3, 2)[c] for c in lits]
 
 
 def test_conjugate_factor_agrees_with_the_roots_product(monkeypatch):
@@ -440,13 +429,20 @@ def test_split_prime_rejects_a_product_that_passes_the_trace_checks(bits):
     # x**10 + x**5 + 1, x**12 + x**9 + x**6 + x**3 + 1 and x**14 + x**7 + 1
     # are products of three primes of even degree, and x**k with the least
     # k of trace 1 gives a cube root of unity and a GF(4) factor of degree
-    # d/2 for each; only the primality check on x**k rejects them
+    # d/2 for each: in the packed factor that prime_classes reads, only the
+    # subfield proof that p is prime rejects them.  split_prime rejects them
+    # by conjugate_factor's own checks.
     reg = Regime(2, 3)
     prime = ec.Poly(reg.base, [bits >> i & 1 for i in range(bits.bit_length())])
     assert not ec.irreducible(prime)
     with pytest.raises(ec.CrossCheckMismatch, match="not prime"):
         ec.split_prime(reg, prime)
     assert reg._split_cache == {}
+    with pytest.raises(ec.CrossCheckMismatch, match="the input is not prime"):
+        _gf2.conjugate_factor_coeffs(bits)
+    with pytest.raises(ec.CrossCheckMismatch, match="the input is not prime"):
+        ec.prime_classes(reg, prime)
+    assert reg._class_cache == {labeling: {} for labeling in LABELINGS}
 
 
 def test_split_prime_rejects_bad_degree():
