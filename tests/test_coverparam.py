@@ -707,9 +707,13 @@ def test_sample_full_prime_list_is_faithful():
 DRAW_DIGESTS = {2: "9c43bcb9cf0c7834", 3: "525dd8638e949637",
                 4: "1dd8828f905c4a57", 5: "25c7f5062bbcf456",
                 9: "f45c9ca915acaa94"}
+# The same over F_2 with 10 draws per even degree 18..64, keyed by ell: both
+# were produced while every F_2 candidate was decided by Ben-Or, before (2,3)
+# draws above the residue screen were decided by the GF(4) factor's proof.
+F2_DRAW_DIGESTS = {3: "a9868d62763bc83b", 5: "4dc3ef2db20da525"}
 
 
-@pytest.mark.parametrize("q, ell", [(2, 3), (3, 5), (4, 5), (5, 3), (9, 5)])
+@pytest.mark.parametrize("q, ell", [(2, 3), (2, 5), (3, 5), (4, 5), (5, 3), (9, 5)])
 def test_draw_prime_streams_are_unchanged(q, ell):
     reg = ec.make_regime(q, ell)
     h = hashlib.sha256()
@@ -719,6 +723,14 @@ def test_draw_prime_streams_are_unchanged(q, ell):
             h.update(repr(_draw_prime(reg, d, rng).coeffs).encode())
         h.update(repr(rng.getrandbits(32)).encode())
     assert h.hexdigest()[:16] == DRAW_DIGESTS[q]
+    if q == 2:
+        h = hashlib.sha256()
+        for d in range(18, 65, 2):
+            rng = Random(f"{q}:{ell}:{d}")
+            for _ in range(10):
+                h.update(repr(_draw_prime(reg, d, rng).coeffs).encode())
+            h.update(repr(rng.getrandbits(32)).encode())
+        assert h.hexdigest()[:16] == F2_DRAW_DIGESTS[ell]
 
 
 @pytest.mark.parametrize("p, k", [(3, 1), (2, 2), (5, 1), (3, 2)])
