@@ -12,10 +12,16 @@ generic coefficient arithmetic would dominate the runtime of both.
 Most random candidates that a rejection draw rejects have a small factor,
 so is_irreducible screens the factors of degree 1 to SCREEN_DEGREE = 8
 exactly before it runs Ben-Or's gcds: x and x + 1 from the bits, and the
-primes of degree 2 to 8 from one table-driven residue screen that computes
-the candidate modulo all of them at once.  Its squaring, reduction and gcd
-loops, and the orbit squarings of conjugate_factor_coeffs, are written out
-inline, since the calls would cost as much as the work.
+primes of degree 2 to 8 from one table-driven residue screen
+(passes_screen) that computes the candidate modulo all of them at once.
+prime_factor proves an even-degree polynomial prime from the same orbit
+that gives its GF(4) factor, and returns None where it is composite; Ben-Or
+decides only when that orbit's element lies in a proper subfield.  So a
+(2,3) draw of degree at least 2*SCREEN_DEGREE + 2, where Ben-Or would run,
+decides a candidate that passes the screen by prime_factor, and keeps the
+factor; is_irreducible decides every other F_2 candidate.  The squaring,
+reduction and gcd loops of both are written out inline, since the calls
+would cost as much as the work.
 
 Only internal callers use this module; everything here is cross-checked
 against the generic polynomial layer and the naive oracles in the test suite.
@@ -78,12 +84,6 @@ def mulmod(a: int, b: int, m: int) -> int:
     return mod(mul(a, b), m)
 
 
-def gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, mod(a, b)
-    return a
-
-
 # A polynomial of degree above SCREEN_DEGREE is screened against every prime
 # g of degree 2 to SCREEN_DEGREE at once.  Its residues modulo all of them
 # are the XOR, over its bytes, of one table entry per byte: _screen_tables[i]
@@ -132,6 +132,17 @@ def _extend_screen_tables(n: int) -> tuple[list[int], ...]:
     return _screen_tables
 
 
+def passes_screen(f: int) -> bool:
+    """Whether f, of degree above SCREEN_DEGREE, has no prime factor of
+    degree 2 to SCREEN_DEGREE: is_irreducible's residue screen on its own."""
+    n = (f.bit_length() + 7) >> 3
+    tables = _screen_tables
+    if len(tables) < n:
+        tables = _extend_screen_tables(n)
+    r = reduce(xor, map(list.__getitem__, tables, f.to_bytes(n, "little")))
+    return ((r | _guards) - _lows) & _guards == _guards
+
+
 def is_irreducible(f: int) -> bool:
     """Irreducibility over GF(2): a small-factor screen, then Ben-Or.
 
@@ -149,14 +160,11 @@ def is_irreducible(f: int) -> bool:
         return False
     if not f & 1 or not f.bit_count() & 1:
         return d == 1  # divisible by x or by x + 1
-    n = d // 8 + 1
-    tables = _screen_tables
-    if len(tables) < n:
-        tables = _extend_screen_tables(n)
     if d <= SCREEN_DEGREE:
+        if not _small_primes:
+            _extend_screen_tables(1)
         return f in _small_primes
-    r = reduce(xor, map(list.__getitem__, tables, f.to_bytes(n, "little")))
-    if ((r | _guards) - _lows) & _guards != _guards:
+    if not passes_screen(f):
         return False
     if d < 2 * SCREEN_DEGREE + 2:
         return True  # no round: every factor of degree <= d//2 is screened
@@ -188,31 +196,39 @@ def is_irreducible(f: int) -> bool:
     return True
 
 
-def conjugate_factor_coeffs(p: int) -> tuple[int, int]:
-    """One of the two conjugate factors of an even-degree GF(2)-prime over
-    the field with four elements.
+def prime_factor(p: int) -> tuple[int, int] | None:
+    """One of the two conjugate factors over the field with four elements of
+    p, of even degree d over GF(2), or None exactly when p is not prime.
 
-    p must be irreducible over GF(2) of even degree d.  Over GF(4) =
-    {0, 1, rho, rho + 1}, with rho**2 = rho + 1, it splits as A * phi(A),
-    phi the coefficient-wise squaring map and deg A = d/2.  The monic A is
-    returned as the bit-packed GF(2) halves (lo, hi) of A = lo + rho*hi;
-    phi(A) = (lo + hi) + rho*hi.
+    Over GF(4) = {0, 1, rho, rho + 1}, with rho**2 = rho + 1, a prime p
+    splits as A * phi(A), phi the coefficient-wise squaring map and
+    deg A = d/2.  The monic A is returned as the bit-packed GF(2) halves
+    (lo, hi) of A = lo + rho*hi; phi(A) = (lo + hi) + rho*hi.
 
-    In R = GF(2)[x]/(p), a field with 2**d elements, y = sum_{j odd, j < d}
-    z**(2**j) satisfies y**2 + y = Tr(z), the absolute trace.  Taking z = x**k
-    with the least k whose trace is 1 makes y = Y(x) a cube root of unity in
-    R, and Y(beta) runs through rho and rho + 1 as beta runs through the
-    roots of p, the even and the odd Frobenius powers of x.  So A generates
-    the ideal (p, Y + rho) over GF(4).  Euclid over GF(2) on (p, Y) reaches a
-    remainder r = s*p + t*Y of degree below d/2 with deg t = d/2, and
-    r + rho*t = s*p + t*(Y + rho) is a nonzero member of that ideal of degree
-    d/2: it is rho*A.  Tr(x**k) is the k-th power sum of the roots of p, read
-    off p's bits by Newton's identities.  The checks along the way, a proof
-    from z's orbit that p is prime, and a last check that A * phi(A) = p on
-    the packed halves make a reducible p or a wrong factor raise
-    CrossCheckMismatch.
+    In R = GF(2)[x]/(p), a ring with 2**d elements, y = sum_{j odd, j < d}
+    z**(2**j) satisfies y**2 + y = Tr(z) + z + z**(2**d), Tr(z) the sum of
+    z**(2**j) over j < d.  Take z = x**k with the least k whose trace is 1:
+    Tr(x**k) is the k-th power sum of the roots of p, read off p's bits by
+    Newton's identities.  The orbit of z proves p prime or returns None:
+    Tr(z) = 1 in R and y**2 + y + 1 = 0 modulo p give z**(2**d) = z and put
+    z in GF(2**d) outside GF(2**(d/2)) in every residue field of R; if
+    z - z**(2**(d/r)) is also a unit for every odd divisor r > 1 of d, z
+    has degree d there, so R is that field and p is prime.  When z lies in a
+    proper subfield, is_irreducible decides.  A prime p of even degree has
+    such a k below d and passes every check before the subfield one.
+
+    For a prime p, y is a cube root of unity in R, and Y(beta) runs through
+    rho and rho + 1 as beta runs through the roots of p, the even and the
+    odd Frobenius powers of x.  So A generates the ideal (p, Y + rho) over
+    GF(4).  Euclid over GF(2) on (p, Y) reaches a remainder r = s*p + t*Y of
+    degree below d/2 with deg t = d/2, and r + rho*t = s*p + t*(Y + rho) is
+    a nonzero member of that ideal of degree d/2: it is rho*A.  A last check
+    that A * phi(A) = p on the packed halves makes a wrong factor of a
+    proven prime raise CrossCheckMismatch.
     """
     d = p.bit_length() - 1
+    if d < 2 or d % 2:
+        raise ValueError(f"degree {d} is not even and positive")
     # Newton's identities in characteristic 2, with e_i the coefficient of
     # x**(d - i): s_k = k*e_k + sum_{0 < i < k} e_i * s_{k - i}.
     sums = [0]
@@ -226,7 +242,7 @@ def conjugate_factor_coeffs(p: int) -> tuple[int, int]:
             break
         k += 1
     else:
-        raise CrossCheckMismatch("no power of x has trace 1")
+        return None  # no power of x has trace 1
     spread = _SPREAD
     z = 1 << k
     orbit = [z]  # z**(2**j) for j < d, with z = x**k
@@ -243,18 +259,25 @@ def conjugate_factor_coeffs(p: int) -> tuple[int, int]:
         z = s
         orbit.append(z)
     if reduce(xor, orbit, 0) != 1:
-        raise CrossCheckMismatch("the chosen power of x does not have trace 1")
+        return None  # the trace of z in R is not 1
     y = reduce(xor, orbit[1::2], 0)
     if mod(sqr(y) ^ y ^ 1, p):
-        raise CrossCheckMismatch("no cube root of unity modulo the prime")
-    # In every residue field of R, Tr(z) = 1 and y**2 + y = Tr(z) + z +
-    # z**(2**d) put z in GF(2**d) outside GF(2**(d/2)).  If z - z**(2**(d/r))
-    # is also a unit for every odd divisor r > 1 of d, z has degree d there,
-    # so R is that field and p is prime.  When z lies in a proper subfield,
-    # Ben-Or decides.
-    if any(gcd(p, orbit[0] ^ orbit[d // r]) != 1
-           for r in range(3, d + 1, 2) if d % r == 0) and not is_irreducible(p):
-        raise CrossCheckMismatch("the input is not prime")
+        return None  # y is not a cube root of unity modulo p
+    for r in range(3, d + 1, 2):
+        if d % r:
+            continue
+        a, b = p, orbit[0] ^ orbit[d // r]  # gcd(p, z - z**(2**(d/r)))
+        while b:
+            db = b.bit_length()
+            da = a.bit_length()
+            while da >= db:
+                a ^= b << (da - db)
+                da = a.bit_length()
+            a, b = b, a
+        if a != 1:
+            if not is_irreducible(p):
+                return None
+            break
     r, t = _half_remainder(p, y)
     # r + rho*t = rho*A, so A = rho**2*r + t = (r + t) + rho*r once deg t =
     # d/2 > deg r, which makes A monic of degree d/2
@@ -267,6 +290,15 @@ def conjugate_factor_coeffs(p: int) -> tuple[int, int]:
         raise CrossCheckMismatch(
             "the GF(4) factor times its conjugate does not give the prime")
     return a_lo, a_hi
+
+
+def conjugate_factor_coeffs(p: int) -> tuple[int, int]:
+    """prime_factor of a p that must be prime: CrossCheckMismatch where
+    prime_factor finds it composite."""
+    factor = prime_factor(p)
+    if factor is None:
+        raise CrossCheckMismatch("the input is not prime")
+    return factor
 
 
 def _half_remainder(p: int, y: int) -> tuple[int, int]:

@@ -310,9 +310,9 @@ def prime_classes(regime: Regime, prime: Poly, labeling: str = "least") -> tuple
 
     The value never vanishes: a rational point is not a root of a prime whose
     degree is a multiple of n_q > 1.  Over F_2 with n_q = 2 the classes are
-    read off the bit-packed halves (lo, hi) of _gf2's monic factor
-    A = lo + rho*hi without an orbit: A(0) is the low bits and A(1) the
-    parities of the halves.  split_prime finds its orbit by
+    read off the bit-packed halves of _gf2's monic factor by _packed_classes,
+    without an orbit; a (2,3) draw that proved the prime by that factor has
+    already cached them.  split_prime finds its orbit by
     fqpoly.conjugate_factor there too, so it checks this path from outside.
     """
     _check_labeling(labeling)
@@ -320,31 +320,43 @@ def prime_classes(regime: Regime, prime: Poly, labeling: str = "least") -> tuple
     cached = cache.get(prime.coeffs)
     if cached is not None:
         return cached
-    ext = regime.ext
     if regime.q == 2 and regime.n_q == 2:
         if prime.degree % 2:
             raise InvalidTuple(f"prime degree {prime.degree} not divisible by n_q = 2")
         lo, hi = _gf2.conjugate_factor_coeffs(
             sum(c << i for i, c in enumerate(prime.coeffs)))
-        # A = lo + rho*hi and its conjugate (lo + hi) + rho*hi differ where
-        # hi has bits, and the lex-least has rho at the lowest of them
-        if bool(lo & hi & -hi) != (labeling == "greatest"):
-            lo ^= hi
-        values = ((lo & 1) | (hi & 1) << 1,  # A(0) and A(1)
-                  lo.bit_count() & 1 | (hi.bit_count() & 1) << 1)
+        result = _packed_classes(regime, prime, lo, hi, labeling)
     else:
+        ext = regime.ext
         anchor = split_prime(regime, prime, labeling)[0]
-        values = [anchor.eval(FieldElem(ext, xv)).val
-                  for xv in subfield_table(regime.base, ext)]
+        result = _classes(regime, prime, [anchor.eval(FieldElem(ext, xv)).val
+                                          for xv in subfield_table(regime.base, ext)])
+    cache[prime.coeffs] = result
+    return result
+
+
+def _packed_classes(regime: Regime, prime: Poly, lo: int, hi: int,
+                    labeling: str) -> tuple[int, ...]:
+    """The classes at 0 and 1 of prime's anchored factor over GF(4), from
+    _gf2's packed halves (lo, hi) of one factor A = lo + rho*hi: A(0) is
+    the low bits and A(1) the parities of the halves."""
+    # A and its conjugate (lo + hi) + rho*hi differ where hi has bits, and
+    # the lex-least has rho at the lowest of them
+    if bool(lo & hi & -hi) != (labeling == "greatest"):
+        lo ^= hi
+    return _classes(regime, prime, ((lo & 1) | (hi & 1) << 1,
+                                    lo.bit_count() & 1 | (hi.bit_count() & 1) << 1))
+
+
+def _classes(regime: Regime, prime: Poly, values) -> tuple[int, ...]:
+    """The classes of the extension literals values, none of them 0."""
     out = []
     for v in values:
         if v == 0:
             raise UnexpectedRoot(
                 f"prime {prime!r} vanishes at a rational point")
-        out.append(ext.log[v] % regime.ell)
-    result = tuple(out)
-    cache[prime.coeffs] = result
-    return result
+        out.append(regime.ext.log[v] % regime.ell)
+    return tuple(out)
 
 
 def class_vector(regime: Regime, prime_mults, b: FieldElem,
@@ -553,22 +565,45 @@ def _draw_sieve(base: FieldCtx, d: int) -> frozenset[tuple[int, ...]]:
     return sieve
 
 
-def _draw_prime(regime: Regime, d: int, rng: Random) -> Poly:
+def _draw_prime(regime: Regime, d: int, rng: Random,
+                labeling: str | None = None) -> Poly:
     """Uniform random monic irreducible of degree d over the base field, by
     rejection: the first of the monic candidates drawn from rng that is
     prime.
 
-    Over F_2 candidates are bit-packed for _gf2.is_irreducible, which finds
-    any factor of degree at most _gf2.SCREEN_DEGREE = 8 by one residue screen
-    and runs Ben-Or's gcds only on the rest.  Elsewhere a candidate of degree
-    d with q**d <= DRAW_SIEVE_CAP is looked up in the set of primes of its
-    degree, sieved once per process, and tested by irreducible above the cap;
-    either way the draws and the decisions, hence the stream, are the same.
-    Candidates skip Poly's validation: rng.randrange(q) puts every literal in
-    range.
+    Over F_2 candidates are bit-packed.  Over (2,3) at even degree d >=
+    2*_gf2.SCREEN_DEGREE + 2 = 18 the bits reject the multiples of x and
+    x + 1, _gf2.passes_screen those of any prime of degree 2 to 8, and
+    _gf2.prime_factor decides the rest by the orbit proof that also gives
+    the prime's factor over F_4; with a labeling, the classes that factor
+    gives go into the regime's class cache for it, so prime_classes finds
+    them there.  Every other F_2 candidate is decided by _gf2.is_irreducible,
+    the same screens and then Ben-Or's gcds.  Elsewhere a candidate of
+    degree d with q**d <= DRAW_SIEVE_CAP is looked up in the set of primes of
+    its degree, sieved once per process, and tested by irreducible above the
+    cap.  Each way decides primality, so the draws and the decisions, hence
+    the stream, are the same.  Candidates skip Poly's validation:
+    rng.randrange(q) puts every literal in range.
     """
     base = regime.base
     q = base.order
+    if q == 2 and regime.n_q == 2 and d >= 2 * _gf2.SCREEN_DEGREE + 2 and not d % 2:
+        top = 1 << d
+        while True:
+            mask = rng.getrandbits(d)
+            # x divides an even mask plus x**d, and x + 1 one of even weight
+            if not mask & 1 or mask.bit_count() & 1:
+                continue
+            f = top | mask
+            if not _gf2.passes_screen(f):
+                continue
+            factor = _gf2.prime_factor(f)
+            if factor is not None:
+                prime = _trusted(base, [mask >> i & 1 for i in range(d)] + [1])
+                if labeling is not None:
+                    regime._class_cache[labeling][prime.coeffs] = _packed_classes(
+                        regime, prime, *factor, labeling)
+                return prime
     if q == 2:
         while True:
             mask = rng.getrandbits(d)
@@ -586,9 +621,11 @@ def _draw_prime(regime: Regime, d: int, rng: Random) -> Poly:
             return cand
 
 
-def _sample_full(regime: Regime, D: int, rng: Random):
+def _sample_full(regime: Regime, D: int, rng: Random,
+                 labeling: str | None = None):
     """Draw one cover as (prime_mults, b): each drawn prime with its slot
-    index, and the twisting unit."""
+    index, and the twisting unit.  labeling is the one the caller will read
+    the primes' classes in, for the draws that can cache them."""
     ell = regime.ell
     if D % regime.n_q or count_tuples(regime, D) == 0:
         raise EmptyStratum(f"no branch tuple of degree {D} for {regime!r}")
@@ -610,7 +647,7 @@ def _sample_full(regime: Regime, D: int, rng: Random):
         seen: set[tuple[int, ...]] = set()
         for _ in range(j):
             while True:
-                prime = _draw_prime(regime, d, rng)
+                prime = _draw_prime(regime, d, rng, labeling)
                 if prime.coeffs not in seen:
                     seen.add(prime.coeffs)
                     break

@@ -235,7 +235,8 @@ def monte_carlo_distribution(regime: Regime, g: int, samples: int, seed: int,
         raise ValueError("sample count must be positive")
     started = time.monotonic()
     d = _genus_degree(regime, g)
-    jobs = (_sample_full(regime, d, Random(f"{seed}:{i}")) for i in range(samples))
+    jobs = (_sample_full(regime, d, Random(f"{seed}:{i}"), labeling)
+            for i in range(samples))
     hist, splits, size = _measure_covers(regime, jobs, labeling)
     if size != samples:
         raise CrossCheckMismatch(f"measured {size} covers, drew {samples}")

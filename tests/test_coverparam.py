@@ -5,7 +5,9 @@ independent recomputation."""
 import hashlib
 import math
 import time
+from functools import reduce
 from itertools import product
+from operator import xor
 from random import Random
 
 import pytest
@@ -324,6 +326,133 @@ def test_conjugate_factor_agrees_with_the_roots_product(monkeypatch):
         assert p == f
         assert naive.gf2_rem(naive.gf2_mul(y, y) ^ y ^ 1, f) == 0
         assert naive.gf4_gcd(f, 0, y, 1) == (lo, hi), bin(f)
+
+
+def _gf2_prime(rng, d):
+    while True:
+        f = 1 << d | rng.getrandbits(d)
+        if naive.gf2_ben_or(f):
+            return f
+
+
+def test_prime_factor_is_none_exactly_on_the_composites():
+    # screen passers of every even degree 18..64, squares of primes of degree
+    # 9..32, products of two primes of degree >= 9, and the products that
+    # pass the trace checks: None exactly where Ben-Or finds a factor
+    rng = Random(31)
+    cases = [0b10000100001, 0b1001001001001, 0b100000010000001]
+    for d in range(18, 65, 2):
+        passers = 0
+        while passers < 6:
+            f = 1 << d | rng.getrandbits(d)
+            if f & 1 and f.bit_count() & 1 and _gf2.passes_screen(f):
+                cases.append(f)
+                passers += 1
+    cases += [naive.gf2_mul(g, g) for g in (_gf2_prime(rng, d) for d in range(9, 33))]
+    for _ in range(30):
+        a = rng.randrange(9, 24)
+        b = rng.randrange(9, 65 - a)
+        b += (a + b) % 2  # the product has even degree
+        cases.append(naive.gf2_mul(_gf2_prime(rng, a), _gf2_prime(rng, b)))
+    primes = 0
+    for f in cases:
+        prime = naive.gf2_ben_or(f)
+        assert (_gf2.prime_factor(f) is not None) == prime, bin(f)
+        primes += prime
+    assert 40 <= primes <= len(cases) - 60
+    for f in (0b1011, 0b1, 0b10):  # odd degree, degree 0 and degree 1
+        with pytest.raises(ValueError):
+            _gf2.prime_factor(f)
+
+
+@pytest.mark.parametrize("bits", [1 << 6 | 1 << 3 | 1, 1 << 12 | 1 << 3 | 1,
+                                  1 << 18 | 1 << 3 | 1, 1 << 20 | 1 << 5 | 1])
+def test_prime_factor_asks_ben_or_when_its_element_lies_in_a_subfield(monkeypatch, bits):
+    # x**6 + x**3 + 1, the least such prime, x**12 + x**3 + 1, x**18 + x**3 + 1
+    # and x**20 + x**5 + 1 are prime, and the least power x**k of trace 1
+    # lies in GF(2**(d/r)) for an odd r > 1, so the orbit cannot prove them
+    # prime: is_irreducible decides
+    d = bits.bit_length() - 1
+    assert naive.gf2_ben_or(bits)
+
+    def orbit(z):  # z**(2**j) modulo bits, j < d
+        out = [z]
+        for _ in range(1, d):
+            out.append(naive.gf2_rem(naive.gf2_mul(out[-1], out[-1]), bits))
+        return out
+
+    k = next(k for k in range(1, d) if reduce(xor, orbit(1 << k)) == 1)
+    z = orbit(1 << k)
+    assert any(z[d // r] == z[0] for r in range(3, d + 1, 2) if d % r == 0)
+    asked = []
+    is_irreducible = _gf2.is_irreducible
+    monkeypatch.setattr(_gf2, "is_irreducible",
+                        lambda f: asked.append(f) or is_irreducible(f))
+    lo, hi = _gf2.prime_factor(bits)
+    assert asked == [bits]
+    m = d // 2
+    got = [(lo >> i & 1) | (hi >> i & 1) << 1 for i in range(m + 1)]
+    want = naive.gf4_roots_product([bits >> i & 1 for i in range(d + 1)])
+    assert got in (want, _gf4_frobenius(want))
+    monkeypatch.setattr(_gf2, "is_irreducible", lambda f: False)
+    assert _gf2.prime_factor(bits) is None
+
+
+@pytest.mark.parametrize("labeling", LABELINGS)
+def test_monte_carlo_proves_each_drawn_prime_once(monkeypatch, labeling):
+    # over (2,3) at g = 30 a candidate of degree >= 18 that passes the screen
+    # is decided by prime_factor, which asks Ben-Or only from its subfield
+    # fallback, and the factor it finds gives the labeling's classes: no
+    # prime the draws proved reaches conjugate_factor_coeffs
+    inside, ben_or, factored, proved = [], [], [], set()  # inside: callers
+    is_irreducible = _gf2.is_irreducible
+    prime_factor = _gf2.prime_factor
+    conjugate_factor_coeffs = _gf2.conjugate_factor_coeffs
+
+    def spy_is_irreducible(f):
+        ben_or.append((f, bool(inside)))
+        return is_irreducible(f)
+
+    def spy_prime_factor(f):
+        drawn = not inside
+        inside.append(f)
+        try:
+            factor = prime_factor(f)
+        finally:
+            inside.pop()
+        if drawn and factor is not None:
+            proved.add(f)
+        return factor
+
+    def spy_conjugate_factor_coeffs(f):
+        factored.append(f)
+        inside.append(f)
+        try:
+            return conjugate_factor_coeffs(f)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(_gf2, "is_irreducible", spy_is_irreducible)
+    monkeypatch.setattr(_gf2, "prime_factor", spy_prime_factor)
+    monkeypatch.setattr(_gf2, "conjugate_factor_coeffs", spy_conjugate_factor_coeffs)
+    reg = Regime(2, 3)  # a fresh regime: its class cache starts empty
+    rep = ec.monte_carlo_distribution(reg, 30, 150, seed=5, labeling=labeling)
+    assert len(proved) > 100
+    assert all(inner for f, inner in ben_or if f.bit_length() > 18)
+    assert not proved & set(factored)
+    assert all(f.bit_length() <= 18 for f in factored)
+    # the cache holds the labeling's classes of every drawn prime, and those
+    # of the proved primes are the ones the packed factor gives
+    fresh = Regime(2, 3)
+    drawn = {pr.coeffs for i in range(150)
+             for pr, _ in _sample_full(fresh, rep.D, Random(f"5:{i}"))[0]}
+    assert fresh._class_cache == {lab: {} for lab in LABELINGS}
+    cache = reg._class_cache
+    assert set(cache[labeling]) == drawn
+    assert all(not cache[lab] for lab in LABELINGS if lab != labeling)
+    monkeypatch.setattr(_gf2, "conjugate_factor_coeffs", conjugate_factor_coeffs)
+    for coeffs, classes in cache[labeling].items():
+        assert ec.prime_classes(fresh, ec.Poly(fresh.base, list(coeffs)), labeling) == classes
 
 
 def _orbit_from_factor(reg, prime, labeling):

@@ -62,14 +62,17 @@ def test_wrong_half_remainder_fails_a_factor_check(monkeypatch, remainder, messa
         _gf2.conjugate_factor_coeffs(0b100011011)  # a prime of degree 8
 
 
-@pytest.mark.parametrize("bits, message", [
+@pytest.mark.parametrize("bits, check", [
     (0b100, "no power of x has trace 1"),  # x**2
     (0b110, "the chosen power of x does not have trace 1"),  # x*(x + 1)
 ])
-def test_reducible_input_fails_a_trace_check(bits, message):
+def test_reducible_input_fails_a_trace_check(bits, check):
+    # prime_factor refuses each at the check named, and the factor that
+    # prime_classes reads must not be asked of a composite
     from ellcover import _gf2
 
-    with pytest.raises(ec.CrossCheckMismatch, match=message):
+    assert _gf2.prime_factor(bits) is None, check
+    with pytest.raises(ec.CrossCheckMismatch, match="the input is not prime"):
         _gf2.conjugate_factor_coeffs(bits)
 
 
