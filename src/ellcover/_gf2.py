@@ -197,10 +197,13 @@ def is_irreducible(f: int) -> bool:
 
 
 # prime_factor reduces each square of its orbit _ORBIT_FOLD bits a step by a
-# table of 2**_ORBIT_FOLD multiples of the prime.  On screen passers of degree
-# 24 to 62 the orbit took 27-39 % less time with 6 bits than bit by bit, 5
-# to 8 bits within a few percent of that, and at degree 18 about the same
-# (Python 3.11, 2-core x86-64 box).
+# table of the 2**_ORBIT_FOLD multiples of the prime whose bits from its
+# degree up are those bits.  Against a bit at a time, on screen passers of
+# degree 24 to 62 prime_factor took 19-39 % less time with 6 bits, and 5 to
+# 8 bits were within a few percent of that; at degree 16 to 18 it took the
+# same, and at 4 to 12 up to twice as long, the ~3.5 us of building the
+# table, a degree that only prime_classes asks it (Python 3.11, 2-core
+# x86-64 box).
 _ORBIT_FOLD = 6
 
 
