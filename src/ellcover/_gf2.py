@@ -217,16 +217,18 @@ def prime_factor(p: int) -> tuple[int, int] | None:
     (lo, hi) of A = lo + rho*hi; phi(A) = (lo + hi) + rho*hi.
 
     In R = GF(2)[x]/(p), a ring with 2**d elements, y = sum_{j odd, j < d}
-    z**(2**j) satisfies y**2 + y = Tr(z) + z + z**(2**d), Tr(z) the sum of
-    z**(2**j) over j < d.  Take z = x**k with the least k whose trace is 1:
-    Tr(x**k) is the k-th power sum of the roots of p, read off p's bits by
-    Newton's identities.  The orbit of z proves p prime or returns None:
-    Tr(z) = 1 in R and y**2 + y + 1 = 0 modulo p give z**(2**d) = z and put
-    z in GF(2**d) outside GF(2**(d/2)) in every residue field of R; if
-    z - z**(2**(d/r)) is also a unit for every odd divisor r > 1 of d, z
-    has degree d there, so R is that field and p is prime.  When z lies in a
-    proper subfield, is_irreducible decides.  A prime p of even degree has
-    such a k below d and passes every check before the subfield one.
+    z**(2**j) satisfies y**2 + y = Tr(z) + z + z**(2**d) = Tr(z)**2, Tr(z)
+    the sum of z**(2**j) over j < d.  Take z = x**k with the least k whose
+    trace is 1: Tr(x**k) is the k-th power sum of the roots of p, read off
+    p's bits by Newton's identities.  The orbit of z proves p prime or
+    returns None.  Tr(z) = 1 in R alone gives z**(2**d) = z, puts z in
+    GF(2**d) outside GF(2**(d/2)) in every residue field of R, and makes y
+    a cube root of unity: a y that is not one is a broken orbit, and raises
+    CrossCheckMismatch.  If z - z**(2**(d/r)) is also a unit for every odd
+    divisor r > 1 of d, z has degree d there, so R is that field and p is
+    prime.  When z lies in a proper subfield, is_irreducible decides.  A
+    prime p of even degree has such a k below d and passes every check
+    before the subfield one.
 
     For a prime p, y is a cube root of unity in R, and Y(beta) runs through
     rho and rho + 1 as beta runs through the roots of p, the even and the
@@ -281,8 +283,8 @@ def prime_factor(p: int) -> tuple[int, int] | None:
     if reduce(xor, orbit, 0) != 1:
         return None  # the trace of z in R is not 1
     y = reduce(xor, orbit[1::2], 0)
-    if mod(sqr(y) ^ y ^ 1, p):
-        return None  # y is not a cube root of unity modulo p
+    if mod(sqr(y) ^ y ^ 1, p):  # y**2 + y = Tr(z)**2 = 1 in R
+        raise CrossCheckMismatch("y is not a cube root of unity modulo p")
     for r in range(3, d + 1, 2):
         if d % r:
             continue

@@ -3,19 +3,17 @@
 Coefficients are stored ascending as integer literals with no trailing
 zeros, so the zero polynomial is the empty tuple and degree(0) == -1.
 Products, long division, gcds and modular powers run on literal lists, in
-one of three forms chosen by the field alone:
+one of two kernel forms chosen by the field alone:
 - a prime field F_p with p odd and p*(p - 1) <= 255 (p <= 13) runs on the
   Kronecker-packed ints of _gfp, where a literal is the coefficient itself:
   a product is one big-int multiplication, and a division adds one shifted
   multiple of the divisor per eliminated coefficient;
-- characteristic 2 adds terms by XOR of table lookups;
-- any other odd-characteristic field, an extension F_{p^k} with k > 1 or a
-  prime above 13, holds discrete logs and adds them through the field's
-  Zech table.
+- every other field, F_2 and F_{2^k} included, holds discrete logs and adds
+  them through the field's Zech table.
 One modular-power kernel serves pow_mod, the irreducibility test, both
 factorization splits and the norm of the conjugate split.  It keeps its
 form from its first step to its last: packed residues over a packed prime
-field, discrete logs over the other odd fields.
+field, discrete logs over every other field.
 Over small fields the irreducibility test opens with has_root, evaluation at
 every point of the field.  Factorization runs the classical squarefree /
 distinct-degree / equal-degree pipeline; the randomized equal-degree splits
@@ -290,14 +288,13 @@ def _trusted(ctx: FieldCtx, cs: list[int]) -> Poly:
     return f
 
 
-# Each kernel below hands a packed prime field to _gfp first.  The other
-# odd-characteristic fields hold discrete logs in [0, n), n = order - 1,
-# with -1 for the zero literal (the log table's own mark).  A term of a
-# product is the sum of two such logs and stays unreduced below 2n;
-# the field's Zech table is stored twice over, so zech[t - o] needs no
-# reduction for t and o below 2n.  An index in [-n, n) into the exp table, of
-# length n, reads entry (index mod n), which the characteristic-2 kernels use
-# for exp[x + y] with x in [-n, 0) and y in [0, n).
+# Each kernel below hands a packed prime field to _gfp first.  Every other
+# field holds discrete logs in [0, n), n = order - 1, with -1 for the zero
+# literal (the log table's own mark).  A term of a product is the sum of two
+# such logs and stays unreduced below 2n; the field's Zech table is stored
+# twice over, so zech[t - o] needs no reduction for t and o below 2n.  The
+# log of -1 is that of the literal p - 1: n // 2 in odd characteristic, 0 in
+# characteristic 2.
 
 def _packed(ctx: FieldCtx) -> bool:
     """Whether ctx's kernels run on _gfp's packed ints: prime fields whose
@@ -365,28 +362,18 @@ def _literals(exp, n: int, logs) -> list[int]:
 def _mul_coeffs(ctx: FieldCtx, a, b) -> list[int]:
     """Product literals of two coefficient sequences, [] if either is empty.
 
-    A prime field that _gfp packs multiplies packed ints; otherwise
-    characteristic 2 adds terms by XOR, and odd characteristic keeps each
-    output coefficient as a log and adds terms through the Zech table.
+    It takes one of the two kernel forms: a prime field that _gfp packs
+    multiplies packed ints, and every other field keeps each output
+    coefficient as a log and adds terms through the Zech table.
     """
     if not a or not b:
         return []
     if _packed(ctx):
         return _gfp.mul(ctx.p, a, b)
     exp, log, n = ctx.exp, ctx.log, ctx.order - 1
-    lb = [(j, log[c]) for j, c in enumerate(b) if c]
-    size = len(a) + len(b) - 1
-    if ctx.p == 2:
-        out = [0] * size
-        for i, c in enumerate(a):
-            if c:
-                x = log[c] - n
-                for j, y in lb:
-                    out[i + j] ^= exp[x + y]
-        return out
-    acc = [-1] * size
-    _add_product_logs(acc, [(i, log[c]) for i, c in enumerate(a) if c], lb,
-                      ctx.zech, n)
+    acc = [-1] * (len(a) + len(b) - 1)
+    _add_product_logs(acc, [(i, log[c]) for i, c in enumerate(a) if c],
+                      [(j, log[c]) for j, c in enumerate(b) if c], ctx.zech, n)
     return _literals(exp, n, acc)
 
 
@@ -402,44 +389,26 @@ def _divmod_coeffs(ctx: FieldCtx, a, b) -> tuple[list[int], list[int]]:
         return _gfp.divmod_(ctx.p, a, b)
     exp, log, n = ctx.exp, ctx.log, ctx.order - 1
     db = len(b) - 1
-    lead = log[b[-1]]
-    if ctx.p == 2:
-        quo = [0] * max(0, len(a) - db)
-        nb = [(j, log[c] - n) for j, c in enumerate(b[:db]) if c]
-        rem = list(a)
-        for off in range(len(a) - 1 - db, -1, -1):
-            c = rem[off + db]
-            if c:
-                x = (log[c] - lead) % n
-                quo[off] = exp[x]
-                for j, y in nb:
-                    rem[off + j] ^= exp[x + y]
-        return quo, rem[:db]
-    half = n // 2
-    nb = [(j, (log[c] + half) % n) for j, c in enumerate(b[:db]) if c]
+    minus_one = log[ctx.p - 1]
+    nb = [(j, (log[c] + minus_one) % n) for j, c in enumerate(b[:db]) if c]
     rem = [log[c] for c in a]
     quo = [-1] * max(0, len(a) - db)
-    _reduce_logs(rem, db, lead, nb, ctx.zech, n, quo)
+    _reduce_logs(rem, db, log[b[-1]], nb, ctx.zech, n, quo)
     return _literals(exp, n, quo), _literals(exp, n, rem[:db])
 
 
 def _gcd_coeffs(ctx: FieldCtx, a, b) -> list[int]:
     """A gcd of two trimmed literal sequences, not made monic: Euclid on
     literal lists, held as packed bytes throughout over a packed prime field
-    and as discrete logs throughout in the other odd fields."""
+    and as discrete logs throughout in every other field."""
     if _packed(ctx):
         return list(_gfp.gcd(ctx.p, a, b))
-    if ctx.p == 2:
-        a, b = list(a), list(b)
-        while b:
-            a, b = b, _trim(_divmod_coeffs(ctx, a, b)[1])
-        return a
     exp, log, zech, n = ctx.exp, ctx.log, ctx.zech, ctx.order - 1
-    half = n // 2
+    minus_one = log[ctx.p - 1]
     a, b = [log[c] for c in a], [log[c] for c in b]
     while b:
         db = len(b) - 1
-        nb = [(j, (y + half) % n) for j, y in enumerate(b[:db]) if y >= 0]
+        nb = [(j, (y + minus_one) % n) for j, y in enumerate(b[:db]) if y >= 0]
         _reduce_logs(a, db, b[-1], nb, zech, n)
         r = [t % n if t >= 0 else -1 for t in a[:db]]
         while r and r[-1] < 0:
@@ -448,55 +417,33 @@ def _gcd_coeffs(ctx: FieldCtx, a, b) -> list[int]:
     return _literals(exp, n, a)
 
 
-def _sqr_mod(ctx: FieldCtx, a: list[int], m) -> list[int]:
-    """a*a mod m in characteristic 2 on trimmed literal lists: squaring is
-    additive there, so the square spreads the squared coefficients."""
-    if not a:
-        return []
-    exp, log, n = ctx.exp, ctx.log, ctx.order - 1
-    out = [0] * (2 * len(a) - 1)
-    for i, c in enumerate(a):
-        if c:
-            out[2 * i] = exp[2 * log[c] - n]
-    return _trim(_divmod_coeffs(ctx, out, m)[1])
-
-
 def _pow_mod_coeffs(ctx: FieldCtx, a, e: int, m) -> list[int]:
     """Trimmed literals of a**e mod m, for trimmed literal sequences a and m,
     m nonzero, and e >= 1.
 
     Left-to-right square-and-multiply, each step one product reduced at once
-    against the modulus, whose coefficients are read once.  Characteristic 2
-    squares by spreading coefficients and adds by XOR, so a power of the
-    field's order q = 2**k is k spread squares.  A packed prime field holds
-    _gfp.Residues from the first step to the last: each step is one big-int
-    product, reduced in the lanes it was formed in.  The other odd fields
-    hold discrete logs from the first step to the last: each step adds its
-    terms through the Zech table and reduces against the modulus's negated
-    logs.  Only the result is turned back into literals.
+    against the modulus, whose coefficients are read once.  It takes one of
+    the two kernel forms.  A packed prime field holds _gfp.Residues from the
+    first step to the last: each step is one big-int product, reduced in the
+    lanes it was formed in.  Every other field holds discrete logs from the
+    first step to the last: each step adds its terms through the Zech table
+    and reduces against the modulus's negated logs.  Only the result is
+    turned back into literals.
     """
     dm = len(m) - 1
     a = _trim(_divmod_coeffs(ctx, a, m)[1]) if len(a) > dm else list(a)
     if not a:
         return []
-    bits = bin(e)[3:]
-    if ctx.p == 2:
-        r = a
-        for bit in bits:
-            r = _sqr_mod(ctx, r, m)
-            if bit == "1" and r:
-                r = _trim(_divmod_coeffs(ctx, _mul_coeffs(ctx, r, a), m)[1])
-        return r
     if _packed(ctx):
         ring = _gfp.Residues(ctx.p, m)
         return list(ring.pow(ring.residue(a), e).rstrip(b"\0"))
     exp, log, zech, n = ctx.exp, ctx.log, ctx.zech, ctx.order - 1
     lead = log[m[-1]]
-    half = n // 2
-    nb = [(j, (log[c] + half) % n) for j, c in enumerate(m[:dm]) if c]
+    minus_one = log[ctx.p - 1]
+    nb = [(j, (log[c] + minus_one) % n) for j, c in enumerate(m[:dm]) if c]
     r = base = [(j, log[c]) for j, c in enumerate(a) if c]
     size = 2 * dm - 1
-    for bit in bits:
+    for bit in bin(e)[3:]:
         # r * r, then r * base where the bit is set (the pair is built first)
         for v in (r, base) if bit == "1" else (r,):
             acc = [-1] * size
@@ -620,7 +567,7 @@ def _split_draw(f: Poly, d: int, rng: Random) -> Poly:
         # absolute trace map to GF(2): sum of 2**i-th powers; deg r < deg f
         t = acc = list(r.coeffs)
         for _ in range(ctx.k * d - 1):
-            t = _sqr_mod(ctx, t, f.coeffs)
+            t = _pow_mod_coeffs(ctx, t, 2, f.coeffs)
             acc = [x ^ y for x, y in itertools.zip_longest(acc, t, fillvalue=0)]
         return f.gcd(_trusted(ctx, acc))
     return f.gcd(r.pow_mod((q ** d - 1) // 2, f) - Poly.one(ctx))
@@ -813,10 +760,10 @@ def irreducible(f: Poly) -> bool:
     The first round holds iff f has no root in F_q; for q up to
     ROOT_SCREEN_MAX_ORDER it is decided by has_root, so a candidate with a
     root pays no modular power.  Each round's x**(q**i) is the q-th power of
-    the round before's, by square-and-multiply, whose squares spread
-    coefficients in characteristic 2.  Over a packed prime field the rounds
-    run on one _gfp.Residues, so x**(q**i) stays packed from the first round
-    to the last.
+    the round before's, by square-and-multiply in one of the two kernel
+    forms: over a packed prime field the rounds run on one _gfp.Residues, so
+    x**(q**i) stays packed from the first round to the last, and over every
+    other field they run in discrete logs.
     """
     if f.is_zero or f.degree < 1:
         return False
@@ -849,25 +796,16 @@ def irreducible(f: Poly) -> bool:
 def has_root(f: Poly) -> bool:
     """Whether f has a root in its coefficient field.
 
-    f(0) is the constant term; f(g**s) for every s runs Horner's rule on the
-    literal tables, in discrete logs through the Zech table in odd
-    characteristic and by XOR in characteristic 2.
+    f(0) is the constant term; f(g**s) for every s runs Horner's rule in
+    discrete logs through the Zech table.  Of the two kernel forms it takes
+    the log form over every field, packed prime fields included, since every
+    field has the tables.
     """
     cs = f.coeffs
     if not cs or not cs[0]:
         return True
     ctx = f.ctx
-    exp, log, n = ctx.exp, ctx.log, ctx.order - 1
-    if ctx.p == 2:
-        rest = cs[-2::-1]
-        for s in range(n):
-            acc = cs[-1]
-            for c in rest:
-                acc = (exp[(log[acc] + s) % n] if acc else 0) ^ c
-            if not acc:
-                return True
-        return False
-    zech = ctx.zech
+    log, zech, n = ctx.log, ctx.zech, ctx.order - 1
     top = log[cs[-1]]
     rest = [log[c] for c in cs[-2::-1]]
     for s in range(n):

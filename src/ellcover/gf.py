@@ -6,7 +6,10 @@ literals whose base-p digits, least significant first, are the coordinates in
 the power basis of the defining modulus.  Multiplication runs through the log
 tables.  Addition is XOR in characteristic 2; in odd characteristic it runs
 through a Zech table, 1 + g**m = g**zech[m], and a negation table, so every
-operation is an exact lookup.
+operation is an exact lookup.  Every field has both tables, characteristic 2
+included, for the two kernel forms of fqpoly: packed ints over the small odd
+prime fields, and discrete logs added through the Zech table over every other
+field.
 
 A prime field is built by integer arithmetic mod p.  An extension is built
 over F_p = make_field(p) with the polynomial kernels of fqpoly: Ben-Or's test
@@ -194,29 +197,29 @@ class FieldCtx:
             raise CrossCheckMismatch("generator does not enumerate the unit group")
         self.exp = exp
         self.log = log
-        self.zech = self.neg = None
-        if p != 2:
-            self._build_addition_tables()
+        self._build_addition_tables()
 
     def _build_addition_tables(self) -> None:
-        """Zech and negation tables for odd p, in O(order) lookups.
+        """Zech and negation tables, in O(order) lookups.
 
         zech[m] is the log of 1 + g**m, or -1 (the log table's mark for the
         zero literal) where that sum vanishes; adding 1 changes only digit 0
-        of a literal.  The table is stored twice over, so any index in
-        [-2(order-1), 2(order-1)) reads the entry of its residue: a sum of
-        two logs minus a third needs no reduction first.  neg[a] is the
-        literal of -a; -1 = g**((order-1)/2).
+        of a literal, which in characteristic 2 is the XOR with 1.  The table
+        is stored twice over, so any index in [-2(order-1), 2(order-1)) reads
+        the entry of its residue: a sum of two logs minus a third needs no
+        reduction first.  neg[a] is the literal of -a; -1 is the literal
+        p - 1, of log (order-1)/2 in odd characteristic and 0 in
+        characteristic 2, where neg is the identity.
         """
         p, exp, log = self.p, self.exp, self.log
         n = self.order - 1
         zech = [0] * n
         for m, v in enumerate(exp):
             zech[m] = log[v + 1 if v % p != p - 1 else v - (p - 1)]
-        half = n // 2
+        minus_one = log[p - 1]
         neg = [0] * self.order
         for m, v in enumerate(exp):
-            neg[v] = exp[(m + half) % n]
+            neg[v] = exp[(m + minus_one) % n]
         self.zech = zech + zech
         self.neg = neg
 

@@ -365,6 +365,17 @@ def test_prime_factor_is_none_exactly_on_the_composites():
             _gf2.prime_factor(f)
 
 
+def test_prime_factor_raises_when_its_cube_root_of_unity_fails(monkeypatch):
+    # trace 1 makes y**2 + y = Tr(z)**2 = 1 in R, so a y that fails
+    # y**2 + y + 1 = 0 is a broken orbit, not a composite p
+    bits = 1 << 4 | 1 << 1 | 1  # x**4 + x + 1, prime
+    assert _gf2.prime_factor(bits) is not None
+    sqr = _gf2.sqr
+    monkeypatch.setattr(_gf2, "sqr", lambda a: sqr(a) ^ 1)
+    with pytest.raises(ec.CrossCheckMismatch, match="cube root of unity"):
+        _gf2.prime_factor(bits)
+
+
 @pytest.mark.parametrize("bits", [1 << 6 | 1 << 3 | 1, 1 << 12 | 1 << 3 | 1,
                                   1 << 18 | 1 << 3 | 1, 1 << 20 | 1 << 5 | 1])
 def test_prime_factor_asks_ben_or_when_its_element_lies_in_a_subfield(monkeypatch, bits):
@@ -572,6 +583,37 @@ def test_split_prime_rejects_a_product_that_passes_the_trace_checks(bits):
     with pytest.raises(ec.CrossCheckMismatch, match="the input is not prime"):
         ec.prime_classes(reg, prime)
     assert reg._class_cache == {labeling: {} for labeling in LABELINGS}
+
+
+def test_split_prime_rejects_an_orbit_that_does_not_close(monkeypatch):
+    # the n_q-th Frobenius of the factor is made to stay put, so the walk of
+    # n_q distinct conjugates does not return to its first member
+    reg = Regime(4, 5)
+    prime = ec.primes_with_degree(reg.base, 2)[0]
+    frobenius, calls = coverparam.poly_frobenius, []
+
+    def stuck(f, base_order):
+        calls.append(f)
+        return f if len(calls) == reg.n_q else frobenius(f, base_order)
+
+    monkeypatch.setattr(coverparam, "poly_frobenius", stuck)
+    with pytest.raises(ec.CrossCheckMismatch, match="single Frobenius orbit"):
+        ec.split_prime(reg, prime)
+    assert len(calls) == reg.n_q
+    assert reg._split_cache == {}
+
+
+def test_split_prime_rejects_the_orbit_of_another_prime(monkeypatch):
+    # the factor of another prime of the same degree has a closed orbit of
+    # n_q distinct conjugates, whose product is that other prime
+    reg = Regime(4, 5)
+    prime, other = ec.primes_with_degree(reg.base, 2)[:2]
+    conjugate_factor = coverparam.conjugate_factor
+    monkeypatch.setattr(coverparam, "conjugate_factor",
+                        lambda f, ext: conjugate_factor(other, ext))
+    with pytest.raises(ec.CrossCheckMismatch, match="orbit product"):
+        ec.split_prime(reg, prime)
+    assert reg._split_cache == {}
 
 
 def test_split_prime_rejects_bad_degree():

@@ -3,6 +3,7 @@ power classes, checked against the naive longhand oracles."""
 
 import hashlib
 import time
+from random import Random
 
 import pytest
 
@@ -44,7 +45,10 @@ PINNED_TABLES = "66e4f0fb995483e6e92a67678c75f050e5807a378867d40a736a6151623558f
 def test_canonical_tables_are_pinned():
     """Every prime field with p <= 1024 and every field with k >= 2 and
     order <= 4096: modulus, generator, exp, log, Zech and negation tables,
-    and the embeddings among them, hashed against a frozen digest."""
+    and the embeddings among them, hashed against a frozen digest.  The
+    characteristic-2 Zech and negation slots hash as None, which keeps the
+    digest of every other table; test_char2_zech_addition_is_xor checks
+    them."""
     fields = [(p, 1) for p in range(2, 1025) if is_prime_int(p)]
     fields += [(p, k) for p in range(2, 65) if is_prime_int(p)
                for k in range(2, 13) if p ** k <= 4096]
@@ -52,7 +56,7 @@ def test_canonical_tables_are_pinned():
     h = hashlib.sha256()
     for p, k in fields:
         ctx = ec.make_field(p, k)
-        tables = (ctx.exp, ctx.log, ctx.zech, ctx.neg)
+        tables = (ctx.exp, ctx.log) + ((None, None) if p == 2 else (ctx.zech, ctx.neg))
         h.update(repr((p, k, ctx.modulus, ctx.generator)
                       + tuple(t and tuple(t) for t in tables)).encode())
     for p, k in fields:
@@ -150,6 +154,30 @@ def test_zech_addition_matches_digit_oracle(p, k):
         for b in range(ctx.order):
             assert ctx.add_i(a, b) == digit_add(p, a, b)
             assert ctx.sub_i(a, b) == digit_add(p, a, digit_neg(p, b))
+
+
+@pytest.mark.parametrize("k", range(1, 13))
+def test_char2_zech_addition_is_xor(k):
+    # the log-domain sum that fqpoly's log kernels form, g**la + g**lb =
+    # g**(la + zech[lb - la]), against XOR of the literals, with a negative
+    # index wrapping into the doubled table; -1 = 1, so neg is the identity
+    ctx = ec.make_field(2, k)
+    exp, log, zech, n = ctx.exp, ctx.log, ctx.zech, ctx.order - 1
+    assert ctx.neg == list(range(ctx.order))
+    assert len(zech) == 2 * n
+    for m in range(n):
+        assert zech[m] == zech[m + n] == log[exp[m] ^ 1]
+
+    def log_add(a, b):
+        z = zech[log[b] - log[a]]
+        return 0 if z < 0 else exp[(log[a] + z) % n]
+
+    units = range(1, ctx.order)
+    rng = Random(k)
+    pairs = [(a, b) for a in units for b in units] if ctx.order <= 64 else \
+        [(rng.choice(units), rng.choice(units)) for _ in range(4000)] + \
+        [(a, a) for a in units]
+    assert all(log_add(a, b) == a ^ b for a, b in pairs)
 
 
 def test_distributivity_sampled():

@@ -102,7 +102,8 @@ def test_wide_lanes_and_renormalization():
     and in four-byte lanes at p = 13, divisions whose byte lanes must be
     reduced again between steps, and powers whose residue products need
     the lanes reduced inside one reduction (p = 3, degree 40) or first
-    widened (degree 70)."""
+    widened (degree 70), and widened lanes renormalized inside one
+    reduction (p = 13, degree 300)."""
     rng = Random(1)
 
     def poly(p, n):
@@ -126,6 +127,11 @@ def test_wide_lanes_and_renormalization():
         for e in (3, 5, 3 ** 3):
             assert fqp._pow_mod_coeffs(ec.make_field(3), a, e, m) == \
                 naive.polpowmod(3, a, e, m)
+    # at p = 13 above degree 228, two-byte lanes run out of room inside one
+    # reduction and are renormalized there
+    m, a = poly(13, 301), poly(13, 300)
+    assert fqp._pow_mod_coeffs(ec.make_field(13), a, 13, m) == \
+        naive.polpowmod(13, a, 13, m)
     # the largest product lanes a byte holds: a residue of all p - 1 squared
     # modulo the all-ones polynomial, reduced with lanes that start near full
     for p, dm in ((3, 60), (5, 15), (7, 7)):

@@ -35,6 +35,10 @@ MONTE_CARLO = [
     (23, 3, 6, 20, 5, "least"),
     (2, 5, 60, 60, 5, "least"),
     (2, 7, 93, 60, 13, "greatest"),
+    (4, 5, 20, 60, 7, "least"),
+    (8, 3, 20, 40, 2, "greatest"),
+    (4, 7, 21, 40, 3, "greatest"),
+    (16, 17, 16, 20, 4, "least"),
 ]
 # (q, ell, genus) for the README regimes at small genus
 EXHAUSTIVE = [
@@ -57,6 +61,9 @@ COMMANDS = [
     ["count-points", "--q", "9", "--ell", "5", "--tuple", "1,4,1;1;1;1,5,1", "--b", "5"],
     ["count-points", "--q", "3", "--ell", "11", "--tuple", "1,0,0,0,2,1;1;1;1;1;1;1;1;1;1",
      "--b", "2"],
+    ["count-points", "--q", "4", "--ell", "5", "--tuple", "2,1,1;1;1;1", "--b", "3"],
+    ["count-points", "--q", "8", "--ell", "3", "--tuple", "1,1,1;1", "--b", "5",
+     "--labeling", "greatest"],
     ["lseries", "--q", "5", "--ell", "3", "--points", "0,1,2", "--w", "1,1,1"],
     ["lseries", "--q", "3", "--ell", "5", "--points", "0,1", "--w", "1,1", "--json"],
     ["enumerate", "--q", "2", "--ell", "3", "--degree", "6", "--count-only"],
@@ -140,6 +147,14 @@ PINS = {
         '248997c70548f6273583bba0f74cf43334dc7a549dad2922233638524873ba3a',
     'monte-carlo 2,7 g=93 n=60 seed=13 greatest':
         'bbf2dd0d204c192ef632ec964305c9135498b945392facf74fa02e8788ef0b11',
+    'monte-carlo 4,5 g=20 n=60 seed=7 least':
+        '7a9a84944d63369eae9829387ba41cb7c514c0ed143f83d0e1a9217966d0ca14',
+    'monte-carlo 8,3 g=20 n=40 seed=2 greatest':
+        'a2ad58d8210fad51a51890f41ca14d84ba5ee1b31325ff158dbf6ade3c3f41e2',
+    'monte-carlo 4,7 g=21 n=40 seed=3 greatest':
+        '73d5c7543ab31fd8c2a9c273e80600a08511384fd643192595355f24c41c23eb',
+    'monte-carlo 16,17 g=16 n=20 seed=4 least':
+        '83b0ac5c84105f521493f6b2a9b44790fed920dcd3565175cfe0996d523d34d6',
     'exhaustive 2,3 g=4':
         '06bc6915bf1f115e042557132e55e43cc6ae551bde241827b4430a2672573f91',
     'exhaustive 2,3 g=8':
@@ -190,6 +205,10 @@ PINS = {
         'df4080df73ef029b9d9b90e2c425e2bf0241f37049a1d6cdda5bc9ee215efa18',
     'count-points --q 3 --ell 11 --tuple 1,0,0,0,2,1;1;1;1;1;1;1;1;1;1 --b 2':
         '8b74e16d476d35a229d7e1ce096abfe164b8dd184819adabf0ba4e1d2a329afc',
+    'count-points --q 4 --ell 5 --tuple 2,1,1;1;1;1 --b 3':
+        '053831717f8d68889bf7def89a15687eb1aeab1e10b54c912fac82564bf1df1e',
+    'count-points --q 8 --ell 3 --tuple 1,1,1;1 --b 5 --labeling greatest':
+        '8d925d0f5a108b0a399db3579538e3e092c27dec03042aefdfc9632dcd9e3997',
     'lseries --q 5 --ell 3 --points 0,1,2 --w 1,1,1':
         'e536b92ec3c763b114180f5df87a0adb61ee0b43d25815da64563b829d1deee6',
     'lseries --q 3 --ell 5 --points 0,1 --w 1,1 --json':
