@@ -265,16 +265,17 @@ def split_prime(regime: Regime, prime: Poly, labeling: str = "least") -> tuple[P
 
     Over the extension a base prime of degree n_q*m is a product of exactly
     n_q conjugate primes of degree m, so one of them gives the rest by
-    Frobenius.  fqpoly.conjugate_factor finds it by one norm, one minimal
-    polynomial and one gcd: the norm N of x down to F_Q separates the
-    conjugates, and gcd(P, N - c) for one root c of N's minimal polynomial,
-    found by equal_degree_factor on a polynomial of degree n_q, is a single
-    factor.  It does so in every regime, (2,3) included, so the orbit checks
-    prime_classes' packed factor from _gf2 from outside.  A reducible input
-    fails one of the checks of the finder or below with CrossCheckMismatch:
-    the factor must be prime of degree m, its n_q conjugates distinct, the
-    Frobenius of the last the first, and their product the embedded prime,
-    which together prove the input prime.
+    Frobenius.  fqpoly.conjugate_factor finds it from an ell-th root of
+    unity y = z**((q**n - 1) / ell) mod P, which takes a distinct value
+    w**(s * q**i) at the roots of each conjugate: gcd(P, y - w**r) over F_Q
+    is a single factor for r in one coset of <q> in (Z/ell)*, and 1 for the
+    others, so one gcd per coset finds it.  It does so in every regime,
+    (2,3) included, so the orbit checks prime_classes' packed factor from
+    _gf2 from outside.  A reducible input fails one of the checks of the
+    finder or below with CrossCheckMismatch: the factor must be prime of
+    degree m, its n_q conjugates distinct, the Frobenius of the last the
+    first, and their product the embedded prime, which together prove the
+    input prime.
     """
     _check_labeling(labeling)
     orbit = regime._split_cache.get(prime.coeffs)
@@ -283,7 +284,7 @@ def split_prime(regime: Regime, prime: Poly, labeling: str = "least") -> tuple[P
         if prime.degree % n_q:
             raise InvalidTuple(
                 f"prime degree {prime.degree} not divisible by n_q = {n_q}")
-        walk = [conjugate_factor(prime, regime.ext)]
+        walk = [conjugate_factor(prime, regime.ext, regime.ell)]
         for _ in range(n_q - 1):
             walk.append(poly_frobenius(walk[-1], q))
         if len(set(walk)) != n_q:
@@ -312,8 +313,11 @@ def prime_classes(regime: Regime, prime: Poly, labeling: str = "least") -> tuple
     degree is a multiple of n_q > 1.  Over F_2 with n_q = 2 the classes are
     read off the bit-packed halves of _gf2's monic factor by _packed_classes,
     without an orbit; a (2,3) draw that proved the prime by that factor has
-    already cached them.  split_prime finds its orbit by
-    fqpoly.conjugate_factor there too, so it checks this path from outside.
+    already cached them.  Every other regime, Monte Carlo included, reads
+    the classes off the anchor of split_prime's orbit, whose first factor
+    fqpoly.conjugate_factor finds by an ell-th root of unity modulo the
+    prime and one gcd per coset; split_prime does so over (2,3) too, so it
+    checks the packed path from outside.
     """
     _check_labeling(labeling)
     cache = regime._class_cache[labeling]

@@ -10,25 +10,24 @@ one of two kernel forms chosen by the field alone:
   multiple of the divisor per eliminated coefficient;
 - every other field, F_2 and F_{2^k} included, holds discrete logs and adds
   them through the field's Zech table.
-One modular-power kernel serves pow_mod, the irreducibility test, both
-factorization splits and the norm of the conjugate split.  It keeps its
-form from its first step to its last: packed residues over a packed prime
-field, discrete logs over every other field.
+One modular-power kernel serves pow_mod, the irreducibility test, the
+factorization split and the root of unity of the conjugate split.  It keeps
+its form from its first step to its last: packed residues over a packed
+prime field, discrete logs over every other field.
 Over small fields the irreducibility test opens with has_root, evaluation at
 every point of the field.  Factorization runs the classical squarefree /
 distinct-degree / equal-degree pipeline; the randomized equal-degree splits
 draw from a generator seeded by the input polynomial, so factor() is a
-deterministic function of its argument.  equal_degree_factor takes one prime
-out of a product of primes of a known degree without the first two stages.
-conjugate_factor splits a prime over F_q into its Frobenius-conjugate factors
-over F_Q = F_{q**n_q} by one norm, one minimal polynomial and one gcd: the
-norm of x from F_{Q**m} down to F_Q takes a different value at the roots of
-each conjugate factor, so the gcd of the prime with the norm minus one root
-of its minimal polynomial is one factor.  equal_degree_factor's only task
-there is that root, on a polynomial of degree n_q.  The (2,3) split of _gf2,
-by a cube root of unity and half of one Euclid over F_2, is the case where the
-element of F_Q and its minimal polynomial are known in advance; it feeds only
-the (2,3) class kernel, which conjugate_factor checks from outside.
+deterministic function of its argument.
+conjugate_factor splits a prime P over F_q into its Frobenius-conjugate
+factors over F_Q = F_{q**n_q}, n_q the order of q modulo ell, by an ell-th
+root of unity and gcds: y = z**((q**n - 1) / ell) mod P takes a distinct
+value w**(s * q**i) at the roots of each conjugate factor, so over F_Q the
+gcd of P with y - w**r is one factor for r in the coset s<q> of (Z/ell)*,
+and 1 for r in every other coset.  The (2,3) split of _gf2, by a cube root
+of unity and half of one Euclid over F_2, is the same idea on bit-packed
+ints; it feeds only the (2,3) class kernel, which conjugate_factor checks
+from outside.
 Prime enumeration sieves products below a hard budget and checks itself
 against the divisor-counting closed form.
 """
@@ -53,12 +52,13 @@ from .gf import (
     check_subfield_order,
     embed_elem,
     factor_int,
+    is_prime_int,
     subfield_table,
 )
 
 SIEVE_CAP = 1 << 22  # q**d, the sieve's table of monic polynomials
 SIEVE_PRODUCT_CAP = 1 << 20  # prime-by-cofactor products the sieve multiplies
-EQUAL_DEGREE_DRAWS = 64  # draws equal_degree_factor or conjugate_factor makes before giving up
+EQUAL_DEGREE_DRAWS = 64  # z that conjugate_factor tries for a root of unity other than 1
 FACTOR_SEED = 0x5EED  # mixed into the fold that seeds the factorization draws
 # irreducible() decides Ben-Or's first round, a root in F_q, by has_root for
 # fields up to this order, and by the power x**q mod f and a gcd above it.
@@ -584,155 +584,76 @@ def _equal_degree_split(f: Poly, d: int, rng: Random) -> list[Poly]:
                 _equal_degree_split(f // g, d, rng)
 
 
-def equal_degree_factor(f: Poly, d: int) -> Poly:
-    """One monic prime factor of degree d of a monic product f of distinct
-    degree-d primes, by Cantor-Zassenhaus draws that always keep the smaller
-    side of a split (deterministic: the draws are seeded by f).
-
-    Raises CrossCheckMismatch when f shows it is not such a product: a piece
-    of degree below d, a degree-d piece that is not prime, or
-    EQUAL_DEGREE_DRAWS draws without reaching degree d.  Each draw on a
-    valid f splits it with probability about 1/2 or more, and at most
-    log2(deg f / d) splits are needed, so a valid f runs out of draws with
-    probability far below 2**-40.  conjugate_factor calls it on a minimal
-    polynomial of degree n_q with d = 1, for one root.
-    """
-    rng = Random(_factor_fold(f))
-    for _ in range(EQUAL_DEGREE_DRAWS):
-        if f.degree <= d:
-            break
-        g = _split_draw(f, d, rng)
-        if 0 < g.degree < f.degree:
-            h = f // g
-            f = g if g.degree <= h.degree else h
-    if f.degree != d or not irreducible(f):
-        raise CrossCheckMismatch(
-            f"no prime factor of degree {d} found: the input is not a "
-            f"product of degree-{d} primes")
-    return f
-
-
-def conjugate_factor(prime: Poly, ext: FieldCtx) -> Poly:
+def conjugate_factor(prime: Poly, ext: FieldCtx, ell: int) -> Poly:
     """One monic prime factor over ext of a prime over a subfield F_q whose
-    degree n is a multiple of n_q = [ext : F_q]; with Q = ext.order and
-    m = n / n_q, it has degree m, and its n_q Frobenius conjugates multiply
-    to the embedded prime.
+    degree n is a multiple of n_q = [ext : F_q], the order of q modulo the
+    prime ell; with Q = ext.order and m = n / n_q, it has degree m, and its
+    n_q Frobenius conjugates multiply to the embedded prime.
 
-    For a root alpha of the prime, the norm N(alpha) = alpha**((Q**m - 1) /
-    (Q - 1)) from F_{Q**m} down to F_Q is the power N of x modulo the prime
-    over F_q, computed as the product of the m iterates x**(Q**j), j < m:
-    each iterate is one Q-th power of the one before, by the modular-power
-    kernel's square-and-multiply.  When N generates F_Q over
-    F_q, its minimal polynomial mu has degree n_q and the conjugate roots
-    alpha**(q**i) have the distinct norms N(alpha)**(q**i), so for one root c
-    of mu in F_Q, which equal_degree_factor finds, gcd(prime, N - c) over F_Q
-    is a single conjugate factor.  When N lies in a proper subfield, the norm
-    of a random z(x) takes its place: the norm is onto F_Q*, so each try
-    fails with probability below 1/2; the draws are seeded by the prime.
+    F_q has no primitive ell-th root of unity, but F_q[x]/P does, since n_q
+    divides n: y = z**((q**n - 1) / ell) mod P is a primitive one unless z
+    is 0 or an ell-th power modulo P, where y is 0 or 1.  At a root alpha of
+    P it is some w**s, w = g**((Q - 1) / ell) in F_Q and s prime to ell, and
+    at the roots of the i-th conjugate factor it is w**(s * q**i), since
+    Q = 1 mod ell: these n_q values are distinct, so gcd(P, y - w**r) over
+    F_Q is one conjugate factor when r lies in the coset s<q> of (Z/ell)*
+    and 1 otherwise.  It tries z = x, then random z(x) drawn from a
+    generator seeded by the prime, skipping z with y in {0, 1}, and r over
+    the least member of each coset, stopping at the first gcd that is not 1.
 
-    Raises CrossCheckMismatch when the input shows it is not prime: 1, N,
-    ..., N**n_q linearly independent, EQUAL_DEGREE_DRAWS tries in proper
-    subfields, or a factor that is not prime of degree m.  Some reducible
-    inputs pass these; the factor's n_q conjugates being distinct and
-    multiplying to the embedded input completes the proof of primality.
+    Raises ValueError unless ell is a prime modulo which q has order n_q,
+    and CrossCheckMismatch when the input shows it is not prime:
+    EQUAL_DEGREE_DRAWS tries with y in {0, 1}, a gcd of 1 for every coset,
+    or a factor that is not prime of degree m.  Some reducible inputs pass
+    these; the factor's n_q conjugates being distinct and multiplying to the
+    embedded input completes the proof of primality.
     """
     base = prime.ctx
     if base.p != ext.p or ext.k % base.k:
         raise NotASubfield(f"F_{base.order} does not embed in F_{ext.order}")
     n_q = ext.k // base.k
+    q, big = base.order, ext.order
+    if not is_prime_int(ell) or pow(q, n_q, ell) != 1 or \
+            any(pow(q, k, ell) == 1 for k in range(1, n_q)):
+        raise ValueError(f"{q} does not have order {n_q} modulo a prime ell = {ell}")
     n = prime.degree
     if n < 1 or n % n_q:
         raise ValueError(f"prime degree {n} is not a positive multiple of {n_q}")
     m = n // n_q
-    q, big = base.order, ext.order
-    modulus = prime.monic().coeffs
+    monic = prime.monic()
     rng = None
     z = [0, 1]
     for _ in range(EQUAL_DEGREE_DRAWS):
-        norm = t = z
-        for _ in range(m - 1):
-            t = _pow_mod_coeffs(base, t, big, modulus)
-            norm = _trim(_divmod_coeffs(base, _mul_coeffs(base, norm, t), modulus)[1])
-        mu = _min_poly(base, norm, modulus, n_q)
-        if mu is not None:
+        y = _pow_mod_coeffs(base, z, (q ** n - 1) // ell, monic.coeffs)
+        if y and y != [1]:
             break
         rng = rng or Random(_factor_fold(prime))
         z = _trim([rng.randrange(q) for _ in range(n)])
     else:
         raise CrossCheckMismatch(
-            f"no norm of degree {n_q} found in {EQUAL_DEGREE_DRAWS} tries: "
+            f"no root of unity other than 1 found in {EQUAL_DEGREE_DRAWS} tries: "
             "the input is not prime")
     table = subfield_table(base, ext)
-    shifted = [table[c] for c in norm] or [0]
-    shifted[0] = ext.sub_i(shifted[0], _root_in_ext(base, ext, tuple(mu)))
-    a = embed(prime, ext).gcd(_trusted(ext, shifted))
+    y = [table[c] for c in y]
+    embedded, step = embed(monic, ext), (big - 1) // ell
+    seen = set()  # the cosets r<q> tried so far
+    for r in range(1, ell):
+        if r in seen:
+            continue
+        seen.update(r * q ** i % ell for i in range(n_q))
+        shifted = list(y)
+        shifted[0] = ext.sub_i(y[0], ext.exp[r * step])
+        a = embedded.gcd(_trusted(ext, shifted))
+        if a.degree > 0:
+            break
+    else:
+        raise CrossCheckMismatch(
+            f"y - w**r is prime to the input for every coset r<{q}> of "
+            f"(Z/{ell})*: the input is not prime")
     if a.degree != m or not irreducible(a):
         raise CrossCheckMismatch(
             f"no prime factor of degree {m} found: the input is not prime")
     return a
-
-
-def _min_poly(ctx: FieldCtx, v: list[int], m, deg: int) -> list[int] | None:
-    """The monic minimal polynomial of v modulo m over ctx when its degree is
-    deg, or None when it is smaller, by Gaussian elimination on the
-    coefficient vectors of 1, v, v**2, ...; raises CrossCheckMismatch when
-    1, v, ..., v**deg are linearly independent.
-
-    Each row keeps, beside its reduced vector with leading entry 1, the
-    polynomial in v that it equals, so the first dependence reads off mu.
-    Over a prime field the entries are reduced by integer arithmetic mod p,
-    elsewhere through the field's tables.
-    """
-    if ctx.k == 1:
-        p = ctx.p
-
-        def sub_multiple(xs, f, ys):  # xs - f * ys, entry by entry
-            return [(x - f * y) % p for x, y in zip(xs, ys)]
-
-        def scale(f, xs):
-            return [f * x % p for x in xs]
-
-        def inv(a):
-            return pow(a, -1, p)
-    else:
-        add, mul, inv, neg = ctx.add_i, ctx.mul_i, ctx.inv_i, ctx.neg_i
-
-        def sub_multiple(xs, f, ys):
-            f = neg(f)
-            return [add(x, mul(f, y)) for x, y in zip(xs, ys)]
-
-        def scale(f, xs):
-            return [mul(f, x) for x in xs]
-    width = len(m) - 1
-    rows: list[tuple[int, list[int], list[int]]] = []
-    power = [1]
-    for j in range(deg + 1):
-        if j == 1:
-            power = list(v)
-        elif j:
-            power = _trim(_divmod_coeffs(ctx, _mul_coeffs(ctx, power, v), m)[1])
-        vec = power + [0] * (width - len(power))
-        combo = [0] * j + [1]
-        for pivot, row, rc in rows:
-            f = vec[pivot]
-            if f:
-                vec = sub_multiple(vec, f, row)
-                combo[:len(rc)] = sub_multiple(combo, f, rc)
-        pivot = next((i for i, a in enumerate(vec) if a), None)
-        if pivot is None:
-            return combo if j == deg else None
-        s = inv(vec[pivot])
-        rows.append((pivot, scale(s, vec), scale(s, combo)))
-    raise CrossCheckMismatch(
-        f"the norm has no minimal polynomial of degree {deg}: the input is not prime")
-
-
-@lru_cache(maxsize=1 << 12)
-def _root_in_ext(base: FieldCtx, ext: FieldCtx, mu: tuple[int, ...]) -> int:
-    """Literal of one root in ext of mu, a prime over base of degree
-    [ext : base], by equal_degree_factor; cached per (base, ext, mu)."""
-    linear = equal_degree_factor(embed(_trusted(base, list(mu)), ext), 1)
-    return ext.neg_i(linear.coeffs[0])
 
 
 def factor(f: Poly) -> Factorization:

@@ -493,7 +493,8 @@ def _some_primes(reg, d, limit):
                                           ((2, 5), 4, None), ((4, 5), 2, None),
                                           ((2, 5), 8, None), ((2, 7), 6, None),
                                           ((3, 5), 12, 30), ((4, 5), 4, None),
-                                          ((8, 3), 4, 60)])
+                                          ((8, 3), 4, 60), ((16, 17), 2, None),
+                                          ((2, 31), 5, None)])
 def test_split_prime_agrees_with_factor_oracle(qell, d, limit, labeling):
     # a private regime per labeling, so neither labeling reads the orbit the
     # other one split
@@ -503,41 +504,41 @@ def test_split_prime_agrees_with_factor_oracle(qell, d, limit, labeling):
             _orbit_from_factor(reg, prime, labeling)
 
 
-def test_split_prime_retries_when_the_norm_of_x_lies_in_a_subfield(monkeypatch):
-    # over (2,5), Q = 16 and m = 2, so the norm of x is x**17 modulo the
-    # prime; for x**8 + x**7 + x**5 + x**4 + 1 it lies in F_4, so its
-    # minimal polynomial has degree 2 < n_q = 4 and a random norm replaces it
-    reg = Regime(2, 5)
-    prime = ec.Poly(reg.base, [1, 0, 0, 0, 1, 1, 0, 1, 1])
+def test_split_prime_retries_when_x_is_an_ell_th_power(monkeypatch):
+    # over (5,3) x is a cube modulo x**4 + 2x**3 + 2x + 1, so y = x**208 is
+    # 1 there; the first seeded draw is z = 0, whose y is 0, and the second
+    # gives a primitive cube root of unity
+    reg = Regime(5, 3)
+    prime = ec.Poly(reg.base, [1, 2, 0, 2, 1])
+    power = (5 ** 4 - 1) // 3
     assert ec.irreducible(prime)
-    norm = ec.Poly.x(reg.base).pow_mod(17, prime)
-    assert norm.pow_mod(4, prime) == norm
-    degrees = []
-    min_poly = fqpoly._min_poly
+    assert ec.Poly.x(reg.base).pow_mod(power, prime) == ec.Poly.one(reg.base)
+    draws = []
+    pow_mod_coeffs = fqpoly._pow_mod_coeffs
 
-    def spy(ctx, v, m, deg):
-        mu = min_poly(ctx, v, m, deg)
-        degrees.append(None if mu is None else len(mu) - 1)
-        return mu
+    def spy(ctx, a, e, m):
+        y = pow_mod_coeffs(ctx, a, e, m)
+        if ctx is reg.base and e == power:
+            draws.append((list(a), y))
+        return y
 
-    monkeypatch.setattr(fqpoly, "_min_poly", spy)
+    monkeypatch.setattr(fqpoly, "_pow_mod_coeffs", spy)
     assert ec.split_prime(reg, prime) == _orbit_from_factor(reg, prime, "least")
-    assert degrees[0] is None and degrees[-1] == reg.n_q
+    assert [z for z, _ in draws[:2]] == [[0, 1], []]
+    assert [y for _, y in draws[:2]] == [[1], []]
+    assert len(draws) == 3 and draws[2][1] not in ([], [1])
 
 
 def test_monte_carlo_splits_without_cantor_zassenhaus_on_the_prime(monkeypatch):
-    # Cantor-Zassenhaus draws are left only to finding a root in F_Q of a
-    # norm's minimal polynomial, of degree n_q; a draw on anything larger
-    # would be the old split of the embedded prime coming back
+    # a prime splits by a root of unity modulo it and one gcd per coset of
+    # <q> in (Z/ell)*: no Cantor-Zassenhaus draw, on the prime or on
+    # anything smaller, runs in a Monte Carlo run
     reg = Regime(3, 5)
-    split_draw = fqpoly._split_draw
 
-    def guarded(f, d, rng):
-        if f.degree > reg.n_q:
-            raise AssertionError(f"Cantor-Zassenhaus draw on degree {f.degree}")
-        return split_draw(f, d, rng)
+    def refuse(f, d, rng):
+        raise AssertionError(f"Cantor-Zassenhaus draw on degree {f.degree}")
 
-    monkeypatch.setattr(fqpoly, "_split_draw", guarded)
+    monkeypatch.setattr(fqpoly, "_split_draw", refuse)
     ec.monte_carlo_distribution(reg, 20, 20, seed=7)
     assert len(reg._split_cache) > 20
 
@@ -548,16 +549,24 @@ def test_monte_carlo_splits_without_cantor_zassenhaus_on_the_prime(monkeypatch):
     ((2, 2, 0), (2, 4, 0)), ((2, 2, 0), (2, 6, 0)), ((2, 5, 0), (2, 5, 1))])
 def test_split_prime_rejects_a_reducible_input_quickly(first, second):
     # (q, degree, index) of two primes over F_q, split in the regime (3, 5)
-    # or (2, 3).  Over F_81 the degree-5 and degree-3 primes stay prime, so
-    # no degree-2 factor exists; the linear prime is fixed by Frobenius.  The
-    # two quartics split into linears, and for this pair a product of two
-    # linears, one from each, has a Frobenius orbit of four whose product is
-    # the input: only the check that the factor found is prime rejects it.
+    # or (2, 3).  At a root of a prime of degree a, y lies in F_{q**a}, which
+    # holds no w**r unless n_q divides a: (3,5) with a = 5, 1, 3 and (2,3)
+    # with two cubics or quintics find a gcd of 1 at every coset, and so
+    # does (2,3) with x**2 + x + 1, where y is 1, beside a quartic, where y
+    # is a fifth root of unity.  The two quartics over F_3 split into
+    # linears over F_81, and the two quartics or sextics over F_2 into
+    # quadratics or cubics over F_4: each gcd has the factor's degree m but
+    # is not prime.  Beside a sextic, x**2 + x + 1 leaves a gcd whose degree
+    # is not m = 4.
+    factor_check = {((3, 4, 1), (3, 4, 13)), ((2, 4, 0), (2, 4, 1)),
+                    ((2, 6, 0), (2, 6, 3)), ((2, 2, 0), (2, 6, 0))}
+    match = "no prime factor of degree" if (first, second) in factor_check \
+        else "every coset"
     q = first[0]
     reg = Regime(q, 5 if q == 3 else 3)
     a, b = (ec.primes_with_degree(reg.base, d)[i] for _, d, i in (first, second))
     t0 = time.perf_counter()
-    with pytest.raises(ec.CrossCheckMismatch):
+    with pytest.raises(ec.CrossCheckMismatch, match=match):
         ec.split_prime(reg, a * b)
     assert time.perf_counter() - t0 < 1.0
     assert reg._split_cache == {}
@@ -610,7 +619,7 @@ def test_split_prime_rejects_the_orbit_of_another_prime(monkeypatch):
     prime, other = ec.primes_with_degree(reg.base, 2)[:2]
     conjugate_factor = coverparam.conjugate_factor
     monkeypatch.setattr(coverparam, "conjugate_factor",
-                        lambda f, ext: conjugate_factor(other, ext))
+                        lambda f, ext, ell: conjugate_factor(other, ext, ell))
     with pytest.raises(ec.CrossCheckMismatch, match="orbit product"):
         ec.split_prime(reg, prime)
     assert reg._split_cache == {}

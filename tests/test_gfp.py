@@ -2,7 +2,6 @@
 kernels, against the naive oracles and against the discrete-log kernels
 that extension fields keep."""
 
-from itertools import product
 from random import Random
 
 import pytest
@@ -205,42 +204,3 @@ def test_factorization_multiplies_back(data):
     assert fac.expand() == f
     for prime, mult in fac:
         assert prime.is_monic and mult >= 1 and ec.irreducible(prime)
-
-
-def naive_min_poly(p, v, m, deg):
-    """The least-degree monic mu with mu(v) = 0 modulo m, by trying every
-    monic polynomial of degree 1 to deg in turn; None when there is none."""
-    powers = [[1]]
-    for _ in range(deg):
-        powers.append(naive.poldivmod(p, naive.polmul(p, powers[-1], v), m)[1])
-    for e in range(1, deg + 1):
-        for tail in product(range(p), repeat=e):
-            acc = []
-            for c, pw in zip(list(tail) + [1], powers):
-                acc = naive.poladd(p, acc, naive.polmul(p, [c], pw))
-            if not naive.poldivmod(p, acc, m)[1]:
-                return list(tail) + [1]
-    return None
-
-
-@pytest.mark.parametrize("p", [3, 5, 7])
-def test_min_poly_matches_the_annihilator_search(p):
-    """_min_poly's integer elimination over a prime field: mu when the
-    minimal polynomial has degree deg, None below it, CrossCheckMismatch
-    when 1, v, ..., v**deg are independent, on prime and composite m."""
-    ctx = ec.make_field(p)
-    rng = Random(p)
-    seen = set()
-    for _ in range(60):
-        m = [rng.randrange(p) for _ in range(rng.randint(2, 6))] + [1]
-        v = naive.trim([rng.randrange(p) for _ in range(len(m) - 1)])
-        deg = rng.randint(1, 3)
-        want = naive_min_poly(p, v, m, deg)
-        if want is None:
-            seen.add("raise")
-            with pytest.raises(ec.CrossCheckMismatch, match="minimal polynomial"):
-                fqp._min_poly(ctx, v, m, deg)
-        else:
-            seen.add(len(want) - 1 == deg)
-            assert fqp._min_poly(ctx, v, m, deg) == (want if len(want) - 1 == deg else None)
-    assert seen == {True, False, "raise"}
