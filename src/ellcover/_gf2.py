@@ -80,10 +80,6 @@ def mod(a: int, m: int) -> int:
     return a
 
 
-def mulmod(a: int, b: int, m: int) -> int:
-    return mod(mul(a, b), m)
-
-
 # A polynomial of degree above SCREEN_DEGREE is screened against every prime
 # g of degree 2 to SCREEN_DEGREE at once.  Its residues modulo all of them
 # are the XOR, over its bytes, of one table entry per byte: _screen_tables[i]

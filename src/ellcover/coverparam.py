@@ -22,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
+from operator import mul
 from random import Random
 
 from . import _gf2
@@ -84,10 +85,18 @@ def _check_steps(steps: int, what: str) -> None:
                              f"over the cap {KERNEL_STEP_CAP}")
 
 
-def _quotient_sums(n_q: int, D: int) -> int:
-    """sum of r // d over r = 0..D and the degree classes d, in closed form."""
-    return sum(d * (D // d) * (D // d - 1) // 2 + D // d * (D % d + 1)
-               for d in range(n_q, D + 1, n_q))
+def _quotient_sums(M: int) -> tuple[int, int]:
+    """(sum of M // c, sum of m // c over m = 0..M) over c = 1..M, one term
+    per run lo..hi of c with equal Q = M // c, at most 2 * sqrt(M) runs: for
+    each c the sum over m is (M + 1) * Q - c * Q * (Q + 1) / 2."""
+    single = double = 0
+    lo = 1
+    while lo <= M:
+        Q, hi = M // lo, M // (M // lo)
+        single += (hi - lo + 1) * Q
+        double += (hi - lo + 1) * Q * (4 * M + 4 - (Q + 1) * (hi + lo)) // 4
+        lo = hi + 1
+    return single, double
 
 
 def _check_labeling(labeling: str) -> None:
@@ -145,7 +154,7 @@ class Regime:
         # labeling -> prime coefficients -> classes at the affine points
         self._class_cache: dict[str, dict[tuple[int, ...], tuple[int, ...]]] = {
             labeling: {} for labeling in LABELINGS}
-        self._suffix: dict[int, list[list[int]]] = {}
+        self._suffix: dict[int, tuple[list[list[int]], list[list[int]]]] = {}
         # sorted base-point literals -> lseries._LineKernel, built on first use
         self._lines: dict = {}
 
@@ -521,38 +530,40 @@ def count_tuples(regime: Regime, D: int) -> int:
         raise ValueError("branch degree must be non-negative")
     if D % regime.n_q:
         return 0
-    return _suffix_table(regime, D)[0][D]
+    _, suffix = _suffix_table(regime, D)
+    return suffix[0][D // regime.n_q]
 
 
 def _suffix_steps(regime: Regime, D: int) -> int:
-    """Table steps of _suffix_table at degree D, 0 when it is cached: r // d + 1
-    terms for each degree class d and each r <= D."""
+    """Table steps of _suffix_table at degree D, 0 when it is cached: m // c + 1
+    terms for each degree class c and each m <= M = D // n_q."""
     if D in regime._suffix:
         return 0
-    return _quotient_sums(regime.n_q, D) + D // regime.n_q * (D + 1)
+    M = D // regime.n_q
+    return M * (M + 1) + _quotient_sums(M)[1]
 
 
-def _suffix_table(regime: Regime, D: int) -> list[list[int]]:
-    """suffix[i][r] = tuples of degree r using only classes[i:]."""
+def _suffix_table(regime: Regime, D: int) -> tuple[list[list[int]], list[list[int]]]:
+    """The stratum table at degree D in units of n_q, M = D // n_q, built
+    once: weights[c - 1][j] = comb(N, j) * (ell - 1)**j for the N primes of
+    degree n_q * c, j <= M // c, and suffix[i][m] the tuples of degree
+    n_q * m whose primes all have degree above n_q * i."""
     cached = regime._suffix.get(D)
     if cached is not None:
         return cached
     _check_steps(_suffix_steps(regime, D), f"the stratum count at degree {D}")
-    ell = regime.ell
-    classes = _degree_classes(regime, D)
-    table = [[0] * (D + 1) for _ in range(len(classes) + 1)]
-    table[len(classes)][0] = 1
-    for i in range(len(classes) - 1, -1, -1):
-        d = classes[i]
-        n_d = necklace_count(regime.q, d)
-        for r in range(D + 1):
-            total, j = 0, 0
-            while j * d <= r:
-                total += comb(n_d, j) * (ell - 1) ** j * table[i + 1][r - j * d]
-                j += 1
-            table[i][r] = total
-    regime._suffix[D] = table
-    return table
+    ell, M = regime.ell, D // regime.n_q
+    weights = []
+    for c in range(1, M + 1):
+        n = necklace_count(regime.q, regime.n_q * c)
+        weights.append([comb(n, j) * (ell - 1) ** j for j in range(M // c + 1)])
+    suffix = [[1] + [0] * M]
+    for c in range(M, 0, -1):
+        row, nxt = weights[c - 1], suffix[-1]
+        suffix.append([sum(map(mul, row, nxt[m::-c])) for m in range(M + 1)])
+    suffix.reverse()
+    regime._suffix[D] = weights, suffix
+    return weights, suffix
 
 
 # base (p, k) and degree d -> coefficient tuples of the monic primes of degree
@@ -630,20 +641,17 @@ def _sample_full(regime: Regime, D: int, rng: Random,
     """Draw one cover as (prime_mults, b): each drawn prime with its slot
     index, and the twisting unit.  labeling is the one the caller will read
     the primes' classes in, for the draws that can cache them."""
-    ell = regime.ell
-    if D % regime.n_q or count_tuples(regime, D) == 0:
+    ell, n_q = regime.ell, regime.n_q
+    if D % n_q or count_tuples(regime, D) == 0:
         raise EmptyStratum(f"no branch tuple of degree {D} for {regime!r}")
-    classes = _degree_classes(regime, D)
-    suffix = _suffix_table(regime, D)
+    weights, suffix = _suffix_table(regime, D)
     prime_mults: list[tuple[Poly, int]] = []
-    rem = D
-    for i, d in enumerate(classes):
-        n_d = necklace_count(regime.q, d)
-        total = suffix[i][rem]
-        target = rng.randrange(total)
+    rem = D // n_q
+    for c, row in enumerate(weights, start=1):
+        target = rng.randrange(suffix[c - 1][rem])
         j = 0
         while True:
-            w = comb(n_d, j) * (ell - 1) ** j * suffix[i + 1][rem - j * d]
+            w = row[j] * suffix[c][rem - j * c]
             if target < w:
                 break
             target -= w
@@ -651,12 +659,12 @@ def _sample_full(regime: Regime, D: int, rng: Random,
         seen: set[tuple[int, ...]] = set()
         for _ in range(j):
             while True:
-                prime = _draw_prime(regime, d, rng, labeling)
+                prime = _draw_prime(regime, n_q * c, rng, labeling)
                 if prime.coeffs not in seen:
                     seen.add(prime.coeffs)
                     break
             prime_mults.append((prime, rng.randrange(1, ell)))
-        rem -= j * d
+        rem -= j * c
     b = FieldElem(regime.ext, rng.randrange(1, regime.ext.order))
     return prime_mults, b
 

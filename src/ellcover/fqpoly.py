@@ -220,19 +220,9 @@ class Poly:
 
     def derivative(self) -> "Poly":
         ctx = self.ctx
-        p = ctx.p
-        out = []
-        for i in range(1, len(self.coeffs)):
-            m = i % p
-            c = self.coeffs[i]
-            if m == 0 or c == 0:
-                out.append(0)
-            else:
-                acc = c
-                for _ in range(m - 1):
-                    acc = ctx.add_i(acc, c)
-                out.append(acc)
-        return _trusted(ctx, out)
+        # the literal i % p is i * 1 in the prime subfield
+        return _trusted(ctx, [ctx.mul_i(c, i % ctx.p)
+                              for i, c in enumerate(self.coeffs) if i])
 
     def pow_mod(self, e: int, m: "Poly") -> "Poly":
         """self**e mod m for any nonzero m; e = 0 gives 1 mod m."""
@@ -776,8 +766,9 @@ def check_sieve_budget(q: int, d: int) -> None:
     """Raise BudgetExceeded unless primes_with_degree may sieve degree d over
     F_q: the table, q**d, and the products, sum over a <= d/2 of
     necklace_count(q, a) * q**(d - a), within their budgets.  The budget of
-    degree d covers every lower degree."""
-    if q ** d > SIEVE_CAP:
+    degree d covers every lower degree.  Since q >= 2, a d with as many
+    binary digits as the cap is refused before q**d is formed."""
+    if d >= SIEVE_CAP.bit_length() or q ** d > SIEVE_CAP:
         raise BudgetExceeded(
             f"listing primes of degree {d} over F_{q} exceeds the sieve budget")
     products = sum(necklace_count(q, a) * q ** (d - a) for a in range(1, d // 2 + 1))

@@ -179,7 +179,7 @@ class FieldCtx:
             for i in range(n):
                 exp[i] = cur
                 log[cur] = i
-                cur = _gf2.mulmod(cur, g, m)
+                cur = _gf2.mod(_gf2.mul(cur, g), m)
         else:
             # The product with g is F_p-linear: row j of its matrix holds the
             # digits of t**j * g, reduced by fqpoly's division over F_p.
@@ -242,13 +242,9 @@ class FieldCtx:
         return self.exp[(la + z) % (self.order - 1)]
 
     def neg_i(self, a: int) -> int:
-        if self.p == 2:
-            return a
         return self.neg[a]
 
     def sub_i(self, a: int, b: int) -> int:
-        if self.p == 2:
-            return a ^ b
         return self.add_i(a, self.neg[b])
 
     def mul_i(self, a: int, b: int) -> int:

@@ -539,6 +539,12 @@ def _line_count(ell: int, k: int) -> int:
     return (ell ** k - 1) // (ell - 1) + 1
 
 
+def _series_steps(M: int) -> int:
+    """Steps of one _euler_series to v**M, v = u**n_q: the recurrence's
+    M(M+1)/2 products and sum_m M // m power-sum terms, none for M < 0."""
+    return max(M, 0) * (M + 1) // 2 + _quotient_sums(M)[0]
+
+
 def _kernel_steps(regime: Regime, idx: tuple[int, ...], m_max: int) -> int:
     """Table steps of extending the kernel over the base points idx from the
     degree it is cached to up to n_q*m_max, 0 when it is cached that far.
@@ -557,7 +563,8 @@ def _kernel_steps(regime: Regime, idx: tuple[int, ...], m_max: int) -> int:
         return 0
     ell, k = regime.ell, len(idx)
     h, lines = max(min(k - 1, m_max), 0), _line_count(ell, k)
-    products = sum(max(min(n, k) - 1, 0) for n in range(done + 1, m_max + 1))
+    products = (sum(range(min(done, k), min(m_max, k)))
+                + max(k - 1, 0) * max(m_max - max(done, k), 0))
     steps = lines * (ell ** 2 * products
                      + ell * (m_max * (m_max - 1) - done * (done - 1)) // 2)
     if kernel is None or len(kernel.monic.get((0,) * k, ())) <= h:
@@ -657,15 +664,14 @@ def _class_sum_counts(regime: Regime, idx: tuple[int, ...], D: int) -> dict:
     off its line.  The series is computed once per profile (O_m(w))_m, which
     lines share.  The counts must add up to count_tuples.  Budgeted before any
     work: the stratum and the kernel unless cached, and per line a look-up per
-    degree, one _euler_series and ell**2 per coordinate for _invert.  The
-    series is charged r // d products for two factors, each d and r <= D,
-    which bounds its recurrence's (D/n_q)**2 / 2 from above."""
+    degree, one _euler_series at its recurrence's steps and ell**2 per
+    coordinate for _invert."""
     ell, n_q, k = regime.ell, regime.n_q, len(idx)
     if D % n_q or D <= 0:
         return {} if D else {(0,) * k: 1}
     m_max = D // n_q
     _check_steps(_suffix_steps(regime, D) + _kernel_steps(regime, idx, m_max)
-                 + _line_count(ell, k) * (m_max + 2 * _quotient_sums(n_q, D) + k * ell ** 2),
+                 + _line_count(ell, k) * (m_max + _series_steps(m_max) + k * ell ** 2),
                  f"counting branch tuples by class sum at {k} points to degree {D}")
     per_degree = _orthogonal_at(regime, idx, m_max)
     by_profile: dict[tuple[int, ...], int] = {}
@@ -707,7 +713,7 @@ def g_series(regime: Regime, points, w, trunc: int) -> list[int]:
     base primes orthogonal to w's line at those points alone (ell**s class
     vectors for s such points, whatever q is), by _euler_series's power-sum
     recurrence; coefficients off the multiples of n_q are 0.  Budgeted before
-    any work, the series at the bound _class_sum_counts charges.
+    any work, the series at its recurrence's steps.
     """
     ell, n_q = regime.ell, regime.n_q
     idx = _base_literals(regime, points)
@@ -716,7 +722,7 @@ def g_series(regime: Regime, points, w, trunc: int) -> list[int]:
         raise InvalidTuple("weight vector length must match points")
     support = sorted((i, wi) for i, wi in zip(idx, w) if wi)
     idx = tuple(i for i, _ in support)
-    _check_steps(_kernel_steps(regime, idx, trunc // n_q) + 2 * _quotient_sums(n_q, trunc),
+    _check_steps(_kernel_steps(regime, idx, trunc // n_q) + _series_steps(trunc // n_q),
                  f"the series G_w to degree {trunc}")
     per_degree = _orthogonal_at(regime, idx, trunc // n_q)
     line = _line_of(tuple(wi for _, wi in support), ell)

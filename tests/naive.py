@@ -560,9 +560,11 @@ def constrained_by_vector(counts, ell, n_q, e_b, targets):
 # The step budget, counted term by term.
 
 def suffix_steps(reg, D):
-    """Steps of the stratum's suffix table: r // d + 1 for each prime degree
-    d and each r <= D."""
-    return sum(r // d + 1 for d in range(reg.n_q, D + 1, reg.n_q) for r in range(D + 1))
+    """Steps of the stratum's suffix table in units of n_q, M = D // n_q:
+    m // c + 1 for each degree class c (prime degree n_q * c) and each
+    m <= M."""
+    M = D // reg.n_q
+    return sum(m // c + 1 for c in range(1, M + 1) for m in range(M + 1))
 
 
 def line_count(ell, k):
@@ -604,7 +606,9 @@ def class_sum_steps(reg, k, D):
 
 
 def series_steps(reg, D):
-    """Steps charged for one Euler series to u**D: r // d products for each
-    of two factors, each prime degree d and each r <= D, an upper bound on
-    the power-sum recurrence's work."""
-    return 2 * sum(r // d for d in range(reg.n_q, D + 1, reg.n_q) for r in range(d, D + 1))
+    """Steps of one Euler series to u**D, M = D // n_q: the recurrence's
+    product c_I * F_(N-I) for each 1 <= I <= N <= M, and its power-sum
+    term for each prime degree n_q * m and each multiple I of m up to M."""
+    M = D // reg.n_q
+    products = sum(1 for N in range(1, M + 1) for I in range(1, N + 1))
+    return products + sum(1 for m in range(1, M + 1) for I in range(m, M + 1, m))

@@ -147,15 +147,24 @@ def test_gcd_with_zero():
 
 
 def test_derivative_product_rule():
-    polys = [ec.Poly(F3, t) for t in product(range(3), repeat=3)]
-    for f in polys[::4]:
-        for g in polys[::5]:
-            lhs = (f * g).derivative()
-            rhs = f.derivative() * g + f * g.derivative()
-            assert lhs == rhs
-    # char-p collapse: derivative of x**p is zero
-    xp = ec.Poly.x(F3) ** 3
-    assert xp.derivative().is_zero
+    for ctx in (F3, F5, F9, ec.make_field(2, 3)):
+        rng = Random(f"derivative:{ctx.order}")
+        polys = [ec.Poly(ctx, [rng.randrange(ctx.order)
+                               for _ in range(rng.randrange(1, 9))])
+                 for _ in range(12)]
+        for f in polys:
+            # coefficient i - 1 of f' is c_i added to itself i times
+            want = []
+            for i, c in enumerate(f.coeffs[1:], start=1):
+                acc = 0
+                for _ in range(i):
+                    acc = ctx.add_i(acc, c)
+                want.append(acc)
+            assert f.derivative() == ec.Poly(ctx, want)
+            for g in polys[::3]:
+                assert (f * g).derivative() == f.derivative() * g + f * g.derivative()
+        # char-p collapse: derivative of x**p is zero
+        assert (ec.Poly.x(ctx) ** ctx.p).derivative().is_zero
 
 
 def test_pow_and_pow_mod():

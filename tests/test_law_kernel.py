@@ -307,6 +307,63 @@ def test_budgets_raise_before_any_work(monkeypatch):
                               8168466759378288682225359502527313945189968)
 
 
+# (q, ell) and the largest D whose exact law the step budget admits; (8, 3)
+# is stopped at D = 8 by its transfer over 64**n value vectors
+LARGEST_LAW = [(2, 3, 1088), (3, 5, 784), (5, 3, 226), (3, 7, 672), (4, 5, 162),
+               (4, 7, 99), (3, 11, 265), (2, 5, 1624), (2, 7, 954), (8, 3, 6),
+               (2, 11, 2170), (2, 13, 2220)]
+
+
+@pytest.mark.parametrize("q, ell, D", LARGEST_LAW)
+def test_the_largest_admitted_law(q, ell, D, monkeypatch):
+    # counted term by term, the law at D is within the cap and the law at
+    # the next degree over it; on a fresh regime the law at D is refused one
+    # step below its count, with nothing built, and computed at it
+    reg = Regime(q, ell)
+    g = (reg.ell - 1) * (D - 2) // 2
+    steps = naive.class_sum_steps(reg, reg.q, D)
+    over = naive.class_sum_steps(reg, reg.q, D + reg.n_q)
+    assert steps <= cp.KERNEL_STEP_CAP < over
+    with pytest.raises(ec.BudgetExceeded, match=f"about {over} table steps"):
+        ec.exhaustive_distribution(reg, g + (reg.ell - 1) * reg.n_q // 2)
+    monkeypatch.setattr(cp, "KERNEL_STEP_CAP", steps - 1)
+    with pytest.raises(ec.BudgetExceeded, match=f"about {steps} table steps"):
+        ec.exhaustive_distribution(reg, g)
+    assert reg._lines == reg._suffix == {}
+    monkeypatch.setattr(cp, "KERNEL_STEP_CAP", steps)
+    rep = ec.exhaustive_distribution(reg, g)
+    assert rep.D == D
+    assert rep.ensemble_size == ec.count_tuples(reg, D) * (reg.ext.order - 1)
+
+
+def test_step_counts_in_closed_form_count_every_term():
+    for qell in ((2, 3), (3, 5), (4, 7), (2, 13)):
+        reg = Regime(*qell)
+        for D in range(200):
+            assert cp._suffix_steps(reg, D) == naive.suffix_steps(reg, D)
+            assert ls._series_steps(D // reg.n_q) == naive.series_steps(reg, D)
+
+
+def test_a_huge_degree_is_refused_at_once():
+    # the step counts take at most about 2 * sqrt(D) terms, and the sieve
+    # compares d with its cap's binary digits before it forms q**d
+    reg, D = Regime(2, 3), 10 ** 9
+    xs = [reg.base.elem(0), reg.base.elem(1)]
+    t0 = time.monotonic()
+    for call in (lambda: ec.count_tuples(reg, D),
+                 lambda: ec.exhaustive_distribution(reg, D - 2),
+                 lambda: ec.g_series(reg, xs, [1, 2], D),
+                 lambda: base_prime_lines(reg, D // reg.n_q),
+                 lambda: ec.primes_with_degree(ec.make_field(3), D)):
+        with pytest.raises(ec.BudgetExceeded):
+            call()
+    assert time.monotonic() - t0 < 1
+    assert reg._lines == reg._suffix == {}
+    # a negative truncation is a bad argument, whatever its size
+    with pytest.raises(ValueError, match="non-negative"):
+        ec.g_series(reg, xs, [1, 2], -D)
+
+
 def test_budget_edges_of_the_kernel(monkeypatch):
     reg = Regime(2, 3)
     # the constant 1 classed and pushed, the 4 monics X + a classed, M_1

@@ -198,18 +198,19 @@ def test_constrained_row_compares_the_least_branch_degree(monkeypatch):
 
 def test_constrained_row_notes_a_budget_refusal(monkeypatch):
     # on a fresh (2, 3) regime, with no cache warm, the class kernel at
-    # points 0, 1 takes 201 table steps to D = 2 and 210 to D = 4: under a
-    # cap between them the row compares D = 2 and notes the refusal at D = 4,
-    # a declared limit and not a disagreement
+    # points 0, 1 takes 201 table steps to D = 2, 190 to D = 4 from the
+    # kernel cached to degree 2, and 235 to D = 6: under a cap between them
+    # the row compares D = 2 and 4 and notes the refusal at D = 6, a
+    # declared limit and not a disagreement
     monkeypatch.setattr(verify, "make_regime", coverparam.Regime)
     monkeypatch.setattr(coverparam, "KERNEL_STEP_CAP", 205)
-    rows = {r.name: r for r in run_checks(2, 3, max_D=4)}
+    rows = {r.name: r for r in run_checks(2, 3, max_D=6)}
     row = rows["constrained-crosscheck"]
     assert row.passed, row.detail
     assert row.detail.startswith(
-        "class-kernel count == direct count (D=2:0); class kernel out of budget "
-        "from D=4: counting branch tuples by class sum at 2 points to degree 4 "
-        "takes about 210 table steps")
+        "class-kernel count == direct count (D=2:0, D=4:1); class kernel out of "
+        "budget from D=6: counting branch tuples by class sum at 2 points to "
+        "degree 6 takes about 235 table steps")
 
 
 def test_constrained_row_detects_a_tampered_kernel(monkeypatch):
