@@ -12,6 +12,8 @@ holds one cover's model to the class vector and to that oracle.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 from .coverparam import (
     CoverParams,
     Regime,
@@ -22,7 +24,7 @@ from .coverparam import (
 )
 from .errors import CrossCheckMismatch, UnexpectedRoot
 from .fqpoly import embed, poly_frobenius
-from .gf import FieldElem, embed_elem, lth_power_class
+from .gf import FieldCtx, FieldElem, embed_elem, lth_power_class
 
 
 class _Infinity:
@@ -71,15 +73,21 @@ def fiber_count(model: TwistedModel, x) -> int:
     return model.regime.ell if chi_class(model, x) == 0 else 0
 
 
+@lru_cache(maxsize=None)
+def _lth_powers(ext: FieldCtx, ell: int) -> tuple[int, ...]:
+    """y**ell for every literal y of ext, in literal order."""
+    return tuple(ext.pow_i(y, ell) for y in range(ext.order))
+
+
 def fiber_count_oracle(model: TwistedModel, x) -> int:
-    """Independent count: scan every y in the extension for y**ell == value;
-    at infinity the model's chart equation becomes y**ell == b**n_q."""
+    """Independent count: scan the ell-th powers of every y in the extension
+    for the value; at infinity the chart equation becomes y**ell == b**n_q."""
     reg, ext = model.regime, model.regime.ext
     if x is INFINITY:
         target = model.params.b ** reg.n_q
     else:
         target = model.f_v0.eval(embed_elem(x, ext))
-    return sum(ext.pow_i(y, reg.ell) == target.val for y in range(ext.order))
+    return _lth_powers(ext, reg.ell).count(target.val)
 
 
 def point_count(model: TwistedModel) -> int:

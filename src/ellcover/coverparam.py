@@ -154,7 +154,7 @@ class Regime:
         # labeling -> prime coefficients -> classes at the affine points
         self._class_cache: dict[str, dict[tuple[int, ...], tuple[int, ...]]] = {
             labeling: {} for labeling in LABELINGS}
-        self._suffix: dict[int, tuple[list[list[int]], list[list[int]]]] = {}
+        self._suffix: tuple[list[list[int]], list[list[int]]] = ([], [[1]])
         # sorted base-point literals -> lseries._LineKernel, built on first use
         self._lines: dict = {}
 
@@ -503,12 +503,9 @@ def _enumerate_full(regime: Regime, D: int):
             return
         d = classes[idx]
         pool = primes_with_degree(regime.base, d)
-        for m in range(0, min(len(pool), rem // d) + 1):
-            if m == 0:
-                yield from rec(idx + 1, rem, chosen)
-            else:
-                for combo in combinations(pool, m):
-                    yield from rec(idx + 1, rem - m * d, chosen + list(combo))
+        for m in range(min(len(pool), rem // d) + 1):
+            for combo in combinations(pool, m):
+                yield from rec(idx + 1, rem - m * d, chosen + list(combo))
 
     return rec(0, D, [])
 
@@ -525,45 +522,47 @@ def enumerate_tuples(regime: Regime, D: int):
 
 
 def count_tuples(regime: Regime, D: int) -> int:
-    """Size of the degree-D stratum, by exact generating-series expansion."""
-    if D < 0:
-        raise ValueError("branch degree must be non-negative")
-    if D % regime.n_q:
+    """Size of the degree-D stratum, from the stratum table; ValueError if D < 0."""
+    if D > 0 and D % regime.n_q:
         return 0
-    _, suffix = _suffix_table(regime, D)
-    return suffix[0][D // regime.n_q]
+    return _suffix_table(regime, D)[1][0][D // regime.n_q]
 
 
 def _suffix_steps(regime: Regime, D: int) -> int:
-    """Table steps of _suffix_table at degree D, 0 when it is cached: m // c + 1
-    terms for each degree class c and each m <= M = D // n_q."""
-    if D in regime._suffix:
-        return 0
+    """Table steps of a fresh _suffix_table at degree D, 0 when the held table
+    reaches it: m // c + 1 terms for each degree class c and each m <= M =
+    D // n_q.  Extending is charged as a fresh table, whatever was held."""
     M = D // regime.n_q
+    if M < len(regime._suffix[1]):
+        return 0
     return M * (M + 1) + _quotient_sums(M)[1]
 
 
 def _suffix_table(regime: Regime, D: int) -> tuple[list[list[int]], list[list[int]]]:
-    """The stratum table at degree D in units of n_q, M = D // n_q, built
-    once: weights[c - 1][j] = comb(N, j) * (ell - 1)**j for the N primes of
-    degree n_q * c, j <= M // c, and suffix[i][m] the tuples of degree
-    n_q * m whose primes all have degree above n_q * i."""
-    cached = regime._suffix.get(D)
-    if cached is not None:
-        return cached
+    """The regime's one stratum table in units of n_q, extended to reach M =
+    D // n_q: weights[c - 1][j] = comb(N, j) * (ell - 1)**j for the N primes
+    of degree n_q * c, j <= M // c, and suffix[i][m] the tuples of degree
+    n_q * m whose primes all have degree above n_q * i.  No entry at m <= H,
+    the held M, reads a class above m, so only columns m > H are filled."""
+    if D < 0:
+        raise ValueError("branch degree must be non-negative")
+    weights, suffix = regime._suffix
+    H, M = len(suffix) - 1, D // regime.n_q
+    if M <= H:
+        return regime._suffix
     _check_steps(_suffix_steps(regime, D), f"the stratum count at degree {D}")
-    ell, M = regime.ell, D // regime.n_q
-    weights = []
-    for c in range(1, M + 1):
+    weights.extend([] for _ in range(M - len(weights)))
+    for c, row in enumerate(weights, start=1):
         n = necklace_count(regime.q, regime.n_q * c)
-        weights.append([comb(n, j) * (ell - 1) ** j for j in range(M // c + 1)])
-    suffix = [[1] + [0] * M]
-    for c in range(M, 0, -1):
-        row, nxt = weights[c - 1], suffix[-1]
-        suffix.append([sum(map(mul, row, nxt[m::-c])) for m in range(M + 1)])
-    suffix.reverse()
-    regime._suffix[D] = weights, suffix
-    return weights, suffix
+        row += [comb(n, j) * (regime.ell - 1) ** j for j in range(len(row), M // c + 1)]
+    # new lists, swapped in whole, so an interrupted extension leaves the held table
+    suffix = [row + [0] * (M - H) for row in suffix] + [[1] + [0] * M for _ in range(M - H)]
+    for c in range(M, 0, -1):  # top class down
+        row, nxt, cur = weights[c - 1], suffix[c], suffix[c - 1]
+        for m in range(H + 1, M + 1):
+            cur[m] = sum(map(mul, row, nxt[m::-c]))
+    regime._suffix = weights, suffix
+    return regime._suffix
 
 
 # base (p, k) and degree d -> coefficient tuples of the monic primes of degree
@@ -642,12 +641,13 @@ def _sample_full(regime: Regime, D: int, rng: Random,
     index, and the twisting unit.  labeling is the one the caller will read
     the primes' classes in, for the draws that can cache them."""
     ell, n_q = regime.ell, regime.n_q
-    if D % n_q or count_tuples(regime, D) == 0:
+    if D % n_q:
         raise EmptyStratum(f"no branch tuple of degree {D} for {regime!r}")
     weights, suffix = _suffix_table(regime, D)
     prime_mults: list[tuple[Poly, int]] = []
     rem = D // n_q
-    for c, row in enumerate(weights, start=1):
+    # one randrange per class up to this degree, however far the table reaches
+    for c, row in zip(range(1, rem + 1), weights):
         target = rng.randrange(suffix[c - 1][rem])
         j = 0
         while True:

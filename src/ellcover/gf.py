@@ -126,7 +126,8 @@ class FieldCtx:
             return (0, 1)  # t
         from .fqpoly import _trusted, irreducible
         fp = make_field(p)
-        for low in itertools.product(range(p), repeat=k):
+        # t divides a candidate of constant term 0, the first p**(k - 1) of them
+        for low in itertools.product(range(1, p), *[range(p)] * (k - 1)):
             f = list(low) + [1]
             if irreducible(_trusted(fp, f)):
                 return tuple(f)

@@ -2,6 +2,7 @@
 twisted models, stratum enumeration/counting/sampling, all against
 independent recomputation."""
 
+import copy
 import hashlib
 import math
 import time
@@ -814,7 +815,7 @@ def test_count_tuples_frozen_and_consistent(monkeypatch):
     monkeypatch.setattr(coverparam, "KERNEL_STEP_CAP", steps - 1)
     with pytest.raises(ec.BudgetExceeded, match=f"about {steps} table steps"):
         ec.count_tuples(reg, 62)
-    assert reg._suffix == {}
+    assert reg._suffix == ([], [[1]])  # the degree-0 table: nothing built
     monkeypatch.setattr(coverparam, "KERNEL_STEP_CAP", steps)
     series = [1] + [0] * 62
     for d in range(2, 63, 2):
@@ -829,7 +830,70 @@ def test_count_tuples_frozen_and_consistent(monkeypatch):
     assert ec.count_tuples(reg, 100_001) == 0
     with pytest.raises(ec.BudgetExceeded):
         ec.count_tuples(reg, 100_000)
-    assert time.monotonic() - t0 < 1 and list(reg._suffix) == [62]
+    assert time.monotonic() - t0 < 1 and len(reg._suffix[1]) == 62 // 2 + 1
+
+
+@pytest.mark.parametrize("q, ell", [(2, 3), (3, 5)])
+def test_one_table_counts_every_degree_in_any_order(q, ell):
+    # one regime asked every D <= 200 ascending, descending and shuffled
+    # counts what a fresh regime counts at each D, and holds one table, of
+    # the largest degree asked
+    fresh = [ec.count_tuples(Regime(q, ell), D) for D in range(201)]
+    for order in (range(201), range(200, -1, -1), Random(7).sample(range(201), 201)):
+        reg = Regime(q, ell)
+        got = {D: ec.count_tuples(reg, D) for D in order}
+        assert [got[D] for D in range(201)] == fresh
+        assert len(reg._suffix[1]) == 200 // reg.n_q + 1
+
+
+def test_a_held_table_charges_nothing_below_it_and_a_fresh_table_above(monkeypatch):
+    reg = Regime(2, 3)
+    fresh = [coverparam._suffix_steps(reg, D) for D in range(301)]
+    assert ec.count_tuples(reg, 200)
+    assert [coverparam._suffix_steps(reg, D) for D in range(202)] == [0] * 202
+    assert [coverparam._suffix_steps(reg, D) for D in range(202, 301)] == fresh[202:]
+    # an extension refused one step below a fresh table's count leaves every
+    # held entry as it was, and runs at that count
+    held = copy.deepcopy(reg._suffix)
+    monkeypatch.setattr(coverparam, "KERNEL_STEP_CAP", fresh[300] - 1)
+    for call in (lambda: ec.count_tuples(reg, 300),
+                 lambda: ec.sample_params(reg, 300, 7)):
+        with pytest.raises(ec.BudgetExceeded, match=f"about {fresh[300]} table steps"):
+            call()
+        assert reg._suffix == held
+    monkeypatch.setattr(coverparam, "KERNEL_STEP_CAP", fresh[300])
+    assert ec.count_tuples(reg, 300) == ec.count_tuples(Regime(2, 3), 300)
+    weights, suffix = reg._suffix
+    assert [row[:len(h)] for row, h in zip(weights, held[0])] == held[0]
+    assert [row[:101] for row in suffix[:101]] == held[1]
+
+
+def test_negative_degrees_are_refused_without_reading_the_table():
+    reg = Regime(2, 3)
+    reg._suffix = None  # any read of the held table fails with TypeError
+    for D in (-2, -1):
+        with pytest.raises(ValueError, match="non-negative"):
+            ec.count_tuples(reg, D)
+    with pytest.raises(ValueError, match="non-negative"):
+        ec.sample_params(reg, -2, 7)
+    with pytest.raises(ec.EmptyStratum):
+        ec.sample_params(reg, -1, 7)
+
+
+@pytest.mark.parametrize("q, ell, g, samples", [(2, 3, 30, 200), (3, 5, 20, 60),
+                                                (5, 3, 20, 60)])
+def test_monte_carlo_draws_do_not_depend_on_the_held_table(q, ell, g, samples):
+    # every draw walks exactly the classes of its own degree, so a regime
+    # that holds a larger table draws the same covers as a fresh one
+    def report(reg):
+        rep = ec.monte_carlo_distribution(reg, g, samples, 7).to_json_dict()
+        del rep["runtime_ms"]
+        return rep
+
+    reg = Regime(q, ell)
+    D = ec.admissible_D(reg, g)
+    assert ec.count_tuples(reg, 2 * D)
+    assert report(reg) == report(Regime(q, ell))
 
 
 def test_sampling_reproducible_and_valid():

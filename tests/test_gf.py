@@ -67,8 +67,8 @@ def test_canonical_tables_are_pinned():
     assert h.hexdigest() == PINNED_TABLES
 
 
-@pytest.mark.parametrize("p,k", [(2, 2), (2, 3), (2, 4), (2, 6),
-                                 (3, 2), (3, 4), (5, 2), (7, 2)])
+@pytest.mark.parametrize("p,k", [(2, 2), (2, 3), (2, 4), (2, 6), (2, 8),
+                                 (3, 2), (3, 4), (3, 5), (5, 2), (7, 2), (7, 3)])
 def test_canonical_modulus_is_lex_least_irreducible(p, k):
     ctx = ec.make_field(p, k)
     assert ctx.modulus == lex_least_irreducible(p, k)

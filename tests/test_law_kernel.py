@@ -285,7 +285,8 @@ def test_budgets_raise_before_any_work(monkeypatch):
     with pytest.raises(ec.BudgetExceeded, match="table steps"):
         ec.exhaustive_distribution(reg23, 100_000)
     assert time.monotonic() - t0 < 1
-    assert reg._lines == reg11._lines == reg23._lines == reg23._suffix == {}
+    assert reg._lines == reg11._lines == reg23._lines == {}
+    assert reg23._suffix == ([], [[1]])  # the degree-0 table: nothing built
     # (2, 3) at g = 478, D = 480: the stratum table, the kernel, the five
     # series and the inversion are refused one step below their count, and
     # the law is computed at it
@@ -293,7 +294,7 @@ def test_budgets_raise_before_any_work(monkeypatch):
     monkeypatch.setattr(cp, "KERNEL_STEP_CAP", steps - 1)
     with pytest.raises(ec.BudgetExceeded, match=f"about {steps} table steps"):
         ec.exhaustive_distribution(reg23, 478)
-    assert reg23._lines == reg23._suffix == {}
+    assert reg23._lines == {} and reg23._suffix == ([], [[1]])
     monkeypatch.setattr(cp, "KERNEL_STEP_CAP", steps)
     rep = ec.exhaustive_distribution(reg23, 478)
     assert rep.ensemble_size == ec.count_tuples(reg23, 480) * 3
@@ -329,7 +330,7 @@ def test_the_largest_admitted_law(q, ell, D, monkeypatch):
     monkeypatch.setattr(cp, "KERNEL_STEP_CAP", steps - 1)
     with pytest.raises(ec.BudgetExceeded, match=f"about {steps} table steps"):
         ec.exhaustive_distribution(reg, g)
-    assert reg._lines == reg._suffix == {}
+    assert reg._lines == {} and reg._suffix == ([], [[1]])
     monkeypatch.setattr(cp, "KERNEL_STEP_CAP", steps)
     rep = ec.exhaustive_distribution(reg, g)
     assert rep.D == D
@@ -358,7 +359,7 @@ def test_a_huge_degree_is_refused_at_once():
         with pytest.raises(ec.BudgetExceeded):
             call()
     assert time.monotonic() - t0 < 1
-    assert reg._lines == reg._suffix == {}
+    assert reg._lines == {} and reg._suffix == ([], [[1]])
     # a negative truncation is a bad argument, whatever its size
     with pytest.raises(ValueError, match="non-negative"):
         ec.g_series(reg, xs, [1, 2], -D)

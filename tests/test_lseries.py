@@ -677,4 +677,4 @@ def test_growth_check_enumeration_budget():
     with pytest.raises(ec.BudgetExceeded, match="table steps"):
         ec.growth_check(reg, 100_000, pts(reg, 0, 1), (0, 0), reg.ext.elem(1))
     assert time.monotonic() - t0 < 1
-    assert reg._lines == reg._suffix == {}
+    assert reg._lines == {} and reg._suffix == ([], [[1]])  # nothing built
