@@ -65,16 +65,14 @@ ENUM_D_CAP = 16
 # each added up by its entry point and checked by _check_steps before any work
 KERNEL_STEP_CAP = 1 << 22
 # _draw_prime answers a candidate of degree d over F_q, q > 2, from a sieved
-# set of the primes of degree d when q**d is at most this.  The sieve costs
-# 5-14 us per monic polynomial of the degree, once per process, and saves
-# 3-22 us on each candidate that irreducible would test.  For F_3 at degree
-# 8 that is 72-75 ms against 12-20 us a candidate, so it pays once about
-# q**d / 2 to q**d candidates of that degree are drawn (two runs on a
-# loaded 2-core box, where the sieve took 86-101 ms and irreducible 30-37 us
-# a candidate before prime fields were packed).  A
-# 60-sample Monte Carlo run over (3,5) at g = 20 draws 273 candidates of
-# degree 8, so the F_3 degree-8 sieve, the largest under this cap that it
-# reads, pays within about 13 to 22 such runs in one process.
+# set of the primes of degree d when q**d is at most this.  For F_3 at degree
+# 8 the sieve took 46-53 ms, once per process, against 3.9-4.2 us a candidate
+# for irreducible behind the packed residue screen (12.8 us before it), so it
+# pays once about 12 000 candidates, some 2 * q**d, of that degree are drawn
+# (2-core x86-64 box, Python 3.11).  A 60-sample Monte Carlo run over (3,5)
+# at g = 20 draws 273 candidates of degree 8, so the F_3 degree-8 sieve, the
+# largest under this cap that it reads, pays within about 44 such runs in
+# one process.
 DRAW_SIEVE_CAP = 1 << 13
 LABELINGS = ("least", "greatest")  # anchoring rules for Frobenius orbits
 
@@ -104,6 +102,38 @@ def _check_labeling(labeling: str) -> None:
         raise ValueError(f"unknown labeling rule {labeling!r}")
 
 
+def check_regime(q: int, ell: int) -> tuple[int, int, int]:
+    """(p, k, n_q) for q = p**k and n_q the order of q mod ell, building no
+    field: TooLarge, NotPrime, CharacteristicDividesEll or KummerRegime where
+    (q, ell) is outside the supported regimes."""
+    # The caps come before trial divisions that would not finish on huge
+    # inputs.  The extension holds the ell-th roots of unity: q**n_q > ell.
+    if q > FIELD_ORDER_CAP:
+        raise TooLarge(f"field order {q} exceeds cap {FIELD_ORDER_CAP}")
+    p, k = prime_power(q)
+    if ell >= FIELD_ORDER_CAP:
+        raise TooLarge(f"cover order {ell} needs an extension of order "
+                       f"above the cap {FIELD_ORDER_CAP}")
+    if not is_prime_int(ell):
+        raise NotPrime(f"cover order {ell} is not prime")
+    if ell == p:
+        raise CharacteristicDividesEll(
+            f"ell == characteristic {p}: the cover map is inseparable")
+    n_q, acc, ext_order = 1, q % ell, q
+    while acc != 1:
+        acc = (acc * q) % ell
+        n_q += 1
+        ext_order *= q
+        if ext_order > FIELD_ORDER_CAP:
+            raise TooLarge(f"extension order {q}**{n_q} or more exceeds "
+                           f"cap {FIELD_ORDER_CAP}")
+    if n_q == 1:
+        raise KummerRegime(
+            f"q = {q} is 1 mod {ell}: this is the classical Kummer case, "
+            "outside the supported regime")
+    return p, k, n_q
+
+
 class Regime:
     """A (q, ell) pair with its contexts, caches, and twist exponents."""
 
@@ -111,31 +141,7 @@ class Regime:
                  "_split_cache", "_class_cache", "_suffix", "_lines")
 
     def __init__(self, q: int, ell: int):
-        # The caps come before trial divisions that would not finish on huge
-        # inputs.  The extension holds the ell-th roots of unity: q**n_q > ell.
-        if q > FIELD_ORDER_CAP:
-            raise TooLarge(f"field order {q} exceeds cap {FIELD_ORDER_CAP}")
-        p, k = prime_power(q)
-        if ell >= FIELD_ORDER_CAP:
-            raise TooLarge(f"cover order {ell} needs an extension of order "
-                           f"above the cap {FIELD_ORDER_CAP}")
-        if not is_prime_int(ell):
-            raise NotPrime(f"cover order {ell} is not prime")
-        if ell == p:
-            raise CharacteristicDividesEll(
-                f"ell == characteristic {p}: the cover map is inseparable")
-        n_q, acc, ext_order = 1, q % ell, q
-        while acc != 1:
-            acc = (acc * q) % ell
-            n_q += 1
-            ext_order *= q
-            if ext_order > FIELD_ORDER_CAP:
-                raise TooLarge(f"extension order {q}**{n_q} or more exceeds "
-                               f"cap {FIELD_ORDER_CAP}")
-        if n_q == 1:
-            raise KummerRegime(
-                f"q = {q} is 1 mod {ell}: this is the classical Kummer case, "
-                "outside the supported regime")
+        p, k, n_q = check_regime(q, ell)
         self.q = q
         self.ell = ell
         self.p = p
@@ -477,6 +483,12 @@ def _tuple_from_primes(regime: Regime, prime_mults) -> tuple[Poly, ...]:
     return tuple(fs)
 
 
+def check_enum_budget(D: int) -> None:
+    """BudgetExceeded if enumerating the tuples of degree D is over ENUM_D_CAP."""
+    if D > ENUM_D_CAP:
+        raise BudgetExceeded(f"enumeration at degree {D} exceeds cap {ENUM_D_CAP}")
+
+
 def _enumerate_full(regime: Regime, D: int):
     """An iterator of prime_mults, each prime with its slot, for every branch
     tuple of degree D, in the order of enumerate_tuples; ensembles read these
@@ -485,8 +497,7 @@ def _enumerate_full(regime: Regime, D: int):
     """
     if D < 0:
         raise ValueError("branch degree must be non-negative")
-    if D > ENUM_D_CAP:
-        raise BudgetExceeded(f"enumeration at degree {D} exceeds cap {ENUM_D_CAP}")
+    check_enum_budget(D)
     ell = regime.ell
     if D % regime.n_q:
         return iter(())

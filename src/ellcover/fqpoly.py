@@ -14,11 +14,13 @@ One modular-power kernel serves pow_mod, the irreducibility test, the
 factorization split and the root of unity of the conjugate split.  It keeps
 its form from its first step to its last: packed residues over a packed
 prime field, discrete logs over every other field.
-Over small fields the irreducibility test opens with has_root, evaluation at
-every point of the field.  Factorization runs the classical squarefree /
-distinct-degree / equal-degree pipeline; the randomized equal-degree splits
-draw from a generator seeded by the input polynomial, so factor() is a
-deterministic function of its argument.
+The irreducibility test opens with a screen for small factors: over a packed
+prime field, _gfp's residue screen takes the candidate modulo every prime of
+degree 1 to its top at once, and over the other fields of order up to
+ROOT_SCREEN_MAX_ORDER, has_root evaluates it at every point.  Factorization
+runs the classical squarefree / distinct-degree / equal-degree pipeline; the
+randomized equal-degree splits draw from a generator seeded by the input
+polynomial, so factor() is a deterministic function of its argument.
 conjugate_factor splits a prime P over F_q into its Frobenius-conjugate
 factors over F_Q = F_{q**n_q}, n_q the order of q modulo ell, by an ell-th
 root of unity and gcds: y = z**((q**n - 1) / ell) mod P takes a distinct
@@ -60,15 +62,13 @@ SIEVE_CAP = 1 << 22  # q**d, the sieve's table of monic polynomials
 SIEVE_PRODUCT_CAP = 1 << 20  # prime-by-cofactor products the sieve multiplies
 EQUAL_DEGREE_DRAWS = 64  # z that conjugate_factor tries for a root of unity other than 1
 FACTOR_SEED = 0x5EED  # mixed into the fold that seeds the factorization draws
-# irreducible() decides Ben-Or's first round, a root in F_q, by has_root for
-# fields up to this order, and by the power x**q mod f and a gcd above it.
-# Evaluation takes up to (q - 1) * d table steps.  On random monic f of degree
-# 2 to 28 it was the cheaper round at every q <= 128 (within 15 % either way
-# at a few degrees for q = 125) and the dearer one at q = 243 and 256 for
-# degrees 3 to 16.  Over the packed prime fields, p <= 13, the round it
-# replaces is cheaper, and has_root took 0.08-0.51 of its time there (ten
-# random f per even degree 2 to 28, two runs); no field near the boundary is
-# packed.
+# Over a field that _gfp does not pack, irreducible() decides Ben-Or's first
+# round, a root in F_q, by has_root for orders up to this, and by the power
+# x**q mod f and a gcd above it.  Evaluation takes up to (q - 1) * d table
+# steps.  On random monic f of degree 2 to 28 it was the cheaper round at
+# every q <= 128 (within 15 % either way at a few degrees for q = 125) and the
+# dearer one at q = 243 and 256 for degrees 3 to 16.  The packed prime fields,
+# p <= 13, take their first rounds from _gfp's residue screen instead.
 ROOT_SCREEN_MAX_ORDER = 128
 
 
@@ -666,15 +666,19 @@ def factor(f: Poly) -> Factorization:
 def irreducible(f: Poly) -> bool:
     """Irreducibility over the coefficient field (unit factors ignored), by
     Ben-Or's test on literal lists: f of degree d is irreducible iff
-    gcd(f, x**(q**i) - x) = 1 for every i <= d // 2.
+    gcd(f, x**(q**i) - x) = 1 for every i <= d // 2, that is, iff f has no
+    prime factor of degree i <= d // 2.
 
-    The first round holds iff f has no root in F_q; for q up to
+    Over a packed prime field, _gfp's residue screen decides rounds 1 to
+    top at once (top = 6 over F_3, 4 over F_5, 3 over F_7, 2 over F_11 and
+    F_13): a degree up to 2 * top + 1 needs no modular power at all, and
+    above it the rounds from top + 1 on run on one _gfp.Residues, so
+    x**(q**i) stays packed from the first round to the last.  Over every
+    other field the rounds run in discrete logs, each x**(q**i) the q-th
+    power of the round before's by square-and-multiply; there the first
+    round holds iff f has no root in F_q, and for q up to
     ROOT_SCREEN_MAX_ORDER it is decided by has_root, so a candidate with a
-    root pays no modular power.  Each round's x**(q**i) is the q-th power of
-    the round before's, by square-and-multiply in one of the two kernel
-    forms: over a packed prime field the rounds run on one _gfp.Residues, so
-    x**(q**i) stays packed from the first round to the last, and over every
-    other field they run in discrete logs.
+    root pays no modular power.
     """
     if f.is_zero or f.degree < 1:
         return False
@@ -685,14 +689,18 @@ def irreducible(f: Poly) -> bool:
     g = f.monic().coeffs
     q = ctx.order
     first, last = 1, d // 2
+    if _packed(ctx):
+        screen = _gfp.screen(q)
+        top = screen.top
+        if not screen.passes(bytes(g), min(top, last)):
+            return False
+        return last <= top or _gfp.Residues(q, g).ben_or(top + 1, last)
     if q <= ROOT_SCREEN_MAX_ORDER:
         if has_root(f):
             return False
         first = 2
     if first > last:
         return True
-    if _packed(ctx):
-        return _gfp.Residues(q, g).ben_or(first, last)
     t = [0, 1]  # x, reduced modulo g of degree >= 2
     for i in range(1, last + 1):
         t = _pow_mod_coeffs(ctx, t, q, g)
@@ -708,9 +716,9 @@ def has_root(f: Poly) -> bool:
     """Whether f has a root in its coefficient field.
 
     f(0) is the constant term; f(g**s) for every s runs Horner's rule in
-    discrete logs through the Zech table.  Of the two kernel forms it takes
-    the log form over every field, packed prime fields included, since every
-    field has the tables.
+    discrete logs through the Zech table, over every field, packed prime
+    fields included.  irreducible() calls it only over the fields that _gfp
+    does not pack.
     """
     cs = f.coeffs
     if not cs or not cs[0]:

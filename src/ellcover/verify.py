@@ -21,6 +21,8 @@ from .coverparam import (
     _degree_classes,
     _enumerate_full,
     _tuple_from_primes,
+    check_enum_budget,
+    check_regime,
     class_vector,
     count_tuples,
     enumerate_tuples,
@@ -88,24 +90,26 @@ def run_checks(q: int, ell: int, max_D: int = 4, tuple_cap: int = 25,
         except EllcoverError as exc:
             results.append(CheckResult(name, False, f"{type(exc).__name__}: {exc}"))
 
+    # budgets come before fields: a refusal builds no extension
     try:
-        regime = make_regime(q, ell)
+        n_q = check_regime(q, ell)[2]
     except EllcoverError as exc:
         return [CheckResult("regime", False, f"{type(exc).__name__}: {exc}")]
+    if max_D < n_q:  # no branch degree to check: every row would pass
+        raise ValueError(f"max degree {max_D} is below the least branch degree "
+                         f"n_q = {n_q}: use --max-degree {n_q} or more")
+    for d in range(n_q, max_D + 1, n_q):  # the rows enumerate and sieve up to max_D
+        try:
+            check_enum_budget(d)
+            check_sieve_budget(q, d)
+        except BudgetExceeded as exc:
+            fits = d - n_q  # the last degree that passed, 0 when none did
+            hint = f"use --max-degree {fits} or less" if fits else "no --max-degree fits"
+            raise BudgetExceeded(f"{exc}: {hint}") from None
+    regime = make_regime(q, ell)  # check_regime admitted (q, ell)
     results.append(CheckResult(
         "regime", True,
         f"q={q}, ell={ell}, n_q={regime.n_q}, extension F_{regime.ext.order}"))
-    if max_D < regime.n_q:  # no branch degree to check: every row would pass
-        raise ValueError(f"max degree {max_D} is below the least branch degree "
-                         f"n_q = {regime.n_q}: use --max-degree {regime.n_q} or more")
-    for d in _degree_classes(regime, max_D):  # the rows enumerate and sieve up to max_D
-        try:
-            _enumerate_full(regime, d)  # raises over ENUM_D_CAP; no walk runs
-            check_sieve_budget(q, d)
-        except BudgetExceeded as exc:
-            fits = d - regime.n_q  # the last degree that passed, 0 when none did
-            hint = f"use --max-degree {fits} or less" if fits else "no --max-degree fits"
-            raise BudgetExceeded(f"{exc}: {hint}") from None
 
     def check_fibers() -> str:
         # Each cover's model, built once per anchoring rule, is held to its

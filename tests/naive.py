@@ -130,6 +130,20 @@ def gf2_ben_or(f):
     return True
 
 
+def ben_or(p, a):
+    """Ben-Or's test on a monic coefficient list over F_p: a of degree d is
+    prime iff gcd(a, x**(p**i) - x) = 1 for every i <= d // 2."""
+    d = len(trim(a)) - 1
+    if d < 1:
+        return False
+    t = [0, 1]  # x**(p**i) modulo a
+    for _ in range(d // 2):
+        t = polpowmod(p, t, p, a)
+        if len(polgcd(p, a, poladd(p, t, [0, p - 1]))) != 1:
+            return False
+    return True
+
+
 def lex_least_irreducible(p, k):
     """First monic irreducible of degree k in ascending-coefficient lex order."""
     for tail in product(range(p), repeat=k):

@@ -947,17 +947,35 @@ def test_sample_full_prime_list_is_faithful():
 # sha256 of 20 draws per degree 2..12 and then 32 bits of the stream, first
 # 16 hex digits.  q = 3 and 5 were produced before Ben-Or's first round was
 # decided by evaluation at the points of the field; q = 2, 4 and 9 before small
-# degrees were drawn from the sieve and q-th powers computed by spreading.
+# degrees were drawn from the sieve and q-th powers computed by spreading;
+# q = 7, 11 and 13 before the packed prime fields screened their candidates
+# by residues.
 DRAW_DIGESTS = {2: "9c43bcb9cf0c7834", 3: "525dd8638e949637",
                 4: "1dd8828f905c4a57", 5: "25c7f5062bbcf456",
-                9: "f45c9ca915acaa94"}
+                7: "62a1408fc5ae95c8", 9: "f45c9ca915acaa94",
+                11: "89dd87826d7905f6", 13: "ec3af68e512674ad"}
 # The same over F_2 with 10 draws per even degree 18..64, keyed by ell: both
 # were produced while every F_2 candidate was decided by Ben-Or, before (2,3)
 # draws above the residue screen were decided by the GF(4) factor's proof.
 F2_DRAW_DIGESTS = {3: "a9868d62763bc83b", 5: "4dc3ef2db20da525"}
+# The same over F_3 with 10 draws per degree 13..30, keyed by ell, where
+# Ben-Or's rounds follow the residue screen: produced while every candidate
+# there was decided by evaluation and Ben-Or.
+F3_DRAW_DIGESTS = {5: "b417865cd57ea2c3"}
 
 
-@pytest.mark.parametrize("q, ell", [(2, 3), (2, 5), (3, 5), (4, 5), (5, 3), (9, 5)])
+def _high_draws_digest(reg, degrees) -> str:
+    h = hashlib.sha256()
+    for d in degrees:
+        rng = Random(f"{reg.q}:{reg.ell}:{d}")
+        for _ in range(10):
+            h.update(repr(_draw_prime(reg, d, rng).coeffs).encode())
+        h.update(repr(rng.getrandbits(32)).encode())
+    return h.hexdigest()[:16]
+
+
+@pytest.mark.parametrize("q, ell", [(2, 3), (2, 5), (3, 5), (4, 5), (5, 3), (7, 5),
+                                     (9, 5), (11, 3), (13, 7)])
 def test_draw_prime_streams_are_unchanged(q, ell):
     reg = ec.make_regime(q, ell)
     h = hashlib.sha256()
@@ -968,13 +986,9 @@ def test_draw_prime_streams_are_unchanged(q, ell):
         h.update(repr(rng.getrandbits(32)).encode())
     assert h.hexdigest()[:16] == DRAW_DIGESTS[q]
     if q == 2:
-        h = hashlib.sha256()
-        for d in range(18, 65, 2):
-            rng = Random(f"{q}:{ell}:{d}")
-            for _ in range(10):
-                h.update(repr(_draw_prime(reg, d, rng).coeffs).encode())
-            h.update(repr(rng.getrandbits(32)).encode())
-        assert h.hexdigest()[:16] == F2_DRAW_DIGESTS[ell]
+        assert _high_draws_digest(reg, range(18, 65, 2)) == F2_DRAW_DIGESTS[ell]
+    if q == 3:
+        assert _high_draws_digest(reg, range(13, 31)) == F3_DRAW_DIGESTS[ell]
 
 
 @pytest.mark.parametrize("p, k", [(3, 1), (2, 2), (5, 1), (3, 2)])

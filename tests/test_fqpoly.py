@@ -437,7 +437,8 @@ def test_irreducible_and_factor_match_sympy(p, max_deg):
 
 
 def test_irreducible_rejects_a_root_before_any_power(monkeypatch):
-    # F_5 runs Ben-Or on packed residues, F_25 on literal lists
+    # F_25 runs Ben-Or on literal lists after has_root; F_5 is packed, and
+    # its residue screen decides every degree up to 9 with no power at all
     powers = []
     kernel, packed = fqp._pow_mod_coeffs, _gfp.Residues.pow
     monkeypatch.setattr(fqp, "_pow_mod_coeffs",
@@ -450,8 +451,10 @@ def test_irreducible_rejects_a_root_before_any_power(monkeypatch):
         assert not ec.irreducible(with_root) and powers == []
     assert ec.irreducible(ec.Poly(F5, [1, 1, 0, 1])) and powers == []  # cubic, no root
     quartics = [ec.Poly(F5, [2, 0, 0, 0, 1]), ec.Poly(F5, [2, 0, 1]) ** 2]
+    assert [ec.irreducible(f) for f in quartics] == [True, False] and powers == []
+    quartics = [ec.Poly(F25, [1, 7, 0, 0, 1]), ec.Poly(F25, [7, 0, 1]) ** 2]
     assert [ec.irreducible(f) for f in quartics] == [True, False]
-    assert powers == [5, 5, 5, 5]  # x**5 and x**25 for each
+    assert powers == [25, 25, 25, 25]  # x**25 and x**625 for each
 
 
 @pytest.mark.parametrize("p,k", [(3, 5), (2, 8)])

@@ -2,6 +2,7 @@
 kernels, against the naive oracles and against the discrete-log kernels
 that extension fields keep."""
 
+from itertools import product
 from random import Random
 
 import pytest
@@ -204,3 +205,147 @@ def test_factorization_multiplies_back(data):
     assert fac.expand() == f
     for prime, mult in fac:
         assert prime.is_monic and mult >= 1 and ec.irreducible(prime)
+
+
+# ---------------------------------------------------------------------------
+# The residue screen.
+
+TOPS = {3: 6, 5: 4, 7: 3, 11: 2, 13: 2}
+
+
+def test_screen_tops():
+    # the largest degree whose primes hold about 1 100 residue coefficients
+    assert {p: _gfp.screen(p).top for p in PACKED} == TOPS
+    for p in PACKED:
+        held = [d * ec.necklace_count(p, d) for d in range(1, TOPS[p] + 2)]
+        assert sum(held[:-1]) <= _gfp.SCREEN_LANES < sum(held)
+
+
+@pytest.mark.parametrize("p", PACKED)
+def test_screen_passes_exactly_the_primes(p):
+    """At every degree d with p**d <= 2**16 the monics that pass the screen
+    of level min(top, d // 2) are the primes of degree d, with the screen
+    first raised to its top level: a prime of degree at most top must not be
+    caught by its own lane."""
+    screen = _gfp.screen(p)
+    screen.passes(bytes(2 * screen.top) + b"\1", screen.top)
+    assert screen.level == screen.top
+    ctx = ec.make_field(p)
+    d = 1
+    while p ** d <= 1 << 16:
+        e = min(screen.top, d // 2)
+        passed = {tuple(f) for f in (bytes(low) + b"\1" for low in product(range(p), repeat=d))
+                  if not e or screen.passes(f, e)}
+        assert passed == {f.coeffs for f in fqp.primes_with_degree(ctx, d)}, d
+        d += 1
+
+
+def ben_or_after_roots(f):
+    """The decision by evaluation at every point and Ben-Or's rounds 2 to
+    d // 2 on packed residues, the path before the residue screen."""
+    d = f.degree
+    return not fqp.has_root(f) and (d < 4 or _gfp.Residues(f.ctx.p, f.coeffs).ben_or(2, d // 2))
+
+
+@pytest.mark.parametrize("p", PACKED)
+def test_screen_decisions_match_ben_or(p):
+    """Random monics at degrees top, top + 1, 2 top + 1, 2 top + 2 and 40 to
+    64, with primes, and composites whose least prime factor has degree top
+    (the screen's last lane) or top + 1 (Ben-Or's first round), against
+    evaluation and Ben-Or, and against trial division or naive Ben-Or."""
+    top = TOPS[p]
+    ctx = ec.make_field(p)
+    rng = Random(p)
+
+    def monic(d):
+        return ec.Poly(ctx, [rng.randrange(p) for _ in range(d)] + [1])
+
+    def prime(d):
+        while True:
+            f = monic(d)
+            if ben_or_after_roots(f):
+                return f
+
+    small = (top, top + 1, 2 * top + 1, 2 * top + 2)
+    cases = [monic(d) for d in small for _ in range(25)]
+    cases += [prime(d) for d in small]
+    cases += [prime(top) * prime(top + 2), prime(top + 1) * prime(top + 1)]
+    large = [rng.randrange(40, 65) for _ in range(6)]
+    cases += [monic(d) for d in large] + [prime(d) for d in large[:2]]
+    cases += [prime(top) * prime(40 - top), prime(top + 1) * prime(63 - top)]
+    decided = [fqp.irreducible(f) for f in cases]
+    assert decided == [ben_or_after_roots(f) for f in cases]
+    assert 0 < sum(decided) < len(cases)
+    for f, prime_ in zip(cases, decided):
+        if f.degree <= 2 * top + 2:
+            assert prime_ == naive.is_irreducible(p, list(f.coeffs)), f.coeffs
+    for f, want in zip(cases[-4:], (True, True, False, False)):  # past degree 40
+        assert naive.ben_or(p, list(f.coeffs)) == want
+
+
+def test_screen_reduces_its_lanes_before_they_overflow():
+    """At p = 13 a byte holds 21 reduced entries.  A candidate of degree 80
+    with a root a != 0 sums 81 entries in the lane of x - a, over 255 for
+    each of these, so the screen must reduce the lanes on the way to find
+    the root."""
+    p = 13
+    ctx = ec.make_field(p)
+    rng = Random(13)
+    screen = _gfp.screen(p)
+    for a in range(1, p):
+        f = [rng.randrange(p) for _ in range(80)] + [1]
+        f[0] = -sum(c * pow(a, i, p) for i, c in enumerate(f[1:], start=1)) % p
+        assert naive.poleval(p, f, a) == 0
+        assert sum(c * pow(a, i, p) % p for i, c in enumerate(f)) > 255
+        assert not screen.passes(bytes(f), 2)
+        assert not fqp.irreducible(ec.Poly(ctx, f))
+    # the largest sums: every entry of the lane of x - 1 is 12, so a reduced
+    # sum of up to 12 and 21 more entries would pass a byte
+    f = [12] * 53 + [1]
+    assert naive.poleval(p, f, 1) == 0 and not screen.passes(bytes(f), 2)
+    # and one with no factor of degree 1 or 2 passes
+    while True:
+        f = [rng.randrange(p) for _ in range(80)] + [1]
+        if all(naive.poldivmod(p, f, list(t) + [1])[1]
+               for e in (1, 2) for t in product(range(p), repeat=e)):
+            break
+    assert screen.passes(bytes(f), 2)
+
+
+def test_screen_is_built_by_degree():
+    """A screen holds the primes of the levels asked for and the tables of
+    the chunk positions read, and decides every degree up to 2 top + 1
+    without a modular power; Ben-Or's rounds start at top + 1."""
+    screen = _gfp.Screen(3)  # a fresh screen, not the shared one
+    assert screen.top == 6 and screen.chunk == 3
+    assert screen.passes(bytes([2, 2, 0, 0, 1]), 2)  # x**4 + 2x + 2, F_81's modulus
+    # 3 + 3 primes of degree 1 and 2, 7 bytes a slot, two chunk positions
+    assert (screen.level, screen.ends, len(screen.tables)) == (2, [0, 21, 42], 2)
+    assert not screen.passes(bytes([1, 0, 1] + [0] * 9 + [1]), 6)  # roots 1 and 2
+    assert screen.level == 6 and len(screen.tables) == 5
+    assert [b - a for a, b in zip(screen.ends, screen.ends[1:])] == \
+        [7 * ec.necklace_count(3, d) for d in range(1, 7)]
+    assert len(screen.cols) == 15 and {len(c) for c in screen.cols} == {196 * 7}
+
+
+def test_irreducible_takes_the_screen_over_packed_fields(monkeypatch):
+    calls = []
+    monkeypatch.setattr(fqp, "has_root", lambda f: calls.append("has_root"))
+    pow_ = _gfp.Residues.pow
+    monkeypatch.setattr(_gfp.Residues, "pow",
+                        lambda ring, r, e: calls.append("pow") or pow_(ring, r, e))
+    ben_or = _gfp.Residues.ben_or
+    monkeypatch.setattr(_gfp.Residues, "ben_or",
+                        lambda ring, first, last: calls.append((first, last))
+                        or ben_or(ring, first, last))
+    rng = Random(2)
+    for p in PACKED:
+        ctx = ec.make_field(p)
+        for d in range(2, 2 * TOPS[p] + 2):
+            for _ in range(5):
+                fqp.irreducible(ec.Poly(ctx, [rng.randrange(p) for _ in range(d)] + [1]))
+    assert calls == []
+    f3 = ec.make_field(3)
+    f = ec.Poly(f3, [2, 1] + [0] * 12 + [1])  # x**14 + x + 2, past every lane
+    assert fqp.irreducible(f) == naive.is_irreducible(3, list(f.coeffs))
+    assert calls[0] == (7, 7) and "has_root" not in calls

@@ -63,6 +63,21 @@ def test_bad_regime_reported_not_raised():
     assert not results[0].passed
 
 
+@pytest.mark.parametrize("q, ell, max_D, fits", [
+    (32, 5, 4, "no --max-degree fits"), (29, 3, 4, "--max-degree 2 or less"),
+    (2, 3, 18, "--max-degree 16 or less")])
+def test_budget_refusals_build_no_field(monkeypatch, q, ell, max_D, fits):
+    # the budgets need only n_q: F_{2^20}, the extension of (32, 5), took
+    # seconds to build before the refusal
+    def no_field(*args):
+        raise AssertionError("a field was built")
+
+    monkeypatch.setattr(coverparam, "make_field", no_field)
+    monkeypatch.setattr(verify, "make_regime", no_field)
+    with pytest.raises(ec.BudgetExceeded, match=fits):
+        run_checks(q, ell, max_D=max_D)
+
+
 def test_max_degree_below_n_q_is_refused_before_any_row(monkeypatch):
     # (3, 7) has n_q = 6: the default max_D = 4 holds no branch degree, so
     # every row would pass on zero covers
