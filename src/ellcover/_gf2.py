@@ -6,7 +6,8 @@ This is the workhorse behind characteristic-2 table construction and the
 rejection sampling of irreducibles of large degree.  It also splits an
 even-degree prime over the field with four elements: a cube root of unity
 modulo the prime, built from a Frobenius orbit, and half of one Euclid
-over GF(2), whose factor over GF(4) is held as a pair of such ints.  The
+over GF(2), whose factor over GF(4) is held as a pair of such ints: the
+(2,3) case of coverparam.split_prime, which checks it from outside.  The
 generic coefficient arithmetic would dominate the runtime of both.
 
 Most random candidates that a rejection draw rejects have a small factor,

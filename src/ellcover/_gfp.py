@@ -1,4 +1,4 @@
-"""Kronecker-packed polynomials over small odd prime fields.
+"""Kronecker-packed polynomials over small prime fields.
 
 A polynomial over F_p is packed into a Python int whose lane i, a field of
 8*s bits, holds the coefficient of x**i.  Between steps it is kept as
@@ -24,7 +24,8 @@ every step at p = 13.  Powers modulo a fixed modulus run in the lane width
 of their products, where two or more bytes take every step of a reduction
 at once.
 
-fqpoly runs its literal-list kernels over the prime fields that pack.
+fqpoly runs its literal-list kernels here for every prime field that packs,
+p = 2, 3, 5, 7, 11 and 13, and on discrete logs for every other field.
 Every function returns the same literals as the discrete-log kernels there;
 the test suite checks both against the naive oracles.
 
@@ -49,9 +50,9 @@ _WIDEST = 8  # bytes in the widest lane; 8 * (p - 1) <= 255 where p packs
 
 
 def packs(p: int) -> bool:
-    """Whether the prime p packs: odd, and p*(p - 1) <= 255, so that a byte
-    lane holding a coefficient below p takes one elimination step."""
-    return p > 2 and p * (p - 1) <= 255
+    """Whether the prime p packs: p*(p - 1) <= 255, so that a byte lane
+    holding a coefficient below p takes one elimination step."""
+    return p * (p - 1) <= 255
 
 
 @lru_cache(maxsize=None)
@@ -298,7 +299,8 @@ class Screen:
 
     top is the largest degree whose primes hold at most SCREEN_LANES residue
     coefficients (the sum of e * N(e) over e <= top, N(e) the primes of
-    degree e): 6 for F_3, 4 for F_5, 3 for F_7 and 2 for F_11 and F_13.
+    degree e): 9 for F_2, 6 for F_3, 4 for F_5, 3 for F_7 and 2 for F_11
+    and F_13.
 
     cols[i] holds the slots of x**i, separators 0.  Each degree's slots
     step to the next power of x at once: shifted up a byte, each slot's top

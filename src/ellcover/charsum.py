@@ -20,7 +20,6 @@ from .coverparam import (
     TwistedModel,
     class_vector,
     twisted_model,
-    validate_params,
 )
 from .errors import CrossCheckMismatch, UnexpectedRoot
 from .fqpoly import embed, poly_frobenius
@@ -106,10 +105,11 @@ def check_cover(params: CoverParams,
     and multiply to the embedded prod f_i**i; at each of the q+1 points its
     class equals the class vector's entry and its fiber the root scan.
     Returns the model and the class vector; CrossCheckMismatch names the
-    first disagreement."""
+    first disagreement.  The class vector reads the base primes that the
+    model's factorization validated, so each f_i is factored once."""
     reg = params.regime
-    classes = class_vector(reg, validate_params(params), params.b, labeling)
     model = twisted_model(params, labeling)
+    classes = class_vector(reg, model.stable.primes, params.b, labeling)
 
     def fail(what: str):
         return CrossCheckMismatch(f"{labeling} labeling, {params.fs}{what}")

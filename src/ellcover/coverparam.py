@@ -40,8 +40,8 @@ from .errors import (
 )
 from .fqpoly import (
     Poly,
+    _factor_fold,
     _trusted,
-    conjugate_factor,
     embed,
     factor,
     irreducible,
@@ -65,16 +65,15 @@ ENUM_D_CAP = 16
 # each added up by its entry point and checked by _check_steps before any work
 KERNEL_STEP_CAP = 1 << 22
 # _draw_prime answers a candidate of degree d over F_q, q > 2, from a sieved
-# set of the primes of degree d when q**d is at most this.  For F_3 at degree
-# 8 the sieve took 46-53 ms, once per process, against 3.9-4.2 us a candidate
-# for irreducible behind the packed residue screen (12.8 us before it), so it
-# pays once about 12 000 candidates, some 2 * q**d, of that degree are drawn
-# (2-core x86-64 box, Python 3.11).  A 60-sample Monte Carlo run over (3,5)
-# at g = 20 draws 273 candidates of degree 8, so the F_3 degree-8 sieve, the
-# largest under this cap that it reads, pays within about 44 such runs in
-# one process.
+# set of the primes of degree d when q**d is at most this.  A 60-sample Monte
+# Carlo op over (3,5) at g = 20 draws about 234 candidates of degree 4 and 235
+# of degree 8; irreducible took 13 us a candidate at either degree, the set
+# lookup 0.2 us, and building both sieves 71-86 ms once per process, so they
+# pay after about 13 such ops; a 12-second mc-odd benchmark run makes 15
+# (2-core x86-64 box, Python 3.11).
 DRAW_SIEVE_CAP = 1 << 13
 LABELINGS = ("least", "greatest")  # anchoring rules for Frobenius orbits
+EQUAL_DEGREE_DRAWS = 64  # z that split_prime tries for a root of unity other than 1
 
 
 def _check_steps(steps: int, what: str) -> None:
@@ -137,7 +136,7 @@ def check_regime(q: int, ell: int) -> tuple[int, int, int]:
 class Regime:
     """A (q, ell) pair with its contexts, caches, and twist exponents."""
 
-    __slots__ = ("q", "ell", "p", "k", "n_q", "base", "ext", "v_exps",
+    __slots__ = ("q", "ell", "p", "k", "n_q", "base", "ext", "v_exps", "cosets",
                  "_split_cache", "_class_cache", "_suffix", "_lines")
 
     def __init__(self, q: int, ell: int):
@@ -156,6 +155,13 @@ class Regime:
             exps.append(v)
             v = (v * inv_q) % ell
         self.v_exps = tuple(exps)  # v_j = q**(1-j) mod ell, j = 1..n_q
+        # the least member of each coset r<q> of (Z/ell)*; the v_j make up <q>
+        cosets, seen = [], set()
+        for r in range(1, ell):
+            if r not in seen:
+                cosets.append(r)
+                seen.update(r * v % ell for v in exps)
+        self.cosets = tuple(cosets)
         self._split_cache: dict = {}
         # labeling -> prime coefficients -> classes at the affine points
         self._class_cache: dict[str, dict[tuple[int, ...], tuple[int, ...]]] = {
@@ -272,34 +278,66 @@ def admissible_D(regime: Regime, g: int) -> int | None:
 def split_prime(regime: Regime, prime: Poly, labeling: str = "least") -> tuple[Poly, ...]:
     """Frobenius orbit of extension primes over a base prime, anchored.
 
-    prime must be monic irreducible over the base with degree divisible by
-    n_q; the result lists the n_q conjugate extension primes starting from
-    the lex-least (or lex-greatest) one, each the coefficient-wise q-th
-    power of its predecessor.  The regime caches one orbit per prime, from
-    its lex-least member; the lex-greatest rule rotates it.
+    prime must be monic irreducible over the base of degree n = n_q*m; the
+    result lists its n_q conjugate factors of degree m over F_Q, from the
+    lex-least (or lex-greatest) one, each the coefficient-wise q-th power of
+    its predecessor.  The regime caches one orbit per prime, from its
+    lex-least member; the lex-greatest rule rotates it.
 
-    Over the extension a base prime of degree n_q*m is a product of exactly
-    n_q conjugate primes of degree m, so one of them gives the rest by
-    Frobenius.  fqpoly.conjugate_factor finds it from an ell-th root of
-    unity y = z**((q**n - 1) / ell) mod P, which takes a distinct value
-    w**(s * q**i) at the roots of each conjugate: gcd(P, y - w**r) over F_Q
-    is a single factor for r in one coset of <q> in (Z/ell)*, and 1 for the
-    others, so one gcd per coset finds it.  It does so in every regime,
-    (2,3) included, so the orbit checks prime_classes' packed factor from
-    _gf2 from outside.  A reducible input fails one of the checks of the
-    finder or below with CrossCheckMismatch: the factor must be prime of
-    degree m, its n_q conjugates distinct, the Frobenius of the last the
-    first, and their product the embedded prime, which together prove the
-    input prime.
+    This is the one split of a base prime P.  F_q has no primitive ell-th
+    root of unity, but F_q[x]/P does: y = z**((q**n - 1) / ell) mod P is one
+    unless z is 0 or an ell-th power mod P, where y is 0 or 1.  At the roots
+    of the i-th conjugate factor y is w**(s * q**i), w = g**((Q - 1) / ell)
+    in F_Q and s prime to ell, and these n_q values are distinct, so
+    gcd(P, y - w**r) over F_Q is one conjugate factor when r lies in the
+    coset s<q> of (Z/ell)* and 1 otherwise.  z is x, then random z(x) seeded
+    by the prime, up to the first y not in {0, 1}; r runs over
+    regime.cosets, the cosets' least members, up to the first gcd that is
+    not 1.  Over (2,3) the orbit checks prime_classes' packed factor from
+    _gf2 from outside.
+
+    A reducible input fails one of these checks with CrossCheckMismatch,
+    which together prove the input prime: a y not in {0, 1} within
+    EQUAL_DEGREE_DRAWS tries, a gcd other than 1 at some coset, a factor
+    prime of degree m, n_q distinct conjugates, the Frobenius of the last
+    the first, and their product the embedded prime.
     """
     _check_labeling(labeling)
     orbit = regime._split_cache.get(prime.coeffs)
     if orbit is None:
-        n_q, q = regime.n_q, regime.q
-        if prime.degree % n_q:
-            raise InvalidTuple(
-                f"prime degree {prime.degree} not divisible by n_q = {n_q}")
-        walk = [conjugate_factor(prime, regime.ext, regime.ell)]
+        n_q, q, ell, ext = regime.n_q, regime.q, regime.ell, regime.ext
+        n = prime.degree
+        if n < 1 or n % n_q:
+            raise InvalidTuple(f"prime degree {n} is not a positive multiple of n_q = {n_q}")
+        z, rng = Poly.x(regime.base), None
+        for _ in range(EQUAL_DEGREE_DRAWS):
+            y = z.pow_mod((q ** n - 1) // ell, prime).coeffs
+            if y not in ((), (1,)):
+                break
+            rng = rng or Random(_factor_fold(prime))
+            z = _trusted(regime.base, [rng.randrange(q) for _ in range(n)])
+        else:
+            raise CrossCheckMismatch(
+                f"no root of unity other than 1 found in {EQUAL_DEGREE_DRAWS} tries: "
+                "the input is not prime")
+        table = subfield_table(regime.base, ext)
+        y = [table[c] for c in y]
+        embedded, step = embed(prime, ext), (ext.order - 1) // ell
+        for r in regime.cosets:
+            shifted = list(y)
+            shifted[0] = ext.sub_i(y[0], ext.exp[r * step])
+            a = embedded.gcd(_trusted(ext, shifted))
+            if a.degree > 0:
+                break
+        else:
+            raise CrossCheckMismatch(
+                f"y - w**r is prime to the input for every coset r<{q}> of "
+                f"(Z/{ell})*: the input is not prime")
+        m = n // n_q
+        if a.degree != m or not irreducible(a):
+            raise CrossCheckMismatch(
+                f"no prime factor of degree {m} found: the input is not prime")
+        walk = [a]
         for _ in range(n_q - 1):
             walk.append(poly_frobenius(walk[-1], q))
         if len(set(walk)) != n_q:
@@ -309,7 +347,7 @@ def split_prime(regime: Regime, prime: Poly, labeling: str = "least") -> tuple[P
         prod = walk[0]
         for pr in walk[1:]:
             prod = prod * pr
-        if prod != embed(prime, regime.ext):
+        if prod != embedded:
             raise CrossCheckMismatch(
                 "orbit product does not recover the embedded prime")
         low = min(range(n_q), key=lambda j: walk[j].sort_key())
@@ -329,10 +367,8 @@ def prime_classes(regime: Regime, prime: Poly, labeling: str = "least") -> tuple
     read off the bit-packed halves of _gf2's monic factor by _packed_classes,
     without an orbit; a (2,3) draw that proved the prime by that factor has
     already cached them.  Every other regime, Monte Carlo included, reads
-    the classes off the anchor of split_prime's orbit, whose first factor
-    fqpoly.conjugate_factor finds by an ell-th root of unity modulo the
-    prime and one gcd per coset; split_prime does so over (2,3) too, so it
-    checks the packed path from outside.
+    the classes off the anchor of split_prime's orbit; split_prime splits
+    (2,3) primes too, so it checks the packed path from outside.
     """
     _check_labeling(labeling)
     cache = regime._class_cache[labeling]
@@ -400,11 +436,13 @@ def class_vector(regime: Regime, prime_mults, b: FieldElem,
 
 @dataclass(frozen=True, eq=False)
 class StableFactorization:
-    """Components F_1..F_{n_q}: conjugate, pairwise coprime, product embed(F)."""
+    """Components F_1..F_{n_q}: conjugate, pairwise coprime, product embed(F);
+    primes lists each base prime with its slot, as validate_params gave them."""
 
     regime: Regime
     parts: tuple[Poly, ...]
     labeling: str
+    primes: tuple[tuple[Poly, int], ...]
 
 
 def _parts_from_primes(regime: Regime, prime_mults, labeling: str) -> tuple[Poly, ...]:
@@ -419,8 +457,8 @@ def _parts_from_primes(regime: Regime, prime_mults, labeling: str) -> tuple[Poly
 def stable_factorization(params: CoverParams, labeling: str = "least") -> StableFactorization:
     """Group the embedded branch primes into conjugate components."""
     reg = params.regime
-    parts = _parts_from_primes(reg, validate_params(params), labeling)
-    return StableFactorization(reg, parts, labeling)
+    primes = tuple(validate_params(params))
+    return StableFactorization(reg, _parts_from_primes(reg, primes, labeling), labeling, primes)
 
 
 @dataclass(frozen=True, eq=False)

@@ -3,17 +3,17 @@
 Coefficients are stored ascending as integer literals with no trailing
 zeros, so the zero polynomial is the empty tuple and degree(0) == -1.
 Products, long division, gcds and modular powers run on literal lists, in
-one of two kernel forms chosen by the field alone:
-- a prime field F_p with p odd and p*(p - 1) <= 255 (p <= 13) runs on the
+one of two kernel forms chosen by one rule on the field alone:
+- a prime field F_p with p*(p - 1) <= 255 (so p <= 13) runs on the
   Kronecker-packed ints of _gfp, where a literal is the coefficient itself:
   a product is one big-int multiplication, and a division adds one shifted
   multiple of the divisor per eliminated coefficient;
-- every other field, F_2 and F_{2^k} included, holds discrete logs and adds
-  them through the field's Zech table.
-One modular-power kernel serves pow_mod, the irreducibility test, the
-factorization split and the root of unity of the conjugate split.  It keeps
-its form from its first step to its last: packed residues over a packed
-prime field, discrete logs over every other field.
+- every other field, F_{2^k} and primes above 13 included, holds discrete
+  logs and adds them through the field's Zech table.
+One modular-power kernel serves pow_mod, the irreducibility test and the
+factorization split.  It keeps its form from its first step to its last:
+packed residues over a packed prime field, discrete logs over every other
+field.
 The irreducibility test opens with a screen for small factors: over a packed
 prime field, _gfp's residue screen takes the candidate modulo every prime of
 degree 1 to its top at once, and over the other fields of order up to
@@ -21,15 +21,6 @@ ROOT_SCREEN_MAX_ORDER, has_root evaluates it at every point.  Factorization
 runs the classical squarefree / distinct-degree / equal-degree pipeline; the
 randomized equal-degree splits draw from a generator seeded by the input
 polynomial, so factor() is a deterministic function of its argument.
-conjugate_factor splits a prime P over F_q into its Frobenius-conjugate
-factors over F_Q = F_{q**n_q}, n_q the order of q modulo ell, by an ell-th
-root of unity and gcds: y = z**((q**n - 1) / ell) mod P takes a distinct
-value w**(s * q**i) at the roots of each conjugate factor, so over F_Q the
-gcd of P with y - w**r is one factor for r in the coset s<q> of (Z/ell)*,
-and 1 for r in every other coset.  The (2,3) split of _gf2, by a cube root
-of unity and half of one Euclid over F_2, is the same idea on bit-packed
-ints; it feeds only the (2,3) class kernel, which conjugate_factor checks
-from outside.
 Prime enumeration sieves products below a hard budget and checks itself
 against the divisor-counting closed form.
 """
@@ -54,13 +45,11 @@ from .gf import (
     check_subfield_order,
     embed_elem,
     factor_int,
-    is_prime_int,
     subfield_table,
 )
 
 SIEVE_CAP = 1 << 22  # q**d, the sieve's table of monic polynomials
 SIEVE_PRODUCT_CAP = 1 << 20  # prime-by-cofactor products the sieve multiplies
-EQUAL_DEGREE_DRAWS = 64  # z that conjugate_factor tries for a root of unity other than 1
 FACTOR_SEED = 0x5EED  # mixed into the fold that seeds the factorization draws
 # Over a field that _gfp does not pack, irreducible() decides Ben-Or's first
 # round, a root in F_q, by has_root for orders up to this, and by the power
@@ -287,8 +276,8 @@ def _trusted(ctx: FieldCtx, cs: list[int]) -> Poly:
 # characteristic 2.
 
 def _packed(ctx: FieldCtx) -> bool:
-    """Whether ctx's kernels run on _gfp's packed ints: prime fields whose
-    order packs (odd p with p*(p - 1) <= 255, so p <= 13)."""
+    """Whether ctx's kernels run on _gfp's packed ints: the prime fields
+    whose order packs (p*(p - 1) <= 255, so p <= 13)."""
     return ctx.k == 1 and _gfp.packs(ctx.p)
 
 
@@ -574,78 +563,6 @@ def _equal_degree_split(f: Poly, d: int, rng: Random) -> list[Poly]:
                 _equal_degree_split(f // g, d, rng)
 
 
-def conjugate_factor(prime: Poly, ext: FieldCtx, ell: int) -> Poly:
-    """One monic prime factor over ext of a prime over a subfield F_q whose
-    degree n is a multiple of n_q = [ext : F_q], the order of q modulo the
-    prime ell; with Q = ext.order and m = n / n_q, it has degree m, and its
-    n_q Frobenius conjugates multiply to the embedded prime.
-
-    F_q has no primitive ell-th root of unity, but F_q[x]/P does, since n_q
-    divides n: y = z**((q**n - 1) / ell) mod P is a primitive one unless z
-    is 0 or an ell-th power modulo P, where y is 0 or 1.  At a root alpha of
-    P it is some w**s, w = g**((Q - 1) / ell) in F_Q and s prime to ell, and
-    at the roots of the i-th conjugate factor it is w**(s * q**i), since
-    Q = 1 mod ell: these n_q values are distinct, so gcd(P, y - w**r) over
-    F_Q is one conjugate factor when r lies in the coset s<q> of (Z/ell)*
-    and 1 otherwise.  It tries z = x, then random z(x) drawn from a
-    generator seeded by the prime, skipping z with y in {0, 1}, and r over
-    the least member of each coset, stopping at the first gcd that is not 1.
-
-    Raises ValueError unless ell is a prime modulo which q has order n_q,
-    and CrossCheckMismatch when the input shows it is not prime:
-    EQUAL_DEGREE_DRAWS tries with y in {0, 1}, a gcd of 1 for every coset,
-    or a factor that is not prime of degree m.  Some reducible inputs pass
-    these; the factor's n_q conjugates being distinct and multiplying to the
-    embedded input completes the proof of primality.
-    """
-    base = prime.ctx
-    if base.p != ext.p or ext.k % base.k:
-        raise NotASubfield(f"F_{base.order} does not embed in F_{ext.order}")
-    n_q = ext.k // base.k
-    q, big = base.order, ext.order
-    if not is_prime_int(ell) or pow(q, n_q, ell) != 1 or \
-            any(pow(q, k, ell) == 1 for k in range(1, n_q)):
-        raise ValueError(f"{q} does not have order {n_q} modulo a prime ell = {ell}")
-    n = prime.degree
-    if n < 1 or n % n_q:
-        raise ValueError(f"prime degree {n} is not a positive multiple of {n_q}")
-    m = n // n_q
-    monic = prime.monic()
-    rng = None
-    z = [0, 1]
-    for _ in range(EQUAL_DEGREE_DRAWS):
-        y = _pow_mod_coeffs(base, z, (q ** n - 1) // ell, monic.coeffs)
-        if y and y != [1]:
-            break
-        rng = rng or Random(_factor_fold(prime))
-        z = _trim([rng.randrange(q) for _ in range(n)])
-    else:
-        raise CrossCheckMismatch(
-            f"no root of unity other than 1 found in {EQUAL_DEGREE_DRAWS} tries: "
-            "the input is not prime")
-    table = subfield_table(base, ext)
-    y = [table[c] for c in y]
-    embedded, step = embed(monic, ext), (big - 1) // ell
-    seen = set()  # the cosets r<q> tried so far
-    for r in range(1, ell):
-        if r in seen:
-            continue
-        seen.update(r * q ** i % ell for i in range(n_q))
-        shifted = list(y)
-        shifted[0] = ext.sub_i(y[0], ext.exp[r * step])
-        a = embedded.gcd(_trusted(ext, shifted))
-        if a.degree > 0:
-            break
-    else:
-        raise CrossCheckMismatch(
-            f"y - w**r is prime to the input for every coset r<{q}> of "
-            f"(Z/{ell})*: the input is not prime")
-    if a.degree != m or not irreducible(a):
-        raise CrossCheckMismatch(
-            f"no prime factor of degree {m} found: the input is not prime")
-    return a
-
-
 def factor(f: Poly) -> Factorization:
     """Factor f into its unit and monic prime powers (deterministic)."""
     if f.is_zero:
@@ -670,8 +587,9 @@ def irreducible(f: Poly) -> bool:
     prime factor of degree i <= d // 2.
 
     Over a packed prime field, _gfp's residue screen decides rounds 1 to
-    top at once (top = 6 over F_3, 4 over F_5, 3 over F_7, 2 over F_11 and
-    F_13): a degree up to 2 * top + 1 needs no modular power at all, and
+    top at once (top = 9 over F_2, 6 over F_3, 4 over F_5, 3 over F_7, 2
+    over F_11 and F_13): a degree up to 2 * top + 1 needs no modular power
+    at all, and
     above it the rounds from top + 1 on run on one _gfp.Residues, so
     x**(q**i) stays packed from the first round to the last.  Over every
     other field the rounds run in discrete logs, each x**(q**i) the q-th

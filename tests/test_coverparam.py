@@ -614,21 +614,73 @@ def test_split_prime_rejects_an_orbit_that_does_not_close(monkeypatch):
 
 
 def test_split_prime_rejects_the_orbit_of_another_prime(monkeypatch):
-    # the factor of another prime of the same degree has a closed orbit of
-    # n_q distinct conjugates, whose product is that other prime
+    # the coset gcd is made to return the factor of another prime of the same
+    # degree: it is prime of degree m and has a closed orbit of n_q distinct
+    # conjugates, whose product is that other prime
     reg = Regime(4, 5)
     prime, other = ec.primes_with_degree(reg.base, 2)[:2]
-    conjugate_factor = coverparam.conjugate_factor
-    monkeypatch.setattr(coverparam, "conjugate_factor",
-                        lambda f, ext, ell: conjugate_factor(other, ext, ell))
+    factor = ec.split_prime(Regime(4, 5), other)[0]
+    monkeypatch.setattr(ec.Poly, "gcd", lambda f, g: factor)
     with pytest.raises(ec.CrossCheckMismatch, match="orbit product"):
         ec.split_prime(reg, prime)
     assert reg._split_cache == {}
 
 
+def test_split_prime_compares_the_orbit_with_the_input_itself():
+    # a unit multiple of a prime splits as the prime does, but its orbit
+    # multiplies to the monic prime, not to the input
+    reg = Regime(4, 5)
+    prime = ec.primes_with_degree(reg.base, 2)[0]
+    with pytest.raises(ec.CrossCheckMismatch, match="orbit product"):
+        ec.split_prime(reg, prime.scale(2))
+    assert reg._split_cache == {}
+
+
+def test_split_prime_rejects_a_factor_that_frobenius_fixes(monkeypatch):
+    # the Frobenius is made to fix the factor, so the walk holds one
+    # conjugate and not n_q
+    reg = Regime(4, 7)
+    prime = ec.primes_with_degree(reg.base, 3)[0]
+    monkeypatch.setattr(coverparam, "poly_frobenius", lambda f, base_order: f)
+    with pytest.raises(ec.CrossCheckMismatch, match="n_q conjugates"):
+        ec.split_prime(reg, prime)
+    assert reg._split_cache == {}
+    monkeypatch.undo()
+    assert len(set(ec.split_prime(reg, prime))) == reg.n_q
+
+
+def test_conjugate_factor_divides_the_embedded_prime():
+    reg = Regime(5, 3)
+    prime = ec.Poly(reg.base, [2, 1, 1])  # x**2 + x + 2, irreducible over F_5
+    a = ec.split_prime(reg, prime)[0]
+    assert a.degree == 1 and a.is_monic
+    assert ec.embed(prime, reg.ext) % a == ec.Poly.zero(reg.ext)
+    # Each check on a composite.  3 divides 5**3 + 1, so y = z**5208 is 0 or
+    # 1 at the roots of the cubics x**3 + x + 1 and x**3 + 2x + 1, and no
+    # seeded draw is divisible by either.  At the roots of x(x + 1), y lies
+    # in F_5, which holds no cube root of unity but 1.  Beside x**2 + x + 1,
+    # the gcd has degree 2 but is a product of two linears.
+    for f, g, msg in (([1, 0, 1, 1], [1, 0, 2, 1], "no root of unity"),
+                      ([0, 1], [1, 1], "every coset"),
+                      ([2, 1, 1], [1, 1, 1], "no prime factor of degree 2")):
+        with pytest.raises(ec.CrossCheckMismatch, match=msg):
+            ec.split_prime(reg, ec.Poly(reg.base, f) * ec.Poly(reg.base, g))
+    assert list(reg._split_cache) == [prime.coeffs]
+
+
+@pytest.mark.parametrize("q,ell", [(2, 3), (3, 5), (4, 7), (16, 17), (2, 31), (2, 127)])
+def test_regime_cosets_are_the_least_coset_members(q, ell):
+    reg = ec.make_regime(q, ell)
+    cosets = {frozenset(r * q ** i % ell for i in range(reg.n_q)) for r in range(1, ell)}
+    assert reg.cosets == tuple(sorted(min(c) for c in cosets))
+    assert len(reg.cosets) == (ell - 1) // reg.n_q
+
+
 def test_split_prime_rejects_bad_degree():
     with pytest.raises(ec.InvalidTuple):
         ec.split_prime(R23, ec.Poly(R23.base, [1, 1]))
+    with pytest.raises(ec.InvalidTuple, match="degree 0 is not a positive multiple"):
+        ec.split_prime(R23, ec.Poly.one(R23.base))
     with pytest.raises(ec.InvalidTuple):
         ec.prime_classes(R23, ec.Poly(R23.base, [1, 1, 0, 1]))
 

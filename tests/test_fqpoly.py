@@ -555,35 +555,6 @@ def test_poly_frobenius_properties():
         ec.poly_frobenius(ec.Poly(f16, [1, 1]), 8)
 
 
-def test_conjugate_factor_divides_the_embedded_prime():
-    prime = ec.Poly(F5, [2, 1, 1])  # x**2 + x + 2, irreducible over F_5
-    a = fqp.conjugate_factor(prime, F25, 3)
-    assert a.degree == 1 and a.is_monic
-    assert ec.embed(prime, F25) % a == ec.Poly.zero(F25)
-    with pytest.raises(ValueError):
-        fqp.conjugate_factor(ec.Poly(F5, [1, 0, 1, 1]), F25, 3)  # degree 3 is odd
-    with pytest.raises(ec.NotASubfield):
-        fqp.conjugate_factor(prime, F81, 5)
-    # Each check on a composite.  3 divides 5**3 + 1, so y = z**5208 is 0 or
-    # 1 at the roots of the cubics x**3 + x + 1 and x**3 + 2x + 1, and no
-    # seeded draw is divisible by either.  At the roots of x(x + 1), y lies
-    # in F_5, which holds no cube root of unity but 1.  Beside x**2 + x + 1,
-    # the gcd has degree 2 but is a product of two linears.
-    for f, g, msg in (([1, 0, 1, 1], [1, 0, 2, 1], "no root of unity"),
-                      ([0, 1], [1, 1], "every coset"),
-                      ([2, 1, 1], [1, 1, 1], "no prime factor of degree 2")):
-        with pytest.raises(ec.CrossCheckMismatch, match=msg):
-            fqp.conjugate_factor(ec.Poly(F5, f) * ec.Poly(F5, g), F25, 3)
-
-
-@pytest.mark.parametrize("ell", [2, 5, 6, 7, 13])
-def test_conjugate_factor_refuses_an_ell_of_another_order(ell):
-    # 5 has order 1 modulo 2 and 4 modulo 13, is 0 modulo 5 and has order 6
-    # modulo 7; modulo 6, which is not prime, it has order 2 = [F_25 : F_5]
-    with pytest.raises(ValueError, match="order 2"):
-        fqp.conjugate_factor(ec.Poly(F5, [2, 1, 1]), F25, ell)
-
-
 def test_factorization_object():
     f = ec.Poly(F2, [1, 1]) * ec.Poly(F2, [1, 1, 1]) ** 2
     fac = ec.factor(f)
