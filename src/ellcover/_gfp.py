@@ -29,16 +29,17 @@ p = 2, 3, 5, 7, 11 and 13, and on discrete logs for every other field.
 Every function returns the same literals as the discrete-log kernels there;
 the test suite checks both against the naive oracles.
 
-fqpoly's irreducibility test over these fields opens with one residue
-screen per p (Screen): a monic candidate modulo every monic prime of degree
-1 to the screen's top, as a sum of table entries indexed by chunks of its
-coefficients, one byte per residue coefficient, reduced mod p by one
-translate and searched for a residue that is all zero.  It decides Ben-Or's
-rounds 1 to top exactly, so a candidate of degree up to 2 * top + 1 needs
-no modular power.  A random degree-12 candidate over F_3 took 7.9 us in
-fqpoly's test, against 34 us by evaluation at the points of F_3 and Ben-Or's
-rounds (2-core x86-64 box, Python 3.11).  The tables are built by degree
-and by coefficient position on first use.
+irreducible, the primality test of fqpoly and of the prime sampler over
+these fields, opens with one residue screen per p (Screen): a monic
+candidate modulo every monic prime of degree 1 to the screen's top, as a
+sum of table entries indexed by chunks of its coefficients, one byte per
+residue coefficient, reduced mod p by one translate and searched for a
+residue that is all zero.  It decides Ben-Or's rounds 1 to top exactly, so
+a candidate of degree up to 2 * top + 1 needs no modular power.  A random
+degree-12 candidate over F_3 took 7.9 us in fqpoly's test, against 34 us by
+evaluation at the points of F_3 and Ben-Or's rounds (2-core x86-64 box,
+Python 3.11).  The tables are built by degree and by coefficient position
+on first use.
 """
 
 from __future__ import annotations
@@ -288,6 +289,17 @@ SCREEN_ENTRIES = 32
 def screen(p: int) -> "Screen":
     """The one residue screen of the packed prime p, built on demand."""
     return Screen(p)
+
+
+def irreducible(p: int, f: bytes) -> bool:
+    """Whether the monic f of degree d >= 1 over F_p, its coefficient bytes
+    ascending, is prime, by Ben-Or's rounds 1 to d // 2: the residue screen
+    decides rounds 1 to top at once, and Residues the rounds above it."""
+    last = (len(f) - 1) // 2
+    s = screen(p)
+    if not s.passes(f, min(s.top, last)):
+        return False
+    return last <= s.top or Residues(p, f).ben_or(s.top + 1, last)
 
 
 class Screen:

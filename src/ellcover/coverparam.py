@@ -25,7 +25,7 @@ from math import comb
 from operator import mul
 from random import Random
 
-from . import _gf2
+from . import _gf2, _gfp
 from .errors import (
     BudgetExceeded,
     CharacteristicDividesEll,
@@ -41,6 +41,9 @@ from .errors import (
 from .fqpoly import (
     Poly,
     _factor_fold,
+    _packed,
+    _random_coeffs,
+    _random_literals,
     _trusted,
     embed,
     factor,
@@ -51,7 +54,6 @@ from .fqpoly import (
 )
 from .gf import (
     FIELD_ORDER_CAP,
-    FieldCtx,
     FieldElem,
     is_prime_int,
     lth_power_class,
@@ -64,13 +66,10 @@ ENUM_D_CAP = 16
 # table steps of any exact count (stratum, law, constrained count, L-series),
 # each added up by its entry point and checked by _check_steps before any work
 KERNEL_STEP_CAP = 1 << 22
-# _draw_prime answers a candidate of degree d over F_q, q > 2, from a sieved
-# set of the primes of degree d when q**d is at most this.  A 60-sample Monte
-# Carlo op over (3,5) at g = 20 draws about 234 candidates of degree 4 and 235
-# of degree 8; irreducible took 13 us a candidate at either degree, the set
-# lookup 0.2 us, and building both sieves 71-86 ms once per process, so they
-# pay after about 13 such ops; a 12-second mc-odd benchmark run makes 15
-# (2-core x86-64 box, Python 3.11).
+# _draw_prime holds its decision on each candidate of degree d over F_q,
+# 2 < q < 256, for the process when q**d is at most this: that degree then
+# costs at most q**d tests, and its held table at most q**d entries of d + 1
+# bytes (6 561 for F_3 at degree 8).
 DRAW_SIEVE_CAP = 1 << 13
 LABELINGS = ("least", "greatest")  # anchoring rules for Frobenius orbits
 EQUAL_DEGREE_DRAWS = 64  # z that split_prime tries for a root of unity other than 1
@@ -315,7 +314,7 @@ def split_prime(regime: Regime, prime: Poly, labeling: str = "least") -> tuple[P
             if y not in ((), (1,)):
                 break
             rng = rng or Random(_factor_fold(prime))
-            z = _trusted(regime.base, [rng.randrange(q) for _ in range(n)])
+            z = _trusted(regime.base, _random_coeffs(rng, q, n))
         else:
             raise CrossCheckMismatch(
                 f"no root of unity other than 1 found in {EQUAL_DEGREE_DRAWS} tries: "
@@ -614,18 +613,9 @@ def _suffix_table(regime: Regime, D: int) -> tuple[list[list[int]], list[list[in
     return regime._suffix
 
 
-# base (p, k) and degree d -> coefficient tuples of the monic primes of degree
-# d, for q**d <= DRAW_SIEVE_CAP; built on the first draw of that degree.
-_draw_sieves: dict[tuple[int, int, int], frozenset[tuple[int, ...]]] = {}
-
-
-def _draw_sieve(base: FieldCtx, d: int) -> frozenset[tuple[int, ...]]:
-    key = (base.p, base.k, d)
-    sieve = _draw_sieves.get(key)
-    if sieve is None:
-        sieve = _draw_sieves[key] = frozenset(
-            prime.coeffs for prime in primes_with_degree(base, d))
-    return sieve
+# base (p, k) and degree d -> the primality of each monic candidate of degree
+# d tested so far, keyed by its literal bytes, for q**d <= DRAW_SIEVE_CAP
+_held_decisions: dict[tuple[int, int, int], dict[bytes, bool]] = {}
 
 
 def _draw_prime(regime: Regime, d: int, rng: Random,
@@ -641,12 +631,19 @@ def _draw_prime(regime: Regime, d: int, rng: Random,
     the prime's factor over F_4; with a labeling, the classes that factor
     gives go into the regime's class cache for it, so prime_classes finds
     them there.  Every other F_2 candidate is decided by _gf2.is_irreducible,
-    the same screens and then Ben-Or's gcds.  Elsewhere a candidate of
-    degree d with q**d <= DRAW_SIEVE_CAP is looked up in the set of primes of
-    its degree, sieved once per process, and tested by irreducible above the
-    cap.  Each way decides primality, so the draws and the decisions, hence
-    the stream, are the same.  Candidates skip Poly's validation:
-    rng.randrange(q) puts every literal in range.
+    the same screens and then Ben-Or's gcds.
+
+    Over every other field of order q < 256, _random_literals decodes a
+    candidate's d literals in bulk, as the values and in the generator state
+    of d calls of rng.randrange(q), and the candidate is decided on its
+    bytes: by _gfp.irreducible over a packed prime field and by irreducible
+    elsewhere.  Where q**d <= DRAW_SIEVE_CAP each decision is held for the
+    process, keyed by those bytes, so a degree costs at most q**d tests
+    however many candidates it draws; above the cap each candidate is
+    tested.  From q = 256 on, the literals come from rng.randrange(q) and
+    each candidate is tested.  Each way decides primality, so the draws and
+    the decisions, hence the stream, are the same.  Candidates skip Poly's
+    validation: every literal is drawn in range.
     """
     base = regime.base
     q = base.order
@@ -672,16 +669,29 @@ def _draw_prime(regime: Regime, d: int, rng: Random,
             mask = rng.getrandbits(d)
             if _gf2.is_irreducible(1 << d | mask):
                 return _trusted(base, [mask >> i & 1 for i in range(d)] + [1])
-    if q ** d <= DRAW_SIEVE_CAP:
-        sieve = _draw_sieve(base, d)
+    if q > 255:  # literals past a byte
         while True:
-            cand = tuple([rng.randrange(q) for _ in range(d)] + [1])
-            if cand in sieve:
-                return _trusted(base, list(cand))
+            cand = _trusted(base, _random_coeffs(rng, q, d) + [1])
+            if irreducible(cand):
+                return cand
+    if _packed(base):
+        def decide(f: bytes) -> bool:
+            return _gfp.irreducible(q, f)
+    else:
+        def decide(f: bytes) -> bool:
+            return irreducible(_trusted(base, list(f)))
+    held = (_held_decisions.setdefault((base.p, base.k, d), {})
+            if q ** d <= DRAW_SIEVE_CAP else None)
     while True:
-        cand = _trusted(base, [rng.randrange(q) for _ in range(d)] + [1])
-        if irreducible(cand):
-            return cand
+        cand = _random_literals(rng, q, d) + b"\1"
+        if held is None:
+            prime = decide(cand)
+        else:
+            prime = held.get(cand)
+            if prime is None:
+                prime = held[cand] = decide(cand)
+        if prime:
+            return _trusted(base, list(cand))
 
 
 def _sample_full(regime: Regime, D: int, rng: Random,

@@ -21,6 +21,9 @@ ROOT_SCREEN_MAX_ORDER, has_root evaluates it at every point.  Factorization
 runs the classical squarefree / distinct-degree / equal-degree pipeline; the
 randomized equal-degree splits draw from a generator seeded by the input
 polynomial, so factor() is a deterministic function of its argument.
+Random literals below q = 256, for these splits and for the prime
+sampler's candidates, are decoded in bulk by _random_literals, as d calls
+of randrange(q) would draw them.
 Prime enumeration sieves products below a hard budget and checks itself
 against the divisor-counting closed form.
 """
@@ -265,6 +268,42 @@ def _trusted(ctx: FieldCtx, cs: list[int]) -> Poly:
     f.ctx = ctx
     f.coeffs = tuple(_trim(cs))
     return f
+
+
+@lru_cache(maxsize=None)
+def _literal_tables(q: int) -> tuple[bytes, bytes]:
+    """(table, drop) for a top byte of a generator word over F_q, q < 256:
+    table maps it to its top q.bit_length() bits, and drop lists the bytes
+    whose top bits are q or more."""
+    shift = 8 - q.bit_length()
+    return (bytes(b >> shift for b in range(256)),
+            bytes(b for b in range(256) if b >> shift >= q))
+
+
+def _random_literals(rng: Random, q: int, d: int) -> bytes:
+    """d literals of F_q, q < 256, as bytes: the values of d calls of
+    rng.randrange(q), leaving rng in the state those calls leave it in.
+
+    randrange(q) takes the top q.bit_length() bits of the generator's next
+    32-bit word, again until they are below q.  getrandbits(32 * n) hands
+    out the next n words, least significant first, so the top byte of each
+    is byte 3 of its 4 in little-endian order.  Only the n literals still
+    missing are drawn at a time, so no word after the d-th accepted one is
+    taken."""
+    table, drop = _literal_tables(q)
+    out = b""
+    while len(out) < d:
+        n = d - len(out)
+        out += rng.getrandbits(32 * n).to_bytes(4 * n, "little")[3::4].translate(table, drop)
+    return out
+
+
+def _random_coeffs(rng: Random, q: int, d: int) -> list[int]:
+    """d literals of F_q as d calls of rng.randrange(q) give them, decoded
+    in bulk by _random_literals below q = 256."""
+    if q < 256:
+        return list(_random_literals(rng, q, d))
+    return [rng.randrange(q) for _ in range(d)]
 
 
 # Each kernel below hands a packed prime field to _gfp first.  Every other
@@ -539,7 +578,7 @@ def _split_draw(f: Poly, d: int, rng: Random) -> Poly:
     ctx = f.ctx
     q = ctx.order
     while True:
-        r = _trusted(ctx, [rng.randrange(q) for _ in range(f.degree)])
+        r = _trusted(ctx, _random_coeffs(rng, q, f.degree))
         if r.degree >= 1:
             break
     if ctx.p == 2:
@@ -586,17 +625,16 @@ def irreducible(f: Poly) -> bool:
     gcd(f, x**(q**i) - x) = 1 for every i <= d // 2, that is, iff f has no
     prime factor of degree i <= d // 2.
 
-    Over a packed prime field, _gfp's residue screen decides rounds 1 to
-    top at once (top = 9 over F_2, 6 over F_3, 4 over F_5, 3 over F_7, 2
-    over F_11 and F_13): a degree up to 2 * top + 1 needs no modular power
-    at all, and
-    above it the rounds from top + 1 on run on one _gfp.Residues, so
-    x**(q**i) stays packed from the first round to the last.  Over every
-    other field the rounds run in discrete logs, each x**(q**i) the q-th
-    power of the round before's by square-and-multiply; there the first
-    round holds iff f has no root in F_q, and for q up to
-    ROOT_SCREEN_MAX_ORDER it is decided by has_root, so a candidate with a
-    root pays no modular power.
+    Over a packed prime field, _gfp.irreducible decides f on its bytes: the
+    residue screen decides rounds 1 to top at once (top = 9 over F_2, 6
+    over F_3, 4 over F_5, 3 over F_7, 2 over F_11 and F_13), so a degree up
+    to 2 * top + 1 needs no modular power at all, and above it the rounds
+    from top + 1 on run on one _gfp.Residues, so x**(q**i) stays packed
+    from the first round to the last.  Over every other field the rounds
+    run in discrete logs, each x**(q**i) the q-th power of the round
+    before's by square-and-multiply; there the first round holds iff f has
+    no root in F_q, and for q up to ROOT_SCREEN_MAX_ORDER it is decided by
+    has_root, so a candidate with a root pays no modular power.
     """
     if f.is_zero or f.degree < 1:
         return False
@@ -608,11 +646,7 @@ def irreducible(f: Poly) -> bool:
     q = ctx.order
     first, last = 1, d // 2
     if _packed(ctx):
-        screen = _gfp.screen(q)
-        top = screen.top
-        if not screen.passes(bytes(g), min(top, last)):
-            return False
-        return last <= top or _gfp.Residues(q, g).ben_or(top + 1, last)
+        return _gfp.irreducible(q, bytes(g))
     if q <= ROOT_SCREEN_MAX_ORDER:
         if has_root(f):
             return False

@@ -14,13 +14,12 @@ from random import Random
 import pytest
 
 import ellcover as ec
-from ellcover import _gf2, coverparam, fqpoly
+from ellcover import _gf2, _gfp, coverparam, fqpoly
 from ellcover.coverparam import (
     DRAW_SIEVE_CAP,
     LABELINGS,
     Regime,
     _draw_prime,
-    _draw_sieve,
     _parts_from_primes,
     _sample_full,
 )
@@ -1043,32 +1042,64 @@ def test_draw_prime_streams_are_unchanged(q, ell):
         assert _high_draws_digest(reg, range(13, 31)) == F3_DRAW_DIGESTS[ell]
 
 
-@pytest.mark.parametrize("p, k", [(3, 1), (2, 2), (5, 1), (3, 2)])
-def test_draw_sieves_are_the_irreducible_monics(p, k):
-    ctx = ec.make_field(p, k)
+@pytest.mark.parametrize("q, ell", [(3, 5), (4, 5), (5, 3), (9, 5)])
+def test_held_decisions_are_irreducible(q, ell, monkeypatch):
+    monkeypatch.setattr(coverparam, "_held_decisions", {})
+    reg = Regime(q, ell)
+    ctx = reg.base
+    rng = Random(q)
     d = 1
-    while ctx.order ** d <= DRAW_SIEVE_CAP:
-        want = {f.coeffs for f in fqpoly.monic_polys(ctx, d) if ec.irreducible(f)}
-        assert _draw_sieve(ctx, d) == want
+    while q ** d <= DRAW_SIEVE_CAP:
+        for _ in range(100):
+            _draw_prime(reg, d, rng)
+        held = coverparam._held_decisions[(ctx.p, ctx.k, d)]
+        assert all(prime == ec.irreducible(ec.Poly(ctx, cand))
+                   for cand, prime in held.items())
+        assert set(held.values()) == ({True} if d == 1 else {True, False})
         d += 1
-    assert d > 4  # every field above has a sieve beyond degree 4
+    assert d > 4  # every field above holds decisions beyond degree 4
 
 
-def test_draw_sieve_is_built_on_the_first_draw_of_its_degree(monkeypatch):
-    monkeypatch.setattr(coverparam, "_draw_sieves", {})
+def test_a_degree_tests_each_distinct_candidate_once(monkeypatch):
+    monkeypatch.setattr(coverparam, "_held_decisions", {})
+    drawn, tested = [], []
+    decode, decide = coverparam._random_literals, _gfp.irreducible
 
-    def no_test(f):
-        raise AssertionError(f"irreducible called on a sieved candidate {f!r}")
+    def literals(rng, q, d):
+        drawn.append(decode(rng, q, d))
+        return drawn[-1]
 
+    def test(p, f):
+        tested.append(f)
+        return decide(p, f)
+
+    monkeypatch.setattr(coverparam, "_random_literals", literals)
+    monkeypatch.setattr(_gfp, "irreducible", test)
+    reg, rng = Regime(3, 5), Random(8)
+    for _ in range(2000):
+        _draw_prime(reg, 8, rng)
+    assert len(tested) == len(set(tested)) == len(set(drawn)) <= 3 ** 8
+    assert len(drawn) > 2 * len(tested)  # candidates came back and were not tested
+
+
+def test_nothing_is_held_before_the_first_draw_above_the_cap_or_over_f2(monkeypatch):
+    monkeypatch.setattr(coverparam, "_held_decisions", {})
     reg = Regime(3, 5)  # a fresh regime, not the cached one
-    assert coverparam._draw_sieves == {}
-    monkeypatch.setattr(coverparam, "irreducible", no_test)
-    prime = _draw_prime(reg, 8, Random(1))
-    assert ec.irreducible(prime) and list(coverparam._draw_sieves) == [(3, 1, 8)]
-    monkeypatch.setattr(coverparam, "irreducible", ec.irreducible)
-    _draw_prime(reg, 12, Random(1))  # 3**12 is above the cap: tested, not sieved
+    assert coverparam._held_decisions == {}
+    _draw_prime(reg, 12, Random(1))  # 3**12 is above the cap: tested, not held
     _draw_prime(Regime(2, 3), 8, Random(1))  # F_2 keeps its bit-packed test
-    assert list(coverparam._draw_sieves) == [(3, 1, 8)]
+    _draw_prime(Regime(2, 3), 18, Random(1))  # and the orbit proof
+    _draw_prime(Regime(2, 5), 8, Random(1))
+    assert coverparam._held_decisions == {}
+    prime = _draw_prime(reg, 8, Random(1))
+    assert ec.irreducible(prime) and list(coverparam._held_decisions) == [(3, 1, 8)]
+
+
+def test_a_monte_carlo_op_lists_no_primes(monkeypatch):
+    monkeypatch.setattr(fqpoly, "_prime_lists", {})
+    monkeypatch.setattr(coverparam, "_held_decisions", {})
+    ec.monte_carlo_distribution(Regime(3, 5), 20, 60, 7)
+    assert fqpoly._prime_lists == {} and coverparam._held_decisions
 
 
 def test_parts_builder_matches_stable_factorization():

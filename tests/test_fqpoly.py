@@ -569,6 +569,24 @@ def test_factor_is_deterministic_across_calls():
     assert list(ec.factor(f)) == list(ec.factor(f))
 
 
+def test_random_literals_are_the_randrange_stream():
+    # the bulk decoder returns what d calls of randrange(q) return and leaves
+    # the generator where they leave it, for every field order below 256
+    orders = [q for q in range(2, 256) if len(ec.gf.factor_int(q)) == 1]
+    assert orders[:8] == [2, 3, 4, 5, 7, 8, 9, 11] and orders[-1] == 251
+    for q in orders:
+        for d in (0, 1, 2, 4, 8, 12, 31, 64):
+            for seed in range(3):
+                one, bulk = Random(f"{q}:{d}:{seed}"), Random(f"{q}:{d}:{seed}")
+                want = bytes(one.randrange(q) for _ in range(d))
+                assert fqp._random_literals(bulk, q, d) == want
+                assert bulk.getstate() == one.getstate()
+                assert fqp._random_coeffs(bulk, q, d) == [one.randrange(q) for _ in range(d)]
+                assert bulk.getstate() == one.getstate()
+    one, wide = Random(5), Random(5)  # past a byte, randrange itself
+    assert fqp._random_coeffs(wide, 257, 9) == [one.randrange(257) for _ in range(9)]
+
+
 def test_sieve_cap_constant_sanity():
     assert 5 ** 8 <= SIEVE_CAP < 5 ** 10
     # (5, 8) is the largest sieve the tests build, and (2, 16) the one the
