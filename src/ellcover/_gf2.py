@@ -20,9 +20,11 @@ that gives its GF(4) factor, and returns None where it is composite; Ben-Or
 decides only when that orbit's element lies in a proper subfield.  So a
 (2,3) draw of degree at least 2*SCREEN_DEGREE + 2, where Ben-Or would run,
 decides a candidate that passes the screen by prime_factor, and keeps the
-factor; is_irreducible decides every other F_2 candidate.  The squaring,
-reduction and gcd loops of both are written out inline, since the calls
-would cost as much as the work.
+factor; is_irreducible decides every other F_2 candidate.  Both square
+modulo their polynomial by one rule, _square_tables: the low half of an
+element spread in place and the high half read through per-polynomial
+window tables.  Their squaring and gcd loops are written out inline, since
+the calls would cost as much as the work.
 
 Only internal callers use this module; everything here is cross-checked
 against the generic polynomial layer and the naive oracles in the test suite.
@@ -165,22 +167,25 @@ def is_irreducible(f: int) -> bool:
         return False
     if d < 2 * SCREEN_DEGREE + 2:
         return True  # no round: every factor of degree <= d//2 is screened
+    half, tables = _square_tables(f)
+    low = (1 << half) - 1
     spread = _SPREAD
-    t = 1 << (1 << _FIRST_ROUND)  # x**(2**i) modulo f after round i
+    z = 1 << (1 << _FIRST_ROUND)  # x**(2**i) modulo f after round i
     for i in range(_FIRST_ROUND + 1, d // 2 + 1):
-        s = shift = 0  # s = t**2 modulo f
+        s = shift = 0  # z = z**2 modulo f
+        t = z & low
         while t:
             s |= spread[t & 0xFF] << shift
             t >>= 8
             shift += 16
-        ds = s.bit_length() - 1
-        while ds >= d:
-            s ^= f << (ds - d)
-            ds = s.bit_length() - 1
-        t = s
+        t = z >> half
+        for table in tables:
+            s ^= table[t & 0xF]
+            t >>= 4
+        z = s
         if i <= SCREEN_DEGREE:
             continue
-        a, b = f, t ^ 2  # gcd(f, t - x)
+        a, b = f, z ^ 2  # gcd(f, z - x)
         while b:
             db = b.bit_length()
             da = a.bit_length()
@@ -193,15 +198,46 @@ def is_irreducible(f: int) -> bool:
     return True
 
 
-# prime_factor reduces each square of its orbit _ORBIT_FOLD bits a step by a
-# table of the 2**_ORBIT_FOLD multiples of the prime whose bits from its
-# degree up are those bits.  Against a bit at a time, on screen passers of
-# degree 24 to 62 prime_factor took 19-39 % less time with 6 bits, and 5 to
-# 8 bits were within a few percent of that; at degree 16 to 18 it took the
-# same, and at 4 to 12 up to twice as long, the ~3.5 us of building the
-# table, a degree that only prime_classes asks it (Python 3.11, 2-core
-# x86-64 box).
-_ORBIT_FOLD = 6
+# Squaring modulo p, of degree d, for prime_factor's orbit and Ben-Or's
+# rounds, takes two parts, XORed.  The bits of an element below half =
+# ceil(d/2) square to degree below d, so they are spread in place and need
+# no reduction.  The bits from half to d - 1 are read 4 at a time, each
+# window one entry of a per-p table of the sums of x**(2*i) mod p over its
+# bits i: ceil(d/8) tables of 16 entries, about 60 XORs to build at d = 32.
+# Against a 6-bit fold that reduced the whole square, prime_factor took
+# x0.71 the time at degree 18 and up and x0.77 below, over the 5 825
+# distinct inputs that 3 300 (2,3) Monte Carlo samples gave it, and a (2,5)
+# Monte Carlo op at genus 60, whose draws all run Ben-Or, took x0.98
+# (medians of interleaved passes; Python 3.11, 2-core x86-64 box).
+
+
+def _square_tables(p: int) -> tuple[int, list[tuple[int, ...]]]:
+    """(half, tables) for squaring modulo p, of degree d >= 2: the bits of an
+    element below half square in place, and tables[w][v] is
+    (v(x) * x**(half + 4*w))**2 mod p for the bits v of its w-th 4-bit
+    window from half up."""
+    d = p.bit_length() - 1
+    half = (d + 1) >> 1
+    # the bases x**(2*i) mod p from i = half up, each the last times x**2:
+    # fold[t] is the multiple of p whose bits d and d + 1 are those of t
+    two = p << 1 ^ (p if p >> (d - 1) & 1 else 0)
+    fold = (0, p, two, two ^ p)
+    b = (p ^ 1 << d) << (2 * half - d)
+    b ^= fold[b >> d]
+    tables = []
+    for _ in range(half, d, 4):
+        b1 = b << 2
+        b1 ^= fold[b1 >> d]
+        b2 = b1 << 2
+        b2 ^= fold[b2 >> d]
+        b3 = b2 << 2
+        b3 ^= fold[b3 >> d]
+        b01, b23 = b ^ b1, b2 ^ b3
+        tables.append((0, b, b1, b01, b2, b2 ^ b, b2 ^ b1, b2 ^ b01,
+                       b3, b3 ^ b, b3 ^ b1, b3 ^ b01, b23, b23 ^ b, b23 ^ b1, b23 ^ b01))
+        b = b3 << 2
+        b ^= fold[b >> d]
+    return half, tables
 
 
 def prime_factor(p: int) -> tuple[int, int] | None:
@@ -253,29 +289,23 @@ def prime_factor(p: int) -> tuple[int, int] | None:
         k += 1
     else:
         return None  # no power of x has trace 1
-    # fold[t] is the multiple of p whose bits from d up are those of t, so
-    # one XOR clears _ORBIT_FOLD bits of a square
-    fold = [0]
-    b = p
-    for _ in range(_ORBIT_FOLD):
-        fold += [v ^ b for v in fold]
-        b <<= 1
-        if b >> d & 1:
-            b ^= p
+    half, tables = _square_tables(p)
+    low = (1 << half) - 1
     spread = _SPREAD
     z = 1 << k
     orbit = [z]  # z**(2**j) for j < d, with z = x**k
     for _ in range(1, d):
         s = shift = 0  # z = z**2 modulo p
-        while z:
-            s |= spread[z & 0xFF] << shift
-            z >>= 8
+        t = z & low
+        while t:
+            s |= spread[t & 0xFF] << shift
+            t >>= 8
             shift += 16
-        ds = s.bit_length() - _ORBIT_FOLD
-        while ds > d:
-            s ^= fold[s >> ds] << (ds - d)
-            ds = s.bit_length() - _ORBIT_FOLD
-        z = s ^ fold[s >> d]
+        t = z >> half
+        for table in tables:
+            s ^= table[t & 0xF]
+            t >>= 4
+        z = s
         orbit.append(z)
     if reduce(xor, orbit, 0) != 1:
         return None  # the trace of z in R is not 1

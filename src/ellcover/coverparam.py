@@ -136,7 +136,7 @@ class Regime:
     """A (q, ell) pair with its contexts, caches, and twist exponents."""
 
     __slots__ = ("q", "ell", "p", "k", "n_q", "base", "ext", "v_exps", "cosets",
-                 "_split_cache", "_class_cache", "_suffix", "_lines")
+                 "_split_cache", "_class_cache", "_drawn", "_suffix", "_lines")
 
     def __init__(self, q: int, ell: int):
         p, k, n_q = check_regime(q, ell)
@@ -165,6 +165,10 @@ class Regime:
         # labeling -> prime coefficients -> classes at the affine points
         self._class_cache: dict[str, dict[tuple[int, ...], tuple[int, ...]]] = {
             labeling: {} for labeling in LABELINGS}
+        # (labeling, prime coefficients -> classes) of the primes that the
+        # last sample's (2,3) draws proved, handed to that sample's class
+        # vector; each sample replaces it
+        self._drawn: tuple[str | None, dict[tuple[int, ...], tuple[int, ...]]] = (None, {})
         self._suffix: tuple[list[list[int]], list[list[int]]] = ([], [[1]])
         # sorted base-point literals -> lseries._LineKernel, built on first use
         self._lines: dict = {}
@@ -364,8 +368,9 @@ def prime_classes(regime: Regime, prime: Poly, labeling: str = "least") -> tuple
     The value never vanishes: a rational point is not a root of a prime whose
     degree is a multiple of n_q > 1.  Over F_2 with n_q = 2 the classes are
     read off the bit-packed halves of _gf2's monic factor by _packed_classes,
-    without an orbit; a (2,3) draw that proved the prime by that factor has
-    already cached them.  Every other regime, Monte Carlo included, reads
+    without an orbit; the classes of a prime that the last sample's (2,3)
+    draw proved by that factor are the ones the draw handed over, not
+    cached.  Every other regime, Monte Carlo included, reads
     the classes off the anchor of split_prime's orbit; split_prime splits
     (2,3) primes too, so it checks the packed path from outside.
     """
@@ -374,6 +379,9 @@ def prime_classes(regime: Regime, prime: Poly, labeling: str = "least") -> tuple
     cached = cache.get(prime.coeffs)
     if cached is not None:
         return cached
+    drawn_labeling, drawn = regime._drawn
+    if drawn_labeling == labeling and prime.coeffs in drawn:
+        return drawn[prime.coeffs]
     if regime.q == 2 and regime.n_q == 2:
         if prime.degree % 2:
             raise InvalidTuple(f"prime degree {prime.degree} not divisible by n_q = 2")
@@ -618,20 +626,31 @@ def _suffix_table(regime: Regime, D: int) -> tuple[list[list[int]], list[list[in
 _held_decisions: dict[tuple[int, int, int], dict[bytes, bool]] = {}
 
 
+# the binary digits "0" and "1" as the literals 0 and 1
+_BITS = bytes.maketrans(b"01", b"\0\1")
+
+
+def _f2_literals(f: int) -> list[int]:
+    """The literals of a bit-packed GF(2) polynomial f, low degree first:
+    its binary digits reversed."""
+    return list(bin(f)[:1:-1].encode().translate(_BITS))
+
+
 def _draw_prime(regime: Regime, d: int, rng: Random,
                 labeling: str | None = None) -> Poly:
     """Uniform random monic irreducible of degree d over the base field, by
     rejection: the first of the monic candidates drawn from rng that is
     prime.
 
-    Over F_2 candidates are bit-packed.  Over (2,3) at even degree d >=
-    2*_gf2.SCREEN_DEGREE + 2 = 18 the bits reject the multiples of x and
-    x + 1, _gf2.passes_screen those of any prime of degree 2 to 8, and
-    _gf2.prime_factor decides the rest by the orbit proof that also gives
-    the prime's factor over F_4; with a labeling, the classes that factor
-    gives go into the regime's class cache for it, so prime_classes finds
-    them there.  Every other F_2 candidate is decided by _gf2.is_irreducible,
-    the same screens and then Ben-Or's gcds.
+    Over F_2 candidates are bit-packed, and the bits reject the multiples of
+    x and x + 1 (d >= n_q >= 2, so neither is a candidate).  Over (2,3) at
+    even degree d >= 2*_gf2.SCREEN_DEGREE + 2 = 18, _gf2.passes_screen
+    rejects those of any prime of degree 2 to 8, and _gf2.prime_factor
+    decides the rest by the orbit proof that also gives the prime's factor
+    over F_4; with a labeling, the classes that factor gives go into the
+    sample's hand-over, regime._drawn, so prime_classes finds them there
+    and the prime is proved once.  Every other F_2 candidate is decided by
+    _gf2.is_irreducible, the same screens and then Ben-Or's gcds.
 
     Over every other field of order q < 256, _random_literals decodes a
     candidate's d literals in bulk, as the values and in the generator state
@@ -647,28 +666,26 @@ def _draw_prime(regime: Regime, d: int, rng: Random,
     """
     base = regime.base
     q = base.order
-    if q == 2 and regime.n_q == 2 and d >= 2 * _gf2.SCREEN_DEGREE + 2 and not d % 2:
-        top = 1 << d
+    if q == 2:
+        getrandbits, top = rng.getrandbits, 1 << d
+        proof = regime.n_q == 2 and d >= 2 * _gf2.SCREEN_DEGREE + 2 and not d % 2
         while True:
-            mask = rng.getrandbits(d)
+            mask = getrandbits(d)
             # x divides an even mask plus x**d, and x + 1 one of even weight
             if not mask & 1 or mask.bit_count() & 1:
                 continue
             f = top | mask
-            if not _gf2.passes_screen(f):
-                continue
-            factor = _gf2.prime_factor(f)
-            if factor is not None:
-                prime = _trusted(base, [mask >> i & 1 for i in range(d)] + [1])
-                if labeling is not None:
-                    regime._class_cache[labeling][prime.coeffs] = _packed_classes(
-                        regime, prime, *factor, labeling)
-                return prime
-    if q == 2:
-        while True:
-            mask = rng.getrandbits(d)
-            if _gf2.is_irreducible(1 << d | mask):
-                return _trusted(base, [mask >> i & 1 for i in range(d)] + [1])
+            if not proof:
+                if _gf2.is_irreducible(f):
+                    return _trusted(base, _f2_literals(f))
+            elif _gf2.passes_screen(f):
+                factor = _gf2.prime_factor(f)
+                if factor is not None:
+                    prime = _trusted(base, _f2_literals(f))
+                    if labeling is not None:
+                        regime._drawn[1][prime.coeffs] = _packed_classes(
+                            regime, prime, *factor, labeling)
+                    return prime
     if q > 255:  # literals past a byte
         while True:
             cand = _trusted(base, _random_coeffs(rng, q, d) + [1])
@@ -694,37 +711,66 @@ def _draw_prime(regime: Regime, d: int, rng: Random,
             return _trusted(base, list(cand))
 
 
+def _randbelow(getrandbits, n: int) -> int:
+    """rng.randrange(n) for n >= 1, in value and in the generator state after
+    it, from getrandbits = rng.getrandbits: CPython draws k = n.bit_length()
+    bits, again while they are n or more.  n = 1 still draws a word, again
+    until its top bit is 0."""
+    if n < 1:
+        raise ValueError(f"no draw below {n}")
+    k = n.bit_length()
+    r = getrandbits(k)
+    while r >= n:
+        r = getrandbits(k)
+    return r
+
+
 def _sample_full(regime: Regime, D: int, rng: Random,
                  labeling: str | None = None):
     """Draw one cover as (prime_mults, b): each drawn prime with its slot
     index, and the twisting unit.  labeling is the one the caller will read
-    the primes' classes in, for the draws that can cache them."""
+    the primes' classes in: with it, the classes that the (2,3) draws' proofs
+    give are handed to this cover's class vector in regime._drawn, which
+    then holds this sample's alone.
+
+    Every draw is rng.randrange's, in value and in generator state: one per
+    degree class for its prime count, one per prime for its slot, and one
+    for the unit, each from the generator's words by _randbelow."""
     ell, n_q = regime.ell, regime.n_q
     if D % n_q:
         raise EmptyStratum(f"no branch tuple of degree {D} for {regime!r}")
     weights, suffix = _suffix_table(regime, D)
+    if labeling is not None:
+        regime._drawn = (labeling, {})
+    getrandbits = rng.getrandbits
     prime_mults: list[tuple[Poly, int]] = []
     rem = D // n_q
-    # one randrange per class up to this degree, however far the table reaches
-    for c, row in zip(range(1, rem + 1), weights):
-        target = rng.randrange(suffix[c - 1][rem])
-        j = 0
-        while True:
-            w = row[j] * suffix[c][rem - j * c]
-            if target < w:
-                break
+    # one draw per class up to this degree, however far the table reaches;
+    # once rem is 0 each class left draws below suffix[c - 1][0] = 1
+    classes = zip(range(1, rem + 1), weights)
+    for c, row in classes:
+        target = _randbelow(getrandbits, suffix[c - 1][rem])
+        j, nxt = 0, suffix[c]
+        w = nxt[rem]  # row[0] = 1: no prime of degree n_q * c
+        while target >= w:
             target -= w
             j += 1
-        seen: set[tuple[int, ...]] = set()
-        for _ in range(j):
-            while True:
-                prime = _draw_prime(regime, n_q * c, rng, labeling)
-                if prime.coeffs not in seen:
-                    seen.add(prime.coeffs)
-                    break
-            prime_mults.append((prime, rng.randrange(1, ell)))
-        rem -= j * c
-    b = FieldElem(regime.ext, rng.randrange(1, regime.ext.order))
+            w = row[j] * nxt[rem - j * c]
+        if j:
+            seen: set[tuple[int, ...]] = set()
+            for _ in range(j):
+                while True:
+                    prime = _draw_prime(regime, n_q * c, rng, labeling)
+                    if prime.coeffs not in seen:
+                        seen.add(prime.coeffs)
+                        break
+                prime_mults.append((prime, 1 + _randbelow(getrandbits, ell - 1)))
+            rem -= j * c
+            if not rem:
+                break
+    for _ in classes:
+        _randbelow(getrandbits, 1)
+    b = FieldElem(regime.ext, 1 + _randbelow(getrandbits, regime.ext.order - 1))
     return prime_mults, b
 
 

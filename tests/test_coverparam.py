@@ -14,7 +14,7 @@ from random import Random
 import pytest
 
 import ellcover as ec
-from ellcover import _gf2, _gfp, coverparam, fqpoly
+from ellcover import _gf2, _gfp, coverparam, ensemble, fqpoly
 from ellcover.coverparam import (
     DRAW_SIEVE_CAP,
     LABELINGS,
@@ -365,6 +365,46 @@ def test_prime_factor_is_none_exactly_on_the_composites():
             _gf2.prime_factor(f)
 
 
+def _prime_factor_cases():
+    """Every monic f of even degree 2 to 14 with f(0) = f(1) = 1, then 20
+    seeded screen passers of each even degree 34 to 128, whose low halves
+    span three bytes or more."""
+    for d in range(2, 15, 2):
+        for mask in range(1, 1 << d, 2):
+            if not mask.bit_count() & 1:
+                yield 1 << d | mask
+    rng = Random(39)
+    for d in range(34, 129, 2):
+        passers = 0
+        while passers < 20:
+            f = 1 << d | rng.getrandbits(d) | 1
+            if f.bit_count() & 1 and _gf2.passes_screen(f):
+                passers += 1
+                yield f
+
+
+def test_prime_factor_matches_ben_or_and_its_factor_gives_the_input():
+    # None exactly where Ben-Or finds a factor, and otherwise a monic A of
+    # degree d/2 off GF(2) with A * phi(A) = f, multiplied naively
+    count = primes = 0
+    for f in _prime_factor_cases():
+        d = f.bit_length() - 1
+        factor = _gf2.prime_factor(f)
+        assert (factor is not None) == naive.gf2_ben_or(f), bin(f)
+        count += 1
+        if factor is None:
+            continue
+        lo, hi = factor
+        assert hi and max(lo.bit_length(), hi.bit_length()) - 1 == d // 2
+        assert (lo >> d // 2, hi >> d // 2) == (1, 0)
+        product = (naive.gf2_mul(lo, lo) ^ naive.gf2_mul(lo, hi)
+                   ^ naive.gf2_mul(hi, hi))
+        assert product == f, bin(f)
+        primes += 1
+    assert count == sum(1 << d - 2 for d in range(2, 15, 2)) + 20 * 48
+    assert 300 < primes < count - 300
+
+
 def test_prime_factor_raises_when_its_cube_root_of_unity_fails(monkeypatch):
     # trace 1 makes y**2 + y = Tr(z)**2 = 1 in R, so a y that fails
     # y**2 + y + 1 = 0 is a broken orbit, not a composite p
@@ -443,27 +483,55 @@ def test_monte_carlo_proves_each_drawn_prime_once(monkeypatch, labeling):
         finally:
             inside.pop()
 
+    handed = []  # each sample's hand-over, as the sample left it
+
+    def spy_sample_full(regime, *args):
+        cover = sample_full(regime, *args)
+        handed.append((regime._drawn[0], dict(regime._drawn[1])))
+        return cover
+
+    sample_full = ensemble._sample_full
     monkeypatch.setattr(_gf2, "is_irreducible", spy_is_irreducible)
     monkeypatch.setattr(_gf2, "prime_factor", spy_prime_factor)
     monkeypatch.setattr(_gf2, "conjugate_factor_coeffs", spy_conjugate_factor_coeffs)
+    monkeypatch.setattr(ensemble, "_sample_full", spy_sample_full)
     reg = Regime(2, 3)  # a fresh regime: its class cache starts empty
     rep = ec.monte_carlo_distribution(reg, 30, 150, seed=5, labeling=labeling)
     assert len(proved) > 100
     assert all(inner for f, inner in ben_or if f.bit_length() > 18)
     assert not proved & set(factored)
     assert all(f.bit_length() <= 18 for f in factored)
-    # the cache holds the labeling's classes of every drawn prime, and those
-    # of the proved primes are the ones the packed factor gives
+    # the classes of every drawn prime of degree >= 18 were handed to its
+    # sample's class vector and cached nowhere; the cache holds the drawn
+    # primes below 18, which prime_classes split itself, and the handed-over
+    # classes are those that prime_classes gives on a fresh regime
     fresh = Regime(2, 3)
     drawn = {pr.coeffs for i in range(150)
              for pr, _ in _sample_full(fresh, rep.D, Random(f"5:{i}"))[0]}
     assert fresh._class_cache == {lab: {} for lab in LABELINGS}
+    assert fresh._drawn == (None, {})
     cache = reg._class_cache
-    assert set(cache[labeling]) == drawn
+    assert set(cache[labeling]) == {c for c in drawn if len(c) <= 18}
     assert all(not cache[lab] for lab in LABELINGS if lab != labeling)
+    assert {labeling} == {lab for lab, _ in handed}
+    classes_of = {c: classes for _, each in handed for c, classes in each.items()}
+    assert set(classes_of) == {c for c in drawn if len(c) > 18}
     monkeypatch.setattr(_gf2, "conjugate_factor_coeffs", conjugate_factor_coeffs)
-    for coeffs, classes in cache[labeling].items():
+    for coeffs, classes in classes_of.items():
         assert ec.prime_classes(fresh, ec.Poly(fresh.base, list(coeffs)), labeling) == classes
+
+
+def test_a_long_char2_run_caches_no_drawn_prime_of_degree_18_or_more():
+    # a (2,3) draw of degree >= 18 hands its classes to its own sample, so
+    # the class cache holds at most the primes of even degree <= 16 and the
+    # hand-over the primes of one sample
+    reg = Regime(2, 3)
+    ec.monte_carlo_distribution(reg, 30, 2000, seed=8)
+    keys = [c for lab in LABELINGS for c in reg._class_cache[lab]]
+    assert len(keys) > 500
+    assert max(map(len, keys)) - 1 <= 2 * _gf2.SCREEN_DEGREE
+    labeling, drawn = reg._drawn
+    assert labeling == "least" and len(drawn) <= 32 // 18
 
 
 def _orbit_from_factor(reg, prime, labeling):
@@ -993,6 +1061,71 @@ def test_sample_full_prime_list_is_faithful():
         factored = sorted((pr.coeffs, slot) for slot, f in enumerate(params.fs, start=1)
                           for pr, _ in ec.factor(f))
         assert sorted((pr.coeffs, slot) for pr, slot in prime_mults) == factored
+
+
+RANDBELOW_SIZES = (1, 2, 3, 4, 2 ** 31, 2 ** 32 - 1, 2 ** 32, 2 ** 32 + 1,
+                   2 ** 64 + 1, 2 ** 200 + 3)
+
+
+def _walk_sizes(reg, D):
+    """Every count suffix[c - 1][rem] below which the walk can draw a class's
+    prime count at degree D."""
+    _, suffix = coverparam._suffix_table(reg, D)
+    M = D // reg.n_q
+    return sorted({suffix[c - 1][m] for c in range(1, M + 1) for m in range(M + 1)} - {0})
+
+
+@pytest.mark.parametrize("seed", [3, 71, 2024])
+def test_the_walks_draws_are_randranges(seed):
+    # in values and in the generator state after them: the fixed sizes, every
+    # count the walk reads for (2,3) at D = 32 and (3,5) at D = 12, and the
+    # offset draws of the slots, 1 + (below ell - 1), and of the unit,
+    # 1 + (below Q - 1)
+    sizes = list(RANDBELOW_SIZES)
+    for (q, ell), D in (((2, 3), 32), ((3, 5), 12)):
+        sizes += _walk_sizes(ec.make_regime(q, ell), D)
+    assert len(sizes) > 80
+    ours, theirs = Random(seed), Random(seed)
+    for n in sizes:
+        got = [coverparam._randbelow(ours.getrandbits, n) for _ in range(7)]
+        assert got == [theirs.randrange(n) for _ in range(7)], n
+        assert ours.getstate() == theirs.getstate(), n
+    for (q, ell) in ((2, 3), (3, 5)):
+        Q = ec.make_regime(q, ell).ext.order
+        for top in (ell, Q):
+            got = [1 + coverparam._randbelow(ours.getrandbits, top - 1) for _ in range(7)]
+            assert got == [theirs.randrange(1, top) for _ in range(7)], top
+            assert ours.getstate() == theirs.getstate(), top
+
+
+# sha256 of 200 _sample_full draws, each from the stream keyed (q, ell, D,
+# i), first 16 hex digits: every prime with its slot, b and then 32 bits of
+# the stream after the sample; the two (2,3) keys add each sample's class
+# vector in their labeling.  Produced before the walk drew on raw generator
+# words and before the (2,3) draws' classes were handed to their own sample.
+SAMPLE_DIGESTS = {(2, 3, 32, "least"): "4c6ed9d3cb577eaf",
+                  (2, 3, 32, "greatest"): "1116425dcb982bc5",
+                  (3, 5, 12, None): "5fd08f09264fdbe6",
+                  (5, 3, 12, None): "820afba4d912d4c7",
+                  (2, 5, 32, None): "33af0e9026e90fb2",
+                  (4, 5, 12, None): "5d41d48a1930ca08",
+                  (9, 5, 12, None): "4c76d9b97e572ade"}
+
+
+@pytest.mark.parametrize("key", list(SAMPLE_DIGESTS), ids=str)
+def test_sample_streams_are_unchanged(key):
+    q, ell, D, labeling = key
+    reg = Regime(q, ell)
+    h = hashlib.sha256()
+    for i in range(200):
+        rng = Random(f"{q}:{ell}:{D}:{i}")
+        prime_mults, b = _sample_full(reg, D, rng, labeling)
+        h.update(repr([(pr.coeffs, slot) for pr, slot in prime_mults]).encode())
+        h.update(repr(b.val).encode())
+        if labeling is not None:
+            h.update(repr(ec.class_vector(reg, prime_mults, b, labeling)).encode())
+        h.update(repr(rng.getrandbits(32)).encode())
+    assert h.hexdigest()[:16] == SAMPLE_DIGESTS[key]
 
 
 # sha256 of 20 draws per degree 2..12 and then 32 bits of the stream, first
