@@ -304,6 +304,16 @@ def split_prime(regime: Regime, prime: Poly, labeling: str = "least") -> tuple[P
     EQUAL_DEGREE_DRAWS tries, a gcd other than 1 at some coset, a factor
     prime of degree m, n_q distinct conjugates, the Frobenius of the last
     the first, and their product the embedded prime.
+
+    The prime test is one of two, which prove the same: a prime of degree
+    n_q*m over F_q splits over F_Q, of degree n_q over F_q, into n_q primes
+    of degree m, so a factor a of degree m of a prime P is prime; and a
+    prime a whose n_q conjugates multiply to P makes P prime.  Which one
+    runs follows fqpoly's kernel form: over a base that packs (_packed), P
+    is tested over F_q, where _gfp's residue screen decides it in a few
+    microseconds; over every other base, whose kernels run in logs, a is
+    tested over F_Q, where Ben-Or's rounds on degree m cost less than on
+    P's degree n_q*m over F_q.
     """
     _check_labeling(labeling)
     orbit = regime._split_cache.get(prime.coeffs)
@@ -337,7 +347,7 @@ def split_prime(regime: Regime, prime: Poly, labeling: str = "least") -> tuple[P
                 f"y - w**r is prime to the input for every coset r<{q}> of "
                 f"(Z/{ell})*: the input is not prime")
         m = n // n_q
-        if a.degree != m or not irreducible(a):
+        if a.degree != m or not irreducible(prime if _packed(regime.base) else a):
             raise CrossCheckMismatch(
                 f"no prime factor of degree {m} found: the input is not prime")
         walk = [a]

@@ -625,12 +625,13 @@ def irreducible(f: Poly) -> bool:
     gcd(f, x**(q**i) - x) = 1 for every i <= d // 2, that is, iff f has no
     prime factor of degree i <= d // 2.
 
-    Over a packed prime field, _gfp.irreducible decides f on its bytes: the
-    residue screen decides rounds 1 to top at once (top = 9 over F_2, 6
-    over F_3, 4 over F_5, 3 over F_7, 2 over F_11 and F_13), so a degree up
-    to 2 * top + 1 needs no modular power at all, and above it the rounds
-    from top + 1 on run on one _gfp.Residues, so x**(q**i) stays packed
-    from the first round to the last.  Over every other field the rounds
+    Over a packed prime field, _gfp.irreducible decides f on its bytes: a
+    root at 0, 1 or -1 rejects it, the residue screen decides rounds 1 to
+    top at once (top = 9 over F_2, 6 over F_3, 4 over F_5, 3 over F_7, 2
+    over F_11 and F_13), so a degree up to 2 * top + 1 needs no modular
+    power at all, and above it the rounds from top + 1 on run on one
+    _gfp.Residues, so x**(q**i) stays packed from the first round to the
+    last.  Over every other field the rounds
     run in discrete logs, each x**(q**i) the q-th power of the round
     before's by square-and-multiply; there the first round holds iff f has
     no root in F_q, and for q up to ROOT_SCREEN_MAX_ORDER it is decided by
@@ -792,10 +793,19 @@ def poly_frobenius(f: Poly, base_order: int) -> Poly:
 
     Fixes exactly the polynomials with coefficients in the subfield of that
     order, and is a ring homomorphism, so it permutes prime factorizations.
+    Each coefficient is read off the literal table of _frobenius_table.
     """
-    ctx = f.ctx
+    table = _frobenius_table(f.ctx, base_order)
+    return _trusted(f.ctx, [table[c] for c in f.coeffs])
+
+
+@lru_cache(maxsize=None)
+def _frobenius_table(ctx: FieldCtx, base_order: int) -> tuple[int, ...]:
+    """The base_order-th power of every literal of ctx, built once per
+    (ctx, base_order); an order that is no subfield's raises on every call,
+    since lru_cache keeps no exception."""
     check_subfield_order(ctx, base_order)
-    return _trusted(ctx, [ctx.pow_i(c, base_order) for c in f.coeffs])
+    return tuple(ctx.pow_i(c, base_order) for c in range(ctx.order))
 
 
 def embed(f: Poly, big: FieldCtx) -> Poly:

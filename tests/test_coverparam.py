@@ -611,6 +611,20 @@ def test_monte_carlo_splits_without_cantor_zassenhaus_on_the_prime(monkeypatch):
     assert len(reg._split_cache) > 20
 
 
+@pytest.mark.parametrize("q,ell,g", [(3, 5, 20), (5, 3, 20), (3, 7, 30)])
+def test_monte_carlo_proves_split_primes_without_a_root_scan(q, ell, g, monkeypatch):
+    # over a packed base split_prime proves the base prime over F_q by the
+    # residue screen, so no degree-m factor's points are scanned over F_Q
+    reg = Regime(q, ell)
+
+    def refuse(f):
+        raise AssertionError(f"has_root on degree {f.degree} over F_{f.ctx.order}")
+
+    monkeypatch.setattr(fqpoly, "has_root", refuse)
+    ec.monte_carlo_distribution(reg, g, 40, seed=7)
+    assert reg._split_cache
+
+
 @pytest.mark.parametrize("first,second", [
     ((3, 5, 0), (3, 3, 0)), ((3, 1, 0), (3, 3, 0)), ((3, 4, 1), (3, 4, 13)),
     ((2, 4, 0), (2, 4, 1)), ((2, 6, 0), (2, 6, 3)), ((2, 3, 0), (2, 3, 1)),
@@ -647,8 +661,9 @@ def test_split_prime_rejects_a_product_that_passes_the_trace_checks(bits):
     # are products of three primes of even degree, and x**k with the least
     # k of trace 1 gives a cube root of unity and a GF(4) factor of degree
     # d/2 for each: in the packed factor that prime_classes reads, only the
-    # subfield proof that p is prime rejects them.  split_prime rejects them
-    # by conjugate_factor's own checks.
+    # subfield proof that p is prime rejects them.  split_prime rejects the
+    # first and the third by the degree of the coset gcd, other than d/2,
+    # and the second by a gcd of 1 at every coset, before its prime test.
     reg = Regime(2, 3)
     prime = ec.Poly(reg.base, [bits >> i & 1 for i in range(bits.bit_length())])
     assert not ec.irreducible(prime)

@@ -555,6 +555,29 @@ def test_poly_frobenius_properties():
         ec.poly_frobenius(ec.Poly(f16, [1, 1]), 8)
 
 
+@pytest.mark.parametrize("p,k", [(2, 4), (2, 6), (3, 4), (5, 4), (3, 6)])
+def test_poly_frobenius_reads_the_power_of_every_literal(p, k):
+    """F_16, F_64, F_81, F_625 and F_729 at each subfield order: the table
+    gives every literal's power, so a polynomial of all literals is enough."""
+    ctx = ec.make_field(p, k)
+    f = ec.Poly(ctx, list(range(ctx.order)))
+    for d in (d for d in range(1, k + 1) if k % d == 0):
+        assert ec.poly_frobenius(f, p ** d).coeffs == \
+            tuple(ctx.pow_i(c, p ** d) for c in range(ctx.order))
+
+
+def test_poly_frobenius_refuses_a_bad_order_on_every_call():
+    f = ec.Poly(F81, [1, 2, 3])
+    for _ in range(3):
+        for order in (27, 243, 6561):
+            with pytest.raises(ec.NotASubfield):
+                ec.poly_frobenius(f, order)
+        for order in (6, 12, 80):
+            with pytest.raises(ec.NotPrimePower):
+                ec.poly_frobenius(f, order)
+    assert ec.poly_frobenius(f, 81) == f
+
+
 def test_factorization_object():
     f = ec.Poly(F2, [1, 1]) * ec.Poly(F2, [1, 1, 1]) ** 2
     fac = ec.factor(f)

@@ -75,6 +75,34 @@ def test_powers_match_square_and_multiply(data):
     assert fqp._pow_mod_coeffs(ctx, a, e, m) == naive.polpowmod(p, a, e, m)
 
 
+# the ell of the regimes that CI runs over each packed prime q
+CI_ELLS = {2: (3, 5, 7, 11, 13, 17, 31, 127), 3: (5, 7, 11, 13), 5: (3, 31),
+           7: (5,), 11: (3,), 13: (7,)}
+
+
+@pytest.mark.parametrize("p", PACKED)
+def test_powers_of_x_match_square_and_multiply(p):
+    """x**e through Residues.pow, whose multiply steps are a lane shift when
+    the base is x, against the oracle: moduli of degree 1 to 40, not monic,
+    squares among them, and the exponents of the split's root of unity."""
+    rng = Random(p)
+    for d in range(1, MAX_LEN):
+        mods = [[rng.randrange(p) for _ in range(d)] + [rng.randrange(1, p)]]
+        if d % 2 == 0:  # a square modulus has nilpotent residues
+            half = [rng.randrange(p) for _ in range(d // 2)] + [rng.randrange(1, p)]
+            mods.append(naive.polmul(p, half, half))
+        exps = {1, 2, p} | {(p ** d - 1) // ell for ell in CI_ELLS[p]
+                            if (p ** d - 1) % ell == 0}
+        for m in mods:
+            want = {e: naive.polpowmod(p, [0, 1], e, m) for e in exps}
+            assert {e: fqp._pow_mod_coeffs(ec.make_field(p), [0, 1], e, m)
+                    for e in exps} == want
+            if d > 1:
+                ring = _gfp.Residues(p, m)
+                assert {e: naive.trim(ring.pow(ring.residue([0, 1]), e))
+                        for e in exps} == want
+
+
 def test_empty_and_short_inputs():
     for p in PACKED:
         ctx = ec.make_field(p)
@@ -349,3 +377,23 @@ def test_irreducible_takes_the_screen_over_packed_fields(monkeypatch):
     f = ec.Poly(f3, [2, 1] + [0] * 12 + [1])  # x**14 + x + 2, past every lane
     assert fqp.irreducible(f) == naive.is_irreducible(3, list(f.coeffs))
     assert calls[0] == (7, 7) and "has_root" not in calls
+
+
+def test_irreducible_rejects_a_root_at_0_1_or_minus_1_first(monkeypatch):
+    """A candidate of degree >= 2 with f(0), f(1) or f(-1) = 0 is rejected
+    before the residue screen is read; a linear one is still prime."""
+    def no_screen(p):
+        raise AssertionError("the screen was read")
+
+    monkeypatch.setattr(_gfp, "screen", no_screen)
+    rng = Random(5)
+    for p in PACKED:
+        for d in range(2, 14):
+            for root in {0, 1, p - 1}:
+                for _ in range(3):
+                    cof = [rng.randrange(p) for _ in range(d - 1)] + [1]
+                    f = naive.polmul(p, [-root % p, 1], cof)
+                    assert naive.poleval(p, f, root) == 0
+                    assert not _gfp.irreducible(p, bytes(f))
+    monkeypatch.undo()
+    assert all(_gfp.irreducible(p, bytes([c, 1])) for p in PACKED for c in range(p))
