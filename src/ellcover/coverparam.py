@@ -69,10 +69,11 @@ KERNEL_STEP_CAP = 1 << 22
 # _draw_prime holds its decision on each candidate of degree d over F_q,
 # 2 < q < 256, for the process when q**d is at most this: that degree then
 # costs at most q**d tests, and its held table at most q**d entries of d + 1
-# bytes (6 561 for F_3 at degree 8).
+# bytes (6 561 for F_3 at degree 8).  A drawn prime of degree d is stored on
+# the regime when necklace_count(q, d) is at most this, else its sample's alone.
 DRAW_SIEVE_CAP = 1 << 13
 LABELINGS = ("least", "greatest")  # anchoring rules for Frobenius orbits
-EQUAL_DEGREE_DRAWS = 64  # z that split_prime tries for a root of unity other than 1
+EQUAL_DEGREE_DRAWS = 64  # z that _split tries for a root of unity other than 1
 
 
 def _check_steps(steps: int, what: str) -> None:
@@ -133,10 +134,12 @@ def check_regime(q: int, ell: int) -> tuple[int, int, int]:
 
 
 class Regime:
-    """A (q, ell) pair with its contexts, caches, and twist exponents."""
+    """A (q, ell) pair with its contexts, caches, and twist exponents.  The
+    stores of split_prime and prime_classes hold each prime asked of them;
+    a sample classes its drawn primes above DRAW_SIEVE_CAP's line itself."""
 
     __slots__ = ("q", "ell", "p", "k", "n_q", "base", "ext", "v_exps", "cosets",
-                 "_split_cache", "_class_cache", "_drawn", "_suffix", "_lines")
+                 "_split_cache", "_class_cache", "_suffix", "_lines")
 
     def __init__(self, q: int, ell: int):
         p, k, n_q = check_regime(q, ell)
@@ -165,10 +168,6 @@ class Regime:
         # labeling -> prime coefficients -> classes at the affine points
         self._class_cache: dict[str, dict[tuple[int, ...], tuple[int, ...]]] = {
             labeling: {} for labeling in LABELINGS}
-        # (labeling, prime coefficients -> classes) of the primes that the
-        # last sample's (2,3) draws proved, handed to that sample's class
-        # vector; each sample replaces it
-        self._drawn: tuple[str | None, dict[tuple[int, ...], tuple[int, ...]]] = (None, {})
         self._suffix: tuple[list[list[int]], list[list[int]]] = ([], [[1]])
         # sorted base-point literals -> lseries._LineKernel, built on first use
         self._lines: dict = {}
@@ -279,13 +278,31 @@ def admissible_D(regime: Regime, g: int) -> int | None:
 # Conjugacy-stable splitting over the extension.
 
 def split_prime(regime: Regime, prime: Poly, labeling: str = "least") -> tuple[Poly, ...]:
+    """_split's orbit, cached: the regime keeps one orbit per prime, from
+    its lex-least member, and the lex-greatest rule rotates it.  A drawn
+    prime above the store's line (DRAW_SIEVE_CAP) never comes here: its
+    sample splits it by _split."""
+    _check_labeling(labeling)
+    orbit = regime._split_cache.get(prime.coeffs)
+    if orbit is None:
+        orbit = regime._split_cache[prime.coeffs] = _split(regime, prime)
+    return orbit if labeling == "least" else _anchored(orbit, labeling)
+
+
+def _anchored(orbit: tuple[Poly, ...], labeling: str) -> tuple[Poly, ...]:
+    """orbit from its lex-least (or lex-greatest) member."""
+    a = (min if labeling == "least" else max)(range(len(orbit)),
+                                              key=lambda j: orbit[j].sort_key())
+    return orbit[a:] + orbit[:a]
+
+
+def _split(regime: Regime, prime: Poly, labeling: str = "least") -> tuple[Poly, ...]:
     """Frobenius orbit of extension primes over a base prime, anchored.
 
     prime must be monic irreducible over the base of degree n = n_q*m; the
     result lists its n_q conjugate factors of degree m over F_Q, from the
     lex-least (or lex-greatest) one, each the coefficient-wise q-th power of
-    its predecessor.  The regime caches one orbit per prime, from its
-    lex-least member; the lex-greatest rule rotates it.
+    its predecessor.  split_prime caches it.
 
     This is the one split of a base prime P.  F_q has no primitive ell-th
     root of unity, but F_q[x]/P does: y = z**((q**n - 1) / ell) mod P is one
@@ -315,124 +332,103 @@ def split_prime(regime: Regime, prime: Poly, labeling: str = "least") -> tuple[P
     tested over F_Q, where Ben-Or's rounds on degree m cost less than on
     P's degree n_q*m over F_q.
     """
-    _check_labeling(labeling)
-    orbit = regime._split_cache.get(prime.coeffs)
-    if orbit is None:
-        n_q, q, ell, ext = regime.n_q, regime.q, regime.ell, regime.ext
-        n = prime.degree
-        if n < 1 or n % n_q:
-            raise InvalidTuple(f"prime degree {n} is not a positive multiple of n_q = {n_q}")
-        z, rng = Poly.x(regime.base), None
-        for _ in range(EQUAL_DEGREE_DRAWS):
-            y = z.pow_mod((q ** n - 1) // ell, prime).coeffs
-            if y not in ((), (1,)):
-                break
-            rng = rng or Random(_factor_fold(prime))
-            z = _trusted(regime.base, _random_coeffs(rng, q, n))
-        else:
-            raise CrossCheckMismatch(
-                f"no root of unity other than 1 found in {EQUAL_DEGREE_DRAWS} tries: "
-                "the input is not prime")
-        table = subfield_table(regime.base, ext)
-        y = [table[c] for c in y]
-        embedded, step = embed(prime, ext), (ext.order - 1) // ell
-        for r in regime.cosets:
-            shifted = list(y)
-            shifted[0] = ext.sub_i(y[0], ext.exp[r * step])
-            a = embedded.gcd(_trusted(ext, shifted))
-            if a.degree > 0:
-                break
-        else:
-            raise CrossCheckMismatch(
-                f"y - w**r is prime to the input for every coset r<{q}> of "
-                f"(Z/{ell})*: the input is not prime")
-        m = n // n_q
-        if a.degree != m or not irreducible(prime if _packed(regime.base) else a):
-            raise CrossCheckMismatch(
-                f"no prime factor of degree {m} found: the input is not prime")
-        walk = [a]
-        for _ in range(n_q - 1):
-            walk.append(poly_frobenius(walk[-1], q))
-        if len(set(walk)) != n_q:
-            raise CrossCheckMismatch("embedded prime did not split into n_q conjugates")
-        if poly_frobenius(walk[-1], q) != walk[0]:
-            raise CrossCheckMismatch("conjugates do not form a single Frobenius orbit")
-        prod = walk[0]
-        for pr in walk[1:]:
-            prod = prod * pr
-        if prod != embedded:
-            raise CrossCheckMismatch(
-                "orbit product does not recover the embedded prime")
-        low = min(range(n_q), key=lambda j: walk[j].sort_key())
-        orbit = regime._split_cache[prime.coeffs] = tuple(walk[low:] + walk[:low])
-    if labeling == "least":
-        return orbit
-    top = max(range(regime.n_q), key=lambda j: orbit[j].sort_key())
-    return orbit[top:] + orbit[:top]
+    n_q, q, ell, ext = regime.n_q, regime.q, regime.ell, regime.ext
+    n = prime.degree
+    if n < 1 or n % n_q:
+        raise InvalidTuple(f"prime degree {n} is not a positive multiple of n_q = {n_q}")
+    z, rng = Poly.x(regime.base), None
+    for _ in range(EQUAL_DEGREE_DRAWS):
+        y = z.pow_mod((q ** n - 1) // ell, prime).coeffs
+        if y not in ((), (1,)):
+            break
+        rng = rng or Random(_factor_fold(prime))
+        z = _trusted(regime.base, _random_coeffs(rng, q, n))
+    else:
+        raise CrossCheckMismatch(
+            f"no root of unity other than 1 found in {EQUAL_DEGREE_DRAWS} tries: "
+            "the input is not prime")
+    table = subfield_table(regime.base, ext)
+    y = [table[c] for c in y]
+    embedded, step = embed(prime, ext), (ext.order - 1) // ell
+    for r in regime.cosets:
+        shifted = list(y)
+        shifted[0] = ext.sub_i(y[0], ext.exp[r * step])
+        a = embedded.gcd(_trusted(ext, shifted))
+        if a.degree > 0:
+            break
+    else:
+        raise CrossCheckMismatch(
+            f"y - w**r is prime to the input for every coset r<{q}> of "
+            f"(Z/{ell})*: the input is not prime")
+    m = n // n_q
+    if a.degree != m or not irreducible(prime if _packed(regime.base) else a):
+        raise CrossCheckMismatch(
+            f"no prime factor of degree {m} found: the input is not prime")
+    walk = [a]
+    for _ in range(n_q - 1):
+        walk.append(poly_frobenius(walk[-1], q))
+    if len(set(walk)) != n_q:
+        raise CrossCheckMismatch("embedded prime did not split into n_q conjugates")
+    if poly_frobenius(walk[-1], q) != walk[0]:
+        raise CrossCheckMismatch("conjugates do not form a single Frobenius orbit")
+    prod = walk[0]
+    for pr in walk[1:]:
+        prod = prod * pr
+    if prod != embedded:
+        raise CrossCheckMismatch(
+            "orbit product does not recover the embedded prime")
+    return _anchored(tuple(walk), labeling)
 
 
 def prime_classes(regime: Regime, prime: Poly, labeling: str = "least") -> tuple[int, ...]:
-    """Class c_P(x) of the anchored extension factor of prime at every
-    affine base point x, in literal order; cached per labeling on the regime.
-
-    The value never vanishes: a rational point is not a root of a prime whose
-    degree is a multiple of n_q > 1.  Over F_2 with n_q = 2 the classes are
-    read off the bit-packed halves of _gf2's monic factor by _packed_classes,
-    without an orbit; the classes of a prime that the last sample's (2,3)
-    draw proved by that factor are the ones the draw handed over, not
-    cached.  Every other regime, Monte Carlo included, reads
-    the classes off the anchor of split_prime's orbit; split_prime splits
-    (2,3) primes too, so it checks the packed path from outside.
-    """
+    """_prime_classes cached per labeling on the regime, splitting through
+    split_prime: every prime of a budgeted enumeration or a given tuple, and
+    the drawn primes on the store's side of DRAW_SIEVE_CAP, come here."""
     _check_labeling(labeling)
     cache = regime._class_cache[labeling]
-    cached = cache.get(prime.coeffs)
-    if cached is not None:
-        return cached
-    drawn_labeling, drawn = regime._drawn
-    if drawn_labeling == labeling and prime.coeffs in drawn:
-        return drawn[prime.coeffs]
+    classes = cache.get(prime.coeffs)
+    if classes is None:
+        classes = cache[prime.coeffs] = _prime_classes(regime, prime, labeling, split_prime)
+    return classes
+
+
+def _prime_classes(regime: Regime, prime: Poly, labeling: str, split,
+                   factor: tuple[int, int] | None = None) -> tuple[int, ...]:
+    """Class c_P(x) of the anchored extension factor of prime at every
+    affine base point x, in literal order, caching nothing.
+
+    The value never vanishes: a rational point is not a root of a prime whose
+    degree is a multiple of n_q > 1.  Over F_2 with n_q = 2 the values are
+    read off the bit-packed halves (lo, hi) of a monic factor A = lo + rho*hi
+    over F_4, without an orbit: factor, where a draw's proof found it, else
+    _gf2.conjugate_factor_coeffs'.  A(0) is the low bits of the halves and
+    A(1) their parities.  Every other regime reads them off the anchor of
+    split(regime, prime, labeling), split_prime or _split.
+    """
+    ext = regime.ext
     if regime.q == 2 and regime.n_q == 2:
-        if prime.degree % 2:
-            raise InvalidTuple(f"prime degree {prime.degree} not divisible by n_q = 2")
-        lo, hi = _gf2.conjugate_factor_coeffs(
-            sum(c << i for i, c in enumerate(prime.coeffs)))
-        result = _packed_classes(regime, prime, lo, hi, labeling)
+        if factor is None:
+            if prime.degree % 2:
+                raise InvalidTuple(f"prime degree {prime.degree} not divisible by n_q = 2")
+            factor = _gf2.conjugate_factor_coeffs(
+                sum(c << i for i, c in enumerate(prime.coeffs)))
+        lo, hi = factor
+        # A and its conjugate (lo + hi) + rho*hi differ where hi has bits, and
+        # the lex-least has rho at the lowest of them
+        if bool(lo & hi & -hi) != (labeling == "greatest"):
+            lo ^= hi
+        values = [(lo & 1) | (hi & 1) << 1, lo.bit_count() & 1 | (hi.bit_count() & 1) << 1]
     else:
-        ext = regime.ext
-        anchor = split_prime(regime, prime, labeling)[0]
-        result = _classes(regime, prime, [anchor.eval(FieldElem(ext, xv)).val
-                                          for xv in subfield_table(regime.base, ext)])
-    cache[prime.coeffs] = result
-    return result
-
-
-def _packed_classes(regime: Regime, prime: Poly, lo: int, hi: int,
-                    labeling: str) -> tuple[int, ...]:
-    """The classes at 0 and 1 of prime's anchored factor over GF(4), from
-    _gf2's packed halves (lo, hi) of one factor A = lo + rho*hi: A(0) is
-    the low bits and A(1) the parities of the halves."""
-    # A and its conjugate (lo + hi) + rho*hi differ where hi has bits, and
-    # the lex-least has rho at the lowest of them
-    if bool(lo & hi & -hi) != (labeling == "greatest"):
-        lo ^= hi
-    return _classes(regime, prime, ((lo & 1) | (hi & 1) << 1,
-                                    lo.bit_count() & 1 | (hi.bit_count() & 1) << 1))
-
-
-def _classes(regime: Regime, prime: Poly, values) -> tuple[int, ...]:
-    """The classes of the extension literals values, none of them 0."""
-    out = []
-    for v in values:
-        if v == 0:
-            raise UnexpectedRoot(
-                f"prime {prime!r} vanishes at a rational point")
-        out.append(regime.ext.log[v] % regime.ell)
-    return tuple(out)
+        anchor = split(regime, prime, labeling)[0]
+        values = [anchor.eval(FieldElem(ext, xv)).val
+                  for xv in subfield_table(regime.base, ext)]
+    if 0 in values:
+        raise UnexpectedRoot(f"prime {prime!r} vanishes at a rational point")
+    return tuple(ext.log[v] % regime.ell for v in values)
 
 
 def class_vector(regime: Regime, prime_mults, b: FieldElem,
-                 labeling: str = "least") -> tuple[int, ...]:
+                 labeling: str = "least", classes=None) -> tuple[int, ...]:
     """Power classes of the twisted model at the q+1 rational points, affine
     points in literal order and then infinity, without building the model.
 
@@ -440,13 +436,16 @@ def class_vector(regime: Regime, prime_mults, b: FieldElem,
     class q**(j-1) * c_P(x) there, which the twist exponent v_j = q**(1-j)
     cancels: the class at x is n_q * (e(b) + sum_P slot(P) * c_P(x)) mod ell,
     and n_q * e(b) at infinity, where only the leading coefficient b**n_q is
-    left.  prime_mults lists each base prime with its slot.
+    left.  prime_mults lists each base prime with its slot, and classes
+    their classes as _sample_full gives them, else prime_classes gives them.
     """
     ell, n_q = regime.ell, regime.n_q
+    if classes is None:
+        classes = [prime_classes(regime, prime, labeling) for prime, _ in prime_mults]
     e_b = lth_power_class(b, ell)
     acc = [e_b] * regime.base.order
-    for prime, slot in prime_mults:
-        for i, c in enumerate(prime_classes(regime, prime, labeling)):
+    for (_, slot), row in zip(prime_mults, classes):
+        for i, c in enumerate(row):
             acc[i] += slot * c
     return tuple(n_q * a % ell for a in acc) + (n_q * e_b % ell,)
 
@@ -646,21 +645,19 @@ def _f2_literals(f: int) -> list[int]:
     return list(bin(f)[:1:-1].encode().translate(_BITS))
 
 
-def _draw_prime(regime: Regime, d: int, rng: Random,
-                labeling: str | None = None) -> Poly:
+def _draw_prime(regime: Regime, d: int, rng: Random) -> tuple[Poly, tuple[int, int] | None]:
     """Uniform random monic irreducible of degree d over the base field, by
     rejection: the first of the monic candidates drawn from rng that is
-    prime.
+    prime, with the packed factor over F_4 that its proof found, or None.
 
     Over F_2 candidates are bit-packed, and the bits reject the multiples of
     x and x + 1 (d >= n_q >= 2, so neither is a candidate).  Over (2,3) at
     even degree d >= 2*_gf2.SCREEN_DEGREE + 2 = 18, _gf2.passes_screen
     rejects those of any prime of degree 2 to 8, and _gf2.prime_factor
     decides the rest by the orbit proof that also gives the prime's factor
-    over F_4; with a labeling, the classes that factor gives go into the
-    sample's hand-over, regime._drawn, so prime_classes finds them there
-    and the prime is proved once.  Every other F_2 candidate is decided by
-    _gf2.is_irreducible, the same screens and then Ben-Or's gcds.
+    over F_4, returned with it so that the prime is proved once.  Every
+    other F_2 candidate is decided by _gf2.is_irreducible, the same screens
+    and then Ben-Or's gcds.
 
     Over every other field of order q < 256, _random_literals decodes a
     candidate's d literals in bulk, as the values and in the generator state
@@ -687,20 +684,16 @@ def _draw_prime(regime: Regime, d: int, rng: Random,
             f = top | mask
             if not proof:
                 if _gf2.is_irreducible(f):
-                    return _trusted(base, _f2_literals(f))
+                    return _trusted(base, _f2_literals(f)), None
             elif _gf2.passes_screen(f):
                 factor = _gf2.prime_factor(f)
                 if factor is not None:
-                    prime = _trusted(base, _f2_literals(f))
-                    if labeling is not None:
-                        regime._drawn[1][prime.coeffs] = _packed_classes(
-                            regime, prime, *factor, labeling)
-                    return prime
+                    return _trusted(base, _f2_literals(f)), factor
     if q > 255:  # literals past a byte
         while True:
             cand = _trusted(base, _random_coeffs(rng, q, d) + [1])
             if irreducible(cand):
-                return cand
+                return cand, None
     if _packed(base):
         def decide(f: bytes) -> bool:
             return _gfp.irreducible(q, f)
@@ -718,7 +711,7 @@ def _draw_prime(regime: Regime, d: int, rng: Random,
             if prime is None:
                 prime = held[cand] = decide(cand)
         if prime:
-            return _trusted(base, list(cand))
+            return _trusted(base, list(cand)), None
 
 
 def _randbelow(getrandbits, n: int) -> int:
@@ -737,11 +730,14 @@ def _randbelow(getrandbits, n: int) -> int:
 
 def _sample_full(regime: Regime, D: int, rng: Random,
                  labeling: str | None = None):
-    """Draw one cover as (prime_mults, b): each drawn prime with its slot
-    index, and the twisting unit.  labeling is the one the caller will read
-    the primes' classes in: with it, the classes that the (2,3) draws' proofs
-    give are handed to this cover's class vector in regime._drawn, which
-    then holds this sample's alone.
+    """Draw one cover as (prime_mults, b, rows): each drawn prime with its
+    slot index, the twisting unit, and with a labeling each prime's classes
+    in it, in prime_mults order (rows is None without one).  A prime of a
+    degree d with at most DRAW_SIEVE_CAP primes over F_q is classed by
+    prime_classes, through the regime's stores; every other one for this
+    sample alone by _prime_classes, over (2,3) from the factor that its
+    draw's proof found and elsewhere from _split, so a long run's stores
+    stay bounded.
 
     Every draw is rng.randrange's, in value and in generator state: one per
     degree class for its prime count, one per prime for its slot, and one
@@ -750,10 +746,9 @@ def _sample_full(regime: Regime, D: int, rng: Random,
     if D % n_q:
         raise EmptyStratum(f"no branch tuple of degree {D} for {regime!r}")
     weights, suffix = _suffix_table(regime, D)
-    if labeling is not None:
-        regime._drawn = (labeling, {})
     getrandbits = rng.getrandbits
     prime_mults: list[tuple[Poly, int]] = []
+    rows: list[tuple[int, ...]] | None = None if labeling is None else []
     rem = D // n_q
     # one draw per class up to this degree, however far the table reaches;
     # once rem is 0 each class left draws below suffix[c - 1][0] = 1
@@ -767,21 +762,26 @@ def _sample_full(regime: Regime, D: int, rng: Random,
             j += 1
             w = row[j] * nxt[rem - j * c]
         if j:
+            # row[1] = (ell - 1) * necklace_count(q, n_q * c)
+            stored = row[1] <= DRAW_SIEVE_CAP * (ell - 1)
             seen: set[tuple[int, ...]] = set()
             for _ in range(j):
                 while True:
-                    prime = _draw_prime(regime, n_q * c, rng, labeling)
+                    prime, factor = _draw_prime(regime, n_q * c, rng)
                     if prime.coeffs not in seen:
                         seen.add(prime.coeffs)
                         break
                 prime_mults.append((prime, 1 + _randbelow(getrandbits, ell - 1)))
+                if rows is not None:
+                    rows.append(prime_classes(regime, prime, labeling) if stored else
+                                _prime_classes(regime, prime, labeling, _split, factor))
             rem -= j * c
             if not rem:
                 break
     for _ in classes:
         _randbelow(getrandbits, 1)
     b = FieldElem(regime.ext, 1 + _randbelow(getrandbits, regime.ext.order - 1))
-    return prime_mults, b
+    return prime_mults, b, rows
 
 
 def sample_params(regime: Regime, D: int, seed: int, index: int = 0) -> CoverParams:
@@ -790,5 +790,5 @@ def sample_params(regime: Regime, D: int, seed: int, index: int = 0) -> CoverPar
     Streams are keyed by (seed, index), so batches may be drawn in any order
     or split across workers without changing any individual draw.
     """
-    prime_mults, b = _sample_full(regime, D, Random(f"{seed}:{index}"))
+    prime_mults, b, _ = _sample_full(regime, D, Random(f"{seed}:{index}"))
     return CoverParams(regime, _tuple_from_primes(regime, prime_mults), b)

@@ -131,17 +131,17 @@ def _point_label(x) -> str:
 
 
 def _measure_covers(regime: Regime, jobs, labeling: str):
-    """Point-count every (prime_mults, b) job from its class vector; return
-    (histogram, split counter, size).  Fibers are ell at class 0 and empty
-    otherwise: no rational point ramifies here, since class_vector raises
-    UnexpectedRoot on any vanishing prime value."""
+    """Point-count every (prime_mults, b, classes) job from its class_vector;
+    return (histogram, split counter, size).  Fibers are ell at class 0 and
+    empty otherwise: no rational point ramifies here, since class_vector
+    raises UnexpectedRoot on any vanishing prime value."""
     ell = regime.ell
     hist: Counter[int] = Counter()
     splits: Counter[int] = Counter()
     size = 0
-    for prime_mults, b in jobs:
+    for prime_mults, b, classes in jobs:
         n_total = 0
-        for idx, e in enumerate(class_vector(regime, prime_mults, b, labeling)):
+        for idx, e in enumerate(class_vector(regime, prime_mults, b, labeling, classes)):
             if e == 0:
                 n_total += ell
                 splits[idx] += 1
@@ -180,7 +180,7 @@ def _enumerated_law(regime: Regime, D: int, labeling: str):
     """(histogram, split counter, size) of every cover of degree D, one
     cover at a time: the oracle for _exact_law."""
     units = range(1, regime.ext.order)
-    jobs = ((prime_mults, FieldElem(regime.ext, b_val))
+    jobs = ((prime_mults, FieldElem(regime.ext, b_val), None)
             for prime_mults in _enumerate_full(regime, D) for b_val in units)
     return _measure_covers(regime, jobs, labeling)
 

@@ -483,12 +483,11 @@ def test_monte_carlo_proves_each_drawn_prime_once(monkeypatch, labeling):
         finally:
             inside.pop()
 
-    handed = []  # each sample's hand-over, as the sample left it
+    samples = []  # each sample as the sampler returned it
 
-    def spy_sample_full(regime, *args):
-        cover = sample_full(regime, *args)
-        handed.append((regime._drawn[0], dict(regime._drawn[1])))
-        return cover
+    def spy_sample_full(*args):
+        samples.append(sample_full(*args))
+        return samples[-1]
 
     sample_full = ensemble._sample_full
     monkeypatch.setattr(_gf2, "is_irreducible", spy_is_irreducible)
@@ -501,37 +500,52 @@ def test_monte_carlo_proves_each_drawn_prime_once(monkeypatch, labeling):
     assert all(inner for f, inner in ben_or if f.bit_length() > 18)
     assert not proved & set(factored)
     assert all(f.bit_length() <= 18 for f in factored)
-    # the classes of every drawn prime of degree >= 18 were handed to its
-    # sample's class vector and cached nowhere; the cache holds the drawn
-    # primes below 18, which prime_classes split itself, and the handed-over
-    # classes are those that prime_classes gives on a fresh regime
+    # the classes of every drawn prime of degree >= 18 went to its own
+    # sample's class vector and were stored nowhere; the store holds the
+    # drawn primes below 18, which prime_classes split itself, and every
+    # sample's classes are those that prime_classes gives on a fresh regime
     fresh = Regime(2, 3)
-    drawn = {pr.coeffs for i in range(150)
-             for pr, _ in _sample_full(fresh, rep.D, Random(f"5:{i}"))[0]}
+    unlabeled = [_sample_full(fresh, rep.D, Random(f"5:{i}")) for i in range(150)]
     assert fresh._class_cache == {lab: {} for lab in LABELINGS}
-    assert fresh._drawn == (None, {})
+    assert all(rows is None for _, _, rows in unlabeled)
+    drawn = {pr.coeffs for pm, _, _ in unlabeled for pr, _ in pm}
+    assert proved == {sum(c << i for i, c in enumerate(cs)) for cs in drawn if len(cs) > 18}
     cache = reg._class_cache
     assert set(cache[labeling]) == {c for c in drawn if len(c) <= 18}
     assert all(not cache[lab] for lab in LABELINGS if lab != labeling)
-    assert {labeling} == {lab for lab, _ in handed}
-    classes_of = {c: classes for _, each in handed for c, classes in each.items()}
-    assert set(classes_of) == {c for c in drawn if len(c) > 18}
+    assert [[(pr.coeffs, slot) for pr, slot in pm] for pm, _, _ in samples] == [
+        [(pr.coeffs, slot) for pr, slot in pm] for pm, _, _ in unlabeled]
     monkeypatch.setattr(_gf2, "conjugate_factor_coeffs", conjugate_factor_coeffs)
-    for coeffs, classes in classes_of.items():
-        assert ec.prime_classes(fresh, ec.Poly(fresh.base, list(coeffs)), labeling) == classes
+    for prime_mults, _, rows in samples:
+        assert rows == [ec.prime_classes(fresh, pr, labeling) for pr, _ in prime_mults]
 
 
-def test_a_long_char2_run_caches_no_drawn_prime_of_degree_18_or_more():
-    # a (2,3) draw of degree >= 18 hands its classes to its own sample, so
-    # the class cache holds at most the primes of even degree <= 16 and the
-    # hand-over the primes of one sample
-    reg = Regime(2, 3)
-    ec.monte_carlo_distribution(reg, 30, 2000, seed=8)
-    keys = [c for lab in LABELINGS for c in reg._class_cache[lab]]
-    assert len(keys) > 500
-    assert max(map(len, keys)) - 1 <= 2 * _gf2.SCREEN_DEGREE
-    labeling, drawn = reg._drawn
-    assert labeling == "least" and len(drawn) <= 32 // 18
+@pytest.mark.parametrize("run", [(2, 3, 30, 2000), (3, 5, 20, 600), (5, 3, 20, 600),
+                                 (4, 5, 20, 600)], ids=str)
+def test_a_long_run_stores_no_drawn_prime_above_the_line(monkeypatch, run):
+    # a drawn prime of a degree with more than DRAW_SIEVE_CAP primes is
+    # classed for its own sample: after the run neither store holds one.
+    # Over (2,3) that line lies between degrees 16 and 18; over (4,5) it
+    # lies between 8 (8 160 primes, 4**8 candidates) and 10
+    q, ell, g, samples = run
+    owned = []
+    prime_classes = coverparam._prime_classes
+
+    def spy_prime_classes(regime, prime, labeling, split, factor=None):
+        if split is coverparam._split:
+            owned.append(prime.degree)
+        return prime_classes(regime, prime, labeling, split, factor)
+
+    monkeypatch.setattr(coverparam, "_prime_classes", spy_prime_classes)
+    reg = Regime(q, ell)
+    ec.monte_carlo_distribution(reg, g, samples, seed=8)
+    keys = [c for cache in (*reg._class_cache.values(), reg._split_cache) for c in cache]
+    assert all(ec.necklace_count(q, len(c) - 1) <= DRAW_SIEVE_CAP for c in keys)
+    assert owned and all(ec.necklace_count(q, d) > DRAW_SIEVE_CAP for d in owned)
+    if (q, ell) == (2, 3):
+        assert len(keys) > 500
+        assert max(map(len, keys)) - 1 <= 2 * _gf2.SCREEN_DEGREE
+        assert min(owned) == 2 * _gf2.SCREEN_DEGREE + 2
 
 
 def _orbit_from_factor(reg, prime, labeling):
@@ -552,7 +566,7 @@ def _some_primes(reg, d, limit):
     if reg.q ** d <= 10 ** 5:
         return ec.primes_with_degree(reg.base, d)[:limit]
     rng = Random(d)
-    return [_draw_prime(reg, d, rng) for _ in range(limit)]
+    return [_draw_prime(reg, d, rng)[0] for _ in range(limit)]
 
 
 @pytest.mark.parametrize("labeling", LABELINGS)
@@ -1070,7 +1084,7 @@ def test_sampling_is_uniform_on_small_stratum():
 
 def test_sample_full_prime_list_is_faithful():
     for i in range(25):
-        prime_mults, b = _sample_full(R23, 8, Random(f"77:{i}"))
+        prime_mults, b, _ = _sample_full(R23, 8, Random(f"77:{i}"))
         params = ec.sample_params(R23, 8, seed=77, index=i)
         assert b == params.b
         factored = sorted((pr.coeffs, slot) for slot, f in enumerate(params.fs, start=1)
@@ -1118,13 +1132,22 @@ def test_the_walks_draws_are_randranges(seed):
 # the stream after the sample; the two (2,3) keys add each sample's class
 # vector in their labeling.  Produced before the walk drew on raw generator
 # words and before the (2,3) draws' classes were handed to their own sample.
+# The four keys after them add the class vector too, and each draws primes of
+# degrees with more than DRAW_SIEVE_CAP primes, which their samples class
+# themselves, on the other draw paths: F_3, F_5, F_9 and F_2 with n_q = 4.
+# They were produced while every drawn prime was classed through the regime's
+# stores, by class_vector(reg, prime_mults, b, labeling).
 SAMPLE_DIGESTS = {(2, 3, 32, "least"): "4c6ed9d3cb577eaf",
                   (2, 3, 32, "greatest"): "1116425dcb982bc5",
                   (3, 5, 12, None): "5fd08f09264fdbe6",
                   (5, 3, 12, None): "820afba4d912d4c7",
                   (2, 5, 32, None): "33af0e9026e90fb2",
                   (4, 5, 12, None): "5d41d48a1930ca08",
-                  (9, 5, 12, None): "4c76d9b97e572ade"}
+                  (9, 5, 12, None): "4c76d9b97e572ade",
+                  (3, 5, 12, "least"): "4d4ca3df0820f3d5",
+                  (5, 3, 12, "greatest"): "c7236468d0cbb127",
+                  (9, 5, 12, "least"): "4cd7fa70b63b587c",
+                  (2, 5, 32, "greatest"): "fc902335c9f4dbf9"}
 
 
 @pytest.mark.parametrize("key", list(SAMPLE_DIGESTS), ids=str)
@@ -1134,11 +1157,11 @@ def test_sample_streams_are_unchanged(key):
     h = hashlib.sha256()
     for i in range(200):
         rng = Random(f"{q}:{ell}:{D}:{i}")
-        prime_mults, b = _sample_full(reg, D, rng, labeling)
+        prime_mults, b, rows = _sample_full(reg, D, rng, labeling)
         h.update(repr([(pr.coeffs, slot) for pr, slot in prime_mults]).encode())
         h.update(repr(b.val).encode())
         if labeling is not None:
-            h.update(repr(ec.class_vector(reg, prime_mults, b, labeling)).encode())
+            h.update(repr(ec.class_vector(reg, prime_mults, b, labeling, rows)).encode())
         h.update(repr(rng.getrandbits(32)).encode())
     assert h.hexdigest()[:16] == SAMPLE_DIGESTS[key]
 
@@ -1168,7 +1191,7 @@ def _high_draws_digest(reg, degrees) -> str:
     for d in degrees:
         rng = Random(f"{reg.q}:{reg.ell}:{d}")
         for _ in range(10):
-            h.update(repr(_draw_prime(reg, d, rng).coeffs).encode())
+            h.update(repr(_draw_prime(reg, d, rng)[0].coeffs).encode())
         h.update(repr(rng.getrandbits(32)).encode())
     return h.hexdigest()[:16]
 
@@ -1181,7 +1204,7 @@ def test_draw_prime_streams_are_unchanged(q, ell):
     for d in range(2, 13):
         rng = Random(f"{q}:{d}")
         for _ in range(20):
-            h.update(repr(_draw_prime(reg, d, rng).coeffs).encode())
+            h.update(repr(_draw_prime(reg, d, rng)[0].coeffs).encode())
         h.update(repr(rng.getrandbits(32)).encode())
     assert h.hexdigest()[:16] == DRAW_DIGESTS[q]
     if q == 2:
@@ -1236,11 +1259,12 @@ def test_nothing_is_held_before_the_first_draw_above_the_cap_or_over_f2(monkeypa
     assert coverparam._held_decisions == {}
     _draw_prime(reg, 12, Random(1))  # 3**12 is above the cap: tested, not held
     _draw_prime(Regime(2, 3), 8, Random(1))  # F_2 keeps its bit-packed test
-    _draw_prime(Regime(2, 3), 18, Random(1))  # and the orbit proof
+    assert _draw_prime(Regime(2, 3), 18, Random(1))[1]  # and the orbit proof, with its factor
     _draw_prime(Regime(2, 5), 8, Random(1))
     assert coverparam._held_decisions == {}
-    prime = _draw_prime(reg, 8, Random(1))
-    assert ec.irreducible(prime) and list(coverparam._held_decisions) == [(3, 1, 8)]
+    prime, factor = _draw_prime(reg, 8, Random(1))
+    assert ec.irreducible(prime) and factor is None
+    assert list(coverparam._held_decisions) == [(3, 1, 8)]
 
 
 def test_a_monte_carlo_op_lists_no_primes(monkeypatch):

@@ -28,7 +28,7 @@ def test_class_vector_matches_the_twisted_model(qell, D, labeling):
     reg = ec.make_regime(*qell)
     points = ec.projective_points(reg)
     for i in range(30):
-        prime_mults, b = _sample_full(reg, D, Random(f"kernel:{qell}:{i}"))
+        prime_mults, b, _ = _sample_full(reg, D, Random(f"kernel:{qell}:{i}"))
         params = ec.CoverParams(reg, _tuple_from_primes(reg, prime_mults), b)
         classes = ec.class_vector(reg, prime_mults, b, labeling)
         model = ec.twisted_model(params, labeling)

@@ -97,7 +97,8 @@ def profile_marginals(q: int, n_q: int, ell: int, M: int) -> dict[int, dict[int,
 def _draws(q, ell, g, draws):
     reg = ec.make_regime(q, ell)
     D = ec.admissible_D(reg, g)
-    return reg, D, [_sample_full(reg, D, Random(f"law:{q}:{ell}:{i}")) for i in range(draws)]
+    return reg, D, [_sample_full(reg, D, Random(f"law:{q}:{ell}:{i}"))[:2]
+                    for i in range(draws)]
 
 
 def law_statistics(reg, D, samples):
