@@ -135,8 +135,8 @@ def check_regime(q: int, ell: int) -> tuple[int, int, int]:
 
 class Regime:
     """A (q, ell) pair with its contexts, caches, and twist exponents.  The
-    stores of split_prime and prime_classes hold each prime asked of them;
-    a sample classes its drawn primes above DRAW_SIEVE_CAP's line itself."""
+    stores of split_prime and prime_classes hold each prime they admit and
+    prove; a sample classes its drawn primes above DRAW_SIEVE_CAP's line."""
 
     __slots__ = ("q", "ell", "p", "k", "n_q", "base", "ext", "v_exps", "cosets",
                  "_split_cache", "_class_cache", "_suffix", "_lines")
@@ -201,6 +201,8 @@ class CoverParams:
 
 def is_n_divisible(f: Poly, n: int) -> bool:
     """Monic with every prime factor degree divisible by n (true for 1)."""
+    if n < 1:
+        raise ValueError("degree divisor must be positive")
     if f.is_zero:
         raise InvalidTuple("zero polynomial in a branch tuple")
     if not f.is_monic:
@@ -279,14 +281,35 @@ def admissible_D(regime: Regime, g: int) -> int | None:
 
 def split_prime(regime: Regime, prime: Poly, labeling: str = "least") -> tuple[Poly, ...]:
     """_split's orbit, cached: the regime keeps one orbit per prime, from
-    its lex-least member, and the lex-greatest rule rotates it.  A drawn
-    prime above the store's line (DRAW_SIEVE_CAP) never comes here: its
-    sample splits it by _split."""
+    its lex-least member, and the lex-greatest rule rotates it.  Each call
+    admits prime (_admit); a new prime is proved before it is stored, by one
+    of two tests that prove the same: a prime of degree n_q*m over F_q splits
+    over F_Q, of degree n_q over F_q, into n_q primes of degree m, so a factor
+    a of degree m of a prime P is prime; and a prime a whose n_q conjugates
+    multiply to P makes P prime.  Over a base that packs (_packed), P is
+    tested over F_q, where _gfp's residue screen decides it in microseconds;
+    over every other base, whose kernels run in logs, a is tested over F_Q,
+    where Ben-Or's rounds on degree m cost less.  A drawn prime above the
+    store's line (DRAW_SIEVE_CAP) goes to _split instead: its draw proved it."""
     _check_labeling(labeling)
+    _admit(regime, prime)
     orbit = regime._split_cache.get(prime.coeffs)
     if orbit is None:
-        orbit = regime._split_cache[prime.coeffs] = _split(regime, prime)
+        orbit = _anchored(_split(regime, prime), "least")
+        if not irreducible(prime if _packed(regime.base) else orbit[0]):
+            raise CrossCheckMismatch(f"no prime factor of degree {orbit[0].degree} "
+                                     "found: the input is not prime")
+        regime._split_cache[prime.coeffs] = orbit
     return orbit if labeling == "least" else _anchored(orbit, labeling)
+
+
+def _admit(regime: Regime, prime: Poly) -> None:
+    """The stores' entry check: prime over the base, of degree n_q*m, m >= 1."""
+    if (prime.ctx.p, prime.ctx.k) != (regime.base.p, regime.base.k):
+        raise CtxMismatch("prime is not over the base field")
+    if prime.degree < 1 or prime.degree % regime.n_q:
+        raise InvalidTuple(f"prime degree {prime.degree} is not a positive "
+                           f"multiple of n_q = {regime.n_q}")
 
 
 def _anchored(orbit: tuple[Poly, ...], labeling: str) -> tuple[Poly, ...]:
@@ -296,13 +319,13 @@ def _anchored(orbit: tuple[Poly, ...], labeling: str) -> tuple[Poly, ...]:
     return orbit[a:] + orbit[:a]
 
 
-def _split(regime: Regime, prime: Poly, labeling: str = "least") -> tuple[Poly, ...]:
-    """Frobenius orbit of extension primes over a base prime, anchored.
+def _split(regime: Regime, prime: Poly) -> tuple[Poly, ...]:
+    """Frobenius orbit of extension primes over a base prime.
 
-    prime must be monic irreducible over the base of degree n = n_q*m; the
-    result lists its n_q conjugate factors of degree m over F_Q, from the
-    lex-least (or lex-greatest) one, each the coefficient-wise q-th power of
-    its predecessor.  split_prime caches it.
+    prime must be monic irreducible over the base of degree n = n_q*m, as
+    split_prime or a draw proved it; the result lists its n_q conjugate
+    factors of degree m over F_Q, each the coefficient-wise q-th power of
+    its predecessor, from the one a coset gcd found: _anchored anchors it.
 
     This is the one split of a base prime P.  F_q has no primitive ell-th
     root of unity, but F_q[x]/P does: y = z**((q**n - 1) / ell) mod P is one
@@ -316,26 +339,14 @@ def _split(regime: Regime, prime: Poly, labeling: str = "least") -> tuple[Poly, 
     not 1.  Over (2,3) the orbit checks prime_classes' packed factor from
     _gf2 from outside.
 
-    A reducible input fails one of these checks with CrossCheckMismatch,
-    which together prove the input prime: a y not in {0, 1} within
-    EQUAL_DEGREE_DRAWS tries, a gcd other than 1 at some coset, a factor
-    prime of degree m, n_q distinct conjugates, the Frobenius of the last
-    the first, and their product the embedded prime.
-
-    The prime test is one of two, which prove the same: a prime of degree
-    n_q*m over F_q splits over F_Q, of degree n_q over F_q, into n_q primes
-    of degree m, so a factor a of degree m of a prime P is prime; and a
-    prime a whose n_q conjugates multiply to P makes P prime.  Which one
-    runs follows fqpoly's kernel form: over a base that packs (_packed), P
-    is tested over F_q, where _gfp's residue screen decides it in a few
-    microseconds; over every other base, whose kernels run in logs, a is
-    tested over F_Q, where Ben-Or's rounds on degree m cost less than on
-    P's degree n_q*m over F_q.
+    A reducible input fails one of these checks with CrossCheckMismatch, or
+    else split_prime's prime test: a y not in {0, 1} within
+    EQUAL_DEGREE_DRAWS tries, a gcd other than 1 at some coset, a factor of
+    degree m, n_q distinct conjugates, the Frobenius of the last the first,
+    and their product the embedded prime.
     """
     n_q, q, ell, ext = regime.n_q, regime.q, regime.ell, regime.ext
     n = prime.degree
-    if n < 1 or n % n_q:
-        raise InvalidTuple(f"prime degree {n} is not a positive multiple of n_q = {n_q}")
     z, rng = Poly.x(regime.base), None
     for _ in range(EQUAL_DEGREE_DRAWS):
         y = z.pow_mod((q ** n - 1) // ell, prime).coeffs
@@ -361,7 +372,7 @@ def _split(regime: Regime, prime: Poly, labeling: str = "least") -> tuple[Poly, 
             f"y - w**r is prime to the input for every coset r<{q}> of "
             f"(Z/{ell})*: the input is not prime")
     m = n // n_q
-    if a.degree != m or not irreducible(prime if _packed(regime.base) else a):
+    if a.degree != m:
         raise CrossCheckMismatch(
             f"no prime factor of degree {m} found: the input is not prime")
     walk = [a]
@@ -377,14 +388,16 @@ def _split(regime: Regime, prime: Poly, labeling: str = "least") -> tuple[Poly, 
     if prod != embedded:
         raise CrossCheckMismatch(
             "orbit product does not recover the embedded prime")
-    return _anchored(tuple(walk), labeling)
+    return tuple(walk)
 
 
 def prime_classes(regime: Regime, prime: Poly, labeling: str = "least") -> tuple[int, ...]:
     """_prime_classes cached per labeling on the regime, splitting through
-    split_prime: every prime of a budgeted enumeration or a given tuple, and
-    the drawn primes on the store's side of DRAW_SIEVE_CAP, come here."""
+    split_prime, each call admitting prime (_admit): every prime of a
+    budgeted enumeration or a given tuple, and the drawn primes on the
+    store's side of DRAW_SIEVE_CAP, come here."""
     _check_labeling(labeling)
+    _admit(regime, prime)
     cache = regime._class_cache[labeling]
     classes = cache.get(prime.coeffs)
     if classes is None:
@@ -401,15 +414,13 @@ def _prime_classes(regime: Regime, prime: Poly, labeling: str, split,
     degree is a multiple of n_q > 1.  Over F_2 with n_q = 2 the values are
     read off the bit-packed halves (lo, hi) of a monic factor A = lo + rho*hi
     over F_4, without an orbit: factor, where a draw's proof found it, else
-    _gf2.conjugate_factor_coeffs'.  A(0) is the low bits of the halves and
-    A(1) their parities.  Every other regime reads them off the anchor of
-    split(regime, prime, labeling), split_prime or _split.
+    _gf2.conjugate_factor_coeffs', which proves prime.  A(0) is the low bits
+    of the halves and A(1) their parities.  Every other regime reads them off
+    the labeling's anchor of split(regime, prime), split_prime or _split.
     """
     ext = regime.ext
     if regime.q == 2 and regime.n_q == 2:
         if factor is None:
-            if prime.degree % 2:
-                raise InvalidTuple(f"prime degree {prime.degree} not divisible by n_q = 2")
             factor = _gf2.conjugate_factor_coeffs(
                 sum(c << i for i, c in enumerate(prime.coeffs)))
         lo, hi = factor
@@ -419,7 +430,7 @@ def _prime_classes(regime: Regime, prime: Poly, labeling: str, split,
             lo ^= hi
         values = [(lo & 1) | (hi & 1) << 1, lo.bit_count() & 1 | (hi.bit_count() & 1) << 1]
     else:
-        anchor = split(regime, prime, labeling)[0]
+        anchor = _anchored(split(regime, prime), labeling)[0]
         values = [anchor.eval(FieldElem(ext, xv)).val
                   for xv in subfield_table(regime.base, ext)]
     if 0 in values:
@@ -734,10 +745,9 @@ def _sample_full(regime: Regime, D: int, rng: Random,
     slot index, the twisting unit, and with a labeling each prime's classes
     in it, in prime_mults order (rows is None without one).  A prime of a
     degree d with at most DRAW_SIEVE_CAP primes over F_q is classed by
-    prime_classes, through the regime's stores; every other one for this
-    sample alone by _prime_classes, over (2,3) from the factor that its
-    draw's proof found and elsewhere from _split, so a long run's stores
-    stay bounded.
+    prime_classes, through the regime's stores; every other one, proved by
+    its draw alone, for this sample by _prime_classes, over (2,3) from the
+    factor the proof found and elsewhere from _split: the stores stay small.
 
     Every draw is rng.randrange's, in value and in generator state: one per
     degree class for its prime count, one per prime for its slot, and one

@@ -710,6 +710,8 @@ def _moebius(n: int) -> int:
 @lru_cache(maxsize=None)
 def necklace_count(q: int, d: int) -> int:
     """Number of monic irreducibles of degree d over F_q (divisor sum)."""
+    if d < 1:
+        raise ValueError("prime degree must be positive")
     total = 0
     for e in range(1, d + 1):
         if d % e == 0:

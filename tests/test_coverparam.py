@@ -520,6 +520,64 @@ def test_monte_carlo_proves_each_drawn_prime_once(monkeypatch, labeling):
         assert rows == [ec.prime_classes(fresh, pr, labeling) for pr, _ in prime_mults]
 
 
+@pytest.mark.parametrize("qell", [(3, 5), (5, 3), (2, 5), (4, 5)], ids=str)
+def test_monte_carlo_proves_each_drawn_prime_once_in_every_regime(monkeypatch, qell):
+    # a drawn prime is proved by its draw: _split runs no prime test, and
+    # split_prime proves each prime it stores once, when it stores it.  At
+    # g = 20 the draws of degree 12 over F_3, 8 to 22 over F_5 and 10 to 12
+    # over F_4 are the sample's own; (2,5) stores all of its draws.  (4,5)
+    # runs on a log base, whose draws decide their candidates by irreducible
+    # too, outside either split
+    inside, tested_in_split, proved, owned = [], [], [], []
+    split, split_prime = coverparam._split, coverparam.split_prime
+    irreducible = coverparam.irreducible
+
+    def spy_split(regime, prime):
+        if not inside:
+            owned.append(prime.degree)
+        inside.append(None)
+        try:
+            return split(regime, prime)
+        finally:
+            inside.pop()
+
+    def spy_split_prime(regime, prime, labeling="least"):
+        inside.append(prime.coeffs)
+        try:
+            return split_prime(regime, prime, labeling)
+        finally:
+            inside.pop()
+
+    def spy_irreducible(f):
+        if None in inside:
+            tested_in_split.append(f)
+        elif inside:
+            proved.append(inside[-1])
+        return irreducible(f)
+
+    samples = []
+
+    def spy_sample_full(*args):
+        samples.append(sample_full(*args))
+        return samples[-1]
+
+    sample_full = ensemble._sample_full
+    monkeypatch.setattr(coverparam, "_split", spy_split)
+    monkeypatch.setattr(coverparam, "split_prime", spy_split_prime)
+    monkeypatch.setattr(coverparam, "irreducible", spy_irreducible)
+    monkeypatch.setattr(ensemble, "_sample_full", spy_sample_full)
+    reg = Regime(*qell)
+    ec.monte_carlo_distribution(reg, 20, 100, seed=3)
+    assert not tested_in_split
+    assert sorted(proved) == sorted(reg._split_cache)
+    assert bool(owned) == (qell != (2, 5))
+    assert all(ec.necklace_count(reg.q, d) > DRAW_SIEVE_CAP for d in owned)
+    monkeypatch.undo()
+    fresh = Regime(*qell)
+    for prime_mults, _, rows in samples:
+        assert rows == [ec.prime_classes(fresh, pr) for pr, _ in prime_mults]
+
+
 @pytest.mark.parametrize("run", [(2, 3, 30, 2000), (3, 5, 20, 600), (5, 3, 20, 600),
                                  (4, 5, 20, 600)], ids=str)
 def test_a_long_run_stores_no_drawn_prime_above_the_line(monkeypatch, run):
@@ -689,6 +747,54 @@ def test_split_prime_rejects_a_product_that_passes_the_trace_checks(bits):
     with pytest.raises(ec.CrossCheckMismatch, match="the input is not prime"):
         ec.prime_classes(reg, prime)
     assert reg._class_cache == {labeling: {} for labeling in LABELINGS}
+
+
+@pytest.mark.parametrize("qell", [(3, 5), (5, 3)], ids=str)
+def test_a_composite_that_splits_cleanly_is_refused_by_the_prime_test(qell):
+    # the product of the quartics at indices 1 and 13 over F_3, and
+    # (x**2 + x + 2)(x**2 + x + 1) over F_5: each splits into n_q distinct
+    # conjugates of degree m whose orbit closes and multiplies to it, so
+    # every structural check of _split passes, and only the prime test
+    # that split_prime runs before it stores an orbit refuses it, through
+    # split_prime and through prime_classes alike
+    reg = Regime(*qell)
+    if qell == (3, 5):
+        primes = ec.primes_with_degree(reg.base, 4)
+        composite = primes[1] * primes[13]
+    else:
+        composite = ec.Poly(reg.base, [2, 1, 1]) * ec.Poly(reg.base, [1, 1, 1])
+    orbit = coverparam._split(reg, composite)
+    assert len(set(orbit)) == reg.n_q
+    assert reduce(lambda f, g: f * g, orbit) == ec.embed(composite, reg.ext)
+    for refuse in (ec.split_prime, ec.prime_classes):
+        for labeling in LABELINGS:
+            with pytest.raises(ec.CrossCheckMismatch, match="no prime factor of degree"):
+                refuse(reg, composite, labeling)
+    assert reg._split_cache == {}
+    assert reg._class_cache == {labeling: {} for labeling in LABELINGS}
+
+
+def test_stores_refuse_a_prime_over_another_field():
+    # the stores are keyed by literals: over (3,5) a stored quartic over F_3
+    # and the quartic over F_9 with the same literals, which is a product of
+    # two quadratics there, share a key; over (2,3) x**2 + x + 1 over F_4 is
+    # a product of two linears.  Each is refused as a hit and as a miss.
+    r35, r23 = Regime(3, 5), Regime(2, 3)
+    prime = ec.primes_with_degree(r35.base, 4)[0]
+    ec.prime_classes(r35, prime)
+    over_f9 = ec.Poly(ec.make_field(3, 2), prime.coeffs)
+    over_f4 = ec.Poly(ec.make_field(2, 2), [1, 1, 1])
+    for reg, f in ((r35, over_f9), (r23, over_f4)):
+        assert not ec.irreducible(f)
+        want = (dict(reg._split_cache), copy.deepcopy(reg._class_cache))
+        for labeling in LABELINGS:
+            with pytest.raises(ec.CtxMismatch, match="not over the base field"):
+                ec.prime_classes(reg, f, labeling)
+            with pytest.raises(ec.CtxMismatch, match="not over the base field"):
+                ec.split_prime(reg, f, labeling)
+        with pytest.raises(ec.CtxMismatch, match="not over the base field"):
+            ec.class_vector(reg, [(f, 1)], reg.ext.elem(1))
+        assert (reg._split_cache, reg._class_cache) == want
 
 
 def test_split_prime_rejects_an_orbit_that_does_not_close(monkeypatch):

@@ -489,6 +489,19 @@ def test_necklace_count_formula_and_brute():
     assert [ec.necklace_count(2, d) for d in (2, 4, 6, 8, 10)] == [1, 3, 9, 30, 99]
 
 
+@pytest.mark.parametrize("d", [0, -3])
+def test_a_prime_degree_below_1_is_a_value_error(d):
+    # necklace_count, primes_with_degree and is_n_divisible refuse it alike,
+    # and necklace_count's cache keeps no answer: a second call raises again
+    for _ in range(2):
+        with pytest.raises(ValueError, match="must be positive"):
+            ec.necklace_count(3, d)
+        with pytest.raises(ValueError, match="must be positive"):
+            ec.primes_with_degree(F3, d)
+        with pytest.raises(ValueError, match="must be positive"):
+            ec.is_n_divisible(ec.Poly(F3, [2, 0, 1]), d)
+
+
 @pytest.mark.parametrize("ctx,max_deg", [(F2, 8), (F3, 5), (F4, 4), (F5, 4)])
 def test_primes_with_degree_matches_naive(ctx, max_deg):
     for d in range(1, max_deg + 1):
