@@ -16,6 +16,7 @@ from .charsum import check_cover, projective_points
 from .coverparam import (
     LABELINGS,
     CoverParams,
+    check_regime,
     count_tuples,
     enumerate_tuples,
     make_regime,
@@ -144,11 +145,17 @@ def _cmd_count_points(args) -> int:
 
 
 def _cmd_lseries(args) -> int:
-    from .lseries import l_polynomial, root_magnitudes
+    from .lseries import _check_transfer, l_polynomial, root_magnitudes
 
-    regime = make_regime(args.q, args.ell)
-    points = [regime.base.elem(int(s.strip())) for s in args.points.split(",")]
+    # the transfer's budget comes before the fields: a refusal builds none
+    n_q = check_regime(args.q, args.ell)[2]
+    literals = [int(s.strip()) for s in args.points.split(",")]
     w = [int(s.strip()) for s in args.w.split(",")]
+    if any(wi % args.ell for wi in w) and len(w) == len(literals):
+        # else l_polynomial names the fault; 3 is its default check_extra
+        _check_transfer(args.q ** n_q, w, args.ell, 3)
+    regime = make_regime(args.q, args.ell)
+    points = [regime.base.elem(x) for x in literals]
     coeffs = l_polynomial(regime, points, w)
     mags = root_magnitudes(coeffs)
     payload = {

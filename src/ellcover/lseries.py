@@ -11,9 +11,13 @@ otherwise.  Which of the two a prime gets depends only on whether its
 class vector at the weighted points is orthogonal to w, so the series is
 read off the base primes orthogonal to w's line, peeled from monic
 polynomials over the extension once per line without listing any prime.
-Inverting the series counts the branch tuples of each class sum, one
-count per class line, which the exact law and the constrained counts both
-read, with enumeration as their oracle.
+The monic polynomials are counted by class vector, never listed, by one
+Horner transfer over value vectors, which keys a line with one offset by
+that offset and the classes at the first two points by one small int, so
+the two-point transfer of an L-polynomial hashes no tuple per value
+vector.  Inverting the series counts the branch tuples of each class sum,
+one count per class line, which the exact law and the constrained counts
+both read, with enumeration as their oracle.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, chain, repeat
 from math import log2, sqrt
-from operator import mul
+from operator import add, itemgetter, mul
 
 from .coverparam import (
     Regime,
@@ -215,6 +219,15 @@ def _transfer_steps(order: int, k: int, terms: int) -> int:
     return 2 * states - order ** min(terms - 1, k)
 
 
+def _check_transfer(order: int, w, ell: int, check_extra: int) -> None:
+    """BudgetExceeded when l_polynomial's transfer at len(w) points of
+    weights w, over a field of this order, is over KERNEL_STEP_CAP: the
+    check needs the order and not the field."""
+    support = sum(wi % ell != 0 for wi in w)
+    _check_steps(_transfer_steps(order, support, len(w) + check_extra),
+                 "the Horner transfer over value vectors")
+
+
 class _Rows(dict):
     """u -> row(u), each row built on first use."""
 
@@ -227,24 +240,28 @@ class _Rows(dict):
         return row
 
 
-# (ctx, ell) -> the addition rows and class rows of the last transfer.  They
+# (ctx, ell) -> the addition, class and pair rows of the last transfer.  They
 # depend on nothing else, so later transfers over the same field reuse them;
 # only one field's rows are kept, so no transfer holds rows it did not build
 # or would not build itself.
 _field_rows: dict = {}
 
 
-def _rows(ctx, ell: int) -> tuple[_Rows, _Rows]:
-    """shifted[u] = (u + a)_a and classed[u] = (class of u + a)_a over the
-    literals a of ctx, the class of 0 being None."""
+def _rows(ctx, ell: int) -> tuple[_Rows, _Rows, _Rows]:
+    """shifted[u] = (u + a)_a, classed[u] = (class of u + a)_a and pair[u] =
+    (class of a * (ell + 1) + class of u + a)_a over the literals a of ctx,
+    the class of 0 being ell: a pair code is an int below (ell + 1)**2."""
     rows = _field_rows.get((ctx, ell))
     if rows is None:
         _field_rows.clear()
         order, add_i = ctx.order, ctx.add_i
-        classes = (None,) + tuple(ctx.log[v] % ell for v in range(1, order))
+        classes = (ell,) + tuple(ctx.log[v] % ell for v in range(1, order))
+        firsts = tuple(c * (ell + 1) for c in classes)
         shifted = _Rows(lambda u: tuple([add_i(u, a) for a in range(order)]))
-        classed = _Rows(lambda u: tuple(map(classes.__getitem__, shifted[u])))
-        rows = _field_rows[(ctx, ell)] = (shifted, classed)
+        # itemgetter of the order >= 4 literals of a row gives a tuple
+        classed = _Rows(lambda u: itemgetter(*shifted[u])(classes))
+        pair = _Rows(lambda u: tuple(map(add, firsts, itemgetter(*shifted[u])(classes))))
+        rows = _field_rows[(ctx, ell)] = (shifted, classed, pair)
     return rows
 
 
@@ -259,38 +276,79 @@ def _horner_counts(ctx, points, terms: int, ell: int):
     point of the line u + F_Q*(1, ..., 1).  With d_i = x_i - x_1, the line
     keyed by (e_i)_{i>1} is {(t, t + e_2*d_2, ..., t + e_k*d_k) : t in F_Q},
     and its point at t pushes to the line keyed by (t + e_i*x_i)_{i>1}; the
-    X + a form the line (1, ..., 1).  Classing a line zips k class rows and
-    pushing it k - 1 addition rows, lines of equal count in one Counter; the
-    last degree is not pushed.  Counts are Python ints.
+    X + a form the line (1, ..., 1).  Lines of equal count are classed in
+    one Counter and pushed in another; the last degree is not pushed.
+
+    Keys are small ints where they can be.  A line with one offset (k = 2)
+    is keyed by e_2 itself, and the classes at x_1 and x_2 are counted as
+    one pair code (_rows), which a pair row gives for a whole line; at
+    k >= 3 a class key is that code followed by the classes at x_3..x_k,
+    from k - 2 class rows, and pushing zips k - 1 addition rows.  Each code
+    met is decoded once per degree, and a vector with class ell, a root at
+    a point, is left out.  Counts are Python ints.
     """
-    yield Counter({(0,) * len(points): 1})
+    k = len(points)
+    yield Counter({(0,) * k: 1})
     if terms == 1:
         return
-    order, mul_i = ctx.order, ctx.mul_i
-    shifted, classed = _rows(ctx, ell)
+    order, mul_i, radix = ctx.order, ctx.mul_i, ell + 1
+    shifted, classed, pair = _rows(ctx, ell)
     x1, *xs = (x.val for x in points)
     # e -> e*x_i, the push, and e -> e*d_i, the line's offset, for i > 1
     scaled = [[mul_i(e, x) for e in range(order)] for x in xs]
     offsets = [[mul_i(e, ctx.sub_i(x, x1)) for e in range(order)] for x in xs]
-    lines = {(1,) * len(xs): 1}
+    if k == 1:  # one line, keyed by ()
+        lines = {(): 1}
+
+        def class_rows(keys):
+            return (classed[0] for _ in keys)
+
+        def push_rows(keys):
+            return (repeat((), order) for _ in keys)
+
+        def decode(c):
+            return (c,)
+    elif k == 2:
+        (o,), (s,) = offsets, scaled
+        lines = {1: 1}
+
+        def class_rows(keys):
+            return map(pair.__getitem__, map(o.__getitem__, keys))
+
+        def push_rows(keys):
+            return map(shifted.__getitem__, map(s.__getitem__, keys))
+
+        def decode(c):
+            return divmod(c, radix)
+    else:
+        o, *rest = offsets
+        lines = {(1,) * (k - 1): 1}
+
+        def class_rows(keys):
+            return (zip(pair[o[key[0]]], *[classed[r[e]] for r, e in zip(rest, key[1:])])
+                    for key in keys)
+
+        def push_rows(keys):
+            return (zip(*[shifted[s[e]] for s, e in zip(scaled, key)]) for key in keys)
+
+        def decode(c):
+            return divmod(c[0], radix) + c[1:]
     for n in range(1, terms):
         groups: dict[int, list] = {}
         for key, cnt in lines.items():
             groups.setdefault(cnt, []).append(key)
-        counts, pushed = Counter(), Counter()
+        found, pushed = {}, {}
         for cnt, keys in groups.items():
-            hits = Counter(chain.from_iterable(
-                zip(classed[0], *[classed[o[e]] for o, e in zip(offsets, key)])
-                for key in keys))
-            for c, h in hits.items():
-                if None not in c:
-                    counts[c] += h * cnt
+            for c, h in Counter(chain.from_iterable(class_rows(keys))).items():
+                found[c] = found.get(c, 0) + h * cnt
             if n < terms - 1:
-                hits = Counter(chain.from_iterable(
-                    zip(*[shifted[s[e]] for s, e in zip(scaled, key)])
-                    if xs else repeat((), order) for key in keys))
-                for line, h in hits.items():
-                    pushed[line] += h * cnt
+                for line, h in Counter(chain.from_iterable(push_rows(keys))).items():
+                    pushed[line] = pushed.get(line, 0) + h * cnt
+        counts = Counter()
+        for c, h in found.items():
+            c = decode(c)
+            if ell not in c:
+                counts[c] = h
         yield counts
         lines = pushed
 
@@ -314,9 +372,8 @@ def l_polynomial(regime: Regime, points, w, check_extra: int = 3) -> list[CycloI
     k = len(char.points)
     ell = regime.ell
     terms = k + check_extra
+    _check_transfer(regime.ext.order, char.w, ell, check_extra)
     support, weights = zip(*((x, wi) for x, wi in zip(char.points, char.w) if wi))
-    _check_steps(_transfer_steps(regime.ext.order, len(support), terms),
-                 "the Horner transfer over value vectors")
     coeffs: list[CycloInt] = []
     for n, counts in enumerate(_horner_counts(regime.ext, support, terms, ell)):
         by_class = [0] * ell

@@ -442,6 +442,44 @@ def by_class(ctx, counts, ell):
     return out
 
 
+def line_counts_by_tuples(ctx, xs, terms, ell):
+    """M_0, ..., M_{terms-1}, each keyed by class vector and leaving out the
+    vectors with a zero value, by the line transfer with every key a tuple:
+    the line keyed by (e_i)_{i>1}, d_i = x_i - x_1, holds the value vectors
+    (t, t + e_2*d_2, ..., t + e_k*d_k) over t, and its point at t pushes to
+    the line keyed by (t + e_i*x_i)_{i>1}.  A second oracle for the shapes
+    where pushing every constant is too slow: it shares no row, key or code
+    with the package."""
+    order = ctx.order
+    shifts = {}  # u -> (u + a for every a)
+    classes = [None] + [ctx.log[v] % ell for v in range(1, order)]
+
+    def shifted(u):
+        if u not in shifts:
+            shifts[u] = tuple(ctx.add_i(u, a) for a in range(order))
+        return shifts[u]
+
+    x1, rest = xs[0], xs[1:]
+    offsets = [ctx.sub_i(x, x1) for x in rest]
+    out = [{(0,) * len(xs): 1}]
+    lines = {(1,) * len(rest): 1}
+    for n in range(1, terms):
+        counts, pushed = {}, {}
+        for key, cnt in lines.items():
+            rows = [shifted(0)] + [shifted(ctx.mul_i(e, d)) for e, d in zip(key, offsets)]
+            for values in zip(*rows):
+                c = tuple(classes[v] for v in values)
+                if None not in c:
+                    counts[c] = counts.get(c, 0) + cnt
+            if n < terms - 1:
+                pushes = [shifted(ctx.mul_i(e, x)) for e, x in zip(key, rest)]
+                for line in zip(*pushes) if rest else [()] * order:
+                    pushed[line] = pushed.get(line, 0) + cnt
+        out.append(counts)
+        lines = pushed
+    return out
+
+
 # ---------------------------------------------------------------------------
 # Base primes by class line, peeled in the group ring of (Z/ell)^k.
 

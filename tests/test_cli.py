@@ -10,6 +10,8 @@ import pytest
 
 import ellcover as ec
 import ellcover.cli as cli
+import ellcover.coverparam as coverparam
+from ellcover.lseries import _transfer_steps
 
 
 def run(capsys, *argv):
@@ -112,6 +114,36 @@ def test_lseries_three_points_over_f5(capsys):
     assert d["root_magnitudes"]
     for m in d["root_magnitudes"]:
         assert min(abs(m - 1), abs(m - 0.2)) < 1e-6
+
+
+def test_lseries_over_budget_is_refused_before_any_field(monkeypatch, capsys):
+    # the budget needs only n_q = 11: F_{3^11}, with 177 147 elements, took
+    # about 2 s to build before the transfer's budget refused it
+    def no_field(*args):
+        raise AssertionError("a field was built")
+
+    monkeypatch.setattr(coverparam, "make_field", no_field)
+    monkeypatch.setattr(cli, "make_regime", no_field)
+    regime = ("lseries", "--q", "3", "--ell", "23", "--points", "0,1")
+    rc, out, err = run(capsys, *regime, "--w", "1,1")
+    steps = _transfer_steps(3 ** 11, 2, 2 + 3)
+    assert (rc, out) == (1, "")
+    assert err == ("error: BudgetExceeded: the Horner transfer over value vectors "
+                   f"takes about {steps} table steps, over the cap "
+                   f"{coverparam.KERNEL_STEP_CAP}\n")
+    # weights that all vanish mod ell, or one weight for two points, are
+    # l_polynomial's to name, after the fields, as before
+    for w in ("0,23", "1"):
+        with pytest.raises(AssertionError, match="a field was built"):
+            cli.main([*regime, "--w", w])
+
+
+@pytest.mark.parametrize("w, err", [
+    ("0,3", "error: TrivialCharacter: all weights vanish mod ell\n"),
+    ("1", "error: InvalidTuple: weight vector length must match points\n")])
+def test_lseries_weight_faults_keep_their_messages(capsys, w, err):
+    assert run(capsys, "lseries", "--q", "5", "--ell", "3", "--points", "0,1",
+               "--w", w) == (1, "", err)
 
 
 def test_ensemble_json_deterministic(capsys):

@@ -4,6 +4,7 @@ constrained-count character average."""
 import cmath
 import logging
 import time
+import weakref
 from fractions import Fraction
 from itertools import combinations, product
 
@@ -237,9 +238,54 @@ def test_transfer_rows_are_kept_for_the_last_field_only(monkeypatch):
         kept.append(ls._field_rows[(R53.ext, 3)])
     assert kept[0] is kept[1]  # the second call reused the first call's rows
     assert len(kept[0][0]) == R53.ext.order  # two points build every row
+    shifted, classed, pair = kept[0]
+    assert len(pair) == R53.ext.order  # and every pair row, in the same entry
+    assert not classed  # two points read pair rows, not class rows
+    dropped = weakref.ref(pair)
+    del kept, shifted, classed, pair
     R35 = ec.make_regime(3, 5)
     ec.l_polynomial(R35, pts(R35, 0), (1,))
     assert list(ls._field_rows) == [(R35.ext, 5)]
+    assert dropped() is None  # the pair rows went with their field's entry
+
+
+def test_two_point_pair_codes_above_one_byte_match_the_tuple_keyed_oracle():
+    # Q = 256 and ell = 17: (ell + 1)**2 = 324 pair codes, through degree
+    # k + 3; pushing every constant is too slow here, so the oracle is the
+    # line transfer with tuple keys
+    for q, lits in [(16, (0, 1)), (16, (3, 10)), (2, (0, 1))]:
+        reg = ec.make_regime(q, 17)
+        assert reg.ext.order == 256
+        points = [ec.embed_elem(x, reg.ext) for x in pts(reg, *lits)]
+        want = naive.line_counts_by_tuples(reg.ext, [x.val for x in points], 6, 17)
+        assert list(_horner_counts(reg.ext, points, 6, 17)) == want
+
+
+@pytest.mark.parametrize("reg", [R23, R53], ids=lambda r: f"{r.q},{r.ell}")
+def test_tuple_keyed_oracle_matches_the_push_per_constant_oracle(reg):
+    Q = reg.ext.order
+    for k in range(1, 4):
+        if Q ** k > 2_000:
+            break
+        for lits in combinations(range(reg.q), k):
+            xs = [ec.embed_elem(x, reg.ext).val for x in pts(reg, *lits)]
+            want = [naive.by_class(reg.ext, counts, reg.ell)
+                    for counts in naive.horner_counts(reg.ext, xs, k + 4)]
+            assert naive.line_counts_by_tuples(reg.ext, xs, k + 4, reg.ell) == want
+
+
+@pytest.mark.parametrize("w", [(0, 1), (2, 0), (3, 1)])
+def test_l_polynomial_with_one_zero_weight_runs_the_one_point_transfer(w):
+    # a point of weight 0 mod ell leaves one point in the transfer (k = 1);
+    # the sums over every monic are the oracle, through degree k + 3 over
+    # (2, 3) and through degree 2 over (5, 3)
+    points = pts(R23, 0, 1)
+    sums = _l_coefficients_by_enumeration(R23, points, w, 5)
+    assert ec.l_polynomial(R23, points, w) == sums[:2]
+    assert all(c.is_zero for c in sums[2:])
+    points = pts(R53, 2, 4)
+    assert ec.l_polynomial(R53, points, w, check_extra=1) == \
+        _l_coefficients_by_enumeration(R53, points, w, 2)
 
 
 @st.composite
