@@ -2,8 +2,9 @@
 
 A polynomial over GF(2) is encoded as a Python int whose bit i is the
 coefficient of x**i, so the zero polynomial is 0 and x**3 + x + 1 is 0b1011.
-This is the workhorse behind characteristic-2 table construction and the
-rejection sampling of irreducibles of large degree.  It also splits an
+It owns that format both ways (from_literals, to_literals), and is the
+workhorse behind characteristic-2 table construction and every primality
+test over F_2, which fqpoly's one rule sends here.  It also splits an
 even-degree prime over the field with four elements: a cube root of unity
 modulo the prime, built from a Frobenius orbit, and half of one Euclid
 over GF(2), whose factor over GF(4) is held as a pair of such ints: the
@@ -36,6 +37,21 @@ from functools import reduce
 from operator import xor
 
 from .errors import CrossCheckMismatch
+
+# swaps the literals 0 and 1 with the binary digits "0" and "1", both ways
+_DIGITS = bytes.maketrans(b"\0\1" b"01", b"01" b"\0\1")
+
+
+def from_literals(lits) -> int:
+    """The nonzero polynomial of literals lits (bytes, a tuple or a list of
+    0 and 1, low degree first), bit-packed."""
+    return int(bytes(lits)[::-1].translate(_DIGITS), 2)
+
+
+def to_literals(f: int) -> list[int]:
+    """The literals of a nonzero bit-packed f, low degree first."""
+    return list(bin(f)[:1:-1].encode().translate(_DIGITS))
+
 
 # _SPREAD[b] doubles the gaps between the bits of the byte b, so squaring a
 # GF(2) polynomial is a byte-wise table lookup.

@@ -33,20 +33,20 @@ A power of x, such as the split's root of unity x**((p**n - 1) / ell) or
 x**p in Ben-Or's first round, multiplies by x as a shift up one lane, which
 leaves one lane to eliminate in place of a product and its reduction.
 
-irreducible, the primality test of fqpoly and of the prime sampler over
-these fields, first rejects a candidate of degree 2 or more with a root at
-0, 1 or -1, read off its constant term, its coefficient sum and its
-alternating sum: that rejects 19 of 27 random candidates of degree 3 or
-more over F_3.  Then it runs one residue screen per p (Screen): a monic
-candidate modulo every monic prime of degree 1 to the screen's top, as a
-sum of table entries indexed by chunks of its coefficients, one byte per
-residue coefficient, reduced mod p by one translate and searched for a
-residue that is all zero.  It decides Ben-Or's rounds 1 to top exactly, so
-a candidate of degree up to 2 * top + 1 needs no modular power.  A random
-degree-12 candidate over F_3 took 7.9 us in fqpoly's test, against 34 us by
-evaluation at the points of F_3 and Ben-Or's rounds (2-core x86-64 box,
-Python 3.11).  The tables are built by degree and by coefficient position
-on first use.
+irreducible, the primality test that fqpoly's one rule picks for these
+fields but F_2 (which _gf2 decides), first rejects a candidate of degree 2
+or more with a root at 0, 1 or -1, read off its constant term, its
+coefficient sum and its alternating sum: that rejects 19 of 27 random
+candidates of degree 3 or more over F_3.  Then it runs one residue screen
+per p (Screen): a monic candidate modulo every monic prime of degree 1 to
+the screen's top, as a sum of table entries indexed by chunks of its
+coefficients, one byte per residue coefficient, reduced mod p by one
+translate and searched for a residue that is all zero.  It decides Ben-Or's
+rounds 1 to top exactly, so a candidate of degree up to 2 * top + 1 needs
+no modular power.  A random degree-12 candidate over F_3 took 7.9 us in
+fqpoly's test, against 34 us by evaluation at the points of F_3 and
+Ben-Or's rounds (2-core x86-64 box, Python 3.11).  The tables are built by
+degree and by coefficient position on first use.
 """
 
 from __future__ import annotations

@@ -16,19 +16,22 @@ from .charsum import check_cover, projective_points
 from .coverparam import (
     LABELINGS,
     CoverParams,
+    check_enum_budget,
     check_regime,
+    check_stratum_budget,
     count_tuples,
     enumerate_tuples,
     make_regime,
 )
 from .ensemble import (
     _point_label,
+    check_ensemble_budget,
     exhaustive_distribution,
     monte_carlo_distribution,
     theoretical_distribution,
 )
 from .errors import CrossCheckMismatch, EllcoverError
-from .fqpoly import Poly
+from .fqpoly import Poly, check_sieve_budget
 from .verify import run_checks
 
 
@@ -94,6 +97,18 @@ def _cmd_info(args) -> int:
 def _cmd_enumerate(args) -> int:
     if args.limit is not None and args.limit < 0:
         raise UsageError(f"--limit {args.limit} is negative")
+    # the budgets come before the fields, in the order the run meets them:
+    # the count's table, and for a listing the enumeration cap and the sieve
+    # of every degree class, all before the first tuple
+    n_q, D = check_regime(args.q, args.ell)[2], args.degree
+    if D >= 0:  # else count_tuples names the fault
+        if not D % n_q:
+            check_stratum_budget(n_q, D)
+        if not args.count_only:
+            check_enum_budget(D)
+            if not D % n_q:
+                for d in range(n_q, D + 1, n_q):
+                    check_sieve_budget(args.q, d)
     regime = make_regime(args.q, args.ell)
     total = count_tuples(regime, args.degree)
     shown: list[str] = []
@@ -145,15 +160,15 @@ def _cmd_count_points(args) -> int:
 
 
 def _cmd_lseries(args) -> int:
-    from .lseries import _check_transfer, l_polynomial, root_magnitudes
+    from .lseries import CHECK_EXTRA, _check_transfer, l_polynomial, root_magnitudes
 
     # the transfer's budget comes before the fields: a refusal builds none
     n_q = check_regime(args.q, args.ell)[2]
     literals = [int(s.strip()) for s in args.points.split(",")]
     w = [int(s.strip()) for s in args.w.split(",")]
     if any(wi % args.ell for wi in w) and len(w) == len(literals):
-        # else l_polynomial names the fault; 3 is its default check_extra
-        _check_transfer(args.q ** n_q, w, args.ell, 3)
+        # else l_polynomial names the fault
+        _check_transfer(args.q ** n_q, w, args.ell, CHECK_EXTRA)
     regime = make_regime(args.q, args.ell)
     points = [regime.base.elem(x) for x in literals]
     coeffs = l_polynomial(regime, points, w)
@@ -178,6 +193,8 @@ def _cmd_lseries(args) -> int:
 def _cmd_ensemble(args) -> int:
     if args.json and args.format == "csv":
         raise UsageError("--json asks for JSON and --format csv for CSV: give one")
+    if args.mode == "exhaustive" or args.samples > 0:  # else the run names the fault
+        check_ensemble_budget(args.q, args.ell, args.genus, args.mode)  # builds no field
     regime = make_regime(args.q, args.ell)
     if args.mode == "exhaustive":
         report = exhaustive_distribution(regime, args.genus, args.labeling)

@@ -25,7 +25,7 @@ from math import comb
 from operator import mul
 from random import Random
 
-from . import _gf2, _gfp
+from . import _gf2
 from .errors import (
     BudgetExceeded,
     CharacteristicDividesEll,
@@ -41,6 +41,7 @@ from .errors import (
 from .fqpoly import (
     Poly,
     _factor_fold,
+    _monic_irreducible,
     _packed,
     _random_coeffs,
     _random_literals,
@@ -267,13 +268,18 @@ def genus_of(params: CoverParams) -> int:
 
 def admissible_D(regime: Regime, g: int) -> int | None:
     """Branch degree realizing genus g, or None when the stratum is empty."""
+    return _admissible_degree(regime.ell, regime.n_q, g)
+
+
+def _admissible_degree(ell: int, n_q: int, g: int) -> int | None:
+    """admissible_D from ell and n_q, building no field."""
     if g < 0:
         return None
-    num = 2 * g + 2 * regime.ell - 2
-    if num % (regime.ell - 1):
+    num = 2 * g + 2 * ell - 2
+    if num % (ell - 1):
         return None
-    d = num // (regime.ell - 1)
-    return d if d % regime.n_q == 0 else None
+    d = num // (ell - 1)
+    return d if d % n_q == 0 else None
 
 
 # ---------------------------------------------------------------------------
@@ -287,7 +293,7 @@ def split_prime(regime: Regime, prime: Poly, labeling: str = "least") -> tuple[P
     over F_Q, of degree n_q over F_q, into n_q primes of degree m, so a factor
     a of degree m of a prime P is prime; and a prime a whose n_q conjugates
     multiply to P makes P prime.  Over a base that packs (_packed), P is
-    tested over F_q, where _gfp's residue screen decides it in microseconds;
+    tested over F_q, where a residue screen decides it in microseconds;
     over every other base, whose kernels run in logs, a is tested over F_Q,
     where Ben-Or's rounds on degree m cost less.  A drawn prime above the
     store's line (DRAW_SIEVE_CAP) goes to _split instead: its draw proved it."""
@@ -421,8 +427,7 @@ def _prime_classes(regime: Regime, prime: Poly, labeling: str, split,
     ext = regime.ext
     if regime.q == 2 and regime.n_q == 2:
         if factor is None:
-            factor = _gf2.conjugate_factor_coeffs(
-                sum(c << i for i, c in enumerate(prime.coeffs)))
+            factor = _gf2.conjugate_factor_coeffs(_gf2.from_literals(prime.coeffs))
         lo, hi = factor
         # A and its conjugate (lo + hi) + rho*hi differ where hi has bits, and
         # the lex-least has rho at the lowest of them
@@ -606,12 +611,22 @@ def count_tuples(regime: Regime, D: int) -> int:
 
 def _suffix_steps(regime: Regime, D: int) -> int:
     """Table steps of a fresh _suffix_table at degree D, 0 when the held table
-    reaches it: m // c + 1 terms for each degree class c and each m <= M =
-    D // n_q.  Extending is charged as a fresh table, whatever was held."""
+    reaches it.  Extending is charged as a fresh table, whatever was held."""
     M = D // regime.n_q
-    if M < len(regime._suffix[1]):
-        return 0
+    return 0 if M < len(regime._suffix[1]) else _stratum_steps(M)
+
+
+def _stratum_steps(M: int) -> int:
+    """Table steps of a stratum table to M = D // n_q: m // c + 1 terms for
+    each degree class c and each m <= M."""
     return M * (M + 1) + _quotient_sums(M)[1]
+
+
+def check_stratum_budget(n_q: int, D: int) -> None:
+    """BudgetExceeded when the stratum table to degree D >= 0 is over
+    KERNEL_STEP_CAP.  Any regime charges this where its table does not yet
+    reach D, so the check needs n_q and no field."""
+    _check_steps(_stratum_steps(D // n_q), f"the stratum count at degree {D}")
 
 
 def _suffix_table(regime: Regime, D: int) -> tuple[list[list[int]], list[list[int]]]:
@@ -626,7 +641,7 @@ def _suffix_table(regime: Regime, D: int) -> tuple[list[list[int]], list[list[in
     H, M = len(suffix) - 1, D // regime.n_q
     if M <= H:
         return regime._suffix
-    _check_steps(_suffix_steps(regime, D), f"the stratum count at degree {D}")
+    check_stratum_budget(regime.n_q, D)
     weights.extend([] for _ in range(M - len(weights)))
     for c, row in enumerate(weights, start=1):
         n = necklace_count(regime.q, regime.n_q * c)
@@ -642,18 +657,8 @@ def _suffix_table(regime: Regime, D: int) -> tuple[list[list[int]], list[list[in
 
 
 # base (p, k) and degree d -> the primality of each monic candidate of degree
-# d tested so far, keyed by its literal bytes, for q**d <= DRAW_SIEVE_CAP
+# d tested so far, keyed by its drawn literals, for q**d <= DRAW_SIEVE_CAP
 _held_decisions: dict[tuple[int, int, int], dict[bytes, bool]] = {}
-
-
-# the binary digits "0" and "1" as the literals 0 and 1
-_BITS = bytes.maketrans(b"01", b"\0\1")
-
-
-def _f2_literals(f: int) -> list[int]:
-    """The literals of a bit-packed GF(2) polynomial f, low degree first:
-    its binary digits reversed."""
-    return list(bin(f)[:1:-1].encode().translate(_BITS))
 
 
 def _draw_prime(regime: Regime, d: int, rng: Random) -> tuple[Poly, tuple[int, int] | None]:
@@ -670,17 +675,16 @@ def _draw_prime(regime: Regime, d: int, rng: Random) -> tuple[Poly, tuple[int, i
     other F_2 candidate is decided by _gf2.is_irreducible, the same screens
     and then Ben-Or's gcds.
 
-    Over every other field of order q < 256, _random_literals decodes a
-    candidate's d literals in bulk, as the values and in the generator state
-    of d calls of rng.randrange(q), and the candidate is decided on its
-    bytes: by _gfp.irreducible over a packed prime field and by irreducible
-    elsewhere.  Where q**d <= DRAW_SIEVE_CAP each decision is held for the
-    process, keyed by those bytes, so a degree costs at most q**d tests
-    however many candidates it draws; above the cap each candidate is
-    tested.  From q = 256 on, the literals come from rng.randrange(q) and
-    each candidate is tested.  Each way decides primality, so the draws and
-    the decisions, hence the stream, are the same.  Candidates skip Poly's
-    validation: every literal is drawn in range.
+    Over every other field a candidate's d literals are those of d calls of
+    rng.randrange(q), decoded in bulk as bytes by _random_literals below
+    q = 256 and drawn by _random_coeffs from 256 on, and fqpoly's one rule
+    (_monic_irreducible) decides it on them.  Where q**d <= DRAW_SIEVE_CAP
+    each decision is held for the process, keyed by the candidate's
+    literals, so a degree costs at most q**d tests however many candidates
+    it draws; above the cap each candidate is tested.  Each way decides
+    primality, so the draws and the decisions, hence the stream, are the
+    same.  Candidates skip Poly's validation: every literal is drawn in
+    range.
     """
     base = regime.base
     q = base.order
@@ -695,32 +699,24 @@ def _draw_prime(regime: Regime, d: int, rng: Random) -> tuple[Poly, tuple[int, i
             f = top | mask
             if not proof:
                 if _gf2.is_irreducible(f):
-                    return _trusted(base, _f2_literals(f)), None
+                    return _trusted(base, _gf2.to_literals(f)), None
             elif _gf2.passes_screen(f):
                 factor = _gf2.prime_factor(f)
                 if factor is not None:
-                    return _trusted(base, _f2_literals(f)), factor
-    if q > 255:  # literals past a byte
-        while True:
-            cand = _trusted(base, _random_coeffs(rng, q, d) + [1])
-            if irreducible(cand):
-                return cand, None
-    if _packed(base):
-        def decide(f: bytes) -> bool:
-            return _gfp.irreducible(q, f)
-    else:
-        def decide(f: bytes) -> bool:
-            return irreducible(_trusted(base, list(f)))
+                    return _trusted(base, _gf2.to_literals(f)), factor
     held = (_held_decisions.setdefault((base.p, base.k, d), {})
             if q ** d <= DRAW_SIEVE_CAP else None)
     while True:
-        cand = _random_literals(rng, q, d) + b"\1"
+        if q < 256:
+            cand = _random_literals(rng, q, d) + b"\1"
+        else:
+            cand = (*_random_coeffs(rng, q, d), 1)
         if held is None:
-            prime = decide(cand)
+            prime = _monic_irreducible(base, cand)
         else:
             prime = held.get(cand)
             if prime is None:
-                prime = held[cand] = decide(cand)
+                prime = held[cand] = _monic_irreducible(base, cand)
         if prime:
             return _trusted(base, list(cand)), None
 

@@ -21,15 +21,18 @@ from random import Random
 from .charsum import INFINITY, projective_points
 from .coverparam import (
     Regime,
+    _admissible_degree,
     _check_labeling,
     _enumerate_full,
     _sample_full,
     admissible_D,
+    check_regime,
+    check_stratum_budget,
     class_vector,
 )
 from .errors import CrossCheckMismatch, EmptyStratum, SupportMismatch
 from .gf import FieldElem
-from .lseries import _class_sum_counts
+from .lseries import _class_sum_counts, check_law_budget
 
 
 @dataclass(frozen=True)
@@ -210,6 +213,22 @@ def _exact_law(regime: Regime, D: int):
             for i in hits:
                 splits[i] += a * per_class
     return hist, splits, sum(hist.values())
+
+
+def check_ensemble_budget(q: int, ell: int, g: int, mode: str) -> None:
+    """The refusals of an ensemble at genus g over a fresh (q, ell) regime,
+    from (q, ell, n_q, D) before any field is built: check_regime's, then
+    BudgetExceeded where the exact law (mode "exhaustive") or the stratum
+    table (Monte Carlo) is over KERNEL_STEP_CAP, with the messages the run
+    would give.  An empty stratum is left to the run."""
+    n_q = check_regime(q, ell)[2]
+    D = _admissible_degree(ell, n_q, g)
+    if D is None:
+        return
+    if mode == "exhaustive":
+        check_law_budget(q, ell, n_q, D)
+    else:
+        check_stratum_budget(n_q, D)
 
 
 def exhaustive_distribution(regime: Regime, g: int,

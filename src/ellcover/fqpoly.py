@@ -14,10 +14,11 @@ One modular-power kernel serves pow_mod, the irreducibility test and the
 factorization split.  It keeps its form from its first step to its last:
 packed residues over a packed prime field, discrete logs over every other
 field.
-The irreducibility test opens with a screen for small factors: over a packed
-prime field, _gfp's residue screen takes the candidate modulo every prime of
-degree 1 to its top at once, and over the other fields of order up to
-ROOT_SCREEN_MAX_ORDER, has_root evaluates it at every point.  Factorization
+One rule, _monic_irreducible, picks each field's primality test for
+irreducible(), the prime draws and gf's modulus search: F_2 takes _gf2's and
+a packed prime field p >= 3 _gfp's, each opening with a residue screen for
+small factors, and every other field Ben-Or's rounds in logs, after has_root
+up to ROOT_SCREEN_MAX_ORDER.  Factorization
 runs the classical squarefree / distinct-degree / equal-degree pipeline; the
 randomized equal-degree splits draw from a generator seeded by the input
 polynomial, so factor() is a deterministic function of its argument.
@@ -34,7 +35,7 @@ import itertools
 from functools import lru_cache
 from random import Random
 
-from . import _gfp
+from . import _gf2, _gfp
 from .errors import (
     BudgetExceeded,
     CrossCheckMismatch,
@@ -54,13 +55,13 @@ from .gf import (
 SIEVE_CAP = 1 << 22  # q**d, the sieve's table of monic polynomials
 SIEVE_PRODUCT_CAP = 1 << 20  # prime-by-cofactor products the sieve multiplies
 FACTOR_SEED = 0x5EED  # mixed into the fold that seeds the factorization draws
-# Over a field that _gfp does not pack, irreducible() decides Ben-Or's first
-# round, a root in F_q, by has_root for orders up to this, and by the power
-# x**q mod f and a gcd above it.  Evaluation takes up to (q - 1) * d table
-# steps.  On random monic f of degree 2 to 28 it was the cheaper round at
+# Over a field that _gfp does not pack, _monic_irreducible decides Ben-Or's
+# first round, a root in F_q, by has_root for orders up to this, and by the
+# power x**q mod f and a gcd above it.  Evaluation takes up to (q - 1) * d
+# table steps.  On random monic f of degree 2 to 28 it was the cheaper round at
 # every q <= 128 (within 15 % either way at a few degrees for q = 125) and the
-# dearer one at q = 243 and 256 for degrees 3 to 16.  The packed prime fields,
-# p <= 13, take their first rounds from _gfp's residue screen instead.
+# dearer one at q = 243 and 256 for degrees 3 to 16.  F_2 and the packed
+# prime fields take their first rounds from _gf2's or _gfp's residue screen.
 ROOT_SCREEN_MAX_ORDER = 128
 
 
@@ -620,63 +621,58 @@ def factor(f: Poly) -> Factorization:
 
 
 def irreducible(f: Poly) -> bool:
-    """Irreducibility over the coefficient field (unit factors ignored), by
-    Ben-Or's test on literal lists: f of degree d is irreducible iff
-    gcd(f, x**(q**i) - x) = 1 for every i <= d // 2, that is, iff f has no
-    prime factor of degree i <= d // 2.
+    """Irreducibility over the coefficient field (unit factors ignored):
+    _monic_irreducible on the literals of monic f of degree >= 1."""
+    return f.degree >= 1 and _monic_irreducible(f.ctx, f.monic().coeffs)
 
-    Over a packed prime field, _gfp.irreducible decides f on its bytes: a
-    root at 0, 1 or -1 rejects it, the residue screen decides rounds 1 to
-    top at once (top = 9 over F_2, 6 over F_3, 4 over F_5, 3 over F_7, 2
-    over F_11 and F_13), so a degree up to 2 * top + 1 needs no modular
-    power at all, and above it the rounds from top + 1 on run on one
-    _gfp.Residues, so x**(q**i) stays packed from the first round to the
-    last.  Over every other field the rounds
-    run in discrete logs, each x**(q**i) the q-th power of the round
-    before's by square-and-multiply; there the first round holds iff f has
-    no root in F_q, and for q up to ROOT_SCREEN_MAX_ORDER it is decided by
-    has_root, so a candidate with a root pays no modular power.
-    """
-    if f.is_zero or f.degree < 1:
-        return False
-    d = f.degree
+
+def _monic_irreducible(ctx: FieldCtx, lits) -> bool:
+    """Whether the monic f over ctx with literals lits (bytes, a tuple or a
+    list, ascending, degree d >= 1) is prime: the one rule that picks how a
+    field decides, for irreducible(), the draws and gf's modulus search.
+    F_2 decides on the packed int by _gf2.is_irreducible, a packed prime
+    field p >= 3 on the bytes by _gfp.irreducible, and every other field by
+    Ben-Or's test in discrete logs: f is prime iff gcd(f, x**(q**i) - x) = 1
+    for every i <= d // 2, each x**(q**i) the q-th power of the round
+    before's, and for q up to ROOT_SCREEN_MAX_ORDER the first round, a root
+    in F_q, is decided by has_root, so a candidate with a root pays no
+    modular power."""
+    if ctx.order == 2:
+        return _gf2.is_irreducible(_gf2.from_literals(lits))
+    if _packed(ctx):
+        return _gfp.irreducible(ctx.p, bytes(lits))
+    d = len(lits) - 1
     if d == 1:
         return True
-    ctx = f.ctx
-    g = f.monic().coeffs
     q = ctx.order
     first, last = 1, d // 2
-    if _packed(ctx):
-        return _gfp.irreducible(q, bytes(g))
     if q <= ROOT_SCREEN_MAX_ORDER:
-        if has_root(f):
+        if has_root(ctx, lits):
             return False
         first = 2
     if first > last:
         return True
-    t = [0, 1]  # x, reduced modulo g of degree >= 2
+    t = [0, 1]  # x, reduced modulo lits of degree >= 2
     for i in range(1, last + 1):
-        t = _pow_mod_coeffs(ctx, t, q, g)
+        t = _pow_mod_coeffs(ctx, t, q, lits)
         if i >= first:
             u = t + [0] * (2 - len(t))
             u[1] = ctx.sub_i(u[1], 1)
-            if len(_gcd_coeffs(ctx, g, _trim(u))) != 1:
+            if len(_gcd_coeffs(ctx, lits, _trim(u))) != 1:
                 return False
     return True
 
 
-def has_root(f: Poly) -> bool:
-    """Whether f has a root in its coefficient field.
+def has_root(ctx: FieldCtx, cs) -> bool:
+    """Whether the polynomial over ctx with literals cs has a root in ctx.
 
     f(0) is the constant term; f(g**s) for every s runs Horner's rule in
     discrete logs through the Zech table, over every field, packed prime
-    fields included.  irreducible() calls it only over the fields that _gfp
-    does not pack.
+    fields included.  _monic_irreducible calls it only over the fields that
+    neither _gf2 nor _gfp decides.
     """
-    cs = f.coeffs
     if not cs or not cs[0]:
         return True
-    ctx = f.ctx
     log, zech, n = ctx.log, ctx.zech, ctx.order - 1
     top = log[cs[-1]]
     rest = [log[c] for c in cs[-2::-1]]

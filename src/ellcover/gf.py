@@ -12,8 +12,8 @@ prime fields, and discrete logs added through the Zech table over every other
 field.
 
 A prime field is built by integer arithmetic mod p.  An extension is built
-over F_p = make_field(p) with the polynomial kernels of fqpoly: Ben-Or's test
-picks the modulus, modular powers pick the generator, and division reduces the
+over F_p = make_field(p) with fqpoly's kernels: its one primality rule picks
+the modulus, modular powers pick the generator, and division reduces the
 rows of the product with the generator that steps the odd-characteristic
 tables.  Characteristic-2 tables step with the carry-less products of _gf2.
 
@@ -124,13 +124,13 @@ class FieldCtx:
         p, k = self.p, self.k
         if k == 1:
             return (0, 1)  # t
-        from .fqpoly import _trusted, irreducible
+        from .fqpoly import _monic_irreducible
         fp = make_field(p)
         # t divides a candidate of constant term 0, the first p**(k - 1) of them
         for low in itertools.product(range(1, p), *[range(p)] * (k - 1)):
-            f = list(low) + [1]
-            if irreducible(_trusted(fp, f)):
-                return tuple(f)
+            f = (*low, 1)
+            if _monic_irreducible(fp, f):
+                return f
         raise CrossCheckMismatch("no irreducible modulus found")
 
     def digits(self, v: int) -> list[int]:
@@ -378,7 +378,7 @@ class FieldElem:
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash((self.ctx_key, self.val))
+        return hash(self.val)  # the int it equals
 
     def __repr__(self) -> str:
         return f"F{self.ctx.order}:{self.val}"

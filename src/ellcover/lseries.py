@@ -37,6 +37,7 @@ from .coverparam import (
     _check_unit,
     _enumerate_full,
     _quotient_sums,
+    _stratum_steps,
     _suffix_steps,
     class_vector,
     count_tuples,
@@ -52,6 +53,9 @@ from .fqpoly import Poly, monic_polys, necklace_count
 from .gf import FieldElem, embed_elem, lth_power_class, subfield_table
 
 log = logging.getLogger("ellcover")
+# vanishing coefficients past degree k - 1 that l_polynomial recomputes and
+# checks by default, and that the lseries command's budget charges
+CHECK_EXTRA = 3
 
 
 class CycloInt:
@@ -159,6 +163,8 @@ class CycloInt:
                 and other.coords == self.coords)
 
     def __hash__(self):
+        if self.is_rational_integer:
+            return hash(self.coords[0])  # the int it equals
         return hash((self.ell, self.coords))
 
     def __repr__(self):
@@ -353,7 +359,7 @@ def _horner_counts(ctx, points, terms: int, ell: int):
         lines = pushed
 
 
-def l_polynomial(regime: Regime, points, w, check_extra: int = 3) -> list[CycloInt]:
+def l_polynomial(regime: Regime, points, w, check_extra: int = CHECK_EXTRA) -> list[CycloInt]:
     """Coefficients c_0..c_{k-1} of L(u) = sum over monic f of chi_w(f) u^deg f.
 
     c_n = sum_c M_n(c) * zeta**<w, c>, where M_n(c) counts the monic f of
@@ -603,8 +609,16 @@ def _series_steps(M: int) -> int:
 
 
 def _kernel_steps(regime: Regime, idx: tuple[int, ...], m_max: int) -> int:
-    """Table steps of extending the kernel over the base points idx from the
-    degree it is cached to up to n_q*m_max, 0 when it is cached that far.
+    """_kernel_growth_steps of the regime's kernel over the base points idx."""
+    return _kernel_growth_steps(regime.ext.order, regime.ell, len(idx), m_max,
+                                regime._lines.get(idx))
+
+
+def _kernel_growth_steps(order: int, ell: int, k: int, m_max: int,
+                         kernel: _LineKernel | None = None) -> int:
+    """Table steps of extending kernel, over k base points and F_Q of this
+    order (None for none built), from the degree it is cached to up to
+    n_q*m_max, 0 when it is cached that far.
     When h = min(k - 1, m_max) passes the cached monic counts, _count_monics
     recounts from degree 0: the Horner transfer to degree h, and ell**2 per
     line for each of the k coordinates of each projected degree 1..h
@@ -614,18 +628,16 @@ def _kernel_steps(regime: Regime, idx: tuple[int, ...], m_max: int) -> int:
     more than ell**(k+1) keys, and every caller charges ell**2 * k steps on
     each of the ell**(k-1) or more lines, for projecting M_1 (k >= 2) or for
     _invert; for k = 1 the ring is Z/ell."""
-    kernel = regime._lines.get(idx)
     done = len(kernel.orthogonal) if kernel is not None else 0
     if m_max <= done:
         return 0
-    ell, k = regime.ell, len(idx)
     h, lines = max(min(k - 1, m_max), 0), _line_count(ell, k)
     products = (sum(range(min(done, k), min(m_max, k)))
                 + max(k - 1, 0) * max(m_max - max(done, k), 0))
     steps = lines * (ell ** 2 * products
                      + ell * (m_max * (m_max - 1) - done * (done - 1)) // 2)
     if kernel is None or len(kernel.monic.get((0,) * k, ())) <= h:
-        steps += _transfer_steps(regime.ext.order, k, h + 1) + lines * ell ** 2 * h * k
+        steps += _transfer_steps(order, k, h + 1) + lines * ell ** 2 * h * k
     return steps
 
 
@@ -705,6 +717,27 @@ def _euler_series(ell: int, n_q: int, per_degree, w, trunc: int) -> list[int]:
     return series
 
 
+def _check_class_sums(held: int, ell: int, k: int, D: int, m_max: int) -> None:
+    """_class_sum_counts' budget at k points to degree D = n_q*m_max, held
+    the steps of its stratum table and kernel: per line a look-up per
+    degree, one _euler_series at its recurrence's steps and ell**2 per
+    coordinate for _invert."""
+    _check_steps(held + _line_count(ell, k) * (m_max + _series_steps(m_max) + k * ell ** 2),
+                 f"counting branch tuples by class sum at {k} points to degree {D}")
+
+
+def check_law_budget(q: int, ell: int, n_q: int, D: int) -> None:
+    """BudgetExceeded when the exact law at degree D over a fresh (q, ell)
+    regime of degree n_q is over KERNEL_STEP_CAP: _class_sum_counts at
+    every affine point with no table or kernel held, from (q, ell, n_q, D)
+    before any field is built."""
+    if D % n_q or D <= 0:
+        return
+    m_max = D // n_q
+    _check_class_sums(_stratum_steps(m_max) + _kernel_growth_steps(q ** n_q, ell, q, m_max),
+                      ell, q, D, m_max)
+
+
 def _class_sum_counts(regime: Regime, idx: tuple[int, ...], D: int) -> dict:
     """A(v) for each line representative v (_line_of) of (Z/ell)^k with
     A(v) > 0: how many branch tuples of degree D have class sum
@@ -720,16 +753,14 @@ def _class_sum_counts(regime: Regime, idx: tuple[int, ...], D: int) -> dict:
     _invert recovers A from G.  Labeling-free: re-anchoring moves no prime
     off its line.  The series is computed once per profile (O_m(w))_m, which
     lines share.  The counts must add up to count_tuples.  Budgeted before any
-    work: the stratum and the kernel unless cached, and per line a look-up per
-    degree, one _euler_series at its recurrence's steps and ell**2 per
-    coordinate for _invert."""
+    work (_check_class_sums): the stratum and the kernel unless cached, and
+    the lines."""
     ell, n_q, k = regime.ell, regime.n_q, len(idx)
     if D % n_q or D <= 0:
         return {} if D else {(0,) * k: 1}
     m_max = D // n_q
-    _check_steps(_suffix_steps(regime, D) + _kernel_steps(regime, idx, m_max)
-                 + _line_count(ell, k) * (m_max + _series_steps(m_max) + k * ell ** 2),
-                 f"counting branch tuples by class sum at {k} points to degree {D}")
+    _check_class_sums(_suffix_steps(regime, D) + _kernel_steps(regime, idx, m_max),
+                      ell, k, D, m_max)
     per_degree = _orthogonal_at(regime, idx, m_max)
     by_profile: dict[tuple[int, ...], int] = {}
     coeffs = {}

@@ -138,6 +138,37 @@ def test_lseries_over_budget_is_refused_before_any_field(monkeypatch, capsys):
             cli.main([*regime, "--w", w])
 
 
+@pytest.mark.parametrize("argv, err", [
+    (("ensemble", "--q", "1019", "--ell", "3", "--genus", "58"),
+     "counting branch tuples by class sum at 1019 points to degree 60 takes about 2229034"),
+    (("ensemble", "--q", "2", "--ell", "3", "--genus", "100000"),
+     "counting branch tuples by class sum at 2 points to degree 100002 takes about "
+     "40600016081 table steps"),
+    (("ensemble", "--q", "2", "--ell", "3", "--genus", "100000", "--mode", "monte-carlo"),
+     "the stratum count at degree 100002 takes about 15594022220 table steps"),
+    (("enumerate", "--q", "2", "--ell", "3", "--degree", "100000", "--count-only"),
+     "the stratum count at degree 100000 takes about 15593373485 table steps"),
+    (("enumerate", "--q", "2", "--ell", "3", "--degree", "18"),
+     "enumeration at degree 18 exceeds cap 16"),
+    (("enumerate", "--q", "1019", "--ell", "3", "--degree", "4"),
+     "listing primes of degree 4 over F_1019 exceeds the sieve budget")])
+def test_ensemble_and_enumerate_refusals_build_no_field(monkeypatch, capsys, argv, err):
+    # the budgets need only (q, ell, n_q, D), and a fresh regime's charge is
+    # the run's: the law at genus 58 over (1019, 3) took about 3 s and
+    # 145 MiB to build F_{1019^2} before its budget refused it
+    def no_field(*args):
+        raise AssertionError("a field was built")
+
+    monkeypatch.setattr(coverparam, "make_field", no_field)
+    monkeypatch.setattr(cli, "make_regime", no_field)
+    rc, out, got = run(capsys, *argv)
+    assert (rc, out) == (1, "") and got.startswith(f"error: BudgetExceeded: {err}")
+    # a sample count below 1 is still the run's usage error, after the fields
+    with pytest.raises(AssertionError, match="a field was built"):
+        cli.main(["ensemble", "--q", "2", "--ell", "3", "--genus", "100000",
+                  "--mode", "monte-carlo", "--samples", "0"])
+
+
 @pytest.mark.parametrize("w, err", [
     ("0,3", "error: TrivialCharacter: all weights vanish mod ell\n"),
     ("1", "error: InvalidTuple: weight vector length must match points\n")])

@@ -526,8 +526,8 @@ def test_monte_carlo_proves_each_drawn_prime_once_in_every_regime(monkeypatch, q
     # split_prime proves each prime it stores once, when it stores it.  At
     # g = 20 the draws of degree 12 over F_3, 8 to 22 over F_5 and 10 to 12
     # over F_4 are the sample's own; (2,5) stores all of its draws.  (4,5)
-    # runs on a log base, whose draws decide their candidates by irreducible
-    # too, outside either split
+    # runs on a log base, whose draws decide their candidates by fqpoly's
+    # rule, outside either split
     inside, tested_in_split, proved, owned = [], [], [], []
     split, split_prime = coverparam._split, coverparam.split_prime
     irreducible = coverparam.irreducible
@@ -689,8 +689,8 @@ def test_monte_carlo_proves_split_primes_without_a_root_scan(q, ell, g, monkeypa
     # residue screen, so no degree-m factor's points are scanned over F_Q
     reg = Regime(q, ell)
 
-    def refuse(f):
-        raise AssertionError(f"has_root on degree {f.degree} over F_{f.ctx.order}")
+    def refuse(ctx, cs):
+        raise AssertionError(f"has_root on degree {len(cs) - 1} over F_{ctx.order}")
 
     monkeypatch.setattr(fqpoly, "has_root", refuse)
     ec.monte_carlo_distribution(reg, g, 40, seed=7)
@@ -1357,6 +1357,75 @@ def test_a_degree_tests_each_distinct_candidate_once(monkeypatch):
         _draw_prime(reg, 8, rng)
     assert len(tested) == len(set(tested)) == len(set(drawn)) <= 3 ** 8
     assert len(drawn) > 2 * len(tested)  # candidates came back and were not tested
+
+
+@pytest.mark.parametrize("q, ell, d", [(3, 5, 8), (3, 5, 12), (4, 5, 6), (4, 5, 8),
+                                        (257, 3, 2)])
+def test_a_draw_decides_each_candidate_by_the_one_rule_once(monkeypatch, q, ell, d):
+    # every base field but F_2 draws its literals, bytes below q = 256 and a
+    # tuple from 256 on, and meets fqpoly's one decision and no other test:
+    # each distinct candidate once where q**d <= DRAW_SIEVE_CAP holds the
+    # decisions (F_3 at 8, F_4 at 6), each drawn candidate once above it
+    monkeypatch.setattr(coverparam, "_held_decisions", {})
+    drawn, decided = [], []
+    literals, coeffs = coverparam._random_literals, coverparam._random_coeffs
+    rule = fqpoly._monic_irreducible
+
+    def spy_literals(rng, q, d):
+        drawn.append(literals(rng, q, d) + b"\1")
+        return drawn[-1][:-1]
+
+    def spy_coeffs(rng, q, d):
+        drawn.append((*coeffs(rng, q, d), 1))
+        return list(drawn[-1][:-1])
+
+    def spy_rule(ctx, lits):
+        decided.append(lits)
+        return rule(ctx, lits)
+
+    def refuse(*args):
+        raise AssertionError("a second primality test")
+
+    monkeypatch.setattr(coverparam, "_random_literals", spy_literals)
+    monkeypatch.setattr(coverparam, "_random_coeffs", spy_coeffs)
+    monkeypatch.setattr(coverparam, "_monic_irreducible", spy_rule)
+    monkeypatch.setattr(fqpoly, "irreducible", refuse)
+    monkeypatch.setattr(coverparam, "irreducible", refuse)
+    reg, rng = Regime(q, ell), Random(q * d)
+    primes = [_draw_prime(reg, d, rng)[0] for _ in range(40)]
+    if q ** d <= DRAW_SIEVE_CAP:
+        assert len(decided) == len(set(decided)) == len(set(drawn)) < len(drawn)
+        assert set(coverparam._held_decisions[(reg.p, reg.k, d)]) == set(drawn)
+    else:
+        assert decided == drawn and coverparam._held_decisions == {}
+    assert all(type(c) is (bytes if q < 256 else tuple) for c in decided)
+    monkeypatch.undo()
+    assert all(ec.irreducible(prime) and prime.degree == d for prime in primes)
+
+
+def test_no_f2_primality_runs_on_the_byte_lanes(monkeypatch):
+    # F_2 decides by _gf2 alone: verify over (2,5), a (2,7) Monte Carlo run
+    # with its split proofs, and the modulus search of F_{2^12} all run with
+    # _gfp's byte-lane test refused at p = 2
+    from ellcover import gf, verify
+
+    lane_test, bit_test = _gfp.irreducible, _gf2.is_irreducible
+    bits = []
+
+    def refuse_f2(p, f):
+        if p == 2:
+            raise AssertionError("_gfp decided an F_2 candidate")
+        return lane_test(p, f)
+
+    monkeypatch.setattr(_gfp, "irreducible", refuse_f2)
+    monkeypatch.setattr(_gf2, "is_irreducible", lambda f: bits.append(f) or bit_test(f))
+    monkeypatch.setattr(verify, "make_regime", Regime)
+    assert all(r.passed for r in verify.run_checks(2, 5))
+    reg = Regime(2, 7)
+    ec.monte_carlo_distribution(reg, 57, 60, seed=7)
+    assert reg._split_cache
+    assert gf.FieldCtx(2, 12).modulus == ec.make_field(2, 12).modulus
+    assert bits
 
 
 def test_nothing_is_held_before_the_first_draw_above_the_cap_or_over_f2(monkeypatch):

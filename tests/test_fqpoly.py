@@ -247,7 +247,7 @@ def test_has_root_matches_evaluation(ctx, max_deg):
     points = [ctx.elem(v) for v in range(ctx.order)]
     for d in range(max_deg + 1):
         for f in all_polys(ctx, d):
-            assert has_root(f) == any(f.eval(x).val == 0 for x in points)
+            assert has_root(ctx, f.coeffs) == any(f.eval(x).val == 0 for x in points)
 
 
 def test_gf2_is_irreducible_matches_naive():
@@ -468,9 +468,45 @@ def test_irreducible_without_the_screen_matches_factor(p, k):
             (prime, mult), *rest = ec.factor(f)
             assert ec.irreducible(f) == (not rest and mult == 1 and prime.degree == d)
             if d <= 3:
-                assert ec.irreducible(f) == (not has_root(f))
-    quads = [f for f in (ec.Poly(ctx, [c, 1, 1]) for c in range(1, 40)) if not has_root(f)]
+                assert ec.irreducible(f) == (not has_root(ctx, f.coeffs))
+    quads = [f for f in (ec.Poly(ctx, [c, 1, 1]) for c in range(1, 40)) if not has_root(ctx, f.coeffs)]
     assert not ec.irreducible(quads[0] * quads[1])  # no root, caught in round 2
+
+
+def test_irreducible_over_f2_decides_by_gf2_alone(monkeypatch):
+    # fqpoly's one rule sends F_2 to _gf2's bit-packed test: with _gfp's
+    # byte-lane test refused at p = 2, irreducible() agrees with it, with
+    # _gf2.is_irreducible and with trial division on every monic of degree
+    # <= 12, and with the plain Ben-Or loop on seeded monics to degree 64
+    lane_test = _gfp.irreducible
+
+    def refuse_f2(p, f):
+        if p == 2:
+            raise AssertionError("_gfp decided an F_2 candidate")
+        return lane_test(p, f)
+
+    monkeypatch.setattr(_gfp, "irreducible", refuse_f2)
+    for f in range(2, 1 << 13):
+        lits = _gf2.to_literals(f)
+        want = naive.is_irreducible(2, lits)
+        assert ec.irreducible(ec.Poly(F2, lits)) == want, bin(f)
+        assert _gf2.is_irreducible(f) == lane_test(2, bytes(lits)) == want, bin(f)
+    rng = Random(44)
+    for _ in range(600):
+        d = rng.randrange(13, 65)
+        f = 1 << d | rng.getrandbits(d)
+        lits = _gf2.to_literals(f)
+        want = naive.gf2_ben_or(f)
+        assert ec.irreducible(ec.Poly(F2, lits)) == want, bin(f)
+        assert _gf2.is_irreducible(f) == lane_test(2, bytes(lits)) == want, bin(f)
+
+
+def test_gf2_literals_round_trip():
+    for f in range(1, 1 << 12):
+        lits = _gf2.to_literals(f)
+        assert lits == [f >> i & 1 for i in range(f.bit_length())]
+        assert _gf2.from_literals(lits) == _gf2.from_literals(bytes(lits)) == \
+            _gf2.from_literals(tuple(lits)) == f
 
 
 def test_irreducible_trivial_degrees():

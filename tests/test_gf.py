@@ -323,3 +323,20 @@ def test_lth_power_class_errors():
 
 def test_make_field_is_cached():
     assert ec.make_field(2, 2) is ec.make_field(2, 2)
+
+
+def test_values_equal_to_an_int_hash_as_that_int():
+    # a == b must give hash(a) == hash(b): a field element equals the int of
+    # its literal, and a cyclotomic integer with no zeta part its rational
+    # integer, so each finds and is found by that int in sets and dicts
+    F4, F8 = ec.make_field(2, 2), ec.make_field(2, 3)
+    rho = ec.FieldElem(F4, 2)
+    assert rho == 2 and rho in {2} and 2 in {rho} and {2: "a"}[rho] == "a"
+    assert {rho: "b"}[2] == "b" and len({rho, 2}) == 1
+    assert ec.FieldElem(F8, 2) != rho and len({rho, ec.FieldElem(F8, 2)}) == 2
+    assert ec.FieldElem(F4, 0) in {0} and ec.FieldElem(F4, 1) in {True}
+    five = ec.CycloInt.from_int(3, 5)
+    assert five == 5 and five in {5} and 5 in {five} and {5: "c"}[five] == "c"
+    assert len({five, 5, ec.CycloInt.from_int(5, 5)}) == 2
+    zeta = ec.CycloInt.zeta_pow(3, 1)
+    assert zeta != 0 and zeta not in {0, 1} and {zeta: 1}[ec.CycloInt.zeta_pow(3, 4)] == 1

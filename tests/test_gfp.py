@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import ellcover as ec
 import ellcover.fqpoly as fqp
-from ellcover import _gfp
+from ellcover import _gf2, _gfp
 from ellcover.gf import is_prime_int
 
 import naive
@@ -272,7 +272,7 @@ def ben_or_after_roots(f):
     """The decision by evaluation at every point and Ben-Or's rounds 2 to
     d // 2 on packed residues, the path before the residue screen."""
     d = f.degree
-    return not fqp.has_root(f) and (d < 4 or _gfp.Residues(f.ctx.p, f.coeffs).ben_or(2, d // 2))
+    return not fqp.has_root(f.ctx, f.coeffs) and (d < 4 or _gfp.Residues(f.ctx.p, f.coeffs).ben_or(2, d // 2))
 
 
 @pytest.mark.parametrize("p", PACKED)
@@ -357,8 +357,14 @@ def test_screen_is_built_by_degree():
 
 
 def test_irreducible_takes_the_screen_over_packed_fields(monkeypatch):
-    calls = []
-    monkeypatch.setattr(fqp, "has_root", lambda f: calls.append("has_root"))
+    # over F_3 to F_13 the residue screen decides every degree up to
+    # 2 top + 1 with no power; F_2 takes _gf2's bit-packed test, and reads no
+    # _gfp screen
+    calls, screens, bits = [], [], []
+    monkeypatch.setattr(fqp, "has_root", lambda ctx, cs: calls.append("has_root"))
+    screen, bit_test = _gfp.screen, _gf2.is_irreducible
+    monkeypatch.setattr(_gfp, "screen", lambda p: screens.append(p) or screen(p))
+    monkeypatch.setattr(_gf2, "is_irreducible", lambda f: bits.append(f) or bit_test(f))
     pow_ = _gfp.Residues.pow
     monkeypatch.setattr(_gfp.Residues, "pow",
                         lambda ring, r, e: calls.append("pow") or pow_(ring, r, e))
@@ -372,7 +378,8 @@ def test_irreducible_takes_the_screen_over_packed_fields(monkeypatch):
         for d in range(2, 2 * TOPS[p] + 2):
             for _ in range(5):
                 fqp.irreducible(ec.Poly(ctx, [rng.randrange(p) for _ in range(d)] + [1]))
-    assert calls == []
+    assert calls == [] and set(screens) == set(PACKED) - {2}
+    assert len(bits) == 5 * 2 * TOPS[2]
     f3 = ec.make_field(3)
     f = ec.Poly(f3, [2, 1] + [0] * 12 + [1])  # x**14 + x + 2, past every lane
     assert fqp.irreducible(f) == naive.is_irreducible(3, list(f.coeffs))

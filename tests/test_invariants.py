@@ -127,6 +127,6 @@ def test_no_bare_assert_in_the_package():
 @pytest.mark.parametrize("pk", [(2, 3), (3, 2)])
 def test_failed_field_construction_raises_a_typed_error(monkeypatch, pk):
     # a private context: make_field's cache must not see the broken search
-    monkeypatch.setattr(fqpoly, "irreducible", lambda *args: False)
+    monkeypatch.setattr(fqpoly, "_monic_irreducible", lambda *args: False)
     with pytest.raises(ec.CrossCheckMismatch, match="no irreducible modulus"):
         gf.FieldCtx(*pk)
