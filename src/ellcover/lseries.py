@@ -15,9 +15,12 @@ The monic polynomials are counted by class vector, never listed, by one
 Horner transfer over value vectors, which keys a line with one offset by
 that offset and the classes at the first two points by one small int, so
 the two-point transfer of an L-polynomial hashes no tuple per value
-vector.  Inverting the series counts the branch tuples of each class sum,
-one count per class line, which the exact law and the constrained counts
-both read, with enumeration as their oracle.
+vector.  A regime holds that transfer at 0 and at (0, 1), and every
+L-polynomial at one or two points reads it through X -> x_1 + (x_2 - x_1)*X,
+which moves each class vector at degree n by n*log(x_2 - x_1)*(1, 1).
+Inverting the series counts the branch tuples of each class sum, one count
+per class line, which the exact law and the constrained counts both read,
+with enumeration as their oracle.
 """
 
 from __future__ import annotations
@@ -366,11 +369,18 @@ def l_polynomial(regime: Regime, points, w, check_extra: int = CHECK_EXTRA) -> l
     degree n with class vector c at the points of nonzero weight and no
     root there (points of weight 0 do not change chi_w); one Horner transfer
     gives every M_n (see _horner_counts), at _transfer_steps table steps,
-    which coverparam.KERNEL_STEP_CAP bounds before any work starts.  The sum over
-    monics of any fixed degree >= k vanishes, which makes L a polynomial of
-    degree < k; the first check_extra vanishing coefficients are recomputed
-    and checked, as is c_0 = 1 (CrossCheckMismatch otherwise).  A negative
-    check_extra raises ValueError.
+    which coverparam.KERNEL_STEP_CAP bounds before any work starts, on every
+    call.  At one or two points of nonzero weight the regime holds that
+    transfer at 0 or (0, 1), run on first use and rerun by a call that needs
+    more degrees, and every call reads it: with a = x_2 - x_1, f ->
+    a**-n * f(x_1 + a*X) permutes the monics of degree n and scales their
+    values at (x_1, x_2) by a**-n, so M_n at (x_1, x_2) is M_n at (0, 1)
+    moved by n*log(a)*(1, 1), and c_n gains zeta**(n*log(a)*(w_1 + w_2));
+    one point needs the translation alone.  The sum over monics of any fixed
+    degree >= k vanishes, which makes L a polynomial of degree < k; the
+    first check_extra vanishing coefficients are recomputed and checked, as
+    is c_0 = 1 (CrossCheckMismatch otherwise), under each call's weights.  A
+    negative check_extra raises ValueError.
     """
     if check_extra < 0:
         raise ValueError("check_extra must be non-negative")
@@ -378,13 +388,25 @@ def l_polynomial(regime: Regime, points, w, check_extra: int = CHECK_EXTRA) -> l
     k = len(char.points)
     ell = regime.ell
     terms = k + check_extra
-    _check_transfer(regime.ext.order, char.w, ell, check_extra)
+    ctx = regime.ext
+    _check_transfer(ctx.order, char.w, ell, check_extra)
     support, weights = zip(*((x, wi) for x, wi in zip(char.points, char.w) if wi))
+    s, shift = len(support), 0
+    if s > 2:
+        transfer = _horner_counts(ctx, support, terms, ell)
+    else:  # the regime's counts at 0 or (0, 1), at least terms long
+        transfer = regime._transfers.get(s, ())
+        if len(transfer) < terms:
+            transfer = regime._transfers[s] = list(_horner_counts(
+                ctx, [FieldElem(ctx, v) for v in range(s)], terms, ell))
+        transfer = transfer[:terms]
+        if s == 2:  # log(x_2 - x_1) * (w_1 + w_2), added n times at degree n
+            shift = ctx.log[ctx.sub_i(support[1].val, support[0].val)] * sum(weights)
     coeffs: list[CycloInt] = []
-    for n, counts in enumerate(_horner_counts(regime.ext, support, terms, ell)):
+    for n, counts in enumerate(transfer):
         by_class = [0] * ell
         for c, cnt in counts.items():
-            by_class[sum(map(mul, weights, c)) % ell] += cnt
+            by_class[(sum(map(mul, weights, c)) + n * shift) % ell] += cnt
         acc = CycloInt._from_powers(ell, by_class)
         if n < k:
             coeffs.append(acc)

@@ -11,7 +11,7 @@ that the statistics rely on."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice
+from itertools import islice, product
 
 from .charsum import check_cover
 from .coverparam import (
@@ -255,24 +255,30 @@ def run_checks(q: int, ell: int, max_D: int = 4, tuple_cap: int = 25,
     def check_l_polynomial() -> str:
         order = regime.ext.order
         rows = []
-        # (1, 0) has a point of weight 0, where monics may vanish
-        for k, weights in ((1, [(1,), (ell - 1,)]),
-                           (2, [(1, 1), (1, ell - 1), (ell - 1, 1), (1, 0)])):
-            pts = [regime.base.elem(v) for v in range(k)]
+        zero, one = regime.base.elem(0), regime.base.elem(1)
+        gamma = regime.ext.elem(regime.ext.exp[1])
+        # the transfer held at 0 and (0, 1) is carried to 1, (1, 0) and (0, gamma),
+        # log gamma = 1; weights (1, 0) leave a point of weight 0, where monics
+        # may vanish
+        for k, supports, weights in (
+                (1, [[zero], [one]], [(1,), (ell - 1,)]),
+                (2, [[zero, one], [one, zero], [zero, gamma]],
+                 [(1, 1), (1, ell - 1), (ell - 1, 1), (1, 0)])):
             # vanishing coefficients up to the degree whose oracle sum
             # stays within 10**4 polynomials, at most two of them
             extra = 0
             while extra < 2 and order ** (k + extra) <= 10_000:
                 extra += 1
-            for w in weights:
+            for pts, w in product(supports, weights):
                 fast = l_polynomial(regime, pts, w, check_extra=extra)
                 slow = _l_coefficients_by_enumeration(regime, pts, w, k + extra)
                 _require(fast == slow[:k] and all(c.is_zero for c in slow[k:]),
-                         f"points {list(range(k))}, weights {w}: transfer gives "
-                         f"{fast}, enumeration gives {slow}")
+                         f"points {[str(x) for x in pts]}, weights {w}: transfer "
+                         f"gives {fast}, enumeration gives {slow}")
             rows.append(f"{len(weights)} weights at k={k} through degree "
                         f"{k + extra - 1}")
-        return ("Horner transfer equals the sum over monic polynomials ("
+        return ("Horner transfer held at 0 and (0, 1), carried to 1, (1, 0) and "
+                "(0, gamma) with log gamma = 1, equals the sum over monic polynomials ("
                 + ", ".join(rows) + ")")
 
     record("l-polynomial", check_l_polynomial)

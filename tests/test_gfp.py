@@ -16,6 +16,10 @@ from ellcover.gf import is_prime_int
 
 import naive
 
+# F_2 packs too, but no production path reaches _gfp at p = 2: fqpoly decides
+# F_2 primality by _gf2 alone.  p = 2 stays in PACKED and TOPS so that _gfp's
+# F_2 kernels and screen remain a second, independent oracle for _gf2
+# (test_f2_screen_decides_as_gf2).
 PACKED = [2, 3, 5, 7, 11, 13]
 MAX_LEN = 41  # degrees 0 to 40
 
@@ -238,6 +242,7 @@ def test_factorization_multiplies_back(data):
 # ---------------------------------------------------------------------------
 # The residue screen.
 
+# TOPS[2] is the F_2 screen's, which only these tests reach: _gf2's oracle (see PACKED)
 TOPS = {2: 9, 3: 6, 5: 4, 7: 3, 11: 2, 13: 2}
 
 
@@ -247,6 +252,12 @@ def test_screen_tops():
     for p in PACKED:
         held = [d * ec.necklace_count(p, d) for d in range(1, TOPS[p] + 2)]
         assert sum(held[:-1]) <= _gfp.SCREEN_LANES < sum(held)
+
+
+def test_f2_screen_decides_as_gf2():
+    # every monic of degree 1 to 16 over F_2: the bit-packed ints 2 .. 2**17 - 1
+    assert not [f for f in range(2, 1 << 17)
+                if _gfp.irreducible(2, bytes(_gf2.to_literals(f))) != _gf2.is_irreducible(f)]
 
 
 @pytest.mark.parametrize("p", PACKED)

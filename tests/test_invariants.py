@@ -101,7 +101,7 @@ def test_l_polynomial_checks_raise_typed_errors(monkeypatch, value):
             yield {(0,) * len(points): value}
 
     monkeypatch.setattr(ls, "_horner_counts", fake)
-    reg = ec.make_regime(2, 3)
+    reg = ec.Regime(2, 3)  # fresh: it holds no counts, so the fake transfer runs
     with pytest.raises(ec.CrossCheckMismatch):
         ec.l_polynomial(reg, [reg.base.elem(0)], [1])
 

@@ -6,7 +6,7 @@ import logging
 import time
 import weakref
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations, permutations, product
 
 import pytest
 from hypothesis import given, settings
@@ -225,16 +225,17 @@ def test_horner_counts_match_the_push_per_constant_oracle(reg):
 def test_transfer_rows_are_kept_for_the_last_field_only(monkeypatch):
     import ellcover.lseries as ls
 
+    # each call on a fresh Regime, which holds no counts, so each transfers
     monkeypatch.setattr(ls, "_field_rows", {})
     cases = [(pts(R53, 0, 1), (1, 1)), (pts(R53, 1, 3), (1, 2))]
     fresh = []
     for points, w in cases:
         ls._field_rows.clear()
-        fresh.append(ec.l_polynomial(R53, points, w))
+        fresh.append(ec.l_polynomial(Regime(5, 3), points, w))
     ls._field_rows.clear()
     kept = []
     for points, w in cases:
-        assert ec.l_polynomial(R53, points, w) == fresh[len(kept)]
+        assert ec.l_polynomial(Regime(5, 3), points, w) == fresh[len(kept)]
         kept.append(ls._field_rows[(R53.ext, 3)])
     assert kept[0] is kept[1]  # the second call reused the first call's rows
     assert len(kept[0][0]) == R53.ext.order  # two points build every row
@@ -243,7 +244,7 @@ def test_transfer_rows_are_kept_for_the_last_field_only(monkeypatch):
     assert not classed  # two points read pair rows, not class rows
     dropped = weakref.ref(pair)
     del kept, shifted, classed, pair
-    R35 = ec.make_regime(3, 5)
+    R35 = Regime(3, 5)
     ec.l_polynomial(R35, pts(R35, 0), (1,))
     assert list(ls._field_rows) == [(R35.ext, 5)]
     assert dropped() is None  # the pair rows went with their field's entry
@@ -462,12 +463,15 @@ def test_l_polynomial_detects_a_count_moved_at_degree_k(monkeypatch):
             yield counts
 
     monkeypatch.setattr(ls, "_horner_counts", lying)
+    # a fresh Regime holds no counts: both calls transfer, the second to
+    # one more degree
+    reg = Regime(2, 3)
     # no vanishing degree is checked, so the lie goes unseen
     assert [list(c.coords) for c in
-            ec.l_polynomial(R23, pts(R23, 0, 1), (1, 1), check_extra=0)] \
+            ec.l_polynomial(reg, pts(reg, 0, 1), (1, 1), check_extra=0)] \
         == [[1, 0], [2, 0]]
     with pytest.raises(ec.CrossCheckMismatch, match="degree-2"):
-        ec.l_polynomial(R23, pts(R23, 0, 1), (1, 1), check_extra=1)
+        ec.l_polynomial(reg, pts(reg, 0, 1), (1, 1), check_extra=1)
 
 
 def test_l_polynomial_frozen_over_f5():
@@ -481,6 +485,105 @@ def test_l_polynomial_frozen_over_f5():
             coeffs = ec.l_polynomial(R53, pts(R53, x1, x2), w)
             assert [list(c.coords) for c in coeffs] \
                 == [[1, 0], [5, 0] if w[0] == w[1] else [-1, 0]]
+
+
+# ---------------------------------------------------------------------------
+# One- and two-point transfers held per regime, carried to any points.
+
+@pytest.mark.parametrize("qell", [(2, 3), (5, 3), (2, 5), (4, 5)])
+def test_held_transfers_carried_to_every_pair_match_enumeration(monkeypatch, qell):
+    # every ordered pair of distinct F_Q points, extension points included,
+    # where log(x_2 - x_1) need not vanish mod ell, on a fresh Regime first
+    # called at (0, 2); the weights cycle through two points of nonzero
+    # weight and one.  The enumeration runs through degree 2 (Q**3 monics at
+    # degree 3 over 600 pairs is too slow); l_polynomial checks degree 3 as
+    # well, from the carried counts.  Then every single point, through
+    # degree k + 1 = 2.  Two transfers run in all, one per support size.
+    import ellcover.lseries as ls
+
+    real, runs = ls._horner_counts, []
+    monkeypatch.setattr(ls, "_horner_counts",
+                        lambda *args: runs.append(args[1]) or real(*args))
+    reg = Regime(*qell)
+    ell, ext = reg.ell, reg.ext
+    weights = [(1, 1), (1, ell - 1), (2, 1), (1, 0), (0, 2)]
+    pairs = [p for p in permutations(range(ext.order), 2) if p != (0, 1)] + [(0, 1)]
+    for i, (a, b) in enumerate(pairs):
+        points, w = [ext.elem(a), ext.elem(b)], weights[i % len(weights)]
+        slow = _l_coefficients_by_enumeration(reg, points, w, 3)
+        assert ec.l_polynomial(reg, points, w, check_extra=2) == slow[:2], (a, b, w)
+        assert slow[2].is_zero
+    assert any(ext.log[ext.sub_i(b, a)] % ell for a, b in pairs)
+    for x in range(ext.order):
+        for w in ((1,), (ell - 1,)):
+            slow = _l_coefficients_by_enumeration(reg, [ext.elem(x)], w, 3)
+            assert ec.l_polynomial(reg, [ext.elem(x)], w, check_extra=2) == slow[:1]
+            assert all(c.is_zero for c in slow[1:])
+    assert [[p.val for p in points] for points in runs] == [[0, 1], [0]]
+
+
+def test_held_counts_answer_every_support_without_a_transfer(monkeypatch):
+    import ellcover.lseries as ls
+
+    reg = Regime(5, 3)
+    ext = reg.ext
+    ec.l_polynomial(reg, pts(reg, 3, 1), (1, 2))
+    ec.l_polynomial(reg, pts(reg, 4, 2), (2, 0))  # one point, held to k + 3 = 5 terms
+
+    def no_transfer(*args):
+        raise AssertionError("a held support ran the transfer")
+
+    monkeypatch.setattr(ls, "_horner_counts", no_transfer)
+    for i, (a, b) in enumerate(permutations(range(ext.order), 2)):
+        points, w = [ext.elem(a), ext.elem(b)], [(1, 1), (1, 2), (0, 1)][i % 3]
+        assert ec.l_polynomial(reg, points, w) == \
+            _l_coefficients_by_enumeration(reg, points, w, 2)
+    for x in range(ext.order):
+        assert ec.l_polynomial(reg, [ext.elem(x)], (1,)) == [1]
+
+
+def test_a_longer_call_reruns_the_transfer_and_catches_a_moved_count(monkeypatch):
+    # counts held through degree 4 (CHECK_EXTRA = 3); a lying transfer moves
+    # one monic of degree k = 2 to a root, where chi_w is 0
+    import ellcover.lseries as ls
+
+    reg = Regime(2, 3)
+    ext = reg.ext
+    ec.l_polynomial(reg, pts(reg, 0, 1), (1, 1))
+    real, runs = ls._horner_counts, []
+
+    def lying(ctx, points, terms, ell):
+        runs.append(terms)
+        for n, counts in enumerate(real(ctx, points, terms, ell)):
+            if n == len(points):
+                counts = dict(counts)
+                counts[next(iter(counts))] -= 1
+            yield counts
+
+    monkeypatch.setattr(ls, "_horner_counts", lying)
+    points = [ext.elem(1), ext.elem(2)]
+    assert ext.log[ext.sub_i(2, 1)] % 3  # carried with a nonzero shift
+    want = _l_coefficients_by_enumeration(reg, points, (1, 2), 2)
+    assert ec.l_polynomial(reg, points, (1, 2)) == want  # the held counts
+    assert runs == []
+    with pytest.raises(ec.CrossCheckMismatch, match="degree-2"):
+        ec.l_polynomial(reg, points, (1, 2), check_extra=4)
+    assert runs == [6]
+
+
+def test_held_counts_are_refused_by_the_budget_as_a_fresh_regime(monkeypatch):
+    held = Regime(2, 3)
+    ec.l_polynomial(held, pts(held, 0, 1), (1, 1))
+    ec.l_polynomial(held, pts(held, 0), (1,))
+    assert sorted(held._transfers) == [1, 2]
+    monkeypatch.setattr(cp, "KERNEL_STEP_CAP", 10)
+    for points, w in (([1, 0], (1, 2)), ([1], (1,))):
+        messages = []
+        for reg in (Regime(2, 3), held):
+            with pytest.raises(ec.BudgetExceeded) as exc:
+                ec.l_polynomial(reg, pts(reg, *points), w)
+            messages.append(str(exc.value))
+        assert messages[0] == messages[1]
 
 
 @pytest.mark.parametrize("qell, k", [((2, 3), 1), ((2, 3), 2), ((2, 5), 1),
