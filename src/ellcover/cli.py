@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import logging
 import sys
 
 from . import __version__
@@ -30,21 +31,25 @@ from .ensemble import (
     monte_carlo_distribution,
     theoretical_distribution,
 )
-from .errors import CrossCheckMismatch, EllcoverError
+from .errors import CrossCheckMismatch, EllcoverError, InvalidTuple
 from .fqpoly import Poly, check_sieve_budget
 from .verify import run_checks
 
 
-def _parse_poly(ctx, text: str) -> Poly:
-    try:
-        coeffs = [int(part.strip()) for part in text.split(",")]
-        return Poly(ctx, coeffs)
-    except ValueError as exc:
-        raise UsageError(f"bad polynomial literal {text!r}: {exc}") from None
-
-
-def _parse_tuple(ctx, text: str) -> tuple[Poly, ...]:
-    return tuple(_parse_poly(ctx, part) for part in text.split(";"))
+def _parse_tuple(q: int, text: str) -> list[list[int]]:
+    """The coefficient literals of each polynomial of a branch tuple over
+    F_q, each checked below q as Poly checks it, with Poly's message."""
+    tup = []
+    for part in text.split(";"):
+        try:
+            coeffs = [int(c.strip()) for c in part.split(",")]
+            for v in coeffs:
+                if not 0 <= v < q:
+                    raise ValueError(f"coefficient literal {v} out of range")
+        except ValueError as exc:
+            raise UsageError(f"bad polynomial literal {part!r}: {exc}") from None
+        tup.append(coeffs)
+    return tup
 
 
 class UsageError(Exception):
@@ -130,8 +135,17 @@ def _cmd_enumerate(args) -> int:
 
 
 def _cmd_count_points(args) -> int:
+    # the tuple's literals, --b and the tuple's length need only (q, ell,
+    # n_q), so a fault builds no field; the messages and their order are
+    # those of Poly, FieldCtx.elem and validate_params
+    n_q = check_regime(args.q, args.ell)[2]
+    literals = _parse_tuple(args.q, args.tuple)
+    if not 0 <= args.b < args.q ** n_q:
+        raise ValueError(f"literal {args.b} out of range for order {args.q ** n_q}")
+    if len(literals) != args.ell - 1:
+        raise InvalidTuple(f"expected {args.ell - 1} branch polynomials, got {len(literals)}")
     regime = make_regime(args.q, args.ell)
-    fs = _parse_tuple(regime.base, args.tuple)
+    fs = tuple(Poly(regime.base, coeffs) for coeffs in literals)
     b = regime.ext.elem(args.b)
     # each class and fiber below is checked against the model's and the scan's
     model, classes = check_cover(CoverParams(regime, fs, b), args.labeling)
@@ -236,6 +250,10 @@ def build_parser() -> argparse.ArgumentParser:
                     "non-Kummer regime: enumeration, point counts, character "
                     "series, and point-count statistics.")
     parser.add_argument("--version", action="version", version=__version__)
+    parser.add_argument("--log-level", default="WARNING",
+                        choices=["DEBUG", "INFO", "WARNING", "ERROR"],
+                        help="write the ellcover logger's records of this level "
+                             "and above to standard error (default WARNING)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_regime_args(p):
@@ -305,6 +323,20 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
 
+    logger, handler = logging.getLogger("ellcover"), logging.StreamHandler(sys.stderr)
+    handler.setFormatter(logging.Formatter("%(levelname)s: %(message)s"))
+    level = logger.level
+    logger.addHandler(handler)
+    logger.setLevel(args.log_level)
+    try:
+        return _run(args)
+    finally:
+        logger.removeHandler(handler)
+        logger.setLevel(level)
+
+
+def _run(args) -> int:
+    """args.fn(args), its errors turned into a message and an exit code."""
     try:
         return args.fn(args)
     except UsageError as exc:

@@ -140,7 +140,7 @@ class Regime:
     prove; a sample classes its drawn primes above DRAW_SIEVE_CAP's line."""
 
     __slots__ = ("q", "ell", "p", "k", "n_q", "base", "ext", "v_exps", "cosets",
-                 "_split_cache", "_class_cache", "_suffix", "_lines", "_transfers")
+                 "_split_cache", "_class_cache", "_suffix", "_lines")
 
     def __init__(self, q: int, ell: int):
         p, k, n_q = check_regime(q, ell)
@@ -172,8 +172,6 @@ class Regime:
         self._suffix: tuple[list[list[int]], list[list[int]]] = ([], [[1]])
         # sorted base-point literals -> lseries._LineKernel, built on first use
         self._lines: dict = {}
-        # 1 or 2 points -> lseries' monic counts at 0 or (0, 1), built on first use
-        self._transfers: dict = {}
 
     def __repr__(self) -> str:
         return f"Regime(q={self.q}, ell={self.ell}, n_q={self.n_q})"

@@ -14,13 +14,13 @@ polynomials over the extension once per line without listing any prime.
 The monic polynomials are counted by class vector, never listed, by one
 Horner transfer over value vectors, which keys a line with one offset by
 that offset and the classes at the first two points by one small int, so
-the two-point transfer of an L-polynomial hashes no tuple per value
-vector.  A regime holds that transfer at 0 and at (0, 1), and every
-L-polynomial at one or two points reads it through X -> x_1 + (x_2 - x_1)*X,
-which moves each class vector at degree n by n*log(x_2 - x_1)*(1, 1).
-Inverting the series counts the branch tuples of each class sum, one count
-per class line, which the exact law and the constrained counts both read,
-with enumeration as their oracle.
+the two-point transfer hashes no tuple per value vector.  An L-polynomial
+at one or two points of nonzero weight is 1 + c_1*u, c_1 one sum over F_Q
+(a Jacobi sum at two points) read from the log and Zech tables and checked
+by its norm, with the transfer as its oracle.  Inverting the series
+counts the branch tuples of each class sum, one count per class line,
+which the exact law and the constrained counts both read, with
+enumeration as their oracle.
 """
 
 from __future__ import annotations
@@ -362,60 +362,72 @@ def _horner_counts(ctx, points, terms: int, ell: int):
         lines = pushed
 
 
+def _sum_classes(ctx, support, weights, ell: int) -> list[int]:
+    """The terms of c_1 = sum over b in F_Q of prod_i chi(x_i + b)**w_i by
+    class: at one point each unit's class from ctx.log, at two v = g**m for
+    m < Q - 1 and log(v + d) = log d + zech[m - log d], d = x_2 - x_1."""
+    n, by_class = ctx.order - 1, [0] * ell
+    if len(support) == 1:
+        exps = (weights[0] * m for m in ctx.log[1:])
+    else:
+        (w1, w2), e = weights, ctx.log[ctx.sub_i(support[1].val, support[0].val)]
+        exps = (w1 * m + w2 * (e + z) for m, z in zip(range(n), ctx.zech[n - e:]) if z >= 0)
+    for x in exps:
+        by_class[x % ell] += 1
+    return by_class
+
+
+def _transfer_coefficients(ctx, support, weights, k: int, terms: int, ell: int) -> list[CycloInt]:
+    """c_0..c_{k-1} of L(u) at the points support of nonzero weights, c_n =
+    sum_c M_n(c) * zeta**<w, c> with M_n from _horner_counts; the transfer's
+    c_k..c_{terms-1} must vanish and c_0 be 1, else CrossCheckMismatch."""
+    coeffs: list[CycloInt] = []
+    for n, counts in enumerate(_horner_counts(ctx, support, terms, ell)):
+        by_class = [0] * ell
+        for c, cnt in counts.items():
+            by_class[sum(map(mul, weights, c)) % ell] += cnt
+        acc = CycloInt._from_powers(ell, by_class)
+        if n < k:
+            coeffs.append(acc)
+        elif not acc.is_zero:
+            raise CrossCheckMismatch(f"degree-{n} coefficient should vanish, got {acc!r}")
+    if coeffs[0] != 1:
+        raise CrossCheckMismatch(f"constant coefficient is {coeffs[0]!r}, not 1")
+    return coeffs
+
+
 def l_polynomial(regime: Regime, points, w, check_extra: int = CHECK_EXTRA) -> list[CycloInt]:
     """Coefficients c_0..c_{k-1} of L(u) = sum over monic f of chi_w(f) u^deg f.
 
-    c_n = sum_c M_n(c) * zeta**<w, c>, where M_n(c) counts the monic f of
-    degree n with class vector c at the points of nonzero weight and no
-    root there (points of weight 0 do not change chi_w); one Horner transfer
-    gives every M_n (see _horner_counts), at _transfer_steps table steps,
-    which coverparam.KERNEL_STEP_CAP bounds before any work starts, on every
-    call.  At one or two points of nonzero weight the regime holds that
-    transfer at 0 or (0, 1), run on first use and rerun by a call that needs
-    more degrees, and every call reads it: with a = x_2 - x_1, f ->
-    a**-n * f(x_1 + a*X) permutes the monics of degree n and scales their
-    values at (x_1, x_2) by a**-n, so M_n at (x_1, x_2) is M_n at (0, 1)
-    moved by n*log(a)*(1, 1), and c_n gains zeta**(n*log(a)*(w_1 + w_2));
-    one point needs the translation alone.  The sum over monics of any fixed
-    degree >= k vanishes, which makes L a polynomial of degree < k; the
-    first check_extra vanishing coefficients are recomputed and checked, as
-    is c_0 = 1 (CrossCheckMismatch otherwise), under each call's weights.  A
-    negative check_extra raises ValueError.
+    Points of weight 0 do not change chi_w, and at s points of nonzero
+    weight L has degree < s.  At s <= 2, L = 1 + c_1*u with c_1 = sum over
+    b in F_Q of prod_i chi(x_i + b)**w_i (_sum_classes): 0 at one point, and
+    at two a Jacobi sum of norm Q, or -1 when w_1 + w_2 = 0 mod ell, as
+    b -> (x_1 + b)/(x_2 + b) then takes every value but 1; each call checks
+    this.  At s >= 3 one Horner transfer gives L (_transfer_coefficients)
+    and checks c_0 = 1 and the first check_extra vanishing coefficients.
+    Every call is charged the transfer's _transfer_steps, which
+    coverparam.KERNEL_STEP_CAP bounds before any work starts; at s <= 2
+    check_extra only sets that charge.  A failed check raises
+    CrossCheckMismatch, a negative check_extra ValueError.
     """
     if check_extra < 0:
         raise ValueError("check_extra must be non-negative")
     char = CharW(regime, points, w)
     k = len(char.points)
     ell = regime.ell
-    terms = k + check_extra
     ctx = regime.ext
     _check_transfer(ctx.order, char.w, ell, check_extra)
     support, weights = zip(*((x, wi) for x, wi in zip(char.points, char.w) if wi))
-    s, shift = len(support), 0
+    s = len(support)
     if s > 2:
-        transfer = _horner_counts(ctx, support, terms, ell)
-    else:  # the regime's counts at 0 or (0, 1), at least terms long
-        transfer = regime._transfers.get(s, ())
-        if len(transfer) < terms:
-            transfer = regime._transfers[s] = list(_horner_counts(
-                ctx, [FieldElem(ctx, v) for v in range(s)], terms, ell))
-        transfer = transfer[:terms]
-        if s == 2:  # log(x_2 - x_1) * (w_1 + w_2), added n times at degree n
-            shift = ctx.log[ctx.sub_i(support[1].val, support[0].val)] * sum(weights)
-    coeffs: list[CycloInt] = []
-    for n, counts in enumerate(transfer):
-        by_class = [0] * ell
-        for c, cnt in counts.items():
-            by_class[(sum(map(mul, weights, c)) + n * shift) % ell] += cnt
-        acc = CycloInt._from_powers(ell, by_class)
-        if n < k:
-            coeffs.append(acc)
-        elif not acc.is_zero:
-            raise CrossCheckMismatch(
-                f"degree-{n} coefficient should vanish, got {acc!r}")
-    if coeffs[0] != 1:
-        raise CrossCheckMismatch(f"constant coefficient is {coeffs[0]!r}, not 1")
-    return coeffs
+        return _transfer_coefficients(ctx, support, weights, k, k + check_extra, ell)
+    c1 = CycloInt._from_powers(ell, _sum_classes(ctx, support, weights, ell))
+    primitive, norm = sum(weights) % ell, (s - 1) * ctx.order  # c_1 = 0 at one point
+    if not (c1 * c1.conjugate() == norm if primitive else c1 == -1):
+        raise CrossCheckMismatch(f"c_1 at weights {weights} is {c1!r}, not "
+                                 + (f"of norm {norm}" if primitive else "-1"))
+    return [CycloInt.from_int(ell, 1)] + [c1] * (s - 1) + [CycloInt.from_int(ell, 0)] * (k - s)
 
 
 def _l_coefficients_by_enumeration(regime: Regime, points, w,

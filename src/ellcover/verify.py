@@ -3,8 +3,8 @@ independent slow one: each sampled cover's twisted model (components,
 class at every point, fiber against a brute-force root scan) against the
 cached class vectors, class-kernel constrained counts against direct
 enumeration, stream enumeration against exact stratum counts,
-L-polynomials from the Horner transfer against sums over every monic
-polynomial, exact ensemble laws from the base-prime lines against every
+L-polynomials against sums over every monic polynomial and the Horner
+transfer, exact ensemble laws from the base-prime lines against every
 enumerated cover, and the invariances (anchoring rule, power reindexing)
 that the statistics rely on."""
 
@@ -35,11 +35,12 @@ from .coverparam import (
 from .ensemble import _enumerated_law, _exact_law
 from .errors import BudgetExceeded, CrossCheckMismatch, EllcoverError
 from .fqpoly import check_sieve_budget, primes_with_degree
-from .gf import FieldElem
+from .gf import FieldElem, embed_elem
 from .lseries import (
     _constrained_by_enumeration,
     _l_coefficients_by_enumeration,
     _line_of,
+    _transfer_coefficients,
     count_constrained,
     l_polynomial,
 )
@@ -257,9 +258,8 @@ def run_checks(q: int, ell: int, max_D: int = 4, tuple_cap: int = 25,
         rows = []
         zero, one = regime.base.elem(0), regime.base.elem(1)
         gamma = regime.ext.elem(regime.ext.exp[1])
-        # the transfer held at 0 and (0, 1) is carried to 1, (1, 0) and (0, gamma),
-        # log gamma = 1; weights (1, 0) leave a point of weight 0, where monics
-        # may vanish
+        # log(x_2 - x_1) = 1 at (0, gamma) and 0 at the other pairs; weights
+        # (1, 0) leave a point of weight 0, where monics may vanish
         for k, supports, weights in (
                 (1, [[zero], [one]], [(1,), (ell - 1,)]),
                 (2, [[zero, one], [one, zero], [zero, gamma]],
@@ -273,13 +273,21 @@ def run_checks(q: int, ell: int, max_D: int = 4, tuple_cap: int = 25,
                 fast = l_polynomial(regime, pts, w, check_extra=extra)
                 slow = _l_coefficients_by_enumeration(regime, pts, w, k + extra)
                 _require(fast == slow[:k] and all(c.is_zero for c in slow[k:]),
-                         f"points {[str(x) for x in pts]}, weights {w}: transfer "
+                         f"points {[str(x) for x in pts]}, weights {w}: the sum "
                          f"gives {fast}, enumeration gives {slow}")
+                if k == 2:  # the transfer checks its own vanishing degrees
+                    support = [(embed_elem(x, regime.ext), wi) for x, wi in zip(pts, w) if wi]
+                    by_transfer = _transfer_coefficients(
+                        regime.ext, *zip(*support), k, k + extra + 1, ell)
+                    _require(fast == by_transfer,
+                             f"points {[str(x) for x in pts]}, weights {w}: the sum "
+                             f"gives {fast}, the transfer gives {by_transfer}")
             rows.append(f"{len(weights)} weights at k={k} through degree "
                         f"{k + extra - 1}")
-        return ("Horner transfer held at 0 and (0, 1), carried to 1, (1, 0) and "
-                "(0, gamma) with log gamma = 1, equals the sum over monic polynomials ("
-                + ", ".join(rows) + ")")
+        return ("one sum over F_Q at 0, 1, (0, 1), (1, 0) and (0, gamma) with "
+                "log gamma = 1 equals the sum over monic polynomials ("
+                + ", ".join(rows) + f"), and at k=2 the Horner transfer through "
+                f"degree {k + extra}")
 
     record("l-polynomial", check_l_polynomial)
 

@@ -138,6 +138,75 @@ def test_lseries_over_budget_is_refused_before_any_field(monkeypatch, capsys):
             cli.main([*regime, "--w", w])
 
 
+@pytest.mark.parametrize("tup, b, rc, err", [
+    ("x+1;x", "1", 2,
+     "usage error: bad polynomial literal 'x+1': invalid literal for int() with base 10: 'x+1'"),
+    ("1,1019;1", "1", 2, "usage error: bad polynomial literal '1,1019': "
+     "coefficient literal 1019 out of range"),
+    ("1,,1;1", "1", 2,
+     "usage error: bad polynomial literal '1,,1': invalid literal for int() with base 10: ''"),
+    ("1,1,1;1", "1038361", 2, "usage error: literal 1038361 out of range for order 1038361"),
+    ("1,1,1;1", "-1", 2, "usage error: literal -1 out of range for order 1038361"),
+    ("1;1;1", "1", 1, "error: InvalidTuple: expected 2 branch polynomials, got 3"),
+    # two faults: the first one met, as when the fields came first
+    ("1,x;1;1", "-1", 2,
+     "usage error: bad polynomial literal '1,x': invalid literal for int() with base 10: 'x'"),
+    ("1", "1038361", 2, "usage error: literal 1038361 out of range for order 1038361")])
+def test_count_points_faults_are_refused_before_any_field(monkeypatch, capsys, tup, b, rc, err):
+    # the tuple's literals, --b and the tuple's length need only (q, ell,
+    # n_q): F_{1019^2} took about 3 s to build before a bad literal was named
+    def no_field(*args):
+        raise AssertionError("a field was built")
+
+    monkeypatch.setattr(coverparam, "make_field", no_field)
+    monkeypatch.setattr(cli, "make_regime", no_field)
+    argv = ("count-points", "--q", "1019", "--ell", "3", "--tuple", tup, "--b", b)
+    assert run(capsys, *argv) == (rc, "", err + "\n")
+
+
+def test_count_points_refusals_read_as_the_field_checks(monkeypatch, capsys):
+    # each refusal made before the fields reads as the check it stands for:
+    # Poly's literal range, FieldCtx.elem's and validate_params' length
+    reg = ec.make_regime(2, 3)
+    with pytest.raises(ValueError) as poly:
+        ec.Poly(reg.base, [1, 2])
+    with pytest.raises(ValueError) as elem:
+        reg.ext.elem(4)
+    with pytest.raises(ec.InvalidTuple) as length:
+        ec.validate_params(ec.CoverParams(reg, (ec.Poly.one(reg.base),) * 3, reg.ext.elem(1)))
+    regime = ("count-points", "--q", "2", "--ell", "3")
+    assert run(capsys, *regime, "--tuple", "1,2;1") == \
+        (2, "", f"usage error: bad polynomial literal '1,2': {poly.value}\n")
+    assert run(capsys, *regime, "--tuple", "1,1,1;1", "--b", "4") == \
+        (2, "", f"usage error: {elem.value}\n")
+    assert run(capsys, *regime, "--tuple", "1;1;1") == \
+        (1, "", f"error: InvalidTuple: {length.value}\n")
+
+    # a tuple that passes goes on to the fields
+    def no_field(*args):
+        raise AssertionError("a field was built")
+
+    monkeypatch.setattr(cli, "make_regime", no_field)
+    with pytest.raises(AssertionError, match="a field was built"):
+        cli.main(["count-points", "--q", "1019", "--ell", "3", "--tuple", "1,1,1;1"])
+
+
+def test_log_level_info_writes_the_unit_circle_zero_to_stderr(capsys):
+    import logging
+
+    argv = ["lseries", "--q", "2", "--ell", "3", "--points", "0,1", "--w", "1,2"]
+    rc, out, err = run(capsys, *argv)
+    assert (rc, err) == (0, "")
+    logger = logging.getLogger("ellcover")
+    handlers, level = list(logger.handlers), logger.level
+    assert run(capsys, "--log-level", "INFO", *argv) == \
+        (0, out, "INFO: unit-circle zero: a root of modulus 1 occurred "
+                 "(magnitudes [1.0])\n")
+    assert (logger.handlers, logger.level) == (handlers, level)  # left as found
+    assert run(capsys, "--log-level", "WARNING", *argv) == (0, out, "")
+    assert run(capsys, "--log-level", "LOUD", *argv)[0] == 2
+
+
 @pytest.mark.parametrize("argv, err", [
     (("ensemble", "--q", "1019", "--ell", "3", "--genus", "58"),
      "counting branch tuples by class sum at 1019 points to degree 60 takes about 2229034"),

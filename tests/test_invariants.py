@@ -101,9 +101,9 @@ def test_l_polynomial_checks_raise_typed_errors(monkeypatch, value):
             yield {(0,) * len(points): value}
 
     monkeypatch.setattr(ls, "_horner_counts", fake)
-    reg = ec.Regime(2, 3)  # fresh: it holds no counts, so the fake transfer runs
+    reg = ec.Regime(2, 3)  # three points of F_4: the fake transfer runs
     with pytest.raises(ec.CrossCheckMismatch):
-        ec.l_polynomial(reg, [reg.base.elem(0)], [1])
+        ec.l_polynomial(reg, [reg.ext.elem(v) for v in range(3)], [1, 1, 1])
 
 
 def _raises_assertion_error(node) -> bool:

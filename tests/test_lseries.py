@@ -20,6 +20,7 @@ from ellcover.lseries import (
     _constrained_by_enumeration,
     _horner_counts,
     _l_coefficients_by_enumeration,
+    _transfer_coefficients,
     _transfer_steps,
 )
 
@@ -225,17 +226,17 @@ def test_horner_counts_match_the_push_per_constant_oracle(reg):
 def test_transfer_rows_are_kept_for_the_last_field_only(monkeypatch):
     import ellcover.lseries as ls
 
-    # each call on a fresh Regime, which holds no counts, so each transfers
+    # two-point transfers, run directly: l_polynomial runs none at two points
     monkeypatch.setattr(ls, "_field_rows", {})
-    cases = [(pts(R53, 0, 1), (1, 1)), (pts(R53, 1, 3), (1, 2))]
+    cases = [pts(R53, 0, 1), pts(R53, 1, 3)]
     fresh = []
-    for points, w in cases:
+    for points in cases:
         ls._field_rows.clear()
-        fresh.append(ec.l_polynomial(Regime(5, 3), points, w))
+        fresh.append(list(_horner_counts(R53.ext, points, 5, 3)))
     ls._field_rows.clear()
     kept = []
-    for points, w in cases:
-        assert ec.l_polynomial(Regime(5, 3), points, w) == fresh[len(kept)]
+    for points in cases:
+        assert list(_horner_counts(R53.ext, points, 5, 3)) == fresh[len(kept)]
         kept.append(ls._field_rows[(R53.ext, 3)])
     assert kept[0] is kept[1]  # the second call reused the first call's rows
     assert len(kept[0][0]) == R53.ext.order  # two points build every row
@@ -245,7 +246,7 @@ def test_transfer_rows_are_kept_for_the_last_field_only(monkeypatch):
     dropped = weakref.ref(pair)
     del kept, shifted, classed, pair
     R35 = Regime(3, 5)
-    ec.l_polynomial(R35, pts(R35, 0), (1,))
+    list(_horner_counts(R35.ext, [ec.embed_elem(x, R35.ext) for x in pts(R35, 0)], 4, 5))
     assert list(ls._field_rows) == [(R35.ext, 5)]
     assert dropped() is None  # the pair rows went with their field's entry
 
@@ -449,8 +450,8 @@ def test_l_polynomial_rejects_a_negative_check_extra(monkeypatch):
 
 
 def test_l_polynomial_detects_a_count_moved_at_degree_k(monkeypatch):
-    # move one monic of degree k = 2 off its class vector to a root of one
-    # of the points, where chi_w is 0: c_2 no longer vanishes
+    # move one monic of degree k = 3 off its class vector to a root of one
+    # of the points, where chi_w is 0: c_3 no longer vanishes
     import ellcover.lseries as ls
 
     real = ls._horner_counts
@@ -463,15 +464,14 @@ def test_l_polynomial_detects_a_count_moved_at_degree_k(monkeypatch):
             yield counts
 
     monkeypatch.setattr(ls, "_horner_counts", lying)
-    # a fresh Regime holds no counts: both calls transfer, the second to
-    # one more degree
+    # three points of F_4, where the transfer runs on every call
     reg = Regime(2, 3)
+    points = [reg.ext.elem(v) for v in range(3)]
     # no vanishing degree is checked, so the lie goes unseen
-    assert [list(c.coords) for c in
-            ec.l_polynomial(reg, pts(reg, 0, 1), (1, 1), check_extra=0)] \
-        == [[1, 0], [2, 0]]
-    with pytest.raises(ec.CrossCheckMismatch, match="degree-2"):
-        ec.l_polynomial(reg, pts(reg, 0, 1), (1, 1), check_extra=1)
+    assert ec.l_polynomial(reg, points, (1, 1, 1), check_extra=0) \
+        == _l_coefficients_by_enumeration(reg, points, (1, 1, 1), 3)
+    with pytest.raises(ec.CrossCheckMismatch, match="degree-3"):
+        ec.l_polynomial(reg, points, (1, 1, 1), check_extra=1)
 
 
 def test_l_polynomial_frozen_over_f5():
@@ -488,7 +488,8 @@ def test_l_polynomial_frozen_over_f5():
 
 
 # ---------------------------------------------------------------------------
-# One- and two-point transfers held per regime, carried to any points.
+# One- and two-point L-polynomials from one sum over F_Q, with the transfer
+# and the enumeration as oracles.
 
 @pytest.mark.parametrize("qell", [(2, 3), (5, 3), (2, 5), (4, 5)])
 def test_held_transfers_carried_to_every_pair_match_enumeration(monkeypatch, qell):
@@ -496,9 +497,9 @@ def test_held_transfers_carried_to_every_pair_match_enumeration(monkeypatch, qel
     # where log(x_2 - x_1) need not vanish mod ell, on a fresh Regime first
     # called at (0, 2); the weights cycle through two points of nonzero
     # weight and one.  The enumeration runs through degree 2 (Q**3 monics at
-    # degree 3 over 600 pairs is too slow); l_polynomial checks degree 3 as
-    # well, from the carried counts.  Then every single point, through
-    # degree k + 1 = 2.  Two transfers run in all, one per support size.
+    # degree 3 over 600 pairs is too slow); check_extra=2 only sets the
+    # budget's charge.  Then every single point, through degree k + 1 = 2.
+    # No transfer runs at one or two points of nonzero weight.
     import ellcover.lseries as ls
 
     real, runs = ls._horner_counts, []
@@ -519,7 +520,7 @@ def test_held_transfers_carried_to_every_pair_match_enumeration(monkeypatch, qel
             slow = _l_coefficients_by_enumeration(reg, [ext.elem(x)], w, 3)
             assert ec.l_polynomial(reg, [ext.elem(x)], w, check_extra=2) == slow[:1]
             assert all(c.is_zero for c in slow[1:])
-    assert [[p.val for p in points] for points in runs] == [[0, 1], [0]]
+    assert runs == []
 
 
 def test_held_counts_answer_every_support_without_a_transfer(monkeypatch):
@@ -528,10 +529,10 @@ def test_held_counts_answer_every_support_without_a_transfer(monkeypatch):
     reg = Regime(5, 3)
     ext = reg.ext
     ec.l_polynomial(reg, pts(reg, 3, 1), (1, 2))
-    ec.l_polynomial(reg, pts(reg, 4, 2), (2, 0))  # one point, held to k + 3 = 5 terms
+    ec.l_polynomial(reg, pts(reg, 4, 2), (2, 0))  # one point of nonzero weight
 
     def no_transfer(*args):
-        raise AssertionError("a held support ran the transfer")
+        raise AssertionError("a one- or two-point support ran the transfer")
 
     monkeypatch.setattr(ls, "_horner_counts", no_transfer)
     for i, (a, b) in enumerate(permutations(range(ext.order), 2)):
@@ -543,13 +544,13 @@ def test_held_counts_answer_every_support_without_a_transfer(monkeypatch):
 
 
 def test_a_longer_call_reruns_the_transfer_and_catches_a_moved_count(monkeypatch):
-    # counts held through degree 4 (CHECK_EXTRA = 3); a lying transfer moves
-    # one monic of degree k = 2 to a root, where chi_w is 0
+    # a lying transfer moves one monic of degree k to a root, where chi_w is
+    # 0: two points run no transfer at any length, and three run it to their
+    # own length, which catches the lie
     import ellcover.lseries as ls
 
     reg = Regime(2, 3)
     ext = reg.ext
-    ec.l_polynomial(reg, pts(reg, 0, 1), (1, 1))
     real, runs = ls._horner_counts, []
 
     def lying(ctx, points, terms, ell):
@@ -562,20 +563,20 @@ def test_a_longer_call_reruns_the_transfer_and_catches_a_moved_count(monkeypatch
 
     monkeypatch.setattr(ls, "_horner_counts", lying)
     points = [ext.elem(1), ext.elem(2)]
-    assert ext.log[ext.sub_i(2, 1)] % 3  # carried with a nonzero shift
+    assert ext.log[ext.sub_i(2, 1)] % 3  # log(x_2 - x_1) does not vanish
     want = _l_coefficients_by_enumeration(reg, points, (1, 2), 2)
-    assert ec.l_polynomial(reg, points, (1, 2)) == want  # the held counts
+    assert ec.l_polynomial(reg, points, (1, 2)) == want
+    assert ec.l_polynomial(reg, points, (1, 2), check_extra=4) == want
     assert runs == []
-    with pytest.raises(ec.CrossCheckMismatch, match="degree-2"):
-        ec.l_polynomial(reg, points, (1, 2), check_extra=4)
-    assert runs == [6]
+    with pytest.raises(ec.CrossCheckMismatch, match="degree-3"):
+        ec.l_polynomial(reg, points + [ext.elem(3)], (1, 2, 1), check_extra=4)
+    assert runs == [7]
 
 
 def test_held_counts_are_refused_by_the_budget_as_a_fresh_regime(monkeypatch):
     held = Regime(2, 3)
     ec.l_polynomial(held, pts(held, 0, 1), (1, 1))
     ec.l_polynomial(held, pts(held, 0), (1,))
-    assert sorted(held._transfers) == [1, 2]
     monkeypatch.setattr(cp, "KERNEL_STEP_CAP", 10)
     for points, w in (([1, 0], (1, 2)), ([1], (1,))):
         messages = []
@@ -584,6 +585,98 @@ def test_held_counts_are_refused_by_the_budget_as_a_fresh_regime(monkeypatch):
                 ec.l_polynomial(reg, pts(reg, *points), w)
             messages.append(str(exc.value))
         assert messages[0] == messages[1]
+
+
+def _oracles(reg, points, w, terms):
+    """c_0, c_1 of L(u) at two points from the Horner transfer at the points
+    of nonzero weight, which checks that degrees 2 to terms - 1 vanish, and
+    from the sum over every monic polynomial of degree 0 or 1."""
+    support = [(ec.embed_elem(x, reg.ext), wi) for x, wi in zip(points, w) if wi % reg.ell]
+    by_transfer = _transfer_coefficients(reg.ext, *zip(*support), 2, terms, reg.ell)
+    return by_transfer, _l_coefficients_by_enumeration(reg, points, w, 2)
+
+
+def _sum_weights(ell):
+    return list(product((1, 2, ell - 1), repeat=2)) + [(0, 1), (1, 0)]
+
+
+@pytest.mark.parametrize("qell", [(5, 3), (4, 5)])
+def test_the_sum_equals_the_transfer_and_the_enumeration_at_every_pair(qell):
+    # every ordered pair of F_Q points, the transfer through degree 2
+    reg = ec.make_regime(*qell)
+    ext = reg.ext
+    for a, b in permutations(range(ext.order), 2):
+        points = [ext.elem(a), ext.elem(b)]
+        for w in _sum_weights(reg.ell):
+            by_transfer, slow = _oracles(reg, points, w, 3)
+            assert ec.l_polynomial(reg, points, w) == by_transfer == slow, (a, b, w)
+
+
+@pytest.mark.parametrize("qell", [(3, 5), (2, 5), (3, 7), (16, 17)])
+def test_the_sum_equals_the_transfer_and_the_enumeration_at_seeded_pairs(qell):
+    # 200 seeded pairs of F_Q points, extension points included, the
+    # weights cycling through _sum_weights, the transfer through degree 1
+    from random import Random
+
+    reg = ec.make_regime(*qell)
+    ext, rng = reg.ext, Random(46)
+    weights = _sum_weights(reg.ell)
+    assert ext.order >= 16
+    for i in range(200):
+        points = [ext.elem(v) for v in rng.sample(range(ext.order), 2)]
+        w = weights[i % len(weights)]
+        by_transfer, slow = _oracles(reg, points, w, 2)
+        assert ec.l_polynomial(reg, points, w) == by_transfer == slow, (points, w)
+
+
+@pytest.mark.parametrize("w, message", [((1, 1), "not of norm 25"), ((1, 2), "not -1")])
+def test_a_moved_class_count_breaks_the_identity_of_the_sum(monkeypatch, w, message):
+    # one term of c_1 moved to the next class, at every ordered pair of F_25
+    # points: the norm check catches it under a primitive character, the
+    # -1 check under an imprimitive one
+    import ellcover.lseries as ls
+
+    real = ls._sum_classes
+
+    def moved(*args):
+        by_class = real(*args)
+        top = max(range(len(by_class)), key=by_class.__getitem__)
+        by_class[top] -= 1
+        by_class[(top + 1) % len(by_class)] += 1
+        return by_class
+
+    monkeypatch.setattr(ls, "_sum_classes", moved)
+    ext = R53.ext
+    for a, b in permutations(range(ext.order), 2):
+        with pytest.raises(ec.CrossCheckMismatch, match=message):
+            ec.l_polynomial(R53, [ext.elem(a), ext.elem(b)], w)
+
+
+def test_rotated_class_counts_are_caught_by_the_minus_one_check(monkeypatch):
+    # every term moved one class on multiplies c_1 by zeta: -zeta has norm 1,
+    # so only c_1 = -1 itself, not its norm, tells it from the true sum
+    import ellcover.lseries as ls
+
+    real = ls._sum_classes
+
+    def rotated(*args):
+        by_class = real(*args)
+        return by_class[-1:] + by_class[:-1]
+
+    monkeypatch.setattr(ls, "_sum_classes", rotated)
+    with pytest.raises(ec.CrossCheckMismatch, match="not -1"):
+        ec.l_polynomial(R53, pts(R53, 0, 1), (1, 2))
+
+
+def test_a_corrupted_log_entry_is_caught_at_one_point(monkeypatch):
+    # the class of one unit moved: the classes of the units are no longer
+    # equidistributed, so c_1 at one point does not vanish
+    ext = R53.ext
+    log = list(ext.log)
+    log[2] += 1
+    monkeypatch.setattr(ext, "log", log)
+    with pytest.raises(ec.CrossCheckMismatch, match="not of norm 0"):
+        ec.l_polynomial(R53, pts(R53, 0), (1,))
 
 
 @pytest.mark.parametrize("qell, k", [((2, 3), 1), ((2, 3), 2), ((2, 5), 1),

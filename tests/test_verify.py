@@ -37,6 +37,7 @@ def test_battery_green_on_reference_regime():
     assert "power r = 2..2 of the first 24" in rows["fiber-oracle"].detail
     # the weights at k = 2 include (1, 0), with a point of weight 0
     assert "4 weights at k=2" in rows["l-polynomial"].detail
+    assert rows["l-polynomial"].detail.endswith("at k=2 the Horner transfer through degree 4")
 
 
 def test_battery_green_on_second_regime():
@@ -333,6 +334,20 @@ def test_l_polynomial_row_compares_with_the_enumeration(monkeypatch):
     rows = {r.name: r for r in run_checks(2, 3, max_D=4)}
     assert not rows["l-polynomial"].passed
     assert "enumeration gives" in rows["l-polynomial"].detail
+    assert all(r.passed for name, r in rows.items() if name != "l-polynomial")
+
+
+def test_l_polynomial_row_compares_the_sum_with_the_transfer(monkeypatch):
+    transfer = verify._transfer_coefficients
+
+    def shifted(*args):
+        coeffs = transfer(*args)
+        return coeffs[:-1] + [coeffs[-1] + 1]
+
+    monkeypatch.setattr(verify, "_transfer_coefficients", shifted)
+    rows = {r.name: r for r in run_checks(2, 3, max_D=4)}
+    assert not rows["l-polynomial"].passed
+    assert "the transfer gives" in rows["l-polynomial"].detail
     assert all(r.passed for name, r in rows.items() if name != "l-polynomial")
 
 
