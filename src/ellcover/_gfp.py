@@ -29,9 +29,10 @@ p = 2, 3, 5, 7, 11 and 13, and on discrete logs for every other field.
 Every function returns the same literals as the discrete-log kernels there;
 the test suite checks both against the naive oracles.
 
-A power of x, such as the split's root of unity x**((p**n - 1) / ell) or
-x**p in Ben-Or's first round, multiplies by x as a shift up one lane, which
-leaves one lane to eliminate in place of a product and its reduction.
+A power of x + a, such as the split's root of unity (x + a)**((p**n - 1) /
+ell) or x**p in Ben-Or's first round, multiplies by x + a as a shift up one
+lane plus a times the lanes, which leaves one lane to eliminate in place of
+a product and its reduction.
 
 irreducible, the primality test that fqpoly's one rule picks for these
 fields but F_2 (which _gf2 decides), first rejects a candidate of degree 2
@@ -248,15 +249,18 @@ class Residues:
         """r**e for e >= 1 by left-to-right square-and-multiply."""
         p, s, dm, neg, c0, room = self.p, self.s, self.dm, self.neg, self.c0, self.room
         top = 2 * dm - 2
-        # times x is a shift up one lane, which leaves one lane to eliminate
-        shift = dm > 1 and r == self.residue((0, 1))
+        # times x + a is a shift up one lane plus a times the lanes, which
+        # leaves one lane to eliminate
+        shift = dm > 1 and r[1] == 1 and not any(r[2:])
+        a = r[0]
         base = widen(r, s)
         for bit in bin(e)[3:]:
             v = widen(r, s)
             r = _reduce(v * v, top, dm, neg, c0, p, s, room)
             if bit == "1":
                 if shift:
-                    r = _reduce(widen(r, s) << 8 * s, dm, dm, neg, c0, p, s, room)
+                    v = widen(r, s)
+                    r = _reduce((v << 8 * s) + a * v, dm, dm, neg, c0, p, s, room)
                 else:
                     r = _reduce(widen(r, s) * base, top, dm, neg, c0, p, s, room)
         return r

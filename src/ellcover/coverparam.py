@@ -14,13 +14,15 @@ the test suite can show ensemble statistics do not depend on the choice).
 The twisted polynomial multiplies F_j with exponent q**(1-j) mod ell and is
 scaled so its leading coefficient is exactly b**n_q; the scaling constant is
 an ell-th power, so every character value, hence every fiber count, agrees
-with the unscaled product.
+with the unscaled product.  _split splits a base prime on literal sequences;
+split_prime and prime_classes admit, prove and cache it, and a Monte Carlo
+sample, whose draw proved it, splits it by _split alone.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 from math import comb
 from operator import mul
 from random import Random
@@ -41,16 +43,19 @@ from .errors import (
 from .fqpoly import (
     Poly,
     _factor_fold,
+    _frobenius_table,
+    _gcd_coeffs,
     _monic_irreducible,
+    _mul_coeffs,
     _packed,
+    _pow_mod_coeffs,
     _random_coeffs,
     _random_literals,
+    _trim,
     _trusted,
-    embed,
     factor,
     irreducible,
     necklace_count,
-    poly_frobenius,
     primes_with_degree,
 )
 from .gf import (
@@ -70,11 +75,11 @@ KERNEL_STEP_CAP = 1 << 22
 # _draw_prime holds its decision on each candidate of degree d over F_q,
 # 2 < q < 256, for the process when q**d is at most this: that degree then
 # costs at most q**d tests, and its held table at most q**d entries of d + 1
-# bytes (6 561 for F_3 at degree 8).  A drawn prime of degree d is stored on
-# the regime when necklace_count(q, d) is at most this, else its sample's alone.
+# bytes (6 561 for F_3 at degree 8).  A drawn prime of degree d has its classes
+# stored when necklace_count(q, d) is at most this, else its sample's alone.
 DRAW_SIEVE_CAP = 1 << 13
 LABELINGS = ("least", "greatest")  # anchoring rules for Frobenius orbits
-EQUAL_DEGREE_DRAWS = 64  # z that _split tries for a root of unity other than 1
+EQUAL_DEGREE_DRAWS = 64  # z that _split tries: x + a for every a, then seeded
 
 
 def _check_steps(steps: int, what: str) -> None:
@@ -136,8 +141,8 @@ def check_regime(q: int, ell: int) -> tuple[int, int, int]:
 
 class Regime:
     """A (q, ell) pair with its contexts, caches, and twist exponents.  The
-    stores of split_prime and prime_classes hold each prime they admit and
-    prove; a sample classes its drawn primes above DRAW_SIEVE_CAP's line."""
+    stores hold each prime that split_prime or prime_classes proves, and the
+    classes of the drawn primes at or below DRAW_SIEVE_CAP's line."""
 
     __slots__ = ("q", "ell", "p", "k", "n_q", "base", "ext", "v_exps", "cosets",
                  "_split_cache", "_class_cache", "_suffix", "_lines")
@@ -295,8 +300,8 @@ def split_prime(regime: Regime, prime: Poly, labeling: str = "least") -> tuple[P
     multiply to P makes P prime.  Over a base that packs (_packed), P is
     tested over F_q, where a residue screen decides it in microseconds;
     over every other base, whose kernels run in logs, a is tested over F_Q,
-    where Ben-Or's rounds on degree m cost less.  A drawn prime above the
-    store's line (DRAW_SIEVE_CAP) goes to _split instead: its draw proved it."""
+    where Ben-Or's rounds on degree m cost less.  A drawn prime never comes
+    here: its draw proved it, and its sample splits it by _split."""
     _check_labeling(labeling)
     _admit(regime, prime)
     orbit = regime._split_cache.get(prime.coeffs)
@@ -339,11 +344,13 @@ def _split(regime: Regime, prime: Poly) -> tuple[Poly, ...]:
     of the i-th conjugate factor y is w**(s * q**i), w = g**((Q - 1) / ell)
     in F_Q and s prime to ell, and these n_q values are distinct, so
     gcd(P, y - w**r) over F_Q is one conjugate factor when r lies in the
-    coset s<q> of (Z/ell)* and 1 otherwise.  z is x, then random z(x) seeded
-    by the prime, up to the first y not in {0, 1}; r runs over
-    regime.cosets, the cosets' least members, up to the first gcd that is
-    not 1.  Over (2,3) the orbit checks prime_classes' packed factor from
-    _gf2 from outside.
+    coset s<q> of (Z/ell)* and 1 otherwise.  z is x + a for each literal a
+    (a lane shift and a scalar step per multiply over a packed base), then
+    random z(x) seeded by the prime, up to the first y not in {0, 1}; the
+    anchored orbit does not depend on z.  r runs over regime.cosets, the
+    cosets' least members, up to the first gcd that is not 1.  One pass on
+    literal sequences, Polys built for the returned orbit alone.  Over (2,3)
+    the orbit checks prime_classes' packed factor from _gf2 from outside.
 
     A reducible input fails one of these checks with CrossCheckMismatch, or
     else split_prime's prime test: a y not in {0, 1} within
@@ -352,56 +359,54 @@ def _split(regime: Regime, prime: Poly) -> tuple[Poly, ...]:
     and their product the embedded prime.
     """
     n_q, q, ell, ext = regime.n_q, regime.q, regime.ell, regime.ext
-    n = prime.degree
-    z, rng = Poly.x(regime.base), None
-    for _ in range(EQUAL_DEGREE_DRAWS):
-        y = z.pow_mod((q ** n - 1) // ell, prime).coeffs
-        if y not in ((), (1,)):
+    n, rng = prime.degree, None
+    for t in range(EQUAL_DEGREE_DRAWS):
+        if t < q:
+            z = [t, 1]
+        else:
+            rng = rng or Random(_factor_fold(prime))
+            z = _trim(_random_coeffs(rng, q, n))
+        y = _pow_mod_coeffs(regime.base, z, (q ** n - 1) // ell, prime.coeffs)
+        if y not in ([], [1]):
             break
-        rng = rng or Random(_factor_fold(prime))
-        z = _trusted(regime.base, _random_coeffs(rng, q, n))
     else:
         raise CrossCheckMismatch(
             f"no root of unity other than 1 found in {EQUAL_DEGREE_DRAWS} tries: "
             "the input is not prime")
     table = subfield_table(regime.base, ext)
     y = [table[c] for c in y]
-    embedded, step = embed(prime, ext), (ext.order - 1) // ell
+    embedded, step = [table[c] for c in prime.coeffs], (ext.order - 1) // ell
     for r in regime.cosets:
-        shifted = list(y)
-        shifted[0] = ext.sub_i(y[0], ext.exp[r * step])
-        a = embedded.gcd(_trusted(ext, shifted))
-        if a.degree > 0:
+        a = _gcd_coeffs(ext, embedded, _trim([ext.sub_i(y[0], ext.exp[r * step])] + y[1:]))
+        if len(a) > 1:
             break
     else:
         raise CrossCheckMismatch(
             f"y - w**r is prime to the input for every coset r<{q}> of "
             f"(Z/{ell})*: the input is not prime")
     m = n // n_q
-    if a.degree != m:
+    if len(a) != m + 1:
         raise CrossCheckMismatch(
             f"no prime factor of degree {m} found: the input is not prime")
-    walk = [a]
+    inv, frob = ext.inv_i(a[-1]), _frobenius_table(ext, q)
+    walk = [tuple(ext.mul_i(inv, c) for c in a)]
     for _ in range(n_q - 1):
-        walk.append(poly_frobenius(walk[-1], q))
+        walk.append(tuple([frob[c] for c in walk[-1]]))
     if len(set(walk)) != n_q:
         raise CrossCheckMismatch("embedded prime did not split into n_q conjugates")
-    if poly_frobenius(walk[-1], q) != walk[0]:
+    if tuple([frob[c] for c in walk[-1]]) != walk[0]:
         raise CrossCheckMismatch("conjugates do not form a single Frobenius orbit")
-    prod = walk[0]
-    for pr in walk[1:]:
-        prod = prod * pr
-    if prod != embedded:
+    if reduce(lambda f, g: _mul_coeffs(ext, f, g), walk) != embedded:
         raise CrossCheckMismatch(
             "orbit product does not recover the embedded prime")
-    return tuple(walk)
+    return tuple(_trusted(ext, list(w)) for w in walk)
 
 
 def prime_classes(regime: Regime, prime: Poly, labeling: str = "least") -> tuple[int, ...]:
     """_prime_classes cached per labeling on the regime, splitting through
     split_prime, each call admitting prime (_admit): every prime of a
-    budgeted enumeration or a given tuple, and the drawn primes on the
-    store's side of DRAW_SIEVE_CAP, come here."""
+    budgeted enumeration or a given tuple; a hit may read a drawn prime
+    that a Monte Carlo sample classed by _split."""
     _check_labeling(labeling)
     _admit(regime, prime)
     cache = regime._class_cache[labeling]
@@ -422,7 +427,8 @@ def _prime_classes(regime: Regime, prime: Poly, labeling: str, split,
     over F_4, without an orbit: factor, where a draw's proof found it, else
     _gf2.conjugate_factor_coeffs', which proves prime.  A(0) is the low bits
     of the halves and A(1) their parities.  Every other regime reads them off
-    the labeling's anchor of split(regime, prime), split_prime or _split.
+    the labeling's anchor of split(regime, prime), split_prime or _split,
+    its least (or greatest) literal tuple, by Horner on extension literals.
     """
     ext = regime.ext
     if regime.q == 2 and regime.n_q == 2:
@@ -435,8 +441,8 @@ def _prime_classes(regime: Regime, prime: Poly, labeling: str, split,
             lo ^= hi
         values = [(lo & 1) | (hi & 1) << 1, lo.bit_count() & 1 | (hi.bit_count() & 1) << 1]
     else:
-        anchor = _anchored(split(regime, prime), labeling)[0]
-        values = [anchor.eval(FieldElem(ext, xv)).val
+        anchor = (min if labeling == "least" else max)(f.coeffs for f in split(regime, prime))
+        values = [reduce(lambda acc, c: ext.add_i(ext.mul_i(acc, xv), c), anchor[::-1], 0)
                   for xv in subfield_table(regime.base, ext)]
     if 0 in values:
         raise UnexpectedRoot(f"prime {prime!r} vanishes at a rational point")
@@ -739,11 +745,11 @@ def _sample_full(regime: Regime, D: int, rng: Random,
                  labeling: str | None = None):
     """Draw one cover as (prime_mults, b, rows): each drawn prime with its
     slot index, the twisting unit, and with a labeling each prime's classes
-    in it, in prime_mults order (rows is None without one).  A prime of a
-    degree d with at most DRAW_SIEVE_CAP primes over F_q is classed by
-    prime_classes, through the regime's stores; every other one, proved by
-    its draw alone, for this sample by _prime_classes, over (2,3) from the
-    factor the proof found and elsewhere from _split: the stores stay small.
+    in it, in prime_mults order (rows is None without one).  Each prime is
+    proved by its draw alone and classed by _prime_classes, over (2,3) from
+    the factor the proof found, if any, and elsewhere from _split.  The
+    regime's class store holds those of a degree d with at most
+    DRAW_SIEVE_CAP primes over F_q; every other one is this sample's alone.
 
     Every draw is rng.randrange's, in value and in generator state: one per
     degree class for its prime count, one per prime for its slot, and one
@@ -768,8 +774,10 @@ def _sample_full(regime: Regime, D: int, rng: Random,
             j += 1
             w = row[j] * nxt[rem - j * c]
         if j:
-            # row[1] = (ell - 1) * necklace_count(q, n_q * c)
+            # row[1] = (ell - 1) * necklace_count(q, n_q * c); above the line
+            # the classes go to a store that this sample drops
             stored = row[1] <= DRAW_SIEVE_CAP * (ell - 1)
+            store = regime._class_cache[labeling] if stored and labeling else {}
             seen: set[tuple[int, ...]] = set()
             for _ in range(j):
                 while True:
@@ -779,8 +787,9 @@ def _sample_full(regime: Regime, D: int, rng: Random,
                         break
                 prime_mults.append((prime, 1 + _randbelow(getrandbits, ell - 1)))
                 if rows is not None:
-                    rows.append(prime_classes(regime, prime, labeling) if stored else
-                                _prime_classes(regime, prime, labeling, _split, factor))
+                    got = store.get(prime.coeffs) or _prime_classes(
+                        regime, prime, labeling, _split, factor)
+                    rows.append(store.setdefault(prime.coeffs, got))
             rem -= j * c
             if not rem:
                 break

@@ -2,11 +2,15 @@
 
 Everything here works on plain ascending coefficient lists of ints mod a
 prime p, shares no code with the package, and favors obviousness over speed:
-trial division, exhaustive scans, and textbook formulas only.
+trial division, exhaustive scans, and textbook formulas only.  The one
+exception is seeded_retry_split, the split's earlier retry order, which
+runs on the package's Poly arithmetic.
 """
 
+from functools import reduce
 from itertools import product
 from math import comb
+from operator import mul
 
 
 def trim(a):
@@ -664,3 +668,43 @@ def series_steps(reg, D):
     M = D // reg.n_q
     products = sum(1 for N in range(1, M + 1) for I in range(1, N + 1))
     return products + sum(1 for m in range(1, M + 1) for I in range(m, M + 1, m))
+
+
+# ---------------------------------------------------------------------------
+# The split with its earlier retry order: the oracle of the retries on x + a.
+
+def seeded_retry_split(reg, prime, tries=64):
+    """The Frobenius orbit over the extension of the base prime `prime` of
+    the regime reg, unanchored, found as the package found it before its
+    retries on x + a: y = z**((q**n - 1) / ell) mod P for z = x and then
+    random z(x) seeded by the prime, up to the first y not in {0, 1}, and
+    the first gcd of the embedded prime with y - w**r that is not 1, r the
+    least member of each coset of <q> in (Z/ell)*.  Unlike the rest of this
+    module it runs on the package's Poly arithmetic, whose kernels the tests
+    hold to the ones above."""
+    from random import Random
+
+    import ellcover as ec
+    from ellcover.fqpoly import _factor_fold, _random_coeffs
+
+    q, ell, ext, n = reg.q, reg.ell, reg.ext, prime.degree
+    z, rng = ec.Poly.x(reg.base), Random(_factor_fold(prime))
+    for _ in range(tries):
+        y = z.pow_mod((q ** n - 1) // ell, prime)
+        if y.coeffs not in ((), (1,)):
+            break
+        z = ec.Poly(reg.base, _random_coeffs(rng, q, n))
+    else:
+        raise AssertionError("no root of unity other than 1")
+    y, embedded = ec.embed(y, ext), ec.embed(prime, ext)
+    w = ec.FieldElem(ext, ext.exp[(ext.order - 1) // ell])
+    for r in reg.cosets:
+        a = embedded.gcd(y - ec.Poly(ext, [w ** r]))
+        if a.degree > 0:
+            break
+    orbit = [a]
+    for _ in range(reg.n_q - 1):
+        orbit.append(ec.poly_frobenius(orbit[-1], q))
+    assert a.degree == n // reg.n_q and len(set(orbit)) == reg.n_q
+    assert ec.poly_frobenius(orbit[-1], q) == a and reduce(mul, orbit) == embedded
+    return tuple(orbit)

@@ -522,39 +522,22 @@ def test_monte_carlo_proves_each_drawn_prime_once(monkeypatch, labeling):
 
 @pytest.mark.parametrize("qell", [(3, 5), (5, 3), (2, 5), (4, 5)], ids=str)
 def test_monte_carlo_proves_each_drawn_prime_once_in_every_regime(monkeypatch, qell):
-    # a drawn prime is proved by its draw: _split runs no prime test, and
-    # split_prime proves each prime it stores once, when it stores it.  At
+    # a drawn prime is proved by its draw alone, on both sides of the
+    # store's line: the run calls coverparam's prime test nowhere and
+    # split_prime never, and _split splits each stored prime once.  At
     # g = 20 the draws of degree 12 over F_3, 8 to 22 over F_5 and 10 to 12
     # over F_4 are the sample's own; (2,5) stores all of its draws.  (4,5)
     # runs on a log base, whose draws decide their candidates by fqpoly's
-    # rule, outside either split
-    inside, tested_in_split, proved, owned = [], [], [], []
-    split, split_prime = coverparam._split, coverparam.split_prime
-    irreducible = coverparam.irreducible
-
-    def spy_split(regime, prime):
-        if not inside:
-            owned.append(prime.degree)
-        inside.append(None)
-        try:
-            return split(regime, prime)
-        finally:
-            inside.pop()
-
-    def spy_split_prime(regime, prime, labeling="least"):
-        inside.append(prime.coeffs)
-        try:
-            return split_prime(regime, prime, labeling)
-        finally:
-            inside.pop()
-
-    def spy_irreducible(f):
-        if None in inside:
-            tested_in_split.append(f)
-        elif inside:
-            proved.append(inside[-1])
-        return irreducible(f)
-
+    # rule, outside any split
+    tested, asked, split_calls = [], [], []
+    irreducible, split, split_prime = (coverparam.irreducible, coverparam._split,
+                                       coverparam.split_prime)
+    monkeypatch.setattr(coverparam, "irreducible",
+                        lambda f: tested.append(f) or irreducible(f))
+    monkeypatch.setattr(coverparam, "split_prime",
+                        lambda *args: asked.append(args) or split_prime(*args))
+    monkeypatch.setattr(coverparam, "_split",
+                        lambda reg, f: split_calls.append(f.coeffs) or split(reg, f))
     samples = []
 
     def spy_sample_full(*args):
@@ -562,16 +545,17 @@ def test_monte_carlo_proves_each_drawn_prime_once_in_every_regime(monkeypatch, q
         return samples[-1]
 
     sample_full = ensemble._sample_full
-    monkeypatch.setattr(coverparam, "_split", spy_split)
-    monkeypatch.setattr(coverparam, "split_prime", spy_split_prime)
-    monkeypatch.setattr(coverparam, "irreducible", spy_irreducible)
     monkeypatch.setattr(ensemble, "_sample_full", spy_sample_full)
     reg = Regime(*qell)
     ec.monte_carlo_distribution(reg, 20, 100, seed=3)
-    assert not tested_in_split
-    assert sorted(proved) == sorted(reg._split_cache)
+    assert not tested and not asked
+    assert reg._split_cache == {}
+    drawn = [pr.coeffs for prime_mults, _, _ in samples for pr, _ in prime_mults]
+    owned = {len(c) - 1 for c in drawn if ec.necklace_count(reg.q, len(c) - 1) > DRAW_SIEVE_CAP}
+    stored = {c for c in drawn if ec.necklace_count(reg.q, len(c) - 1) <= DRAW_SIEVE_CAP}
     assert bool(owned) == (qell != (2, 5))
-    assert all(ec.necklace_count(reg.q, d) > DRAW_SIEVE_CAP for d in owned)
+    assert set(reg._class_cache["least"]) == stored and not reg._class_cache["greatest"]
+    assert sorted(split_calls) == sorted([c for c in drawn if c not in stored] + list(stored))
     monkeypatch.undo()
     fresh = Regime(*qell)
     for prime_mults, _, rows in samples:
@@ -582,27 +566,29 @@ def test_monte_carlo_proves_each_drawn_prime_once_in_every_regime(monkeypatch, q
                                  (4, 5, 20, 600)], ids=str)
 def test_a_long_run_stores_no_drawn_prime_above_the_line(monkeypatch, run):
     # a drawn prime of a degree with more than DRAW_SIEVE_CAP primes is
-    # classed for its own sample: after the run neither store holds one.
+    # owned by its sample: after the run the class store holds exactly the
+    # drawn primes at or below the line, and split_prime's store none.
     # Over (2,3) that line lies between degrees 16 and 18; over (4,5) it
     # lies between 8 (8 160 primes, 4**8 candidates) and 10
     q, ell, g, samples = run
-    owned = []
+    drawn = []
     prime_classes = coverparam._prime_classes
 
     def spy_prime_classes(regime, prime, labeling, split, factor=None):
-        if split is coverparam._split:
-            owned.append(prime.degree)
+        drawn.append(prime.coeffs)
         return prime_classes(regime, prime, labeling, split, factor)
 
     monkeypatch.setattr(coverparam, "_prime_classes", spy_prime_classes)
     reg = Regime(q, ell)
     ec.monte_carlo_distribution(reg, g, samples, seed=8)
-    keys = [c for cache in (*reg._class_cache.values(), reg._split_cache) for c in cache]
-    assert all(ec.necklace_count(q, len(c) - 1) <= DRAW_SIEVE_CAP for c in keys)
+    below = {c for c in drawn if ec.necklace_count(q, len(c) - 1) <= DRAW_SIEVE_CAP}
+    owned = [len(c) - 1 for c in drawn if c not in below]
+    assert set(reg._class_cache["least"]) == below and reg._split_cache == {}
+    assert len(drawn) == len(below) + len(owned)  # each stored prime classed once
     assert owned and all(ec.necklace_count(q, d) > DRAW_SIEVE_CAP for d in owned)
     if (q, ell) == (2, 3):
-        assert len(keys) > 500
-        assert max(map(len, keys)) - 1 <= 2 * _gf2.SCREEN_DEGREE
+        assert len(below) > 500
+        assert max(map(len, below)) - 1 <= 2 * _gf2.SCREEN_DEGREE
         assert min(owned) == 2 * _gf2.SCREEN_DEGREE + 2
 
 
@@ -646,27 +632,67 @@ def test_split_prime_agrees_with_factor_oracle(qell, d, limit, labeling):
 
 def test_split_prime_retries_when_x_is_an_ell_th_power(monkeypatch):
     # over (5,3) x is a cube modulo x**4 + 2x**3 + 2x + 1, so y = x**208 is
-    # 1 there; the first seeded draw is z = 0, whose y is 0, and the second
-    # gives a primitive cube root of unity
-    reg = Regime(5, 3)
-    prime = ec.Poly(reg.base, [1, 2, 0, 2, 1])
-    power = (5 ** 4 - 1) // 3
-    assert ec.irreducible(prime)
-    assert ec.Poly.x(reg.base).pow_mod(power, prime) == ec.Poly.one(reg.base)
+    # 1 there, and the retry z = x + 1 gives a primitive cube root of unity.
+    # Over (2,3) both x and x + 1 are cubes modulo a prime of degree 8, so
+    # the q shifts are used up and the third z is the first seeded draw
+    power_5, power_2 = (5 ** 4 - 1) // 3, (2 ** 8 - 1) // 3
     draws = []
-    pow_mod_coeffs = fqpoly._pow_mod_coeffs
+    pow_mod_coeffs = coverparam._pow_mod_coeffs
 
     def spy(ctx, a, e, m):
         y = pow_mod_coeffs(ctx, a, e, m)
-        if ctx is reg.base and e == power:
+        if e in (power_5, power_2):
             draws.append((list(a), y))
         return y
 
-    monkeypatch.setattr(fqpoly, "_pow_mod_coeffs", spy)
-    assert ec.split_prime(reg, prime) == _orbit_from_factor(reg, prime, "least")
-    assert [z for z, _ in draws[:2]] == [[0, 1], []]
-    assert [y for _, y in draws[:2]] == [[1], []]
-    assert len(draws) == 3 and draws[2][1] not in ([], [1])
+    monkeypatch.setattr(coverparam, "_pow_mod_coeffs", spy)
+    for q, cs, want in (
+            (5, [1, 2, 0, 2, 1], [[0, 1], [1, 1]]),
+            (2, [1, 0, 1, 1, 1, 1, 0, 1, 1], [[0, 1], [1, 1], None])):
+        reg = Regime(q, 3)
+        prime = ec.Poly(reg.base, cs)
+        assert ec.irreducible(prime)
+        if want[-1] is None:
+            rng = Random(fqpoly._factor_fold(prime))
+            want[-1] = naive.trim(fqpoly._random_coeffs(rng, q, prime.degree))
+        draws.clear()
+        assert ec.split_prime(reg, prime) == _orbit_from_factor(reg, prime, "least")
+        assert [z for z, _ in draws] == want
+        assert all(y in ([], [1]) for _, y in draws[:-1]) and draws[-1][1] not in ([], [1])
+
+
+def _oracle_primes(reg, d, cap=3000, draws=300):
+    """Every prime of degree d where there are at most cap of them, else
+    `draws` primes from seeded draws."""
+    if ec.necklace_count(reg.q, d) <= cap:
+        return ec.primes_with_degree(reg.base, d)
+    rng = Random(f"oracle:{reg.q}:{d}")
+    return [_draw_prime(reg, d, rng)[0] for _ in range(draws)]
+
+
+@pytest.mark.parametrize("qell", [(3, 5), (5, 3), (2, 5), (4, 5), (4, 7), (9, 5)], ids=str)
+def test_retries_on_x_plus_a_give_the_seeded_retry_orbit(qell):
+    # the anchored orbit does not depend on which z gives y: split_prime's
+    # orbit, and _prime_classes under both labelings on a regime of its own,
+    # equal those of the split that retried with seeded draws, on the primes
+    # of each degree up to 8, all of them where a degree has at most 3 000,
+    # else 300 seeded draws (degree 8 over F_5 and F_4, 6 and 8 over F_9,
+    # where there are 48 750 to 5.4 million).  In each
+    # regime x is an ell-th power modulo some of them, so the retries run
+    reg, fresh = Regime(*qell), Regime(*qell)
+    points = ec.projective_points(reg)[:-1]
+    x, one, retried = ec.Poly.x(reg.base), ec.Poly.one(reg.base), 0
+    for d in range(reg.n_q, 9, reg.n_q):
+        for prime in _oracle_primes(reg, d):
+            orbit = naive.seeded_retry_split(reg, prime)
+            retried += x.pow_mod((reg.q ** d - 1) // reg.ell, prime) == one
+            for labeling in LABELINGS:
+                want = coverparam._anchored(orbit, labeling)
+                assert ec.split_prime(reg, prime, labeling) == want
+                assert coverparam._prime_classes(fresh, prime, labeling, coverparam._split) == \
+                    tuple(ec.lth_power_class(want[0].eval(v), reg.ell) for v in points)
+    assert retried
+    assert fresh._split_cache == {} and fresh._class_cache == {lab: {} for lab in LABELINGS}
 
 
 def test_monte_carlo_splits_without_cantor_zassenhaus_on_the_prime(monkeypatch):
@@ -680,21 +706,39 @@ def test_monte_carlo_splits_without_cantor_zassenhaus_on_the_prime(monkeypatch):
 
     monkeypatch.setattr(fqpoly, "_split_draw", refuse)
     ec.monte_carlo_distribution(reg, 20, 20, seed=7)
-    assert len(reg._split_cache) > 20
+    assert len(reg._class_cache["least"]) > 20
+
+
+def _drawn_primes(monkeypatch):
+    """A list that a spy on ensemble's sampler fills with the primes drawn."""
+    drawn, sample_full = [], ensemble._sample_full
+
+    def spy(*args):
+        out = sample_full(*args)
+        drawn.extend(prime for prime, _ in out[0])
+        return out
+
+    monkeypatch.setattr(ensemble, "_sample_full", spy)
+    return drawn
 
 
 @pytest.mark.parametrize("q,ell,g", [(3, 5, 20), (5, 3, 20), (3, 7, 30)])
 def test_monte_carlo_proves_split_primes_without_a_root_scan(q, ell, g, monkeypatch):
     # over a packed base split_prime proves the base prime over F_q by the
-    # residue screen, so no degree-m factor's points are scanned over F_Q
+    # residue screen, so no degree-m factor's points are scanned over F_Q:
+    # not in a Monte Carlo run, and not when split_prime proves its primes
     reg = Regime(q, ell)
 
     def refuse(ctx, cs):
         raise AssertionError(f"has_root on degree {len(cs) - 1} over F_{ctx.order}")
 
+    drawn = _drawn_primes(monkeypatch)
     monkeypatch.setattr(fqpoly, "has_root", refuse)
     ec.monte_carlo_distribution(reg, g, 40, seed=7)
-    assert reg._split_cache
+    assert reg._split_cache == {}
+    for prime in drawn:
+        ec.split_prime(reg, prime)
+    assert set(reg._split_cache) == {prime.coeffs for prime in drawn}
 
 
 @pytest.mark.parametrize("first,second", [
@@ -799,19 +843,24 @@ def test_stores_refuse_a_prime_over_another_field():
 
 def test_split_prime_rejects_an_orbit_that_does_not_close(monkeypatch):
     # the n_q-th Frobenius of the factor is made to stay put, so the walk of
-    # n_q distinct conjugates does not return to its first member
+    # n_q distinct conjugates does not return to its first member: the
+    # literal table reads true for the first n_q - 1 passes over the factor's
+    # m + 1 literals and leaves each literal in place after them
     reg = Regime(4, 5)
     prime = ec.primes_with_degree(reg.base, 2)[0]
-    frobenius, calls = coverparam.poly_frobenius, []
+    width = prime.degree // reg.n_q + 1
+    reads = []
 
-    def stuck(f, base_order):
-        calls.append(f)
-        return f if len(calls) == reg.n_q else frobenius(f, base_order)
+    class Stuck(tuple):
+        def __getitem__(self, c):
+            reads.append(c)
+            return c if len(reads) > (reg.n_q - 1) * width else tuple.__getitem__(self, c)
 
-    monkeypatch.setattr(coverparam, "poly_frobenius", stuck)
+    table = fqpoly._frobenius_table(reg.ext, reg.q)
+    monkeypatch.setattr(coverparam, "_frobenius_table", lambda ctx, order: Stuck(table))
     with pytest.raises(ec.CrossCheckMismatch, match="single Frobenius orbit"):
         ec.split_prime(reg, prime)
-    assert len(calls) == reg.n_q
+    assert len(reads) == reg.n_q * width
     assert reg._split_cache == {}
 
 
@@ -822,7 +871,7 @@ def test_split_prime_rejects_the_orbit_of_another_prime(monkeypatch):
     reg = Regime(4, 5)
     prime, other = ec.primes_with_degree(reg.base, 2)[:2]
     factor = ec.split_prime(Regime(4, 5), other)[0]
-    monkeypatch.setattr(ec.Poly, "gcd", lambda f, g: factor)
+    monkeypatch.setattr(coverparam, "_gcd_coeffs", lambda ctx, a, b: list(factor.coeffs))
     with pytest.raises(ec.CrossCheckMismatch, match="orbit product"):
         ec.split_prime(reg, prime)
     assert reg._split_cache == {}
@@ -839,11 +888,11 @@ def test_split_prime_compares_the_orbit_with_the_input_itself():
 
 
 def test_split_prime_rejects_a_factor_that_frobenius_fixes(monkeypatch):
-    # the Frobenius is made to fix the factor, so the walk holds one
-    # conjugate and not n_q
+    # the Frobenius is made to fix the factor, by a literal table that maps
+    # each literal to itself, so the walk holds one conjugate and not n_q
     reg = Regime(4, 7)
     prime = ec.primes_with_degree(reg.base, 3)[0]
-    monkeypatch.setattr(coverparam, "poly_frobenius", lambda f, base_order: f)
+    monkeypatch.setattr(coverparam, "_frobenius_table", lambda ctx, order: range(ctx.order))
     with pytest.raises(ec.CrossCheckMismatch, match="n_q conjugates"):
         ec.split_prime(reg, prime)
     assert reg._split_cache == {}
@@ -1405,8 +1454,8 @@ def test_a_draw_decides_each_candidate_by_the_one_rule_once(monkeypatch, q, ell,
 
 def test_no_f2_primality_runs_on_the_byte_lanes(monkeypatch):
     # F_2 decides by _gf2 alone: verify over (2,5), a (2,7) Monte Carlo run
-    # with its split proofs, and the modulus search of F_{2^12} all run with
-    # _gfp's byte-lane test refused at p = 2
+    # and split_prime's proofs of its drawn primes, and the modulus search
+    # of F_{2^12} all run with _gfp's byte-lane test refused at p = 2
     from ellcover import gf, verify
 
     lane_test, bit_test = _gfp.irreducible, _gf2.is_irreducible
@@ -1422,8 +1471,11 @@ def test_no_f2_primality_runs_on_the_byte_lanes(monkeypatch):
     monkeypatch.setattr(verify, "make_regime", Regime)
     assert all(r.passed for r in verify.run_checks(2, 5))
     reg = Regime(2, 7)
+    drawn = _drawn_primes(monkeypatch)
     ec.monte_carlo_distribution(reg, 57, 60, seed=7)
-    assert reg._split_cache
+    for prime in drawn:
+        ec.split_prime(reg, prime)
+    assert set(reg._split_cache) == {prime.coeffs for prime in drawn}
     assert gf.FieldCtx(2, 12).modulus == ec.make_field(2, 12).modulus
     assert bits
 

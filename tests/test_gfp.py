@@ -107,6 +107,35 @@ def test_powers_of_x_match_square_and_multiply(p):
                         for e in exps} == want
 
 
+def _pow_by_products(p, m, r, e):
+    """r**e mod the monic m by left-to-right square-and-multiply, each step
+    a product by _gfp.mul reduced by _gfp.divmod_: the generic product path,
+    with no shift step."""
+    out = list(r)
+    for bit in bin(e)[3:]:
+        out = _gfp.divmod_(p, _gfp.mul(p, out, out), m)[1]
+        if bit == "1":
+            out = _gfp.divmod_(p, _gfp.mul(p, out, r), m)[1]
+    return naive.trim(out)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_powers_of_x_plus_a_match_the_product_path(data):
+    """(x + a)**e through Residues.pow, whose multiply steps are a lane
+    shift plus a scalar step, for every a in F_p, against the generic
+    product path: monic moduli of degree 2 to 40 and exponents up to
+    p**deg."""
+    p = data.draw(st.sampled_from(PACKED))
+    d = data.draw(st.integers(2, MAX_LEN - 1))
+    m = data.draw(st.lists(st.integers(0, p - 1), min_size=d, max_size=d)) + [1]
+    e = data.draw(st.integers(1, p ** d))
+    ring = _gfp.Residues(p, m)
+    for a in range(p):
+        r = ring.residue([a, 1])
+        assert naive.trim(ring.pow(r, e)) == _pow_by_products(p, m, list(r), e)
+
+
 def test_empty_and_short_inputs():
     for p in PACKED:
         ctx = ec.make_field(p)

@@ -16,14 +16,15 @@ from ellcover.coverparam import Regime
 import ellcover.lseries as ls
 
 
-def _frozen_frobenius(f, q):
-    return f
+def _frozen_frobenius(ctx, base_order):
+    """A Frobenius literal table that fixes every literal."""
+    return range(ctx.order)
 
 
 @pytest.mark.parametrize("qell, degree", [((2, 3), 2), ((3, 5), 4)])
 def test_broken_frobenius_orbit_raises_a_typed_error(monkeypatch, qell, degree):
     reg = Regime(*qell)  # a private regime: the broken split must not be cached
-    monkeypatch.setattr(cp, "poly_frobenius", _frozen_frobenius)
+    monkeypatch.setattr(cp, "_frobenius_table", _frozen_frobenius)
     prime = ec.primes_with_degree(reg.base, degree)[0]
     with pytest.raises(ec.CrossCheckMismatch):
         ec.split_prime(reg, prime)
@@ -77,7 +78,7 @@ def test_reducible_input_fails_a_trace_check(bits, check):
 
 
 def test_broken_frobenius_orbit_exits_3_from_the_cli(monkeypatch, capsys):
-    monkeypatch.setattr(cp, "poly_frobenius", _frozen_frobenius)
+    monkeypatch.setattr(cp, "_frobenius_table", _frozen_frobenius)
     monkeypatch.setattr(cli, "make_regime", Regime)
     rc = cli.main(["count-points", "--q", "2", "--ell", "3", "--tuple", "1,1,1;1"])
     assert rc == 3
