@@ -615,13 +615,6 @@ def count_tuples(regime: Regime, D: int) -> int:
     return _suffix_table(regime, D)[1][0][D // regime.n_q]
 
 
-def _suffix_steps(regime: Regime, D: int) -> int:
-    """Table steps of a fresh _suffix_table at degree D, 0 when the held table
-    reaches it.  Extending is charged as a fresh table, whatever was held."""
-    M = D // regime.n_q
-    return 0 if M < len(regime._suffix[1]) else _stratum_steps(M)
-
-
 def _stratum_steps(M: int) -> int:
     """Table steps of a stratum table to M = D // n_q: m // c + 1 terms for
     each degree class c and each m <= M."""
@@ -630,8 +623,9 @@ def _stratum_steps(M: int) -> int:
 
 def check_stratum_budget(n_q: int, D: int) -> None:
     """BudgetExceeded when the stratum table to degree D >= 0 is over
-    KERNEL_STEP_CAP.  Any regime charges this where its table does not yet
-    reach D, so the check needs n_q and no field."""
+    KERNEL_STEP_CAP.  Any regime charges this, a fresh table's steps, where
+    its table does not yet reach D, so the check needs n_q and no field; a
+    held table that reaches D was admitted at a degree no lower."""
     _check_steps(_stratum_steps(D // n_q), f"the stratum count at degree {D}")
 
 

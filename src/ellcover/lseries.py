@@ -41,7 +41,6 @@ from .coverparam import (
     _enumerate_full,
     _quotient_sums,
     _stratum_steps,
-    _suffix_steps,
     class_vector,
     count_tuples,
 )
@@ -642,37 +641,25 @@ def _series_steps(M: int) -> int:
     return max(M, 0) * (M + 1) // 2 + _quotient_sums(M)[0]
 
 
-def _kernel_steps(regime: Regime, idx: tuple[int, ...], m_max: int) -> int:
-    """_kernel_growth_steps of the regime's kernel over the base points idx."""
-    return _kernel_growth_steps(regime.ext.order, regime.ell, len(idx), m_max,
-                                regime._lines.get(idx))
-
-
-def _kernel_growth_steps(order: int, ell: int, k: int, m_max: int,
-                         kernel: _LineKernel | None = None) -> int:
-    """Table steps of extending kernel, over k base points and F_Q of this
-    order (None for none built), from the degree it is cached to up to
-    n_q*m_max, 0 when it is cached that far.
-    When h = min(k - 1, m_max) passes the cached monic counts, _count_monics
-    recounts from degree 0: the Horner transfer to degree h, and ell**2 per
-    line for each of the k coordinates of each projected degree 1..h
-    (_dot_counts).  Each new degree n costs ell**2 per line for each product
-    Lambda_{n-j} M_j, j < min(n, k), and ell per line for each pair i < n of
-    the peel.  They bound memory too: no dict of the kernel or of _invert has
-    more than ell**(k+1) keys, and every caller charges ell**2 * k steps on
-    each of the ell**(k-1) or more lines, for projecting M_1 (k >= 2) or for
-    _invert; for k = 1 the ring is Z/ell."""
-    done = len(kernel.orthogonal) if kernel is not None else 0
-    if m_max <= done:
+def _kernel_growth_steps(order: int, ell: int, k: int, m_max: int) -> int:
+    """Table steps of a fresh kernel over k base points and F_Q of this order
+    to degree n_q*m_max, 0 for m_max <= 0; a held kernel is charged the same,
+    so no refusal depends on the calls before it, and as every term grows
+    with m_max, a kernel held to m_max never admits what a fresh one refuses.
+    _count_monics runs the Horner transfer to degree h = min(k - 1, m_max)
+    and pays ell**2 per line for each of the k coordinates of each projected
+    degree 1..h (_dot_counts).  Each degree n costs ell**2 per line for each
+    product Lambda_{n-j} M_j, 0 < j < min(n, k), and ell per line for each
+    pair i < n of the peel.  They bound memory too: no dict of the kernel or
+    of _invert has more than ell**(k+1) keys, and every caller charges
+    ell**2 * k steps on each of the ell**(k-1) or more lines, for projecting
+    M_1 (k >= 2) or for _invert; for k = 1 the ring is Z/ell."""
+    if m_max <= 0:
         return 0
     h, lines = max(min(k - 1, m_max), 0), _line_count(ell, k)
-    products = (sum(range(min(done, k), min(m_max, k)))
-                + max(k - 1, 0) * max(m_max - max(done, k), 0))
-    steps = lines * (ell ** 2 * products
-                     + ell * (m_max * (m_max - 1) - done * (done - 1)) // 2)
-    if kernel is None or len(kernel.monic.get((0,) * k, ())) <= h:
-        steps += _transfer_steps(order, k, h + 1) + lines * ell ** 2 * h * k
-    return steps
+    products = sum(range(min(m_max, k))) + max(k - 1, 0) * max(m_max - k, 0)
+    return _transfer_steps(order, k, h + 1) + lines * (
+        ell ** 2 * (products + h * k) + ell * m_max * (m_max - 1) // 2)
 
 
 def _orthogonal_at(regime: Regime, idx: tuple[int, ...], m_max: int) -> tuple[dict, ...]:
@@ -680,7 +667,8 @@ def _orthogonal_at(regime: Regime, idx: tuple[int, ...], m_max: int) -> tuple[di
     O_m(w), the number of base primes P of degree n_q*m with <w, c_P> = 0,
     c_P the class vector at the base points with sorted literals idx
     (O_m(0) counts them all).  One kernel per point set is cached on the
-    regime and extended on demand; callers check _kernel_steps first."""
+    regime and extended on demand; callers charge _kernel_growth_steps, a
+    fresh kernel's steps, first."""
     if m_max < 0:
         raise ValueError("prime degree bound must be non-negative")
     kernel = regime._lines.setdefault(idx, _LineKernel(idx))
@@ -705,7 +693,7 @@ def base_prime_lines(regime: Regime, m_max: int) -> tuple[dict, ...]:
     """
     ell, k = regime.ell, regime.q
     idx, zero = tuple(range(k)), (0,) * k
-    _check_steps(_kernel_steps(regime, idx, m_max)
+    _check_steps(_kernel_growth_steps(regime.ext.order, ell, k, m_max)
                  + m_max * _line_count(ell, k) * k * ell ** 2,
                  f"the base primes by class line to degree {regime.n_q * m_max}")
     out = []
@@ -751,25 +739,26 @@ def _euler_series(ell: int, n_q: int, per_degree, w, trunc: int) -> list[int]:
     return series
 
 
-def _check_class_sums(held: int, ell: int, k: int, D: int, m_max: int) -> None:
-    """_class_sum_counts' budget at k points to degree D = n_q*m_max, held
-    the steps of its stratum table and kernel: per line a look-up per
-    degree, one _euler_series at its recurrence's steps and ell**2 per
-    coordinate for _invert."""
-    _check_steps(held + _line_count(ell, k) * (m_max + _series_steps(m_max) + k * ell ** 2),
+def _check_class_sums(order: int, ell: int, n_q: int, k: int, D: int) -> None:
+    """BudgetExceeded when _class_sum_counts at k points to degree D, a
+    positive multiple of n_q, over F_Q of this order is over
+    KERNEL_STEP_CAP, charged as on a fresh regime: the stratum table, the
+    kernel, and per line a look-up per degree, one _euler_series at its
+    recurrence's steps and ell**2 per coordinate for _invert."""
+    m_max = D // n_q
+    _check_steps(_stratum_steps(m_max) + _kernel_growth_steps(order, ell, k, m_max)
+                 + _line_count(ell, k) * (m_max + _series_steps(m_max) + k * ell ** 2),
                  f"counting branch tuples by class sum at {k} points to degree {D}")
 
 
 def check_law_budget(q: int, ell: int, n_q: int, D: int) -> None:
-    """BudgetExceeded when the exact law at degree D over a fresh (q, ell)
-    regime of degree n_q is over KERNEL_STEP_CAP: _class_sum_counts at
-    every affine point with no table or kernel held, from (q, ell, n_q, D)
-    before any field is built."""
+    """BudgetExceeded when the exact law at degree D over a (q, ell) regime
+    of degree n_q is over KERNEL_STEP_CAP: _check_class_sums at all q affine
+    points, from (q, ell, n_q, D) before any field is built, the charge that
+    _class_sum_counts makes on any regime."""
     if D % n_q or D <= 0:
         return
-    m_max = D // n_q
-    _check_class_sums(_stratum_steps(m_max) + _kernel_growth_steps(q ** n_q, ell, q, m_max),
-                      ell, q, D, m_max)
+    _check_class_sums(q ** n_q, ell, n_q, q, D)
 
 
 def _class_sum_counts(regime: Regime, idx: tuple[int, ...], D: int) -> dict:
@@ -787,15 +776,13 @@ def _class_sum_counts(regime: Regime, idx: tuple[int, ...], D: int) -> dict:
     _invert recovers A from G.  Labeling-free: re-anchoring moves no prime
     off its line.  The series is computed once per profile (O_m(w))_m, which
     lines share.  The counts must add up to count_tuples.  Budgeted before any
-    work (_check_class_sums): the stratum and the kernel unless cached, and
-    the lines."""
+    work (_check_class_sums) as on a fresh regime, whatever table or kernel
+    the regime holds."""
     ell, n_q, k = regime.ell, regime.n_q, len(idx)
     if D % n_q or D <= 0:
         return {} if D else {(0,) * k: 1}
-    m_max = D // n_q
-    _check_class_sums(_suffix_steps(regime, D) + _kernel_steps(regime, idx, m_max),
-                      ell, k, D, m_max)
-    per_degree = _orthogonal_at(regime, idx, m_max)
+    _check_class_sums(regime.ext.order, ell, n_q, k, D)
+    per_degree = _orthogonal_at(regime, idx, D // n_q)
     by_profile: dict[tuple[int, ...], int] = {}
     coeffs = {}
     for w in per_degree[0]:  # every line representative
@@ -844,7 +831,8 @@ def g_series(regime: Regime, points, w, trunc: int) -> list[int]:
         raise InvalidTuple("weight vector length must match points")
     support = sorted((i, wi) for i, wi in zip(idx, w) if wi)
     idx = tuple(i for i, _ in support)
-    _check_steps(_kernel_steps(regime, idx, trunc // n_q) + _series_steps(trunc // n_q),
+    _check_steps(_kernel_growth_steps(regime.ext.order, ell, len(idx), trunc // n_q)
+                 + _series_steps(trunc // n_q),
                  f"the series G_w to degree {trunc}")
     per_degree = _orthogonal_at(regime, idx, trunc // n_q)
     line = _line_of(tuple(wi for _, wi in support), ell)

@@ -629,25 +629,19 @@ def line_count(ell, k):
     return 1 + sum(ell ** (k - 1 - i) for i in range(k))
 
 
-def kernel_steps(reg, k, m_max, cached=0):
+def kernel_steps(reg, k, m_max):
     """Steps of the base-prime kernel over k points to degree n_q*m_max,
-    from a kernel cached to degree n_q*cached (none at 0).  When
-    h = min(k - 1, m_max) is above the cached min(k - 1, cached), the
-    transfer classes every value vector of degree n <= h and pushes all but
-    the last degree's, and each line pays ell**2 for each coordinate of each
-    projected degree 1..h; for each degree n above the cached one, each line
-    pays ell**2 for each product Lambda_i M_j with j < k, and ell for each
-    pair i < n of the peel."""
+    m_max >= 1: with h = min(k - 1, m_max), the transfer classes every value
+    vector of degree n <= h and pushes all but the last degree's, and each
+    line pays ell**2 for each coordinate of each projected degree 1..h; for
+    each degree n, each line pays ell**2 for each product Lambda_i M_j with
+    0 < j < k, and ell for each pair i < n of the peel."""
     ell, Q = reg.ell, reg.ext.order
     h = min(k - 1, m_max)
-    transfer = projections = 0
-    if not cached or h > min(k - 1, cached):
-        transfer = sum(2 * Q ** min(n, k) for n in range(h + 1)) - Q ** min(h, k)
-        projections = h * k
-    new = range(cached + 1, m_max + 1)
-    products = sum(1 for n in new for j in range(1, min(n, k)))
-    pairs = sum(1 for n in new for i in range(1, n))
-    return transfer + line_count(ell, k) * (ell ** 2 * (projections + products) + ell * pairs)
+    transfer = sum(2 * Q ** min(n, k) for n in range(h + 1)) - Q ** min(h, k)
+    products = sum(1 for n in range(1, m_max + 1) for j in range(1, min(n, k)))
+    pairs = sum(1 for n in range(1, m_max + 1) for i in range(1, n))
+    return transfer + line_count(ell, k) * (ell ** 2 * (h * k + products) + ell * pairs)
 
 
 def class_sum_steps(reg, k, D):

@@ -1150,19 +1150,31 @@ def test_one_table_counts_every_degree_in_any_order(q, ell):
 
 
 def test_a_held_table_charges_nothing_below_it_and_a_fresh_table_above(monkeypatch):
+    # a fresh table's charge grows with D, so the table held at D = 200 was
+    # admitted at a charge over every one below it: below it, counts and
+    # draws read it with no budget arithmetic, even under a cap of 0
     reg = Regime(2, 3)
-    fresh = [coverparam._suffix_steps(reg, D) for D in range(301)]
+    fresh = [coverparam._stratum_steps(D // reg.n_q) for D in range(301)]
+    assert fresh == [naive.suffix_steps(reg, D) for D in range(301)]
+    assert fresh == sorted(fresh)
+    counts = [ec.count_tuples(Regime(2, 3), D) for D in range(201)]
     assert ec.count_tuples(reg, 200)
-    assert [coverparam._suffix_steps(reg, D) for D in range(202)] == [0] * 202
-    assert [coverparam._suffix_steps(reg, D) for D in range(202, 301)] == fresh[202:]
-    # an extension refused one step below a fresh table's count leaves every
-    # held entry as it was, and runs at that count
+    monkeypatch.setattr(coverparam, "KERNEL_STEP_CAP", 0)
+    assert [ec.count_tuples(reg, D) for D in range(201)] == counts
+    ec.sample_params(reg, 200, 7)
+    # an extension is charged as a fresh table: refused one step below a
+    # fresh table's count with a fresh regime's message, it leaves every
+    # held entry as it was, and it runs at that count
     held = copy.deepcopy(reg._suffix)
     monkeypatch.setattr(coverparam, "KERNEL_STEP_CAP", fresh[300] - 1)
-    for call in (lambda: ec.count_tuples(reg, 300),
-                 lambda: ec.sample_params(reg, 300, 7)):
-        with pytest.raises(ec.BudgetExceeded, match=f"about {fresh[300]} table steps"):
-            call()
+    for call in (ec.count_tuples, lambda r, D: ec.sample_params(r, D, 7)):
+        messages = []
+        for r in (Regime(2, 3), reg):
+            with pytest.raises(ec.BudgetExceeded) as exc:
+                call(r, 300)
+            messages.append(str(exc.value))
+        assert messages[0] == messages[1]
+        assert f"about {fresh[300]} table steps" in messages[0]
         assert reg._suffix == held
     monkeypatch.setattr(coverparam, "KERNEL_STEP_CAP", fresh[300])
     assert ec.count_tuples(reg, 300) == ec.count_tuples(Regime(2, 3), 300)

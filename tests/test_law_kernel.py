@@ -5,9 +5,10 @@ series' power-sum recurrence against its binomial expansion, and the
 budgets checked before any work."""
 
 import json
+import re
 import time
 from fractions import Fraction
-from itertools import product
+from itertools import chain, product
 from random import Random
 
 import pytest
@@ -15,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ellcover as ec
+import ellcover.cli as cli
 import ellcover.coverparam as cp
 import ellcover.lseries as ls
 from ellcover.coverparam import LABELINGS, Regime
@@ -338,11 +340,17 @@ def test_the_largest_admitted_law(q, ell, D, monkeypatch):
 
 
 def test_step_counts_in_closed_form_count_every_term():
-    for qell in ((2, 3), (3, 5), (4, 7), (2, 13)):
-        reg = Regime(*qell)
+    # on every regime of LARGEST_LAW the stratum table, the Euler series and
+    # a fresh kernel at every k <= q points are charged what naive counts
+    # term by term, and so is the kernel of the largest law itself
+    for q, ell, top in LARGEST_LAW:
+        reg = ec.make_regime(q, ell)
         for D in range(200):
-            assert cp._suffix_steps(reg, D) == naive.suffix_steps(reg, D)
+            assert cp._stratum_steps(D // reg.n_q) == naive.suffix_steps(reg, D)
             assert ls._series_steps(D // reg.n_q) == naive.series_steps(reg, D)
+        for k, m_max in chain(product(range(1, q + 1), range(1, 30)), [(q, top // reg.n_q)]):
+            assert ls._kernel_growth_steps(reg.ext.order, ell, k, m_max) == \
+                naive.kernel_steps(reg, k, m_max)
 
 
 def test_a_huge_degree_is_refused_at_once():
@@ -378,49 +386,118 @@ def test_budget_edges_of_the_kernel(monkeypatch):
     assert reg._lines == {}
     monkeypatch.setattr(cp, "KERNEL_STEP_CAP", steps)
     assert base_prime_lines(reg, 1) == ({(1, 2): 1},)
-    # degrees 2..5 each multiply Lambda_{n-1} by M_1 on each of the 5 lines,
-    # at 3**2 steps a product; the peel's 10 pairs i < n <= 5 cost 3 steps a
-    # line; and all five degrees are inverted.  The cached kernel keeps M_1,
-    # so it is charged no transfer and no projection again.
-    steps = 4 * 5 * 9 + 10 * 5 * 3 + 5 * 5 * 9 * 2
+    # to degree 5 the kernel held to degree 1 is charged as a fresh one: the
+    # transfer and M_1's projections again, degrees 2..5 each multiplying
+    # Lambda_{n-1} by M_1 on each of the 5 lines at 3**2 steps a product,
+    # the peel's 10 pairs i < n <= 5 at 3 steps a line, and all five degrees
+    # inverted
+    steps = 2 + 4 + 5 * 9 * 2 + 4 * 5 * 9 + 10 * 5 * 3 + 5 * 5 * 9 * 2
+    assert steps == naive.kernel_steps(reg, 2, 5) + 5 * 5 * 9 * 2
     monkeypatch.setattr(cp, "KERNEL_STEP_CAP", steps - 1)
-    with pytest.raises(ec.BudgetExceeded):
+    with pytest.raises(ec.BudgetExceeded, match=f"about {steps} table steps"):
         base_prime_lines(reg, 5)
     assert len(reg._lines[(0, 1)].orthogonal) == 1
     monkeypatch.setattr(cp, "KERNEL_STEP_CAP", steps)
-    assert base_prime_lines(reg, 5)[0] == {(1, 2): 1}
-    # cached that far, only the inversions are left
-    monkeypatch.setattr(cp, "KERNEL_STEP_CAP", 5 * 5 * 9 * 2)
-    assert base_prime_lines(reg, 5)[0] == {(1, 2): 1}
+    lines = base_prime_lines(reg, 5)
+    assert lines[0] == {(1, 2): 1}
+    # held that far, it is charged the same
+    monkeypatch.setattr(cp, "KERNEL_STEP_CAP", steps - 1)
+    with pytest.raises(ec.BudgetExceeded, match=f"about {steps} table steps"):
+        base_prime_lines(reg, 5)
+    monkeypatch.setattr(cp, "KERNEL_STEP_CAP", steps)
+    assert base_prime_lines(reg, 5) == lines
 
 
 @pytest.mark.parametrize("qell, k, cached, m_max", [
-    ((2, 3), 2, 1, 5),  # M_1 cached: products and peel pairs of degrees 2..5
-    ((5, 3), 3, 2, 4),  # M_2 cached: the same, for degrees 3 and 4
-    ((3, 5), 3, 1, 3),  # h grows from 1 to 2: the transfer is recounted
+    ((2, 3), 2, 1, 5),  # M_1 cached, and h = 1 at degree 5 too
+    ((5, 3), 3, 2, 4),  # M_2 cached, and h = 2 at degree 4 too
+    ((3, 5), 3, 1, 3),  # h grows from 1 to 2
 ])
-def test_a_cached_kernel_is_charged_its_extension(qell, k, cached, m_max, monkeypatch):
+def test_a_cached_kernel_is_charged_as_a_fresh_one(qell, k, cached, m_max, monkeypatch):
+    # one step below a fresh kernel's charge, the cached kernel is refused as
+    # a fresh one is, with the same message and nothing extended; at it, the
+    # cached kernel is extended, and it counts what a fresh kernel does
     idx = tuple(range(k))
     reg, fresh = Regime(*qell), Regime(*qell)
     ls._orthogonal_at(reg, idx, cached)
-    extension = naive.kernel_steps(reg, k, m_max, cached)
-    assert ls._kernel_steps(reg, idx, m_max) == extension
-    assert ls._kernel_steps(fresh, idx, m_max) == naive.kernel_steps(reg, k, m_max)
-    assert ls._kernel_steps(reg, idx, cached) == 0
-    # under a cap between the extension's steps and a fresh kernel's (they
-    # are equal when only degree 1 is cached and h grows), the cached
-    # kernel is extended, and it counts what a fresh kernel does
-    w = [1] * k
-    trunc = reg.n_q * m_max
-    series = naive.series_steps(reg, trunc)
-    if extension < naive.kernel_steps(reg, k, m_max):
-        monkeypatch.setattr(cp, "KERNEL_STEP_CAP", extension + series)
-        with pytest.raises(ec.BudgetExceeded):
-            ec.g_series(fresh, [fresh.base.elem(i) for i in idx], w, trunc)
+    w, trunc = [1] * k, reg.n_q * m_max
+    steps = naive.kernel_steps(reg, k, m_max) + naive.series_steps(reg, trunc)
+    monkeypatch.setattr(cp, "KERNEL_STEP_CAP", steps - 1)
+    messages = []
+    for r in (fresh, reg):
+        with pytest.raises(ec.BudgetExceeded) as exc:
+            ec.g_series(r, [r.base.elem(i) for i in idx], w, trunc)
+        messages.append(str(exc.value))
+    assert messages[0] == messages[1] and f"about {steps} table steps" in messages[0]
+    assert fresh._lines == {} and len(reg._lines[idx].orthogonal) == cached
+    monkeypatch.setattr(cp, "KERNEL_STEP_CAP", steps)
     got = ec.g_series(reg, [reg.base.elem(i) for i in idx], w, trunc)
-    monkeypatch.undo()
     assert got == ec.g_series(fresh, [fresh.base.elem(i) for i in idx], w, trunc)
     assert reg._lines[idx].orthogonal == fresh._lines[idx].orthogonal
+
+
+def budgeted_calls(reg):
+    """Each budgeted entry point on reg as a function of a size n >= 1: the
+    degree n_q*n, or for l_polynomial at three points n vanishing
+    coefficients checked."""
+    xs, ys = [reg.base.elem(i) for i in (0, 1)], [reg.ext.elem(i) for i in (0, 1, 2)]
+    return {
+        "count_tuples": lambda n: ec.count_tuples(reg, reg.n_q * n),
+        "exhaustive_distribution": lambda n: report_bytes(ec.exhaustive_distribution(
+            reg, (reg.ell - 1) * (reg.n_q * n - 2) // 2)),
+        "count_constrained": lambda n: ec.count_constrained(
+            reg, reg.n_q * n, xs, (1, 2), reg.ext.elem(1)),
+        "g_series": lambda n: ec.g_series(reg, xs, (1, 2), reg.n_q * n),
+        "base_prime_lines": lambda n: base_prime_lines(reg, n),
+        "l_polynomial": lambda n: ec.l_polynomial(reg, ys, (1, 1, 2), check_extra=n),
+    }
+
+
+def outcome(call, n):
+    try:
+        return "ran", call(n)
+    except ec.BudgetExceeded as exc:
+        return "refused", str(exc)
+
+
+@pytest.mark.parametrize("qell, top", [((2, 3), 12), ((5, 3), 4)])
+@pytest.mark.parametrize("name", ["count_tuples", "exhaustive_distribution",
+                                  "count_constrained", "g_series", "base_prime_lines",
+                                  "l_polynomial"])
+def test_refusals_do_not_depend_on_process_history(qell, top, name, monkeypatch):
+    # a regime warmed by every budgeted call of each size below top holds
+    # its stratum table and its kernels to the size below; at top each call
+    # is charged as on a fresh regime, so one step below a fresh regime's
+    # charge (read from its refusal under a cap of 0) both refuse with the
+    # same message, and at the charge and at the real cap both run alike
+    warm = Regime(*qell)
+    for n in range(1, top):
+        for call in budgeted_calls(warm).values():
+            call(n)
+    cap = cp.KERNEL_STEP_CAP
+    monkeypatch.setattr(cp, "KERNEL_STEP_CAP", 0)
+    refusal = outcome(budgeted_calls(Regime(*qell))[name], top)[1]
+    steps = int(re.search(r"about (\d+) table steps", refusal)[1])
+    for limit, verdict in ((steps - 1, "refused"), (steps, "ran"), (cap, "ran")):
+        monkeypatch.setattr(cp, "KERNEL_STEP_CAP", limit)
+        fresh = outcome(budgeted_calls(Regime(*qell))[name], top)
+        assert fresh[0] == verdict
+        assert outcome(budgeted_calls(warm)[name], top) == fresh
+
+
+def test_the_law_at_genus_226_is_refused_after_genus_224(capsys):
+    # (5, 3) at genus 224, D = 226, is the largest law the cap admits; the
+    # regime that ran it refuses genus 226 as a fresh regime and the CLI do
+    message = ("counting branch tuples by class sum at 5 points to degree 228 "
+               "takes about 4222154 table steps, over the cap 4194304")
+    reg = Regime(5, 3)
+    assert ec.exhaustive_distribution(reg, 224).D == 226
+    for r in (reg, Regime(5, 3)):
+        with pytest.raises(ec.BudgetExceeded) as exc:
+            ec.exhaustive_distribution(r, 226)
+        assert str(exc.value) == message
+    assert cli.main(["ensemble", "--q", "5", "--ell", "3", "--genus", "226"]) == 1
+    assert message in capsys.readouterr().err
 
 
 def test_law_over_the_largest_group_ring():
@@ -465,9 +542,10 @@ def test_verify_passes_past_the_full_ring_cap():
     results = ec.run_checks(11, 3, max_D=2, tuple_cap=3, unit_cap=2)
     assert all(r.passed for r in results), [r for r in results if not r.passed]
     row = next(r for r in results if r.name == "exact-law")
-    # the stratum-count row has built the stratum's table by then
+    # charged as on a fresh regime, though the stratum-count row has built
+    # the stratum's table by then
     reg = ec.make_regime(11, 3)
-    steps = naive.class_sum_steps(reg, 11, 2) - naive.suffix_steps(reg, 2)
+    steps = naive.class_sum_steps(reg, 11, 2)
     assert steps > cp.KERNEL_STEP_CAP
     assert row.detail == (
         "no degree compared; kernel law out of budget from D=2: counting "

@@ -14,6 +14,8 @@ import ellcover.coverparam as coverparam
 import ellcover.verify as verify
 from ellcover.verify import CheckResult, run_checks
 
+import naive
+
 EXPECTED_CHECKS = [
     "regime",
     "fiber-oracle",
@@ -213,20 +215,22 @@ def test_constrained_row_compares_the_least_branch_degree(monkeypatch):
 
 
 def test_constrained_row_notes_a_budget_refusal(monkeypatch):
-    # on a fresh (2, 3) regime, with no cache warm, the class kernel at
-    # points 0, 1 takes 201 table steps to D = 2, 190 to D = 4 from the
-    # kernel cached to degree 2, and 235 to D = 6: under a cap between them
-    # the row compares D = 2 and 4 and notes the refusal at D = 6, a
+    # the class-sum count at points 0, 1 over (2, 3), charged as on a fresh
+    # regime whatever the row's earlier degrees left held, takes 204 table
+    # steps to D = 2, 296 to D = 4 and 412 to D = 6: under a cap between
+    # them the row compares D = 2 and 4 and notes the refusal at D = 6, a
     # declared limit and not a disagreement
+    reg = coverparam.Regime(2, 3)
+    assert [naive.class_sum_steps(reg, 2, D) for D in (2, 4, 6)] == [204, 296, 412]
     monkeypatch.setattr(verify, "make_regime", coverparam.Regime)
-    monkeypatch.setattr(coverparam, "KERNEL_STEP_CAP", 205)
+    monkeypatch.setattr(coverparam, "KERNEL_STEP_CAP", 300)
     rows = {r.name: r for r in run_checks(2, 3, max_D=6)}
     row = rows["constrained-crosscheck"]
     assert row.passed, row.detail
     assert row.detail.startswith(
         "class-kernel count == direct count (D=2:0, D=4:1); class kernel out of "
         "budget from D=6: counting branch tuples by class sum at 2 points to "
-        "degree 6 takes about 235 table steps")
+        "degree 6 takes about 412 table steps")
 
 
 def test_constrained_row_detects_a_tampered_kernel(monkeypatch):
