@@ -142,10 +142,13 @@ def check_regime(q: int, ell: int) -> tuple[int, int, int]:
 class Regime:
     """A (q, ell) pair with its contexts, caches, and twist exponents.  The
     stores hold each prime that split_prime or prime_classes proves, and the
-    classes of the drawn primes at or below DRAW_SIEVE_CAP's line."""
+    classes of the drawn primes at or below DRAW_SIEVE_CAP's line.  The
+    addition and class rows of lseries's Horner transfer depend on (Q, ell)
+    alone, so each regime holds its own for every transfer over its
+    extension."""
 
     __slots__ = ("q", "ell", "p", "k", "n_q", "base", "ext", "v_exps", "cosets",
-                 "_split_cache", "_class_cache", "_suffix", "_lines")
+                 "_split_cache", "_class_cache", "_suffix", "_lines", "_rows")
 
     def __init__(self, q: int, ell: int):
         p, k, n_q = check_regime(q, ell)
@@ -177,6 +180,9 @@ class Regime:
         self._suffix: tuple[list[list[int]], list[list[int]]] = ([], [[1]])
         # sorted base-point literals -> lseries._LineKernel, built on first use
         self._lines: dict = {}
+        # the addition and class rows of lseries._horner_counts over ext, each
+        # row built on first use
+        self._rows = None
 
     def __repr__(self) -> str:
         return f"Regime(q={self.q}, ell={self.ell}, n_q={self.n_q})"

@@ -12,15 +12,15 @@ class vector at the weighted points is orthogonal to w, so the series is
 read off the base primes orthogonal to w's line, peeled from monic
 polynomials over the extension once per line without listing any prime.
 The monic polynomials are counted by class vector, never listed, by one
-Horner transfer over value vectors, which keys a line with one offset by
-that offset and the classes at the first two points by one small int, so
-the two-point transfer hashes no tuple per value vector.  An L-polynomial
-at one or two points of nonzero weight is 1 + c_1*u, c_1 one sum over F_Q
-(a Jacobi sum at two points) read from the log and Zech tables and checked
-by its norm, with the transfer as its oracle.  Inverting the series
-counts the branch tuples of each class sum, one count per class line,
-which the exact law and the constrained counts both read, with
-enumeration as their oracle.
+Horner transfer over value vectors, the same at every number of points:
+a line is keyed by the tuple of its offsets and a class vector by the
+tuple of its classes, from addition and class rows the regime holds.  An
+L-polynomial at one or two points of nonzero weight is 1 + c_1*u, c_1 one
+sum over F_Q (a Jacobi sum at two points) read from the log and Zech
+tables and checked by its norm, with the transfer as its oracle.
+Inverting the series counts the branch tuples of each class sum, one
+count per class line, which the exact law and the constrained counts both
+read, with enumeration as their oracle.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, chain, repeat
 from math import log2, sqrt
-from operator import add, itemgetter, mul
+from operator import itemgetter, mul
 
 from .coverparam import (
     Regime,
@@ -40,7 +40,6 @@ from .coverparam import (
     _check_unit,
     _enumerate_full,
     _quotient_sums,
-    _stratum_steps,
     class_vector,
     count_tuples,
 )
@@ -248,116 +247,63 @@ class _Rows(dict):
         return row
 
 
-# (ctx, ell) -> the addition, class and pair rows of the last transfer.  They
-# depend on nothing else, so later transfers over the same field reuse them;
-# only one field's rows are kept, so no transfer holds rows it did not build
-# or would not build itself.
-_field_rows: dict = {}
-
-
-def _rows(ctx, ell: int) -> tuple[_Rows, _Rows, _Rows]:
-    """shifted[u] = (u + a)_a, classed[u] = (class of u + a)_a and pair[u] =
-    (class of a * (ell + 1) + class of u + a)_a over the literals a of ctx,
-    the class of 0 being ell: a pair code is an int below (ell + 1)**2."""
-    rows = _field_rows.get((ctx, ell))
-    if rows is None:
-        _field_rows.clear()
-        order, add_i = ctx.order, ctx.add_i
-        classes = (ell,) + tuple(ctx.log[v] % ell for v in range(1, order))
-        firsts = tuple(c * (ell + 1) for c in classes)
-        shifted = _Rows(lambda u: tuple([add_i(u, a) for a in range(order)]))
-        # itemgetter of the order >= 4 literals of a row gives a tuple
-        classed = _Rows(lambda u: itemgetter(*shifted[u])(classes))
-        pair = _Rows(lambda u: tuple(map(add, firsts, itemgetter(*shifted[u])(classes))))
-        rows = _field_rows[(ctx, ell)] = (shifted, classed, pair)
-    return rows
-
-
-def _horner_counts(ctx, points, terms: int, ell: int):
+def _horner_counts(regime: Regime, points, terms: int):
     """Yield M_0, ..., M_{terms-1}, terms >= 1, where M_n maps each class vector
-    (log f(x_i) mod ell)_i of a monic f of degree n with no root at the
-    points to the number of such f.
+    (log f(x_i) mod ell)_i of a monic f of degree n over the regime's
+    extension with no root at the points to the number of such f.
 
     Horner's rule makes this a transfer on value vectors: f = X*g + a has
     f(x_i) = g(x_i)*x_i + a, so the count at u sums the counts one degree
     down at the v with v_i*x_i = u_i - a over every a, the same sum at every
     point of the line u + F_Q*(1, ..., 1).  With d_i = x_i - x_1, the line
-    keyed by (e_i)_{i>1} is {(t, t + e_2*d_2, ..., t + e_k*d_k) : t in F_Q},
-    and its point at t pushes to the line keyed by (t + e_i*x_i)_{i>1}; the
-    X + a form the line (1, ..., 1).  Lines of equal count are classed in
-    one Counter and pushed in another; the last degree is not pushed.
+    keyed by the tuple (e_i)_{i>1} is {(t, t + e_2*d_2, ..., t + e_k*d_k) :
+    t in F_Q}, and its point at t pushes to the line keyed by
+    (t + e_i*x_i)_{i>1}; the X + a form the line (1, ..., 1).
 
-    Keys are small ints where they can be.  A line with one offset (k = 2)
-    is keyed by e_2 itself, and the classes at x_1 and x_2 are counted as
-    one pair code (_rows), which a pair row gives for a whole line; at
-    k >= 3 a class key is that code followed by the classes at x_3..x_k,
-    from k - 2 class rows, and pushing zips k - 1 addition rows.  Each code
-    met is decoded once per degree, and a vector with class ell, a root at
-    a point, is left out.  Counts are Python ints.
+    Every k >= 1 has this one shape: a line's class vectors are the tuples
+    zipped from one class row per point, and its pushes zip the k - 1
+    addition rows at its offsets.  Lines of equal count are classed in one
+    Counter and pushed in another; the last degree is not pushed.  A vector
+    with class ell, a root at a point, is left out once per degree.  The rows
+    depend on (Q, ell) alone, so the regime holds them (Regime._rows), each
+    built on first use.  Counts are Python ints.
     """
     k = len(points)
     yield Counter({(0,) * k: 1})
     if terms == 1:
         return
-    order, mul_i, radix = ctx.order, ctx.mul_i, ell + 1
-    shifted, classed, pair = _rows(ctx, ell)
+    ctx, ell = regime.ext, regime.ell
+    order, mul_i = ctx.order, ctx.mul_i
+    if regime._rows is None:  # shifted[u] = (u + a)_a, classed[u] = (class of u + a)_a
+        add_i = ctx.add_i
+        classes = (ell,) + tuple(ctx.log[v] % ell for v in range(1, order))
+        shifted = _Rows(lambda u: tuple([add_i(u, a) for a in range(order)]))
+        # itemgetter of the order >= 4 literals of a row gives a tuple
+        regime._rows = shifted, _Rows(lambda u: itemgetter(*shifted[u])(classes))
+    shifted, classed = regime._rows
     x1, *xs = (x.val for x in points)
     # e -> e*x_i, the push, and e -> e*d_i, the line's offset, for i > 1
     scaled = [[mul_i(e, x) for e in range(order)] for x in xs]
     offsets = [[mul_i(e, ctx.sub_i(x, x1)) for e in range(order)] for x in xs]
-    if k == 1:  # one line, keyed by ()
-        lines = {(): 1}
-
-        def class_rows(keys):
-            return (classed[0] for _ in keys)
-
-        def push_rows(keys):
-            return (repeat((), order) for _ in keys)
-
-        def decode(c):
-            return (c,)
-    elif k == 2:
-        (o,), (s,) = offsets, scaled
-        lines = {1: 1}
-
-        def class_rows(keys):
-            return map(pair.__getitem__, map(o.__getitem__, keys))
-
-        def push_rows(keys):
-            return map(shifted.__getitem__, map(s.__getitem__, keys))
-
-        def decode(c):
-            return divmod(c, radix)
-    else:
-        o, *rest = offsets
-        lines = {(1,) * (k - 1): 1}
-
-        def class_rows(keys):
-            return (zip(pair[o[key[0]]], *[classed[r[e]] for r, e in zip(rest, key[1:])])
-                    for key in keys)
-
-        def push_rows(keys):
-            return (zip(*[shifted[s[e]] for s, e in zip(scaled, key)]) for key in keys)
-
-        def decode(c):
-            return divmod(c[0], radix) + c[1:]
+    firsts = classed[0]
+    lines = {(1,) * (k - 1): 1}
     for n in range(1, terms):
         groups: dict[int, list] = {}
         for key, cnt in lines.items():
             groups.setdefault(cnt, []).append(key)
         found, pushed = {}, {}
         for cnt, keys in groups.items():
-            for c, h in Counter(chain.from_iterable(class_rows(keys))).items():
+            vectors = (zip(firsts, *[classed[o[e]] for o, e in zip(offsets, key)])
+                       for key in keys)
+            for c, h in Counter(chain.from_iterable(vectors)).items():
                 found[c] = found.get(c, 0) + h * cnt
             if n < terms - 1:
-                for line, h in Counter(chain.from_iterable(push_rows(keys))).items():
+                # a line with no offset, at one point, pushes order times to ()
+                pushes = (zip(*[shifted[s[e]] for s, e in zip(scaled, key)]) if key
+                          else repeat((), order) for key in keys)
+                for line, h in Counter(chain.from_iterable(pushes)).items():
                     pushed[line] = pushed.get(line, 0) + h * cnt
-        counts = Counter()
-        for c, h in found.items():
-            c = decode(c)
-            if ell not in c:
-                counts[c] = h
-        yield counts
+        yield Counter({c: h for c, h in found.items() if ell not in c})
         lines = pushed
 
 
@@ -376,12 +322,14 @@ def _sum_classes(ctx, support, weights, ell: int) -> list[int]:
     return by_class
 
 
-def _transfer_coefficients(ctx, support, weights, k: int, terms: int, ell: int) -> list[CycloInt]:
+def _transfer_coefficients(regime: Regime, support, weights, k: int,
+                           terms: int) -> list[CycloInt]:
     """c_0..c_{k-1} of L(u) at the points support of nonzero weights, c_n =
     sum_c M_n(c) * zeta**<w, c> with M_n from _horner_counts; the transfer's
     c_k..c_{terms-1} must vanish and c_0 be 1, else CrossCheckMismatch."""
+    ell = regime.ell
     coeffs: list[CycloInt] = []
-    for n, counts in enumerate(_horner_counts(ctx, support, terms, ell)):
+    for n, counts in enumerate(_horner_counts(regime, support, terms)):
         by_class = [0] * ell
         for c, cnt in counts.items():
             by_class[sum(map(mul, weights, c)) % ell] += cnt
@@ -420,7 +368,7 @@ def l_polynomial(regime: Regime, points, w, check_extra: int = CHECK_EXTRA) -> l
     support, weights = zip(*((x, wi) for x, wi in zip(char.points, char.w) if wi))
     s = len(support)
     if s > 2:
-        return _transfer_coefficients(ctx, support, weights, k, k + check_extra, ell)
+        return _transfer_coefficients(regime, support, weights, k, k + check_extra)
     c1 = CycloInt._from_powers(ell, _sum_classes(ctx, support, weights, ell))
     primitive, norm = sum(weights) % ell, (s - 1) * ctx.order  # c_1 = 0 at one point
     if not (c1 * c1.conjugate() == norm if primitive else c1 == -1):
@@ -578,7 +526,7 @@ class _LineKernel:
         table = subfield_table(regime.base, ext)
         points = [FieldElem(ext, table[i]) for i in self.idx]
         per_degree = [_dot_counts(counts, len(points), ell)
-                      for counts in _horner_counts(ext, points, h + 1, ell)]
+                      for counts in _horner_counts(regime, points, h + 1)]
         self.monic = {w: [d[w] for d in per_degree] for w in per_degree[0]}
 
     def extend(self, regime: Regime, m_max: int) -> None:
@@ -746,8 +694,11 @@ def _check_class_sums(order: int, ell: int, n_q: int, k: int, D: int) -> None:
     kernel, and per line a look-up per degree, one _euler_series at its
     recurrence's steps and ell**2 per coordinate for _invert."""
     m_max = D // n_q
-    _check_steps(_stratum_steps(m_max) + _kernel_growth_steps(order, ell, k, m_max)
-                 + _line_count(ell, k) * (m_max + _series_steps(m_max) + k * ell ** 2),
+    # _stratum_steps and _series_steps at m_max >= 1, from one _quotient_sums
+    single, double = _quotient_sums(m_max)
+    stratum, series = m_max * (m_max + 1) + double, m_max * (m_max + 1) // 2 + single
+    _check_steps(stratum + _kernel_growth_steps(order, ell, k, m_max)
+                 + _line_count(ell, k) * (m_max + series + k * ell ** 2),
                  f"counting branch tuples by class sum at {k} points to degree {D}")
 
 

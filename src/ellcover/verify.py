@@ -278,7 +278,7 @@ def run_checks(q: int, ell: int, max_D: int = 4, tuple_cap: int = 25,
                 if k == 2:  # the transfer checks its own vanishing degrees
                     support = [(embed_elem(x, regime.ext), wi) for x, wi in zip(pts, w) if wi]
                     by_transfer = _transfer_coefficients(
-                        regime.ext, *zip(*support), k, k + extra + 1, ell)
+                        regime, *zip(*support), k, k + extra + 1)
                     _require(fast == by_transfer,
                              f"points {[str(x) for x in pts]}, weights {w}: the sum "
                              f"gives {fast}, the transfer gives {by_transfer}")

@@ -452,8 +452,10 @@ def line_counts_by_tuples(ctx, xs, terms, ell):
     the line keyed by (e_i)_{i>1}, d_i = x_i - x_1, holds the value vectors
     (t, t + e_2*d_2, ..., t + e_k*d_k) over t, and its point at t pushes to
     the line keyed by (t + e_i*x_i)_{i>1}.  A second oracle for the shapes
-    where pushing every constant is too slow: it shares no row, key or code
-    with the package."""
+    where pushing every constant is too slow.  Its keys have the package's
+    shape, tuples of offsets and of classes, but it shares no code or row
+    with the package; horner_counts, which shares neither, stays the
+    oracle of both."""
     order = ctx.order
     shifts = {}  # u -> (u + a for every a)
     classes = [None] + [ctx.log[v] % ell for v in range(1, order)]

@@ -97,7 +97,7 @@ def test_wrong_twist_exponents_raise_a_typed_error():
 def test_l_polynomial_checks_raise_typed_errors(monkeypatch, value):
     # one monic of class 0 at every degree leaves a nonvanishing coefficient
     # above the degree bound; none leaves c_0 = 0
-    def fake(ctx, points, terms, ell):
+    def fake(regime, points, terms):
         for _ in range(terms):
             yield {(0,) * len(points): value}
 

@@ -49,7 +49,7 @@ def monics_by_class(reg, h):
     with no root at the affine points, by class vector at those points."""
     table = subfield_table(reg.base, reg.ext)
     points = [FieldElem(reg.ext, table[i]) for i in range(reg.q)]
-    return list(_horner_counts(reg.ext, points, h + 1, reg.ell))
+    return list(_horner_counts(reg, points, h + 1))
 
 
 def sieved_g_series(reg, points, w, trunc):

@@ -4,7 +4,6 @@ constrained-count character average."""
 import cmath
 import logging
 import time
-import weakref
 from fractions import Fraction
 from itertools import combinations, permutations, product
 
@@ -220,39 +219,42 @@ def test_horner_counts_match_the_push_per_constant_oracle(reg):
             points = [ec.embed_elem(x, reg.ext) for x in pts(reg, *lits)]
             by_value = naive.horner_counts(reg.ext, [x.val for x in points], terms)
             want = [naive.by_class(reg.ext, counts, reg.ell) for counts in by_value]
-            assert list(_horner_counts(reg.ext, points, terms, reg.ell)) == want
+            assert list(_horner_counts(reg, points, terms)) == want
 
 
-def test_transfer_rows_are_kept_for_the_last_field_only(monkeypatch):
+def test_transfer_rows_are_held_on_their_regime():
     import ellcover.lseries as ls
 
     # two-point transfers, run directly: l_polynomial runs none at two points
-    monkeypatch.setattr(ls, "_field_rows", {})
-    cases = [pts(R53, 0, 1), pts(R53, 1, 3)]
+    reg = Regime(5, 3)
+    cases = [pts(reg, 0, 1), pts(reg, 1, 3)]
     fresh = []
     for points in cases:
-        ls._field_rows.clear()
-        fresh.append(list(_horner_counts(R53.ext, points, 5, 3)))
-    ls._field_rows.clear()
-    kept = []
+        reg._rows = None
+        fresh.append(list(_horner_counts(reg, points, 5)))
+    reg._rows = None
+    held = []
     for points in cases:
-        assert list(_horner_counts(R53.ext, points, 5, 3)) == fresh[len(kept)]
-        kept.append(ls._field_rows[(R53.ext, 3)])
-    assert kept[0] is kept[1]  # the second call reused the first call's rows
-    assert len(kept[0][0]) == R53.ext.order  # two points build every row
-    shifted, classed, pair = kept[0]
-    assert len(pair) == R53.ext.order  # and every pair row, in the same entry
-    assert not classed  # two points read pair rows, not class rows
-    dropped = weakref.ref(pair)
-    del kept, shifted, classed, pair
-    R35 = Regime(3, 5)
-    list(_horner_counts(R35.ext, [ec.embed_elem(x, R35.ext) for x in pts(R35, 0)], 4, 5))
-    assert list(ls._field_rows) == [(R35.ext, 5)]
-    assert dropped() is None  # the pair rows went with their field's entry
+        assert list(_horner_counts(reg, points, 5)) == fresh[len(held)]
+        held.append(reg._rows)
+        # transfers over other fields in between change no count
+        for q, ell in [(3, 5), (2, 3)]:
+            other = Regime(q, ell)
+            list(_horner_counts(other, [ec.embed_elem(x, other.ext) for x in pts(other, 0, 1)], 4))
+    assert held[0] is held[1]  # the second call reused the first call's rows
+    shifted, classed = held[0]
+    assert len(shifted) == len(classed) == reg.ext.order  # two points build every row
+    # a fresh regime with the same (q, ell) builds its own rows
+    again = Regime(5, 3)
+    assert again._rows is None
+    assert list(_horner_counts(again, pts(again, 0, 1), 5)) == fresh[0]
+    assert again._rows[0] is not shifted and again._rows[1] is not classed
+    assert reg._rows is held[0]
+    assert not hasattr(ls, "_field_rows")
 
 
-def test_two_point_pair_codes_above_one_byte_match_the_tuple_keyed_oracle():
-    # Q = 256 and ell = 17: (ell + 1)**2 = 324 pair codes, through degree
+def test_two_point_transfers_over_f256_match_the_tuple_keyed_oracle():
+    # Q = 256 and ell = 17: (ell + 1)**2 = 324 class pairs, through degree
     # k + 3; pushing every constant is too slow here, so the oracle is the
     # line transfer with tuple keys
     for q, lits in [(16, (0, 1)), (16, (3, 10)), (2, (0, 1))]:
@@ -260,7 +262,7 @@ def test_two_point_pair_codes_above_one_byte_match_the_tuple_keyed_oracle():
         assert reg.ext.order == 256
         points = [ec.embed_elem(x, reg.ext) for x in pts(reg, *lits)]
         want = naive.line_counts_by_tuples(reg.ext, [x.val for x in points], 6, 17)
-        assert list(_horner_counts(reg.ext, points, 6, 17)) == want
+        assert list(_horner_counts(reg, points, 6)) == want
 
 
 @pytest.mark.parametrize("reg", [R23, R53], ids=lambda r: f"{r.q},{r.ell}")
@@ -277,10 +279,11 @@ def test_tuple_keyed_oracle_matches_the_push_per_constant_oracle(reg):
 
 
 @pytest.mark.parametrize("w", [(0, 1), (2, 0), (3, 1)])
-def test_l_polynomial_with_one_zero_weight_runs_the_one_point_transfer(w):
-    # a point of weight 0 mod ell leaves one point in the transfer (k = 1);
-    # the sums over every monic are the oracle, through degree k + 3 over
-    # (2, 3) and through degree 2 over (5, 3)
+def test_l_polynomial_with_one_zero_weight_matches_the_sum_over_every_monic(w):
+    # a point of weight 0 mod ell leaves one point of nonzero weight, where
+    # l_polynomial reads c_1 from the one-point sum over F_Q; the sums over
+    # every monic are the oracle, through degree k + 3 over (2, 3) and
+    # through degree 2 over (5, 3)
     points = pts(R23, 0, 1)
     sums = _l_coefficients_by_enumeration(R23, points, w, 5)
     assert ec.l_polynomial(R23, points, w) == sums[:2]
@@ -456,8 +459,8 @@ def test_l_polynomial_detects_a_count_moved_at_degree_k(monkeypatch):
 
     real = ls._horner_counts
 
-    def lying(ctx, points, terms, ell):
-        for n, counts in enumerate(real(ctx, points, terms, ell)):
+    def lying(regime, points, terms):
+        for n, counts in enumerate(real(regime, points, terms)):
             if n == len(points):
                 counts = dict(counts)
                 counts[next(iter(counts))] -= 1
@@ -553,9 +556,9 @@ def test_a_longer_call_reruns_the_transfer_and_catches_a_moved_count(monkeypatch
     ext = reg.ext
     real, runs = ls._horner_counts, []
 
-    def lying(ctx, points, terms, ell):
+    def lying(regime, points, terms):
         runs.append(terms)
-        for n, counts in enumerate(real(ctx, points, terms, ell)):
+        for n, counts in enumerate(real(regime, points, terms)):
             if n == len(points):
                 counts = dict(counts)
                 counts[next(iter(counts))] -= 1
@@ -592,7 +595,7 @@ def _oracles(reg, points, w, terms):
     of nonzero weight, which checks that degrees 2 to terms - 1 vanish, and
     from the sum over every monic polynomial of degree 0 or 1."""
     support = [(ec.embed_elem(x, reg.ext), wi) for x, wi in zip(points, w) if wi % reg.ell]
-    by_transfer = _transfer_coefficients(reg.ext, *zip(*support), 2, terms, reg.ell)
+    by_transfer = _transfer_coefficients(reg, *zip(*support), 2, terms)
     return by_transfer, _l_coefficients_by_enumeration(reg, points, w, 2)
 
 
