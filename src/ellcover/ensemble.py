@@ -1,12 +1,12 @@
 """Fixed-genus ensembles of covers and the limiting point-count law.
 
-In this regime every fiber over a base-rational point holds either 0 or ell
-points, so the total count lands on the lattice {0, ell, ..., (q+1)ell}.  As
-the genus grows the q+1 fiber indicators become independent fair ell-sided
-events, giving the exact binomial limit law; ensembles here are measured
-either exhaustively (the exact law over every branch tuple and twisting
-unit, from the base primes counted by class line) or by uniform Monte Carlo
-sampling, and compared to the limit in total variation.
+In this regime every fiber over a base-rational point holds 0 or ell points,
+so the count lies on {0, ell, ..., (q+1)ell}.  At every genus the twist by
+e(b) splits each point, infinity included, in exactly 1/ell of a stratum's
+covers (the finite-genus form of P(X_i = ell) = 1/ell); as the genus grows
+the q+1 fiber indicators also become independent: the binomial limit law.
+Ensembles are exact laws over every cover of a stratum, or uniform Monte
+Carlo samples, compared to the limit in total variation.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import time
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
 from random import Random
 
 from .charsum import INFINITY, projective_points
@@ -71,14 +71,16 @@ def theoretical_distribution(regime: Regime) -> Distribution:
 
 
 def tv_distance(a: Distribution, b: Distribution) -> Fraction:
-    """Total variation distance between two laws on the same lattice."""
+    """Total variation distance between two laws on the same lattice, summed
+    in integers over one common denominator, the lcm of all their masses'."""
     if (a.q, a.ell) != (b.q, b.ell):
         raise SupportMismatch(
             f"distributions live on different lattices: "
             f"(q={a.q}, ell={a.ell}) vs (q={b.q}, ell={b.ell})")
-    support = set(a.masses) | set(b.masses)
-    total = sum((abs(a.mass(n) - b.mass(n)) for n in support), Fraction(0))
-    return total / 2
+    den = lcm(*(m.denominator for law in (a, b) for m in law.masses.values()))
+    na, nb = ({n: m.numerator * (den // m.denominator) for n, m in law.masses.items()}
+              for law in (a, b))
+    return Fraction(sum(abs(na.get(n, 0) - nb.get(n, 0)) for n in {*na, *nb}), 2 * den)
 
 
 @dataclass(frozen=True)
@@ -141,7 +143,6 @@ def _measure_covers(regime: Regime, jobs, labeling: str):
     ell = regime.ell
     hist: Counter[int] = Counter()
     splits: Counter[int] = Counter()
-    size = 0
     for prime_mults, b, classes in jobs:
         n_total = 0
         for idx, e in enumerate(class_vector(regime, prime_mults, b, labeling, classes)):
@@ -149,8 +150,7 @@ def _measure_covers(regime: Regime, jobs, labeling: str):
                 n_total += ell
                 splits[idx] += 1
         hist[n_total] += 1
-        size += 1
-    return hist, splits, size
+    return hist, splits, sum(hist.values())
 
 
 def _report(regime: Regime, g: int, D: int, mode: str, seed: int | None,
@@ -189,30 +189,28 @@ def _enumerated_law(regime: Regime, D: int, labeling: str):
 
 
 def _exact_law(regime: Regime, D: int):
-    """(histogram, split counter, size) of every cover of degree D, from the
-    base-prime lines alone: a cover's affine classes are n_q * (e(b) + u),
-    u its class sum at every affine point, so the law is fixed by A, the
-    branch tuples per class line (_class_sum_counts).  A nonzero line v
-    holds the ell - 1 class sums t*v, with A(v) tuples each; the zero line
-    holds one.  At t*v the twist class e(b) = -t*s hits the points i with
-    v_i = s, and infinity, of class n_q e(b), when s = 0, so each s in
-    Z/ell stands for one (multiple, twist class) pair per class sum on the
-    line.  Each class of e(b) holds (Q-1)/ell units.
+    """(histogram, split counts, size) of every cover of degree D, from the
+    base-prime lines: a cover's affine classes are n_q * (e(b) + u), u its
+    class sum, so A, the branch tuples per class line (_class_sum_counts),
+    fixes the law.  A nonzero line v holds the ell - 1 class sums t*v, with
+    A(v) tuples each; the zero line holds one.  At t*v the twist class
+    e(b) = -t*s, of (Q-1)/ell units, splits the points i with v_i = s and,
+    when s = 0, infinity.  Over the ell values of s each point is hit once
+    per line, so every point, infinity included, splits in size/ell covers.
     """
     ell, q = regime.ell, regime.q
     per_class = (regime.ext.order - 1) // ell
-    hist: Counter[int] = Counter()
-    splits: Counter[int] = Counter()
+    covers = [0] * (q + 2)  # covers by how many points split
     for v, a in _class_sum_counts(regime, tuple(range(q)), D).items():
-        a *= ell - 1 if any(v) else 1
-        for s in range(ell):
-            hits = [i for i, c in enumerate(v) if c == s]
-            if s == 0:
-                hits.append(q)  # infinity
-            hist[ell * len(hits)] += a * per_class
-            for i in hits:
-                splits[i] += a * per_class
-    return hist, splits, sum(hist.values())
+        a *= (ell - 1 if any(v) else 1) * per_class
+        hits = [1] + [0] * (ell - 1)  # infinity, at s = 0
+        for s in v:
+            hits[s] += 1
+        for k in hits:
+            covers[k] += a
+    size = sum(covers)
+    hist = Counter({ell * k: c for k, c in enumerate(covers) if c})
+    return hist, dict.fromkeys(range(q + 1), size // ell), size
 
 
 def check_ensemble_budget(q: int, ell: int, g: int, mode: str) -> None:

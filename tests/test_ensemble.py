@@ -6,6 +6,8 @@ from fractions import Fraction
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ellcover as ec
 
@@ -40,6 +42,43 @@ def test_tv_distance_basic_cases():
     assert ec.tv_distance(a, c) == Fraction(1, 2)
     with pytest.raises(ec.SupportMismatch):
         ec.tv_distance(a, ec.Distribution(5, 3, {0: Fraction(1)}))
+
+
+LATTICES = [(2, 3), (5, 3), (3, 5), (4, 7)]
+
+
+@st.composite
+def law_pairs(draw):
+    """Two laws on one lattice, each on its own denominator.  A mass may be
+    absent or an explicit zero, and in half the draws b keeps only the points
+    where a has no positive mass, so the supports are disjoint."""
+    q, ell = draw(st.sampled_from(LATTICES))
+    lattice = [ell * m for m in range(q + 2)]
+    weight = st.one_of(st.none(), st.integers(0, 10 ** 6))
+    laws = []
+    for _ in range(2):
+        nums = draw(st.lists(weight, min_size=q + 2, max_size=q + 2).filter(
+            lambda ns: any(ns)))
+        total = sum(n for n in nums if n)
+        laws.append({n: Fraction(c, total) for n, c in zip(lattice, nums) if c is not None})
+    a, b = laws
+    if draw(st.booleans()):
+        b = {n: m for n, m in b.items() if not a.get(n)}
+    return lattice, ec.Distribution(q, ell, a), ec.Distribution(q, ell, b)
+
+
+@settings(max_examples=200, deadline=None)
+@given(law_pairs())
+def test_tv_distance_is_the_fraction_sum(pair):
+    lattice, a, b = pair
+    want = sum((abs(a.mass(n) - b.mass(n)) for n in lattice), Fraction(0)) / 2
+    got = ec.tv_distance(a, b)
+    assert type(got) is Fraction and got == want
+    assert ec.tv_distance(b, a) == got
+    assert ec.tv_distance(a, a) == 0 == ec.tv_distance(b, b)
+    other = next(qe for qe in LATTICES if qe != (a.q, a.ell))
+    with pytest.raises(ec.SupportMismatch):
+        ec.tv_distance(a, ec.Distribution(*other, dict(a.masses)))
 
 
 def test_exhaustive_genus_zero_fully_independent():

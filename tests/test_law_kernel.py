@@ -148,6 +148,9 @@ def test_reports_equal_the_enumeration_oracle(qell, g, labeling):
 
 
 LINE_LAW = [(2, 3), (3, 5), (5, 3), (4, 5), (2, 7), (3, 7)]
+# one degree per LINE_LAW regime far past the enumeration's reach, where the
+# law alone is compared: each takes well under a second
+LARGE_LAW_D = {(2, 3): 60, (3, 5): 60, (5, 3): 48, (4, 5): 60, (2, 7): 60, (3, 7): 60}
 
 
 @pytest.mark.parametrize("qell", LINE_LAW)
@@ -159,12 +162,14 @@ def test_law_and_constrained_counts_per_line_match_the_vector_expansion(qell):
     ell, ext = reg.ell, reg.ext
     b = ext.elem(ext.generator)  # class 1
     pts = [reg.base.elem(1), reg.base.elem(0)]
-    for D in range(reg.n_q, 7, reg.n_q):
+    for D in [*range(reg.n_q, 7, reg.n_q), LARGE_LAW_D[qell]]:
         every = naive.expand_lines(
             ls._class_sum_counts(reg, tuple(range(reg.q)), D), ell)
         hist, splits, size = _exact_law(reg, D)
         assert (dict(hist), dict(splits), size) == naive.law_by_vector(
             every, ell, reg.q, ext.order)
+        if D > 6:
+            continue
         pair = naive.expand_lines(ls._class_sum_counts(reg, (0, 1), D), ell)
         for t in product(range(ell), repeat=2):
             want = naive.constrained_by_vector(pair, ell, reg.n_q, 1, t[::-1])
